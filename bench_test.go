@@ -7,6 +7,7 @@ package indice
 //	go test -bench=. -benchmem .
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -1438,6 +1439,117 @@ func BenchmarkE17AggPushdown(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := snap.QueryAgg(nil, spec, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkE19RowPage prices one drill-down row page — the statistics of
+// a selection plus its first 20 certificates — on the repo benchmark's
+// corpus shape (20k certificates × 132 attributes, default store layout)
+// for a predicate matching about half of them. "materialize" is the road
+// /api/query and the replica rows leg took before the page path: decode
+// every match into a row table (Snapshot.Query), regroup it row-wise
+// (scaleout.BuildPartial), keep 20 rows. "page" is
+// Snapshot.QueryShardsPage: the pushdown's accumulators plus the 20
+// decoded rows, nothing else. Methodology in docs/benchmarks.md.
+func BenchmarkE19RowPage(b *testing.B) {
+	const (
+		rows  = 20_000
+		limit = 20
+	)
+	city, err := synth.GenerateCity(synth.DefaultCityConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	gcfg := synth.DefaultConfig()
+	gcfg.Certificates = rows
+	ds, err := synth.Generate(gcfg, city)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.New(store.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.AppendTable(ds.Table); err != nil {
+		b.Fatal(err)
+	}
+	snap := st.Snapshot()
+	eph, ok := snap.Stats(epc.AttrEPH)
+	if !ok {
+		b.Fatalf("%s is not statistics-tracked", epc.AttrEPH)
+	}
+	pred := query.NumRange{Attr: epc.AttrEPH, Min: 0, Max: eph.Mean}
+	spec := store.AggSpec{By: epc.AttrEnergyClass, Attrs: []string{epc.AttrEPH}}
+	first := seqInts(limit)
+
+	// Equivalence gate, outside timing: the page is the first rows of the
+	// materialized match set, byte for byte, and the accumulators count
+	// what the row-wise regrouping counts.
+	tab, _, err := snap.Query(pred, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sel := float64(tab.NumRows()) / rows; sel < 0.35 || sel > 0.65 {
+		b.Fatalf("predicate matches %.0f%% of the corpus, want about half", sel*100)
+	}
+	wantPage, err := tab.Take(first)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wantAttrs, wantGroups, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, page, _, err := snap.QueryShardsPage(pred, 0, snap.NumShards(), 1, spec, 0, limit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var wantCSV, gotCSV bytes.Buffer
+	if err := wantPage.WriteCSV(&wantCSV); err != nil {
+		b.Fatal(err)
+	}
+	if err := page.WriteCSV(&gotCSV); err != nil {
+		b.Fatal(err)
+	}
+	if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
+		b.Fatal("page rows differ from the first rows of the materialized match set")
+	}
+	if want := wantAttrs[epc.AttrEPH]; res.Matched != tab.NumRows() || res.Totals[0].R.Count != want.Count ||
+		res.Totals[0].R.Min != want.Min || res.Totals[0].R.Max != want.Max ||
+		res.Totals[0].S.Quantile(0.5) != want.Sketch.Quantile(0.5) {
+		b.Fatalf("page totals %+v over %d rows, materialize %+v over %d", res.Totals[0].R, res.Matched, want, tab.NumRows())
+	}
+	if len(res.Groups) != len(wantGroups) {
+		b.Fatalf("page %d groups, materialize %d", len(res.Groups), len(wantGroups))
+	}
+	for i, g := range res.Groups {
+		if w := wantGroups[i]; g.Key != w.Value || g.Rows != w.Count {
+			b.Fatalf("group[%d] = %s/%d, materialize %s/%d", i, g.Key, g.Rows, w.Value, w.Count)
+		}
+	}
+
+	b.Run("materialize", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tab, _, err := snap.Query(pred, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := tab.Take(first); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("page", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := snap.QueryShardsPage(pred, 0, snap.NumShards(), 1, spec, 0, limit); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -28,7 +28,9 @@ type QuerySpec struct {
 	ShardTo   int `json:"shard_to"`
 	// RowsLimit asks for the first RowsLimit matched rows of the range
 	// (offset+limit from the client's page — each leg returns a prefix,
-	// the coordinator concatenates and slices).
+	// the coordinator concatenates and slices). A replica answers 400 to
+	// a prefix longer than it serves; it never returns a shorter one
+	// than asked while more rows match.
 	RowsLimit int `json:"rows_limit,omitempty"`
 }
 
@@ -85,12 +87,18 @@ type Partial struct {
 	Plan store.PlanStats  `json:"plan"`
 }
 
-// BuildPartial computes the mergeable aggregates of one leg over its
-// matched rows: per-attribute Welford accumulators and quantile sketches
-// and, when by is set, the same per group. Invalid cells group under ""
-// like Table.GroupByString; invalid and non-finite cells are excluded
-// from every accumulator (matching stats.Describe's reading of the
-// corpus, and the pushdown kernels' semantics).
+// BuildPartial computes the mergeable aggregates of one leg row-wise over
+// a materialized match set: per-attribute Welford accumulators and
+// quantile sketches and, when by is set, the same per group. Invalid
+// cells group under "" like Table.GroupByString; invalid and non-finite
+// cells are excluded from every accumulator (matching stats.Describe's
+// reading of the corpus, and the pushdown kernels' semantics).
+//
+// No serving path calls it any more — replica legs answer through
+// store.QueryShardsPage and PartialFromAgg. It stays as the oracle the
+// merge tests (partial_test.go, coordinator_test.go) and the root
+// benchmarks' materialize baselines and equivalence gates (E17, E19)
+// compare the pushdown against.
 func BuildPartial(tab *table.Table, attrs []string, by string) (map[string]AttrPartial, []GroupPartial, error) {
 	cols := make(map[string][]float64, len(attrs))
 	masks := make(map[string][]bool, len(attrs))
@@ -157,10 +165,10 @@ func BuildPartial(tab *table.Table, attrs []string, by string) (map[string]AttrP
 	return out, gs, nil
 }
 
-// PartialFromAgg converts a pushdown aggregate (store.QueryShardsAgg)
-// into the wire partial forms — the leg-side fast path that never
-// materialized a row table. attrs must be the spec's attribute list, in
-// order; groups come back sorted by value like BuildPartial's.
+// PartialFromAgg converts a pushdown aggregate (store.QueryShardsPage)
+// into the wire partial forms — no row table was materialized for it.
+// attrs must be the spec's attribute list, in order; groups come back
+// sorted by value like BuildPartial's.
 func PartialFromAgg(res *store.AggResult, attrs []string, by string) (map[string]AttrPartial, []GroupPartial) {
 	var out map[string]AttrPartial
 	if len(attrs) > 0 {

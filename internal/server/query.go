@@ -104,9 +104,13 @@ type queryResponse struct {
 	Preset *presetInfo      `json:"preset,omitempty"`
 	Stats  []attrStats      `json:"stats,omitempty"`
 	Groups []groupStats     `json:"groups,omitempty"`
-	Rows   []map[string]any `json:"rows,omitempty"`
-	Limit  int              `json:"limit"`
-	Offset int              `json:"offset"`
+	// Rows is the requested page: absent on limit=0 (stats-only) responses,
+	// an array on every limit>0 one — empty when offset is past the last
+	// match. A pointer, because omitempty would drop an empty slice and a
+	// paging client could not tell "past the end" from "stats-only".
+	Rows   *[]map[string]any `json:"rows,omitempty"`
+	Limit  int               `json:"limit"`
+	Offset int               `json:"offset"`
 	// Cluster appears on coordinator responses: how many replicas served
 	// this answer and whether any leg failed over.
 	Cluster *clusterInfo `json:"cluster,omitempty"`
@@ -234,15 +238,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		canonical = pred.String()
 	}
 
-	// finish assembles, caches and returns the response for a computed
-	// match set; errors carry their HTTP status for the writer below.
-	finish := func(epoch uint64, storeRows int, matched *table.Table, plan *store.PlanStats) (*queryResponse, error) {
+	// finish assembles, caches and returns the static-mode response from
+	// the materialized match set; errors carry their HTTP status for the
+	// writer below.
+	finish := func(storeRows int, matched *table.Table) (*queryResponse, error) {
 		resp := &queryResponse{
-			Epoch:     epoch,
 			StoreRows: storeRows,
 			Matched:   matched.NumRows(),
 			Query:     canonical,
-			Plan:      plan,
 			Preset:    preset,
 			Limit:     req.Limit,
 			Offset:    req.Offset,
@@ -257,20 +260,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if req.Limit > 0 {
-			if resp.Rows, err = rowPage(matched, req.Offset, req.Limit); err != nil {
-				return nil, &statusError{http.StatusBadRequest, err}
-			}
+			rows := rowPage(matched, req.Offset, req.Limit)
+			resp.Rows = &rows
 		}
-		if key, ok := s.cacheKey(epoch, canonical, attrs, req); ok {
-			s.cache.put(epoch, key, resp)
+		if key, ok := s.cacheKey(0, canonical, attrs, req); ok {
+			s.cache.put(0, key, resp)
 		}
 		return resp, nil
 	}
 
-	// finishAgg is finish's counterpart for the aggregation pushdown
-	// path: the response is assembled straight from the mergeable
-	// accumulators — no row page exists, and none was materialized.
-	finishAgg := func(epoch uint64, storeRows int, res *store.AggResult, plan *store.PlanStats) (*queryResponse, error) {
+	// finishAgg is finish's live-mode counterpart: statistics and groups
+	// come straight from the pushdown's mergeable accumulators, and page —
+	// nil on limit=0 requests — holds exactly the requested rows, the only
+	// ones the store decoded.
+	finishAgg := func(epoch uint64, storeRows int, res *store.AggResult, page *table.Table, plan *store.PlanStats) (*queryResponse, error) {
 		resp := &queryResponse{
 			Epoch:     epoch,
 			StoreRows: storeRows,
@@ -284,6 +287,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		if req.By != "" {
 			resp.Groups = groupsFromAccums(res.Groups, attrs)
+		}
+		if page != nil {
+			rows := rowPage(page, 0, page.NumRows())
+			resp.Rows = &rows
 		}
 		if key, ok := s.cacheKey(epoch, canonical, attrs, req); ok {
 			s.cache.put(epoch, key, resp)
@@ -301,21 +308,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		epoch = pub.Epoch
 		compute = func() (*queryResponse, error) {
-			if req.Limit == 0 {
-				// Stats/grouped shape: push the aggregation into the
-				// planner — group keys stay dictionary codes, values stay
-				// packed, and no matched row is ever materialized.
-				res, ps, err := pub.Snapshot.QueryAgg(pred, store.AggSpec{By: req.By, Attrs: attrs}, parallel.Auto)
-				if err != nil {
-					return nil, &statusError{queryErrStatus(err), err}
-				}
-				return finishAgg(epoch, pub.Snapshot.NumRows(), res, &ps)
-			}
-			tab, ps, err := pub.Snapshot.Query(pred, parallel.Auto)
+			// One planner pass: group keys stay dictionary codes, values
+			// stay packed, and the only rows decoded are the page's.
+			snap := pub.Snapshot
+			res, page, ps, err := snap.QueryShardsPage(pred, 0, snap.NumShards(), parallel.Auto,
+				store.AggSpec{By: req.By, Attrs: attrs}, req.Offset, req.Limit)
 			if err != nil {
 				return nil, &statusError{queryErrStatus(err), err}
 			}
-			return finish(epoch, pub.Snapshot.NumRows(), tab, &ps)
+			return finishAgg(epoch, snap.NumRows(), res, page, &ps)
 		}
 	} else {
 		eng, _, ok := s.serveState(w)
@@ -330,7 +331,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 					return nil, &statusError{queryErrStatus(err), err}
 				}
 			}
-			return finish(0, eng.Table().NumRows(), matched, nil)
+			return finish(eng.Table().NumRows(), matched)
 		}
 	}
 
@@ -405,7 +406,8 @@ func queryErrStatus(err error) int {
 }
 
 // summarize computes the distribution summary of each requested numeric
-// attribute over the matched rows.
+// attribute over the matched rows (static mode; live queries render the
+// pushdown's accumulators through statsFromAccums).
 func summarize(tab *table.Table, attrs []string) ([]attrStats, error) {
 	out := make([]attrStats, 0, len(attrs))
 	for _, attr := range attrs {
@@ -426,9 +428,10 @@ func summarize(tab *table.Table, attrs []string) ([]attrStats, error) {
 }
 
 // statsFromAccums renders pushdown totals as attribute summaries.
-// Compared to summarize, Count/Mean/Min/Max are bitwise-identical to the
-// materializing path on finite data; the quartiles come from the
-// mergeable sketch (±1.6% relative) instead of an exact sort.
+// Compared to static mode's summarize, Count/Mean/Min/Max are
+// bitwise-identical on finite data; the quartiles come from the mergeable
+// sketch (±1.6% relative) instead of an exact sort — for stats-only and
+// row-page requests alike, so one drill-down step reports one set of values.
 func statsFromAccums(attrs []string, totals []table.AggAccum) []attrStats {
 	out := make([]attrStats, 0, len(attrs))
 	for k, attr := range attrs {
@@ -480,8 +483,8 @@ func groupsFromAccums(groups []*table.GroupAccum, attrs []string) []groupStats {
 // per-value row count plus the mean and quantile summary of each
 // summarized attribute. Invalid cells group under "" like
 // Table.GroupByString. Groups are sorted by value for deterministic
-// output. This is the materializing fallback (static mode, row-page
-// requests); live stats-shaped queries take the pushdown path instead.
+// output. Static mode only: the frozen engine table is already
+// materialized; every live query takes the pushdown path instead.
 func groupBy(tab *table.Table, by string, attrs []string) ([]groupStats, error) {
 	groups, err := tab.GroupByString(by)
 	if err != nil {
@@ -537,12 +540,12 @@ func groupBy(tab *table.Table, by string, attrs []string) ([]groupStats, error) 
 	return out, nil
 }
 
-// rowPage materializes one page of matched rows as attribute/value
-// objects; invalid cells render as null.
-func rowPage(tab *table.Table, offset, limit int) ([]map[string]any, error) {
+// rowPage renders rows [offset, offset+limit) of tab as attribute/value
+// objects; invalid cells render as null. The result is never nil.
+func rowPage(tab *table.Table, offset, limit int) []map[string]any {
 	n := tab.NumRows()
 	if offset >= n {
-		return []map[string]any{}, nil
+		return []map[string]any{}
 	}
 	end := offset + limit
 	if end > n {
@@ -584,7 +587,7 @@ func rowPage(tab *table.Table, offset, limit int) ([]map[string]any, error) {
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // handlePresets lists the stakeholder query presets: default selection,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,15 @@ func getQuery(t *testing.T, url string) (int, *queryResponse, string) {
 	return code, &resp, body
 }
 
+// rowsOf returns the response's row page; nil when it carries none
+// (limit=0 responses omit the field).
+func rowsOf(r *queryResponse) []map[string]any {
+	if r.Rows == nil {
+		return nil
+	}
+	return *r.Rows
+}
+
 func TestQueryStatic(t *testing.T) {
 	ts := testServer(t, false)
 
@@ -46,10 +56,10 @@ func TestQueryStatic(t *testing.T) {
 	if len(resp.Stats) != 1 || resp.Stats[0].Attr != epc.AttrEPH || resp.Stats[0].Count == 0 {
 		t.Fatalf("stats = %+v", resp.Stats)
 	}
-	if len(resp.Rows) != 5 {
-		t.Fatalf("rows = %d", len(resp.Rows))
+	if len(rowsOf(resp)) != 5 {
+		t.Fatalf("rows = %d", len(rowsOf(resp)))
 	}
-	for _, row := range resp.Rows {
+	for _, row := range rowsOf(resp) {
 		if row[epc.AttrIntendedUse] != "E.1.1" {
 			t.Fatalf("row escaped the selection: %v", row)
 		}
@@ -134,8 +144,8 @@ func TestQueryPost(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Matched == 0 || len(resp.Rows) != 3 {
-		t.Fatalf("matched %d rows %d", resp.Matched, len(resp.Rows))
+	if resp.Matched == 0 || len(rowsOf(&resp)) != 3 {
+		t.Fatalf("matched %d rows %d", resp.Matched, len(rowsOf(&resp)))
 	}
 	// The POST and GET forms of the same query share one cache entry.
 	dsl := "intended_use in {E.1.1} AND eph in [0, 200]"
@@ -246,10 +256,10 @@ func TestQueryCachePresetAndPagingDoNotAlias(t *testing.T) {
 	if page2.Cached {
 		t.Fatal("second page aliased the first page's cache entry")
 	}
-	if len(page1.Rows) != 2 || len(page2.Rows) != 2 {
-		t.Fatalf("page sizes %d, %d", len(page1.Rows), len(page2.Rows))
+	if len(rowsOf(page1)) != 2 || len(rowsOf(page2)) != 2 {
+		t.Fatalf("page sizes %d, %d", len(rowsOf(page1)), len(rowsOf(page2)))
 	}
-	if fmt.Sprint(page1.Rows[0]) == fmt.Sprint(page2.Rows[0]) {
+	if fmt.Sprint(rowsOf(page1)[0]) == fmt.Sprint(rowsOf(page2)[0]) {
 		t.Fatal("pages at different offsets returned the same rows")
 	}
 }
@@ -472,7 +482,7 @@ func TestQueryConcurrentConsistency(t *testing.T) {
 // the pushdown path: a grouped/stats query (Limit 0) and the same
 // predicate's row-page query are distinct cache entries, the grouped
 // entry stores the aggregate payload only (no row page), and serving one
-// never leaks the other's shape.
+// never leaks the other's shape — while agreeing on every statistic.
 func TestQueryAggCacheNeverAliasesRowPages(t *testing.T) {
 	ts, live, ds := liveServer(t, 1200)
 	var buf bytes.Buffer
@@ -491,8 +501,8 @@ func TestQueryAggCacheNeverAliasesRowPages(t *testing.T) {
 	if grouped == nil {
 		t.Fatalf("grouped query failed: %s", body)
 	}
-	if grouped.Cached || len(grouped.Rows) != 0 {
-		t.Fatalf("grouped response: cached=%v rows=%d, want fresh aggregate-only", grouped.Cached, len(grouped.Rows))
+	if grouped.Cached || len(rowsOf(grouped)) != 0 {
+		t.Fatalf("grouped response: cached=%v rows=%d, want fresh aggregate-only", grouped.Cached, len(rowsOf(grouped)))
 	}
 	if len(grouped.Groups) == 0 {
 		t.Fatal("grouped response has no groups")
@@ -518,33 +528,32 @@ func TestQueryAggCacheNeverAliasesRowPages(t *testing.T) {
 	if page.Cached {
 		t.Fatal("row-page query aliased the grouped cache entry")
 	}
-	if len(page.Rows) != 3 {
-		t.Fatalf("row page has %d rows, want 3", len(page.Rows))
+	if len(rowsOf(page)) != 3 {
+		t.Fatalf("row page has %d rows, want 3", len(rowsOf(page)))
 	}
 
 	// Re-running both shapes hits each one's own entry with its own shape.
 	_, grouped2, _ := getQuery(t, ts.URL+base)
-	if !grouped2.Cached || len(grouped2.Rows) != 0 || len(grouped2.Groups) != len(grouped.Groups) {
+	if !grouped2.Cached || len(rowsOf(grouped2)) != 0 || len(grouped2.Groups) != len(grouped.Groups) {
 		t.Fatalf("grouped re-query: cached=%v rows=%d groups=%d/%d",
-			grouped2.Cached, len(grouped2.Rows), len(grouped2.Groups), len(grouped.Groups))
+			grouped2.Cached, len(rowsOf(grouped2)), len(grouped2.Groups), len(grouped.Groups))
 	}
 	_, page2, _ := getQuery(t, ts.URL+base+"&limit=3")
-	if !page2.Cached || len(page2.Rows) != 3 {
-		t.Fatalf("row-page re-query: cached=%v rows=%d", page2.Cached, len(page2.Rows))
+	if !page2.Cached || len(rowsOf(page2)) != 3 {
+		t.Fatalf("row-page re-query: cached=%v rows=%d", page2.Cached, len(rowsOf(page2)))
 	}
 
-	// Pushdown vs materialize equivalence at the API boundary: the
-	// row-page response computes its summary from the materialized rows,
-	// the grouped one from the accumulators; counts and extremes agree
-	// exactly, means to float tolerance.
-	if len(grouped.Stats) != 1 || len(page.Stats) != 1 {
-		t.Fatalf("stats blocks: %d vs %d", len(grouped.Stats), len(page.Stats))
+	// One drill-down step, one set of numbers: the row-page response and
+	// the stats-only one both render the pushdown's accumulators, so
+	// matched, stats (sketch-derived quartiles included) and groups are
+	// equal exactly, not to a tolerance.
+	if page.Matched != grouped.Matched {
+		t.Fatalf("matched: row page %d, stats-only %d", page.Matched, grouped.Matched)
 	}
-	g, p := grouped.Stats[0], page.Stats[0]
-	if g.Count != p.Count || g.Min != p.Min || g.Max != p.Max {
-		t.Fatalf("pushdown stats %+v diverge from materialized %+v", g, p)
+	if len(grouped.Stats) != 1 || !reflect.DeepEqual(page.Stats, grouped.Stats) {
+		t.Fatalf("stats: row page %+v, stats-only %+v", page.Stats, grouped.Stats)
 	}
-	if diff := g.Mean - p.Mean; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("means diverge: %v vs %v", g.Mean, p.Mean)
+	if !reflect.DeepEqual(page.Groups, grouped.Groups) {
+		t.Fatalf("groups: row page %+v, stats-only %+v", page.Groups, grouped.Groups)
 	}
 }

@@ -13,6 +13,13 @@ import (
 	"indice/internal/store"
 )
 
+// maxLegRows caps the row prefix one scatter-gather leg returns, and with
+// it how deep a coordinator can page: every leg must return its first
+// offset+limit matches (the coordinator cannot know a leg's share of the
+// page before the legs answer), so past this depth the coordinator refuses
+// rather than decode and ship ever longer prefixes from every replica.
+const maxLegRows = 2 * maxQueryRows
+
 // handleReplicateInfo serves the layout a booting replica must mirror.
 func (s *Server) handleReplicateInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.leader.Info())
@@ -54,52 +61,30 @@ func (s *Server) handlePartialQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var p *scaleout.Partial
-	if spec.RowsLimit == 0 {
-		// Stats/grouped leg: aggregation pushdown, no row materialization
-		// on the replica either.
-		res, ps, err := snap.QueryShardsAgg(pred, spec.ShardFrom, spec.ShardTo, parallel.Auto,
-			store.AggSpec{By: spec.By, Attrs: spec.Attrs})
-		if err != nil {
-			http.Error(w, err.Error(), queryErrStatus(err))
-			return
-		}
-		attrs, groups := scaleout.PartialFromAgg(res, spec.Attrs, spec.By)
-		p = &scaleout.Partial{
-			Epoch:   spec.Epoch,
-			Matched: res.Matched,
-			Query:   spec.Q,
-			Attrs:   attrs,
-			Groups:  groups,
-			Plan:    ps,
-		}
-	} else {
-		tab, ps, err := snap.QueryShards(pred, spec.ShardFrom, spec.ShardTo, parallel.Auto)
-		if err != nil {
-			http.Error(w, err.Error(), queryErrStatus(err))
-			return
-		}
-		attrs, groups, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		p = &scaleout.Partial{
-			Epoch:   spec.Epoch,
-			Matched: tab.NumRows(),
-			Query:   spec.Q,
-			Attrs:   attrs,
-			Groups:  groups,
-			Plan:    ps,
-		}
-		limit := spec.RowsLimit
-		if limit > maxQueryRows*2 {
-			limit = maxQueryRows * 2
-		}
-		if p.Rows, err = rowPage(tab, 0, limit); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	if spec.RowsLimit < 0 || spec.RowsLimit > maxLegRows {
+		http.Error(w, fmt.Sprintf("rows_limit %d outside [0, %d]", spec.RowsLimit, maxLegRows), http.StatusBadRequest)
+		return
+	}
+	// One store call for both leg shapes: statistics from the pushdown,
+	// plus — on a rows leg — the leg's first RowsLimit matches, the only
+	// rows the replica decodes.
+	res, page, ps, err := snap.QueryShardsPage(pred, spec.ShardFrom, spec.ShardTo, parallel.Auto,
+		store.AggSpec{By: spec.By, Attrs: spec.Attrs}, 0, spec.RowsLimit)
+	if err != nil {
+		http.Error(w, err.Error(), queryErrStatus(err))
+		return
+	}
+	attrs, groups := scaleout.PartialFromAgg(res, spec.Attrs, spec.By)
+	p := &scaleout.Partial{
+		Epoch:   spec.Epoch,
+		Matched: res.Matched,
+		Query:   spec.Q,
+		Attrs:   attrs,
+		Groups:  groups,
+		Plan:    ps,
+	}
+	if page != nil {
+		p.Rows = rowPage(page, 0, page.NumRows())
 	}
 	for i := spec.ShardFrom; i < spec.ShardTo; i++ {
 		p.StoreRows += snap.ShardRows(i)
@@ -141,6 +126,11 @@ func (s *Server) handleCoordQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Limit > maxQueryRows {
 		req.Limit = maxQueryRows
 	}
+	if req.Limit > 0 && req.Offset+req.Limit > maxLegRows {
+		http.Error(w, fmt.Sprintf("offset+limit %d exceeds the coordinator's paging depth of %d rows",
+			req.Offset+req.Limit, maxLegRows), http.StatusBadRequest)
+		return
+	}
 	canonical := ""
 	if pred != nil {
 		canonical = pred.String()
@@ -164,11 +154,9 @@ func (s *Server) handleCoordQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	compute := func(ctx context.Context) (*queryResponse, error) {
-		spec := scaleout.QuerySpec{
-			Q:         canonical,
-			Attrs:     attrs,
-			By:        req.By,
-			RowsLimit: req.Offset + req.Limit,
+		spec := scaleout.QuerySpec{Q: canonical, Attrs: attrs, By: req.By}
+		if req.Limit > 0 {
+			spec.RowsLimit = req.Offset + req.Limit
 		}
 		m, err := s.coord.Query(ctx, spec)
 		if err != nil {
@@ -221,16 +209,14 @@ func (s *Server) handleCoordQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if req.Limit > 0 {
-			rows := m.Rows
-			end := req.Offset + req.Limit
-			if end > len(rows) {
-				end = len(rows)
+			// Every leg returned its first offset+limit matches, so rows
+			// [offset, offset+limit) of the concatenation are the single
+			// node's page.
+			page := []map[string]any{}
+			if req.Offset < len(m.Rows) {
+				page = m.Rows[req.Offset:min(req.Offset+req.Limit, len(m.Rows))]
 			}
-			if req.Offset < end {
-				resp.Rows = rows[req.Offset:end]
-			} else {
-				resp.Rows = []map[string]any{}
-			}
+			resp.Rows = &page
 		}
 		if key, ok := s.cacheKey(m.Epoch, canonical, attrs, req); ok {
 			s.cache.put(m.Epoch, key, resp)

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -149,6 +150,7 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 
 		for _, q := range []string{
 			"/api/query?attrs=eph,u_windows&by=energy_class&limit=5",
+			"/api/query?attrs=eph&by=district&q=eph+%3E%3D+100&limit=7&offset=30",
 			"/api/query?attrs=eph&q=eph+%3E%3D+100",
 			"/api/query?preset=pa&by=district",
 		} {
@@ -171,7 +173,6 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 			if len(merged.Stats) != len(single.Stats) {
 				t.Fatalf("replicas=%d %s: %d stats, want %d", nReplicas, q, len(merged.Stats), len(single.Stats))
 			}
-			statsShaped := !strings.Contains(q, "limit=")
 			for i, m := range merged.Stats {
 				s := single.Stats[i]
 				if m.Attr != s.Attr || m.Count != s.Count ||
@@ -179,20 +180,15 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 					m.Min != s.Min || m.Max != s.Max {
 					t.Fatalf("replicas=%d %s: stats[%d] = %+v, want %+v", nReplicas, q, i, m, s)
 				}
-				// Stats-shaped queries take the sketch path on both sides;
-				// sketch merges are exact, so coordinator quartiles equal
-				// the single node's bitwise — the old "quartiles read 0 on
-				// merged responses" caveat is gone. (Row-page queries
-				// compare a sketch against the leader's exact sort, so only
-				// the stats-shaped ones pin equality.)
-				if statsShaped {
-					if m.Count > 0 && m.Median == 0 && m.Q1 == 0 && m.Q3 == 0 && s.Median != 0 {
-						t.Fatalf("replicas=%d %s: merged quartiles read 0: %+v", nReplicas, q, m)
-					}
-					if m.Q1 != s.Q1 || m.Median != s.Median || m.Q3 != s.Q3 {
-						t.Fatalf("replicas=%d %s: stats[%d] quartiles [%v %v %v], want [%v %v %v]",
-							nReplicas, q, i, m.Q1, m.Median, m.Q3, s.Q1, s.Median, s.Q3)
-					}
+				// Every shape — stats-only or row page — takes the sketch
+				// path on both sides; sketch merges are exact, so
+				// coordinator quartiles equal the single node's bitwise.
+				if m.Count > 0 && m.Median == 0 && m.Q1 == 0 && m.Q3 == 0 && s.Median != 0 {
+					t.Fatalf("replicas=%d %s: merged quartiles read 0: %+v", nReplicas, q, m)
+				}
+				if m.Q1 != s.Q1 || m.Median != s.Median || m.Q3 != s.Q3 {
+					t.Fatalf("replicas=%d %s: stats[%d] quartiles [%v %v %v], want [%v %v %v]",
+						nReplicas, q, i, m.Q1, m.Median, m.Q3, s.Q1, s.Median, s.Q3)
 				}
 			}
 			if len(merged.Groups) != len(single.Groups) {
@@ -209,23 +205,13 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 							nReplicas, q, g.Value, attr, g.Means[attr], mean)
 					}
 				}
-				if statsShaped {
-					for attr, wq := range w.Quartiles {
-						if g.Quartiles[attr] != wq {
-							t.Fatalf("replicas=%d %s: group %q quartiles[%s] = %+v, want %+v",
-								nReplicas, q, g.Value, attr, g.Quartiles[attr], wq)
-						}
-					}
+				if !reflect.DeepEqual(g.Quartiles, w.Quartiles) {
+					t.Fatalf("replicas=%d %s: group %q quartiles = %+v, want %+v",
+						nReplicas, q, g.Value, g.Quartiles, w.Quartiles)
 				}
 			}
-			if len(merged.Rows) != len(single.Rows) {
-				t.Fatalf("replicas=%d %s: %d rows, want %d", nReplicas, q, len(merged.Rows), len(single.Rows))
-			}
-			for i := range merged.Rows {
-				if merged.Rows[i]["certificate_id"] != single.Rows[i]["certificate_id"] {
-					t.Fatalf("replicas=%d %s: row %d = %v, want %v",
-						nReplicas, q, i, merged.Rows[i]["certificate_id"], single.Rows[i]["certificate_id"])
-				}
+			if !reflect.DeepEqual(merged.Rows, single.Rows) {
+				t.Fatalf("replicas=%d %s: rows %v, want %v", nReplicas, q, merged.Rows, single.Rows)
 			}
 		}
 
@@ -237,6 +223,91 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 		}
 		if _, second, _ := getQuery(t, tc.coordSrv.URL+q); !second.Cached {
 			t.Fatal("repeated coordinator query missed the cache")
+		}
+	}
+}
+
+// TestCoordinatorDeepPaging is the regression test for pages deeper than
+// one leg's row prefix: each leg returns its first offset+limit matches,
+// and a replica used to clamp that prefix silently, so once the first leg
+// held more matches than the clamp the coordinator sliced the page out of
+// the second leg's rows. The answer must be the single node's page, or a
+// 400 naming the limit — never other rows.
+func TestCoordinatorDeepPaging(t *testing.T) {
+	tc := newTestCluster(t, 2, 2*maxLegRows+1200)
+	tc.syncAll(t)
+	firstLeg := tc.leaderLive.Current().Snapshot.ShardRows(0) + tc.leaderLive.Current().Snapshot.ShardRows(1)
+	if firstLeg <= maxLegRows+10 {
+		t.Fatalf("first leg holds %d rows; the test needs more than the %d-row leg cap", firstLeg, maxLegRows)
+	}
+
+	// Below the cap the coordinator pages exactly like a single node.
+	q := "/api/query?limit=10&offset=590"
+	_, single, body := getQuery(t, tc.leader.URL+q)
+	if single == nil {
+		t.Fatalf("leader %s: %s", q, body)
+	}
+	_, merged, body := getQuery(t, tc.coordSrv.URL+q)
+	if merged == nil {
+		t.Fatalf("coordinator %s: %s", q, body)
+	}
+	if len(rowsOf(single)) != 10 || !reflect.DeepEqual(merged.Rows, single.Rows) {
+		t.Fatalf("page at offset 590: coordinator rows differ from the single node's")
+	}
+
+	// Past it: still inside the first leg's matches, so a clamped prefix
+	// would answer with the second leg's rows.
+	q = fmt.Sprintf("/api/query?limit=10&offset=%d", maxLegRows+5)
+	_, single, body = getQuery(t, tc.leader.URL+q)
+	if single == nil || len(rowsOf(single)) != 10 {
+		t.Fatalf("leader %s: %s", q, body)
+	}
+	code, merged, body := getQuery(t, tc.coordSrv.URL+q)
+	switch {
+	case code == http.StatusBadRequest:
+		if !strings.Contains(body, fmt.Sprint(maxLegRows)) {
+			t.Fatalf("400 does not name the %d-row limit: %s", maxLegRows, body)
+		}
+	case code != http.StatusOK:
+		t.Fatalf("coordinator %s: %d %s", q, code, body)
+	case !reflect.DeepEqual(merged.Rows, single.Rows):
+		t.Fatalf("coordinator page at offset %d is not the single node's page", maxLegRows+5)
+	}
+
+	// A replica refuses an over-long prefix outright instead of clamping.
+	epoch := tc.replicas[0].Status().AppliedEpoch
+	resp, err := http.Post(tc.replicaSrvs[0].URL+"/api/query/partial", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"epoch": %d, "shard_from": 0, "shard_to": 2, "rows_limit": %d}`, epoch, maxLegRows+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("replica leg with rows_limit %d: status %d, want 400", maxLegRows+1, resp.StatusCode)
+	}
+}
+
+// TestRowsArrayPastTheEnd: a limit>0 response always carries a rows array
+// — empty once offset passes the last match — on a single node and on a
+// coordinator, so a paging client can tell "past the end" from the
+// stats-only shape; limit=0 responses still omit the field.
+func TestRowsArrayPastTheEnd(t *testing.T) {
+	tc := newTestCluster(t, 2, 400)
+	tc.syncAll(t)
+	for name, base := range map[string]string{"single node": tc.leader.URL, "coordinator": tc.coordSrv.URL} {
+		code, resp, body := getQuery(t, base+"/api/query?q=eph+%3E%3D+100&limit=5&offset=1000")
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %s", name, code, body)
+		}
+		if resp.Matched == 0 || resp.Matched >= 1000 {
+			t.Fatalf("%s: matched %d; offset 1000 is not past the end", name, resp.Matched)
+		}
+		if resp.Rows == nil || len(*resp.Rows) != 0 || !strings.Contains(body, `"rows": []`) {
+			t.Fatalf("%s: past-the-end page must carry an empty rows array: %s", name, body)
+		}
+		code, resp, body = getQuery(t, base+"/api/query?q=eph+%3E%3D+100&offset=1000")
+		if code != http.StatusOK || resp.Rows != nil || strings.Contains(body, `"rows"`) {
+			t.Fatalf("%s: stats-only response carries rows: %d %s", name, code, body)
 		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 	"indice/internal/table"
 )
 
-// Aggregation pushdown: stats- and grouped-shaped requests skip the
-// materialize-then-regroup detour entirely. Matched ordinals flow from the
-// planner straight into internal/table's grouped-aggregation kernels, so
-// dictionary codes and packed values are consumed in place and no result
-// table is ever built. No-predicate requests additionally reuse cached
-// per-(segment, spec) partials on sealed segments — the dashboard's
+// Aggregation pushdown: statistics never take the materialize-then-regroup
+// detour. Matched ordinals flow from the planner straight into
+// internal/table's grouped-aggregation kernels, so dictionary codes and
+// packed values are consumed in place and the only rows ever decoded are
+// the ones a row page asks for. No-predicate requests additionally reuse
+// cached per-(segment, spec) partials on sealed segments — the dashboard's
 // steady-state grouped queries reduce to merging a handful of frozen
 // partials, near-O(groups) regardless of corpus size.
 
@@ -47,6 +47,9 @@ type AggResult struct {
 // aggShardResult is one shard's contribution to an aggregate query.
 type aggShardResult struct {
 	partial *table.AggPartial
+	// parts are a predicated query's match ordinals in this shard, which
+	// a row page is cut out of (see pageRows).
+	parts   []shardPart
 	pruned  bool
 	indexed bool
 	cand    int
@@ -67,13 +70,32 @@ func (sn *Snapshot) QueryAgg(p query.Predicate, spec AggSpec, workers int) (*Agg
 // along. Because every accumulator is mergeable, folding the partials of
 // a disjoint covering set of ranges reproduces QueryAgg exactly.
 func (sn *Snapshot) QueryShardsAgg(p query.Predicate, from, to, workers int, spec AggSpec) (*AggResult, PlanStats, error) {
+	res, _, ps, err := sn.QueryShardsPage(p, from, to, workers, spec, 0, 0)
+	return res, ps, err
+}
+
+// QueryShardsPage is the store's one aggregate-and-page entry point: it
+// evaluates the predicate over the shard range [from, to) once, aggregates
+// every match per spec exactly as QueryShardsAgg does (which is its
+// limit == 0 case) and, when limit > 0, also decodes rows
+// [offset, offset+limit) of the range's match set — over the whole
+// snapshot, bitwise that slice of Query's result — without materializing
+// the rest. The page is nil when limit == 0 and a (possibly empty) table
+// otherwise; the aggregate and PlanStats do not depend on offset or limit.
+// Prefixes (offset 0) over a disjoint covering set of shard ranges
+// concatenate, in range order, to a prefix of the whole-snapshot match
+// set — the seam scatter-gather legs partition row pages along.
+func (sn *Snapshot) QueryShardsPage(p query.Predicate, from, to, workers int, spec AggSpec, offset, limit int) (*AggResult, *table.Table, PlanStats, error) {
 	start := time.Now()
 	if from < 0 || to > len(sn.segs) || from > to {
-		return nil, PlanStats{}, fmt.Errorf("store: query shard range [%d,%d) outside [0,%d)", from, to, len(sn.segs))
+		return nil, nil, PlanStats{}, fmt.Errorf("store: query shard range [%d,%d) outside [0,%d)", from, to, len(sn.segs))
+	}
+	if offset < 0 || limit < 0 {
+		return nil, nil, PlanStats{}, fmt.Errorf("store: query page offset %d, limit %d: must be non-negative", offset, limit)
 	}
 	ps := PlanStats{Shards: to - from}
 	if err := sn.checkAggSpec(spec); err != nil {
-		return nil, ps, err
+		return nil, nil, ps, err
 	}
 	var pushIn []query.In
 	var pushRange []query.NumRange
@@ -90,7 +112,7 @@ func (sn *Snapshot) QueryShardsAgg(p query.Predicate, from, to, workers int, spe
 	cached := 0
 	for _, r := range results {
 		if r.err != nil {
-			return nil, ps, fmt.Errorf("store: query: %w", r.err)
+			return nil, nil, ps, fmt.Errorf("store: query: %w", r.err)
 		}
 		if r.pruned {
 			ps.PrunedShards++
@@ -103,11 +125,18 @@ func (sn *Snapshot) QueryShardsAgg(p query.Predicate, from, to, workers int, spe
 		cached += r.cached
 		if r.partial != nil {
 			if err := g.AddPartial(r.partial); err != nil {
-				return nil, ps, fmt.Errorf("store: query: %w", err)
+				return nil, nil, ps, fmt.Errorf("store: query: %w", err)
 			}
 		}
 	}
 	ps.MatchedRows = g.Rows()
+	var page *table.Table
+	if limit > 0 {
+		var err error
+		if page, err = sn.pageRows(from, results, p == nil, offset, limit); err != nil {
+			return nil, nil, ps, fmt.Errorf("store: query: %w", err)
+		}
+	}
 	observePlan(ps, p == nil && from == 0 && to == len(sn.segs))
 	mAggPushdown.Inc()
 	mAggCachedParts.Add(uint64(cached))
@@ -116,7 +145,66 @@ func (sn *Snapshot) QueryShardsAgg(p query.Predicate, from, to, workers int, spe
 	if len(spec.Attrs) > 0 {
 		out.Totals = g.Totals()
 	}
-	return out, ps, nil
+	return out, page, ps, nil
+}
+
+// pageRows decodes rows [offset, offset+limit) of the match set into a
+// fresh table, walking the shard results in snapshot order and touching
+// only the segments the page overlaps. A predicated query cuts the page
+// out of the workers' match-ordinal parts; select-all has no parts (its
+// statistics fold per-segment partials, often cached ones) and computes
+// each segment's share of the page from the row counts alone, so segments
+// outside the page are never opened — or reloaded from disk.
+func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool, offset, limit int) (*table.Table, error) {
+	out, err := table.NewWithSchema(sn.schema)
+	if err != nil {
+		return nil, err
+	}
+	skip, need := offset, limit
+	// cut maps the next run of n matches onto its share [lo, hi) of the page.
+	cut := func(n int) (lo, hi int) {
+		if skip >= n {
+			skip -= n
+			return 0, 0
+		}
+		lo, skip = skip, 0
+		hi = min(n, lo+need)
+		need -= hi - lo
+		return lo, hi
+	}
+	for i, r := range results {
+		if need == 0 {
+			break
+		}
+		if !selectAll {
+			for _, part := range r.parts {
+				if lo, hi := cut(len(part.rows)); lo < hi {
+					if err := part.appendTo(out, part.rows[lo:hi]); err != nil {
+						return nil, err
+					}
+				}
+			}
+			continue
+		}
+		for _, sg := range sn.segs[from+i] {
+			lo, hi := cut(sg.numRows())
+			if lo == hi {
+				continue
+			}
+			enc, raw, err := sg.openEnc(sn.ld)
+			if err != nil {
+				return nil, err
+			}
+			rows := make([]int, hi-lo)
+			for k := range rows {
+				rows[k] = lo + k
+			}
+			if err := (shardPart{enc: enc, raw: raw}).appendTo(out, rows); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
 }
 
 // checkAggSpec validates the spec against the snapshot schema up front, so
@@ -152,7 +240,8 @@ func (sn *Snapshot) checkAggSpec(spec AggSpec) error {
 // whole segments — via the per-segment partial cache on sealed segments,
 // or a bare row count when the spec asks for nothing but Matched. With a
 // predicate it reuses the planner's queryShard verbatim and feeds the
-// resulting match ordinals into the kernels instead of materializing.
+// resulting match ordinals into the kernels instead of materializing,
+// handing them back for the caller's row page.
 func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRange []query.NumRange, residual query.Predicate, spec AggSpec) aggShardResult {
 	g := table.NewGroupAggregator(spec.By, spec.Attrs)
 	if p == nil {
@@ -196,6 +285,7 @@ func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRa
 	}
 	return aggShardResult{
 		partial: g.Partial(),
+		parts:   r.parts,
 		pruned:  r.pruned,
 		indexed: r.indexed,
 		cand:    r.cand,

@@ -208,6 +208,8 @@ func checkAggResult(t *testing.T, res *AggResult, o *storeAggOracle, by string, 
 // materialize-then-aggregate bitwise for count/mean/min/max — across
 // NULL-heavy columns, NaN values, empty-string groups, all-invalid group
 // batches, and a group whose dictionary code appears in only one shard.
+// The same aggregate, bitwise, comes back beside every row page
+// (checkPages), whatever the page's offset.
 func TestQueryAggMatchesOracleRandomized(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -270,6 +272,7 @@ func TestQueryAggMatchesOracleRandomized(t *testing.T) {
 							t.Fatalf("%s: plan stats matched %d, result %d", label, ps.MatchedRows, res.Matched)
 						}
 						checkAggResult(t, res, o, spec.By, spec.Attrs, label)
+						checkPages(t, snap, p, want, spec, workers, label)
 					}
 				}
 			}

@@ -305,6 +305,65 @@ func TestEvictionServesCorpusBeyondBudget(t *testing.T) {
 	}
 }
 
+// TestPageLoadsOnlyTouchedSegments: a select-all row page over a mostly
+// cold store computes its segments from the row counts alone, so it
+// reloads the one evicted segment it lies in and nothing else —
+// indice_store_segment_loads_total moves by exactly that one load.
+func TestPageLoadsOnlyTouchedSegments(t *testing.T) {
+	cfg := miniConfig(2)
+	cfg.SegmentRows = 16
+	const total = 400
+	st, err := Open(cfg, Durability{Dir: t.TempDir(), MaxWALBytes: -1, MaxResidentRows: total / 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for b := 0; b < total/20; b++ {
+		if _, err := st.AppendTable(miniBatch(t, b*20, 20, fmt.Sprintf("b%d", b%4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Snapshot()
+	want, err := snap.FullScan(nil) // before picking the cold segment: this reloads and re-evicts
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first evicted segment, and its first row's snapshot ordinal.
+	offset, base := -1, 0
+	for _, segs := range snap.segs {
+		for _, sg := range segs {
+			if offset < 0 && !sg.resident() {
+				offset = base
+			}
+			base += sg.numRows()
+		}
+	}
+	if offset < 0 {
+		t.Fatal("no segment is evicted; the budget did not bite")
+	}
+	before := mSegLoads.Value()
+	res, page, _, err := snap.QueryShardsPage(nil, 0, snap.NumShards(), 2, AggSpec{}, offset+2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mSegLoads.Value() - before; got != 1 {
+		t.Fatalf("page inside one cold segment loaded %d segments, want 1", got)
+	}
+	wantPage, err := want.Take([]int{offset + 2, offset + 3, offset + 4, offset + 5, offset + 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tablesEqual(page, wantPage); err != nil {
+		t.Fatal(err)
+	}
+	if res.Matched != total {
+		t.Fatalf("matched %d, want %d", res.Matched, total)
+	}
+}
+
 // TestRecoverFromV1SegmentFiles pins backward compatibility with data
 // directories written before segment compression: checkpointed segment
 // files in the raw v1 binary format must recover (ReadEncoded re-encodes

@@ -46,7 +46,7 @@ var (
 	mQuerySeconds = obs.Default.Histogram("indice_query_seconds", "Snapshot query evaluation latency (plan plus masked scan).", obs.Nanos)
 
 	// Aggregation pushdown.
-	mAggPushdown    = obs.Default.Counter("indice_query_agg_pushdown_total", "Aggregate queries answered by the pushdown path (no row materialization).")
+	mAggPushdown    = obs.Default.Counter("indice_query_agg_pushdown_total", "Queries whose statistics the aggregation pushdown computed (stats-only and row-page requests; no match set materialized).")
 	mAggCachedParts = obs.Default.Counter("indice_query_agg_cached_partials_total", "Segment aggregate partials served from the per-segment cache.")
 )
 

@@ -44,6 +44,14 @@ type shardPart struct {
 	rows []int
 }
 
+// appendTo decodes the given ordinals of the part's segment onto dst.
+func (p shardPart) appendTo(dst *table.Table, rows []int) error {
+	if p.enc != nil {
+		return p.enc.TakeAppend(dst, rows)
+	}
+	return dst.AppendTaken(p.raw, rows)
+}
+
 // shardResult is one shard's contribution to a query.
 type shardResult struct {
 	parts   []shardPart
@@ -73,22 +81,16 @@ type shardResult struct {
 // attributes — is evaluated by a masked scan over the remaining
 // candidates or segments. Shards are processed on workers goroutines
 // (see parallel.Workers); the result is identical at any parallelism.
+//
+// Query materializes the whole match set. It is the planner's reference
+// API — what FullScan equivalence and the page-equivalence suites compare
+// against — and serves callers that want every row; request paths that
+// want statistics and a page of rows use QueryShardsPage, which runs the
+// same per-shard plan without decoding the rest.
 func (sn *Snapshot) Query(p query.Predicate, workers int) (*table.Table, PlanStats, error) {
-	return sn.QueryShards(p, 0, len(sn.segs), workers)
-}
-
-// QueryShards is Query restricted to the shard range [from, to): the same
-// plan, evaluated only over those shards, with results in the same order
-// Query would emit them. Concatenating the results of a disjoint covering
-// set of ranges reproduces Query exactly — the seam the scatter-gather
-// coordinator partitions cluster queries along.
-func (sn *Snapshot) QueryShards(p query.Predicate, from, to, workers int) (*table.Table, PlanStats, error) {
 	start := time.Now()
-	if from < 0 || to > len(sn.segs) || from > to {
-		return nil, PlanStats{}, fmt.Errorf("store: query shard range [%d,%d) outside [0,%d)", from, to, len(sn.segs))
-	}
-	ps := PlanStats{Shards: to - from}
-	if p == nil && from == 0 && to == len(sn.segs) {
+	ps := PlanStats{Shards: len(sn.segs)}
+	if p == nil {
 		tab, err := sn.Table()
 		if err != nil {
 			return nil, ps, err
@@ -98,15 +100,10 @@ func (sn *Snapshot) QueryShards(p query.Predicate, from, to, workers int) (*tabl
 		mQuerySeconds.ObserveDuration(time.Since(start))
 		return tab, ps, nil
 	}
-	var pushIn []query.In
-	var pushRange []query.NumRange
-	var residual query.Predicate
-	if p != nil {
-		pushIn, pushRange, residual = pushdown(p, sn)
-	}
+	pushIn, pushRange, residual := pushdown(p, sn)
 
-	results := parallel.Map(to-from, workers, func(i int) shardResult {
-		return sn.queryShard(from+i, p, pushIn, pushRange, residual)
+	results := parallel.Map(len(sn.segs), workers, func(i int) shardResult {
+		return sn.queryShard(i, p, pushIn, pushRange, residual)
 	})
 
 	out, err := table.NewWithSchema(sn.schema)
@@ -133,12 +130,7 @@ func (sn *Snapshot) QueryShards(p query.Predicate, from, to, workers int) (*tabl
 		ps.CandidateRows += r.cand
 		ps.ScannedRows += r.scanned
 		for _, p := range r.parts {
-			if p.enc != nil {
-				err = p.enc.TakeAppend(out, p.rows)
-			} else {
-				err = out.AppendTaken(p.raw, p.rows)
-			}
-			if err != nil {
+			if err := p.appendTo(out, p.rows); err != nil {
 				return nil, ps, fmt.Errorf("store: query: %w", err)
 			}
 		}
@@ -248,7 +240,7 @@ func (sn *Snapshot) indexed(attr string) bool {
 	return true
 }
 
-// queryShard evaluates the predicate over one shard, using index
+// queryShard evaluates the (non-nil) predicate over one shard, using index
 // candidates and stats pruning where the pushdown allows. residual is
 // the predicate minus the index-served conjuncts (see pushdown); the
 // full predicate p still drives the masked fallback.
@@ -260,29 +252,6 @@ func (sn *Snapshot) queryShard(i int, p query.Predicate, pushIn []query.In, push
 	}
 	if rows == 0 {
 		return shardResult{}
-	}
-
-	if p == nil {
-		// Select-all over a restricted shard range: every row matches, so
-		// each segment goes out whole.
-		var parts []shardPart
-		for _, sg := range segs {
-			enc, raw, err := sg.openEnc(sn.ld)
-			if err != nil {
-				return shardResult{err: err}
-			}
-			n := sg.numRows()
-			match := make([]int, n)
-			for r := range match {
-				match[r] = r
-			}
-			if enc != nil {
-				parts = append(parts, shardPart{enc: enc, rows: match})
-			} else {
-				parts = append(parts, shardPart{raw: raw, rows: match})
-			}
-		}
-		return shardResult{parts: parts, scanned: rows}
 	}
 
 	// Welford pruning: a range conjunct no valid value of this shard can
@@ -445,18 +414,18 @@ func (sn *Snapshot) queryShard(i int, p query.Predicate, pushIn []query.In, push
 					parts = append(parts, shardPart{enc: enc, rows: keep})
 				}
 			} else {
-				sub, err := raw.Take(local)
-				if err != nil {
-					return shardResult{err: err}
-				}
-				mask, err := ev.Mask(sub)
+				// A raw tail is bounded by SegmentRows and its columns are
+				// plain slices: masking all of it allocates nothing, where
+				// copying the candidates out first would decode every
+				// column of every candidate just to read the residual's.
+				mask, err := ev.Mask(raw)
 				if err != nil {
 					return shardResult{err: err}
 				}
 				var keep []int
-				for j, m := range mask {
-					if m {
-						keep = append(keep, local[j])
+				for _, r := range local {
+					if mask[r] {
+						keep = append(keep, r)
 					}
 				}
 				if len(keep) > 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"indice/internal/query"
@@ -161,10 +162,89 @@ func randPredicate(rng *rand.Rand, depth int) query.Predicate {
 	}
 }
 
+// checkPages asserts the aggregate-and-page contract of QueryShardsPage
+// for one predicate, given want = Query(p): at offsets 0 / mid / last
+// partial page / beyond the end, the page is rows [offset, offset+limit)
+// of want bitwise, the aggregate and PlanStats equal QueryAgg's, and the
+// per-range prefixes of a disjoint covering set of shard ranges (what
+// scatter-gather legs return) concatenate to the same page.
+func checkPages(t *testing.T, snap *Snapshot, p query.Predicate, want *table.Table, spec AggSpec, workers int, label string) {
+	t.Helper()
+	// A select-all's first aggregate fills the per-segment partial cache
+	// and so scans more rows than any later one: compare warm to warm.
+	if _, _, err := snap.QueryAgg(p, spec, workers); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	wantAgg, wantPS, err := snap.QueryAgg(p, spec, workers)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	n := want.NumRows()
+	if wantAgg.Matched != n {
+		t.Fatalf("%s: QueryAgg matched %d, Query %d", label, wantAgg.Matched, n)
+	}
+	shards := snap.NumShards()
+	ranges := [][2]int{{0, shards}}
+	if shards >= 4 {
+		ranges = [][2]int{{0, 1}, {1, 3}, {3, shards}}
+	}
+	// pageOf cuts rows [offset, offset+limit) out of a materialized table.
+	pageOf := func(tab *table.Table, offset, limit int) *table.Table {
+		var idx []int
+		for r := offset; r < min(offset+limit, tab.NumRows()); r++ {
+			idx = append(idx, r)
+		}
+		page, err := tab.Take(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page
+	}
+	for _, pg := range []struct{ offset, limit int }{
+		{0, 7}, {n / 2, 40}, {max(n-3, 0), 7}, {n + 3, 7},
+	} {
+		at := fmt.Sprintf("%s, offset=%d limit=%d", label, pg.offset, pg.limit)
+		wantPage := pageOf(want, pg.offset, pg.limit)
+		agg, page, ps, err := snap.QueryShardsPage(p, 0, shards, workers, spec, pg.offset, pg.limit)
+		if err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		if err := tablesEqual(page, wantPage); err != nil {
+			t.Fatalf("%s: page: %v", at, err)
+		}
+		if !reflect.DeepEqual(agg, wantAgg) {
+			t.Fatalf("%s: aggregate differs from QueryAgg's", at)
+		}
+		if ps != wantPS {
+			t.Fatalf("%s: plan %+v, QueryAgg's %+v", at, ps, wantPS)
+		}
+
+		concat, err := table.NewWithSchema(snap.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rg := range ranges {
+			_, prefix, _, err := snap.QueryShardsPage(p, rg[0], rg[1], workers, spec, 0, pg.offset+pg.limit)
+			if err != nil {
+				t.Fatalf("%s, shards [%d,%d): %v", at, rg[0], rg[1], err)
+			}
+			if err := concat.AppendTable(prefix); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tablesEqual(pageOf(concat, pg.offset, pg.limit), wantPage); err != nil {
+			t.Fatalf("%s: concatenated range prefixes: %v", at, err)
+		}
+	}
+}
+
 // TestQueryMatchesFullScanRandomized is the planner's equivalence
 // property: for random data and random predicates, the pushdown path
 // returns a table bitwise-identical to the naive full scan, at any
-// parallelism.
+// parallelism — and every page QueryShardsPage cuts out of the match set
+// is the same slice of it (checkPages). The fixed predicates pin one of
+// each planner road ahead of the random trees: select-all, indexed,
+// indexed + residual, masked scan, not/or, and stats-pruned.
 func TestQueryMatchesFullScanRandomized(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -180,8 +260,19 @@ func TestQueryMatchesFullScanRandomized(t *testing.T) {
 				}
 			}
 			snap := st.Snapshot()
-			for trial := 0; trial < 60; trial++ {
-				p := randPredicate(rng, 3)
+			preds := []query.Predicate{
+				nil,
+				query.MustParse("zone = Z1"),
+				query.MustParse("zone = Z1 and w <= 0"),
+				query.MustParse("w <= 0"),
+				query.MustParse("not (zone = Z0) or v >= 50"),
+				query.MustParse("v in [1000, 2000]"),
+			}
+			for len(preds) < 60 {
+				preds = append(preds, randPredicate(rng, 3))
+			}
+			spec := AggSpec{By: "class", Attrs: []string{"v"}}
+			for trial, p := range preds {
 				want, err := snap.FullScan(p)
 				if err != nil {
 					t.Fatalf("trial %d (%s): full scan: %v", trial, p, err)
@@ -194,6 +285,7 @@ func TestQueryMatchesFullScanRandomized(t *testing.T) {
 					if err := tablesEqual(got, want); err != nil {
 						t.Fatalf("trial %d (%s, workers=%d): %v", trial, p, workers, err)
 					}
+					checkPages(t, snap, p, got, spec, workers, fmt.Sprintf("trial %d (%v, workers=%d)", trial, p, workers))
 				}
 			}
 		})
