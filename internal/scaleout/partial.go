@@ -1,6 +1,7 @@
 package scaleout
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -82,9 +83,11 @@ type Partial struct {
 	Attrs  map[string]AttrPartial `json:"attrs,omitempty"`
 	Groups []GroupPartial         `json:"groups,omitempty"`
 	// Rows is the first RowsLimit matched rows of the range, in shard
-	// then arrival order — the same order a single node would emit.
-	Rows []map[string]any `json:"rows,omitempty"`
-	Plan store.PlanStats  `json:"plan"`
+	// then arrival order — the same order a single node would emit — each
+	// already encoded as the JSON object a single node would write, so the
+	// coordinator slices its page out and forwards the bytes undecoded.
+	Rows []json.RawMessage `json:"rows,omitempty"`
+	Plan store.PlanStats   `json:"plan"`
 }
 
 // BuildPartial computes the mergeable aggregates of one leg row-wise over
@@ -228,7 +231,7 @@ type Merged struct {
 	// keyed like Attrs.
 	AttrSketches map[string]*stats.Sketch
 	Groups       []MergedGroup
-	Rows         []map[string]any
+	Rows         []json.RawMessage
 	Plan         store.PlanStats
 	// Replicas is the participant count; Degraded the number of legs
 	// that failed on their primary replica and were served by another.

@@ -1,6 +1,7 @@
 package scaleout
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -163,6 +164,47 @@ func TestMergePartialsErrors(t *testing.T) {
 	}
 	if _, err := MergePartials(parts); err == nil {
 		t.Fatal("epoch-mismatched partials merged")
+	}
+}
+
+// TestMergeForwardsEncodedRows: a leg's rows cross the wire and the merge
+// as the bytes the replica encoded, in leg order, and a leg answered
+// without the field — a stats-only leg, or a replica predating encoded
+// rows that matched nothing — still merges.
+func TestMergeForwardsEncodedRows(t *testing.T) {
+	legs := []string{
+		`{"epoch":4,"store_rows":10,"matched":2,"query":"","rows":[{"id":"a","x":1.5,"y":null},{"id":"b \u003c\u0026","x":1e-7,"y":2}],"plan":{}}`,
+		`{"epoch":4,"store_rows":7,"matched":0,"query":"","plan":{}}`,
+		`{"epoch":4,"store_rows":5,"matched":1,"query":"","rows":[{"id":"c","x":-0,"y":3}],"plan":{}}`,
+	}
+	parts := make([]*Partial, len(legs))
+	for i, leg := range legs {
+		parts[i] = new(Partial)
+		if err := json.Unmarshal([]byte(leg), parts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := MergePartials(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{`{"id":"a","x":1.5,"y":null}`, `{"id":"b \u003c\u0026","x":1e-7,"y":2}`, `{"id":"c","x":-0,"y":3}`}
+	if len(m.Rows) != len(want) || m.Matched != 3 || m.StoreRows != 22 {
+		t.Fatalf("merged %d rows, matched %d of %d", len(m.Rows), m.Matched, m.StoreRows)
+	}
+	for i, row := range m.Rows {
+		if string(row) != want[i] {
+			t.Fatalf("row %d = %s, want %s", i, row, want[i])
+		}
+	}
+	// Re-encoding a leg keeps the row bytes too (what a replica writes).
+	enc, err := json.Marshal(parts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again Partial
+	if err := json.Unmarshal(enc, &again); err != nil || string(again.Rows[1]) != want[1] {
+		t.Fatalf("round trip: %v, row %s", err, again.Rows[1])
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// flightGroup coalesces concurrent identical /api/query cache misses
-// into one computation. Under a cold cache and N concurrent clients
+// flightGroup coalesces concurrent identical cache misses — /api/query
+// answers and rendered pages alike — into one computation. Under a cold cache and N concurrent clients
 // asking the same few query shapes, letting every request compute (or
 // fan out to replicas) independently multiplies the work N-fold and —
 // on the coordinator — can stampede the replicas so hard that no
@@ -20,7 +20,7 @@ type flightGroup struct {
 
 type flight struct {
 	done chan struct{}
-	resp *queryResponse
+	resp *answer
 	err  error
 }
 
@@ -32,7 +32,7 @@ type flight struct {
 // fn must not be bound to the waiters' request contexts — the leader
 // passes its own detached context so one departing client cannot fail
 // everyone else's request.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (*queryResponse, error)) (*queryResponse, bool, error) {
+func (g *flightGroup) do(ctx context.Context, key string, fn func() (*answer, error)) (*answer, bool, error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flight)

@@ -16,17 +16,17 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	var g flightGroup
 	var computes atomic.Int64
 	gate := make(chan struct{})
-	want := &queryResponse{Matched: 42}
+	want := &answer{epoch: 42}
 
 	const n = 32
-	results := make([]*queryResponse, n)
+	results := make([]*answer, n)
 	sharedCount := atomic.Int64{}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, shared, err := g.do(context.Background(), "k", func() (*queryResponse, error) {
+			resp, shared, err := g.do(context.Background(), "k", func() (*answer, error) {
 				computes.Add(1)
 				<-gate
 				return want, nil
@@ -72,16 +72,16 @@ func TestFlightGroupCoalesces(t *testing.T) {
 func TestFlightGroupErrorsShared(t *testing.T) {
 	var g flightGroup
 	boom := errors.New("boom")
-	if _, _, err := g.do(context.Background(), "k", func() (*queryResponse, error) {
+	if _, _, err := g.do(context.Background(), "k", func() (*answer, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// Key released: a later call computes fresh.
-	resp, shared, err := g.do(context.Background(), "k", func() (*queryResponse, error) {
-		return &queryResponse{Matched: 1}, nil
+	resp, shared, err := g.do(context.Background(), "k", func() (*answer, error) {
+		return &answer{epoch: 1}, nil
 	})
-	if err != nil || shared || resp.Matched != 1 {
+	if err != nil || shared || resp.epoch != 1 {
 		t.Fatalf("post-error flight: resp=%+v shared=%v err=%v", resp, shared, err)
 	}
 }
@@ -93,7 +93,7 @@ func TestFlightGroupWaiterCancel(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	started := make(chan struct{})
-	go g.do(context.Background(), "k", func() (*queryResponse, error) {
+	go g.do(context.Background(), "k", func() (*answer, error) {
 		close(started)
 		<-gate
 		return nil, nil
@@ -102,7 +102,7 @@ func TestFlightGroupWaiterCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := g.do(ctx, "k", func() (*queryResponse, error) {
+	if _, _, err := g.do(ctx, "k", func() (*answer, error) {
 		t.Error("waiter ran the computation")
 		return nil, nil
 	}); !errors.Is(err, context.Canceled) {

@@ -15,9 +15,15 @@ import (
 var (
 	mHTTPInFlight   = obs.Default.Gauge("indice_http_in_flight_requests", "Requests currently being served.")
 	mHTTPPanics     = obs.Default.Counter("indice_http_panics_total", "Handler panics recovered by the middleware (answered as 500).")
-	mCacheHits      = obs.Default.Counter("indice_query_cache_hits_total", "Query result cache hits (process-wide, across server instances).")
-	mCacheMisses    = obs.Default.Counter("indice_query_cache_misses_total", "Query result cache misses (process-wide, across server instances).")
-	mQueryCoalesced = obs.Default.Counter("indice_query_coalesced_total", "Query requests that waited on another request's in-flight identical computation instead of recomputing (single-flight).")
+	mCacheHits      = obs.Default.Counter("indice_query_cache_hits_total", "/api/query result cache hits (process-wide, across server instances).")
+	mCacheMisses    = obs.Default.Counter("indice_query_cache_misses_total", "/api/query result cache misses (process-wide, across server instances).")
+	mPageHits       = obs.Default.Counter("indice_page_cache_hits_total", "Dashboard and map pages served from the result cache.")
+	mPageMisses     = obs.Default.Counter("indice_page_cache_misses_total", "Dashboard and map page lookups that missed the result cache.")
+	mCacheBytes     = obs.Default.Gauge("indice_query_cache_bytes", "Encoded body bytes resident in the result cache (query answers and pages).")
+	mQueryCoalesced = obs.Default.Counter("indice_query_coalesced_total", "Requests that waited on another request's in-flight identical computation instead of recomputing (single-flight).")
+
+	queryLookups = cacheCounters{mCacheHits, mCacheMisses}
+	pageLookups  = cacheCounters{mPageHits, mPageMisses}
 
 	serverStart = time.Now()
 )

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -89,8 +91,13 @@ type presetInfo struct {
 	Selection   string             `json:"selection,omitempty"`
 }
 
-// queryResponse is the JSON shape of /api/query.
-type queryResponse struct {
+// queryHead and queryTail are the JSON shape of /api/query on either side
+// of the row page: a body is the head's fields, then "rows" on limit>0
+// requests — an array on every one of them, empty when offset is past the
+// last match, so a paging client can tell "past the end" from the
+// stats-only shape — then the tail's. The rows are never a Go value:
+// encodeAnswer appends them between the two encoded halves.
+type queryHead struct {
 	// Epoch is the snapshot epoch the response was computed under (0 in
 	// static mode); every field is consistent with that one snapshot.
 	Epoch     uint64 `json:"epoch"`
@@ -104,13 +111,11 @@ type queryResponse struct {
 	Preset *presetInfo      `json:"preset,omitempty"`
 	Stats  []attrStats      `json:"stats,omitempty"`
 	Groups []groupStats     `json:"groups,omitempty"`
-	// Rows is the requested page: absent on limit=0 (stats-only) responses,
-	// an array on every limit>0 one — empty when offset is past the last
-	// match. A pointer, because omitempty would drop an empty slice and a
-	// paging client could not tell "past the end" from "stats-only".
-	Rows   *[]map[string]any `json:"rows,omitempty"`
-	Limit  int               `json:"limit"`
-	Offset int               `json:"offset"`
+}
+
+type queryTail struct {
+	Limit  int `json:"limit"`
+	Offset int `json:"offset"`
 	// Cluster appears on coordinator responses: how many replicas served
 	// this answer and whether any leg failed over.
 	Cluster *clusterInfo `json:"cluster,omitempty"`
@@ -210,167 +215,196 @@ func resolveQuery(req *queryRequest) (query.Predicate, []string, *presetInfo, er
 	return pred, attrs, preset, nil
 }
 
+// resolvedQuery is an /api/query request after parsing, preset
+// resolution and limit checks: what a single node and a coordinator both
+// start from.
+type resolvedQuery struct {
+	req    *queryRequest
+	pred   query.Predicate
+	attrs  []string
+	preset *presetInfo
+	// canonical is pred's canonical rendering, "" for select-all.
+	canonical string
+}
+
+// resolveRequest parses and validates one /api/query request; errors
+// carry their HTTP status.
+func resolveRequest(r *http.Request) (*resolvedQuery, error) {
+	req, err := parseQueryRequest(r)
+	if err != nil {
+		return nil, &statusError{badBodyStatus(err), err}
+	}
+	pred, attrs, preset, err := resolveQuery(req)
+	if err != nil {
+		return nil, &statusError{http.StatusBadRequest, err}
+	}
+	if req.Limit < 0 || req.Offset < 0 {
+		return nil, &statusError{http.StatusBadRequest, errors.New("limit and offset must be non-negative")}
+	}
+	if req.Limit > maxQueryRows {
+		req.Limit = maxQueryRows
+	}
+	q := &resolvedQuery{req: req, pred: pred, attrs: attrs, preset: preset}
+	if pred != nil {
+		q.canonical = pred.String()
+	}
+	return q, nil
+}
+
+// cacheKey canonicalizes the selection and the output options. Attrs
+// render via %q (each element escaped and quoted) so a single element
+// containing a comma cannot collide with a multi-element list. The preset
+// name must participate even though the preset's selection is already
+// folded into canonical: a preset with no default selection yields the
+// same canonical predicate and attrs as the bare request, yet its
+// response embeds a preset echo — without the name in the key the two
+// requests would alias each other's cached responses.
+func (q *resolvedQuery) cacheKey() string {
+	return fmt.Sprintf("query\x00%s\x00%q\x00%q\x00%q\x00%d\x00%d",
+		q.canonical, q.req.Preset, q.attrs, q.req.By, q.req.Limit, q.req.Offset)
+}
+
+// encodeAnswer renders the one body of a computed answer. head carries
+// what the executor computed; the request's echo fields are filled in
+// here. rows appends the contents of the "rows" array and must be set
+// exactly on limit>0 requests. The body is encoded in its cached
+// form; answer.write patches the literal for the computing request.
+func (q *resolvedQuery) encodeAnswer(head queryHead, rows func([]byte) []byte, cluster *clusterInfo) (*answer, error) {
+	head.Query, head.Preset, head.Cached = q.canonical, q.preset, true
+	body, err := json.Marshal(&head)
+	if err != nil {
+		return nil, err
+	}
+	// Quotes inside JSON strings are escaped, so the first `"cached":true`
+	// is the field itself and not a part of the query echo before it.
+	const field = `"cached":true`
+	a := &answer{epoch: head.Epoch, contentType: "application/json"}
+	a.cachedAt = bytes.Index(body, []byte(field)) + len(field) - len("true")
+	tail, err := json.Marshal(&queryTail{Limit: q.req.Limit, Offset: q.req.Offset, Cluster: cluster})
+	if err != nil {
+		return nil, err
+	}
+	body = body[:len(body)-1] // reopen the object
+	if rows != nil {
+		body = append(body, `,"rows":[`...)
+		body = rows(body)
+		body = append(body, ']')
+	}
+	body = append(body, ',')
+	body = append(body, tail[1:]...)
+	a.body = append(body, '\n')
+	return a, nil
+}
+
 // handleQuery serves the stakeholder query engine: predicate selection
 // with filtered summaries, grouped statistics and row pages, computed
 // on the published snapshot (live mode, planner pushdown) or the frozen
 // engine table (static mode) and cached per (epoch, canonical query).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, err := parseQueryRequest(r)
+	q, err := resolveRequest(r)
 	if err != nil {
-		http.Error(w, err.Error(), badBodyStatus(err))
+		writeError(w, err)
 		return
 	}
-	pred, attrs, preset, err := resolveQuery(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Limit < 0 || req.Offset < 0 {
-		http.Error(w, "limit and offset must be non-negative", http.StatusBadRequest)
-		return
-	}
-	if req.Limit > maxQueryRows {
-		req.Limit = maxQueryRows
-	}
-
-	canonical := ""
-	if pred != nil {
-		canonical = pred.String()
-	}
-
-	// finish assembles, caches and returns the static-mode response from
-	// the materialized match set; errors carry their HTTP status for the
-	// writer below.
-	finish := func(storeRows int, matched *table.Table) (*queryResponse, error) {
-		resp := &queryResponse{
-			StoreRows: storeRows,
-			Matched:   matched.NumRows(),
-			Query:     canonical,
-			Preset:    preset,
-			Limit:     req.Limit,
-			Offset:    req.Offset,
-		}
-		var err error
-		if resp.Stats, err = summarize(matched, attrs); err != nil {
-			return nil, &statusError{http.StatusBadRequest, err}
-		}
-		if req.By != "" {
-			if resp.Groups, err = groupBy(matched, req.By, attrs); err != nil {
-				return nil, &statusError{http.StatusBadRequest, err}
-			}
-		}
-		if req.Limit > 0 {
-			rows := rowPage(matched, req.Offset, req.Limit)
-			resp.Rows = &rows
-		}
-		if key, ok := s.cacheKey(0, canonical, attrs, req); ok {
-			s.cache.put(0, key, resp)
-		}
-		return resp, nil
-	}
-
-	// finishAgg is finish's live-mode counterpart: statistics and groups
-	// come straight from the pushdown's mergeable accumulators, and page —
-	// nil on limit=0 requests — holds exactly the requested rows, the only
-	// ones the store decoded.
-	finishAgg := func(epoch uint64, storeRows int, res *store.AggResult, page *table.Table, plan *store.PlanStats) (*queryResponse, error) {
-		resp := &queryResponse{
-			Epoch:     epoch,
-			StoreRows: storeRows,
-			Matched:   res.Matched,
-			Query:     canonical,
-			Plan:      plan,
-			Preset:    preset,
-			Limit:     req.Limit,
-			Offset:    req.Offset,
-			Stats:     statsFromAccums(attrs, res.Totals),
-		}
-		if req.By != "" {
-			resp.Groups = groupsFromAccums(res.Groups, attrs)
-		}
-		if page != nil {
-			rows := rowPage(page, 0, page.NumRows())
-			resp.Rows = &rows
-		}
-		if key, ok := s.cacheKey(epoch, canonical, attrs, req); ok {
-			s.cache.put(epoch, key, resp)
-		}
-		return resp, nil
-	}
-
-	var epoch uint64
-	var compute func() (*queryResponse, error)
+	req := q.req
 	if s.live != nil {
 		pub := s.live.Current()
 		if pub == nil || pub.Snapshot == nil {
 			http.Error(w, errNotPublished.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		epoch = pub.Epoch
-		compute = func() (*queryResponse, error) {
+		s.serveCached(w, r, queryLookups, pub.Epoch, q.cacheKey(), func(context.Context) (*answer, error) {
 			// One planner pass: group keys stay dictionary codes, values
-			// stay packed, and the only rows decoded are the page's.
+			// stay packed, and the only rows decoded are the page's —
+			// page is nil on limit=0 requests. Statistics and groups come
+			// straight from the pushdown's mergeable accumulators.
 			snap := pub.Snapshot
-			res, page, ps, err := snap.QueryShardsPage(pred, 0, snap.NumShards(), parallel.Auto,
-				store.AggSpec{By: req.By, Attrs: attrs}, req.Offset, req.Limit)
+			res, page, ps, err := snap.QueryShardsPage(q.pred, 0, snap.NumShards(), parallel.Auto,
+				store.AggSpec{By: req.By, Attrs: q.attrs}, req.Offset, req.Limit)
 			if err != nil {
 				return nil, &statusError{queryErrStatus(err), err}
 			}
-			return finishAgg(epoch, snap.NumRows(), res, page, &ps)
-		}
-	} else {
-		eng, _, ok := s.serveState(w)
-		if !ok {
-			return
-		}
-		compute = func() (*queryResponse, error) {
-			matched := eng.Table()
-			if pred != nil {
-				var err error
-				if matched, err = query.Select(eng.Table(), pred); err != nil {
-					return nil, &statusError{queryErrStatus(err), err}
-				}
+			head := queryHead{
+				Epoch:     pub.Epoch,
+				StoreRows: snap.NumRows(),
+				Matched:   res.Matched,
+				Plan:      &ps,
+				Stats:     statsFromAccums(q.attrs, res.Totals),
 			}
-			return finish(eng.Table().NumRows(), matched)
-		}
+			if req.By != "" {
+				head.Groups = groupsFromAccums(res.Groups, q.attrs)
+			}
+			var rows func([]byte) []byte
+			if page != nil {
+				rows = func(dst []byte) []byte { return appendRows(dst, page, 0, page.NumRows()) }
+			}
+			return q.encodeAnswer(head, rows, nil)
+		})
+		return
 	}
 
-	var resp *queryResponse
-	var shared bool
-	if key, ok := s.cacheKey(epoch, canonical, attrs, req); ok {
-		if resp, hit := s.cache.get(epoch, key); hit {
-			cached := *resp
-			cached.Cached = true
-			writeJSON(w, &cached)
-			return
-		}
-		// Cache miss: coalesce concurrent identical computations — under
-		// a cold cache and many clients, one flight computes and every
-		// duplicate request shares its result.
-		resp, shared, err = s.flights.do(r.Context(), key, compute)
-	} else {
-		resp, err = compute()
-	}
-	if err != nil {
-		code := http.StatusInternalServerError
-		var se *statusError
-		if errors.As(err, &se) {
-			code = se.code
-		}
-		http.Error(w, err.Error(), code)
+	eng, _, epoch, ok := s.serveState(w)
+	if !ok {
 		return
 	}
-	if shared {
-		coalesced := *resp
-		coalesced.Cached = true
-		writeJSON(w, &coalesced)
-		return
-	}
-	writeJSON(w, resp)
+	s.serveCached(w, r, queryLookups, epoch, q.cacheKey(), func(context.Context) (*answer, error) {
+		// Static mode: the frozen engine table is already materialized,
+		// so the answer comes from the match set.
+		matched := eng.Table()
+		if q.pred != nil {
+			var err error
+			if matched, err = query.Select(eng.Table(), q.pred); err != nil {
+				return nil, &statusError{queryErrStatus(err), err}
+			}
+		}
+		head := queryHead{StoreRows: eng.Table().NumRows(), Matched: matched.NumRows()}
+		var err error
+		if head.Stats, err = summarize(matched, q.attrs); err != nil {
+			return nil, &statusError{http.StatusBadRequest, err}
+		}
+		if req.By != "" {
+			if head.Groups, err = groupBy(matched, req.By, q.attrs); err != nil {
+				return nil, &statusError{http.StatusBadRequest, err}
+			}
+		}
+		var rows func([]byte) []byte
+		if req.Limit > 0 {
+			rows = func(dst []byte) []byte { return appendRows(dst, matched, req.Offset, req.Offset+req.Limit) }
+		}
+		return q.encodeAnswer(head, rows, nil)
+	})
 }
 
-// statusError carries the HTTP status a query computation failed with
-// through the single-flight boundary.
+// serveCached is the one serving sequence of every cacheable route —
+// /api/query on a single node and on a coordinator, the dashboards and
+// the maps: look the key up under the epoch; on a miss join the key's
+// flight or start it; compute and encode once; store; write. Under a
+// cold cache and many clients, one flight computes and every duplicate
+// request shares its bytes. The flight leader computes on a detached
+// context so a departing client cannot fail everyone waiting behind it.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, m cacheCounters, epoch uint64, key string,
+	compute func(ctx context.Context) (*answer, error)) {
+	if a, hit := s.cache.get(epoch, key, m); hit {
+		a.write(w, false)
+		return
+	}
+	ctx := context.WithoutCancel(r.Context())
+	a, shared, err := s.flights.do(r.Context(), strconv.FormatUint(epoch, 10)+"\x00"+key, func() (*answer, error) {
+		a, err := compute(ctx)
+		if err == nil {
+			s.cache.put(key, a)
+		}
+		return a, err
+	})
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	a.write(w, !shared)
+}
+
+// statusError carries the HTTP status a request failed with, through the
+// single-flight boundary where the failure is a computation's.
 type statusError struct {
 	code int
 	err  error
@@ -379,21 +413,14 @@ type statusError struct {
 func (e *statusError) Error() string { return e.err.Error() }
 func (e *statusError) Unwrap() error { return e.err }
 
-// cacheKey canonicalizes the output options into the cache key. The
-// epoch is embedded defensively even though the cache also partitions
-// by it. Attrs render via %q (each element escaped and quoted) so a
-// single element containing a comma cannot collide with a multi-element
-// list. The preset name must participate even though the preset's
-// selection is already folded into canonical: a preset with no default
-// selection yields the same canonical predicate and attrs as the bare
-// request, yet its response embeds a preset echo — without the name in
-// the key the two requests would alias each other's cached responses.
-func (s *Server) cacheKey(epoch uint64, canonical string, attrs []string, req *queryRequest) (string, bool) {
-	if s.cache == nil {
-		return "", false
+// writeError answers with the status err carries, 500 when it has none.
+func writeError(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	var se *statusError
+	if errors.As(err, &se) {
+		code = se.code
 	}
-	return fmt.Sprintf("%d\x00%s\x00%q\x00%q\x00%q\x00%d\x00%d",
-		epoch, canonical, req.Preset, attrs, req.By, req.Limit, req.Offset), true
+	http.Error(w, err.Error(), code)
 }
 
 // queryErrStatus maps predicate evaluation failures onto 400 for client
@@ -538,56 +565,6 @@ func groupBy(tab *table.Table, by string, attrs []string) ([]groupStats, error) 
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
 	return out, nil
-}
-
-// rowPage renders rows [offset, offset+limit) of tab as attribute/value
-// objects; invalid cells render as null. The result is never nil.
-func rowPage(tab *table.Table, offset, limit int) []map[string]any {
-	n := tab.NumRows()
-	if offset >= n {
-		return []map[string]any{}
-	}
-	end := offset + limit
-	if end > n {
-		end = n
-	}
-	schema := tab.Schema()
-	type column struct {
-		field  table.Field
-		valid  []bool
-		floats []float64
-		strs   []string
-	}
-	cols := make([]column, len(schema))
-	for i, f := range schema {
-		cols[i].field = f
-		cols[i].valid, _ = tab.ValidMask(f.Name)
-		if f.Type == table.Float64 {
-			cols[i].floats, _ = tab.Floats(f.Name)
-		} else {
-			cols[i].strs, _ = tab.Strings(f.Name)
-		}
-	}
-	rows := make([]map[string]any, 0, end-offset)
-	for r := offset; r < end; r++ {
-		row := make(map[string]any, len(schema))
-		for _, c := range cols {
-			switch {
-			case !c.valid[r]:
-				row[c.field.Name] = nil
-			case c.field.Type == table.Float64:
-				if v := c.floats[r]; math.IsNaN(v) || math.IsInf(v, 0) {
-					row[c.field.Name] = nil
-				} else {
-					row[c.field.Name] = v
-				}
-			default:
-				row[c.field.Name] = c.strs[r]
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows
 }
 
 // handlePresets lists the stakeholder query presets: default selection,

@@ -30,6 +30,19 @@ func getQuery(t *testing.T, url string) (int, *queryResponse, string) {
 	return code, &resp, body
 }
 
+// rawRows returns the bytes of an answer's "rows" array, nil when the
+// body carries none.
+func rawRows(t *testing.T, body string) []byte {
+	t.Helper()
+	var resp struct {
+		Rows json.RawMessage `json:"rows"`
+	}
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatalf("bad /api/query JSON: %v\n%s", err, body)
+	}
+	return resp.Rows
+}
+
 // rowsOf returns the response's row page; nil when it carries none
 // (limit=0 responses omit the field).
 func rowsOf(r *queryResponse) []map[string]any {

@@ -84,12 +84,17 @@ func (s *Server) handlePartialQuery(w http.ResponseWriter, r *http.Request) {
 		Plan:    ps,
 	}
 	if page != nil {
-		p.Rows = rowPage(page, 0, page.NumRows())
+		p.Rows = encodeRows(page)
 	}
 	for i := spec.ShardFrom; i < spec.ShardTo; i++ {
 		p.StoreRows += snap.ShardRows(i)
 	}
-	writeJSON(w, p)
+	// Compact, unlike the operator-facing endpoints: the coordinator
+	// forwards the row bytes as they are.
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(p); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // clusterInfo is the scatter-gather block of a coordinator query
@@ -109,72 +114,42 @@ type clusterInfo struct {
 // quartiles from the merged quantile sketches — sketch merges are exact,
 // so a coordinator reports the same quartiles a single node would.
 func (s *Server) handleCoordQuery(w http.ResponseWriter, r *http.Request) {
-	req, err := parseQueryRequest(r)
+	q, err := resolveRequest(r)
 	if err != nil {
-		http.Error(w, err.Error(), badBodyStatus(err))
+		writeError(w, err)
 		return
 	}
-	pred, attrs, preset, err := resolveQuery(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Limit < 0 || req.Offset < 0 {
-		http.Error(w, "limit and offset must be non-negative", http.StatusBadRequest)
-		return
-	}
-	if req.Limit > maxQueryRows {
-		req.Limit = maxQueryRows
-	}
+	req := q.req
 	if req.Limit > 0 && req.Offset+req.Limit > maxLegRows {
 		http.Error(w, fmt.Sprintf("offset+limit %d exceeds the coordinator's paging depth of %d rows",
 			req.Offset+req.Limit, maxLegRows), http.StatusBadRequest)
 		return
 	}
-	canonical := ""
-	if pred != nil {
-		canonical = pred.String()
-	}
-
 	// The cache partitions by the epoch the next query would pin to; a
 	// concurrent epoch change between the probe and the fan-out just
-	// misses.
-	cacheEpoch, cacheErr := s.coord.Epoch()
-	var key string
-	var keyOK bool
-	if cacheErr == nil {
-		if key, keyOK = s.cacheKey(cacheEpoch, canonical, attrs, req); keyOK {
-			if resp, hit := s.cache.get(cacheEpoch, key); hit {
-				cached := *resp
-				cached.Cached = true
-				writeJSON(w, &cached)
-				return
-			}
-		}
+	// stores the answer under the epoch it was computed at.
+	epoch, err := s.coord.Epoch()
+	if err != nil {
+		writeError(w, coordError(err))
+		return
 	}
-
-	compute := func(ctx context.Context) (*queryResponse, error) {
-		spec := scaleout.QuerySpec{Q: canonical, Attrs: attrs, By: req.By}
+	s.serveCached(w, r, queryLookups, epoch, q.cacheKey(), func(ctx context.Context) (*answer, error) {
+		spec := scaleout.QuerySpec{Q: q.canonical, Attrs: q.attrs, By: req.By}
 		if req.Limit > 0 {
 			spec.RowsLimit = req.Offset + req.Limit
 		}
 		m, err := s.coord.Query(ctx, spec)
 		if err != nil {
-			return nil, err
+			return nil, coordError(err)
 		}
-		resp := &queryResponse{
+		head := queryHead{
 			Epoch:     m.Epoch,
 			StoreRows: m.StoreRows,
 			Matched:   m.Matched,
-			Query:     canonical,
 			Plan:      &m.Plan,
-			Preset:    preset,
-			Limit:     req.Limit,
-			Offset:    req.Offset,
-			Cluster:   &clusterInfo{Replicas: m.Replicas, Degraded: m.Degraded},
+			Stats:     make([]attrStats, 0, len(q.attrs)),
 		}
-		resp.Stats = make([]attrStats, 0, len(attrs))
-		for _, attr := range attrs {
+		for _, attr := range q.attrs {
 			rs := m.Attrs[attr]
 			as := attrStats{
 				Attr: attr, Count: rs.Count, Mean: rs.Mean, StdDev: rs.StdDev(),
@@ -185,10 +160,10 @@ func (s *Server) handleCoordQuery(w http.ResponseWriter, r *http.Request) {
 				as.Median = sk.Quantile(0.5)
 				as.Q3 = sk.Quantile(0.75)
 			}
-			resp.Stats = append(resp.Stats, as)
+			head.Stats = append(head.Stats, as)
 		}
 		if req.By != "" {
-			resp.Groups = make([]groupStats, 0, len(m.Groups))
+			head.Groups = make([]groupStats, 0, len(m.Groups))
 			for _, g := range m.Groups {
 				gs := groupStats{Value: g.Value, Count: g.Count, Means: g.Means}
 				for attr, sk := range g.Sketches {
@@ -205,59 +180,45 @@ func (s *Server) handleCoordQuery(w http.ResponseWriter, r *http.Request) {
 						P90:    sk.Quantile(0.9),
 					}
 				}
-				resp.Groups = append(resp.Groups, gs)
+				head.Groups = append(head.Groups, gs)
 			}
 		}
+		var rows func([]byte) []byte
 		if req.Limit > 0 {
-			// Every leg returned its first offset+limit matches, so rows
-			// [offset, offset+limit) of the concatenation are the single
-			// node's page.
-			page := []map[string]any{}
+			// Every leg returned its first offset+limit matches, already
+			// encoded, so rows [offset, offset+limit) of the concatenation
+			// are the single node's page, byte for byte.
+			var page []json.RawMessage
 			if req.Offset < len(m.Rows) {
 				page = m.Rows[req.Offset:min(req.Offset+req.Limit, len(m.Rows))]
 			}
-			resp.Rows = &page
+			rows = func(dst []byte) []byte {
+				for i, row := range page {
+					if i > 0 {
+						dst = append(dst, ',')
+					}
+					dst = append(dst, row...)
+				}
+				return dst
+			}
 		}
-		if key, ok := s.cacheKey(m.Epoch, canonical, attrs, req); ok {
-			s.cache.put(m.Epoch, key, resp)
-		}
-		return resp, nil
-	}
+		return q.encodeAnswer(head, rows, &clusterInfo{Replicas: m.Replicas, Degraded: m.Degraded})
+	})
+}
 
-	// Cache miss: coalesce concurrent identical fan-outs into one
-	// flight per cache key. The flight leader computes on a detached
-	// context (bounded by the coordinator's own per-leg timeouts) so a
-	// departing waiter cannot fail everyone behind it.
-	var resp *queryResponse
-	var shared bool
-	var err2 error
-	if keyOK {
-		base := context.WithoutCancel(r.Context())
-		resp, shared, err2 = s.flights.do(r.Context(), key, func() (*queryResponse, error) {
-			return compute(base)
-		})
-	} else {
-		resp, err2 = compute(r.Context())
+// coordError gives a fan-out failure its HTTP status: 400 for the
+// client's own mistakes a replica reported, 503 while no common epoch is
+// served, 502 for everything else the replicas did.
+func coordError(err error) error {
+	var ce *scaleout.ClientError
+	switch {
+	case errors.As(err, &ce):
+		return &statusError{http.StatusBadRequest, errors.New(ce.Msg)}
+	case errors.Is(err, scaleout.ErrNoCommonEpoch):
+		return &statusError{http.StatusServiceUnavailable, err}
+	default:
+		return &statusError{http.StatusBadGateway, err}
 	}
-	if err2 != nil {
-		var ce *scaleout.ClientError
-		switch {
-		case errors.As(err2, &ce):
-			http.Error(w, ce.Msg, http.StatusBadRequest)
-		case errors.Is(err2, scaleout.ErrNoCommonEpoch):
-			http.Error(w, err2.Error(), http.StatusServiceUnavailable)
-		default:
-			http.Error(w, err2.Error(), http.StatusBadGateway)
-		}
-		return
-	}
-	if shared {
-		coalesced := *resp
-		coalesced.Cached = true
-		writeJSON(w, &coalesced)
-		return
-	}
-	writeJSON(w, resp)
 }
 
 // handleReplicas reports the coordinator's cached view of its replicas.

@@ -16,6 +16,8 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -76,7 +78,7 @@ func New(eng *core.Engine, an *core.Analysis) (*Server, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("server: nil engine")
 	}
-	s := &Server{eng: eng, an: an, cache: newQueryCache(0)}
+	s := &Server{eng: eng, an: an, cache: newQueryCache()}
 	s.routes()
 	return s, nil
 }
@@ -88,7 +90,7 @@ func NewLive(live *core.Live) (*Server, error) {
 	if live == nil {
 		return nil, fmt.Errorf("server: nil live loop")
 	}
-	s := &Server{live: live, cache: newQueryCache(0)}
+	s := &Server{live: live, cache: newQueryCache()}
 	s.routes()
 	return s, nil
 }
@@ -116,7 +118,7 @@ func NewLiveCluster(live *core.Live, cc ClusterConfig) (*Server, error) {
 		return nil, fmt.Errorf("server: a process is a leader or a replica, not both")
 	}
 	s := &Server{
-		live: live, cache: newQueryCache(0),
+		live: live, cache: newQueryCache(),
 		leader: cc.Leader, replica: cc.Replica, readyMaxLag: cc.ReadyMaxLag,
 	}
 	if s.replica != nil {
@@ -133,7 +135,7 @@ func NewCoordinator(coord *scaleout.Coordinator) (*Server, error) {
 	if coord == nil {
 		return nil, fmt.Errorf("server: nil coordinator")
 	}
-	s := &Server{coord: coord, cache: newQueryCache(0)}
+	s := &Server{coord: coord, cache: newQueryCache()}
 	s.routesCoordinator()
 	return s, nil
 }
@@ -229,28 +231,29 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // errNotPublished marks live mode before the first successful refresh.
 var errNotPublished = errors.New("no analysis published yet: ingest data and refresh")
 
-// state resolves the engine and analysis serving this request: the frozen
-// pair in static mode, the last published pair in live mode.
-func (s *Server) state() (*core.Engine, *core.Analysis, error) {
+// state resolves the engine and analysis serving this request and the
+// epoch they were published under: the frozen pair (epoch 0) in static
+// mode, the last published pair in live mode.
+func (s *Server) state() (*core.Engine, *core.Analysis, uint64, error) {
 	if s.live == nil {
-		return s.eng, s.an, nil
+		return s.eng, s.an, 0, nil
 	}
 	pub := s.live.Current()
 	if pub == nil {
-		return nil, nil, errNotPublished
+		return nil, nil, 0, errNotPublished
 	}
-	return pub.Engine, pub.Analysis, nil
+	return pub.Engine, pub.Analysis, pub.Epoch, nil
 }
 
 // serveState is state() plus the uniform 503 answer for unpublished live
-// servers; handlers bail out when it returns nil.
-func (s *Server) serveState(w http.ResponseWriter) (*core.Engine, *core.Analysis, bool) {
-	eng, an, err := s.state()
+// servers; handlers bail out when it returns false.
+func (s *Server) serveState(w http.ResponseWriter) (*core.Engine, *core.Analysis, uint64, bool) {
+	eng, an, epoch, err := s.state()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return nil, nil, false
+		return nil, nil, 0, false
 	}
-	return eng, an, true
+	return eng, an, epoch, true
 }
 
 // handleIndex lists the navigable views.
@@ -262,7 +265,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>INDICE</title></head><body>")
 	b.WriteString("<h1>INDICE</h1>")
-	if eng, _, err := s.state(); err == nil {
+	if eng, _, _, err := s.state(); err == nil {
 		fmt.Fprintf(&b, "<p>%d certificates loaded.</p>", eng.Table().NumRows())
 	} else {
 		fmt.Fprintf(&b, "<p>%s</p>", html.EscapeString(err.Error()))
@@ -296,13 +299,23 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, `<li><a href="%s">%s</a></li>`, api, html.EscapeString(api))
 	}
 	b.WriteString("</ul></body></html>")
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	w.Header().Set("Content-Type", htmlType)
 	fmt.Fprint(w, b.String())
 }
 
-// handleDashboard renders a full stakeholder dashboard.
+const htmlType = "text/html; charset=utf-8"
+
+// pageAnswer wraps a rendered page for the result cache; a page has no
+// cached literal to patch.
+func pageAnswer(epoch uint64, contentType string, body []byte) *answer {
+	return &answer{epoch: epoch, contentType: contentType, body: body, cachedAt: -1}
+}
+
+// handleDashboard renders a full stakeholder dashboard. A page is a pure
+// function of the publication, so it is rendered once per epoch and then
+// served from the result cache.
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	eng, an, ok := s.serveState(w)
+	eng, an, epoch, ok := s.serveState(w)
 	if !ok {
 		return
 	}
@@ -312,20 +325,21 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	page, err := eng.Dashboard(st, an)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, page)
+	s.serveCached(w, r, pageLookups, epoch, "dashboard\x00"+string(st), func(context.Context) (*answer, error) {
+		page, err := eng.Dashboard(st, an)
+		if err != nil {
+			return nil, err
+		}
+		return pageAnswer(epoch, htmlType, []byte(page)), nil
+	})
 }
 
 // handleMap renders one energy map: /map?level=district&attr=eph. The
 // SVG is wrapped in a small HTML page with drill links so the user can
-// navigate zoom levels, the paper's core interaction.
+// navigate zoom levels, the paper's core interaction. Cached per epoch
+// like the dashboards.
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
-	eng, _, ok := s.serveState(w)
+	eng, _, epoch, ok := s.serveState(w)
 	if !ok {
 		return
 	}
@@ -346,43 +360,43 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown numeric attribute %q", attr), http.StatusBadRequest)
 		return
 	}
-	svg, kind, err := dashboard.RenderMap(eng.Table(), eng.Hierarchy(), dashboard.MapSpec{
-		Title: fmt.Sprintf("Average %s — %s zoom", attr, level),
-		Level: level,
-		Attr:  attr,
+	raw := r.URL.Query().Get("raw") == "1"
+	key := fmt.Sprintf("map\x00%s\x00%s\x00%t", level, attr, raw)
+	s.serveCached(w, r, pageLookups, epoch, key, func(context.Context) (*answer, error) {
+		svg, kind, err := dashboard.RenderMap(eng.Table(), eng.Hierarchy(), dashboard.MapSpec{
+			Title: fmt.Sprintf("Average %s — %s zoom", attr, level),
+			Level: level,
+			Attr:  attr,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if raw {
+			return pageAnswer(epoch, "image/svg+xml", []byte(svg)), nil
+		}
+		var b bytes.Buffer
+		b.WriteString("<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>INDICE map</title></head><body>")
+		fmt.Fprintf(&b, "<p>%s map — drill: ", kind)
+		for _, l := range []geo.Level{geo.LevelCity, geo.LevelDistrict, geo.LevelNeighbourhood, geo.LevelUnit} {
+			if l == level {
+				fmt.Fprintf(&b, "<b>%s</b> ", l)
+			} else {
+				fmt.Fprintf(&b, `<a href="/map?level=%s&attr=%s">%s</a> `, l, html.EscapeString(attr), l)
+			}
+		}
+		b.WriteString("| attribute: ")
+		for _, a := range []string{epc.AttrEPH, epc.AttrUOpaque, epc.AttrUWindows, epc.AttrETAH} {
+			if a == attr {
+				fmt.Fprintf(&b, "<b>%s</b> ", a)
+			} else {
+				fmt.Fprintf(&b, `<a href="/map?level=%s&attr=%s">%s</a> `, level, a, a)
+			}
+		}
+		b.WriteString("</p>")
+		b.WriteString(svg)
+		b.WriteString("</body></html>")
+		return pageAnswer(epoch, htmlType, b.Bytes()), nil
 	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if r.URL.Query().Get("raw") == "1" {
-		w.Header().Set("Content-Type", "image/svg+xml")
-		fmt.Fprint(w, svg)
-		return
-	}
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>INDICE map</title></head><body>")
-	fmt.Fprintf(&b, "<p>%s map — drill: ", kind)
-	for _, l := range []geo.Level{geo.LevelCity, geo.LevelDistrict, geo.LevelNeighbourhood, geo.LevelUnit} {
-		if l == level {
-			fmt.Fprintf(&b, "<b>%s</b> ", l)
-		} else {
-			fmt.Fprintf(&b, `<a href="/map?level=%s&attr=%s">%s</a> `, l, html.EscapeString(attr), l)
-		}
-	}
-	b.WriteString("| attribute: ")
-	for _, a := range []string{epc.AttrEPH, epc.AttrUOpaque, epc.AttrUWindows, epc.AttrETAH} {
-		if a == attr {
-			fmt.Fprintf(&b, "<b>%s</b> ", a)
-		} else {
-			fmt.Fprintf(&b, `<a href="/map?level=%s&attr=%s">%s</a> `, level, a, a)
-		}
-	}
-	b.WriteString("</p>")
-	b.WriteString(svg)
-	b.WriteString("</body></html>")
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, b.String())
 }
 
 // statsResponse is the JSON shape of /api/stats.
@@ -399,7 +413,7 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	eng, _, ok := s.serveState(w)
+	eng, _, _, ok := s.serveState(w)
 	if !ok {
 		return
 	}
@@ -433,7 +447,7 @@ type zoneResponse struct {
 }
 
 func (s *Server) handleZones(w http.ResponseWriter, r *http.Request) {
-	eng, _, ok := s.serveState(w)
+	eng, _, _, ok := s.serveState(w)
 	if !ok {
 		return
 	}
@@ -479,7 +493,7 @@ type ruleResponse struct {
 }
 
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
-	_, an, ok := s.serveState(w)
+	_, an, _, ok := s.serveState(w)
 	if !ok {
 		return
 	}
@@ -516,7 +530,7 @@ type clusterResponse struct {
 }
 
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	_, an, ok := s.serveState(w)
+	_, an, _, ok := s.serveState(w)
 	if !ok {
 		return
 	}
