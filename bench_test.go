@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -31,6 +32,7 @@ import (
 	"indice/internal/matrix"
 	"indice/internal/obs"
 	"indice/internal/outlier"
+	"indice/internal/parallel"
 	"indice/internal/query"
 	"indice/internal/scaleout"
 	"indice/internal/server"
@@ -1686,4 +1688,111 @@ func BenchmarkE20HotResponse(b *testing.B) {
 			}
 		}
 	})
+}
+
+// e21StreetMap builds the default city's street registry the way
+// cmd/indice-server does for a synthetic boot.
+func e21StreetMap(b *testing.B, city *synth.City) *geocode.StreetMap {
+	b.Helper()
+	entries := make([]geocode.ReferenceEntry, len(city.Entries))
+	for i, e := range city.Entries {
+		entries[i] = geocode.ReferenceEntry{Street: e.Street, HouseNumber: e.HouseNumber, ZIP: e.ZIP, Point: e.Point}
+	}
+	sm, err := geocode.NewStreetMap(entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sm
+}
+
+// e21Refresh runs one cold Live.Refresh over tab under cmd/indice-server's
+// buildLive configuration (4 shards, street map, mock geocoder with a
+// 2000-request quota, default pre-processing and analysis, kmax 10) and
+// returns the publication. Only the Refresh call is timed.
+func e21Refresh(b *testing.B, tab *table.Table, city *synth.City, sm *geocode.StreetMap, workers int) *core.Published {
+	b.Helper()
+	b.StopTimer()
+	scfg := store.DefaultConfig()
+	scfg.Shards = 4
+	st, err := store.New(scfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.AppendTable(tab); err != nil {
+		b.Fatal(err)
+	}
+	pcfg := core.DefaultPreprocessConfig()
+	pcfg.Parallelism = workers
+	acfg := core.DefaultAnalysisConfig()
+	acfg.KMax = 10
+	acfg.Parallelism = workers
+	live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{
+		Preprocess: pcfg,
+		Analysis:   acfg,
+		Options:    core.Options{StreetMap: sm, Geocoder: geocode.NewMockGeocoder(sm, 2000)},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.StartTimer()
+	pub, err := live.Refresh()
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.StartTimer()
+	return pub
+}
+
+// E21 — cold refresh: one full Live.Refresh (materialize, clean, screen,
+// K-means sweep, CART, rules) on 20k × 132 synthetic certificates as the
+// server's buildLive wires it, at parallel.Auto. "registry" is the corpus
+// the repo benchmark loads — every address is a registry street, so
+// cleaning resolves ~240 distinct strings; "typos" sends the same rows
+// through synth.Corrupt (12 % address typos), the side without that
+// property. Gate, outside timing: the report and the analysis equal the
+// ones a Parallelism 1 run produces. Methodology in docs/benchmarks.md.
+func BenchmarkE21ColdRefresh(b *testing.B) {
+	const rows = 20_000
+	city, err := synth.GenerateCity(synth.DefaultCityConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	gcfg := synth.DefaultConfig()
+	gcfg.Certificates = rows
+	ds, err := synth.Generate(gcfg, city)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dirty, _, err := synth.Corrupt(ds.Table, synth.DefaultCorruptionConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sm := e21StreetMap(b, city)
+	for _, c := range []struct {
+		name string
+		tab  *table.Table
+	}{{"registry", ds.Table}, {"typos", dirty}} {
+		b.Run(c.name, func(b *testing.B) {
+			want := e21Refresh(b, c.tab, city, sm, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var got *core.Published
+			for i := 0; i < b.N; i++ {
+				got = e21Refresh(b, c.tab, city, sm, parallel.Auto)
+			}
+			b.StopTimer()
+			// Field by field: the report also retains the pre-drop table,
+			// whose NULL cells are NaN and never DeepEqual themselves.
+			gr, wr := got.Report, want.Report
+			if !reflect.DeepEqual(gr.Cleaning, wr.Cleaning) || !reflect.DeepEqual(gr.Univariate, wr.Univariate) ||
+				!reflect.DeepEqual(gr.OutlierRows, wr.OutlierRows) || gr.RowsAfter != wr.RowsAfter {
+				b.Fatal("pre-processing report differs between Parallelism 1 and parallel.Auto")
+			}
+			if !reflect.DeepEqual(got.Analysis, want.Analysis) {
+				b.Fatal("analysis differs between Parallelism 1 and parallel.Auto")
+			}
+			b.ReportMetric(float64(got.Report.Cleaning.StreetMap+got.Report.Cleaning.Geocoded), "repaired-rows")
+		})
+	}
 }

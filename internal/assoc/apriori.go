@@ -5,10 +5,12 @@
 package assoc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"indice/internal/parallel"
@@ -48,25 +50,12 @@ func (s Itemset) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-func less(a, b Item) bool {
-	if a.Attr != b.Attr {
-		return a.Attr < b.Attr
+// compareItems is the canonical item order: by attribute, then value.
+func compareItems(a, b Item) int {
+	if c := cmp.Compare(a.Attr, b.Attr); c != 0 {
+		return c
 	}
-	return a.Value < b.Value
-}
-
-// canon sorts and deduplicates a copy of the items.
-func canon(items []Item) Itemset {
-	out := append(Itemset(nil), items...)
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-	dedup := out[:0]
-	for i, it := range out {
-		if i > 0 && it == out[i-1] {
-			continue
-		}
-		dedup = append(dedup, it)
-	}
-	return dedup
+	return cmp.Compare(a.Value, b.Value)
 }
 
 // FrequentItemset pairs an itemset with its support count.
@@ -88,33 +77,87 @@ type MiningConfig struct {
 	// bench only.
 	DisablePruning bool
 	// Parallelism bounds the worker goroutines of the support-counting
-	// passes, which partition the transactions into chunks and merge the
-	// per-chunk integer counts. 0 or 1 run sequentially; counts are exact,
-	// so the mined itemsets are identical at any setting.
+	// passes, which fan out over the candidates of a level. 0 or 1 run
+	// sequentially; counts are exact, so the mined itemsets are identical
+	// at any setting.
 	Parallelism int
 }
 
-// Miner holds a transactional dataset ready for mining.
+// Miner holds a transactional dataset ready for mining, in vertical form:
+// the distinct items are interned to dense ids in canonical order, and
+// each item keeps its tidset — one bit per transaction. An itemset is a
+// sorted list of ids and its support count is the popcount of the AND of
+// its items' tidsets, so mining never compares a string. Memory is
+// (distinct items) × ⌈N/64⌉ words, whatever the transactions' lengths.
 type Miner struct {
-	txs []Itemset
-	n   int
+	n     int
+	items []Item     // distinct items in compareItems order; the index is the id
+	tids  [][]uint64 // tids[id]: bit t is set when transaction t holds the item
 }
 
-// NewMiner canonicalizes the transactions. Empty transactions are kept
-// (they count toward N but support nothing).
+// idset is an itemset as ascending item ids.
+type idset []int32
+
+// NewMiner interns the transactions' items and builds their tidsets. An
+// item repeated within a transaction counts once; empty transactions are
+// kept (they count toward N but support nothing).
 func NewMiner(txs []Transaction) (*Miner, error) {
 	if len(txs) == 0 {
 		return nil, errors.New("assoc: no transactions")
 	}
-	m := &Miner{txs: make([]Itemset, len(txs)), n: len(txs)}
-	for i, t := range txs {
-		m.txs[i] = canon(t)
+	words := (len(txs) + 63) / 64
+	ids := make(map[Item]int)
+	var items []Item
+	var tids [][]uint64
+	for t, tx := range txs {
+		for _, it := range tx {
+			id, ok := ids[it]
+			if !ok {
+				id = len(items)
+				ids[it] = id
+				items = append(items, it)
+				tids = append(tids, make([]uint64, words))
+			}
+			tids[id][t>>6] |= 1 << (t & 63)
+		}
+	}
+	// Renumber from first-seen to canonical order.
+	order := make([]int, len(items))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return compareItems(items[a], items[b]) })
+	m := &Miner{n: len(txs), items: make([]Item, len(items)), tids: make([][]uint64, len(items))}
+	for id, seen := range order {
+		m.items[id], m.tids[id] = items[seen], tids[seen]
 	}
 	return m, nil
 }
 
 // N returns the number of transactions.
 func (m *Miner) N() int { return m.n }
+
+// support counts the transactions holding every item of s.
+func (m *Miner) support(s idset) int {
+	n := 0
+	for w, x := range m.tids[s[0]] {
+		for _, id := range s[1:] {
+			x &= m.tids[id][w]
+		}
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// minCount converts a support threshold into the smallest qualifying
+// count, shared by both miners so they agree on borderline supports.
+func (m *Miner) minCount(minSupport float64) int {
+	c := int(math.Ceil(minSupport * float64(m.n)))
+	if c < 1 {
+		c = 1
+	}
+	return c
+}
 
 // FrequentItemsets runs Apriori and returns every itemset with support ≥
 // cfg.MinSupport, sorted by (length, support desc, key).
@@ -126,254 +169,130 @@ func (m *Miner) FrequentItemsets(cfg MiningConfig) ([]FrequentItemset, error) {
 	if maxLen <= 0 {
 		maxLen = 4
 	}
-	minCount := int(math.Ceil(cfg.MinSupport * float64(m.n)))
-	if minCount < 1 {
-		minCount = 1
-	}
+	minCount := m.minCount(cfg.MinSupport)
 
-	// L1: frequent single items, counted over transaction chunks.
-	type l1Part struct {
-		counts    map[string]int
-		itemByKey map[string]Item
-	}
-	l1 := parallel.ChunkReduce(len(m.txs), cfg.Parallelism,
-		l1Part{counts: make(map[string]int), itemByKey: make(map[string]Item)},
-		func(start, end int) l1Part {
-			p := l1Part{counts: make(map[string]int), itemByKey: make(map[string]Item)}
-			for _, tx := range m.txs[start:end] {
-				for _, it := range tx {
-					k := it.String()
-					p.counts[k]++
-					p.itemByKey[k] = it
-				}
+	var sets []idset
+	var counts []int
+	// keepFrequent counts the candidates, fanned out over the workers,
+	// appends those reaching minCount to the result and returns them as
+	// the next level (candidate order is kept, so a sorted candidate list
+	// yields a sorted level).
+	keepFrequent := func(cands []idset) []idset {
+		supports := parallel.Map(len(cands), cfg.Parallelism, func(i int) int { return m.support(cands[i]) })
+		var level []idset
+		for i, c := range supports {
+			if c >= minCount {
+				level = append(level, cands[i])
+				sets = append(sets, cands[i])
+				counts = append(counts, c)
 			}
-			return p
-		},
-		func(acc, part l1Part) l1Part {
-			if len(acc.counts) == 0 {
-				return part
-			}
-			for k, c := range part.counts {
-				acc.counts[k] += c
-				acc.itemByKey[k] = part.itemByKey[k]
-			}
-			return acc
-		})
-	counts, itemByKey := l1.counts, l1.itemByKey
-	var level []Itemset
-	levelCounts := make(map[string]int)
-	for k, c := range counts {
-		if c >= minCount {
-			is := Itemset{itemByKey[k]}
-			level = append(level, is)
-			levelCounts[is.key()] = c
 		}
+		return level
 	}
-	sortItemsets(level)
 
-	var result []FrequentItemset
-	appendLevel := func(sets []Itemset, counts map[string]int) {
-		for _, s := range sets {
-			c := counts[s.key()]
-			result = append(result, FrequentItemset{
-				Items:   s,
-				Count:   c,
-				Support: float64(c) / float64(m.n),
-			})
-		}
-	}
-	appendLevel(level, levelCounts)
-
+	level := keepFrequent(m.allCandidates(1))
 	for length := 2; length <= maxLen && len(level) > 0; length++ {
-		var candidates []Itemset
+		var candidates []idset
 		if cfg.DisablePruning {
 			candidates = m.allCandidates(length)
 		} else {
-			candidates = joinAndPrune(level)
+			candidates = m.joinAndPrune(level)
 		}
 		if len(candidates) == 0 {
 			break
 		}
-		keys := make([]string, len(candidates))
-		for i, c := range candidates {
-			keys[i] = c.key()
-		}
-		// Support counting is the Apriori hot loop: transactions partition
-		// into chunks, each chunk counts into its own candidate-indexed
-		// slice, and the integer merges are exact regardless of chunking.
-		candCounts := parallel.ChunkReduce(len(m.txs), cfg.Parallelism,
-			make([]int, len(candidates)),
-			func(start, end int) []int {
-				part := make([]int, len(candidates))
-				for _, tx := range m.txs[start:end] {
-					if len(tx) < length {
-						continue
-					}
-					for i, c := range candidates {
-						if containsAll(tx, c) {
-							part[i]++
-						}
-					}
-				}
-				return part
-			},
-			func(acc, part []int) []int {
-				if len(acc) == 0 {
-					return part
-				}
-				for i, c := range part {
-					acc[i] += c
-				}
-				return acc
-			})
-		var next []Itemset
-		nextCounts := make(map[string]int)
-		for i, c := range candidates {
-			if candCounts[i] >= minCount {
-				next = append(next, c)
-				nextCounts[keys[i]] = candCounts[i]
-			}
-		}
-		sortItemsets(next)
-		appendLevel(next, nextCounts)
-		level = next
+		level = keepFrequent(candidates)
 	}
+	return m.frequent(sets, counts), nil
+}
 
-	sort.Slice(result, func(i, j int) bool {
-		if len(result[i].Items) != len(result[j].Items) {
-			return len(result[i].Items) < len(result[j].Items)
+// frequent renders mined (idset, count) pairs as the public result,
+// sorted by (length, support desc, key).
+func (m *Miner) frequent(sets []idset, counts []int) []FrequentItemset {
+	type keyed struct {
+		FrequentItemset
+		key string
+	}
+	out := make([]keyed, len(sets))
+	for i, s := range sets {
+		items := make(Itemset, len(s))
+		for j, id := range s {
+			items[j] = m.items[id]
 		}
-		if result[i].Support != result[j].Support {
-			return result[i].Support > result[j].Support
+		out[i] = keyed{
+			FrequentItemset: FrequentItemset{Items: items, Count: counts[i], Support: float64(counts[i]) / float64(m.n)},
+			key:             items.key(),
 		}
-		return result[i].Items.key() < result[j].Items.key()
+	}
+	slices.SortFunc(out, func(a, b keyed) int {
+		return cmp.Or(
+			cmp.Compare(len(a.Items), len(b.Items)),
+			cmp.Compare(b.Count, a.Count),
+			cmp.Compare(a.key, b.key),
+		)
 	})
-	return result, nil
+	result := make([]FrequentItemset, len(out))
+	for i, k := range out {
+		result[i] = k.FrequentItemset
+	}
+	return result
 }
 
 // joinAndPrune generates length k+1 candidates from the frequent level-k
 // itemsets using the classic Apriori join (shared k-1 prefix) and prunes
 // candidates with an infrequent k-subset (anti-monotonicity). Candidates
 // pairing two values of the same attribute are impossible in one
-// transaction and are dropped immediately.
-func joinAndPrune(level []Itemset) []Itemset {
-	freq := make(map[string]bool, len(level))
-	for _, s := range level {
-		freq[s.key()] = true
-	}
-	var out []Itemset
-	for i := 0; i < len(level); i++ {
-		for j := i + 1; j < len(level); j++ {
-			a, b := level[i], level[j]
-			k := len(a)
-			// Join condition: identical first k-1 items.
-			match := true
-			for x := 0; x < k-1; x++ {
-				if a[x] != b[x] {
-					match = false
-					break
-				}
+// transaction and are dropped immediately. The level is sorted, so the
+// itemsets sharing a prefix are adjacent and the candidates come out
+// sorted and distinct.
+func (m *Miner) joinAndPrune(level []idset) []idset {
+	var out []idset
+	k := len(level[0])
+	sub := make(idset, k)
+	for i, a := range level {
+		for _, b := range level[i+1:] {
+			if !slices.Equal(a[:k-1], b[:k-1]) {
+				break
 			}
-			if !match {
-				continue
-			}
-			last1, last2 := a[k-1], b[k-1]
-			if last1.Attr == last2.Attr {
+			if m.items[a[k-1]].Attr == m.items[b[k-1]].Attr {
 				continue // same attribute twice: unsatisfiable
 			}
-			cand := append(append(Itemset(nil), a...), last2)
-			sort.Slice(cand, func(x, y int) bool { return less(cand[x], cand[y]) })
-			// Prune: all k-subsets must be frequent.
+			cand := append(append(make(idset, 0, k+1), a...), b[k-1])
+			// Prune: all k-subsets must be frequent. Dropping either of
+			// the last two items gives back a or b.
 			ok := true
-			sub := make(Itemset, k)
-			for drop := 0; drop <= k; drop++ {
-				sub = sub[:0]
-				for x := 0; x <= k; x++ {
-					if x != drop {
-						sub = append(sub, cand[x])
-					}
-				}
-				if !freq[sub.key()] {
-					ok = false
-					break
-				}
+			for drop := 0; drop < k-1 && ok; drop++ {
+				sub = append(append(sub[:0], cand[:drop]...), cand[drop+1:]...)
+				_, ok = slices.BinarySearchFunc(level, sub, slices.Compare[idset])
 			}
 			if ok {
 				out = append(out, cand)
 			}
 		}
 	}
-	sortItemsets(out)
-	// Deduplicate (the join can produce the same candidate twice).
-	dedup := out[:0]
-	var prev string
-	for _, c := range out {
-		k := c.key()
-		if k == prev {
-			continue
-		}
-		dedup = append(dedup, c)
-		prev = k
-	}
-	return dedup
+	return out
 }
 
 // allCandidates enumerates every length-k combination of observed items
-// with distinct attributes: the unpruned ablation baseline.
-func (m *Miner) allCandidates(k int) []Itemset {
-	seen := make(map[string]Item)
-	for _, tx := range m.txs {
-		for _, it := range tx {
-			seen[it.String()] = it
-		}
-	}
-	items := make([]Item, 0, len(seen))
-	for _, it := range seen {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return less(items[i], items[j]) })
-
-	var out []Itemset
-	var rec func(start int, cur Itemset)
-	rec = func(start int, cur Itemset) {
+// with distinct attributes, in sorted order: the unpruned ablation
+// baseline, and at k = 1 simply every item.
+func (m *Miner) allCandidates(k int) []idset {
+	var out []idset
+	var rec func(start int, cur idset)
+	rec = func(start int, cur idset) {
 		if len(cur) == k {
-			out = append(out, append(Itemset(nil), cur...))
+			out = append(out, slices.Clone(cur))
 			return
 		}
-		for i := start; i < len(items); i++ {
-			dup := false
-			for _, c := range cur {
-				if c.Attr == items[i].Attr {
-					dup = true
-					break
-				}
-			}
-			if dup {
+		for i := start; i < len(m.items); i++ {
+			// Ids follow (attribute, value) order, so an attribute could
+			// only repeat the one chosen last.
+			if len(cur) > 0 && m.items[cur[len(cur)-1]].Attr == m.items[i].Attr {
 				continue
 			}
-			rec(i+1, append(cur, items[i]))
+			rec(i+1, append(cur, int32(i)))
 		}
 	}
 	rec(0, nil)
 	return out
-}
-
-// containsAll reports whether the sorted transaction tx contains every
-// item of the sorted itemset s.
-func containsAll(tx, s Itemset) bool {
-	i := 0
-	for _, want := range s {
-		for i < len(tx) && less(tx[i], want) {
-			i++
-		}
-		if i >= len(tx) || tx[i] != want {
-			return false
-		}
-		i++
-	}
-	return true
-}
-
-func sortItemsets(sets []Itemset) {
-	sort.Slice(sets, func(i, j int) bool { return sets[i].key() < sets[j].key() })
 }

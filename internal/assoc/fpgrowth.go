@@ -1,8 +1,8 @@
 package assoc
 
 import (
-	"math"
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // FP-Growth: the pattern-growth alternative to Apriori, added under the
@@ -63,66 +63,42 @@ func (m *Miner) FrequentItemsetsFP(cfg MiningConfig) ([]FrequentItemset, error) 
 	if maxLen <= 0 {
 		maxLen = 4
 	}
-	// Match FrequentItemsets' rounding exactly so both miners agree on
-	// borderline supports.
-	minCount := int(math.Ceil(cfg.MinSupport * float64(m.n)))
-	if minCount < 1 {
-		minCount = 1
-	}
+	minCount := m.minCount(cfg.MinSupport)
 
-	// Intern items and count global frequencies.
-	idByItem := make(map[Item]int)
-	var items []Item
-	counts := []int{}
-	for _, tx := range m.txs {
-		for _, it := range tx {
-			id, ok := idByItem[it]
-			if !ok {
-				id = len(items)
-				idByItem[it] = id
-				items = append(items, it)
-				counts = append(counts, 0)
-			}
-			counts[id]++
-		}
-	}
-	// Frequency-descending item order (ties by item identity for
-	// determinism); infrequent items are dropped up front.
-	order := make([]int, 0, len(items))
-	for id, c := range counts {
-		if c >= minCount {
+	// Frequency-descending item order (ties by id for determinism);
+	// infrequent items are dropped up front.
+	counts := make([]int, len(m.items))
+	var order []int
+	for id := range m.items {
+		counts[id] = m.support(idset{int32(id)})
+		if counts[id] >= minCount {
 			order = append(order, id)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if counts[order[a]] != counts[order[b]] {
-			return counts[order[a]] > counts[order[b]]
-		}
-		return items[order[a]].String() < items[order[b]].String()
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(counts[b], counts[a]) })
 	rank := make(map[int]int, len(order))
 	for r, id := range order {
 		rank[id] = r
 	}
 
-	// Build the global tree.
+	// Build the global tree: each transaction's frequent items in rank
+	// order, read off the tidsets.
 	tree := newFPTree()
-	buf := make([]int, 0, 16)
-	for _, tx := range m.txs {
+	buf := make([]int, 0, len(order))
+	for t := 0; t < m.n; t++ {
 		buf = buf[:0]
-		for _, it := range tx {
-			id := idByItem[it]
-			if _, ok := rank[id]; ok {
+		for _, id := range order {
+			if m.tids[id][t>>6]>>(t&63)&1 != 0 {
 				buf = append(buf, id)
 			}
 		}
-		sort.Slice(buf, func(a, b int) bool { return rank[buf[a]] < rank[buf[b]] })
 		if len(buf) > 0 {
 			tree.insert(buf, 1)
 		}
 	}
 
-	var result []FrequentItemset
+	var sets []idset
+	var setCounts []int
 	var mine func(t *fpTree, suffix []int)
 	mine = func(t *fpTree, suffix []int) {
 		// Items in this (conditional) tree, processed in reverse rank
@@ -133,23 +109,20 @@ func (m *Miner) FrequentItemsetsFP(cfg MiningConfig) ([]FrequentItemset, error) 
 				ids = append(ids, id)
 			}
 		}
-		sort.Slice(ids, func(a, b int) bool { return rank[ids[a]] > rank[ids[b]] })
+		slices.SortFunc(ids, func(a, b int) int { return cmp.Compare(rank[b], rank[a]) })
 		for _, id := range ids {
 			pattern := append(append([]int(nil), suffix...), id)
 			if len(pattern) > maxLen {
 				continue
 			}
 			// Emit the pattern.
-			set := make(Itemset, len(pattern))
+			set := make(idset, len(pattern))
 			for i, pid := range pattern {
-				set[i] = items[pid]
+				set[i] = int32(pid)
 			}
-			sort.Slice(set, func(a, b int) bool { return less(set[a], set[b]) })
-			result = append(result, FrequentItemset{
-				Items:   set,
-				Count:   t.counts[id],
-				Support: float64(t.counts[id]) / float64(m.n),
-			})
+			slices.Sort(set)
+			sets = append(sets, set)
+			setCounts = append(setCounts, t.counts[id])
 			if len(pattern) == maxLen {
 				continue
 			}
@@ -173,17 +146,7 @@ func (m *Miner) FrequentItemsetsFP(cfg MiningConfig) ([]FrequentItemset, error) 
 		}
 	}
 	mine(tree, nil)
-
-	sort.Slice(result, func(i, j int) bool {
-		if len(result[i].Items) != len(result[j].Items) {
-			return len(result[i].Items) < len(result[j].Items)
-		}
-		if result[i].Support != result[j].Support {
-			return result[i].Support > result[j].Support
-		}
-		return result[i].Items.key() < result[j].Items.key()
-	})
-	return result, nil
+	return m.frequent(sets, setCounts), nil
 }
 
 type errFPSupport float64

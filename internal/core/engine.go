@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"indice/internal/epc"
 	"indice/internal/geo"
@@ -127,16 +128,33 @@ type PreprocessConfig struct {
 	// workers.
 	ByZoneAttr string
 	// Parallelism bounds the worker goroutines of the pre-processing tier
-	// (per-attribute and per-zone detection fan-out, DBSCAN region
-	// queries). 0 or 1 run sequentially; results are identical at any
-	// setting. It is only applied to the Univariate and MultivariateCfg
-	// sub-configurations when those leave their own Parallelism unset.
+	// (address matching, per-attribute and per-zone detection fan-out,
+	// DBSCAN region queries). 0 or 1 run sequentially; results are
+	// identical at any setting. It is only applied to the Clean,
+	// Univariate and MultivariateCfg sub-configurations when those leave
+	// their own Parallelism unset.
 	Parallelism int
 
 	// keepPreDrop retains the post-clean, pre-drop table in the report —
 	// the incremental refresh lineage's base state. Internal to the live
 	// loop.
 	keepPreDrop bool
+}
+
+// cleans reports whether Preprocess will run the geospatial step — and so
+// work on its own copy of the engine's table.
+func (cfg PreprocessConfig) cleans(m *geocode.StreetMap) bool {
+	return !cfg.SkipCleaning && m != nil
+}
+
+// cleanConfig is the cleaning configuration with the tier's worker count
+// applied, unless Clean sets its own.
+func (cfg PreprocessConfig) cleanConfig() geocode.CleanConfig {
+	c := cfg.Clean
+	if c.Parallelism == 0 {
+		c.Parallelism = cfg.Parallelism
+	}
+	return c
 }
 
 // DefaultPreprocessConfig mirrors the paper's pre-processing: clean
@@ -184,11 +202,13 @@ type PreprocessReport struct {
 func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 	rep := &PreprocessReport{RowsBefore: e.tab.NumRows()}
 
-	if !cfg.SkipCleaning && e.streetMap != nil {
-		cl, err := geocode.NewCleaner(e.streetMap, e.geocoder, cfg.Clean)
+	if cfg.cleans(e.streetMap) {
+		cl, err := geocode.NewCleaner(e.streetMap, e.geocoder, cfg.cleanConfig())
 		if err != nil {
 			return nil, fmt.Errorf("core: preprocess: %w", err)
 		}
+		// Cleaning rewrites cells, so it works on a copy: the table the
+		// engine was given is never modified.
 		work := e.tab.Clone()
 		crep, err := cl.Clean(work)
 		if err != nil {
@@ -265,7 +285,7 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 	for r := range flagged {
 		rep.OutlierRows = append(rep.OutlierRows, r)
 	}
-	sortInts(rep.OutlierRows)
+	slices.Sort(rep.OutlierRows)
 
 	if cfg.keepPreDrop {
 		rep.preDrop = e.tab
@@ -315,12 +335,4 @@ func reassignZonesTable(tab *table.Table, hier *geo.Hierarchy) error {
 		}
 	}
 	return nil
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -329,10 +329,10 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 // place, mirroring what Preprocess does to the whole table on the cold
 // path (per-row reconciliation, then administrative relabeling).
 func (l *Live) cleanDelta(deltaTab *table.Table) (*geocode.Report, error) {
-	if l.cfg.Preprocess.SkipCleaning || l.cfg.Options.StreetMap == nil {
+	if !l.cfg.Preprocess.cleans(l.cfg.Options.StreetMap) {
 		return nil, nil
 	}
-	cl, err := geocode.NewCleaner(l.cfg.Options.StreetMap, l.cfg.Options.Geocoder, l.cfg.Preprocess.Clean)
+	cl, err := geocode.NewCleaner(l.cfg.Options.StreetMap, l.cfg.Options.Geocoder, l.cfg.Preprocess.cleanConfig())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}

@@ -250,14 +250,19 @@ func (l *Live) refreshLocked() (*Published, error) {
 		spMat.End()
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
-	// The snapshot's materialized table is cached and shared; the engine
-	// owns its working copy.
-	eng, err := NewEngine(tab.Clone(), l.hier, l.cfg.Options)
+	// The snapshot's materialized table is cached and shared, and the
+	// lineage appends to the engine's pre-drop table, so the engine needs
+	// a copy of its own — exactly one. Cleaning makes it (Preprocess never
+	// writes to the table it was given); without cleaning it is made here.
+	pcfg := l.cfg.Preprocess
+	if !pcfg.cleans(l.cfg.Options.StreetMap) {
+		tab = tab.Clone()
+	}
+	eng, err := NewEngine(tab, l.hier, l.cfg.Options)
 	spMat.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
-	pcfg := l.cfg.Preprocess
 	pcfg.keepPreDrop = !l.cfg.Incremental.Disable && !l.cfg.SkipAnalysis
 	_, spPrep := obs.StartSpan(ctx, "preprocess")
 	rep, err := eng.Preprocess(pcfg)

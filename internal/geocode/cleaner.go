@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"indice/internal/epc"
+	"indice/internal/parallel"
 	"indice/internal/table"
 	"indice/internal/textmatch"
 )
@@ -46,6 +47,11 @@ type CleanConfig struct {
 	Phi float64
 	// Beam bounds the blocking-index candidate list (0 means default 32).
 	Beam int
+	// Parallelism bounds the worker goroutines matching the pass's distinct
+	// addresses against the street map. 0 or 1 run sequentially; the
+	// geocoder is only ever consulted from the calling goroutine, in row
+	// order, so results and quota consumption are identical at any setting.
+	Parallelism int
 }
 
 // DefaultCleanConfig uses ϕ = 0.8 and the default beam.
@@ -99,6 +105,11 @@ func NewCleaner(m *StreetMap, remote Geocoder, cfg CleanConfig) (*Cleaner, error
 // index; (3) if similarity ≥ ϕ adopt the referenced address and
 // reconstruct ZIP code, house number and coordinates from the registry;
 // (4) otherwise fall back to the remote geocoder while quota lasts.
+//
+// Certificates repeat addresses — a city has far fewer streets than
+// buildings — so step (2) runs once per distinct normalized address of the
+// pass, fanned out over cfg.Parallelism workers, and steps (3) and (4)
+// then walk the rows in order with the matches at hand.
 func (c *Cleaner) Clean(t *table.Table) (*Report, error) {
 	addr, err := t.Strings(epc.AttrAddress)
 	if err != nil {
@@ -124,15 +135,37 @@ func (c *Cleaner) Clean(t *table.Table) (*Report, error) {
 	if c.remote != nil {
 		startRequests = c.remote.RequestsUsed()
 	}
-	for i := 0; i < n; i++ {
-		norm := textmatch.NormalizeAddress(addr[i])
-		hn := normalizeCivic(civic[i])
+	// Distinct normalized addresses in first-seen order; keys[i] is row
+	// i's position among them.
+	var distinct []string
+	keys := make([]int32, n)
+	seen := make(map[string]int32)
+	for i, a := range addr {
+		norm := textmatch.NormalizeAddress(a)
+		k, ok := seen[norm]
+		if !ok {
+			k = int32(len(distinct))
+			seen[norm] = k
+			distinct = append(distinct, norm)
+		}
+		keys[i] = k
+	}
+	type streetMatch struct {
+		street string
+		sim    float64
+		ok     bool
+	}
+	matches := parallel.Map(len(distinct), c.cfg.Parallelism, func(k int) streetMatch {
+		street, sim, ok := c.mapRef.MatchStreet(distinct[k], c.cfg.Beam)
+		return streetMatch{street, sim, ok}
+	})
 
-		street, sim, ok := c.mapRef.MatchStreet(norm, c.cfg.Beam)
-		if ok && sim >= c.cfg.Phi {
-			entry, found := c.mapRef.civicFor(street, hn)
+	for i := 0; i < n; i++ {
+		norm, m := distinct[keys[i]], matches[keys[i]]
+		if m.ok && m.sim >= c.cfg.Phi {
+			entry, found := c.mapRef.civicFor(m.street, normalizeCivic(civic[i]))
 			if found {
-				if sim == 1 && norm == street {
+				if m.sim == 1 && norm == m.street {
 					rep.Methods[i] = MethodUntouched
 					rep.Untouched++
 				} else {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"indice/internal/geo"
 	"indice/internal/textmatch"
@@ -159,11 +160,13 @@ var ErrNotFound = errors.New("geocode: address not found")
 
 // MockGeocoder simulates the Google Geocoding API over the ground-truth
 // street map: perfect resolution (it fuzzy-matches with a wide beam and no
-// threshold) but a hard request quota.
+// threshold) but a hard request quota. It is safe for concurrent use.
 type MockGeocoder struct {
 	m     *StreetMap
 	quota int
-	used  int
+
+	mu   sync.Mutex
+	used int
 }
 
 // NewMockGeocoder wraps a street map with a request quota. A negative
@@ -174,10 +177,9 @@ func NewMockGeocoder(m *StreetMap, quota int) *MockGeocoder {
 
 // Geocode implements Geocoder.
 func (g *MockGeocoder) Geocode(address string) (ReferenceEntry, error) {
-	if g.quota >= 0 && g.used >= g.quota {
+	if !g.consume() {
 		return ReferenceEntry{}, ErrQuotaExceeded
 	}
-	g.used++
 	norm := textmatch.NormalizeAddress(address)
 	streetPart, civic := textmatch.SplitHouseNumber(norm)
 	best, ok := g.m.index.Best(streetPart, 64)
@@ -195,8 +197,25 @@ func (g *MockGeocoder) Geocode(address string) (ReferenceEntry, error) {
 	return e, nil
 }
 
+// consume takes one request off the quota, or reports that none is left.
+// Check and increment are one critical section: concurrent callers never
+// overdraw the budget.
+func (g *MockGeocoder) consume() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.quota >= 0 && g.used >= g.quota {
+		return false
+	}
+	g.used++
+	return true
+}
+
 // RequestsUsed implements Geocoder.
-func (g *MockGeocoder) RequestsUsed() int { return g.used }
+func (g *MockGeocoder) RequestsUsed() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.used
+}
 
 // normalizeCivic strips separators from a civic number ("12/B" -> "12b").
 func normalizeCivic(s string) string {

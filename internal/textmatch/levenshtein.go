@@ -8,54 +8,92 @@ package textmatch
 
 import (
 	"strings"
+	"sync"
 	"unicode"
 )
+
+// levBuf is the reusable working memory of the edit distance: the two
+// decoded strings and one row of the dynamic program.
+type levBuf struct {
+	a, b []rune
+	row  []int
+}
+
+// levBufs backs the package-level Distance and Similarity; an Index
+// search carries its own levBuf in its scratch instead.
+var levBufs = sync.Pool{New: func() any { return new(levBuf) }}
+
+// decode fills the buffer's two strings and returns them.
+func (l *levBuf) decode(a, b string) ([]rune, []rune) {
+	l.a, l.b = appendRunes(l.a[:0], a), appendRunes(l.b[:0], b)
+	return l.a, l.b
+}
+
+func appendRunes(dst []rune, s string) []rune {
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
+}
+
+// distance is the Levenshtein distance between two decoded strings.
+func (l *levBuf) distance(ra, rb []rune) int {
+	// Keep the shorter string on the column axis to minimize the row.
+	if len(ra) < len(rb) {
+		ra, rb = rb, ra
+	}
+	lb := len(rb)
+	if lb == 0 {
+		return len(ra)
+	}
+	if cap(l.row) < lb+1 {
+		l.row = make([]int, lb+1)
+	}
+	// row[j] holds the previous row's cell until column j is rewritten;
+	// diag carries the previous row's cell of column j-1.
+	row := l.row[:lb+1]
+	for j := range row {
+		row[j] = j
+	}
+	for i, ai := range ra {
+		diag := row[0]
+		row[0] = i + 1
+		for j := 1; j <= lb; j++ {
+			m := diag
+			if ai != rb[j-1] {
+				m++
+			}
+			if del := row[j] + 1; del < m {
+				m = del
+			}
+			if ins := row[j-1] + 1; ins < m {
+				m = ins
+			}
+			diag, row[j] = row[j], m
+		}
+	}
+	return row[lb]
+}
+
+// similarity is the normalized similarity of two decoded strings.
+func (l *levBuf) similarity(ra, rb []rune) float64 {
+	max := len(ra)
+	if len(rb) > max {
+		max = len(rb)
+	}
+	if max == 0 {
+		return 1
+	}
+	return 1 - float64(l.distance(ra, rb))/float64(max)
+}
 
 // Distance returns the Levenshtein edit distance between a and b: the
 // minimum number of single-rune insertions, deletions and substitutions
 // needed to transform a into b.
 func Distance(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	// Keep the shorter string on the column axis to minimize the buffer.
-	if la < lb {
-		ra, rb = rb, ra
-		la, lb = lb, la
-	}
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		ai := ra[i-1]
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ai == rb[j-1] {
-				cost = 0
-			}
-			del := prev[j] + 1
-			ins := cur[j-1] + 1
-			sub := prev[j-1] + cost
-			m := del
-			if ins < m {
-				m = ins
-			}
-			if sub < m {
-				m = sub
-			}
-			cur[j] = m
-		}
-		prev, cur = cur, prev
-	}
-	return prev[lb]
+	l := levBufs.Get().(*levBuf)
+	defer levBufs.Put(l)
+	return l.distance(l.decode(a, b))
 }
 
 // DistanceBounded returns the Levenshtein distance between a and b if it
@@ -123,15 +161,9 @@ func DistanceBounded(a, b string, max int) int {
 // defines the measure compared against the user threshold ϕ. Two empty
 // strings are defined to have similarity 1.
 func Similarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	max := la
-	if lb > max {
-		max = lb
-	}
-	if max == 0 {
-		return 1
-	}
-	return 1 - float64(Distance(a, b))/float64(max)
+	l := levBufs.Get().(*levBuf)
+	defer levBufs.Put(l)
+	return l.similarity(l.decode(a, b))
 }
 
 // abbreviations maps common Italian odonym abbreviations to their expanded
