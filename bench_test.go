@@ -914,12 +914,13 @@ func BenchmarkE10Query(b *testing.B) {
 		b.Fatal(err)
 	}
 	snap := st.Snapshot()
-	if _, err := snap.Table(); err != nil { // materialize once, outside timing
+	flat, err := snap.Table() // materialize once, outside timing
+	if err != nil {
 		b.Fatal(err)
 	}
 	q := query.MustParse(epc.AttrDistrict + " = D07 and " + epc.AttrEPH + " in [0, 400]")
 
-	want, err := snap.FullScan(q)
+	want, err := query.Select(flat, q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -950,7 +951,7 @@ func BenchmarkE10Query(b *testing.B) {
 	b.Run("fullscan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := snap.FullScan(q); err != nil {
+			if _, err := query.Select(flat, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1220,7 +1221,8 @@ func BenchmarkE15Encoding(b *testing.B) {
 		b.Fatal(err)
 	}
 	snap := st.Snapshot()
-	if _, err := snap.Table(); err != nil { // materialize once, outside timing
+	flat, err := snap.Table() // materialize once, outside timing
+	if err != nil {
 		b.Fatal(err)
 	}
 	rng := query.NumRange{Attr: epc.AttrEPH, Min: 0, Max: 120}
@@ -1229,7 +1231,7 @@ func BenchmarkE15Encoding(b *testing.B) {
 	// the word-wise masked sweep of every sealed segment.
 	predScan := query.And{query.In{Attr: epc.AttrDistrict, Values: []string{"D07", ""}}, rng}
 
-	want, err := snap.FullScan(pred)
+	want, err := query.Select(flat, pred)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1281,7 +1283,7 @@ func BenchmarkE15Encoding(b *testing.B) {
 	b.Run("fullscan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := snap.FullScan(pred); err != nil {
+			if _, err := query.Select(flat, pred); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1342,7 +1344,8 @@ func BenchmarkE17AggPushdown(b *testing.B) {
 		b.Fatal(err)
 	}
 	snap := st.Snapshot()
-	if _, err := snap.Table(); err != nil { // materialize once, outside timing
+	flat, err := snap.Table() // materialize once, outside timing
+	if err != nil {
 		b.Fatal(err)
 	}
 	pred := query.And{
@@ -1433,11 +1436,7 @@ func BenchmarkE17AggPushdown(b *testing.B) {
 	b.Run("materialize-nopred", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tab, _, err := snap.Query(nil, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By); err != nil {
+			if _, _, err := scaleout.BuildPartial(flat, spec.Attrs, spec.By); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1705,13 +1704,11 @@ func e21StreetMap(b *testing.B, city *synth.City) *geocode.StreetMap {
 	return sm
 }
 
-// e21Refresh runs one cold Live.Refresh over tab under cmd/indice-server's
-// buildLive configuration (4 shards, street map, mock geocoder with a
-// 2000-request quota, default pre-processing and analysis, kmax 10) and
-// returns the publication. Only the Refresh call is timed.
-func e21Refresh(b *testing.B, tab *table.Table, city *synth.City, sm *geocode.StreetMap, workers int) *core.Published {
+// e21Live loads tab into a fresh store under cmd/indice-server's buildLive
+// configuration (4 shards, street map, mock geocoder with a 2000-request
+// quota, default pre-processing and analysis, kmax 10).
+func e21Live(b *testing.B, tab *table.Table, city *synth.City, sm *geocode.StreetMap, workers int) (*store.Store, *core.Live) {
 	b.Helper()
-	b.StopTimer()
 	scfg := store.DefaultConfig()
 	scfg.Shards = 4
 	st, err := store.New(scfg)
@@ -1734,6 +1731,15 @@ func e21Refresh(b *testing.B, tab *table.Table, city *synth.City, sm *geocode.St
 	if err != nil {
 		b.Fatal(err)
 	}
+	return st, live
+}
+
+// e21Refresh runs one cold Live.Refresh over tab on a fresh e21Live pair
+// and returns the publication. Only the Refresh call is timed.
+func e21Refresh(b *testing.B, tab *table.Table, city *synth.City, sm *geocode.StreetMap, workers int) *core.Published {
+	b.Helper()
+	b.StopTimer()
+	_, live := e21Live(b, tab, city, sm, workers)
 	b.StartTimer()
 	pub, err := live.Refresh()
 	b.StopTimer()
@@ -1795,4 +1801,90 @@ func BenchmarkE21ColdRefresh(b *testing.B) {
 			b.ReportMetric(float64(got.Report.Cleaning.StreetMap+got.Report.Cleaning.Geocoded), "repaired-rows")
 		})
 	}
+}
+
+// E22 — what a snapshot and a refresh cost in bytes on the repo
+// benchmark's shape: 20k × 132 certificates over 4 shards, none of them
+// sealed (5 000 rows per shard under SegmentRows 8192). "snapshot" is
+// Store.Snapshot alone — tail views, so its B/op does not depend on the
+// row count (internal/store's TestSnapshotAllocatesIndependentOfRows pins
+// that); "refresh-full" is the cold Live.Refresh, one owned
+// materialization; "refresh-incremental" a 250-row delta on the fast path.
+// Methodology in docs/benchmarks.md.
+func BenchmarkE22Snapshot(b *testing.B) {
+	const rows, deltaRows = 20_000, 250
+	city, err := synth.GenerateCity(synth.DefaultCityConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	gcfg := synth.DefaultConfig()
+	gcfg.Certificates = rows + 40*deltaRows
+	ds, err := synth.Generate(gcfg, city)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := ds.Table.View(0, rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sm := e21StreetMap(b, city)
+
+	b.Run("snapshot", func(b *testing.B) {
+		st, _ := e21Live(b, base, city, sm, parallel.Auto)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if snap := st.Snapshot(); snap.NumRows() != rows {
+				b.Fatalf("snapshot holds %d rows", snap.NumRows())
+			}
+		}
+	})
+	b.Run("refresh-full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if pub := e21Refresh(b, base, city, sm, parallel.Auto); pub.Incremental || pub.Rows != rows {
+				b.Fatalf("published incremental=%v over %d rows", pub.Incremental, pub.Rows)
+			}
+		}
+	})
+	b.Run("refresh-incremental", func(b *testing.B) {
+		st, live := e21Live(b, base, city, sm, parallel.Auto)
+		if _, err := live.Refresh(); err != nil { // baseline publish, untimed
+			b.Fatal(err)
+		}
+		next := rows
+		ingestDelta := func() {
+			lo := rows + (next-rows)%(40*deltaRows)
+			delta, err := ds.Table.View(lo, lo+deltaRows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := st.AppendTable(delta); err != nil {
+				b.Fatal(err)
+			}
+			next += deltaRows
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if i > 0 && i%7 == 0 {
+				// The 8th refresh since a full sweep re-runs it (the
+				// default FullEvery): take that one outside timing.
+				ingestDelta()
+				if pub, err := live.Refresh(); err != nil || pub.Incremental {
+					b.Fatalf("refresh after 7 deltas: err=%v, want a full sweep", err)
+				}
+			}
+			ingestDelta()
+			b.StartTimer()
+			pub, err := live.Refresh()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !pub.Incremental || pub.DeltaRows != deltaRows || pub.Rows != next {
+				b.Fatalf("refresh %d: incremental=%v, %d new of %d rows", i, pub.Incremental, pub.DeltaRows, pub.Rows)
+			}
+		}
+	})
 }

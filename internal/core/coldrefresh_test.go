@@ -131,10 +131,10 @@ func coldLive(t *testing.T, certs, base int, corrupt, clean bool, workers int) (
 	return st, live, tab
 }
 
-// TestColdRefreshNeverTouchesSnapshotTable pins the single-copy rule: the
-// cold refresh cleans (or, without a street map, adopts) a copy, and the
-// lineage later appends deltas to that copy — never to the snapshot's
-// cached, shared table.
+// TestColdRefreshNeverTouchesSnapshotTable pins the ownership rule: the
+// cold refresh cleans its own materialization of the snapshot in place,
+// and the lineage later appends deltas to that copy — neither ever writes
+// a cell the published snapshot (a view of the store's tails) can read.
 func TestColdRefreshNeverTouchesSnapshotTable(t *testing.T) {
 	for _, clean := range []bool{true, false} {
 		st, live, corpus := coldLive(t, 2400, 2000, true, clean, parallel.Auto)

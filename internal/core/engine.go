@@ -139,10 +139,13 @@ type PreprocessConfig struct {
 	// the incremental refresh lineage's base state. Internal to the live
 	// loop.
 	keepPreDrop bool
+	// ownsTable marks the engine's table as a copy nobody else reads (the
+	// live loop's fresh snapshot materialization), so cleaning rewrites it
+	// in place instead of cloning it first. Internal to the live loop.
+	ownsTable bool
 }
 
-// cleans reports whether Preprocess will run the geospatial step — and so
-// work on its own copy of the engine's table.
+// cleans reports whether Preprocess will run the geospatial step.
 func (cfg PreprocessConfig) cleans(m *geocode.StreetMap) bool {
 	return !cfg.SkipCleaning && m != nil
 }
@@ -207,9 +210,12 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: preprocess: %w", err)
 		}
-		// Cleaning rewrites cells, so it works on a copy: the table the
-		// engine was given is never modified.
-		work := e.tab.Clone()
+		// Cleaning rewrites cells, so it works on a copy unless the engine
+		// owns its table: a table a caller handed in is never modified.
+		work := e.tab
+		if !cfg.ownsTable {
+			work = work.Clone()
+		}
 		crep, err := cl.Clean(work)
 		if err != nil {
 			return nil, fmt.Errorf("core: preprocess: %w", err)

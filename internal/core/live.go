@@ -100,6 +100,11 @@ type Published struct {
 	DeltaRows   int
 	ReusedRows  int
 	Drift       float64
+	// TableBytes and LineageBytes estimate (table.SizeBytes) the two
+	// corpus copies the refresh loop owns at this publication: the serving
+	// table and the incremental lineage's pre-drop table (0 without one).
+	TableBytes   int
+	LineageBytes int
 }
 
 // ErrStoreTooSmall is returned by Refresh when the snapshot has fewer
@@ -215,6 +220,12 @@ func (l *Live) Refresh() (*Published, error) {
 		return nil, err
 	}
 	l.lastErr.Store(nil)
+	pub.TableBytes = pub.Engine.Table().SizeBytes()
+	if l.lineage != nil {
+		pub.LineageBytes = l.lineage.raw.SizeBytes()
+	}
+	mPublishedBytes.Set(float64(pub.TableBytes))
+	mLineageBytes.Set(float64(pub.LineageBytes))
 	l.cur.Store(pub)
 	l.refreshes.Add(1)
 	if pub.Incremental {
@@ -250,19 +261,15 @@ func (l *Live) refreshLocked() (*Published, error) {
 		spMat.End()
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
-	// The snapshot's materialized table is cached and shared, and the
-	// lineage appends to the engine's pre-drop table, so the engine needs
-	// a copy of its own — exactly one. Cleaning makes it (Preprocess never
-	// writes to the table it was given); without cleaning it is made here.
-	pcfg := l.cfg.Preprocess
-	if !pcfg.cleans(l.cfg.Options.StreetMap) {
-		tab = tab.Clone()
-	}
+	// The materialization is this refresh's one owned copy of the corpus:
+	// cleaning rewrites it in place and the lineage later appends to it.
 	eng, err := NewEngine(tab, l.hier, l.cfg.Options)
 	spMat.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
+	pcfg := l.cfg.Preprocess
+	pcfg.ownsTable = true
 	pcfg.keepPreDrop = !l.cfg.Incremental.Disable && !l.cfg.SkipAnalysis
 	_, spPrep := obs.StartSpan(ctx, "preprocess")
 	rep, err := eng.Preprocess(pcfg)

@@ -439,8 +439,8 @@ func TestStaticServerStoreRoutes(t *testing.T) {
 
 // TestStoreReportsIncrementalRefreshStats drives one full and one
 // incremental refresh through the HTTP surface and checks that
-// GET /api/store reports the refresh split, the store generation and the
-// last delta's size/reuse/drift numbers.
+// GET /api/store reports the refresh split, the store generation, the
+// last delta's size/reuse/drift numbers and the corpus bytes by owner.
 func TestStoreReportsIncrementalRefreshStats(t *testing.T) {
 	ts, _, ds := liveServer(t, 900)
 	half := ds.Table.NumRows() / 2
@@ -471,11 +471,15 @@ func TestStoreReportsIncrementalRefreshStats(t *testing.T) {
 		Refreshes            uint64 `json:"refreshes"`
 		FullRefreshes        uint64 `json:"full_refreshes"`
 		IncrementalRefreshes uint64 `json:"incremental_refreshes"`
+		TailBytes            int64  `json:"tail_bytes"`
+		SealedResidentBytes  *int64 `json:"sealed_resident_bytes"`
 		Published            struct {
-			Incremental bool    `json:"incremental"`
-			DeltaRows   int     `json:"delta_rows"`
-			ReusedRows  int     `json:"reused_rows"`
-			Drift       float64 `json:"drift"`
+			Incremental  bool    `json:"incremental"`
+			DeltaRows    int     `json:"delta_rows"`
+			ReusedRows   int     `json:"reused_rows"`
+			Drift        float64 `json:"drift"`
+			TableBytes   int64   `json:"table_bytes"`
+			LineageBytes int64   `json:"lineage_bytes"`
 		} `json:"published"`
 	}
 	if err := json.Unmarshal([]byte(body), &resp); err != nil {
@@ -496,6 +500,15 @@ func TestStoreReportsIncrementalRefreshStats(t *testing.T) {
 	}
 	if resp.Published.Drift < 0 {
 		t.Fatalf("drift = %v", resp.Published.Drift)
+	}
+	// Nothing sealed (900 rows over the default segment size): the tails
+	// hold the corpus, the lineage a cleaned copy of it, the serving table
+	// that copy minus the dropped outliers.
+	if resp.SealedResidentBytes == nil || *resp.SealedResidentBytes != 0 || resp.TailBytes <= 0 {
+		t.Fatalf("store bytes: tails %d, sealed %v", resp.TailBytes, resp.SealedResidentBytes)
+	}
+	if lb, tb := resp.Published.LineageBytes, resp.Published.TableBytes; tb <= 0 || tb > lb || lb > 2*resp.TailBytes {
+		t.Fatalf("published bytes: table %d, lineage %d beside %d B of tails", tb, lb, resp.TailBytes)
 	}
 
 	// A refresh with nothing new must not change the split (generation

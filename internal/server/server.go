@@ -721,6 +721,11 @@ type publishedInfo struct {
 	DeltaRows   int     `json:"delta_rows,omitempty"`
 	ReusedRows  int     `json:"reused_rows,omitempty"`
 	Drift       float64 `json:"drift,omitempty"`
+	// TableBytes and LineageBytes estimate the serving table and the
+	// incremental lineage's pre-drop table; with the store's tail_bytes and
+	// sealed_resident_bytes they account for every corpus copy the node owns.
+	TableBytes   int `json:"table_bytes"`
+	LineageBytes int `json:"lineage_bytes"`
 }
 
 func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
@@ -777,6 +782,9 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 			DeltaRows:   pub.DeltaRows,
 			ReusedRows:  pub.ReusedRows,
 			Drift:       pub.Drift,
+
+			TableBytes:   pub.TableBytes,
+			LineageBytes: pub.LineageBytes,
 		}
 	}
 	writeJSON(w, resp)

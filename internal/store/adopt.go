@@ -51,6 +51,10 @@ func (s *Store) Reset() error {
 			sh.mu.Unlock()
 			return fmt.Errorf("store: reset: %w", err)
 		}
+		for _, sg := range sh.sealed {
+			s.mem.addSealed(-sg.bytes)
+		}
+		s.mem.addTail(-sh.tail.SizeBytes())
 		sh.sealed = nil
 		sh.tail = tail
 		sh.rows = 0

@@ -301,8 +301,8 @@ const maxAggPartials = 8
 // computing and caching it on first use. Cached partials live on the
 // segment struct itself — the residency sweep nils only the encoding, so
 // a cached partial keeps serving no-predicate aggregates even after its
-// segment is evicted to disk. Only sealed (encoded) segments cache:
-// raw tail copies are snapshot-private and die with their snapshot.
+// segment is evicted to disk. Only sealed (encoded) segments cache: a
+// raw tail view belongs to one snapshot and dies with it.
 // Partials are immutable once built (AddPartial never mutates its
 // argument), so one cached value may serve many concurrent queries.
 func (sg *segment) aggPartial(ld *segLoader, spec AggSpec) (*table.AggPartial, bool, error) {

@@ -10,9 +10,9 @@ import "indice/internal/table"
 // per-shard prefix of the current rows. Sealed segments lying entirely
 // inside that prefix are reused by the consumer's previous materialization
 // and never touched again; segments entirely beyond it are shared with the
-// snapshot zero-copy; only the (at most one per shard) segment straddling
-// the boundary is sliced. Computing a delta therefore costs O(new rows),
-// not O(total rows).
+// snapshot zero-copy; the (at most one per shard) segment straddling the
+// boundary is handed out as a view of its rows beyond it. Computing a
+// delta therefore costs O(new rows) at most, and nothing for raw tails.
 type Delta struct {
 	// FromEpoch and ToEpoch bound the delta (exclusive, inclusive).
 	FromEpoch, ToEpoch uint64
@@ -22,7 +22,8 @@ type Delta struct {
 	// the data the consumer keeps from its previous epoch at zero cost.
 	ReusedSegments int
 	// SharedSegments counts entirely-new segments handed out zero-copy;
-	// CopiedRows counts rows materialized by slicing boundary segments.
+	// CopiedRows counts boundary rows that had to be decoded from a sealed
+	// segment (a straddled raw tail is viewed in place and counts none).
 	SharedSegments int
 	CopiedRows     int
 
@@ -31,8 +32,8 @@ type Delta struct {
 }
 
 // Tables returns the new rows as tables in shard order (within a shard,
-// arrival order). Whole new segments are shared with the snapshot rather
-// than copied: treat them as read-only.
+// arrival order). They share storage with the snapshot — whole segments
+// and views of boundary ones alike: treat them as read-only.
 func (d *Delta) Tables() []*table.Table { return d.tables }
 
 // TableShard returns the shard the i-th delta table belongs to, so a
@@ -86,16 +87,19 @@ func (sn *Snapshot) DeltaSince(epoch uint64) (*Delta, bool) {
 				d.tables = append(d.tables, tab)
 				d.shards = append(d.shards, i)
 			default:
-				tab, err := sg.open(sn.ld)
+				enc, tab, err := sg.openEnc(sn.ld)
 				if err != nil {
 					return nil, false
 				}
-				part, err := tab.Slice(prefix-off, n)
-				if err != nil {
-					// Slice bounds derive from the counts just checked.
-					panic("store: delta slice: " + err.Error())
+				if enc != nil {
+					tab = enc.Decode()
+					d.CopiedRows += off + n - prefix
 				}
-				d.CopiedRows += part.NumRows()
+				part, err := tab.View(prefix-off, n)
+				if err != nil {
+					// View bounds derive from the counts just checked.
+					panic("store: delta view: " + err.Error())
+				}
 				d.tables = append(d.tables, part)
 				d.shards = append(d.shards, i)
 			}

@@ -34,6 +34,8 @@ var (
 	mSegLoads     = obs.Default.Counter("indice_store_segment_loads_total", "Cold segments read back from disk.")
 	mSegEvictions = obs.Default.Counter("indice_store_segment_evictions_total", "Resident segments evicted by the budget sweep.")
 	mResidentRows = obs.Default.Gauge("indice_store_resident_rows", "Rows of persisted segments currently resident in memory.")
+	mTailBytes    = obs.Default.Gauge("indice_store_tail_bytes", "Estimated bytes of raw rows in shard tails (moved at append and seal).")
+	mSealedBytes  = obs.Default.Gauge("indice_store_sealed_resident_bytes", "Estimated bytes of sealed encoded segments resident in memory (moved at seal, adopt, load and eviction).")
 
 	// Query planner.
 	mPlanIndexed  = obs.Default.Counter("indice_query_plans_total", "Snapshot queries by dominant plan path.", "path", "indexed")

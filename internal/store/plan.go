@@ -301,7 +301,7 @@ func (sn *Snapshot) queryShard(i int, p query.Predicate, pushIn []query.In, push
 		// Fallback: masked scan over every segment. Sealed segments
 		// evaluate word-at-a-time directly over their encoded columns
 		// (dictionary-code and packed-code compares on packed truth
-		// bitsets); only the raw tail copy takes the column-slice path.
+		// bitsets); only the raw tail view takes the column-slice path.
 		// Workers emit match-ordinal parts, never tables — the merge
 		// decodes each matching row exactly once, so non-matching rows
 		// are never decoded or copied, and matches are copied once.

@@ -58,7 +58,7 @@ func Open(cfg Config, dur Durability) (*Store, error) {
 	}
 	s.dur = dur
 	s.fs = fsx
-	s.ld = newSegLoader(fsx, dur.Dir, dur.MaxResidentRows)
+	s.ld = newSegLoader(fsx, dur.Dir, dur.MaxResidentRows, &s.mem)
 
 	start := time.Now()
 	m, err := readManifest(fsx, dur.Dir)

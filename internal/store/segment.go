@@ -11,21 +11,22 @@ import (
 
 // segment is one immutable sealed chunk of a shard. Sealed segments hold
 // their rows in the compressed encoded form (dictionary / bit-packed
-// columns); only the snapshot-private tail copies — small, bounded by
-// SegmentRows, never persisted — stay raw. Row content never changes
-// after sealing, but residency does: once a checkpoint has persisted the
-// segment to disk (path != ""), the in-memory encoding may be evicted
-// and lazily reloaded on demand, so the corpus can exceed RAM. Snapshots
-// share segment pointers with the store; a reader holding a loaded
-// *table.Encoded keeps using it safely after an eviction (the encoding
-// itself is immutable — eviction only drops the cache reference).
+// columns); only a snapshot's view of a shard tail — bounded by
+// SegmentRows, never persisted, sharing the tail's arrays — is raw. Row
+// content never changes, but residency does: once a checkpoint has
+// persisted the segment to disk (path != ""), the in-memory encoding may
+// be evicted and lazily reloaded on demand, so the corpus can exceed RAM.
+// Snapshots share segment pointers with the store; a reader holding a
+// loaded *table.Encoded keeps using it safely after an eviction (the
+// encoding itself is immutable — eviction only drops the cache reference).
 type segment struct {
-	rows int
-	path string // on-disk file (relative to the data dir), "" while hot-only
+	rows  int
+	bytes int    // SizeBytes of the encoding (0 for a raw tail view)
+	path  string // on-disk file (relative to the data dir), "" while hot-only
 
 	mu  sync.Mutex
 	enc *table.Encoded // sealed content, nil while evicted
-	tab *table.Table   // raw content of snapshot-private tail copies
+	tab *table.Table   // raw content: a snapshot's length-pinned view of a tail
 
 	// Per-spec frozen aggregate partials (see aggPartial). Guarded by its
 	// own mutex so cache hits never contend with residency loads, and
@@ -51,8 +52,8 @@ func (sg *segment) resident() bool {
 // encoding back from disk when evicted. Paths that can work over the
 // encoded form directly (the planner) use openEnc instead; open is for
 // consumers that need raw columns (materialization, deltas). The decoded
-// table is freshly built per call for encoded segments — callers cache
-// it (Snapshot.Table does) rather than re-opening per row.
+// table is freshly built per call for encoded segments; a raw tail view
+// comes back as is.
 func (sg *segment) open(ld *segLoader) (*table.Table, error) {
 	enc, tab, err := sg.openEnc(ld)
 	if err != nil {
@@ -65,7 +66,7 @@ func (sg *segment) open(ld *segLoader) (*table.Table, error) {
 }
 
 // openEnc returns the segment's content in its natural representation:
-// exactly one of enc (sealed, compressed) or tab (raw tail copy) is
+// exactly one of enc (sealed, compressed) or tab (raw tail view) is
 // non-nil. Evicted segments are read back from disk. The budget sweep
 // runs only after sg.mu is released — a sweep locks candidate segments,
 // so triggering it while holding this segment's own mutex could
@@ -114,6 +115,7 @@ func (sg *segment) load(ld *segLoader) (*table.Encoded, *table.Table, bool, erro
 		return nil, nil, false, fmt.Errorf("store: segment %s has %d rows on disk, expected %d", sg.path, enc.NumRows(), sg.rows)
 	}
 	sg.enc = enc
+	ld.mem.addSealed(sg.bytes)
 	ld.residentRows.Add(int64(sg.rows))
 	ld.loads.Add(1)
 	mSegLoads.Inc()
@@ -129,7 +131,8 @@ func (sg *segment) load(ld *segLoader) (*table.Encoded, *table.Table, bool, erro
 type segLoader struct {
 	fs     FS
 	dir    string
-	budget int // resident-row budget over evictable segments; 0 = unlimited
+	budget int            // resident-row budget over evictable segments; 0 = unlimited
+	mem    *residentBytes // the store's byte account, moved by loads and evictions
 
 	clock        atomic.Int64
 	residentRows atomic.Int64 // rows of persisted segments currently in memory
@@ -141,8 +144,8 @@ type segLoader struct {
 	segs     []*segment // every persisted (evictable) segment, registration order
 }
 
-func newSegLoader(fs FS, dir string, budget int) *segLoader {
-	return &segLoader{fs: fs, dir: dir, budget: budget}
+func newSegLoader(fs FS, dir string, budget int, mem *residentBytes) *segLoader {
+	return &segLoader{fs: fs, dir: dir, budget: budget, mem: mem}
 }
 
 // register adds a freshly persisted segment to the evictable set. The
@@ -200,6 +203,7 @@ func (ld *segLoader) requestSweep() {
 		}
 		if sg.enc != nil {
 			sg.enc = nil
+			ld.mem.addSealed(-sg.bytes)
 			ld.residentRows.Add(-int64(sg.rows))
 			ld.evictions.Add(1)
 			mSegEvictions.Inc()

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"sync"
-
 	"indice/internal/bitmap"
 	"indice/internal/stats"
 	"indice/internal/table"
@@ -10,11 +8,11 @@ import (
 
 // Snapshot is a frozen, consistent view of the store at one epoch.
 // Snapshots share the store's sealed segments (immutable once sealed, so
-// sharing is free) and privately copy only each shard's bounded mutable
-// tail — taking one is O(shards × SegmentRows) worst case, not O(rows).
-// A snapshot never changes after creation — ingestion continuing in the
-// store is invisible to it — and never observes a partially applied
-// batch.
+// sharing is free) and see each shard's mutable tail through a
+// length-pinned view of its columns — taking one is O(shards × columns),
+// never O(rows), and holds no row data of its own. A snapshot never
+// changes after creation — ingestion continuing in the store is
+// invisible to it — and never observes a partially applied batch.
 type Snapshot struct {
 	epoch      uint64
 	generation uint64
@@ -40,18 +38,16 @@ type Snapshot struct {
 	// per-shard view the query planner prunes shards with.
 	stats      map[string]stats.Running
 	shardStats []map[string]stats.Running
-
-	matOnce sync.Once
-	mat     *table.Table
-	matErr  error
 }
 
 // Snapshot freezes the current store contents under a new epoch: each
 // shard's sealed segments are shared as-is (they never change) and its
-// mutable tail is copied into a snapshot-private segment, so repeated
-// snapshots of a slowly growing store never fragment the shard itself.
-// Concurrent appends are excluded for the duration, so the snapshot is
-// batch-atomic.
+// mutable tail is captured as a view of the rows it holds now. Tails only
+// ever append — no cell below a published length is rewritten, and sealing
+// starts a fresh tail instead of truncating the old one — so later appends
+// reallocate or write beyond what the view can reach, the same discipline
+// as the index postings below. Concurrent appends are excluded for the
+// duration, so the snapshot is batch-atomic.
 func (s *Store) Snapshot() *Snapshot {
 	mSnapshots.Inc()
 	s.mu.Lock()
@@ -73,9 +69,12 @@ func (s *Store) Snapshot() *Snapshot {
 		segs := make([]*segment, 0, len(sh.sealed)+1)
 		segs = append(segs, sh.sealed...)
 		if n := sh.tail.NumRows(); n > 0 {
-			// The tail copy is snapshot-private and never persisted, so it
-			// stays resident for the snapshot's whole life.
-			segs = append(segs, &segment{rows: n, tab: sh.tail.Clone()})
+			view, err := sh.tail.View(0, n)
+			if err != nil {
+				// The bounds are the tail's own row count.
+				panic("store: snapshot tail view: " + err.Error())
+			}
+			segs = append(segs, &segment{rows: n, tab: view})
 		}
 		snap.segs[i] = segs
 		snap.shardRows[i] = sh.rows
@@ -163,9 +162,9 @@ func (sn *Snapshot) ShardSegments(i int) ([]*table.Table, error) {
 
 // ShardEncoded returns shard i's segments in the compressed encoded
 // form — the replication wire unit. Sealed segments come back as-is
-// (reloading evicted ones from disk); the snapshot-private raw tail
-// copy, if any, is encoded on the fly. The encodings are immutable and
-// shared with the store: stream them, never mutate them.
+// (reloading evicted ones from disk); the raw tail view, if any, is
+// encoded on the fly. The encodings are immutable and shared with the
+// store: stream them, never mutate them.
 func (sn *Snapshot) ShardEncoded(i int) ([]*table.Encoded, error) {
 	out := make([]*table.Encoded, 0, len(sn.segs[i]))
 	for _, sg := range sn.segs[i] {
@@ -208,30 +207,25 @@ func (sn *Snapshot) CountBy(attr string) (map[string]int, bool) {
 }
 
 // Table materializes the snapshot as one contiguous table (shard order,
-// segment order within each shard). The result is built once and cached;
-// it is a fresh copy, safe to hand to the analytics engine, but shared
-// between callers — treat it as read-only or Clone it.
+// segment order within each shard). Every call builds a fresh copy the
+// caller owns and may rewrite: the snapshot keeps no reference to it, so
+// the copy lives exactly as long as its caller needs it.
 func (sn *Snapshot) Table() (*table.Table, error) {
-	sn.matOnce.Do(func() {
-		out, err := table.NewWithSchema(sn.schema)
-		if err != nil {
-			sn.matErr = err
-			return
-		}
-		for _, segs := range sn.segs {
-			for _, sg := range segs {
-				tab, err := sg.open(sn.ld)
-				if err != nil {
-					sn.matErr = err
-					return
-				}
-				if err := out.AppendTable(tab); err != nil {
-					sn.matErr = err
-					return
-				}
+	out, err := table.NewWithSchema(sn.schema)
+	if err != nil {
+		return nil, err
+	}
+	out.Grow(sn.rows)
+	for _, segs := range sn.segs {
+		for _, sg := range segs {
+			tab, err := sg.open(sn.ld)
+			if err != nil {
+				return nil, err
+			}
+			if err := out.AppendTable(tab); err != nil {
+				return nil, err
 			}
 		}
-		sn.mat = out
-	})
-	return sn.mat, sn.matErr
+	}
+	return out, nil
 }

@@ -15,7 +15,7 @@
 // Consistency. Appends — single records and whole batches — run under a
 // store-level read lock with per-shard mutexes, so writers on different
 // shards proceed in parallel. Snapshot takes the store-level write lock
-// and captures the segment lists (plus a private copy of each bounded
+// and captures the segment lists (plus a length-pinned view of each
 // tail), index headers and statistics under a new epoch. A snapshot
 // therefore always observes either all rows of a batch or none of them,
 // and stays immutable while ingestion continues.
@@ -23,7 +23,7 @@
 //	st, _ := store.New(store.DefaultConfig())
 //	st.AppendTable(batch)
 //	snap := st.Snapshot()        // frozen, consistent view
-//	tab := snap.Table()          // materialized for the analytics engine
+//	tab, _ := snap.Table()       // a fresh copy the analytics engine owns
 package store
 
 import (
@@ -44,8 +44,8 @@ type Config struct {
 	// Shards is the number of shards rows are hashed over (default 4).
 	Shards int
 	// SegmentRows caps the mutable tail; a tail reaching this size is
-	// sealed into an immutable segment (default 8192). Snapshots also seal
-	// tails regardless of size.
+	// sealed into an immutable segment (default 8192). Snapshots view
+	// smaller tails in place; checkpoints seal them regardless of size.
 	SegmentRows int
 	// Schema fixes the column layout. Batches must match it exactly;
 	// records are projected onto it. Default: the canonical EPC schema.
@@ -85,6 +85,7 @@ type shard struct {
 	sealed []*segment
 	tail   *table.Table
 	rows   int
+	mem    *residentBytes // the store's byte account
 	// index maps attr -> value -> bitmap of shard-local row ordinals.
 	// Rows only ever append, so ordinals arrive strictly ascending and the
 	// bitmaps grow in place; Snapshot freezes copy-on-write views.
@@ -103,6 +104,7 @@ type Store struct {
 	// write side so it never observes a half-applied batch.
 	mu     sync.RWMutex
 	shards []*shard
+	mem    residentBytes
 
 	epoch    atomic.Uint64
 	rr       atomic.Uint64 // round-robin fallback counter
@@ -147,6 +149,22 @@ type Store struct {
 	lastCkptTookNanos atomic.Int64
 	lastCkptSegments  atomic.Uint64
 	recovery          RecoveryInfo
+}
+
+// residentBytes is the store's running estimate (table.SizeBytes and
+// Encoded.SizeBytes) of the row bytes it owns: raw shard tails and resident
+// sealed encodings. It moves where the bytes move — append, seal, adopt,
+// segment load and eviction — so reading it never scans a row.
+type residentBytes struct{ tail, sealed atomic.Int64 }
+
+func (m *residentBytes) addTail(d int) {
+	m.tail.Add(int64(d))
+	mTailBytes.Add(float64(d))
+}
+
+func (m *residentBytes) addSealed(d int) {
+	m.sealed.Add(int64(d))
+	mSealedBytes.Add(float64(d))
 }
 
 // recScratch is the pooled per-batch scratch of the record ingest path.
@@ -245,6 +263,7 @@ func New(cfg Config) (*Store, error) {
 		}
 		sh := &shard{
 			tail:  tail,
+			mem:   &s.mem,
 			index: make(map[string]map[string]*bitmap.Bitmap, len(cfg.IndexAttrs)),
 			stats: make(map[string]*stats.Running, len(cfg.StatsAttrs)),
 		}
@@ -521,6 +540,7 @@ func (sh *shard) append(part *table.Table, cfg *Config) {
 		}
 	}
 	sh.rows += part.NumRows()
+	sh.mem.addTail(part.SizeBytes())
 	if sh.tail.NumRows() >= cfg.SegmentRows {
 		sh.seal(cfg)
 	}
@@ -534,11 +554,15 @@ func (sh *shard) seal(cfg *Config) {
 	if sh.tail.NumRows() == 0 {
 		return
 	}
-	sh.sealed = append(sh.sealed, &segment{rows: sh.tail.NumRows(), enc: table.Encode(sh.tail)})
+	enc := table.Encode(sh.tail)
+	sg := &segment{rows: sh.tail.NumRows(), enc: enc, bytes: enc.SizeBytes()}
+	sh.sealed = append(sh.sealed, sg)
+	sh.mem.addSealed(sg.bytes)
 	tail, err := table.NewWithSchema(cfg.Schema)
 	if err != nil {
 		panic(fmt.Sprintf("store: reseal: %v", err))
 	}
+	sh.mem.addTail(-sh.tail.SizeBytes())
 	sh.tail = tail
 }
 
@@ -586,8 +610,9 @@ func (sh *shard) adopt(enc *table.Encoded, path string, cfg *Config) *segment {
 			}
 		}
 	}
-	sg := &segment{rows: rows, enc: enc, path: path}
+	sg := &segment{rows: rows, enc: enc, path: path, bytes: enc.SizeBytes()}
 	sh.sealed = append(sh.sealed, sg)
+	sh.mem.addSealed(sg.bytes)
 	sh.rows += rows
 	mStoreRows.Add(float64(rows))
 	return sg
@@ -604,6 +629,11 @@ type Status struct {
 	Columns     int           `json:"columns"`
 	IndexAttrs  []string      `json:"index_attrs"`
 	SegmentRows int           `json:"segment_rows"`
+
+	// TailBytes and SealedResidentBytes estimate the row bytes the store
+	// owns in raw shard tails and in resident sealed encodings.
+	TailBytes           int64 `json:"tail_bytes"`
+	SealedResidentBytes int64 `json:"sealed_resident_bytes"`
 }
 
 // ShardStatus summarizes one shard.
@@ -668,6 +698,9 @@ func (s *Store) Status() Status {
 		Columns:     len(s.schema),
 		IndexAttrs:  append([]string(nil), s.cfg.IndexAttrs...),
 		SegmentRows: s.cfg.SegmentRows,
+
+		TailBytes:           s.mem.tail.Load(),
+		SealedResidentBytes: s.mem.sealed.Load(),
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()

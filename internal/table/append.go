@@ -205,17 +205,41 @@ func Concat(tables ...*Table) (*Table, error) {
 	return out, nil
 }
 
-// Slice returns a new table holding rows [lo, hi) — the batch view used
-// when chunking a table for streaming ingestion.
-func (t *Table) Slice(lo, hi int) (*Table, error) {
+// View returns rows [lo, hi) as a table that shares t's column storage:
+// every column is a slice header over the same backing arrays, pinned to
+// cap == len, so building one costs O(columns) and an append through a
+// view reallocates instead of writing memory t may still grow into. The
+// rows a view sees never change as long as t only appends — cells below a
+// length someone has captured are never rewritten — which is the rule the
+// store's tails keep. A view is read-only: Set* on it writes t's cells.
+func (t *Table) View(lo, hi int) (*Table, error) {
 	if lo < 0 || hi < lo || hi > t.rows {
-		return nil, fmt.Errorf("table: slice [%d,%d) out of range [0,%d]", lo, hi, t.rows)
+		return nil, fmt.Errorf("table: view [%d,%d) out of range [0,%d]", lo, hi, t.rows)
 	}
-	rows := make([]int, hi-lo)
-	for i := range rows {
-		rows[i] = lo + i
+	out := &Table{cols: make([]*Column, len(t.cols)), index: make(map[string]int, len(t.cols)), rows: hi - lo}
+	cols := make([]Column, len(t.cols))
+	for i, c := range t.cols {
+		v := &cols[i]
+		v.Name, v.Typ, v.Valid = c.Name, c.Typ, c.Valid[lo:hi:hi]
+		if c.Typ == Float64 {
+			v.Floats = c.Floats[lo:hi:hi]
+		} else {
+			v.Strs = c.Strs[lo:hi:hi]
+		}
+		out.cols[i] = v
+		out.index[c.Name] = i
 	}
-	return t.Take(rows)
+	return out, nil
+}
+
+// Slice returns a new table holding a copy of rows [lo, hi) — the batch
+// form used when chunking a table for streaming ingestion.
+func (t *Table) Slice(lo, hi int) (*Table, error) {
+	v, err := t.View(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return v.Clone(), nil
 }
 
 // Partition splits the table's rows into n new tables according to

@@ -49,38 +49,61 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// maxInterned bounds the distinct values one string column's interner
+// remembers. Most categorical attributes have a handful of levels, so a
+// linear scan of this many beats hashing every cell, and a column of
+// identifiers pays at most this many comparisons per cell.
+const maxInterned = 16
+
+// interner hands out one shared copy per remembered value of a string
+// column and a private copy of every other cell, so no cell keeps the CSV
+// line it was parsed from alive.
+type interner []string
+
+func (in *interner) get(cell string) string {
+	if cell == "" {
+		return ""
+	}
+	for _, s := range *in {
+		if s == cell {
+			return s
+		}
+	}
+	s := strings.Clone(cell)
+	if len(*in) < maxInterned {
+		*in = append(*in, s)
+	}
+	return s
+}
+
 // ReadCSV parses a table from the typed CSV format produced by WriteCSV.
 func ReadCSV(r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
+	// Cells are parsed or copied out of each record before the next Read.
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("table: reading CSV header: %w", err)
 	}
-	type colDef struct {
-		name string
-		typ  Type
-	}
-	defs := make([]colDef, len(header))
+	cols := make([]*Column, len(header))
+	interns := make([]interner, len(header))
 	for i, h := range header {
 		idx := strings.LastIndexByte(h, ':')
 		if idx < 0 {
 			return nil, fmt.Errorf("table: header cell %q lacks :type suffix", h)
 		}
-		name, tag := h[:idx], h[idx+1:]
+		name, tag := strings.Clone(h[:idx]), h[idx+1:]
 		switch tag {
 		case "f":
-			defs[i] = colDef{name, Float64}
+			cols[i] = &Column{Name: name, Typ: Float64}
 		case "s":
-			defs[i] = colDef{name, String}
+			cols[i] = &Column{Name: name, Typ: String}
 		default:
 			return nil, fmt.Errorf("table: header cell %q has unknown type %q", h, tag)
 		}
 	}
 
-	floats := make([][]float64, len(defs))
-	strs := make([][]string, len(defs))
-	valids := make([][]bool, len(defs))
 	rows := 0
 	for {
 		rec, err := cr.Read()
@@ -90,42 +113,38 @@ func ReadCSV(r io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table: reading CSV row %d: %w", rows, err)
 		}
-		if len(rec) != len(defs) {
-			return nil, fmt.Errorf("table: row %d has %d cells, want %d", rows, len(rec), len(defs))
+		if len(rec) != len(cols) {
+			return nil, fmt.Errorf("table: row %d has %d cells, want %d", rows, len(rec), len(cols))
 		}
 		for i, cell := range rec {
-			if defs[i].typ == Float64 {
+			c := cols[i]
+			if c.Typ == Float64 {
 				if cell == "" {
-					floats[i] = append(floats[i], math.NaN())
-					valids[i] = append(valids[i], false)
+					c.Floats = append(c.Floats, math.NaN())
+					c.Valid = append(c.Valid, false)
 					continue
 				}
 				v, err := strconv.ParseFloat(cell, 64)
 				if err != nil {
-					return nil, fmt.Errorf("table: row %d column %q: %w", rows, defs[i].name, err)
+					return nil, fmt.Errorf("table: row %d column %q: %w", rows, c.Name, err)
 				}
-				floats[i] = append(floats[i], v)
-				valids[i] = append(valids[i], !math.IsNaN(v))
+				c.Floats = append(c.Floats, v)
+				c.Valid = append(c.Valid, !math.IsNaN(v))
 			} else {
-				strs[i] = append(strs[i], cell)
-				valids[i] = append(valids[i], cell != "")
+				c.Strs = append(c.Strs, interns[i].get(cell))
+				c.Valid = append(c.Valid, cell != "")
 			}
 		}
 		rows++
 	}
 
+	// A header-only file yields a table with columns but zero rows.
 	t := New()
-	for i, d := range defs {
-		var err error
-		if d.typ == Float64 {
-			err = t.AddFloatsValid(d.name, floats[i], valids[i])
-		} else {
-			err = t.AddStringsValid(d.name, strs[i], valids[i])
-		}
-		if err != nil {
+	for _, c := range cols {
+		if err := t.checkAdd(c.Name, rows); err != nil {
 			return nil, err
 		}
+		t.push(c)
 	}
-	// A header-only file yields a table with columns but zero rows.
 	return t, nil
 }
