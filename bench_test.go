@@ -533,7 +533,7 @@ func benchKernelPoints(n, dim, centers int, spread float64, seed int64) [][]floa
 //     quickselect vs fully sorting every distance slice.
 //
 // Every pair is verified bitwise-identical before timing. Captured
-// numbers live in BENCH_kernels.json; methodology in docs/benchmarks.md.
+// numbers and methodology in docs/benchmarks.md.
 func BenchmarkE11Kernels(b *testing.B) {
 	const (
 		kmN, kmDim, kMin, kMax = 100_000, 5, 2, 8
@@ -812,8 +812,8 @@ func e12Live(b *testing.B, incremental bool) (*store.Store, *core.Live) {
 // (zero-copy base reuse via Snapshot.DeltaSince + the appendable matrix)
 // and warm-start one K-means run at the previous K. Equivalence of the
 // two paths is pinned by the randomized suite in
-// internal/core/incremental_test.go. Captured numbers live in
-// BENCH_refresh.json; methodology in docs/benchmarks.md.
+// internal/core/incremental_test.go. Captured numbers and methodology
+// in docs/benchmarks.md.
 func BenchmarkE12Refresh(b *testing.B) {
 	const baseRows = 100_000
 	for _, mode := range []string{"full", "incremental"} {
@@ -999,7 +999,7 @@ func e13Open(b *testing.B, mode string) *store.Store {
 // (manifest + segment adoption + WAL replay) over a 40k-row directory:
 // wal-only replays everything from the log; checkpoint+wal adopts half
 // from checkpoint segments and replays the other half. Captured numbers
-// live in BENCH_durability.json; methodology in docs/benchmarks.md.
+// and methodology in docs/benchmarks.md.
 func BenchmarkE13Durability(b *testing.B) {
 	const batchRows = 2000
 	for _, mode := range []string{"memory", "wal-nofsync", "wal-fsync"} {
@@ -1075,7 +1075,7 @@ func BenchmarkE13Durability(b *testing.B) {
 // span is the cost every instrumented code path pays when observability
 // is switched off (one atomic load + two nil checks); the enabled
 // histogram observe is what each WAL append, query, and HTTP request
-// adds per event. Recorded in BENCH_obs.json.
+// adds per event. Methodology in docs/benchmarks.md.
 func BenchmarkE14ObsOverhead(b *testing.B) {
 	reg := obs.NewRegistry()
 	ctr := reg.Counter("bench_counter_total", "bench")
@@ -1201,8 +1201,7 @@ func e15Table(b *testing.B, rows int) *table.Table {
 //
 // encode times sealing one segment-sized chunk and reports the measured
 // resident-memory compression of the whole table as x-reduction.
-// Captured numbers live in BENCH_encoding.json; methodology in
-// docs/benchmarks.md.
+// Captured numbers and methodology in docs/benchmarks.md.
 func BenchmarkE15Encoding(b *testing.B) {
 	const rows = 100_000
 	seed := e15Table(b, rows)
@@ -1320,12 +1319,12 @@ func seqInts(n int) []int {
 // same dashboard question — per-energy-class count, mean and quartiles
 // of eph — over the E15 100k-row corpus. "materialize" is the before:
 // run the indexed query into a row table, then per-group Welford and
-// sketch passes over the copied columns (the old replica leg,
+// sketch passes over the copied columns (the row-wise oracle,
 // scaleout.BuildPartial). "pushdown" computes identical groups directly
 // over the encoded segments without building a table. "pushdown-cached"
 // is the no-predicate dashboard shape served from the per-segment
 // partial-aggregate cache — near-O(groups) per request. Captured
-// numbers live in BENCH_agg.json; methodology in docs/benchmarks.md.
+// numbers and methodology in docs/benchmarks.md.
 func BenchmarkE17AggPushdown(b *testing.B) {
 	const rows = 100_000
 	seed := e15Table(b, rows)
@@ -1361,7 +1360,7 @@ func BenchmarkE17AggPushdown(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wantAttrs, wantGroups, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By)
+	wantTotals, wantGroups, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1375,26 +1374,26 @@ func BenchmarkE17AggPushdown(b *testing.B) {
 	if ps.IndexedShards == 0 || ps.ScannedRows != 0 {
 		b.Fatalf("pushdown left the indexed path: %+v", ps)
 	}
-	want := wantAttrs[epc.AttrEPH]
+	want := wantTotals[0]
 	got := res.Totals[0]
-	if got.R.Count != want.Count || got.R.Min != want.Min || got.R.Max != want.Max {
-		b.Fatalf("pushdown totals %+v, materialize %+v", got.R, want)
+	if got.R.Count != want.R.Count || got.R.Min != want.R.Min || got.R.Max != want.R.Max {
+		b.Fatalf("pushdown totals %+v, materialize %+v", got.R, want.R)
 	}
-	if d := got.Mean() - want.Mean; d > 1e-9 || d < -1e-9 {
-		b.Fatalf("pushdown mean %v, materialize %v", got.Mean(), want.Mean)
+	if d := got.Mean() - want.R.Mean; d > 1e-9 || d < -1e-9 {
+		b.Fatalf("pushdown mean %v, materialize %v", got.Mean(), want.R.Mean)
 	}
-	if got.S.Quantile(0.5) != want.Sketch.Quantile(0.5) {
-		b.Fatalf("pushdown median %v, materialize %v", got.S.Quantile(0.5), want.Sketch.Quantile(0.5))
+	if got.S.Quantile(0.5) != want.S.Quantile(0.5) {
+		b.Fatalf("pushdown median %v, materialize %v", got.S.Quantile(0.5), want.S.Quantile(0.5))
 	}
 	if len(res.Groups) != len(wantGroups) {
 		b.Fatalf("pushdown %d groups, materialize %d", len(res.Groups), len(wantGroups))
 	}
 	for i, g := range res.Groups {
 		w := wantGroups[i]
-		if g.Key != w.Value || g.Rows != w.Count {
-			b.Fatalf("group[%d] = %s/%d, materialize %s/%d", i, g.Key, g.Rows, w.Value, w.Count)
+		if g.Key != w.Key || g.Rows != w.Rows {
+			b.Fatalf("group[%d] = %s/%d, materialize %s/%d", i, g.Key, g.Rows, w.Key, w.Rows)
 		}
-		wa := w.Attrs[epc.AttrEPH]
+		wa := w.Attrs[0].R
 		ga := g.Attrs[0]
 		if ga.R.Count != wa.Count || ga.R.Min != wa.Min || ga.R.Max != wa.Max {
 			b.Fatalf("group %s: pushdown %+v, materialize %+v", g.Key, ga.R, wa)
@@ -1505,7 +1504,7 @@ func BenchmarkE19RowPage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wantAttrs, wantGroups, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By)
+	wantTotals, wantGroups, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1523,17 +1522,17 @@ func BenchmarkE19RowPage(b *testing.B) {
 	if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
 		b.Fatal("page rows differ from the first rows of the materialized match set")
 	}
-	if want := wantAttrs[epc.AttrEPH]; res.Matched != tab.NumRows() || res.Totals[0].R.Count != want.Count ||
-		res.Totals[0].R.Min != want.Min || res.Totals[0].R.Max != want.Max ||
-		res.Totals[0].S.Quantile(0.5) != want.Sketch.Quantile(0.5) {
-		b.Fatalf("page totals %+v over %d rows, materialize %+v over %d", res.Totals[0].R, res.Matched, want, tab.NumRows())
+	if want := wantTotals[0]; res.Matched != tab.NumRows() || res.Totals[0].R.Count != want.R.Count ||
+		res.Totals[0].R.Min != want.R.Min || res.Totals[0].R.Max != want.R.Max ||
+		res.Totals[0].S.Quantile(0.5) != want.S.Quantile(0.5) {
+		b.Fatalf("page totals %+v over %d rows, materialize %+v over %d", res.Totals[0].R, res.Matched, want.R, tab.NumRows())
 	}
 	if len(res.Groups) != len(wantGroups) {
 		b.Fatalf("page %d groups, materialize %d", len(res.Groups), len(wantGroups))
 	}
 	for i, g := range res.Groups {
-		if w := wantGroups[i]; g.Key != w.Value || g.Rows != w.Count {
-			b.Fatalf("group[%d] = %s/%d, materialize %s/%d", i, g.Key, g.Rows, w.Value, w.Count)
+		if w := wantGroups[i]; g.Key != w.Key || g.Rows != w.Rows {
+			b.Fatalf("group[%d] = %s/%d, materialize %s/%d", i, g.Key, g.Rows, w.Key, w.Rows)
 		}
 	}
 
@@ -1693,11 +1692,7 @@ func BenchmarkE20HotResponse(b *testing.B) {
 // cmd/indice-server does for a synthetic boot.
 func e21StreetMap(b *testing.B, city *synth.City) *geocode.StreetMap {
 	b.Helper()
-	entries := make([]geocode.ReferenceEntry, len(city.Entries))
-	for i, e := range city.Entries {
-		entries[i] = geocode.ReferenceEntry{Street: e.Street, HouseNumber: e.HouseNumber, ZIP: e.ZIP, Point: e.Point}
-	}
-	sm, err := geocode.NewStreetMap(entries)
+	sm, err := geocode.NewStreetMap(city.ReferenceEntries())
 	if err != nil {
 		b.Fatal(err)
 	}

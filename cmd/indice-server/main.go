@@ -1,26 +1,31 @@
 // Command indice-server serves the INDICE dashboards over HTTP: the
 // dynamic, navigable counterpart of the one-shot indice CLI.
 //
-// Batch mode (default) analyzes the input once and serves it frozen:
+// Every node serves the same way: the input is loaded into a sharded
+// store, the pipeline runs over a consistent snapshot of it, and requests
+// read the published result. By default the dataset is frozen — loaded
+// and analyzed once before the server listens, the paper's batch
+// workflow; the (-use-selected) input must reach the refresh threshold:
 //
-//	indice-server -epcs epcs.csv [-streets streets.csv] -addr :8080
+//	indice-server -epcs epcs.csv -addr :8080
 //
-// Live mode keeps ingesting while serving: certificates stream in via
-// POST /api/ingest into a sharded store, and the pipeline re-runs over
-// consistent snapshots — on demand (POST /api/refresh) and/or on a timer:
+// With -ingest the node also accepts writes: certificates stream in via
+// POST /api/ingest, and the pipeline re-runs over fresh snapshots — on
+// demand (POST /api/refresh) and/or on a timer:
 //
 //	indice-server -ingest -refresh-interval 30s -shards 4 -addr :8080
 //
-// With -data-dir the live store is durable: every acked ingest batch is
-// written ahead to a crash-safe log before it becomes visible, sealed
+// With -data-dir the ingesting store is durable: every acked ingest batch
+// is written ahead to a crash-safe log before it becomes visible, sealed
 // segments are checkpointed to disk, and a restart over the same
 // directory recovers exactly the acked state — kill -9 loses nothing:
 //
 //	indice-server -ingest -data-dir /var/lib/indice -fsync always
 //
 // Routes: / (navigation), /dashboard/{stakeholder}, /map?level=&attr=,
-// /api/{stats,zones,rules,clusters,health} and the Prometheus /metrics
-// exposition; live mode adds /api/{ingest,refresh,store}.
+// /api/{stats,zones,rules,clusters,query,presets,store,refresh,health} and
+// the Prometheus /metrics exposition; POST /api/ingest answers 404 without
+// -ingest.
 //
 // Scale-out serving splits the load over processes with -role. A leader
 // is a live server that additionally streams its sealed segments to
@@ -68,19 +73,19 @@ import (
 func main() {
 	var (
 		epcsPath = flag.String("epcs", "", "EPC table (typed CSV); empty generates a synthetic demo collection")
-		n        = flag.Int("n", 8000, "synthetic certificates when -epcs is empty (0 starts live mode empty)")
+		n        = flag.Int("n", 8000, "synthetic certificates when -epcs is empty (0 starts an -ingest node empty)")
 		addr     = flag.String("addr", ":8080", "listen address")
-		use      = flag.String("use", epc.UseResidential, "intended-use selection ('' disables); batch mode only")
+		use      = flag.String("use", epc.UseResidential, "intended-use selection ('' disables); without -ingest only")
 		kMax     = flag.Int("kmax", 10, "upper bound of the K-means sweep")
 		par      = flag.Int("parallelism", 0, "analytics worker goroutines (0 = all CPUs, 1 = sequential); results are identical at any setting")
 
-		ingest          = flag.Bool("ingest", false, "live mode: serve from a sharded streaming store with POST /api/ingest enabled")
-		refreshInterval = flag.Duration("refresh-interval", 0, "live mode: re-run the pipeline this often (0 = only on POST /api/refresh)")
-		shards          = flag.Int("shards", 4, "live mode: store shard count")
-		validate        = flag.Bool("validate", false, "live mode: reject ingested rows violating the EPC attribute specs")
-		dataDir         = flag.String("data-dir", "", "live mode: persist the store here (WAL + checkpoints); empty keeps it in memory. A non-empty directory is recovered on boot")
-		fsyncMode       = flag.String("fsync", "always", "live mode WAL flush policy with -data-dir: always, interval or off")
-		residentRows    = flag.Int("max-resident-rows", 0, "live mode with -data-dir: evict checkpointed segments beyond this many resident rows (0 = keep all in memory)")
+		ingest          = flag.Bool("ingest", false, "accept writes: POST /api/ingest appends to the store (without it the dataset is loaded once and served frozen)")
+		refreshInterval = flag.Duration("refresh-interval", 0, "with -ingest: re-run the pipeline this often (0 = only on POST /api/refresh)")
+		shards          = flag.Int("shards", 4, "store shard count")
+		validate        = flag.Bool("validate", false, "reject ingested rows violating the EPC attribute specs")
+		dataDir         = flag.String("data-dir", "", "with -ingest: persist the store here (WAL + checkpoints); empty keeps it in memory. A non-empty directory is recovered on boot")
+		fsyncMode       = flag.String("fsync", "always", "WAL flush policy with -data-dir: always, interval or off")
+		residentRows    = flag.Int("max-resident-rows", 0, "with -data-dir: evict checkpointed segments beyond this many resident rows (0 = keep all in memory)")
 		pprofAddr       = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling (default)")
 
 		role           = flag.String("role", "", "scale-out role: leader, replica or coordinator (empty = single node)")
@@ -121,11 +126,7 @@ func main() {
 			tab = ds.Table
 			fmt.Fprintf(os.Stderr, "generated %d synthetic certificates\n", tab.NumRows())
 		}
-		entries := make([]geocode.ReferenceEntry, len(city.Entries))
-		for i, e := range city.Entries {
-			entries[i] = geocode.ReferenceEntry{Street: e.Street, HouseNumber: e.HouseNumber, ZIP: e.ZIP, Point: e.Point}
-		}
-		if sm, err := geocode.NewStreetMap(entries); err == nil {
+		if sm, err := geocode.NewStreetMap(city.ReferenceEntries()); err == nil {
 			opts.StreetMap = sm
 			opts.Geocoder = geocode.NewMockGeocoder(sm, 2000)
 		}
@@ -190,17 +191,21 @@ func main() {
 	postDrain := func() {}
 	switch *role {
 	case "":
-		if *ingest {
-			handler, closeStore = buildLive(ctx, tab, hier, opts, workers, *kMax, *shards, *validate,
-				*refreshInterval, *dataDir, *fsyncMode, *residentRows, false)
-		} else {
-			handler = buildStatic(tab, hier, opts, workers, *kMax, *use)
+		if !*ingest && tab != nil && *use != "" {
+			// A frozen boot is the same node minus the writes, serving the
+			// selected corpus only.
+			var err error
+			if tab, err = query.Select(tab, query.In{Attr: epc.AttrIntendedUse, Values: []string{*use}}); err != nil {
+				log.Fatal(err)
+			}
 		}
+		handler, closeStore = buildLive(ctx, tab, hier, opts, workers, *kMax, *shards, *validate,
+			*refreshInterval, *dataDir, *fsyncMode, *residentRows, *ingest, false)
 	case "leader":
 		// A leader is a live server (the ingest endpoint feeds it) that
 		// additionally streams segments to replicas.
 		handler, closeStore = buildLive(ctx, tab, hier, opts, workers, *kMax, *shards, *validate,
-			*refreshInterval, *dataDir, *fsyncMode, *residentRows, true)
+			*refreshInterval, *dataDir, *fsyncMode, *residentRows, true, true)
 	case "replica":
 		if *leaderURL == "" {
 			log.Fatal("-role replica requires -leader URL")
@@ -258,54 +263,22 @@ func main() {
 	}
 }
 
-// buildStatic runs the batch pipeline once and serves the frozen result.
-func buildStatic(tab *table.Table, hier *geo.Hierarchy, opts core.Options, workers, kMax int, use string) http.Handler {
-	if tab == nil || tab.NumRows() == 0 {
-		log.Fatal("batch mode needs data: provide -epcs or -n > 0 (or run -ingest)")
-	}
-	eng, err := core.NewEngine(tab, hier, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if use != "" {
-		if _, err := eng.Select(query.In{Attr: epc.AttrIntendedUse, Values: []string{use}}); err != nil {
-			log.Fatal(err)
-		}
-	}
-	pcfg := core.DefaultPreprocessConfig()
-	pcfg.Parallelism = workers
-	if _, err := eng.Preprocess(pcfg); err != nil {
-		log.Fatal(err)
-	}
-	acfg := core.DefaultAnalysisConfig()
-	acfg.KMax = kMax
-	acfg.Parallelism = workers
-	an, err := eng.Analyze(acfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv, err := server.New(eng, an)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "batch pipeline done (%d certificates, K=%d, %d rules)\n",
-		eng.Table().NumRows(), an.ChosenK, len(an.Rules))
-	return srv
-}
-
 // buildLive seeds the sharded store, starts the auto-refresh loop and
 // serves from the published snapshots. With a data directory the store
 // is opened durably — previous state is recovered and every acked ingest
-// hits the WAL — and the returned closer flushes it on shutdown.
+// hits the WAL — and the returned closer flushes it on shutdown. Without
+// ingest the seed is all the node will ever hold: the store is a one-shot
+// in-memory one, the first refresh must publish it, no lineage is kept for
+// refreshes that will not come, and POST /api/ingest answers 404.
 func buildLive(ctx context.Context, tab *table.Table, hier *geo.Hierarchy, opts core.Options,
 	workers, kMax, shards int, validate bool, refreshInterval time.Duration,
-	dataDir, fsyncMode string, residentRows int, asLeader bool) (http.Handler, func() error) {
+	dataDir, fsyncMode string, residentRows int, ingest, asLeader bool) (http.Handler, func() error) {
 	scfg := store.DefaultConfig()
 	scfg.Shards = shards
 	scfg.Validate = validate
 	var st *store.Store
 	var err error
-	if dataDir != "" {
+	if ingest && dataDir != "" {
 		mode, merr := store.ParseFsyncMode(fsyncMode)
 		if merr != nil {
 			log.Fatal(merr)
@@ -345,16 +318,17 @@ func buildLive(ctx context.Context, tab *table.Table, hier *geo.Hierarchy, opts 
 	acfg.KMax = kMax
 	acfg.Parallelism = workers
 	live, err := core.NewLive(st, hier, core.LiveConfig{
-		Preprocess: pcfg,
-		Analysis:   acfg,
-		Options:    opts,
+		Preprocess:  pcfg,
+		Analysis:    acfg,
+		Options:     opts,
+		Incremental: core.IncrementalConfig{Disable: !ingest},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if st.Rows() > 0 {
+	if st.Rows() > 0 || !ingest {
 		if pub, err := live.Refresh(); err != nil {
-			if errors.Is(err, core.ErrStoreTooSmall) {
+			if ingest && errors.Is(err, core.ErrStoreTooSmall) {
 				fmt.Fprintf(os.Stderr, "initial refresh skipped: %v\n", err)
 			} else {
 				log.Fatal(err)
@@ -376,6 +350,14 @@ func buildLive(ctx context.Context, tab *table.Table, hier *geo.Hierarchy, opts 
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "live mode: %d shards, refresh interval %v\n", shards, refreshInterval)
+	if !ingest {
+		mux := http.NewServeMux()
+		mux.Handle("/", srv)
+		mux.HandleFunc("/api/ingest", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "this node serves a frozen dataset: start it with -ingest to accept writes", http.StatusNotFound)
+		})
+		return mux, st.Close
+	}
 	return srv, st.Close
 }
 

@@ -45,13 +45,7 @@ func main() {
 	fmt.Printf("open-data dump: %d certificates; %d planted address typos\n",
 		dirty.NumRows(), len(truth.TypoRows))
 
-	entries := make([]geocode.ReferenceEntry, len(city.Entries))
-	for i, e := range city.Entries {
-		entries[i] = geocode.ReferenceEntry{
-			Street: e.Street, HouseNumber: e.HouseNumber, ZIP: e.ZIP, Point: e.Point,
-		}
-	}
-	sm, err := geocode.NewStreetMap(entries)
+	sm, err := geocode.NewStreetMap(city.ReferenceEntries())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,13 +33,7 @@ func main() {
 
 	// 2. Wire the engine with the referenced street map and the remote
 	// geocoder fallback.
-	entries := make([]geocode.ReferenceEntry, len(city.Entries))
-	for i, e := range city.Entries {
-		entries[i] = geocode.ReferenceEntry{
-			Street: e.Street, HouseNumber: e.HouseNumber, ZIP: e.ZIP, Point: e.Point,
-		}
-	}
-	sm, err := geocode.NewStreetMap(entries)
+	sm, err := geocode.NewStreetMap(city.ReferenceEntries())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,11 +27,7 @@ func world(t testing.TB, certs int) (*synth.Dataset, *geocode.StreetMap, geocode
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := make([]geocode.ReferenceEntry, len(city.Entries))
-	for i, e := range city.Entries {
-		entries[i] = geocode.ReferenceEntry{Street: e.Street, HouseNumber: e.HouseNumber, ZIP: e.ZIP, Point: e.Point}
-	}
-	sm, err := geocode.NewStreetMap(entries)
+	sm, err := geocode.NewStreetMap(city.ReferenceEntries())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,13 +74,7 @@ func NewWorld(s Scale) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]geocode.ReferenceEntry, len(city.Entries))
-	for i, e := range city.Entries {
-		entries[i] = geocode.ReferenceEntry{
-			Street: e.Street, HouseNumber: e.HouseNumber, ZIP: e.ZIP, Point: e.Point,
-		}
-	}
-	sm, err := geocode.NewStreetMap(entries)
+	sm, err := geocode.NewStreetMap(city.ReferenceEntries())
 	if err != nil {
 		return nil, err
 	}

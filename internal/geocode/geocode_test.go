@@ -6,7 +6,6 @@ import (
 
 	"indice/internal/epc"
 	"indice/internal/geo"
-	"indice/internal/synth"
 	"indice/internal/table"
 )
 
@@ -251,94 +250,5 @@ func TestCleanerValidation(t *testing.T) {
 	cl, _ := NewCleaner(m, nil, DefaultCleanConfig())
 	if _, err := cl.Clean(table.New()); err == nil {
 		t.Fatal("want error for table without location columns")
-	}
-}
-
-func TestCleanerEndToEndSynthetic(t *testing.T) {
-	// Full pipeline over the synthetic city: corrupt then clean, and
-	// measure that cleaning recovers most damaged addresses.
-	ccfg := synth.DefaultCityConfig()
-	ccfg.Streets, ccfg.CivicsPerStreet = 60, 12
-	city, err := synth.GenerateCity(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gcfg := synth.DefaultConfig()
-	gcfg.Certificates = 1200
-	ds, err := synth.Generate(gcfg, city)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty, truth, err := synth.Corrupt(ds.Table, synth.DefaultCorruptionConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	entries := make([]ReferenceEntry, len(city.Entries))
-	for i, e := range city.Entries {
-		entries[i] = ReferenceEntry{Street: e.Street, HouseNumber: e.HouseNumber, ZIP: e.ZIP, Point: e.Point}
-	}
-	m, err := NewStreetMap(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := NewCleaner(m, NewMockGeocoder(m, 500), DefaultCleanConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cl.Clean(dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Unresolved > rep.Rows/20 {
-		t.Fatalf("unresolved = %d of %d", rep.Unresolved, rep.Rows)
-	}
-
-	// Recovery rate over rows with planted typos.
-	addr, _ := dirty.Strings(epc.AttrAddress)
-	recovered := 0
-	for _, r := range truth.TypoRows {
-		if addr[r] == truth.Address[r] {
-			recovered++
-		}
-	}
-	rate := float64(recovered) / float64(len(truth.TypoRows))
-	if rate < 0.9 {
-		t.Fatalf("typo recovery rate = %.3f (%d/%d)", rate, recovered, len(truth.TypoRows))
-	}
-}
-
-func BenchmarkCleanerClean(b *testing.B) {
-	ccfg := synth.DefaultCityConfig()
-	city, err := synth.GenerateCity(ccfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gcfg := synth.DefaultConfig()
-	gcfg.Certificates = 2000
-	ds, err := synth.Generate(gcfg, city)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dirty, _, err := synth.Corrupt(ds.Table, synth.DefaultCorruptionConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	entries := make([]ReferenceEntry, len(city.Entries))
-	for i, e := range city.Entries {
-		entries[i] = ReferenceEntry{Street: e.Street, HouseNumber: e.HouseNumber, ZIP: e.ZIP, Point: e.Point}
-	}
-	m, err := NewStreetMap(entries)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		work := dirty.Clone()
-		cl, _ := NewCleaner(m, NewMockGeocoder(m, 1000), DefaultCleanConfig())
-		if _, err := cl.Clean(work); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

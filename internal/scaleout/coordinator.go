@@ -350,7 +350,7 @@ func (c *Coordinator) Query(ctx context.Context, spec QuerySpec) (*Merged, error
 	if degradedLegs > 0 {
 		mCoordDegraded.Inc()
 	}
-	m, err := MergePartials(parts)
+	m, err := MergePartials(spec, parts)
 	if err != nil {
 		return nil, err
 	}

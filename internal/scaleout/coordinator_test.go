@@ -82,15 +82,16 @@ func newFakeReplica(t testing.TB, shards []*table.Table, min, max uint64) *fakeR
 				return
 			}
 		}
-		attrs, groups, err := BuildPartial(leg, spec.Attrs, spec.By)
+		totals, groups, err := BuildPartial(leg, spec.Attrs, spec.By)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		json.NewEncoder(w).Encode(&Partial{
-			Epoch: spec.Epoch, StoreRows: leg.NumRows(), Matched: leg.NumRows(),
-			Attrs: attrs, Groups: groups,
-		})
+		p := &Partial{Epoch: spec.Epoch, StoreRows: leg.NumRows(), Agg: table.AggPartial{Rows: leg.NumRows(), Groups: groups}}
+		if spec.By == "" {
+			p.Agg.Totals = totals
+		}
+		json.NewEncoder(w).Encode(p)
 	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
@@ -161,27 +162,12 @@ func TestCoordinatorMergesAcrossReplicas(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantAttrs, wantGroups, err := BuildPartial(whole, []string{"x", "y"}, "g")
+	wantTotals, wantGroups, err := BuildPartial(whole, []string{"x", "y"}, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Matched != whole.NumRows() {
-		t.Fatalf("matched %d, want %d", m.Matched, whole.NumRows())
-	}
-	for attr, want := range wantAttrs {
-		got := m.Attrs[attr]
-		w := want.Running()
-		if got.Count != w.Count || !relClose(got.Mean, w.Mean) || !relClose(got.StdDev(), w.StdDev()) {
-			t.Fatalf("%s: merged %+v, want %+v", attr, got, w)
-		}
-	}
-	if len(m.Groups) != len(wantGroups) {
-		t.Fatalf("%d groups, want %d", len(m.Groups), len(wantGroups))
-	}
-	for i, g := range m.Groups {
-		if g.Value != wantGroups[i].Value || g.Count != wantGroups[i].Count {
-			t.Fatalf("group %d = %q/%d, want %q/%d", i, g.Value, g.Count, wantGroups[i].Value, wantGroups[i].Count)
-		}
+	if err := sameResult(m.Agg, whole.NumRows(), wantTotals, wantGroups); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -224,8 +210,8 @@ func TestCoordinatorFailsOverAndReportsDegraded(t *testing.T) {
 	if m.Degraded == 0 {
 		t.Fatal("failed-over query not reported degraded")
 	}
-	if m.Matched != 200 {
-		t.Fatalf("degraded query matched %d rows, want 200", m.Matched)
+	if m.Agg.Matched != 200 {
+		t.Fatalf("degraded query matched %d rows, want 200", m.Agg.Matched)
 	}
 }
 
@@ -245,8 +231,8 @@ func TestCoordinatorFailsOverOn412(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Matched != 200 || m.Degraded == 0 {
-		t.Fatalf("after 412 failover: matched %d, degraded %d", m.Matched, m.Degraded)
+	if m.Agg.Matched != 200 || m.Degraded == 0 {
+		t.Fatalf("after 412 failover: matched %d, degraded %d", m.Agg.Matched, m.Degraded)
 	}
 }
 
@@ -267,8 +253,8 @@ func TestCoordinatorHedgesSlowLeg(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("hedged query took %v", elapsed)
 	}
-	if m.Matched != 100 {
-		t.Fatalf("hedged query matched %d rows, want 100", m.Matched)
+	if m.Agg.Matched != 100 {
+		t.Fatalf("hedged query matched %d rows, want 100", m.Agg.Matched)
 	}
 	if fast.partials.Load() < 2 {
 		t.Fatalf("fast replica served %d partials, expected its own leg plus a hedge", fast.partials.Load())
@@ -328,8 +314,8 @@ func TestCoordinatorServesOnStaleViews(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query with only stale views: %v", err)
 	}
-	if m.Matched != total {
-		t.Fatalf("stale-view query matched %d rows, want %d", m.Matched, total)
+	if m.Agg.Matched != total {
+		t.Fatalf("stale-view query matched %d rows, want %d", m.Agg.Matched, total)
 	}
 	if err := c.Ready(); err != nil {
 		t.Fatalf("Ready() with retained statuses: %v", err)

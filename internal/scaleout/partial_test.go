@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
-	"indice/internal/stats"
 	"indice/internal/store"
 	"indice/internal/table"
 )
@@ -59,123 +60,179 @@ func relClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
+// sameAccum compares a merged accumulator with the single-pass one: the
+// count, the extrema and every rank statistic bitwise (sketch bucketing is
+// deterministic), mean and standard deviation within 1e-9 relative.
+func sameAccum(got, want *table.AggAccum) error {
+	if got.R.Count != want.R.Count || got.S.Count() != want.S.Count() {
+		return fmt.Errorf("count %d (sketch %d), want %d (sketch %d)", got.R.Count, got.S.Count(), want.R.Count, want.S.Count())
+	}
+	if got.R.Count == 0 {
+		return nil
+	}
+	if math.Float64bits(got.R.Min) != math.Float64bits(want.R.Min) || math.Float64bits(got.R.Max) != math.Float64bits(want.R.Max) {
+		return fmt.Errorf("extrema [%v, %v], want [%v, %v]", got.R.Min, got.R.Max, want.R.Min, want.R.Max)
+	}
+	for _, q := range []float64{0.25, 0.5, 0.75, 0.9} {
+		if g, w := got.S.Quantile(q), want.S.Quantile(q); math.Float64bits(g) != math.Float64bits(w) {
+			return fmt.Errorf("quantile(%v) = %v, want %v", q, g, w)
+		}
+	}
+	if !relClose(got.Mean(), want.Mean()) || !relClose(got.R.Mean, want.R.Mean) || !relClose(got.R.StdDev(), want.R.StdDev()) {
+		return fmt.Errorf("mean %v sd %v, want %v sd %v", got.Mean(), got.R.StdDev(), want.Mean(), want.R.StdDev())
+	}
+	return nil
+}
+
+// sameResult compares a merged answer with the row-wise single pass.
+func sameResult(got *store.AggResult, rows int, wantTotals []table.AggAccum, wantGroups []*table.GroupAccum) error {
+	if got.Matched != rows {
+		return fmt.Errorf("matched %d, want %d", got.Matched, rows)
+	}
+	if len(got.Totals) != len(wantTotals) {
+		return fmt.Errorf("%d totals, want %d", len(got.Totals), len(wantTotals))
+	}
+	for k := range wantTotals {
+		if err := sameAccum(&got.Totals[k], &wantTotals[k]); err != nil {
+			return fmt.Errorf("totals[%d]: %w", k, err)
+		}
+	}
+	if len(got.Groups) != len(wantGroups) {
+		return fmt.Errorf("%d groups, want %d", len(got.Groups), len(wantGroups))
+	}
+	for i, g := range got.Groups {
+		w := wantGroups[i]
+		if g.Key != w.Key || g.Rows != w.Rows {
+			return fmt.Errorf("group %q/%d, want %q/%d", g.Key, g.Rows, w.Key, w.Rows)
+		}
+		// NULL-heavy invariant: an attribute with zero valid cells in a
+		// group must stay at count 0 (sameAccum compares counts first).
+		for k := range w.Attrs {
+			if err := sameAccum(&g.Attrs[k], &w.Attrs[k]); err != nil {
+				return fmt.Errorf("group %q attr %d: %w", g.Key, k, err)
+			}
+		}
+	}
+	return nil
+}
+
+// legOf is the partial a replica would answer for one leg's rows,
+// computed by the row-wise oracle.
+func legOf(t testing.TB, tab *table.Table, spec QuerySpec) *Partial {
+	t.Helper()
+	totals, groups, err := BuildPartial(tab, spec.Attrs, spec.By)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Partial{Epoch: spec.Epoch, StoreRows: tab.NumRows(), Agg: table.AggPartial{Rows: tab.NumRows(), Groups: groups}}
+	if spec.By == "" {
+		p.Agg.Totals = totals
+	}
+	return p
+}
+
 // TestMergePartialsMatchesSinglePass is the randomized equivalence
 // property: for arbitrary row partitions into 1, 2 and 4 legs, the
-// coordinator-merged aggregates equal a single pass over all rows within
-// 1e-9 relative — including group counts and per-group means with
+// coordinator-merged aggregates equal a single pass over all rows —
+// counts, extrema and quartiles bitwise, means and deviations within 1e-9
+// relative — including group counts and per-group accumulators with
 // NULL-heavy groups.
 func TestMergePartialsMatchesSinglePass(t *testing.T) {
-	attrs := []string{"x", "y"}
-	for trial := 0; trial < 5; trial++ {
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		whole := partialRows(t, rng, 600+rng.Intn(900))
+	for _, by := range []string{"g", ""} {
+		spec := QuerySpec{Epoch: 7, Attrs: []string{"x", "y"}, By: by}
+		for trial := 0; trial < 5; trial++ {
+			rng := rand.New(rand.NewSource(int64(100 + trial)))
+			whole := partialRows(t, rng, 600+rng.Intn(900))
 
-		wantAttrs, wantGroups, err := BuildPartial(whole, attrs, "g")
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		for _, legs := range []int{1, 2, 4} {
-			// Arbitrary (not round-robin, not contiguous) partition: each
-			// row lands on a random leg, so legs have uneven sizes and
-			// some may miss entire groups.
-			split := make([]*table.Table, legs)
-			for i := range split {
-				tab, err := table.NewWithSchema(partialSchema)
-				if err != nil {
-					t.Fatal(err)
-				}
-				split[i] = tab
-			}
-			assign := make([][]int, legs)
-			for i := 0; i < whole.NumRows(); i++ {
-				l := rng.Intn(legs)
-				assign[l] = append(assign[l], i)
-			}
-			parts := make([]*Partial, legs)
-			for l, rows := range assign {
-				if err := split[l].AppendTaken(whole, rows); err != nil {
-					t.Fatal(err)
-				}
-				pa, pg, err := BuildPartial(split[l], attrs, "g")
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts[l] = &Partial{
-					Epoch:     7,
-					StoreRows: split[l].NumRows(),
-					Matched:   split[l].NumRows(),
-					Attrs:     pa,
-					Groups:    pg,
-				}
-			}
-
-			m, err := MergePartials(parts)
+			wantTotals, wantGroups, err := BuildPartial(whole, spec.Attrs, spec.By)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.Matched != whole.NumRows() || m.StoreRows != whole.NumRows() {
-				t.Fatalf("legs=%d: merged %d/%d rows, want %d", legs, m.Matched, m.StoreRows, whole.NumRows())
-			}
-			for _, attr := range attrs {
-				got, want := m.Attrs[attr], wantAttrs[attr].Running()
-				if got.Count != want.Count {
-					t.Fatalf("legs=%d %s: count %d, want %d", legs, attr, got.Count, want.Count)
+
+			for _, legs := range []int{1, 2, 4} {
+				// Arbitrary (not round-robin, not contiguous) partition: each
+				// row lands on a random leg, so legs have uneven sizes and
+				// some may miss entire groups.
+				assign := make([][]int, legs)
+				for i := 0; i < whole.NumRows(); i++ {
+					l := rng.Intn(legs)
+					assign[l] = append(assign[l], i)
 				}
-				if !relClose(got.Mean, want.Mean) || !relClose(got.StdDev(), want.StdDev()) ||
-					got.Min != want.Min || got.Max != want.Max {
-					t.Fatalf("legs=%d %s: merged %+v, want %+v", legs, attr, got, want)
-				}
-			}
-			if len(m.Groups) != len(wantGroups) {
-				t.Fatalf("legs=%d: %d groups, want %d", legs, len(m.Groups), len(wantGroups))
-			}
-			for i, g := range m.Groups {
-				w := wantGroups[i]
-				if g.Value != w.Value || g.Count != w.Count {
-					t.Fatalf("legs=%d group %q count %d, want %q count %d", legs, g.Value, g.Count, w.Value, w.Count)
-				}
-				for attr, wa := range w.Attrs {
-					if !relClose(g.Means[attr], wa.Mean) {
-						t.Fatalf("legs=%d group %q %s mean %v, want %v", legs, g.Value, attr, g.Means[attr], wa.Mean)
+				parts := make([]*Partial, legs)
+				for l, rows := range assign {
+					tab, err := table.NewWithSchema(partialSchema)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				// NULL-heavy invariant: an attribute with zero valid cells
-				// in a group must be absent, not reported as mean 0.
-				for attr := range g.Means {
-					if _, ok := w.Attrs[attr]; !ok {
-						t.Fatalf("legs=%d group %q reports mean for all-NULL attr %s", legs, g.Value, attr)
+					if err := tab.AppendTaken(whole, rows); err != nil {
+						t.Fatal(err)
 					}
+					parts[l] = legOf(t, tab, spec)
+				}
+
+				m, err := MergePartials(spec, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.StoreRows != whole.NumRows() {
+					t.Fatalf("by=%q legs=%d: merged %d store rows, want %d", by, legs, m.StoreRows, whole.NumRows())
+				}
+				if err := sameResult(m.Agg, whole.NumRows(), wantTotals, wantGroups); err != nil {
+					t.Fatalf("by=%q legs=%d: %v", by, legs, err)
 				}
 			}
 		}
 	}
 }
 
+// TestMergePartialsErrors: a merge of nothing, a leg at another epoch and
+// every malformed accumulator shape fail the merge with an error — the
+// coordinator answers 502 for them — and never panic.
 func TestMergePartialsErrors(t *testing.T) {
-	if _, err := MergePartials(nil); err == nil {
+	spec := QuerySpec{Epoch: 3, Attrs: []string{"x"}}
+	if _, err := MergePartials(spec, nil); err == nil {
 		t.Fatal("merge of zero partials succeeded")
 	}
-	var a stats.Running
-	a.Add(1)
-	parts := []*Partial{
-		{Epoch: 3, Attrs: map[string]AttrPartial{"x": PartialOf(a)}},
-		{Epoch: 4},
-	}
-	if _, err := MergePartials(parts); err == nil {
-		t.Fatal("epoch-mismatched partials merged")
+	var one table.AggAccum
+	one.Observe(1)
+	sketchless := one
+	sketchless.S = nil
+	grouped := QuerySpec{Epoch: 3, Attrs: []string{"x"}, By: "g"}
+	for name, tt := range map[string]struct {
+		spec QuerySpec
+		leg  Partial
+	}{
+		"other epoch":            {spec, Partial{Epoch: 4, Agg: table.AggPartial{Rows: 1, Totals: []table.AggAccum{one}}}},
+		"no accumulators":        {spec, Partial{Epoch: 3, Agg: table.AggPartial{Rows: 1}}},
+		"too many accumulators":  {spec, Partial{Epoch: 3, Agg: table.AggPartial{Rows: 1, Totals: []table.AggAccum{one, one}}}},
+		"count without a sketch": {spec, Partial{Epoch: 3, Agg: table.AggPartial{Rows: 1, Totals: []table.AggAccum{sketchless}}}},
+		"null group":             {grouped, Partial{Epoch: 3, Agg: table.AggPartial{Rows: 1, Groups: []*table.GroupAccum{nil}}}},
+		"group accumulators":     {grouped, Partial{Epoch: 3, Agg: table.AggPartial{Rows: 1, Groups: []*table.GroupAccum{{Key: "a", Rows: 1}}}}},
+		"group without a sketch": {grouped, Partial{Epoch: 3, Agg: table.AggPartial{Rows: 1, Groups: []*table.GroupAccum{{Key: "a", Rows: 1, Attrs: []table.AggAccum{sketchless}}}}}},
+	} {
+		good := Partial{Epoch: 3, Agg: table.AggPartial{Rows: 1, Totals: []table.AggAccum{one}}}
+		if tt.spec.By != "" {
+			good.Agg = table.AggPartial{Rows: 1, Groups: []*table.GroupAccum{{Key: "a", Rows: 1, Attrs: []table.AggAccum{one}}}}
+		}
+		if _, err := MergePartials(tt.spec, []*Partial{&good}); err != nil {
+			t.Fatalf("%s: the well-formed leg alone: %v", name, err)
+		}
+		leg := tt.leg
+		if _, err := MergePartials(tt.spec, []*Partial{&good, &leg}); err == nil {
+			t.Errorf("%s: malformed leg merged", name)
+		}
 	}
 }
 
 // TestMergeForwardsEncodedRows: a leg's rows cross the wire and the merge
 // as the bytes the replica encoded, in leg order, and a leg answered
-// without the field — a stats-only leg, or a replica predating encoded
-// rows that matched nothing — still merges.
+// without the field — a stats-only leg, or one that matched nothing —
+// still merges.
 func TestMergeForwardsEncodedRows(t *testing.T) {
 	legs := []string{
-		`{"epoch":4,"store_rows":10,"matched":2,"query":"","rows":[{"id":"a","x":1.5,"y":null},{"id":"b \u003c\u0026","x":1e-7,"y":2}],"plan":{}}`,
-		`{"epoch":4,"store_rows":7,"matched":0,"query":"","plan":{}}`,
-		`{"epoch":4,"store_rows":5,"matched":1,"query":"","rows":[{"id":"c","x":-0,"y":3}],"plan":{}}`,
+		`{"epoch":4,"store_rows":10,"query":"","agg":{"rows":2},"rows":[{"id":"a","x":1.5,"y":null},{"id":"b \u003c\u0026","x":1e-7,"y":2}],"plan":{}}`,
+		`{"epoch":4,"store_rows":7,"query":"","agg":{"rows":0},"plan":{}}`,
+		`{"epoch":4,"store_rows":5,"query":"","agg":{"rows":1},"rows":[{"id":"c","x":-0,"y":3}],"plan":{}}`,
 	}
 	parts := make([]*Partial, len(legs))
 	for i, leg := range legs {
@@ -184,13 +241,13 @@ func TestMergeForwardsEncodedRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := MergePartials(parts)
+	m, err := MergePartials(QuerySpec{Epoch: 4}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{`{"id":"a","x":1.5,"y":null}`, `{"id":"b \u003c\u0026","x":1e-7,"y":2}`, `{"id":"c","x":-0,"y":3}`}
-	if len(m.Rows) != len(want) || m.Matched != 3 || m.StoreRows != 22 {
-		t.Fatalf("merged %d rows, matched %d of %d", len(m.Rows), m.Matched, m.StoreRows)
+	if len(m.Rows) != len(want) || m.Agg.Matched != 3 || m.StoreRows != 22 {
+		t.Fatalf("merged %d rows, matched %d of %d", len(m.Rows), m.Agg.Matched, m.StoreRows)
 	}
 	for i, row := range m.Rows {
 		if string(row) != want[i] {
@@ -208,79 +265,83 @@ func TestMergeForwardsEncodedRows(t *testing.T) {
 	}
 }
 
-func TestAttrPartialWireSymmetry(t *testing.T) {
-	var r stats.Running
-	for _, v := range []float64{3, -1, 4, 1, -5, 9, 2.5} {
-		r.Add(v)
-	}
-	back := PartialOf(r).Running()
-	if back != r {
-		t.Fatalf("wire round-trip changed accumulator: %+v != %+v", back, r)
+// TestAggPartialWireRoundTrip: the store's accumulators are their own wire
+// form — a leg decoded from its JSON holds exactly the state that was
+// encoded (sums, Welford state, sketch buckets; an attribute with no valid
+// cell in a group stays an empty accumulator), grouped and ungrouped.
+func TestAggPartialWireRoundTrip(t *testing.T) {
+	tab := partialRows(t, rand.New(rand.NewSource(5)), 800)
+	for _, by := range []string{"g", ""} {
+		spec := QuerySpec{Epoch: 2, Attrs: []string{"x", "y"}, By: by}
+		leg := legOf(t, tab, spec)
+		enc, err := json.Marshal(leg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(enc), "Inf") || strings.Contains(string(enc), "NaN") {
+			t.Fatalf("by=%q: non-finite value on the wire: %.200s", by, enc)
+		}
+		var back Partial
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&back, leg) {
+			t.Fatalf("by=%q: the decoded leg differs from the encoded one", by)
+		}
 	}
 }
 
-// TestPartialFromAgg pins the pushdown-leg conversion: an AggResult's
-// accumulators land on the wire exactly as BuildPartial's would —
-// Welford state plus sketch per attribute and per group, zero-count
-// group attributes absent, ungrouped results carrying no groups.
-func TestPartialFromAgg(t *testing.T) {
-	mk := func(vals ...float64) table.AggAccum {
-		var a table.AggAccum
-		for _, v := range vals {
-			a.Observe(v)
-		}
-		return a
-	}
-	res := &store.AggResult{
-		Matched: 5,
-		Totals:  []table.AggAccum{mk(1, 3, 10), mk(-2, 4)},
-		Groups: []*table.GroupAccum{
-			{Key: "", Rows: 2, Attrs: []table.AggAccum{mk(1, 3), {}}},
-			{Key: "a", Rows: 3, Attrs: []table.AggAccum{mk(10), mk(-2, 4)}},
-		},
-	}
-	attrs, groups := PartialFromAgg(res, []string{"x", "y"}, "g")
-	if tx := attrs["x"]; tx.Count != 3 || tx.Max != 10 || tx.Sketch.Count() != 3 {
-		t.Fatalf("totals x = %+v", tx)
-	}
-	if len(groups) != 2 || groups[0].Value != "" || groups[1].Value != "a" {
-		t.Fatalf("groups = %+v", groups)
-	}
-	if groups[0].Count != 2 || groups[1].Count != 3 {
-		t.Fatalf("group counts = %d/%d", groups[0].Count, groups[1].Count)
-	}
-	// Zero-count attribute y of group "" must be absent from the wire.
-	if _, ok := groups[0].Attrs["y"]; ok {
-		t.Fatalf("empty accumulator made it onto the wire: %+v", groups[0].Attrs)
-	}
-	gx := groups[0].Attrs["x"]
-	if gx.Count != 2 || gx.Min != 1 || gx.Max != 3 || gx.Sketch.Count() != 2 {
-		t.Fatalf("group \"\" x = %+v", gx)
-	}
-	ay := groups[1].Attrs["y"]
-	if ay.Count != 2 || ay.Mean != 1 || ay.Sketch == nil {
-		t.Fatalf("group a y = %+v", ay)
-	}
-
-	// Ungrouped: totals only, no groups.
-	tot := mk(2, 6)
-	res = &store.AggResult{Matched: 2, Totals: []table.AggAccum{tot}}
-	attrs, groups = PartialFromAgg(res, []string{"x"}, "")
-	if groups != nil {
-		t.Fatalf("ungrouped result carried groups: %+v", groups)
-	}
-	ax := attrs["x"]
-	if ax.Count != 2 || ax.Mean != 4 || ax.Sketch.Count() != 2 {
-		t.Fatalf("totals x = %+v", ax)
-	}
-
-	// Merged through the standard path, the converted partial behaves
-	// like any other leg.
-	m, err := MergePartials([]*Partial{{Attrs: attrs, Matched: 2}})
+// TestPushdownLegsMatchBuildPartial is pushdown ≡ row-wise oracle through
+// the wire: the store aggregates each shard range in place
+// (QueryShardsPage, what a replica leg runs), the legs cross JSON, and the
+// merge must equal BuildPartial over the materialized match set.
+func TestPushdownLegsMatchBuildPartial(t *testing.T) {
+	st, err := store.New(store.Config{Shards: 4, SegmentRows: 128, Schema: partialSchema, KeyAttr: "id"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Attrs["x"].Count != 2 || m.AttrSketches["x"].Count() != 2 {
-		t.Fatalf("merged converted partial: %+v", m.Attrs["x"])
+	if _, err := st.AppendTable(partialRows(t, rand.New(rand.NewSource(9)), 1500)); err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Snapshot()
+	for _, by := range []string{"g", ""} {
+		spec := QuerySpec{Epoch: snap.Epoch(), Attrs: []string{"x", "y"}, By: by}
+		matched, _, err := snap.Query(nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTotals, wantGroups, err := BuildPartial(matched, spec.Attrs, spec.By)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parts []*Partial
+		for from := 0; from < snap.NumShards(); from += 2 {
+			res, _, ps, err := snap.QueryShardsPage(nil, from, from+2, 1, store.AggSpec{By: by, Attrs: spec.Attrs}, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leg := Partial{Epoch: spec.Epoch, Agg: table.AggPartial{Rows: res.Matched, Groups: res.Groups}, Plan: ps}
+			if by == "" {
+				leg.Agg.Totals = res.Totals
+			}
+			enc, err := json.Marshal(&leg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, new(Partial))
+			if err := json.Unmarshal(enc, parts[len(parts)-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := MergePartials(spec, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameResult(m.Agg, matched.NumRows(), wantTotals, wantGroups); err != nil {
+			t.Fatalf("by=%q: %v", by, err)
+		}
+		if m.Plan.Shards != snap.NumShards() || m.Plan.MatchedRows != matched.NumRows() {
+			t.Fatalf("by=%q: merged plan %+v", by, m.Plan)
+		}
 	}
 }

@@ -3,7 +3,8 @@
 // segments and per-epoch deltas, a replica pull loop that applies them
 // without decoding, and a scatter-gather coordinator that fans queries
 // out over replicas at one common epoch and merges the partial
-// aggregates exactly (Welford merge via stats.Running).
+// aggregates through the store's own accumulators (table.AggPartial, the
+// fold a single node runs over its shards).
 package scaleout
 
 import (

@@ -18,6 +18,7 @@ import (
 	"indice/internal/epc"
 	"indice/internal/geo"
 	"indice/internal/query"
+	"indice/internal/store"
 )
 
 func bodyOf(n int) *answer {
@@ -108,16 +109,16 @@ func reencoded(t *testing.T, body string) string {
 	return string(enc) + "\n"
 }
 
-// TestComputedAndCachedAnswersAreTheSameBytes: on a single node (live and
-// static) and on a coordinator, the answer a request computed and the
+// TestComputedAndCachedAnswersAreTheSameBytes: on a single node (ingesting
+// and frozen) and on a coordinator, the answer a request computed and the
 // answer the next request reads from the cache differ in the cached
 // literal only, both carry their Content-Length, and the body is exactly
 // what encoding/json makes of the decoded response.
 func TestComputedAndCachedAnswersAreTheSameBytes(t *testing.T) {
 	tc := newTestCluster(t, 2, 600)
 	tc.syncAll(t)
-	static := testServer(t, false)
-	for name, base := range map[string]string{"live": tc.leader.URL, "coordinator": tc.coordSrv.URL, "static": static.URL} {
+	frozen := testServer(t, false)
+	for name, base := range map[string]string{"live": tc.leader.URL, "coordinator": tc.coordSrv.URL, "frozen": frozen.URL} {
 		for _, q := range []string{
 			"/api/query?attrs=eph&by=energy_class&q=eph+%3E%3D+60",
 			"/api/query?attrs=eph&q=eph+%3E%3D+60&limit=25&offset=3",
@@ -173,7 +174,7 @@ func TestCoalescedAnswerIsTheCachedBytes(t *testing.T) {
 		computes++
 		close(entered)
 		<-gate
-		return q.encodeAnswer(queryHead{Epoch: 3, StoreRows: 9, Matched: 1},
+		return q.encodeAnswer(3, 9, &store.AggResult{Matched: 1}, nil,
 			func(dst []byte) []byte { return append(dst, `{"eph":61.5}`...) }, &clusterInfo{Replicas: 2})
 	}
 	serve := func() *httptest.ResponseRecorder {

@@ -14,10 +14,9 @@ type healthResponse struct {
 	// Status is "ok", or "starting" for a live server before the first
 	// successful refresh publishes a state.
 	Status        string  `json:"status"`
-	Mode          string  `json:"mode"` // static, live, leader, replica or coordinator
+	Mode          string  `json:"mode"` // live, leader, replica or coordinator
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Rows is the serving row count: the engine table (static) or the
-	// live store's current rows (live, ahead of the published state).
+	// Rows is the store's current row count (ahead of the published state).
 	Rows      int    `json:"rows"`
 	Published bool   `json:"published"`
 	Epoch     uint64 `json:"epoch,omitempty"`
@@ -49,7 +48,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	lat := mergedRouteLatency()
 	resp := healthResponse{
 		Status:        "ok",
-		Mode:          "static",
+		Mode:          "live",
 		UptimeSeconds: time.Since(serverStart).Seconds(),
 		Published:     true,
 		HTTP: httpHealth{
@@ -73,12 +72,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, resp)
 		return
 	}
-	if s.live == nil {
-		resp.Rows = s.eng.Table().NumRows()
-		writeJSON(w, resp)
-		return
-	}
-	resp.Mode = "live"
 	switch {
 	case s.leader != nil:
 		resp.Mode = "leader"

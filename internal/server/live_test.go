@@ -422,18 +422,39 @@ func TestMethodAndBodyLimits(t *testing.T) {
 	}
 }
 
-// TestStaticServerStoreRoutes pins static-mode behavior of the live-only
-// routes.
+// TestStaticServerStoreRoutes: a frozen boot is a node like any other, so
+// the store routes answer. A refresh with nothing new returns the one
+// publication. (Refusing POST /api/ingest without -ingest is
+// cmd/indice-server's doing; see its frozen-boot test.)
 func TestStaticServerStoreRoutes(t *testing.T) {
 	ts := testServer(t, false)
-	if code, _ := get(t, ts.URL+"/api/store"); code != http.StatusNotFound {
-		t.Fatalf("static store = %d", code)
+	code, body := get(t, ts.URL+"/api/store")
+	if code != http.StatusOK {
+		t.Fatalf("store = %d: %s", code, body)
 	}
-	if code, _ := post(t, ts.URL+"/api/ingest", "application/json", []byte("{}")); code != http.StatusNotFound {
-		t.Fatalf("static ingest = %d", code)
+	var st struct {
+		Rows      int    `json:"rows"`
+		Refreshes uint64 `json:"refreshes"`
+		Published struct {
+			Epoch        uint64 `json:"epoch"`
+			LineageBytes int    `json:"lineage_bytes"`
+		} `json:"published"`
 	}
-	if code, _ := post(t, ts.URL+"/api/refresh", "application/json", nil); code != http.StatusNotFound {
-		t.Fatalf("static refresh = %d", code)
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Rows != 1200 || st.Refreshes != 1 || st.Published.Epoch == 0 || st.Published.LineageBytes != 0 {
+		t.Fatalf("store = %+v", st)
+	}
+	code, body = post(t, ts.URL+"/api/refresh", "application/json", nil)
+	if code != http.StatusOK {
+		t.Fatalf("refresh = %d: %s", code, body)
+	}
+	var ref struct {
+		Epoch uint64 `json:"epoch"`
+	}
+	if err := json.Unmarshal([]byte(body), &ref); err != nil || ref.Epoch != st.Published.Epoch {
+		t.Fatalf("refresh = %s (%v), want epoch %d again", body, err, st.Published.Epoch)
 	}
 }
 

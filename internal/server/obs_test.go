@@ -137,6 +137,8 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	}
 }
 
+// TestHealthEndpointStatic: a frozen boot reports like every published
+// node — mode "live", its epoch and its refresh count.
 func TestHealthEndpointStatic(t *testing.T) {
 	ts := testServer(t, false)
 	code, body := get(t, ts.URL+"/api/health")
@@ -148,6 +150,8 @@ func TestHealthEndpointStatic(t *testing.T) {
 		Mode      string `json:"mode"`
 		Rows      int    `json:"rows"`
 		Published bool   `json:"published"`
+		Epoch     uint64 `json:"epoch"`
+		Refreshes uint64 `json:"refreshes"`
 		HTTP      struct {
 			Requests uint64  `json:"requests"`
 			InFlight float64 `json:"in_flight"`
@@ -156,11 +160,15 @@ func TestHealthEndpointStatic(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &h); err != nil {
 		t.Fatalf("bad health JSON: %v\n%s", err, body)
 	}
-	if h.Status != "ok" || h.Mode != "static" || !h.Published {
+	if h.Status != "ok" || h.Mode != "live" || !h.Published || h.Epoch == 0 || h.Refreshes != 1 {
 		t.Errorf("health = %+v", h)
 	}
-	if h.Rows == 0 {
-		t.Error("health reports zero rows for a seeded static server")
+	if h.Rows != 1200 {
+		t.Errorf("health reports %d rows for a server seeded with 1200", h.Rows)
+	}
+	code, body = get(t, ts.URL+"/api/ready")
+	if code != http.StatusOK || !strings.Contains(body, `"mode": "live"`) {
+		t.Errorf("ready = %d %s", code, body)
 	}
 	if h.HTTP.Requests == 0 {
 		t.Error("health reports zero requests after at least one was served")

@@ -6,16 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
 	"indice/internal/geo"
 	"indice/internal/parallel"
 	"indice/internal/query"
-	"indice/internal/stats"
 	"indice/internal/store"
 	"indice/internal/table"
 )
@@ -98,8 +95,8 @@ type presetInfo struct {
 // stats-only shape — then the tail's. The rows are never a Go value:
 // encodeAnswer appends them between the two encoded halves.
 type queryHead struct {
-	// Epoch is the snapshot epoch the response was computed under (0 in
-	// static mode); every field is consistent with that one snapshot.
+	// Epoch is the snapshot epoch the response was computed under; every
+	// field is consistent with that one snapshot.
 	Epoch     uint64 `json:"epoch"`
 	StoreRows int    `json:"store_rows"`
 	Matched   int    `json:"matched"`
@@ -126,9 +123,7 @@ type queryTail struct {
 func parseQueryRequest(r *http.Request) (*queryRequest, error) {
 	if r.Method == http.MethodPost {
 		var req queryRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeStrict(r.Body, &req); err != nil {
 			return nil, fmt.Errorf("bad JSON body: %w", err)
 		}
 		return &req, nil
@@ -264,13 +259,28 @@ func (q *resolvedQuery) cacheKey() string {
 		q.canonical, q.req.Preset, q.attrs, q.req.By, q.req.Limit, q.req.Offset)
 }
 
-// encodeAnswer renders the one body of a computed answer. head carries
-// what the executor computed; the request's echo fields are filled in
-// here. rows appends the contents of the "rows" array and must be set
-// exactly on limit>0 requests. The body is encoded in its cached
-// form; answer.write patches the literal for the computing request.
-func (q *resolvedQuery) encodeAnswer(head queryHead, rows func([]byte) []byte, cluster *clusterInfo) (*answer, error) {
-	head.Query, head.Preset, head.Cached = q.canonical, q.preset, true
+// encodeAnswer renders the one body of a computed answer from what an
+// executor returned — a node's own store or a coordinator's fan-out: the
+// pushdown's accumulators become the statistics and groups, the request
+// supplies the echo fields. plan may be nil. rows appends the contents of
+// the "rows" array and must be set exactly on limit>0 requests. The body
+// is encoded in its cached form; answer.write patches the literal for the
+// computing request.
+func (q *resolvedQuery) encodeAnswer(epoch uint64, storeRows int, res *store.AggResult, plan *store.PlanStats,
+	rows func([]byte) []byte, cluster *clusterInfo) (*answer, error) {
+	head := queryHead{
+		Epoch:     epoch,
+		StoreRows: storeRows,
+		Matched:   res.Matched,
+		Query:     q.canonical,
+		Cached:    true,
+		Plan:      plan,
+		Preset:    q.preset,
+		Stats:     statsFromAccums(q.attrs, res.Totals),
+	}
+	if q.req.By != "" {
+		head.Groups = groupsFromAccums(res.Groups, q.attrs)
+	}
 	body, err := json.Marshal(&head)
 	if err != nil {
 		return nil, err
@@ -278,7 +288,7 @@ func (q *resolvedQuery) encodeAnswer(head queryHead, rows func([]byte) []byte, c
 	// Quotes inside JSON strings are escaped, so the first `"cached":true`
 	// is the field itself and not a part of the query echo before it.
 	const field = `"cached":true`
-	a := &answer{epoch: head.Epoch, contentType: "application/json"}
+	a := &answer{epoch: epoch, contentType: "application/json"}
 	a.cachedAt = bytes.Index(body, []byte(field)) + len(field) - len("true")
 	tail, err := json.Marshal(&queryTail{Limit: q.req.Limit, Offset: q.req.Offset, Cluster: cluster})
 	if err != nil {
@@ -297,81 +307,33 @@ func (q *resolvedQuery) encodeAnswer(head queryHead, rows func([]byte) []byte, c
 }
 
 // handleQuery serves the stakeholder query engine: predicate selection
-// with filtered summaries, grouped statistics and row pages, computed
-// on the published snapshot (live mode, planner pushdown) or the frozen
-// engine table (static mode) and cached per (epoch, canonical query).
+// with filtered summaries, grouped statistics and row pages, computed on
+// the published snapshot and cached per (epoch, canonical query).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q, err := resolveRequest(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	req := q.req
-	if s.live != nil {
-		pub := s.live.Current()
-		if pub == nil || pub.Snapshot == nil {
-			http.Error(w, errNotPublished.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		s.serveCached(w, r, queryLookups, pub.Epoch, q.cacheKey(), func(context.Context) (*answer, error) {
-			// One planner pass: group keys stay dictionary codes, values
-			// stay packed, and the only rows decoded are the page's —
-			// page is nil on limit=0 requests. Statistics and groups come
-			// straight from the pushdown's mergeable accumulators.
-			snap := pub.Snapshot
-			res, page, ps, err := snap.QueryShardsPage(q.pred, 0, snap.NumShards(), parallel.Auto,
-				store.AggSpec{By: req.By, Attrs: q.attrs}, req.Offset, req.Limit)
-			if err != nil {
-				return nil, &statusError{queryErrStatus(err), err}
-			}
-			head := queryHead{
-				Epoch:     pub.Epoch,
-				StoreRows: snap.NumRows(),
-				Matched:   res.Matched,
-				Plan:      &ps,
-				Stats:     statsFromAccums(q.attrs, res.Totals),
-			}
-			if req.By != "" {
-				head.Groups = groupsFromAccums(res.Groups, q.attrs)
-			}
-			var rows func([]byte) []byte
-			if page != nil {
-				rows = func(dst []byte) []byte { return appendRows(dst, page, 0, page.NumRows()) }
-			}
-			return q.encodeAnswer(head, rows, nil)
-		})
+	pub := s.published(w)
+	if pub == nil {
 		return
 	}
-
-	eng, _, epoch, ok := s.serveState(w)
-	if !ok {
-		return
-	}
-	s.serveCached(w, r, queryLookups, epoch, q.cacheKey(), func(context.Context) (*answer, error) {
-		// Static mode: the frozen engine table is already materialized,
-		// so the answer comes from the match set.
-		matched := eng.Table()
-		if q.pred != nil {
-			var err error
-			if matched, err = query.Select(eng.Table(), q.pred); err != nil {
-				return nil, &statusError{queryErrStatus(err), err}
-			}
-		}
-		head := queryHead{StoreRows: eng.Table().NumRows(), Matched: matched.NumRows()}
-		var err error
-		if head.Stats, err = summarize(matched, q.attrs); err != nil {
-			return nil, &statusError{http.StatusBadRequest, err}
-		}
-		if req.By != "" {
-			if head.Groups, err = groupBy(matched, req.By, q.attrs); err != nil {
-				return nil, &statusError{http.StatusBadRequest, err}
-			}
+	s.serveCached(w, r, queryLookups, pub.Epoch, q.cacheKey(), func(context.Context) (*answer, error) {
+		// One planner pass: group keys stay dictionary codes, values stay
+		// packed, and the only rows decoded are the page's — page is nil on
+		// limit=0 requests.
+		snap := pub.Snapshot
+		res, page, ps, err := snap.QueryShardsPage(q.pred, 0, snap.NumShards(), parallel.Auto,
+			store.AggSpec{By: q.req.By, Attrs: q.attrs}, q.req.Offset, q.req.Limit)
+		if err != nil {
+			return nil, &statusError{queryErrStatus(err), err}
 		}
 		var rows func([]byte) []byte
-		if req.Limit > 0 {
-			rows = func(dst []byte) []byte { return appendRows(dst, matched, req.Offset, req.Offset+req.Limit) }
+		if page != nil {
+			rows = func(dst []byte) []byte { return appendRows(dst, page, 0, page.NumRows()) }
 		}
-		return q.encodeAnswer(head, rows, nil)
+		return q.encodeAnswer(pub.Epoch, snap.NumRows(), res, &ps, rows, nil)
 	})
 }
 
@@ -432,33 +394,10 @@ func queryErrStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// summarize computes the distribution summary of each requested numeric
-// attribute over the matched rows (static mode; live queries render the
-// pushdown's accumulators through statsFromAccums).
-func summarize(tab *table.Table, attrs []string) ([]attrStats, error) {
-	out := make([]attrStats, 0, len(attrs))
-	for _, attr := range attrs {
-		vals, err := tab.ValidFloats(attr)
-		if err != nil {
-			return nil, err
-		}
-		as := attrStats{Attr: attr, Count: len(vals)}
-		if d, err := stats.Describe(vals); err == nil {
-			as = attrStats{
-				Attr: attr, Count: d.Count, Mean: d.Mean, StdDev: d.StdDev,
-				Min: d.Min, Q1: d.Q1, Median: d.Median, Q3: d.Q3, Max: d.Max,
-			}
-		}
-		out = append(out, as)
-	}
-	return out, nil
-}
-
-// statsFromAccums renders pushdown totals as attribute summaries.
-// Compared to static mode's summarize, Count/Mean/Min/Max are
-// bitwise-identical on finite data; the quartiles come from the mergeable
-// sketch (±1.6% relative) instead of an exact sort — for stats-only and
-// row-page requests alike, so one drill-down step reports one set of values.
+// statsFromAccums renders pushdown totals as attribute summaries. The
+// quartiles come from the mergeable sketch (±1.6% relative, see
+// stats.Sketch) — for stats-only and row-page requests alike, so one
+// drill-down step reports one set of values.
 func statsFromAccums(attrs []string, totals []table.AggAccum) []attrStats {
 	out := make([]attrStats, 0, len(attrs))
 	for k, attr := range attrs {
@@ -504,67 +443,6 @@ func groupsFromAccums(groups []*table.GroupAccum, attrs []string) []groupStats {
 		out = append(out, gs)
 	}
 	return out
-}
-
-// groupBy aggregates the matched rows by a categorical attribute:
-// per-value row count plus the mean and quantile summary of each
-// summarized attribute. Invalid cells group under "" like
-// Table.GroupByString. Groups are sorted by value for deterministic
-// output. Static mode only: the frozen engine table is already
-// materialized; every live query takes the pushdown path instead.
-func groupBy(tab *table.Table, by string, attrs []string) ([]groupStats, error) {
-	groups, err := tab.GroupByString(by)
-	if err != nil {
-		return nil, err
-	}
-	cols := make(map[string][]float64, len(attrs))
-	masks := make(map[string][]bool, len(attrs))
-	for _, attr := range attrs {
-		vals, err := tab.Floats(attr)
-		if err != nil {
-			return nil, err
-		}
-		cols[attr] = vals
-		masks[attr], _ = tab.ValidMask(attr)
-	}
-	out := make([]groupStats, 0, len(groups))
-	for val, rows := range groups {
-		g := groupStats{Value: val, Count: len(rows)}
-		for _, attr := range attrs {
-			sum, n := 0.0, 0
-			sk := &stats.Sketch{}
-			vals, mask := cols[attr], masks[attr]
-			for _, r := range rows {
-				if mask[r] {
-					sum += vals[r]
-					n++
-					if v := vals[r]; !math.IsNaN(v) && !math.IsInf(v, 0) {
-						sk.Add(v)
-					}
-				}
-			}
-			if n > 0 {
-				if g.Means == nil {
-					g.Means = make(map[string]float64, len(attrs))
-				}
-				g.Means[attr] = sum / float64(n)
-			}
-			if sk.Count() > 0 {
-				if g.Quartiles == nil {
-					g.Quartiles = make(map[string]groupQuartiles, len(attrs))
-				}
-				g.Quartiles[attr] = groupQuartiles{
-					Q1:     sk.Quantile(0.25),
-					Median: sk.Quantile(0.5),
-					Q3:     sk.Quantile(0.75),
-					P90:    sk.Quantile(0.9),
-				}
-			}
-		}
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
-	return out, nil
 }
 
 // handlePresets lists the stakeholder query presets: default selection,

@@ -52,6 +52,9 @@ func rowsOf(r *queryResponse) []map[string]any {
 	return *r.Rows
 }
 
+// TestQueryStatic: a frozen boot answers /api/query like every other node
+// — an epoch, a plan block, the seeded row count — and caches per
+// (epoch, canonical query, options).
 func TestQueryStatic(t *testing.T) {
 	ts := testServer(t, false)
 
@@ -60,8 +63,11 @@ func TestQueryStatic(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	if resp.Matched == 0 || resp.Matched > resp.StoreRows {
+	if resp.Matched == 0 || resp.Matched > resp.StoreRows || resp.StoreRows != 1200 {
 		t.Fatalf("matched = %d of %d", resp.Matched, resp.StoreRows)
+	}
+	if resp.Epoch == 0 || resp.Plan == nil || resp.Plan.MatchedRows != resp.Matched {
+		t.Fatalf("epoch %d, plan %+v", resp.Epoch, resp.Plan)
 	}
 	if resp.Query != "intended_use in {E.1.1}" {
 		t.Fatalf("canonical query = %q", resp.Query)
@@ -197,6 +203,18 @@ func TestQueryBadRequests(t *testing.T) {
 		[]byte(`{"q":"eph in [1,2]","predicate":{"op":"in","attr":"city","values":["x"]}}`))
 	if code != http.StatusBadRequest {
 		t.Errorf("q+predicate: status %d, want 400", code)
+	}
+	// One JSON object per body: trailing data and unknown fields are
+	// refused, not silently dropped.
+	for _, body := range []string{
+		`{"q":"eph in [1,2]"} garbage`,
+		`{"q":"eph in [1,2]"}{"q":"eph in [3,4]"}`,
+		`{"q":"eph in [1,2]"}}`,
+		`{"q":"eph in [1,2]","bogus":1}`,
+	} {
+		if code, out := post(t, ts.URL+"/api/query", "application/json", []byte(body)); code != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d (%s), want 400", body, code, strings.TrimSpace(out))
+		}
 	}
 	// A single attrs element containing a comma must not collide in the
 	// cache with the equivalent multi-element list: warm the two-element

@@ -25,23 +25,21 @@ type readyResponse struct {
 	LagEpochs uint64 `json:"lag_epochs,omitempty"`
 }
 
-// handleReady answers 200 once the process can serve correct data:
-// static servers immediately, live servers once the first snapshot
-// analysis is published, replicas additionally only while within
+// handleReady answers 200 once the process can serve correct data: a
+// node once the first snapshot analysis is published (a frozen boot
+// publishes before it listens), replicas additionally only while within
 // ReadyMaxLag epochs of their leader, coordinators once at least one
 // reachable replica has synced.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	resp := readyResponse{Ready: true, Mode: "static"}
-	switch {
-	case s.coord != nil:
+	resp := readyResponse{Ready: true, Mode: "live"}
+	if s.coord != nil {
 		resp.Mode = "coordinator"
 		if err := s.coord.Ready(); err != nil {
 			resp.Ready, resp.Reason = false, err.Error()
 		} else if e, err := s.coord.Epoch(); err == nil {
 			resp.Epoch = e
 		}
-	case s.live != nil:
-		resp.Mode = "live"
+	} else {
 		if s.leader != nil {
 			resp.Mode = "leader"
 		}

@@ -11,6 +11,7 @@ import (
 	"indice/internal/query"
 	"indice/internal/scaleout"
 	"indice/internal/store"
+	"indice/internal/table"
 )
 
 // maxLegRows caps the row prefix one scatter-gather leg returns, and with
@@ -32,15 +33,13 @@ func (s *Server) handleReplicateStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePartialQuery serves one scatter-gather leg: the query evaluated
-// over one shard range of one pinned leader epoch, answering mergeable
-// Welford partials instead of final statistics. 412 when the requested
+// over one shard range of one pinned leader epoch, answering the store's
+// mergeable accumulators instead of final statistics. 412 when the requested
 // epoch is no longer (or not yet) held in the snapshot ring — the
 // coordinator's signal to fail the leg over.
 func (s *Server) handlePartialQuery(w http.ResponseWriter, r *http.Request) {
 	var spec scaleout.QuerySpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeStrict(r.Body, &spec); err != nil {
 		http.Error(w, "bad JSON body: "+err.Error(), badBodyStatus(err))
 		return
 	}
@@ -74,14 +73,16 @@ func (s *Server) handlePartialQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), queryErrStatus(err))
 		return
 	}
-	attrs, groups := scaleout.PartialFromAgg(res, spec.Attrs, spec.By)
 	p := &scaleout.Partial{
-		Epoch:   spec.Epoch,
-		Matched: res.Matched,
-		Query:   spec.Q,
-		Attrs:   attrs,
-		Groups:  groups,
-		Plan:    ps,
+		Epoch: spec.Epoch,
+		Query: spec.Q,
+		Agg:   table.AggPartial{Rows: res.Matched, Groups: res.Groups},
+		Plan:  ps,
+	}
+	if spec.By == "" {
+		// A grouped result's totals are the fold of its groups, which the
+		// coordinator redoes over the merged groups.
+		p.Agg.Totals = res.Totals
 	}
 	if page != nil {
 		p.Rows = encodeRows(page)
@@ -108,11 +109,10 @@ type clusterInfo struct {
 
 // handleCoordQuery serves /api/query on a coordinator: resolve the
 // request exactly like a single node, fan the canonical predicate out
-// over the replicas at the max common epoch, and merge the partials into
-// the single-node response shape. Merged responses carry the full
-// attribute summary: count/mean/stddev/min/max from Welford state, and
-// quartiles from the merged quantile sketches — sketch merges are exact,
-// so a coordinator reports the same quartiles a single node would.
+// over the replicas at the max common epoch, and render the merged
+// accumulators exactly like a single node's. Accumulator and sketch merges
+// are exact, so a coordinator reports the counts, extrema and quartiles a
+// single node would.
 func (s *Server) handleCoordQuery(w http.ResponseWriter, r *http.Request) {
 	q, err := resolveRequest(r)
 	if err != nil {
@@ -142,47 +142,6 @@ func (s *Server) handleCoordQuery(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, coordError(err)
 		}
-		head := queryHead{
-			Epoch:     m.Epoch,
-			StoreRows: m.StoreRows,
-			Matched:   m.Matched,
-			Plan:      &m.Plan,
-			Stats:     make([]attrStats, 0, len(q.attrs)),
-		}
-		for _, attr := range q.attrs {
-			rs := m.Attrs[attr]
-			as := attrStats{
-				Attr: attr, Count: rs.Count, Mean: rs.Mean, StdDev: rs.StdDev(),
-				Min: rs.Min, Max: rs.Max,
-			}
-			if sk := m.AttrSketches[attr]; sk.Count() > 0 {
-				as.Q1 = sk.Quantile(0.25)
-				as.Median = sk.Quantile(0.5)
-				as.Q3 = sk.Quantile(0.75)
-			}
-			head.Stats = append(head.Stats, as)
-		}
-		if req.By != "" {
-			head.Groups = make([]groupStats, 0, len(m.Groups))
-			for _, g := range m.Groups {
-				gs := groupStats{Value: g.Value, Count: g.Count, Means: g.Means}
-				for attr, sk := range g.Sketches {
-					if sk.Count() == 0 {
-						continue
-					}
-					if gs.Quartiles == nil {
-						gs.Quartiles = make(map[string]groupQuartiles, len(g.Sketches))
-					}
-					gs.Quartiles[attr] = groupQuartiles{
-						Q1:     sk.Quantile(0.25),
-						Median: sk.Quantile(0.5),
-						Q3:     sk.Quantile(0.75),
-						P90:    sk.Quantile(0.9),
-					}
-				}
-				head.Groups = append(head.Groups, gs)
-			}
-		}
 		var rows func([]byte) []byte
 		if req.Limit > 0 {
 			// Every leg returned its first offset+limit matches, already
@@ -202,7 +161,7 @@ func (s *Server) handleCoordQuery(w http.ResponseWriter, r *http.Request) {
 				return dst
 			}
 		}
-		return q.encodeAnswer(head, rows, &clusterInfo{Replicas: m.Replicas, Degraded: m.Degraded})
+		return q.encodeAnswer(m.Epoch, m.StoreRows, m.Agg, &m.Plan, rows, &clusterInfo{Replicas: m.Replicas, Degraded: m.Degraded})
 	})
 }
 

@@ -20,6 +20,7 @@ import (
 	"indice/internal/scaleout"
 	"indice/internal/store"
 	"indice/internal/synth"
+	"indice/internal/table"
 )
 
 // testCluster is an in-process leader + N replicas + coordinator, all
@@ -141,11 +142,12 @@ func relCloseTo(a, b float64) bool {
 }
 
 // TestCoordinatorMatchesSingleNode is the server-level equivalence
-// check: the scatter-gather /api/query answer over 1 and 2 replicas
+// check: the scatter-gather /api/query answer over 1, 2 and 3 replicas
 // must match the single-node answer from the leader within 1e-9 on
-// every merged statistic, group for group, row for row.
+// every merged statistic — bitwise on counts, extrema and quartiles —
+// group for group, row for row.
 func TestCoordinatorMatchesSingleNode(t *testing.T) {
-	for _, nReplicas := range []int{1, 2} {
+	for _, nReplicas := range []int{1, 2, 3} {
 		tc := newTestCluster(t, nReplicas, 1200)
 		tc.syncAll(t)
 
@@ -181,6 +183,13 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 					m.Min != s.Min || m.Max != s.Max {
 					t.Fatalf("replicas=%d %s: stats[%d] = %+v, want %+v", nReplicas, q, i, m, s)
 				}
+				// Count, extrema and rank statistics merge exactly: the
+				// same bits, not merely ==.
+				for _, pair := range [][2]float64{{m.Min, s.Min}, {m.Max, s.Max}, {m.Q1, s.Q1}, {m.Median, s.Median}, {m.Q3, s.Q3}} {
+					if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+						t.Fatalf("replicas=%d %s: stats[%d] = %+v, want bitwise %+v", nReplicas, q, i, m, s)
+					}
+				}
 				// Every shape — stats-only or row page — takes the sketch
 				// path on both sides; sketch merges are exact, so
 				// coordinator quartiles equal the single node's bitwise.
@@ -206,9 +215,17 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 							nReplicas, q, g.Value, attr, g.Means[attr], mean)
 					}
 				}
-				if !reflect.DeepEqual(g.Quartiles, w.Quartiles) {
+				if !reflect.DeepEqual(g.Quartiles, w.Quartiles) || len(g.Means) != len(w.Means) {
 					t.Fatalf("replicas=%d %s: group %q quartiles = %+v, want %+v",
 						nReplicas, q, g.Value, g.Quartiles, w.Quartiles)
+				}
+				for attr, wq := range w.Quartiles {
+					gq := g.Quartiles[attr]
+					for _, pair := range [][2]float64{{gq.Q1, wq.Q1}, {gq.Median, wq.Median}, {gq.Q3, wq.Q3}, {gq.P90, wq.P90}} {
+						if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+							t.Fatalf("replicas=%d %s: group %q %s quartiles = %+v, want bitwise %+v", nReplicas, q, g.Value, attr, gq, wq)
+						}
+					}
 				}
 			}
 			// Legs forward the rows they encoded, so the coordinator's page
@@ -395,9 +412,13 @@ func TestCoordinatorShutdownDrainsInflightFanout(t *testing.T) {
 		case <-r.Context().Done():
 			return
 		}
+		var eph table.AggAccum
+		for v := 90.0; v < 100; v++ {
+			eph.Observe(v)
+		}
 		json.NewEncoder(w).Encode(&scaleout.Partial{
-			Epoch: spec.Epoch, StoreRows: 10, Matched: 10,
-			Attrs: map[string]scaleout.AttrPartial{"eph": {Count: 10, Mean: 120, M2: 5, Min: 90, Max: 150}},
+			Epoch: spec.Epoch, StoreRows: 10,
+			Agg: table.AggPartial{Rows: 10, Totals: []table.AggAccum{eph}},
 		})
 	})
 	replica := httptest.NewServer(mux)
@@ -478,6 +499,74 @@ func TestCoordinatorShutdownDrainsInflightFanout(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRefusesMalformedLegs: a replica answering something a
+// healthy one cannot — accumulators that do not fit the query, a counted
+// value missing from its sketch, another epoch than asked — makes the
+// coordinator answer 502; it neither panics nor renders skewed statistics.
+func TestCoordinatorRefusesMalformedLegs(t *testing.T) {
+	var eph table.AggAccum
+	eph.Observe(120)
+	sketchless := eph
+	sketchless.S = nil
+	leg := func(epochOff uint64, agg table.AggPartial) func(scaleout.QuerySpec) *scaleout.Partial {
+		return func(spec scaleout.QuerySpec) *scaleout.Partial {
+			return &scaleout.Partial{Epoch: spec.Epoch + epochOff, StoreRows: 1, Agg: agg}
+		}
+	}
+	for name, leg := range map[string]func(scaleout.QuerySpec) *scaleout.Partial{
+		"healthy":                    leg(0, table.AggPartial{Rows: 1, Totals: []table.AggAccum{eph}}),
+		"no accumulators":            leg(0, table.AggPartial{Rows: 1}),
+		"two accumulators, one attr": leg(0, table.AggPartial{Rows: 1, Totals: []table.AggAccum{eph, eph}}),
+		"count without a sketch":     leg(0, table.AggPartial{Rows: 1, Totals: []table.AggAccum{sketchless}}),
+		"another epoch":              leg(1, table.AggPartial{Rows: 1, Totals: []table.AggAccum{eph}}),
+		"null group":                 leg(0, table.AggPartial{Rows: 1, Groups: []*table.GroupAccum{nil}}),
+		"group without accumulators": leg(0, table.AggPartial{Rows: 1, Groups: []*table.GroupAccum{{Key: "C", Rows: 1}}}),
+	} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/api/replicate/status", func(w http.ResponseWriter, r *http.Request) {
+			json.NewEncoder(w).Encode(scaleout.ReplicaStatus{AppliedEpoch: 5, MinEpoch: 1, Shards: 1, Rows: 1})
+		})
+		mux.HandleFunc("/api/query/partial", func(w http.ResponseWriter, r *http.Request) {
+			var spec scaleout.QuerySpec
+			if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			json.NewEncoder(w).Encode(leg(spec))
+		})
+		replica := httptest.NewServer(mux)
+		coord, err := scaleout.NewCoordinator(scaleout.CoordinatorConfig{Replicas: []string{replica.URL}, PollInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord.PollStatus(context.Background())
+		handler, err := NewCoordinator(coord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(handler)
+		panics := mHTTPPanics.Value()
+		q := "/api/query?attrs=eph"
+		if strings.Contains(name, "group") {
+			q += "&by=energy_class"
+		}
+		code, body := get(t, ts.URL+q)
+		want := http.StatusBadGateway
+		if name == "healthy" {
+			want = http.StatusOK
+		}
+		if code != want {
+			t.Errorf("%s: status %d (%s), want %d", name, code, strings.TrimSpace(body), want)
+		}
+		if mHTTPPanics.Value() != panics {
+			t.Errorf("%s: the handler panicked", name)
+		}
+		ts.Close()
+		coord.Close()
+		replica.Close()
+	}
+}
+
 // TestReplicaLagGate covers the ReadyMaxLag branch: a replica that has
 // synced but trails the leader by more epochs than allowed answers 503.
 func TestReplicaLagGate(t *testing.T) {
@@ -552,6 +641,8 @@ func TestPartialQueryValidation(t *testing.T) {
 	}{
 		{"malformed JSON", `{`, http.StatusBadRequest},
 		{"unknown field", `{"bogus": 1}`, http.StatusBadRequest},
+		{"trailing data", fmt.Sprintf(`{"epoch": %d, "shard_from": 0, "shard_to": 4} garbage`, epoch), http.StatusBadRequest},
+		{"two documents", fmt.Sprintf(`{"epoch": %d, "shard_from": 0, "shard_to": 4}{"epoch": %d}`, epoch, epoch), http.StatusBadRequest},
 		{"missing epoch", fmt.Sprintf(`{"epoch": %d, "shard_from": 0, "shard_to": 4}`, epoch+99), http.StatusPreconditionFailed},
 		{"bad shard range", fmt.Sprintf(`{"epoch": %d, "shard_from": 3, "shard_to": 1}`, epoch), http.StatusBadRequest},
 		{"unparseable query", fmt.Sprintf(`{"epoch": %d, "shard_from": 0, "shard_to": 4, "q": "eph >"}`, epoch), http.StatusBadRequest},
@@ -572,11 +663,11 @@ func TestPartialQueryValidation(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &p); err != nil {
 		t.Fatal(err)
 	}
-	if p.Rows != nil || len(p.Groups) == 0 || p.Matched == 0 {
+	if p.Rows != nil || len(p.Agg.Groups) == 0 || p.Agg.Rows == 0 || p.Agg.Totals != nil {
 		t.Fatalf("stats leg: %+v", p)
 	}
-	if sk := p.Attrs["eph"].Sketch; sk == nil || sk.Count() == 0 {
-		t.Fatalf("stats leg carried no sketch: %+v", p.Attrs["eph"])
+	if eph := p.Agg.Groups[0].Attrs[0]; eph.R.Count == 0 || eph.S.Count() != eph.R.Count {
+		t.Fatalf("stats leg carried no sketch: %+v", eph)
 	}
 
 	// Row-shaped leg: materializes and pages.
@@ -588,8 +679,8 @@ func TestPartialQueryValidation(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &p); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Rows) != 5 || p.Matched == 0 {
-		t.Fatalf("row leg: %d rows, matched %d", len(p.Rows), p.Matched)
+	if len(p.Rows) != 5 || p.Agg.Rows == 0 || len(p.Agg.Totals) != 1 {
+		t.Fatalf("row leg: %d rows, matched %d", len(p.Rows), p.Agg.Rows)
 	}
 
 	// The leader's replication info and the coordinator's replica view.

@@ -5,13 +5,14 @@
 // engine state. JSON endpoints expose the aggregates for programmatic
 // clients.
 //
-// The server runs in one of two modes. Static mode (New) serves one
-// frozen engine+analysis, the paper's batch workflow. Live mode (NewLive)
-// serves from a core.Live loop over a streaming store: every request
-// reads the last atomically published snapshot state, POST /api/ingest
-// appends certificates (JSON records, typed CSV or binary batches),
-// POST /api/refresh re-runs the pipeline, and GET /api/store reports the
-// store shape. All routes enforce request methods and bounded bodies.
+// There is one serving mode: a Server (NewLive) serves from a core.Live
+// loop over a store. Every request reads the last atomically published
+// snapshot state, POST /api/ingest appends certificates (JSON records,
+// typed CSV or binary batches), POST /api/refresh re-runs the pipeline,
+// and GET /api/store reports the store shape. The paper's batch workflow
+// — one frozen dataset — is the same server over a store that was seeded
+// once and published once (cmd/indice-server without -ingest). All routes
+// enforce request methods and bounded bodies.
 package server
 
 import (
@@ -29,6 +30,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -51,15 +53,12 @@ const (
 	maxSmallBody  int64 = 1 << 20
 )
 
-// Server serves the dashboards of one engine (static mode) or of a live
-// ingestion loop (live mode). Scale-out roles layer on top of live mode:
-// a leader additionally serves the replication stream, a replica
-// additionally serves epoch-pinned partial queries (and rejects ingest),
-// and a coordinator serves scatter-gather queries with no local data at
-// all (see NewLiveCluster and NewCoordinator).
+// Server serves the dashboards of a live ingestion loop. Scale-out roles
+// layer on top: a leader additionally serves the replication stream, a
+// replica additionally serves epoch-pinned partial queries (and rejects
+// ingest), and a coordinator serves scatter-gather queries with no local
+// data at all (see NewLiveCluster and NewCoordinator).
 type Server struct {
-	eng     *core.Engine
-	an      *core.Analysis
 	live    *core.Live
 	mux     *http.ServeMux
 	cache   *queryCache
@@ -69,18 +68,6 @@ type Server struct {
 	replica     *scaleout.Replica
 	coord       *scaleout.Coordinator
 	readyMaxLag uint64
-}
-
-// New builds a static Server over a preprocessed engine. The engine is
-// treated as read-only; the analysis may be nil (analytic routes then
-// return 404).
-func New(eng *core.Engine, an *core.Analysis) (*Server, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("server: nil engine")
-	}
-	s := &Server{eng: eng, an: an, cache: newQueryCache()}
-	s.routes()
-	return s, nil
 }
 
 // NewLive builds a Server over a live ingestion loop. Requests serve from
@@ -228,32 +215,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// errNotPublished marks live mode before the first successful refresh.
-var errNotPublished = errors.New("no analysis published yet: ingest data and refresh")
+// notPublished is what data routes answer before the first successful
+// refresh.
+const notPublished = "no analysis published yet: ingest data and refresh"
 
-// state resolves the engine and analysis serving this request and the
-// epoch they were published under: the frozen pair (epoch 0) in static
-// mode, the last published pair in live mode.
-func (s *Server) state() (*core.Engine, *core.Analysis, uint64, error) {
-	if s.live == nil {
-		return s.eng, s.an, 0, nil
-	}
+// published returns the state serving this request: the last published
+// engine, analysis and snapshot. Before the first publication it answers
+// the uniform 503 and returns nil; handlers bail out on nil.
+func (s *Server) published(w http.ResponseWriter) *core.Published {
 	pub := s.live.Current()
 	if pub == nil {
-		return nil, nil, 0, errNotPublished
+		http.Error(w, notPublished, http.StatusServiceUnavailable)
 	}
-	return pub.Engine, pub.Analysis, pub.Epoch, nil
-}
-
-// serveState is state() plus the uniform 503 answer for unpublished live
-// servers; handlers bail out when it returns false.
-func (s *Server) serveState(w http.ResponseWriter) (*core.Engine, *core.Analysis, uint64, bool) {
-	eng, an, epoch, err := s.state()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return nil, nil, 0, false
-	}
-	return eng, an, epoch, true
+	return pub
 }
 
 // handleIndex lists the navigable views.
@@ -265,16 +239,14 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>INDICE</title></head><body>")
 	b.WriteString("<h1>INDICE</h1>")
-	if eng, _, _, err := s.state(); err == nil {
-		fmt.Fprintf(&b, "<p>%d certificates loaded.</p>", eng.Table().NumRows())
+	if pub := s.live.Current(); pub != nil {
+		fmt.Fprintf(&b, "<p>%d certificates loaded.</p>", pub.Engine.Table().NumRows())
 	} else {
-		fmt.Fprintf(&b, "<p>%s</p>", html.EscapeString(err.Error()))
+		fmt.Fprintf(&b, "<p>%s</p>", notPublished)
 	}
-	if s.live != nil {
-		st := s.live.Store().Status()
-		fmt.Fprintf(&b, "<p>live store: %d rows over %d shards (epoch %d).</p>",
-			st.Rows, len(st.Shards), st.Epoch)
-	}
+	st := s.live.Store().Status()
+	fmt.Fprintf(&b, "<p>live store: %d rows over %d shards (epoch %d).</p>",
+		st.Rows, len(st.Shards), st.Epoch)
 	b.WriteString("<h2>Dashboards</h2><ul>")
 	for _, st := range []query.Stakeholder{query.Citizen, query.PublicAdministration, query.EnergyScientist} {
 		fmt.Fprintf(&b, `<li><a href="/dashboard/%s">%s</a></li>`, st, st)
@@ -291,9 +263,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"/api/clusters",
 		"/api/query?preset=pa&by=" + epc.AttrDistrict,
 		"/api/presets",
-	}
-	if s.live != nil {
-		apis = append(apis, "/api/store")
+		"/api/store",
 	}
 	for _, api := range apis {
 		fmt.Fprintf(&b, `<li><a href="%s">%s</a></li>`, api, html.EscapeString(api))
@@ -315,8 +285,8 @@ func pageAnswer(epoch uint64, contentType string, body []byte) *answer {
 // function of the publication, so it is rendered once per epoch and then
 // served from the result cache.
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	eng, an, epoch, ok := s.serveState(w)
-	if !ok {
+	pub := s.published(w)
+	if pub == nil {
 		return
 	}
 	name := strings.TrimPrefix(r.URL.Path, "/dashboard/")
@@ -325,12 +295,12 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	s.serveCached(w, r, pageLookups, epoch, "dashboard\x00"+string(st), func(context.Context) (*answer, error) {
-		page, err := eng.Dashboard(st, an)
+	s.serveCached(w, r, pageLookups, pub.Epoch, "dashboard\x00"+string(st), func(context.Context) (*answer, error) {
+		page, err := pub.Engine.Dashboard(st, pub.Analysis)
 		if err != nil {
 			return nil, err
 		}
-		return pageAnswer(epoch, htmlType, []byte(page)), nil
+		return pageAnswer(pub.Epoch, htmlType, []byte(page)), nil
 	})
 }
 
@@ -339,10 +309,11 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 // navigate zoom levels, the paper's core interaction. Cached per epoch
 // like the dashboards.
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
-	eng, _, epoch, ok := s.serveState(w)
-	if !ok {
+	pub := s.published(w)
+	if pub == nil {
 		return
 	}
+	eng, epoch := pub.Engine, pub.Epoch
 	levelName := r.URL.Query().Get("level")
 	if levelName == "" {
 		levelName = "city"
@@ -413,8 +384,8 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	eng, _, _, ok := s.serveState(w)
-	if !ok {
+	pub := s.published(w)
+	if pub == nil {
 		return
 	}
 	attr := r.URL.Query().Get("attr")
@@ -422,7 +393,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "attr query parameter required", http.StatusBadRequest)
 		return
 	}
-	vals, err := eng.Table().ValidFloats(attr)
+	vals, err := pub.Engine.Table().ValidFloats(attr)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -447,8 +418,8 @@ type zoneResponse struct {
 }
 
 func (s *Server) handleZones(w http.ResponseWriter, r *http.Request) {
-	eng, _, _, ok := s.serveState(w)
-	if !ok {
+	pub := s.published(w)
+	if pub == nil {
 		return
 	}
 	levelName := r.URL.Query().Get("level")
@@ -464,7 +435,7 @@ func (s *Server) handleZones(w http.ResponseWriter, r *http.Request) {
 	if attr == "" {
 		attr = epc.AttrEPH
 	}
-	zs, err := dashboard.AggregateByZone(eng.Table(), eng.Hierarchy(), level, attr)
+	zs, err := dashboard.AggregateByZone(pub.Engine.Table(), pub.Engine.Hierarchy(), level, attr)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -493,22 +464,23 @@ type ruleResponse struct {
 }
 
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
-	_, an, _, ok := s.serveState(w)
-	if !ok {
+	pub := s.published(w)
+	if pub == nil {
 		return
 	}
-	if an == nil {
+	if pub.Analysis == nil {
 		http.Error(w, "analysis not available", http.StatusNotFound)
 		return
 	}
 	k := 20
 	if raw := r.URL.Query().Get("k"); raw != "" {
-		if _, err := fmt.Sscanf(raw, "%d", &k); err != nil || k < 1 {
+		var err error
+		if k, err = strconv.Atoi(raw); err != nil || k < 1 {
 			http.Error(w, "k must be a positive integer", http.StatusBadRequest)
 			return
 		}
 	}
-	top := assoc.TopK(an.Rules, assoc.ByLift, k)
+	top := assoc.TopK(pub.Analysis.Rules, assoc.ByLift, k)
 	out := make([]ruleResponse, 0, len(top))
 	for _, rule := range top {
 		out = append(out, ruleResponse{
@@ -530,10 +502,11 @@ type clusterResponse struct {
 }
 
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	_, an, _, ok := s.serveState(w)
-	if !ok {
+	pub := s.published(w)
+	if pub == nil {
 		return
 	}
+	an := pub.Analysis
 	if an == nil || an.Clustering == nil {
 		http.Error(w, "analysis not available", http.StatusNotFound)
 		return
@@ -566,10 +539,6 @@ type ingestResponse struct {
 // an array of them, text/csv a typed-CSV batch, application/octet-stream
 // a binary columnar batch.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.live == nil {
-		http.Error(w, "ingestion requires live mode", http.StatusNotFound)
-		return
-	}
 	if s.replica != nil {
 		http.Error(w, "replica is read-only: ingest at the leader", http.StatusForbidden)
 		return
@@ -612,12 +581,27 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// decodeStrict decodes the one JSON value a request body holds into v.
+// Unknown fields are an error, and so is trailing data after the value (a
+// concatenated or newline-delimited stream would otherwise be silently
+// truncated to its first document). Numbers bound for an untyped value
+// decode as json.Number, keeping full precision until the store coerces
+// them.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	dec.UseNumber()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value (send one value per request)")
+	}
+	return nil
+}
+
 // decodeRecords parses an ingest body holding either one record object or
 // an array of records, streaming straight off the (size-limited) body.
-// Numbers decode as json.Number so values keep full precision until the
-// store coerces them; trailing data after the JSON value is an error (a
-// concatenated or newline-delimited stream would otherwise be silently
-// truncated to its first document).
 func decodeRecords(r io.Reader) ([]store.Record, error) {
 	br := bufio.NewReader(r)
 	var first byte
@@ -635,24 +619,14 @@ func decodeRecords(r io.Reader) ([]store.Record, error) {
 		}
 		break
 	}
-	dec := json.NewDecoder(br)
-	dec.UseNumber()
-	var recs []store.Record
 	if first == '[' {
-		if err := dec.Decode(&recs); err != nil {
-			return nil, err
-		}
-	} else {
-		var one store.Record
-		if err := dec.Decode(&one); err != nil {
-			return nil, err
-		}
-		recs = []store.Record{one}
+		var recs []store.Record
+		err := decodeStrict(br, &recs)
+		return recs, err
 	}
-	if dec.More() {
-		return nil, errors.New("trailing data after JSON value (send one object or one array per request)")
-	}
-	return recs, nil
+	var one store.Record
+	err := decodeStrict(br, &one)
+	return []store.Record{one}, err
 }
 
 // badBodyStatus maps body-read failures to 413 when the MaxBytesReader
@@ -729,10 +703,6 @@ type publishedInfo struct {
 }
 
 func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
-	if s.live == nil {
-		http.Error(w, "no live store (static server)", http.StatusNotFound)
-		return
-	}
 	st := s.live.Store()
 	resp := storeResponse{
 		Status:               st.Status(),
@@ -764,10 +734,8 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 		resp.LastError = msg
 	}
 	resp.LastIncrementalError = s.live.LastIncrementalError()
-	if s.cache != nil {
-		hits, misses, size := s.cache.stats()
-		resp.QueryCache = &cacheInfo{Hits: hits, Misses: misses, Size: size}
-	}
+	hits, misses, size := s.cache.stats()
+	resp.QueryCache = &cacheInfo{Hits: hits, Misses: misses, Size: size}
 	if ds := st.DurabilityStatus(); ds.Enabled {
 		resp.Durability = &ds
 	}
@@ -801,10 +769,6 @@ type refreshResponse struct {
 // handleRefresh synchronously re-runs the pipeline over a fresh snapshot
 // and publishes the result.
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	if s.live == nil {
-		http.Error(w, "refresh requires live mode", http.StatusNotFound)
-		return
-	}
 	pub, err := s.live.Refresh()
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -826,10 +790,6 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 // sealed and persisted, the manifest commits and the covered WAL files
 // are pruned. 409 for in-memory stores (no -data-dir).
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if s.live == nil {
-		http.Error(w, "checkpoint requires live mode", http.StatusNotFound)
-		return
-	}
 	if !s.live.Store().DurabilityStatus().Enabled {
 		http.Error(w, "store has no data directory (start with -data-dir)", http.StatusConflict)
 		return

@@ -5,15 +5,20 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
 	"indice/internal/core"
 	"indice/internal/epc"
+	"indice/internal/store"
 	"indice/internal/synth"
 )
 
-// testServer spins an httptest server over a small synthetic engine.
+// testServer spins an httptest server over a frozen boot: a store seeded
+// with a small synthetic corpus and published once, the way
+// cmd/indice-server serves a dataset without -ingest. Without analysis
+// the publication carries none (LiveConfig.SkipAnalysis).
 func testServer(t *testing.T, withAnalysis bool) *httptest.Server {
 	t.Helper()
 	ccfg := synth.DefaultCityConfig()
@@ -28,26 +33,56 @@ func testServer(t *testing.T, withAnalysis bool) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(ds.Table, city.Hierarchy, core.Options{})
+	st, err := store.New(store.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var an *core.Analysis
-	if withAnalysis {
-		acfg := core.DefaultAnalysisConfig()
-		acfg.KMax = 6
-		an, err = eng.Analyze(acfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	if _, err := st.AppendTable(ds.Table); err != nil {
+		t.Fatal(err)
 	}
-	s, err := New(eng, an)
+	acfg := core.DefaultAnalysisConfig()
+	acfg.KMax = 6
+	live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{
+		Analysis:     acfg,
+		SkipAnalysis: !withAnalysis,
+		Incremental:  core.IncrementalConfig{Disable: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewLive(live)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// servingRows reads how many certificates the publication serves (the
+// seeded rows minus what preprocessing dropped) off /api/store.
+func servingRows(t *testing.T, ts *httptest.Server) int {
+	t.Helper()
+	code, body := get(t, ts.URL+"/api/store")
+	if code != http.StatusOK {
+		t.Fatalf("store status = %d: %s", code, body)
+	}
+	var st struct {
+		Rows      int `json:"rows"`
+		Published struct {
+			ServingRows int `json:"serving_rows"`
+		} `json:"published"`
+	}
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("bad store JSON: %v", err)
+	}
+	if n := st.Published.ServingRows; n == 0 || n > st.Rows || st.Rows != 1200 {
+		t.Fatalf("serving %d of %d seeded rows", n, st.Rows)
+	}
+	return st.Published.ServingRows
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -64,9 +99,17 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// TestNewNilEngine: every constructor refuses to build a server over
+// nothing.
 func TestNewNilEngine(t *testing.T) {
-	if _, err := New(nil, nil); err == nil {
-		t.Fatal("want error for nil engine")
+	if _, err := NewLive(nil); err == nil {
+		t.Fatal("want error for a nil live loop")
+	}
+	if _, err := NewLiveCluster(nil, ClusterConfig{}); err == nil {
+		t.Fatal("want error for a nil live loop with a cluster role")
+	}
+	if _, err := NewCoordinator(nil); err == nil {
+		t.Fatal("want error for a nil coordinator")
 	}
 }
 
@@ -152,7 +195,7 @@ func TestStatsAPI(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
-	if got.Attr != epc.AttrEPH || got.Count != 1200 || got.Mean <= 0 {
+	if got.Attr != epc.AttrEPH || got.Count != servingRows(t, ts) || got.Mean <= 0 {
 		t.Fatalf("stats = %+v", got)
 	}
 	if code, _ := get(t, ts.URL+"/api/stats"); code != http.StatusBadRequest {
@@ -184,7 +227,7 @@ func TestZonesAPI(t *testing.T) {
 	for _, z := range zones {
 		total += z.Count
 	}
-	if total != 1200 {
+	if total != servingRows(t, ts) {
 		t.Fatalf("zone counts sum to %d", total)
 	}
 	if code, _ := get(t, ts.URL+"/api/zones?level=unit"); code != http.StatusBadRequest {
@@ -213,8 +256,10 @@ func TestRulesAndClustersAPI(t *testing.T) {
 			t.Fatal("rules not sorted by lift")
 		}
 	}
-	if code, _ := get(t, ts.URL+"/api/rules?k=zero"); code != http.StatusBadRequest {
-		t.Fatalf("bad k status = %d", code)
+	for _, k := range []string{"zero", "0", "-3", "12abc", "1e3", "5 "} {
+		if code, _ := get(t, ts.URL+"/api/rules?k="+url.QueryEscape(k)); code != http.StatusBadRequest {
+			t.Errorf("k=%q status = %d, want 400", k, code)
+		}
 	}
 
 	code, body = get(t, ts.URL+"/api/clusters")

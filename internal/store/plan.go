@@ -34,6 +34,17 @@ type PlanStats struct {
 	MatchedRows int `json:"matched_rows"`
 }
 
+// Add folds in the plan of a disjoint shard range, field by field: how
+// scatter-gather legs, each planning its own range, sum to one plan.
+func (ps *PlanStats) Add(o PlanStats) {
+	ps.Shards += o.Shards
+	ps.PrunedShards += o.PrunedShards
+	ps.IndexedShards += o.IndexedShards
+	ps.CandidateRows += o.CandidateRows
+	ps.ScannedRows += o.ScannedRows
+	ps.MatchedRows += o.MatchedRows
+}
+
 // shardPart is one segment's matched ordinals, resolved to whichever
 // form of the segment the shard held (exactly one of enc/raw is set).
 // Parts defer materialization: workers only select rows, and the merge

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"indice/internal/geo"
+	"indice/internal/geocode"
 )
 
 // StreetEntry is one row of the referenced street map: a civic number on a
@@ -25,6 +26,16 @@ type City struct {
 	Bounds    geo.Bounds
 	Entries   []StreetEntry
 	Hierarchy *geo.Hierarchy
+}
+
+// ReferenceEntries returns the street registry in the form
+// geocode.NewStreetMap takes.
+func (c *City) ReferenceEntries() []geocode.ReferenceEntry {
+	out := make([]geocode.ReferenceEntry, len(c.Entries))
+	for i, e := range c.Entries {
+		out[i] = geocode.ReferenceEntry(e)
+	}
+	return out
 }
 
 // CityConfig parameterizes city generation.

@@ -74,11 +74,12 @@ type GroupAccum struct {
 // pass produces and what merges into another aggregator. Exactly one of
 // Groups (grouped) or Totals (ungrouped) is populated; both are immutable
 // once built and safe to share across goroutines (AddPartial never
-// mutates its argument).
+// mutates its argument). It is its own wire form: a replica leg ships its
+// shard range's partial to the coordinator as JSON.
 type AggPartial struct {
-	Rows   int
-	Groups []*GroupAccum // sorted by Key; nil when ungrouped
-	Totals []AggAccum    // parallel to the attr list; nil when grouped
+	Rows   int           `json:"rows"`
+	Groups []*GroupAccum `json:"groups,omitempty"` // sorted by Key; nil when ungrouped
+	Totals []AggAccum    `json:"totals,omitempty"` // parallel to the attr list; nil when grouped
 }
 
 // GroupAggregator accumulates grouped (or, with an empty group attribute,

@@ -407,15 +407,3 @@ func TestAggAccumObserveMeanMerge(t *testing.T) {
 		t.Fatalf("merge aliased the source sketch")
 	}
 }
-
-func TestAggKindString(t *testing.T) {
-	want := map[AggKind]string{
-		AggCount: "count", AggMean: "mean", AggSum: "sum",
-		AggMin: "min", AggMax: "max", AggKind(99): "AggKind(99)",
-	}
-	for k, s := range want {
-		if g := k.String(); g != s {
-			t.Fatalf("AggKind(%d).String() = %q, want %q", int(k), g, s)
-		}
-	}
-}
