@@ -1,8 +1,8 @@
 package indice
 
-// One benchmark per evaluation artifact of the paper (see DESIGN.md's
-// per-experiment index E1..E8) plus the ablation benches for the design
-// choices DESIGN.md calls out. Run with:
+// One benchmark per evaluation artifact of the paper (see the index in
+// docs/benchmarks.md, E1..E8) plus the ablation benches that index marks
+// "+ablation". Run with:
 //
 //	go test -bench=. -benchmem .
 
@@ -112,7 +112,7 @@ func BenchmarkE2GeoCleaning(b *testing.B) {
 	}
 }
 
-// BenchmarkE2AblationExhaustiveMatch is the DESIGN.md ablation: best-match
+// BenchmarkE2AblationExhaustiveMatch is the docs/benchmarks.md ablation: best-match
 // address lookup via the n-gram blocking index versus the exhaustive scan
 // of the whole street registry.
 func BenchmarkE2AblationExhaustiveMatch(b *testing.B) {
@@ -161,7 +161,7 @@ func BenchmarkE3Outliers(b *testing.B) {
 	})
 }
 
-// BenchmarkE3AblationFixedEps is the DESIGN.md ablation: DBSCAN with the
+// BenchmarkE3AblationFixedEps is the docs/benchmarks.md ablation: DBSCAN with the
 // k-distance auto-estimated eps versus a fixed eps.
 func BenchmarkE3AblationFixedEps(b *testing.B) {
 	w := benchWorld(b)
@@ -274,7 +274,7 @@ func BenchmarkE5KMeansElbowParallel(b *testing.B) {
 	b.Run("parallel", sweep(runtime.GOMAXPROCS(0)))
 }
 
-// BenchmarkE5AblationInit is the DESIGN.md ablation: the paper's uniform
+// BenchmarkE5AblationInit is the docs/benchmarks.md ablation: the paper's uniform
 // random centroid initialization versus k-means++.
 func BenchmarkE5AblationInit(b *testing.B) {
 	w := benchWorld(b)
@@ -378,7 +378,7 @@ func BenchmarkE7Maps(b *testing.B) {
 	}
 }
 
-// BenchmarkE7AblationAggregation is the DESIGN.md ablation: at coarse
+// BenchmarkE7AblationAggregation is the docs/benchmarks.md ablation: at coarse
 // zoom, rendering aggregated cluster-markers versus every point.
 func BenchmarkE7AblationAggregation(b *testing.B) {
 	w := benchWorld(b)
@@ -520,20 +520,21 @@ func benchKernelPoints(n, dim, centers int, spread float64, seed int64) [][]floa
 	return pts
 }
 
-// BenchmarkE11Kernels measures the flat-matrix compute core against the
-// retained pre-refactor reference implementations (see
-// internal/cluster/reference.go) on the same data and host:
+// BenchmarkE11Kernels measures the flat-matrix compute core:
 //
 //   - kmeans-elbow: the K=2..8 SSE sweep over 100k×5 points — Hamerly
-//     bounds + expanded-distance screening vs plain Lloyd's over
-//     [][]float64 rows (target ≥2×);
+//     bounds + expanded-distance screening (target ≥2× over plain
+//     Lloyd's on [][]float64 rows);
 //   - dbscan-100k: DBSCAN over 100k×3 points — packed-int64 cell keys
-//     with reusable scratch vs the string-keyed grid (target ≥1.5×);
+//     with reusable scratch (target ≥1.5× over the string-keyed grid);
 //   - kdistances-4k: the eps-estimation k-distance plot — per-point
-//     quickselect vs fully sorting every distance slice.
+//     quickselect instead of fully sorting every distance slice.
 //
-// Every pair is verified bitwise-identical before timing. Captured
-// numbers and methodology in docs/benchmarks.md.
+// The pre-refactor implementations these are measured against are test
+// code of package cluster (internal/cluster/reference_test.go): their
+// arms and the bitwise gates run there, over the same points, as
+// BenchmarkE11KernelsReference. Captured numbers and methodology in
+// docs/benchmarks.md.
 func BenchmarkE11Kernels(b *testing.B) {
 	const (
 		kmN, kmDim, kMin, kMax = 100_000, 5, 2, 8
@@ -542,93 +543,22 @@ func BenchmarkE11Kernels(b *testing.B) {
 		dbMinPts               = 8
 		kdN, kdK               = 4000, 4
 	)
-	kmPts := benchKernelPoints(kmN, kmDim, 8, 0.06, 42)
-	kmMat, err := matrix.FromRows(kmPts)
+	kmMat, err := matrix.FromRows(benchKernelPoints(kmN, kmDim, 8, 0.06, 42))
 	if err != nil {
 		b.Fatal(err)
-	}
-	kmCfg := cluster.KMeansConfig{Seed: 1}
-	kmRefSweep := func() []cluster.SSECurvePoint {
-		out := make([]cluster.SSECurvePoint, 0, kMax-kMin+1)
-		for k := kMin; k <= kMax; k++ {
-			c := kmCfg
-			c.K = k
-			c.Seed = kmCfg.Seed + int64(k) // restarts=1: r=0 term vanishes
-			res, err := cluster.KMeansReference(kmPts, c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out = append(out, cluster.SSECurvePoint{K: k, SSE: res.SSE})
-		}
-		return out
-	}
-	kmFlatSweep := func() []cluster.SSECurvePoint {
-		curve, err := cluster.SSECurveMatrix(kmMat, kMin, kMax, 1, kmCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return curve
-	}
-	// Equivalence gate (one K): the optimized path must be bitwise what
-	// the reference computes before its speed means anything.
-	{
-		c := kmCfg
-		c.K = 4
-		c.Seed = kmCfg.Seed + 4
-		want, err := cluster.KMeansReference(kmPts, c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := cluster.KMeansMatrix(kmMat, c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got.SSE != want.SSE || got.Iterations != want.Iterations {
-			b.Fatalf("kmeans equivalence: SSE/iters %v/%d vs reference %v/%d",
-				got.SSE, got.Iterations, want.SSE, want.Iterations)
-		}
-		for i := range want.Labels {
-			if got.Labels[i] != want.Labels[i] {
-				b.Fatalf("kmeans equivalence: label[%d] = %d, want %d", i, got.Labels[i], want.Labels[i])
-			}
-		}
 	}
 	b.Run("kmeans-elbow/flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			kmFlatSweep()
-		}
-	})
-	b.Run("kmeans-elbow/reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			kmRefSweep()
+			if _, err := cluster.SSECurveMatrix(kmMat, kMin, kMax, 1, cluster.KMeansConfig{Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 
-	dbPts := benchKernelPoints(dbN, dbDim, 40, 0.05, 7)
-	dbMat, err := matrix.FromRows(dbPts)
+	dbMat, err := matrix.FromRows(benchKernelPoints(dbN, dbDim, 40, 0.05, 7))
 	if err != nil {
 		b.Fatal(err)
-	}
-	{
-		want, err := cluster.DBSCANReference(dbPts, dbEps, dbMinPts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := cluster.DBSCANMatrix(dbMat, dbEps, dbMinPts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got.Clusters != want.Clusters || got.NoiseCount != want.NoiseCount {
-			b.Fatalf("dbscan equivalence: %d/%d vs reference %d/%d",
-				got.Clusters, got.NoiseCount, want.Clusters, want.NoiseCount)
-		}
-		for i := range want.Labels {
-			if got.Labels[i] != want.Labels[i] {
-				b.Fatalf("dbscan equivalence: label[%d] = %d, want %d", i, got.Labels[i], want.Labels[i])
-			}
-		}
 	}
 	b.Run("dbscan-100k/flat", func(b *testing.B) {
 		b.ReportAllocs()
@@ -638,47 +568,15 @@ func BenchmarkE11Kernels(b *testing.B) {
 			}
 		}
 	})
-	b.Run("dbscan-100k/reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cluster.DBSCANReference(dbPts, dbEps, dbMinPts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
-	kdPts := benchKernelPoints(kdN, 3, 8, 0.08, 9)
-	kdMat, err := matrix.FromRows(kdPts)
+	kdMat, err := matrix.FromRows(benchKernelPoints(kdN, 3, 8, 0.08, 9))
 	if err != nil {
 		b.Fatal(err)
-	}
-	{
-		want, err := cluster.KDistancesReference(kdPts, kdK)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := cluster.KDistancesMatrix(kdMat, kdK, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				b.Fatalf("kdistances equivalence: [%d] = %v, want %v", i, got[i], want[i])
-			}
-		}
 	}
 	b.Run("kdistances-4k/quickselect", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := cluster.KDistancesMatrix(kdMat, kdK, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("kdistances-4k/reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cluster.KDistancesReference(kdPts, kdK); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,6 @@
 // Command experiments regenerates every evaluation artifact of the paper:
 // run `experiments -exp all -out figures` to produce the Figure 2/3/4
-// SVGs, the dashboards and the textual reports EXPERIMENTS.md records.
+// SVGs, the dashboards and the textual reports docs/benchmarks.md indexes.
 //
 // For performance work, -cpuprofile and -memprofile capture pprof
 // evidence of any experiment at any scale without ad-hoc patches:

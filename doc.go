@@ -4,9 +4,9 @@
 // visualization" (BigVis @ EDBT/ICDT 2019).
 //
 // The implementation lives under internal/: see internal/core for the
-// public pipeline (Engine: Preprocess → Analyze → Dashboard), DESIGN.md
-// for the system inventory and per-experiment index, and EXPERIMENTS.md
-// for the paper-vs-measured record. The benchmarks in bench_test.go
-// regenerate every evaluation artifact of the paper (E1..E8) plus the
-// ablations DESIGN.md calls out.
+// public pipeline (Engine: Preprocess → Analyze → Dashboard),
+// docs/architecture.md for the system inventory and docs/benchmarks.md
+// for the per-experiment index and the measured record. The benchmarks in
+// bench_test.go regenerate every evaluation artifact of the paper
+// (E1..E8) plus the ablations that index marks.
 package indice

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	// 1. A synthetic city and EPC collection (stand-ins for the Piedmont
-	// open data; see DESIGN.md).
+	// open data).
 	city, err := synth.GenerateCity(synth.DefaultCityConfig())
 	if err != nil {
 		log.Fatal(err)

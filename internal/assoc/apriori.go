@@ -134,9 +134,6 @@ func NewMiner(txs []Transaction) (*Miner, error) {
 	return m, nil
 }
 
-// N returns the number of transactions.
-func (m *Miner) N() int { return m.n }
-
 // support counts the transactions holding every item of s.
 func (m *Miner) support(s idset) int {
 	n := 0

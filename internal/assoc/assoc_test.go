@@ -44,8 +44,8 @@ func TestMinerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.N() != 1 {
-		t.Fatalf("N = %d", m.N())
+	if m.n != 1 {
+		t.Fatalf("N = %d", m.n)
 	}
 }
 

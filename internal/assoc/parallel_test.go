@@ -62,32 +62,6 @@ func TestFrequentItemsetsParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelAprioriMatchesFPGrowth cross-checks the parallel Apriori
-// against the independent FP-Growth implementation.
-func TestParallelAprioriMatchesFPGrowth(t *testing.T) {
-	m, err := NewMiner(synthTxs(1200, 29))
-	if err != nil {
-		t.Fatal(err)
-	}
-	apriori, err := m.FrequentItemsets(MiningConfig{MinSupport: 0.03, MaxLen: 3, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := m.FrequentItemsetsFP(MiningConfig{MinSupport: 0.03, MaxLen: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(apriori) != len(fp) {
-		t.Fatalf("apriori mined %d itemsets, fp-growth %d", len(apriori), len(fp))
-	}
-	for i := range apriori {
-		if apriori[i].Items.key() != fp[i].Items.key() || apriori[i].Count != fp[i].Count {
-			t.Fatalf("itemset %d: apriori %v (%d) != fp %v (%d)",
-				i, apriori[i].Items, apriori[i].Count, fp[i].Items, fp[i].Count)
-		}
-	}
-}
-
 // TestRulesFromParallelMiningEquivalence runs the full mine-then-rules
 // pipeline at both ends of the parallelism range.
 func TestRulesFromParallelMiningEquivalence(t *testing.T) {

@@ -41,12 +41,6 @@ type RuleConfig struct {
 	MaxConsequentLen int
 }
 
-// DefaultRuleConfig mirrors the INDICE defaults: confidence ≥ 0.6 and
-// lift ≥ 1.1 with single-item consequents.
-func DefaultRuleConfig() RuleConfig {
-	return RuleConfig{MinConfidence: 0.6, MinLift: 1.1, MaxConsequentLen: 1}
-}
-
 // Rules generates every rule A → B with A ∪ B frequent, A, B non-empty
 // and disjoint, that satisfies the configured constraints. The frequent
 // itemsets must come from FrequentItemsets on the same miner.

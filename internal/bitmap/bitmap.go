@@ -55,23 +55,6 @@ func (c *container) toWords() {
 	c.array = nil
 }
 
-func (c *container) contains(low uint16) bool {
-	if c.words != nil {
-		return c.words[low>>6]&(1<<(low&63)) != 0
-	}
-	// Binary search the sorted array.
-	lo, hi := 0, len(c.array)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.array[mid] < low {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(c.array) && c.array[lo] == low
-}
-
 // Bitmap is a set of uint32 ordinals. The zero value is an empty,
 // appendable bitmap.
 type Bitmap struct {
@@ -150,23 +133,6 @@ func (b *Bitmap) Freeze() *Bitmap {
 		last:   b.last,
 		frozen: true,
 	}
-}
-
-// Contains reports membership.
-func (b *Bitmap) Contains(x uint32) bool {
-	if b == nil {
-		return false
-	}
-	key := x >> 16
-	for i, k := range b.keys {
-		if k == key {
-			return b.cs[i].contains(uint16(x))
-		}
-		if k > key {
-			return false
-		}
-	}
-	return false
 }
 
 // AppendOrdinals appends the set's ordinals to dst in ascending order

@@ -225,3 +225,37 @@ func FuzzBitmapSetAlgebra(f *testing.F) {
 		}
 	})
 }
+
+func (c *container) contains(low uint16) bool {
+	if c.words != nil {
+		return c.words[low>>6]&(1<<(low&63)) != 0
+	}
+	// Binary search the sorted array.
+	lo, hi := 0, len(c.array)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if c.array[mid] < low {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(c.array) && c.array[lo] == low
+}
+
+// Contains reports membership.
+func (b *Bitmap) Contains(x uint32) bool {
+	if b == nil {
+		return false
+	}
+	key := x >> 16
+	for i, k := range b.keys {
+		if k == key {
+			return b.cs[i].contains(uint16(x))
+		}
+		if k > key {
+			return false
+		}
+	}
+	return false
+}

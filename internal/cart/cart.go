@@ -25,11 +25,6 @@ type Config struct {
 	MinImprove float64
 }
 
-// DefaultConfig returns the growth defaults.
-func DefaultConfig() Config {
-	return Config{MaxDepth: 3, MinLeaf: 30, MinImprove: 1e-3}
-}
-
 // Node is one node of a univariate regression tree.
 type Node struct {
 	// Split is the threshold: samples with x < Split go left. Leaves have
@@ -155,31 +150,6 @@ func meanSSE(ys []float64) (mean, sse float64) {
 		sse = 0
 	}
 	return mean, sse
-}
-
-// Predict returns the leaf mean for x.
-func (t *Tree) Predict(x float64) float64 {
-	n := t.Root
-	for !n.IsLeaf() {
-		if x < n.Split {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return n.Mean
-}
-
-// Leaves returns the number of leaves.
-func (t *Tree) Leaves() int {
-	var count func(*Node) int
-	count = func(n *Node) int {
-		if n.IsLeaf() {
-			return 1
-		}
-		return count(n.Left) + count(n.Right)
-	}
-	return count(t.Root)
 }
 
 // SplitPoints returns the tree's thresholds in ascending order — the bin

@@ -204,14 +204,6 @@ func TestBinningDropsDegenerateEdges(t *testing.T) {
 	}
 }
 
-func TestBinningAssignAll(t *testing.T) {
-	b, _ := NewBinning("x", []float64{0.5}, 0, 1)
-	got := b.AssignAll([]float64{0.1, 0.9, math.NaN()})
-	if got[0] != "Low" || got[1] != "Medium" || got[2] != "" {
-		t.Fatalf("AssignAll = %v", got)
-	}
-}
-
 func TestDiscretizeEndToEnd(t *testing.T) {
 	// Response rises with x in steps: the discretization must produce
 	// ordered classes whose means rise.
@@ -264,4 +256,34 @@ func BenchmarkFit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// DefaultConfig returns the growth defaults.
+func DefaultConfig() Config {
+	return Config{MaxDepth: 3, MinLeaf: 30, MinImprove: 1e-3}
+}
+
+// Predict returns the leaf mean for x.
+func (t *Tree) Predict(x float64) float64 {
+	n := t.Root
+	for !n.IsLeaf() {
+		if x < n.Split {
+			n = n.Left
+		} else {
+			n = n.Right
+		}
+	}
+	return n.Mean
+}
+
+// Leaves returns the number of leaves.
+func (t *Tree) Leaves() int {
+	var count func(*Node) int
+	count = func(n *Node) int {
+		if n.IsLeaf() {
+			return 1
+		}
+		return count(n.Left) + count(n.Right)
+	}
+	return count(t.Root)
 }

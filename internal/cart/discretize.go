@@ -76,15 +76,6 @@ func (b *Binning) Assign(x float64) string {
 	return b.Labels[len(b.Labels)-1]
 }
 
-// AssignAll maps every value of xs to its class label.
-func (b *Binning) AssignAll(xs []float64) []string {
-	out := make([]string, len(xs))
-	for i, x := range xs {
-		out[i] = b.Assign(x)
-	}
-	return out
-}
-
 // Interval renders the class interval in the paper's footnote notation,
 // e.g. "Low = [0.15, 0.45]" then "Medium = (0.45, 0.65]".
 func (b *Binning) Interval(class string) (string, bool) {

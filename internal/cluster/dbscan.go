@@ -24,29 +24,10 @@ type DBSCANResult struct {
 	NoiseCount int
 }
 
-// DBSCAN clusters the row-major points with density reachability under the
+// DBSCANMatrix clusters the rows of m with density reachability under the
 // Euclidean metric: a core point has at least minPts neighbours (itself
 // included) within eps; clusters are the transitive closure of core-point
-// neighbourhoods; everything else is noise. Thin adapter over
-// DBSCANMatrix.
-func DBSCAN(points [][]float64, eps float64, minPts int) (*DBSCANResult, error) {
-	return DBSCANParallel(points, eps, minPts, 1)
-}
-
-// DBSCANParallel is DBSCAN with the region queries fanned out across
-// parallelism workers. Thin adapter over DBSCANMatrixParallel.
-func DBSCANParallel(points [][]float64, eps float64, minPts, parallelism int) (*DBSCANResult, error) {
-	if len(points) == 0 {
-		return nil, errors.New("cluster: dbscan on empty input")
-	}
-	m, err := matrix.FromRows(points)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	return DBSCANMatrixParallel(m, eps, minPts, parallelism)
-}
-
-// DBSCANMatrix is DBSCAN over a flat matrix of points.
+// neighbourhoods; everything else is noise.
 func DBSCANMatrix(m *matrix.Matrix, eps float64, minPts int) (*DBSCANResult, error) {
 	return DBSCANMatrixParallel(m, eps, minPts, 1)
 }
@@ -283,29 +264,11 @@ func (ci *cellIndex) neighbours(i int, eps2 float64, sc *neighbourScratch) []int
 	return out
 }
 
-// KDistances returns, for each point, the Euclidean distance to its k-th
-// nearest neighbour (excluding itself), sorted descending: the k-distance
-// plot used to choose DBSCAN's eps. It is O(n²) and intended for the
-// sampled parameter-estimation pass, not the full clustering.
-func KDistances(points [][]float64, k int) ([]float64, error) {
-	return KDistancesParallel(points, k, 1)
-}
-
-// KDistancesParallel is KDistances with the per-point scans fanned out
-// across parallelism workers. Thin adapter over KDistancesMatrix.
-func KDistancesParallel(points [][]float64, k, parallelism int) ([]float64, error) {
-	if len(points) == 0 {
-		return nil, errors.New("cluster: k-distances on empty input")
-	}
-	m, err := matrix.FromRows(points)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	return KDistancesMatrix(m, k, parallelism)
-}
-
-// KDistancesMatrix computes the k-distance plot over a flat matrix with
-// the per-point scans fanned out across parallelism workers. Each
+// KDistancesMatrix returns, for each row of m, the Euclidean distance to
+// its k-th nearest neighbour (excluding itself), sorted descending: the
+// k-distance plot used to choose DBSCAN's eps. It is O(n²) and intended
+// for the sampled parameter-estimation pass, not the full clustering. The
+// per-point scans fan out across parallelism workers. Each
 // point's k-distance is independent, so the plot is identical at any
 // parallelism. The k-th neighbour distance is read with a partial
 // quickselect instead of fully sorting every per-point distance slice —
@@ -389,32 +352,12 @@ func quickselect(xs []float64, k int) float64 {
 	return xs[k]
 }
 
-// EstimateDBSCANParams implements the heuristic the paper adopts from
-// Di Corso et al. (METATECH): compute the k-distance plot for several
+// EstimateDBSCANParamsMatrix implements the heuristic the paper adopts
+// from Di Corso et al. (METATECH): compute the k-distance plot for several
 // minPts values, pick minPts where the curve stabilises (successive curves
 // stop changing much), and eps as the elbow (maximum-curvature point) of
-// the stable curve. points should be a representative sample; the method
-// is quadratic in len(points).
-func EstimateDBSCANParams(points [][]float64, minPtsCandidates []int) (eps float64, minPts int, err error) {
-	return EstimateDBSCANParamsParallel(points, minPtsCandidates, 1)
-}
-
-// EstimateDBSCANParamsParallel is EstimateDBSCANParams with the quadratic
-// k-distance passes parallelized across parallelism workers. Thin
-// adapter over EstimateDBSCANParamsMatrix.
-func EstimateDBSCANParamsParallel(points [][]float64, minPtsCandidates []int, parallelism int) (eps float64, minPts int, err error) {
-	if len(points) == 0 {
-		return 0, 0, errors.New("cluster: no usable minPts candidate")
-	}
-	m, ferr := matrix.FromRows(points)
-	if ferr != nil {
-		return 0, 0, fmt.Errorf("cluster: %w", ferr)
-	}
-	return EstimateDBSCANParamsMatrix(m, minPtsCandidates, parallelism)
-}
-
-// EstimateDBSCANParamsMatrix estimates (eps, minPts) from k-distance
-// plots over a flat sample matrix.
+// the stable curve. m should be a representative sample; the method is
+// quadratic in its rows, parallelized across parallelism workers.
 func EstimateDBSCANParamsMatrix(m *matrix.Matrix, minPtsCandidates []int, parallelism int) (eps float64, minPts int, err error) {
 	if len(minPtsCandidates) == 0 {
 		minPtsCandidates = []int{3, 4, 5, 8, 10}

@@ -9,7 +9,7 @@ import (
 )
 
 // The tests in this file pin the flat-matrix compute core bitwise against
-// the retained pre-refactor implementations (reference.go): same labels,
+// the retained pre-refactor implementations (reference_test.go): same labels,
 // same centroids, same SSE, same iteration counts, at any parallelism.
 
 // equivPoints draws a point set designed to stress the equivalence: a few

@@ -196,39 +196,3 @@ func (dg *Dendrogram) Cut(k int) ([]int, error) {
 	}
 	return labels, nil
 }
-
-// CutHeight assigns clusters by cutting the dendrogram at a distance
-// threshold: merges at or below the height are applied.
-func (dg *Dendrogram) CutHeight(h float64) []int {
-	parent := make([]int, dg.N+len(dg.Merges))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, m := range dg.Merges {
-		if m.Height > h {
-			continue
-		}
-		parent[find(m.A)] = m.Into
-		parent[find(m.B)] = m.Into
-	}
-	labels := make([]int, dg.N)
-	remap := make(map[int]int)
-	for i := 0; i < dg.N; i++ {
-		root := find(i)
-		l, ok := remap[root]
-		if !ok {
-			l = len(remap)
-			remap[root] = l
-		}
-		labels[i] = l
-	}
-	return labels
-}

@@ -109,43 +109,6 @@ func TestHierarchicalCutCountProperty(t *testing.T) {
 	}
 }
 
-func TestHierarchicalCutHeight(t *testing.T) {
-	pts, _ := blobs(24, 2, 20, 0.3)
-	dg, err := Hierarchical(pts, CompleteLinkage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A cut below any merge height gives singletons.
-	labels := dg.CutHeight(-1)
-	distinct := map[int]bool{}
-	for _, l := range labels {
-		distinct[l] = true
-	}
-	if len(distinct) != len(pts) {
-		t.Fatalf("negative height cut: %d clusters", len(distinct))
-	}
-	// A cut above the root height gives one cluster.
-	top := dg.Merges[len(dg.Merges)-1].Height
-	labels = dg.CutHeight(top + 1)
-	distinct = map[int]bool{}
-	for _, l := range labels {
-		distinct[l] = true
-	}
-	if len(distinct) != 1 {
-		t.Fatalf("top cut: %d clusters", len(distinct))
-	}
-	// A cut between the blob diameter and the blob separation recovers
-	// the two blobs.
-	labels = dg.CutHeight(5)
-	distinct = map[int]bool{}
-	for _, l := range labels {
-		distinct[l] = true
-	}
-	if len(distinct) != 2 {
-		t.Fatalf("mid cut: %d clusters", len(distinct))
-	}
-}
-
 func TestHierarchicalErrors(t *testing.T) {
 	if _, err := Hierarchical(nil, SingleLinkage); err == nil {
 		t.Fatal("want error for empty input")

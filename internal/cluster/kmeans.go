@@ -15,7 +15,7 @@
 // rounding noise) and every undecided point falls back to the exact
 // reference arithmetic, so labels, centroids, SSE and iteration counts
 // are bitwise-identical to the retained pre-refactor reference
-// (KMeansReference) at any parallelism.
+// (KMeansReference, in reference_test.go) at any parallelism.
 package cluster
 
 import (
@@ -441,10 +441,6 @@ func seedPlusPlus(rng *rand.Rand, m *matrix.Matrix, cents *matrix.Matrix) {
 			}
 		}
 	}
-}
-
-func sqDist(a, b []float64) float64 {
-	return matrix.SqDist(a, b)
 }
 
 // Dist returns the Euclidean distance between two points.

@@ -6,6 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"testing"
+
+	"indice/internal/matrix"
 )
 
 // This file retains the pre-flat-matrix implementations of the three hot
@@ -13,9 +16,9 @@ import (
 // with the string-keyed cell grid, and the fully-sorting k-distance scan.
 // They are the executable specification the optimized paths are pinned
 // against — the randomized equivalence tests assert bitwise-identical
-// labels, centroids and distances at any parallelism, and the E11 kernel
-// benchmark measures the before/after ratio on the same host. They are
-// not wired into any production path.
+// labels, centroids and distances at any parallelism, and
+// BenchmarkE11KernelsReference below is the "before" of the E11 kernel
+// benchmark.
 
 // KMeansReference is the pre-refactor Lloyd's iteration. Results are
 // bitwise-identical to KMeans at any cfg.Parallelism (the reference
@@ -361,4 +364,154 @@ func KDistancesReference(points [][]float64, k int) ([]float64, error) {
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
 	return out, nil
+}
+
+// kernelPoints generates the E11 point sets — the root package's
+// benchKernelPoints, seed for seed: `centers` Gaussian blobs of the given
+// spread in [0,1]^dim.
+func kernelPoints(n, dim, centers int, spread float64, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	mus := make([][]float64, centers)
+	for c := range mus {
+		mus[c] = make([]float64, dim)
+		for d := range mus[c] {
+			mus[c][d] = rng.Float64()
+		}
+	}
+	pts := make([][]float64, n)
+	for i := range pts {
+		mu := mus[i%centers]
+		p := make([]float64, dim)
+		for d := range p {
+			v := mu[d] + rng.NormFloat64()*spread
+			if v < 0 {
+				v = 0
+			}
+			if v > 1 {
+				v = 1
+			}
+			p[d] = v
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// BenchmarkE11KernelsReference holds the three /reference arms of E11:
+// the pre-refactor algorithms over the points the root package's
+// BenchmarkE11Kernels times the flat kernels on. Each pair is verified
+// bitwise-identical before the reference is timed.
+func BenchmarkE11KernelsReference(b *testing.B) {
+	const (
+		kmN, kmDim, kMin, kMax = 100_000, 5, 2, 8
+		dbN, dbDim             = 100_000, 3
+		dbEps                  = 0.02
+		dbMinPts               = 8
+		kdN, kdK               = 4000, 4
+	)
+	kmPts := kernelPoints(kmN, kmDim, 8, 0.06, 42)
+	kmMat, err := matrix.FromRows(kmPts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kmCfg := KMeansConfig{Seed: 1}
+	// Equivalence gate (one K): the optimized path must be bitwise what
+	// the reference computes before its speed means anything.
+	{
+		c := kmCfg
+		c.K = 4
+		c.Seed = kmCfg.Seed + 4
+		want, err := KMeansReference(kmPts, c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := KMeansMatrix(kmMat, c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.SSE != want.SSE || got.Iterations != want.Iterations {
+			b.Fatalf("kmeans equivalence: SSE/iters %v/%d vs reference %v/%d",
+				got.SSE, got.Iterations, want.SSE, want.Iterations)
+		}
+		for i := range want.Labels {
+			if got.Labels[i] != want.Labels[i] {
+				b.Fatalf("kmeans equivalence: label[%d] = %d, want %d", i, got.Labels[i], want.Labels[i])
+			}
+		}
+	}
+	b.Run("kmeans-elbow/reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := kMin; k <= kMax; k++ {
+				c := kmCfg
+				c.K = k
+				c.Seed = kmCfg.Seed + int64(k) // restarts=1: r=0 term vanishes
+				if _, err := KMeansReference(kmPts, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+
+	dbPts := kernelPoints(dbN, dbDim, 40, 0.05, 7)
+	dbMat, err := matrix.FromRows(dbPts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	{
+		want, err := DBSCANReference(dbPts, dbEps, dbMinPts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := DBSCANMatrix(dbMat, dbEps, dbMinPts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.Clusters != want.Clusters || got.NoiseCount != want.NoiseCount {
+			b.Fatalf("dbscan equivalence: %d/%d vs reference %d/%d",
+				got.Clusters, got.NoiseCount, want.Clusters, want.NoiseCount)
+		}
+		for i := range want.Labels {
+			if got.Labels[i] != want.Labels[i] {
+				b.Fatalf("dbscan equivalence: label[%d] = %d, want %d", i, got.Labels[i], want.Labels[i])
+			}
+		}
+	}
+	b.Run("dbscan-100k/reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DBSCANReference(dbPts, dbEps, dbMinPts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	kdPts := kernelPoints(kdN, 3, 8, 0.08, 9)
+	kdMat, err := matrix.FromRows(kdPts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	{
+		want, err := KDistancesReference(kdPts, kdK)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := KDistancesMatrix(kdMat, kdK, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				b.Fatalf("kdistances equivalence: [%d] = %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+	b.Run("kdistances-4k/reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := KDistancesReference(kdPts, kdK); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -34,10 +34,6 @@ type AnalysisConfig struct {
 	MinSupport    float64
 	MinConfidence float64
 	MinLift       float64
-	// UseFPGrowth mines frequent itemsets with FP-Growth instead of
-	// Apriori (identical results, different cost profile; see the
-	// internal/assoc benches).
-	UseFPGrowth bool
 	// HierarchicalSample, when positive, additionally builds an
 	// agglomerative dendrogram (average linkage) over a deterministic
 	// sample of at most that many complete rows — the benchmarking view
@@ -118,8 +114,9 @@ type Analysis struct {
 	Dendrogram *cluster.Dendrogram
 }
 
-// Analyze runs the analytics tier over the engine's current table.
-func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
+// withDefaults resolves the zero values of the fields both the cold and
+// the incremental analysis read.
+func (cfg AnalysisConfig) withDefaults() AnalysisConfig {
 	if len(cfg.Attributes) == 0 {
 		cfg.Attributes = append([]string(nil), epc.CaseStudyAttributes...)
 	}
@@ -144,7 +141,12 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 	if cfg.MinConfidence <= 0 {
 		cfg.MinConfidence = 0.6
 	}
+	return cfg
+}
 
+// Analyze runs the analytics tier over the engine's current table.
+func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
+	cfg = cfg.withDefaults()
 	an := &Analysis{
 		Attributes: append([]string(nil), cfg.Attributes...),
 		Response:   cfg.Response,
@@ -155,14 +157,9 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 	// attribute matrix for clustering, and the response column. All cheap
 	// reads against the immutable table, loaded up front so the stages
 	// below share them without re-fetching.
-	names := append(append([]string(nil), cfg.Attributes...), cfg.Response)
-	cols := make([][]float64, len(names))
-	for i, n := range names {
-		v, err := e.tab.Floats(n)
-		if err != nil {
-			return nil, fmt.Errorf("core: analyze: %w", err)
-		}
-		cols[i] = v
+	cols, err := e.analysisColumns(cfg)
+	if err != nil {
+		return nil, err
 	}
 	// The complete-row attribute matrix is built once per analysis as a
 	// flat row-major matrix.Matrix and shared read-only by the clustering
@@ -184,21 +181,7 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 	// concurrent stage graph on cfg.Parallelism workers, each stage
 	// writing disjoint fields of an. At Parallelism <= 1 the stages run in
 	// the original sequential order.
-	correlationStage := func() error {
-		corr, err := stats.NewCorrelationMatrix(names, cols)
-		if err != nil {
-			return fmt.Errorf("core: analyze: %w", err)
-		}
-		an.Correlations = corr
-		// Eligibility concerns the clustering attributes only (the
-		// response may — should — correlate with them).
-		sub, err := stats.NewCorrelationMatrix(cfg.Attributes, cols[:len(cfg.Attributes)])
-		if err != nil {
-			return err
-		}
-		an.WeaklyCorrelated = sub.WeaklyCorrelated(cfg.CorrelationThreshold)
-		return nil
-	}
+	correlationStage := func() error { return an.correlate(cfg, cols) }
 
 	// K-means with SSE-elbow K on min-max normalized attributes, then the
 	// per-cluster response means.
@@ -236,32 +219,7 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 			}
 		}
 		an.Clustering = best
-		an.RowLabels = make([]int, e.tab.NumRows())
-		for i := range an.RowLabels {
-			an.RowLabels[i] = -1
-		}
-		for mi, row := range rowIdx {
-			an.RowLabels[row] = best.Labels[mi]
-		}
-
-		// Per-cluster response means.
-		sums := make([]float64, k)
-		counts := make([]int, k)
-		for row, l := range an.RowLabels {
-			if l < 0 || !respValid[row] {
-				continue
-			}
-			sums[l] += resp[row]
-			counts[l]++
-		}
-		an.ClusterResponseMeans = make([]float64, k)
-		for c := 0; c < k; c++ {
-			if counts[c] > 0 {
-				an.ClusterResponseMeans[c] = sums[c] / float64(counts[c])
-			} else {
-				an.ClusterResponseMeans[c] = math.NaN()
-			}
-		}
+		an.labelRows(rowIdx, resp, respValid)
 		return nil
 	}
 
@@ -297,12 +255,7 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 			return fmt.Errorf("core: analyze: %w", err)
 		}
 		mineCfg := assoc.MiningConfig{MinSupport: cfg.MinSupport, MaxLen: 3, Parallelism: cfg.Parallelism}
-		var frequent []assoc.FrequentItemset
-		if cfg.UseFPGrowth {
-			frequent, err = miner.FrequentItemsetsFP(mineCfg)
-		} else {
-			frequent, err = miner.FrequentItemsets(mineCfg)
-		}
+		frequent, err := miner.FrequentItemsets(mineCfg)
 		if err != nil {
 			return fmt.Errorf("core: analyze: %w", err)
 		}
@@ -350,6 +303,86 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 		return nil, err
 	}
 	return an, nil
+}
+
+// columns names the clustering attributes followed by the response.
+func (cfg AnalysisConfig) columns() []string {
+	return append(append([]string(nil), cfg.Attributes...), cfg.Response)
+}
+
+// analysisColumns loads cfg.columns() from the engine's table.
+func (e *Engine) analysisColumns(cfg AnalysisConfig) ([][]float64, error) {
+	cols := make([][]float64, 0, len(cfg.Attributes)+1)
+	for _, n := range cfg.columns() {
+		v, err := e.tab.Floats(n)
+		if err != nil {
+			return nil, fmt.Errorf("core: analyze: %w", err)
+		}
+		cols = append(cols, v)
+	}
+	return cols, nil
+}
+
+// correlate is the correlation screen over cols (analysisColumns' order):
+// the pairwise matrix over attributes plus response, and the eligibility
+// check over the clustering attributes only (the response may — should —
+// correlate with them).
+func (an *Analysis) correlate(cfg AnalysisConfig, cols [][]float64) error {
+	corr, err := stats.NewCorrelationMatrix(cfg.columns(), cols)
+	if err != nil {
+		return fmt.Errorf("core: analyze: %w", err)
+	}
+	an.Correlations = corr
+	sub, err := stats.NewCorrelationMatrix(cfg.Attributes, cols[:len(cfg.Attributes)])
+	if err != nil {
+		return err
+	}
+	an.WeaklyCorrelated = sub.WeaklyCorrelated(cfg.CorrelationThreshold)
+	return nil
+}
+
+// labelRows spreads an.Clustering's labels over the table rows — rowIdx
+// maps a clustered row to its table row, rows left out of the clustering
+// get -1 — and computes the mean response per cluster.
+func (an *Analysis) labelRows(rowIdx []int, resp []float64, respValid []bool) {
+	an.RowLabels = make([]int, len(resp))
+	for i := range an.RowLabels {
+		an.RowLabels[i] = -1
+	}
+	for mi, row := range rowIdx {
+		an.RowLabels[row] = an.Clustering.Labels[mi]
+	}
+	k := an.Clustering.K
+	sums := make([]float64, k)
+	counts := make([]int, k)
+	for row, l := range an.RowLabels {
+		if l < 0 || !respValid[row] {
+			continue
+		}
+		sums[l] += resp[row]
+		counts[l]++
+	}
+	an.ClusterResponseMeans = make([]float64, k)
+	for c := 0; c < k; c++ {
+		if counts[c] > 0 {
+			an.ClusterResponseMeans[c] = sums[c] / float64(counts[c])
+		} else {
+			an.ClusterResponseMeans[c] = math.NaN()
+		}
+	}
+}
+
+// rawCentroids maps the clustering's centroids from the min-max
+// normalized space back to raw attribute space, flat K×dim: what the next
+// incremental refresh warm-starts from.
+func (an *Analysis) rawCentroids() []float64 {
+	out := make([]float64, 0, an.Clustering.K*len(an.NormMins))
+	for _, c := range an.Clustering.Centroids {
+		for d, v := range c {
+			out = append(out, v*(an.NormMaxs[d]-an.NormMins[d])+an.NormMins[d])
+		}
+	}
+	return out
 }
 
 // RuleTransactions converts the engine's current table into the

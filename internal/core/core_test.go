@@ -118,7 +118,7 @@ func TestPreprocessPipeline(t *testing.T) {
 		t.Fatal("engine table not replaced")
 	}
 	// Expert run recorded configurations for future suggestion.
-	if eng.Suggestions().Len() == 0 {
+	if eng.suggestions.Len() == 0 {
 		t.Fatal("expert configurations not recorded")
 	}
 }
@@ -128,7 +128,7 @@ func TestPreprocessSuggestionPath(t *testing.T) {
 	// Seed the store with an expert gESD preference.
 	cfg := outlier.DefaultConfig(outlier.MethodGESD)
 	cfg.GESDMaxOutliers = 10
-	eng.Suggestions().Record(outlier.UsageRecord{Attr: epc.AttrAspectRatio, Config: cfg, Expert: true})
+	eng.suggestions.Record(outlier.UsageRecord{Attr: epc.AttrAspectRatio, Config: cfg, Expert: true})
 
 	pcfg := DefaultPreprocessConfig()
 	pcfg.SkipCleaning = true
@@ -301,29 +301,6 @@ func BenchmarkFullPipeline(b *testing.B) {
 	}
 }
 
-func TestAnalyzeFPGrowthMatchesApriori(t *testing.T) {
-	eng := engineFor(t, 1500, false)
-	cfg := DefaultAnalysisConfig()
-	cfg.KMax = 6
-	ap, err := eng.Analyze(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.UseFPGrowth = true
-	fp, err := eng.Analyze(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ap.Rules) != len(fp.Rules) {
-		t.Fatalf("apriori rules = %d, fp-growth rules = %d", len(ap.Rules), len(fp.Rules))
-	}
-	for i := range ap.Rules {
-		if ap.Rules[i].String() != fp.Rules[i].String() {
-			t.Fatalf("rule %d differs:\n%v\n%v", i, ap.Rules[i], fp.Rules[i])
-		}
-	}
-}
-
 func TestPipelineDeterministic(t *testing.T) {
 	// Two identical engines over the same data must produce byte-identical
 	// dashboards: the whole pipeline is seed-driven with no map-iteration
@@ -384,40 +361,6 @@ func TestPreprocessZeroQuotaGeocoder(t *testing.T) {
 	if _, err := eng.Analyze(acfg); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestPreprocessWithCachedGeocoder(t *testing.T) {
-	ds, sm, _ := world(t, 600)
-	dirty, _, err := synth.Corrupt(ds.Table, synth.DefaultCorruptionConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := geocode.NewMockGeocoder(sm, 5000)
-	cached := geocode.NewCachedGeocoder(inner)
-	eng, err := NewEngine(dirty, ds.City.Hierarchy, Options{StreetMap: sm, Geocoder: cached})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultPreprocessConfig()
-	cfg.Clean.Phi = 0.9
-	rep, err := eng.Preprocess(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := cached.Stats()
-	if rep.Cleaning.GeocoderRequests != inner.RequestsUsed() {
-		t.Fatalf("report requests %d != inner %d", rep.Cleaning.GeocoderRequests, inner.RequestsUsed())
-	}
-	if hits+misses == 0 {
-		t.Fatal("cache never consulted despite strict phi")
-	}
-	// Every cache miss consumed exactly one remote request (typo'd
-	// addresses are mostly unique, so hits may legitimately be zero here;
-	// the dedicated cache tests cover the hit path).
-	if misses != inner.RequestsUsed() {
-		t.Fatalf("misses %d != remote requests %d", misses, inner.RequestsUsed())
-	}
-	_ = hits
 }
 
 func TestReport(t *testing.T) {

@@ -82,9 +82,6 @@ func (e *Engine) Table() *table.Table { return e.tab }
 // Hierarchy returns the administrative hierarchy.
 func (e *Engine) Hierarchy() *geo.Hierarchy { return e.hier }
 
-// Suggestions returns the expert configuration store.
-func (e *Engine) Suggestions() *outlier.SuggestionStore { return e.suggestions }
-
 // Select replaces the engine's table with the subset matching p and
 // returns the new row count. This is the querying-engine entry point.
 func (e *Engine) Select(p query.Predicate) (int, error) {
@@ -150,6 +147,14 @@ func (cfg PreprocessConfig) cleans(m *geocode.StreetMap) bool {
 	return !cfg.SkipCleaning && m != nil
 }
 
+// outlierAttrs are the screened attributes with the default applied.
+func (cfg PreprocessConfig) outlierAttrs() []string {
+	if len(cfg.OutlierAttrs) == 0 {
+		return epc.CaseStudyAttributes
+	}
+	return cfg.OutlierAttrs
+}
+
 // cleanConfig is the cleaning configuration with the tier's worker count
 // applied, unless Clean sets its own.
 func (cfg PreprocessConfig) cleanConfig() geocode.CleanConfig {
@@ -206,35 +211,21 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 	rep := &PreprocessReport{RowsBefore: e.tab.NumRows()}
 
 	if cfg.cleans(e.streetMap) {
-		cl, err := geocode.NewCleaner(e.streetMap, e.geocoder, cfg.cleanConfig())
-		if err != nil {
-			return nil, fmt.Errorf("core: preprocess: %w", err)
-		}
 		// Cleaning rewrites cells, so it works on a copy unless the engine
 		// owns its table: a table a caller handed in is never modified.
 		work := e.tab
 		if !cfg.ownsTable {
 			work = work.Clone()
 		}
-		crep, err := cl.Clean(work)
+		crep, err := cleanTable(work, e.hier, e.streetMap, e.geocoder, cfg.cleanConfig())
 		if err != nil {
-			return nil, fmt.Errorf("core: preprocess: %w", err)
+			return nil, err
 		}
 		e.tab = work
 		rep.Cleaning = crep
-		// Refresh the administrative labels from the reconciled
-		// coordinates when the columns exist.
-		if e.tab.HasColumn(epc.AttrDistrict) && e.tab.HasColumn(epc.AttrNeighbourhood) {
-			if err := e.reassignZones(); err != nil {
-				return nil, err
-			}
-		}
 	}
 
-	attrs := cfg.OutlierAttrs
-	if len(attrs) == 0 {
-		attrs = append([]string(nil), epc.CaseStudyAttributes...)
-	}
+	attrs := cfg.outlierAttrs()
 	ucfg := cfg.Univariate
 	if ucfg.Method == "" {
 		// Non-expert path: consult the expert suggestion store.
@@ -246,26 +237,9 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 			e.suggestions.Record(outlier.UsageRecord{Attr: a, Config: ucfg, Expert: true})
 		}
 	}
-	rep.UnivariateMethod = ucfg.Method
-	if ucfg.Parallelism == 0 {
-		ucfg.Parallelism = cfg.Parallelism
-	}
-
-	var union []int
-	if cfg.ByZoneAttr != "" {
-		zones, u, err := outlier.DetectByZone(e.tab, cfg.ByZoneAttr, attrs, ucfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: preprocess: %w", err)
-		}
-		rep.Zones = zones
-		union = u
-	} else {
-		results, u, err := outlier.DetectColumns(e.tab, attrs, ucfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: preprocess: %w", err)
-		}
-		rep.Univariate = results
-		union = u
+	union, err := univariateScreen(e.tab, cfg, ucfg, rep)
+	if err != nil {
+		return nil, err
 	}
 	flagged := map[int]struct{}{}
 	for _, r := range union {
@@ -307,16 +281,56 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 	return rep, nil
 }
 
-// reassignZones recomputes district and neighbourhood labels from the
-// (cleaned) coordinates.
-func (e *Engine) reassignZones() error {
-	return reassignZonesTable(e.tab, e.hier)
+// cleanTable is the geospatial cleaning step, applied to tab in place:
+// per-row address reconciliation against the street map, then the
+// administrative labels recomputed from the reconciled coordinates when
+// the columns exist. The cold path cleans the whole corpus with it, the
+// incremental path a delta.
+func cleanTable(tab *table.Table, hier *geo.Hierarchy, sm *geocode.StreetMap, gc geocode.Geocoder, cfg geocode.CleanConfig) (*geocode.Report, error) {
+	cl, err := geocode.NewCleaner(sm, gc, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: preprocess: %w", err)
+	}
+	crep, err := cl.Clean(tab)
+	if err != nil {
+		return nil, fmt.Errorf("core: preprocess: %w", err)
+	}
+	if tab.HasColumn(epc.AttrDistrict) && tab.HasColumn(epc.AttrNeighbourhood) {
+		if err := reassignZones(tab, hier); err != nil {
+			return nil, err
+		}
+	}
+	return crep, nil
 }
 
-// reassignZonesTable recomputes the administrative labels of tab from its
-// coordinates — shared by the full preprocess pass and the incremental
-// path, which relabels only a delta table.
-func reassignZonesTable(tab *table.Table, hier *geo.Hierarchy) error {
+// univariateScreen runs the univariate outlier screen over tab — inside
+// each zone of cfg.ByZoneAttr when set, over the whole table otherwise —
+// records the per-zone or per-attribute results in rep and returns the
+// sorted union of flagged rows.
+func univariateScreen(tab *table.Table, cfg PreprocessConfig, ucfg outlier.Config, rep *PreprocessReport) ([]int, error) {
+	rep.UnivariateMethod = ucfg.Method
+	if ucfg.Parallelism == 0 {
+		ucfg.Parallelism = cfg.Parallelism
+	}
+	if cfg.ByZoneAttr != "" {
+		zones, union, err := outlier.DetectByZone(tab, cfg.ByZoneAttr, cfg.outlierAttrs(), ucfg)
+		if err != nil {
+			return nil, fmt.Errorf("core: preprocess: %w", err)
+		}
+		rep.Zones = zones
+		return union, nil
+	}
+	results, union, err := outlier.DetectColumns(tab, cfg.outlierAttrs(), ucfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: preprocess: %w", err)
+	}
+	rep.Univariate = results
+	return union, nil
+}
+
+// reassignZones recomputes the administrative labels of tab from its
+// coordinates.
+func reassignZones(tab *table.Table, hier *geo.Hierarchy) error {
 	lat, err := tab.Floats(epc.AttrLatitude)
 	if err != nil {
 		return err

@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"indice/internal/cluster"
-	"indice/internal/epc"
 	"indice/internal/geocode"
 	"indice/internal/matrix"
 	"indice/internal/obs"
-	"indice/internal/outlier"
 	"indice/internal/stats"
 	"indice/internal/store"
 	"indice/internal/table"
@@ -52,41 +50,17 @@ var errIncremental = errors.New("core: incremental refresh unavailable")
 // lineage is the mutable cross-epoch state of the incremental path, owned
 // by the refresh lock. raw accumulates the post-clean, pre-drop rows of
 // every epoch in arrival order; mat mirrors its complete rows over the
-// clustering attributes in a pooled appendable buffer, so each refresh
+// clustering attributes in an appendable buffer, so each refresh
 // materializes only the delta.
 type lineage struct {
 	epoch     uint64
 	raw       *table.Table
 	mat       *matrix.Appendable
-	rowIdx    []int // mat row -> raw row
-	attrs     []string
-	response  string
+	rowIdx    []int                    // mat row -> raw row
 	refStats  map[string]stats.Running // drift baseline, at last full sweep
 	centroids []float64                // flat K×dim, raw attribute space
 	chosenK   int
 	sinceFull int
-}
-
-// release returns the lineage's pooled resources.
-func (lin *lineage) release() {
-	if lin != nil && lin.mat != nil {
-		matrix.PutAppendable(lin.mat)
-		lin.mat = nil
-	}
-}
-
-// analysisAttrs resolves the clustering attribute subset and response the
-// same way Analyze defaults them.
-func analysisAttrs(cfg AnalysisConfig) ([]string, string) {
-	attrs := cfg.Attributes
-	if len(attrs) == 0 {
-		attrs = epc.CaseStudyAttributes
-	}
-	resp := cfg.Response
-	if resp == "" {
-		resp = epc.AttrEPH
-	}
-	return attrs, resp
 }
 
 // driftSince measures how far the store's distribution moved from the
@@ -168,7 +142,7 @@ func (l *Live) tryIncremental(ctx context.Context, start time.Time, snap *store.
 		mFallbackNoDelta.Inc()
 		return nil, false
 	}
-	drift, measurable := driftSince(lin.refStats, snap, append(append([]string(nil), lin.attrs...), lin.response))
+	drift, measurable := driftSince(lin.refStats, snap, l.cfg.Analysis.columns())
 	if measurable {
 		mRefreshDrift.Set(drift)
 	}
@@ -188,7 +162,6 @@ func (l *Live) tryIncremental(ctx context.Context, start time.Time, snap *store.
 			msg := err.Error()
 			l.incErr.Store(&msg)
 		}
-		l.lineage.release()
 		l.lineage = nil
 		return nil, false
 	}
@@ -202,6 +175,7 @@ func (l *Live) tryIncremental(ctx context.Context, start time.Time, snap *store.
 func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *store.Snapshot, prev *Published,
 	delta *store.Delta, drift float64) (*Published, error) {
 	lin := l.lineage
+	pcfg := l.cfg.Preprocess
 	var deltaCleaning *geocode.Report
 	if delta.NewRows > 0 {
 		// An error abandons the refresh, so the span is only recorded on
@@ -213,15 +187,16 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errIncremental, err)
 		}
-		cleanRep, err := l.cleanDelta(deltaTab)
-		if err != nil {
-			return nil, err
+		if pcfg.cleans(l.cfg.Options.StreetMap) {
+			deltaCleaning, err = cleanTable(deltaTab, l.hier, l.cfg.Options.StreetMap, l.cfg.Options.Geocoder, pcfg.cleanConfig())
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", errIncremental, err)
+			}
 		}
-		deltaCleaning = cleanRep
 		if err := lin.raw.AppendTable(deltaTab); err != nil {
 			return nil, fmt.Errorf("%w: %v", errIncremental, err)
 		}
-		newIdx, err := lin.raw.DenseMatrixAppend(lin.mat, lin.raw.NumRows()-deltaTab.NumRows(), lin.attrs...)
+		newIdx, err := lin.raw.DenseMatrixAppend(lin.mat, lin.raw.NumRows()-deltaTab.NumRows(), l.cfg.Analysis.Attributes...)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errIncremental, err)
 		}
@@ -236,37 +211,15 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 	// the cold path would compute on this snapshot exactly, so the set of
 	// dropped rows is identical — only their order differs.
 	_, spScreen := obs.StartSpan(ctx, "screen")
-	pcfg := l.cfg.Preprocess
-	attrs := pcfg.OutlierAttrs
-	if len(attrs) == 0 {
-		attrs = epc.CaseStudyAttributes
-	}
-	ucfg := pcfg.Univariate
-	if ucfg.Parallelism == 0 {
-		ucfg.Parallelism = pcfg.Parallelism
-	}
 	rep := &PreprocessReport{
-		RowsBefore:       lin.raw.NumRows(),
-		UnivariateMethod: ucfg.Method,
+		RowsBefore: lin.raw.NumRows(),
 		// Cleaning covers only this refresh's delta: the base rows were
 		// cleaned by the epochs that ingested them.
 		Cleaning: deltaCleaning,
 	}
-	var union []int
-	if pcfg.ByZoneAttr != "" {
-		zones, u, err := outlier.DetectByZone(lin.raw, pcfg.ByZoneAttr, attrs, ucfg)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errIncremental, err)
-		}
-		rep.Zones = zones
-		union = u
-	} else {
-		results, u, err := outlier.DetectColumns(lin.raw, attrs, ucfg)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errIncremental, err)
-		}
-		rep.Univariate = results
-		union = u
+	union, err := univariateScreen(lin.raw, pcfg, pcfg.Univariate, rep)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
 	rep.OutlierRows = union
 
@@ -293,7 +246,7 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 	}
 
 	_, spWarm := obs.StartSpan(ctx, "warm_kmeans")
-	an, newCentroidsRaw, err := l.analyzeIncremental(eng, prev.Analysis, drop)
+	an, err := l.analyzeIncremental(eng, prev.Analysis, drop)
 	spWarm.End()
 	if err != nil {
 		return nil, err
@@ -301,7 +254,7 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 
 	lin.epoch = snap.Epoch()
 	lin.sinceFull++
-	lin.centroids = newCentroidsRaw
+	lin.centroids = an.rawCentroids()
 	l.incRefreshes.Add(1)
 	mRefreshInc.Inc()
 	mRefreshDeltaRows.Set(float64(delta.NewRows))
@@ -325,42 +278,18 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 	}, nil
 }
 
-// cleanDelta applies the geospatial cleaning step to a delta table in
-// place, mirroring what Preprocess does to the whole table on the cold
-// path (per-row reconciliation, then administrative relabeling).
-func (l *Live) cleanDelta(deltaTab *table.Table) (*geocode.Report, error) {
-	if !l.cfg.Preprocess.cleans(l.cfg.Options.StreetMap) {
-		return nil, nil
-	}
-	cl, err := geocode.NewCleaner(l.cfg.Options.StreetMap, l.cfg.Options.Geocoder, l.cfg.Preprocess.cleanConfig())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errIncremental, err)
-	}
-	crep, err := cl.Clean(deltaTab)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errIncremental, err)
-	}
-	if deltaTab.HasColumn(epc.AttrDistrict) && deltaTab.HasColumn(epc.AttrNeighbourhood) {
-		if err := reassignZonesTable(deltaTab, l.hier); err != nil {
-			return nil, fmt.Errorf("%w: %v", errIncremental, err)
-		}
-	}
-	return crep, nil
-}
-
 // analyzeIncremental is the warm analytics tier: correlations, the
 // masked-and-normalized clustering matrix compacted from the lineage
-// buffer into pooled scratch, and one warm-started K-means run at the
-// previously chosen K. The elbow sweep, CART discretization, rule mining
-// and dendrogram are carried forward from the previous analysis — they
-// recompute on the next full sweep (drift or FullEvery). Returns the new
-// raw-space centroids for the next epoch's warm start.
-func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*Analysis, []float64, error) {
+// buffer, and one warm-started K-means run at the previously chosen K.
+// The elbow sweep, CART discretization, rule mining and dendrogram are
+// carried forward from the previous analysis — they recompute on the next
+// full sweep (drift or FullEvery).
+func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*Analysis, error) {
 	lin := l.lineage
 	cfg := l.cfg.Analysis
 	an := &Analysis{
-		Attributes: append([]string(nil), lin.attrs...),
-		Response:   lin.response,
+		Attributes: append([]string(nil), cfg.Attributes...),
+		Response:   cfg.Response,
 		// Carried forward from the last full sweep:
 		SSECurve:   prevAn.SSECurve,
 		ChosenK:    lin.chosenK,
@@ -371,29 +300,13 @@ func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*An
 
 	// Correlation screen: cheap relative to clustering, recomputed every
 	// refresh so the eligibility check always reflects the served data.
-	names := append(append([]string(nil), lin.attrs...), lin.response)
-	cols := make([][]float64, len(names))
-	for i, n := range names {
-		v, err := e.tab.Floats(n)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", errIncremental, err)
-		}
-		cols[i] = v
-	}
-	corr, err := stats.NewCorrelationMatrix(names, cols)
+	cols, err := e.analysisColumns(cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", errIncremental, err)
+		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
-	an.Correlations = corr
-	threshold := cfg.CorrelationThreshold
-	if threshold <= 0 {
-		threshold = 0.8
+	if err := an.correlate(cfg, cols); err != nil {
+		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
-	sub, err := stats.NewCorrelationMatrix(lin.attrs, cols[:len(lin.attrs)])
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", errIncremental, err)
-	}
-	an.WeaklyCorrelated = sub.WeaklyCorrelated(threshold)
 
 	// Survivor mask over the lineage matrix, plus the matrix-row → engine-
 	// table-row mapping (engine rows are the raw rows minus the dropped).
@@ -407,12 +320,8 @@ func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*An
 			survivors++
 		}
 	}
-	kmax := cfg.KMax
-	if kmax < 2 {
-		kmax = 10
-	}
-	if survivors < kmax || survivors < lin.chosenK {
-		return nil, nil, fmt.Errorf("%w: %d complete rows survive, need %d", errIncremental, survivors, kmax)
+	if survivors < cfg.KMax || survivors < lin.chosenK {
+		return nil, fmt.Errorf("%w: %d complete rows survive, need %d", errIncremental, survivors, cfg.KMax)
 	}
 	dropsBefore := make([]int, len(drop)+1)
 	for i, d := range drop {
@@ -422,15 +331,14 @@ func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*An
 		}
 	}
 
-	// Compact + min-max normalize the survivors into pooled scratch in one
-	// pass; bounds computed over exactly the clustered rows, as the cold
-	// path's NormalizeColumns does.
+	// Compact + min-max normalize the survivors in one pass; bounds
+	// computed over exactly the clustered rows, as the cold path's
+	// NormalizeColumns does.
 	mins, maxs := full.ColMinMax(nil, nil, mask)
-	norm, err := matrix.GetMatrix(survivors, dim)
+	norm, err := matrix.New(survivors, dim)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", errIncremental, err)
+		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
-	defer matrix.PutMatrix(norm)
 	tabIdx := make([]int, 0, survivors)
 	out := 0
 	for i, ok := range mask {
@@ -468,49 +376,14 @@ func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*An
 		Parallelism: cfg.Parallelism,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", errIncremental, err)
+		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
 	an.Clustering = res
 	an.NormMins = mins
 	an.NormMaxs = maxs
-
-	// Row labels and per-cluster response means over the engine table.
-	an.RowLabels = make([]int, e.tab.NumRows())
-	for i := range an.RowLabels {
-		an.RowLabels[i] = -1
-	}
-	for mi, row := range tabIdx {
-		an.RowLabels[row] = res.Labels[mi]
-	}
-	resp := cols[len(cols)-1]
-	respValid, _ := e.tab.ValidMask(lin.response)
-	sums := make([]float64, k)
-	counts := make([]int, k)
-	for row, lab := range an.RowLabels {
-		if lab < 0 || !respValid[row] {
-			continue
-		}
-		sums[lab] += resp[row]
-		counts[lab]++
-	}
-	an.ClusterResponseMeans = make([]float64, k)
-	for c := 0; c < k; c++ {
-		if counts[c] > 0 {
-			an.ClusterResponseMeans[c] = sums[c] / float64(counts[c])
-		} else {
-			an.ClusterResponseMeans[c] = math.NaN()
-		}
-	}
-
-	// Denormalize the converged centroids for the next warm start.
-	nextRaw := make([]float64, k*dim)
-	for c := 0; c < k; c++ {
-		for d := 0; d < dim; d++ {
-			span := maxs[d] - mins[d]
-			nextRaw[c*dim+d] = res.Centroids[c][d]*span + mins[d]
-		}
-	}
-	return an, nextRaw, nil
+	respValid, _ := e.tab.ValidMask(cfg.Response)
+	an.labelRows(tabIdx, cols[len(cols)-1], respValid)
+	return an, nil
 }
 
 // rebuildLineage re-bases the incremental state after a successful full
@@ -518,39 +391,27 @@ func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*An
 // table, re-materializes the appendable clustering matrix once, and
 // records the drift baseline and raw-space centroids of the fresh sweep.
 func (l *Live) rebuildLineage(snap *store.Snapshot, eng *Engine, rep *PreprocessReport, an *Analysis) {
-	l.lineage.release()
 	l.lineage = nil
 	if l.cfg.Incremental.Disable || l.cfg.SkipAnalysis ||
 		an == nil || an.Clustering == nil || rep == nil || rep.preDrop == nil {
 		return
 	}
-	attrs, resp := analysisAttrs(l.cfg.Analysis)
 	raw := rep.preDrop
 	if raw == eng.Table() {
 		// Nothing was dropped, so the pre-drop table aliases the serving
 		// table; the lineage needs its own copy to keep appending to.
 		raw = raw.Clone()
 	}
-	mat, err := matrix.GetAppendable(len(attrs))
+	mat, err := matrix.NewAppendable(len(l.cfg.Analysis.Attributes))
 	if err != nil {
 		return
 	}
-	rowIdx, err := raw.DenseMatrixAppend(mat, 0, attrs...)
+	rowIdx, err := raw.DenseMatrixAppend(mat, 0, l.cfg.Analysis.Attributes...)
 	if err != nil {
-		matrix.PutAppendable(mat)
 		return
 	}
-	k := an.Clustering.K
-	dim := len(attrs)
-	centroids := make([]float64, 0, k*dim)
-	for _, c := range an.Clustering.Centroids {
-		for d, v := range c {
-			span := an.NormMaxs[d] - an.NormMins[d]
-			centroids = append(centroids, v*span+an.NormMins[d])
-		}
-	}
-	refStats := make(map[string]stats.Running, len(attrs)+1)
-	for _, a := range append(append([]string(nil), attrs...), resp) {
+	refStats := map[string]stats.Running{}
+	for _, a := range l.cfg.Analysis.columns() {
 		if r, ok := snap.Stats(a); ok && r.Count > 0 {
 			refStats[a] = r
 		}
@@ -560,10 +421,8 @@ func (l *Live) rebuildLineage(snap *store.Snapshot, eng *Engine, rep *Preprocess
 		raw:       raw,
 		mat:       mat,
 		rowIdx:    rowIdx,
-		attrs:     append([]string(nil), attrs...),
-		response:  resp,
 		refStats:  refStats,
-		centroids: centroids,
+		centroids: an.rawCentroids(),
 		chosenK:   an.ChosenK,
 	}
 }

@@ -144,6 +144,9 @@ func NewLive(st *store.Store, hier *geo.Hierarchy, cfg LiveConfig) (*Live, error
 	if cfg.Incremental.FullEvery <= 0 {
 		cfg.Incremental.FullEvery = 8
 	}
+	// Resolved once: the incremental path reads the same attributes,
+	// response and K bounds Analyze will.
+	cfg.Analysis = cfg.Analysis.withDefaults()
 	return &Live{store: st, hier: hier, cfg: cfg, refreshNow: make(chan struct{}, 1)}, nil
 }
 

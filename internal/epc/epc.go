@@ -35,17 +35,6 @@ func ClassForEPH(eph float64) string {
 	}
 }
 
-// ClassRank returns the position of an energy class on the ladder (0 is
-// best, len-1 worst) or -1 for an unknown class.
-func ClassRank(class string) int {
-	for i, c := range EnergyClasses {
-		if c == class {
-			return i
-		}
-	}
-	return -1
-}
-
 // ValidationIssue reports one schema-conformance problem of a table.
 type ValidationIssue struct {
 	Attr string

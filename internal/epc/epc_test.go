@@ -1,6 +1,7 @@
 package epc
 
 import (
+	"slices"
 	"testing"
 
 	"indice/internal/table"
@@ -90,7 +91,7 @@ func TestCaseStudyAttributesExist(t *testing.T) {
 func TestClassForEPHMonotone(t *testing.T) {
 	prevRank := -1
 	for eph := 5.0; eph < 400; eph += 5 {
-		rank := ClassRank(ClassForEPH(eph))
+		rank := slices.Index(EnergyClasses, ClassForEPH(eph))
 		if rank < 0 {
 			t.Fatalf("unknown class for eph=%v", eph)
 		}
@@ -101,18 +102,6 @@ func TestClassForEPHMonotone(t *testing.T) {
 	}
 	if ClassForEPH(10) != "A4" || ClassForEPH(500) != "G" {
 		t.Fatal("extreme classes wrong")
-	}
-}
-
-func TestClassRank(t *testing.T) {
-	if ClassRank("A4") != 0 {
-		t.Fatal("A4 should rank 0")
-	}
-	if ClassRank("G") != len(EnergyClasses)-1 {
-		t.Fatal("G should rank last")
-	}
-	if ClassRank("Z") != -1 {
-		t.Fatal("unknown class should rank -1")
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package experiments regenerates every evaluation artifact of the paper
-// (see DESIGN.md's per-experiment index): the dataset statistics of §3
+// (see docs/benchmarks.md's per-experiment index): the dataset statistics of §3
 // (E1), the geospatial cleaning behaviour of §2.1.1 (E2), the outlier
 // detectors of §2.1.2 (E3), the Figure 3 correlation matrix (E4), the
 // Figure 4 analytics panels (E5, E6), the Figure 2 map drill-down (E7) and
 // the per-stakeholder dashboards (E8). Each experiment returns a textual
-// report with the measured quantities EXPERIMENTS.md compares against the
-// paper, and writes SVG/HTML artifacts when given an output directory.
+// report with the measured quantities to compare against the paper
+// and writes SVG/HTML artifacts when given an output directory.
 package experiments
 
 import (

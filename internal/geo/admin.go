@@ -3,7 +3,6 @@ package geo
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Level is a spatial granularity of the INDICE dashboards. The paper's
@@ -71,7 +70,6 @@ type Hierarchy struct {
 	districts      []Zone
 	neighbourhoods []Zone
 	byID           map[string]*Zone
-	children       map[string][]string
 }
 
 // NewHierarchy assembles and validates a hierarchy. Every district must
@@ -89,7 +87,6 @@ func NewHierarchy(city Zone, districts, neighbourhoods []Zone) (*Hierarchy, erro
 		districts:      append([]Zone(nil), districts...),
 		neighbourhoods: append([]Zone(nil), neighbourhoods...),
 		byID:           make(map[string]*Zone),
-		children:       make(map[string][]string),
 	}
 	h.byID[city.ID] = &h.city
 	for i := range h.districts {
@@ -107,7 +104,6 @@ func NewHierarchy(city Zone, districts, neighbourhoods []Zone) (*Hierarchy, erro
 			return nil, fmt.Errorf("geo: district %q ring too short", d.ID)
 		}
 		h.byID[d.ID] = d
-		h.children[city.ID] = append(h.children[city.ID], d.ID)
 	}
 	for i := range h.neighbourhoods {
 		n := &h.neighbourhoods[i]
@@ -125,7 +121,6 @@ func NewHierarchy(city Zone, districts, neighbourhoods []Zone) (*Hierarchy, erro
 			return nil, fmt.Errorf("geo: neighbourhood %q ring too short", n.ID)
 		}
 		h.byID[n.ID] = n
-		h.children[n.Parent] = append(h.children[n.Parent], n.ID)
 	}
 	return h, nil
 }
@@ -164,13 +159,6 @@ func (h *Hierarchy) Zone(id string) (Zone, bool) {
 		return Zone{}, false
 	}
 	return *z, true
-}
-
-// Children returns the IDs of a zone's direct children, sorted.
-func (h *Hierarchy) Children(id string) []string {
-	out := append([]string(nil), h.children[id]...)
-	sort.Strings(out)
-	return out
 }
 
 // Locate returns the zone containing p at the requested level. The boolean

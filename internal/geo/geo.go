@@ -1,18 +1,13 @@
 // Package geo provides the geospatial substrate for INDICE's energy maps:
-// geodesic distance, bounding boxes, point-in-polygon tests, a uniform
-// spatial grid index for neighbour queries, and the administrative
+// bounding boxes, point-in-polygon tests and the administrative
 // hierarchy (city → district → neighbourhood → building) that drives the
 // dashboard's drill-down zoom levels.
 package geo
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// EarthRadiusMeters is the mean Earth radius used by Haversine.
-const EarthRadiusMeters = 6371008.8
 
 // Point is a WGS84 coordinate pair in degrees.
 type Point struct {
@@ -30,21 +25,6 @@ func (p Point) Valid() bool {
 // String implements fmt.Stringer.
 func (p Point) String() string {
 	return fmt.Sprintf("(%.6f, %.6f)", p.Lat, p.Lon)
-}
-
-// Haversine returns the great-circle distance between a and b in meters.
-func Haversine(a, b Point) float64 {
-	lat1 := a.Lat * math.Pi / 180
-	lat2 := b.Lat * math.Pi / 180
-	dLat := (b.Lat - a.Lat) * math.Pi / 180
-	dLon := (b.Lon - a.Lon) * math.Pi / 180
-	s1 := math.Sin(dLat / 2)
-	s2 := math.Sin(dLon / 2)
-	h := s1*s1 + math.Cos(lat1)*math.Cos(lat2)*s2*s2
-	if h > 1 {
-		h = 1
-	}
-	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(h))
 }
 
 // Bounds is an axis-aligned lat/lon bounding box.
@@ -144,113 +124,4 @@ func RectPolygon(b Bounds) Polygon {
 		{Lat: b.MaxLat, Lon: b.MaxLon},
 		{Lat: b.MaxLat, Lon: b.MinLon},
 	}
-}
-
-// Grid is a uniform spatial index over points, used by DBSCAN's
-// neighbourhood queries and by the map renderers' aggregation at coarse
-// zoom. Cells are square in degree space.
-type Grid struct {
-	cell   float64
-	points []Point
-	cells  map[[2]int][]int32
-}
-
-// NewGrid indexes the given points with the given cell size in degrees.
-func NewGrid(points []Point, cellDegrees float64) (*Grid, error) {
-	if cellDegrees <= 0 || math.IsNaN(cellDegrees) || math.IsInf(cellDegrees, 0) {
-		return nil, errors.New("geo: grid cell size must be positive and finite")
-	}
-	g := &Grid{
-		cell:   cellDegrees,
-		points: append([]Point(nil), points...),
-		cells:  make(map[[2]int][]int32),
-	}
-	for i, p := range g.points {
-		k := g.key(p)
-		g.cells[k] = append(g.cells[k], int32(i))
-	}
-	return g, nil
-}
-
-func (g *Grid) key(p Point) [2]int {
-	return [2]int{int(math.Floor(p.Lat / g.cell)), int(math.Floor(p.Lon / g.cell))}
-}
-
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.points) }
-
-// WithinRadius returns the indices of all points within radiusDegrees of
-// center measured with the Euclidean metric in degree space (the metric
-// DBSCAN uses over normalized attributes is handled separately; this index
-// is for geographic neighbourhoods).
-func (g *Grid) WithinRadius(center Point, radiusDegrees float64) []int {
-	if radiusDegrees < 0 {
-		return nil
-	}
-	span := int(math.Ceil(radiusDegrees/g.cell)) + 1
-	ck := g.key(center)
-	var out []int
-	r2 := radiusDegrees * radiusDegrees
-	for di := -span; di <= span; di++ {
-		for dj := -span; dj <= span; dj++ {
-			ids := g.cells[[2]int{ck[0] + di, ck[1] + dj}]
-			for _, id := range ids {
-				p := g.points[id]
-				dLat := p.Lat - center.Lat
-				dLon := p.Lon - center.Lon
-				if dLat*dLat+dLon*dLon <= r2 {
-					out = append(out, int(id))
-				}
-			}
-		}
-	}
-	return out
-}
-
-// CellCounts aggregates the indexed points per grid cell, returning cell
-// centers with their populations. The renderer uses this for marker
-// clustering at coarse zoom levels.
-type CellCount struct {
-	Center Point
-	Count  int
-	IDs    []int
-}
-
-// Aggregate returns the per-cell aggregation sorted deterministically by
-// cell key (row-major).
-func (g *Grid) Aggregate() []CellCount {
-	type kv struct {
-		k   [2]int
-		ids []int32
-	}
-	keys := make([]kv, 0, len(g.cells))
-	for k, ids := range g.cells {
-		keys = append(keys, kv{k, ids})
-	}
-	// Sort by (latCell, lonCell) for deterministic output.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0; j-- {
-			a, b := keys[j-1].k, keys[j].k
-			if a[0] < b[0] || (a[0] == b[0] && a[1] <= b[1]) {
-				break
-			}
-			keys[j-1], keys[j] = keys[j], keys[j-1]
-		}
-	}
-	out := make([]CellCount, 0, len(keys))
-	for _, e := range keys {
-		cc := CellCount{
-			Center: Point{
-				Lat: (float64(e.k[0]) + 0.5) * g.cell,
-				Lon: (float64(e.k[1]) + 0.5) * g.cell,
-			},
-			Count: len(e.ids),
-			IDs:   make([]int, len(e.ids)),
-		}
-		for i, id := range e.ids {
-			cc.IDs[i] = int(id)
-		}
-		out = append(out, cc)
-	}
-	return out
 }

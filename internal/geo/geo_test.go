@@ -23,31 +23,6 @@ func TestPointValid(t *testing.T) {
 	}
 }
 
-func TestHaversineKnown(t *testing.T) {
-	// Turin ↔ Milan is roughly 126 km.
-	turin := Point{45.0703, 7.6869}
-	milan := Point{45.4642, 9.1900}
-	d := Haversine(turin, milan)
-	if d < 115e3 || d > 135e3 {
-		t.Fatalf("Turin-Milan = %.0f m", d)
-	}
-	if Haversine(turin, turin) != 0 {
-		t.Fatal("self distance non-zero")
-	}
-}
-
-func TestHaversineSymmetryProperty(t *testing.T) {
-	f := func(a1, o1, a2, o2 uint16) bool {
-		p := Point{float64(a1%180) - 90, float64(o1%360) - 180}
-		q := Point{float64(a2%180) - 90, float64(o2%360) - 180}
-		d1, d2 := Haversine(p, q), Haversine(q, p)
-		return math.Abs(d1-d2) < 1e-6 && d1 >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBounds(t *testing.T) {
 	b := EmptyBounds()
 	if !b.IsEmpty() {
@@ -117,84 +92,6 @@ func TestRectPolygonAgreesWithBounds(t *testing.T) {
 	}
 }
 
-func TestGridWithinRadius(t *testing.T) {
-	pts := []Point{{0, 0}, {0, 0.1}, {0, 0.5}, {1, 1}}
-	g, err := NewGrid(pts, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := g.WithinRadius(Point{0, 0}, 0.2)
-	if len(got) != 2 {
-		t.Fatalf("neighbours = %v", got)
-	}
-	all := g.WithinRadius(Point{0.5, 0.5}, 5)
-	if len(all) != 4 {
-		t.Fatalf("all = %v", all)
-	}
-	if got := g.WithinRadius(Point{0, 0}, -1); got != nil {
-		t.Fatalf("negative radius = %v", got)
-	}
-}
-
-func TestGridMatchesBruteForceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := make([]Point, 300)
-	for i := range pts {
-		pts[i] = Point{rng.Float64() * 2, rng.Float64() * 2}
-	}
-	g, err := NewGrid(pts, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 50; trial++ {
-		c := Point{rng.Float64() * 2, rng.Float64() * 2}
-		r := rng.Float64() * 0.5
-		got := map[int]bool{}
-		for _, id := range g.WithinRadius(c, r) {
-			got[id] = true
-		}
-		for i, p := range pts {
-			dLat, dLon := p.Lat-c.Lat, p.Lon-c.Lon
-			inside := dLat*dLat+dLon*dLon <= r*r
-			if inside != got[i] {
-				t.Fatalf("trial %d point %d: brute=%v grid=%v", trial, i, inside, got[i])
-			}
-		}
-	}
-}
-
-func TestGridInvalidCell(t *testing.T) {
-	if _, err := NewGrid(nil, 0); err == nil {
-		t.Fatal("want error for zero cell size")
-	}
-	if _, err := NewGrid(nil, math.NaN()); err == nil {
-		t.Fatal("want error for NaN cell size")
-	}
-}
-
-func TestGridAggregate(t *testing.T) {
-	pts := []Point{{0.1, 0.1}, {0.2, 0.2}, {0.9, 0.9}}
-	g, _ := NewGrid(pts, 0.5)
-	agg := g.Aggregate()
-	if len(agg) != 2 {
-		t.Fatalf("cells = %+v", agg)
-	}
-	total := 0
-	for _, c := range agg {
-		total += c.Count
-		if len(c.IDs) != c.Count {
-			t.Fatalf("cell %+v count/ids mismatch", c)
-		}
-	}
-	if total != 3 {
-		t.Fatalf("total = %d", total)
-	}
-	// Deterministic row-major order.
-	if agg[0].Center.Lat > agg[1].Center.Lat {
-		t.Fatalf("not sorted: %+v", agg)
-	}
-}
-
 func testHierarchy(t *testing.T) *Hierarchy {
 	t.Helper()
 	city := Zone{ID: "c", Name: "City", Level: LevelCity, Ring: Polygon{{0, 0}, {0, 2}, {2, 2}, {2, 0}}}
@@ -244,19 +141,6 @@ func TestHierarchyAssign(t *testing.T) {
 	}
 }
 
-func TestHierarchyChildren(t *testing.T) {
-	h := testHierarchy(t)
-	if got := h.Children("c"); len(got) != 2 || got[0] != "d1" || got[1] != "d2" {
-		t.Fatalf("children(c) = %v", got)
-	}
-	if got := h.Children("d1"); len(got) != 2 {
-		t.Fatalf("children(d1) = %v", got)
-	}
-	if got := h.Children("n1"); len(got) != 0 {
-		t.Fatalf("children(n1) = %v", got)
-	}
-}
-
 func TestHierarchyValidation(t *testing.T) {
 	city := Zone{ID: "c", Level: LevelCity, Ring: unitSquare()}
 	badDistrict := Zone{ID: "d", Level: LevelDistrict, Parent: "nope", Ring: unitSquare()}
@@ -292,23 +176,6 @@ func TestLevelStringParse(t *testing.T) {
 	}
 	if got := (Level(99)).String(); got != "Level(99)" {
 		t.Fatalf("String = %q", got)
-	}
-}
-
-func BenchmarkGridWithinRadius(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	pts := make([]Point, 25000)
-	for i := range pts {
-		pts[i] = Point{45 + rng.Float64()*0.2, 7.6 + rng.Float64()*0.2}
-	}
-	g, err := NewGrid(pts, 0.01)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.WithinRadius(pts[i%len(pts)], 0.005)
 	}
 }
 

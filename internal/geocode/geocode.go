@@ -62,17 +62,6 @@ func NewStreetMap(entries []ReferenceEntry) (*StreetMap, error) {
 // NumStreets returns the number of distinct streets.
 func (m *StreetMap) NumStreets() int { return len(m.streets) }
 
-// Lookup returns the reference entry for an exact (normalized street,
-// house number) pair.
-func (m *StreetMap) Lookup(street, houseNumber string) (ReferenceEntry, bool) {
-	for _, e := range m.byName[textmatch.NormalizeAddress(street)] {
-		if e.HouseNumber == houseNumber {
-			return e, true
-		}
-	}
-	return ReferenceEntry{}, false
-}
-
 // MatchStreet finds the referenced street most similar to the query and
 // returns it with the Levenshtein similarity. The beam width bounds the
 // candidate list examined.

@@ -35,21 +35,6 @@ func TestNewStreetMap(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	m, _ := NewStreetMap(refEntries())
-	e, ok := m.Lookup("via roma", "2")
-	if !ok || e.ZIP != "10101" || e.HouseNumber != "2" {
-		t.Fatalf("lookup = %+v, %v", e, ok)
-	}
-	// Case/normalization-insensitive.
-	if _, ok := m.Lookup("VIA ROMA", "1"); !ok {
-		t.Fatal("case-sensitive lookup")
-	}
-	if _, ok := m.Lookup("via roma", "99"); ok {
-		t.Fatal("missing civic matched")
-	}
-}
-
 func TestMatchStreet(t *testing.T) {
 	m, _ := NewStreetMap(refEntries())
 	s, sim, ok := m.MatchStreet("via rona", 16)

@@ -78,10 +78,9 @@ func TestCleanMatchesRowAtATimeOracle(t *testing.T) {
 	}
 
 	geocoders := map[string]func() geocode.Geocoder{
-		"nil":      func() geocode.Geocoder { return nil },
-		"quota50":  func() geocode.Geocoder { return geocode.NewMockGeocoder(m, 50) },
-		"quota-1":  func() geocode.Geocoder { return geocode.NewMockGeocoder(m, -1) },
-		"cached50": func() geocode.Geocoder { return geocode.NewCachedGeocoder(geocode.NewMockGeocoder(m, 50)) },
+		"nil":     func() geocode.Geocoder { return nil },
+		"quota50": func() geocode.Geocoder { return geocode.NewMockGeocoder(m, 50) },
+		"quota-1": func() geocode.Geocoder { return geocode.NewMockGeocoder(m, -1) },
 	}
 	corpora := map[string]*table.Table{"clean": ds.Table, "corrupted": dirty}
 	// ϕ = 0.97 rejects every typo, so the geocoder sees hundreds of rows

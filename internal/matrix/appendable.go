@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Appendable is a growable row-major point buffer: the incremental
 // counterpart of Matrix. Rows append at the end into one flat []float64
@@ -32,9 +29,6 @@ func NewAppendable(cols int) (*Appendable, error) {
 	}
 	return &Appendable{cols: cols}, nil
 }
-
-// Rows returns the number of appended rows.
-func (a *Appendable) Rows() int { return a.rows }
 
 // Cols returns the column count.
 func (a *Appendable) Cols() int { return a.cols }
@@ -74,90 +68,4 @@ func (a *Appendable) AppendRow(row []float64) error {
 // treated as read-only; it stays valid across later appends.
 func (a *Appendable) Matrix() *Matrix {
 	return &Matrix{rows: a.rows, cols: a.cols, stride: a.cols, data: a.data[:a.rows*a.cols]}
-}
-
-// Reset empties the buffer for the given column count, keeping the
-// backing capacity. Only safe once no Matrix views of the old contents
-// are live.
-func (a *Appendable) Reset(cols int) {
-	if cols <= 0 {
-		cols = 1
-	}
-	a.cols = cols
-	a.rows = 0
-	a.data = a.data[:0]
-}
-
-// appendablePool recycles Appendable buffers (and their multi-megabyte
-// backing arrays) across refresh lineages.
-var appendablePool = sync.Pool{New: func() any { return &Appendable{cols: 1} }}
-
-// GetAppendable returns a pooled, empty Appendable for the given column
-// count. Return it with PutAppendable once no views of it are live.
-func GetAppendable(cols int) (*Appendable, error) {
-	if cols <= 0 {
-		return nil, fmt.Errorf("matrix: appendable with %d columns", cols)
-	}
-	a := appendablePool.Get().(*Appendable)
-	a.Reset(cols)
-	return a, nil
-}
-
-// PutAppendable recycles an Appendable. The caller must guarantee that no
-// Matrix view of it escapes: pooled reuse rewrites the backing array.
-func PutAppendable(a *Appendable) {
-	if a != nil {
-		appendablePool.Put(a)
-	}
-}
-
-// floatPool recycles the flat scratch slices of per-refresh temporaries
-// (normalized matrices, masks, distance buffers). Get transfers ownership
-// out of the pool entirely; Put hands it back.
-var floatPool sync.Pool
-
-// GetFloats returns a zeroed pooled []float64 of length n.
-func GetFloats(n int) []float64 {
-	if v := floatPool.Get(); v != nil {
-		buf := *(v.(*[]float64))
-		if cap(buf) >= n {
-			buf = buf[:n]
-			for i := range buf {
-				buf[i] = 0
-			}
-			return buf
-		}
-	}
-	return make([]float64, n)
-}
-
-// PutFloats returns a scratch slice to the pool. The caller must not use
-// the slice afterwards.
-func PutFloats(buf []float64) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:0]
-	floatPool.Put(&buf)
-}
-
-// GetMatrix returns a pooled zeroed rows×cols matrix. Return its backing
-// via PutMatrix once no reference escapes.
-func GetMatrix(rows, cols int) (*Matrix, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("matrix: negative shape %dx%d", rows, cols)
-	}
-	if cols > 0 && rows > (1<<48)/cols {
-		return nil, fmt.Errorf("matrix: shape %dx%d overflows", rows, cols)
-	}
-	return &Matrix{rows: rows, cols: cols, stride: cols, data: GetFloats(rows * cols)}, nil
-}
-
-// PutMatrix recycles a matrix obtained from GetMatrix.
-func PutMatrix(m *Matrix) {
-	if m != nil {
-		PutFloats(m.data)
-		m.data = nil
-		m.rows, m.cols, m.stride = 0, 0, 0
-	}
 }

@@ -20,8 +20,8 @@ func TestAppendableGrowsAndViews(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.Rows() != 100 || a.Cols() != 3 {
-		t.Fatalf("shape = %dx%d", a.Rows(), a.Cols())
+	if a.rows != 100 || a.Cols() != 3 {
+		t.Fatalf("shape = %dx%d", a.rows, a.Cols())
 	}
 	m := a.Matrix()
 	if m.Rows() != 100 || m.Cols() != 3 {
@@ -70,17 +70,16 @@ func TestAppendableEarlierViewSurvivesAppends(t *testing.T) {
 }
 
 func TestAppendableAmortizedGrowth(t *testing.T) {
-	a, err := NewAppendable(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	row := []float64{1, 2, 3, 4}
 	// With capacity doubling, 100k appends reallocate only O(log n) times;
 	// measure allocations per append and require them to be far below one
 	// per call (a linear-copy regression would push this toward O(n)).
 	const n = 100_000
 	allocs := testing.AllocsPerRun(1, func() {
-		a.Reset(4)
+		a, err := NewAppendable(4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < n; i++ {
 			if err := a.AppendRow(row); err != nil {
 				t.Fatal(err)
@@ -89,68 +88,5 @@ func TestAppendableAmortizedGrowth(t *testing.T) {
 	})
 	if allocs > 64 {
 		t.Fatalf("%v allocations for %d appends; capacity doubling regressed", allocs, n)
-	}
-}
-
-func TestAppendablePoolRoundTrip(t *testing.T) {
-	a, err := GetAppendable(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Rows() != 0 || a.Cols() != 3 {
-		t.Fatalf("pooled appendable shape = %dx%d", a.Rows(), a.Cols())
-	}
-	if err := a.AppendRow([]float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	PutAppendable(a)
-	b, err := GetAppendable(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Rows() != 0 || b.Cols() != 5 {
-		t.Fatalf("re-pooled appendable shape = %dx%d", b.Rows(), b.Cols())
-	}
-	PutAppendable(b)
-	if _, err := GetAppendable(-1); err == nil {
-		t.Fatal("want error for negative columns")
-	}
-}
-
-func TestFloatAndMatrixPools(t *testing.T) {
-	buf := GetFloats(128)
-	if len(buf) != 128 {
-		t.Fatalf("len = %d", len(buf))
-	}
-	for i := range buf {
-		if buf[i] != 0 {
-			t.Fatalf("pooled buffer not zeroed at %d", i)
-		}
-		buf[i] = 1
-	}
-	PutFloats(buf)
-	again := GetFloats(64)
-	for i, v := range again {
-		if v != 0 {
-			t.Fatalf("recycled buffer not zeroed at %d", i)
-		}
-	}
-	PutFloats(again)
-	PutFloats(nil) // no-op
-
-	m, err := GetMatrix(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows() != 10 || m.Cols() != 4 || m.Stride() != 4 {
-		t.Fatalf("pooled matrix shape = %dx%d stride %d", m.Rows(), m.Cols(), m.Stride())
-	}
-	m.Set(9, 3, 7)
-	if m.At(9, 3) != 7 {
-		t.Fatal("pooled matrix not writable")
-	}
-	PutMatrix(m)
-	if _, err := GetMatrix(-1, 2); err == nil {
-		t.Fatal("want error for negative shape")
 	}
 }

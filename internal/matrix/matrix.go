@@ -15,15 +15,14 @@
 //     index order). Every result that must be bitwise-reproducible —
 //     K-means assignments, DBSCAN neighbourhoods, silhouette scores —
 //     bottoms out in this loop.
-//   - SqDistsTo / SqDistBlock use the |x|²+|c|²−2·x·c expansion with
-//     precomputed norms. They are faster (norms amortize across calls)
-//     but rounded differently; SqDistErrorBound bounds the divergence so
+//   - SqDistsTo uses the |x|²+|c|²−2·x·c expansion with precomputed
+//     norms. It is faster (norms amortize across calls) but rounded
+//     differently; SqDistErrorBound bounds the divergence so
 //     callers can screen with the fast kernel and confirm with the exact
 //     one when the margin is too small to decide.
 package matrix
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -97,9 +96,6 @@ func (m *Matrix) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *Matrix) Cols() int { return m.cols }
 
-// Stride returns the row stride of the backing slice.
-func (m *Matrix) Stride() int { return m.stride }
-
 // Data returns the backing slice. Shared, not a copy: callers must treat
 // it as read-only unless they own the matrix.
 func (m *Matrix) Data() []float64 { return m.data }
@@ -113,9 +109,6 @@ func (m *Matrix) Row(i int) []float64 {
 
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.data[i*m.stride+j] }
-
-// Set writes element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.stride+j] = v }
 
 // CopyRow copies src into row i.
 func (m *Matrix) CopyRow(i int, src []float64) { copy(m.Row(i), src) }
@@ -199,35 +192,6 @@ func SqDistsTo(dst []float64, x []float64, xn float64, c *Matrix, cn []float64) 
 	return dst
 }
 
-// SqDistBlock fills dst (row-major x.Rows()×c.Rows(), stride c.Rows())
-// with the approximate squared distances between every row of x and every
-// row of c, using the norm expansion. xn and cn are the precomputed
-// squared row norms of x and c (computed on the fly when nil). dst is
-// grown if needed and returned.
-func SqDistBlock(dst []float64, x, c *Matrix, xn, cn []float64) ([]float64, error) {
-	if x.cols != c.cols {
-		return nil, fmt.Errorf("matrix: sqdist block dims %d vs %d", x.cols, c.cols)
-	}
-	if xn == nil {
-		xn = x.RowNorms(nil)
-	}
-	if cn == nil {
-		cn = c.RowNorms(nil)
-	}
-	if len(xn) != x.rows || len(cn) != c.rows {
-		return nil, errors.New("matrix: sqdist block norm length mismatch")
-	}
-	n := x.rows * c.rows
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := 0; i < x.rows; i++ {
-		SqDistsTo(dst[i*c.rows:(i+1)*c.rows], x.Row(i), xn[i], c, cn)
-	}
-	return dst, nil
-}
-
 // SqDistErrorBound returns a conservative bound on the absolute
 // divergence between SqDistsTo's expanded computation and the exact
 // SqDist loop for vectors with squared norms xn and cn over cols
@@ -236,28 +200,6 @@ func SqDistBlock(dst []float64, x, c *Matrix, xn, cn []float64) ([]float64, erro
 // side of confirming with the exact kernel.
 func SqDistErrorBound(cols int, xn, cn float64) float64 {
 	return 4e-15 * float64(cols+8) * (xn + cn + 1)
-}
-
-// ArgminRows writes into dst the per-row argmin of the row-major n×k
-// buffer d: the lowest index attaining the strict minimum, exactly the
-// tie-break of a sequential strict-< scan. dst is grown if needed and
-// returned.
-func ArgminRows(dst []int, d []float64, n, k int) []int {
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
-	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		row := d[i*k : (i+1)*k]
-		best, bestV := 0, math.Inf(1)
-		for j, v := range row {
-			if v < bestV {
-				best, bestV = j, v
-			}
-		}
-		dst[i] = best
-	}
-	return dst
 }
 
 // ColMinMax computes per-column minima and maxima over the rows where
@@ -290,30 +232,6 @@ func (m *Matrix) ColMinMax(mins, maxs []float64, mask []bool) ([]float64, []floa
 		}
 	}
 	return mins, maxs
-}
-
-// ColSums computes per-column sums over the rows where mask is true (all
-// rows when mask is nil), folding in row-index order, writing into dst
-// (grown if needed) and returning it alongside the selected row count.
-func (m *Matrix) ColSums(dst []float64, mask []bool) ([]float64, int) {
-	if cap(dst) < m.cols {
-		dst = make([]float64, m.cols)
-	}
-	dst = dst[:m.cols]
-	for d := range dst {
-		dst[d] = 0
-	}
-	count := 0
-	for i := 0; i < m.rows; i++ {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		count++
-		for d, v := range m.Row(i) {
-			dst[d] += v
-		}
-	}
-	return dst, count
 }
 
 // NormalizeColumns returns a fresh matrix with every column min-max

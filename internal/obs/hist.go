@@ -117,36 +117,6 @@ func (h *Histogram) Load() HistSnapshot {
 	return s
 }
 
-// Merge adds another histogram's current contents into h (bucket-wise sum;
-// min/max fold). Both histograms remain usable.
-func (h *Histogram) Merge(o *Histogram) { h.MergeSnapshot(o.Load()) }
-
-// MergeSnapshot adds a snapshot's contents into h.
-func (h *Histogram) MergeSnapshot(s HistSnapshot) {
-	if s.Count == 0 {
-		return
-	}
-	h.count.Add(s.Count)
-	h.sum.Add(s.Sum)
-	for i, n := range s.Buckets {
-		if n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	for {
-		old := h.min.Load()
-		if s.Min >= old || h.min.CompareAndSwap(old, s.Min) {
-			break
-		}
-	}
-	for {
-		old := h.max.Load()
-		if s.Max <= old || h.max.CompareAndSwap(old, s.Max) {
-			break
-		}
-	}
-}
-
 // Merge folds another snapshot into this one (plain, single-threaded).
 func (s *HistSnapshot) Merge(o HistSnapshot) {
 	if o.Count == 0 {
@@ -213,15 +183,4 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		cum = next
 	}
 	return float64(s.Max)
-}
-
-// Quantile is a convenience over Load().Quantile for live histograms.
-func (h *Histogram) Quantile(q float64) float64 { return h.Load().Quantile(q) }
-
-// Mean returns the average observed value (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

@@ -57,7 +57,7 @@ func TestBucketMonotonic(t *testing.T) {
 func TestQuantileEmpty(t *testing.T) {
 	h := NewHistogram()
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
+		if got := h.Load().Quantile(q); got != 0 {
 			t.Errorf("empty histogram Quantile(%g) = %g, want 0", q, got)
 		}
 	}
@@ -73,7 +73,7 @@ func TestQuantileSingleSample(t *testing.T) {
 		h := NewHistogram()
 		h.Observe(v)
 		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-			if got := h.Quantile(q); got != float64(v) {
+			if got := h.Load().Quantile(q); got != float64(v) {
 				t.Errorf("single sample %d: Quantile(%g) = %g, want %d", v, q, got, v)
 			}
 		}
@@ -98,16 +98,16 @@ func TestQuantileBucketBoundaries(t *testing.T) {
 		{1.00, n},
 	}
 	for _, c := range checks {
-		got := h.Quantile(c.q)
+		got := h.Load().Quantile(c.q)
 		rel := math.Abs(got-c.want) / c.want
 		if rel > 0.25 {
 			t.Errorf("Quantile(%g) = %g, want %g within 25%% (rel err %.3f)", c.q, got, c.want, rel)
 		}
 	}
-	if got := h.Quantile(1); got != n {
+	if got := h.Load().Quantile(1); got != n {
 		t.Errorf("Quantile(1) = %g, want exact max %d", got, n)
 	}
-	if got := h.Quantile(0); got != 1 {
+	if got := h.Load().Quantile(0); got != 1 {
 		t.Errorf("Quantile(0) = %g, want exact min 1", got)
 	}
 }
@@ -116,40 +116,11 @@ func TestQuantileClampsOutOfRangeQ(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(10)
 	h.Observe(20)
-	if got := h.Quantile(-3); got != 10 {
+	if got := h.Load().Quantile(-3); got != 10 {
 		t.Errorf("Quantile(-3) = %g, want min 10", got)
 	}
-	if got := h.Quantile(7); got != 20 {
+	if got := h.Load().Quantile(7); got != 20 {
 		t.Errorf("Quantile(7) = %g, want max 20", got)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 1; i <= 100; i++ {
-		a.Observe(uint64(i))
-	}
-	for i := 901; i <= 1000; i++ {
-		b.Observe(uint64(i))
-	}
-	a.Merge(b)
-	s := a.Load()
-	if s.Count != 200 {
-		t.Fatalf("merged count = %d, want 200", s.Count)
-	}
-	if s.Min != 1 || s.Max != 1000 {
-		t.Fatalf("merged min/max = %d/%d, want 1/1000", s.Min, s.Max)
-	}
-	wantSum := uint64(100*101/2 + (901+1000)*100/2)
-	if s.Sum != wantSum {
-		t.Fatalf("merged sum = %d, want %d", s.Sum, wantSum)
-	}
-	// Median of the merged distribution sits at the 100/200 boundary
-	// between the two halves; accept anything inside bucket tolerance of
-	// the gap [100, 901].
-	med := s.Quantile(0.5)
-	if med < 75 || med > 1000 {
-		t.Errorf("merged median %g wildly off", med)
 	}
 }
 

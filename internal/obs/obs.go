@@ -134,17 +134,6 @@ func NewRegistry() *Registry {
 // available as a kill switch.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 
-// Enabled reports whether spans and histograms record.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
-
-// SetSlowOpThreshold sets the duration above which a finished span emits a
-// structured slow-op log line. Zero or negative disables the lines.
-func (r *Registry) SetSlowOpThreshold(d time.Duration) { r.slowNanos.Store(int64(d)) }
-
-// SetSlowOpLogger redirects slow-op lines (nil restores the stdlib default
-// logger). Tests inject a logger writing to a buffer.
-func (r *Registry) SetSlowOpLogger(l *log.Logger) { r.slowLog.Store(l) }
-
 func (r *Registry) slowLogger() *log.Logger {
 	if l := r.slowLog.Load(); l != nil {
 		return l

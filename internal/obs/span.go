@@ -39,14 +39,6 @@ func (r *Registry) StartSpan(ctx context.Context, name string) (context.Context,
 	return context.WithValue(ctx, spanCtxKey{}, s), s
 }
 
-// Name returns the span's full dotted name ("" for a nil span).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // End finishes the span: the duration lands in the stage histogram and, if
 // it meets the slow-op threshold, in the log. Safe on a nil receiver.
 func (s *Span) End() {

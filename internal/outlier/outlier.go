@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"indice/internal/cluster"
 	"indice/internal/parallel"
@@ -138,7 +139,7 @@ func detectValues(attr string, xs []float64, cfg Config) ([]int, error) {
 			return nil, fmt.Errorf("outlier: gESD on %q: %w", attr, err)
 		}
 		out = append(out, idx...)
-		sortInts(out)
+		slices.Sort(out)
 	case MethodMAD:
 		cut := cfg.MADCutoff
 		if cut <= 0 {
@@ -186,7 +187,7 @@ func DetectColumns(t *table.Table, attrs []string, cfg Config) ([]*Result, []int
 	for r := range union {
 		flat = append(flat, r)
 	}
-	sortInts(flat)
+	slices.Sort(flat)
 	return all, flat, nil
 }
 
@@ -195,15 +196,6 @@ func DetectColumns(t *table.Table, attrs []string, cfg Config) ([]*Result, []int
 // behaviour.
 func RemoveRows(t *table.Table, rows []int) (*table.Table, error) {
 	return t.DropRows(rows)
-}
-
-func sortInts(xs []int) {
-	// Insertion sort: flagged sets are tiny relative to the table.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // MultivariateConfig parameterizes the DBSCAN-based detector.

@@ -3,6 +3,7 @@ package outlier
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"indice/internal/parallel"
@@ -106,7 +107,7 @@ func DetectByZone(t *table.Table, zoneAttr string, attrs []string, cfg Config) (
 		for r := range union {
 			zr.Rows = append(zr.Rows, r)
 		}
-		sortInts(zr.Rows)
+		slices.Sort(zr.Rows)
 		return zr, nil
 	})
 	if err != nil {
@@ -123,6 +124,6 @@ func DetectByZone(t *table.Table, zoneAttr string, attrs []string, cfg Config) (
 	for r := range union {
 		flat = append(flat, r)
 	}
-	sortInts(flat)
+	slices.Sort(flat)
 	return results, flat, nil
 }

@@ -30,28 +30,6 @@ func (e *Evaluator) MaskEncodedBits(enc *table.Encoded) ([]uint64, error) {
 	return e.root.tw, nil
 }
 
-// MaskEncoded is MaskEncodedBits expanded to the []bool shape of Mask,
-// for callers (and equivalence tests) that compare the two paths
-// row-wise. The returned slice aliases an evaluator buffer.
-func (e *Evaluator) MaskEncoded(enc *table.Encoded) ([]bool, error) {
-	words, err := e.MaskEncodedBits(enc)
-	if err != nil {
-		return nil, err
-	}
-	rows := enc.NumRows()
-	n := e.root
-	// t and f resize as a pair — grow assumes equal capacity.
-	if cap(n.t) < rows {
-		n.t = make([]bool, rows)
-		n.f = make([]bool, rows)
-	}
-	n.t = n.t[:rows]
-	for i := range n.t {
-		n.t[i] = words[i>>6]&(1<<(uint(i)&63)) != 0
-	}
-	return n.t, nil
-}
-
 // MaskEncodedRows evaluates the compiled predicate at just the given
 // ordinals of an encoded segment — the planner's candidate re-check,
 // where the index has already narrowed a segment to a few rows and

@@ -64,7 +64,7 @@ func randEncPredicate(rng *rand.Rand, depth int) Predicate {
 		case 1:
 			return Or(kids)
 		default:
-			return Not{P: randEncPredicate(rng, depth - 1)}
+			return Not{P: randEncPredicate(rng, depth-1)}
 		}
 	}
 	switch rng.Intn(4) {
@@ -275,4 +275,26 @@ func TestMaskEncodedErrors(t *testing.T) {
 			t.Errorf("%s: want error", p)
 		}
 	}
+}
+
+// MaskEncoded is MaskEncodedBits expanded to the []bool shape of Mask,
+// for callers (and equivalence tests) that compare the two paths
+// row-wise. The returned slice aliases an evaluator buffer.
+func (e *Evaluator) MaskEncoded(enc *table.Encoded) ([]bool, error) {
+	words, err := e.MaskEncodedBits(enc)
+	if err != nil {
+		return nil, err
+	}
+	rows := enc.NumRows()
+	n := e.root
+	// t and f resize as a pair — grow assumes equal capacity.
+	if cap(n.t) < rows {
+		n.t = make([]bool, rows)
+		n.f = make([]bool, rows)
+	}
+	n.t = n.t[:rows]
+	for i := range n.t {
+		n.t[i] = words[i>>6]&(1<<(uint(i)&63)) != 0
+	}
+	return n.t, nil
 }

@@ -191,52 +191,3 @@ func SSECurveChart(title string, ks []int, sses []float64, chosenK, w, height in
 	c.Title(title)
 	return c.String(), nil
 }
-
-// BoxplotChart renders the graphic boxplot of the univariate outlier
-// panel: box at the quartiles, whiskers at the Tukey fences, the values
-// beyond them drawn individually as the paper describes.
-func BoxplotChart(title string, xs []float64, w, height int) (string, error) {
-	d, err := stats.Describe(xs)
-	if err != nil {
-		return "", fmt.Errorf("render: boxplot: %w", err)
-	}
-	f, err := stats.Fences(xs, 1.5)
-	if err != nil {
-		return "", fmt.Errorf("render: boxplot: %w", err)
-	}
-	c := NewCanvas(w, height)
-	c.Rect(0, 0, float64(w), float64(height), "#ffffff", "#cccccc", 1)
-	const (
-		left  = 30.0
-		right = 16.0
-	)
-	plotW := float64(w) - left - right
-	lo := math.Min(d.Min, f.Lower)
-	hi := math.Max(d.Max, f.Upper)
-	if hi == lo {
-		hi = lo + 1
-	}
-	px := func(v float64) float64 { return left + plotW*(v-lo)/(hi-lo) }
-	midY := float64(height)/2 + 8
-	boxH := 36.0
-	// Whiskers clamp to the data range.
-	wLo := math.Max(f.Lower, d.Min)
-	wHi := math.Min(f.Upper, d.Max)
-	c.Line(px(wLo), midY, px(f.Q1), midY, "#333333", 1.5)
-	c.Line(px(f.Q3), midY, px(wHi), midY, "#333333", 1.5)
-	c.Line(px(wLo), midY-10, px(wLo), midY+10, "#333333", 1.5)
-	c.Line(px(wHi), midY-10, px(wHi), midY+10, "#333333", 1.5)
-	c.Rect(px(f.Q1), midY-boxH/2, px(f.Q3)-px(f.Q1), boxH, "#9dbfdd", "#333333", 1.5)
-	c.Line(px(d.Median), midY-boxH/2, px(d.Median), midY+boxH/2, "#d92b1c", 2)
-	// Individual outliers.
-	for _, v := range stats.Clean(xs) {
-		if v < f.Lower || v > f.Upper {
-			c.Circle(px(v), midY, 3, "#d92b1c", "#333333", 0.6, 0.9)
-		}
-	}
-	c.Text(px(wLo), midY+boxH/2+16, trimNum(wLo), 9, "#333333", AnchorMiddle)
-	c.Text(px(wHi), midY+boxH/2+16, trimNum(wHi), 9, "#333333", AnchorMiddle)
-	c.Text(px(d.Median), midY-boxH/2-6, trimNum(d.Median), 9, "#333333", AnchorMiddle)
-	c.Title(title)
-	return c.String(), nil
-}

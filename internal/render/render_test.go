@@ -285,21 +285,6 @@ func TestSSECurveChart(t *testing.T) {
 	}
 }
 
-func TestBoxplotChart(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 50}
-	svg, err := BoxplotChart("u_opaque", xs, 420, 160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The gross outlier renders as an individual red point.
-	if !strings.Contains(svg, "#d92b1c") {
-		t.Fatal("outlier markers missing")
-	}
-	if _, err := BoxplotChart("x", nil, 100, 100); err == nil {
-		t.Fatal("want error for empty input")
-	}
-}
-
 func TestPageAssembly(t *testing.T) {
 	p := NewPage("INDICE dashboard <test>")
 	p.AddHeading("Maps & stats")

@@ -4,7 +4,7 @@
 // distribution charts, the grayscale correlation-matrix plot, and the HTML
 // dashboard assembly. The paper's folium/Leaflet interactivity is replaced
 // by per-zoom-level static generation bundled into a single offline HTML
-// page (see DESIGN.md).
+// page.
 package render
 
 import (

@@ -90,9 +90,6 @@ func NewReplica(st *store.Store, leaderURL string, client *http.Client, interval
 	return &Replica{st: st, leaderURL: leaderURL, client: client, interval: interval}
 }
 
-// Store returns the replica's local store.
-func (r *Replica) Store() *store.Store { return r.st }
-
 // Run drives the pull loop until ctx is cancelled: sync, sleep the
 // interval, repeat — with exponential backoff (capped at 10× the
 // interval) while the leader is unreachable.

@@ -39,8 +39,8 @@ const (
 const maxFramePayload = 64 << 20
 
 // A replication body is a sequence of frames, each one sealed segment in
-// the encoded binary columnar format (v2, though the reader accepts v1
-// streams from an older leader), prefixed by the shard it belongs to:
+// the encoded binary columnar format (v2), prefixed by the shard it
+// belongs to:
 //
 //	u32 shard | u32 payloadLen | payload (table encoded-binary bytes)
 //
@@ -94,9 +94,7 @@ func ReadFrame(r io.Reader) (shard int, payload []byte, err error) {
 
 // ReadFrames decodes a whole replication body into adoptable parts,
 // validating every frame before any of them is applied — a truncated or
-// corrupt stream is rejected as a unit, never half-applied. The payload
-// decoder is table.ReadEncoded, so v1 frames from an older leader decode
-// (and re-encode) transparently.
+// corrupt stream is rejected as a unit, never half-applied.
 func ReadFrames(r io.Reader, shards int) ([]store.AdoptPart, int, error) {
 	var parts []store.AdoptPart
 	rows := 0

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"indice/internal/table"
@@ -130,45 +131,30 @@ func TestWireV2BitwiseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireAcceptsV1Frames is the backward half of version negotiation: a
-// frame whose payload is the v1 (plain table) binary format — what an
-// older leader would stream — must still decode and apply.
-func TestWireAcceptsV1Frames(t *testing.T) {
+// TestWireRefusesV1Frames: a frame whose payload is the v1 (plain table)
+// binary format is not a segment. The whole stream is rejected, naming
+// the version, and the valid frame ahead of it is not handed out either.
+func TestWireRefusesV1Frames(t *testing.T) {
 	tab := wireTable(t, 2, 300)
 
+	var stream bytes.Buffer
+	if err := EncodeFrame(&stream, 0, table.Encode(tab)); err != nil {
+		t.Fatal(err)
+	}
 	var v1 bytes.Buffer
 	if err := tab.WriteBinary(&v1); err != nil {
 		t.Fatal(err)
 	}
-	var stream bytes.Buffer
 	if err := WriteFrame(&stream, 1, v1.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	// And a v2 frame behind it: mixed-version streams apply as a unit.
-	if err := EncodeFrame(&stream, 0, table.Encode(tab)); err != nil {
 		t.Fatal(err)
 	}
 
 	parts, rows, err := ReadFrames(bytes.NewReader(stream.Bytes()), 2)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("mixed-version stream: err = %v, want one naming version 1", err)
 	}
-	if len(parts) != 2 || rows != 600 {
-		t.Fatalf("mixed-version stream: %d parts, %d rows", len(parts), rows)
-	}
-	got := parts[0].Enc.Decode()
-	want := tab
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("v1 frame decoded to %d rows, want %d", got.NumRows(), want.NumRows())
-	}
-	gv, _ := got.Floats("v")
-	wv, _ := want.Floats("v")
-	gm, _ := got.ValidMask("v")
-	wm, _ := want.ValidMask("v")
-	for i := range wv {
-		if gm[i] != wm[i] || (wm[i] && gv[i] != wv[i]) {
-			t.Fatalf("row %d: v1 frame cell (%v,%v), want (%v,%v)", i, gv[i], gm[i], wv[i], wm[i])
-		}
+	if len(parts) != 0 || rows != 0 {
+		t.Fatalf("rejected stream still returned %d parts, %d rows", len(parts), rows)
 	}
 }
 

@@ -373,7 +373,6 @@ type statusError struct {
 }
 
 func (e *statusError) Error() string { return e.err.Error() }
-func (e *statusError) Unwrap() error { return e.err }
 
 // writeError answers with the status err carries, 500 when it has none.
 func writeError(w http.ResponseWriter, err error) {

@@ -6,37 +6,6 @@ import (
 	"sort"
 )
 
-// Covariance returns the unbiased sample covariance between xs and ys.
-// Pairs where either value is non-finite are skipped. It returns ErrShort
-// when fewer than two complete pairs exist.
-func Covariance(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: covariance length mismatch")
-	}
-	var sx, sy float64
-	var n int
-	for i := range xs {
-		if !finite(xs[i]) || !finite(ys[i]) {
-			continue
-		}
-		sx += xs[i]
-		sy += ys[i]
-		n++
-	}
-	if n < 2 {
-		return 0, ErrShort
-	}
-	mx, my := sx/float64(n), sy/float64(n)
-	var s float64
-	for i := range xs {
-		if !finite(xs[i]) || !finite(ys[i]) {
-			continue
-		}
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(n-1), nil
-}
-
 // Pearson returns the Pearson correlation coefficient ρ between xs and ys,
 // defined as cov(X,Y)/(σX·σY) as in the INDICE correlation-matrix panel.
 // Pairs with non-finite values are skipped pairwise. When either variable

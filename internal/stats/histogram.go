@@ -2,7 +2,6 @@ package stats
 
 import (
 	"errors"
-	"math"
 	"sort"
 )
 
@@ -59,18 +58,6 @@ func NewHistogram(xs []float64, bins int) (*Histogram, error) {
 	return h, nil
 }
 
-// Frequencies returns the relative frequency of each bin.
-func (h *Histogram) Frequencies() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.Total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.Total)
-	}
-	return out
-}
-
 // MaxCount returns the largest bin count (used for chart scaling).
 func (h *Histogram) MaxCount() int {
 	var m int
@@ -80,25 +67,6 @@ func (h *Histogram) MaxCount() int {
 		}
 	}
 	return m
-}
-
-// QuantileBins splits the finite values of xs into k groups of (near-)equal
-// population and returns the k+1 edges. This is the quartile/decile view of
-// the frequency-distribution panel ("e.g., quartiles or deciles").
-func QuantileBins(xs []float64, k int) ([]float64, error) {
-	if k < 1 {
-		return nil, errors.New("stats: quantile bins needs k >= 1")
-	}
-	c := Clean(xs)
-	if len(c) == 0 {
-		return nil, ErrEmpty
-	}
-	sort.Float64s(c)
-	edges := make([]float64, k+1)
-	for i := 0; i <= k; i++ {
-		edges[i] = quantileSorted(c, float64(i)/float64(k))
-	}
-	return edges, nil
 }
 
 // CategoryCount pairs a categorical value with its number of occurrences.
@@ -152,31 +120,4 @@ func DescribeCategorical(vs []string, k int) CategoricalDescription {
 		d.TopK = append([]CategoryCount(nil), all[:k]...)
 	}
 	return d
-}
-
-// Normalize rescales xs into [0,1] by min-max scaling, returning a new
-// slice. Constant inputs map to all zeros; non-finite inputs map to NaN.
-// The clustering engine normalizes attributes before computing Euclidean
-// distances so no attribute dominates.
-func Normalize(xs []float64) []float64 {
-	min, max, err := MinMax(xs)
-	out := make([]float64, len(xs))
-	if err != nil {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	span := max - min
-	for i, x := range xs {
-		switch {
-		case !finite(x):
-			out[i] = math.NaN()
-		case span == 0:
-			out[i] = 0
-		default:
-			out[i] = (x - min) / span
-		}
-	}
-	return out
 }

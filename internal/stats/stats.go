@@ -30,17 +30,6 @@ func Clean(xs []float64) []float64 {
 	return out
 }
 
-// Sum returns the sum of all finite values in xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			s += x
-		}
-	}
-	return s
-}
-
 // Mean returns the arithmetic mean of the finite values in xs.
 // It returns ErrEmpty when xs holds no finite value.
 func Mean(xs []float64) (float64, error) {
@@ -186,16 +175,6 @@ func Median(xs []float64) (float64, error) {
 	return Quantile(xs, 0.5)
 }
 
-// IQR returns the interquartile range Q3-Q1 of xs.
-func IQR(xs []float64) (float64, error) {
-	c := Clean(xs)
-	if len(c) == 0 {
-		return 0, ErrEmpty
-	}
-	sort.Float64s(c)
-	return quantileSorted(c, 0.75) - quantileSorted(c, 0.25), nil
-}
-
 // BoxplotFences holds the Tukey boxplot whisker bounds: values outside
 // [Lower, Upper] are flagged as outliers by the graphic boxplot method.
 type BoxplotFences struct {
@@ -266,27 +245,6 @@ func ModifiedZScores(xs []float64) ([]float64, error) {
 			continue
 		}
 		out[i] = 0.6745 * (x - med) / mad
-	}
-	return out, nil
-}
-
-// StandardZScores returns the classic (x-mean)/std scores for xs.
-func StandardZScores(xs []float64) ([]float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return nil, err
-	}
-	sd, err := StdDev(xs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) || sd == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = (x - m) / sd
 	}
 	return out, nil
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -490,26 +489,6 @@ func TestHistogramCountConservationProperty(t *testing.T) {
 	}
 }
 
-func TestQuantileBins(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	edges, err := QuantileBins(xs, 4)
-	if err != nil {
-		t.Fatalf("QuantileBins: %v", err)
-	}
-	if len(edges) != 5 {
-		t.Fatalf("edges = %v", edges)
-	}
-	if !sort.Float64sAreSorted(edges) {
-		t.Fatalf("edges not sorted: %v", edges)
-	}
-	if edges[0] != 0 || edges[4] != 99 {
-		t.Fatalf("edge extremes = %v", edges)
-	}
-}
-
 func TestDescribeCategorical(t *testing.T) {
 	vs := []string{"a", "b", "a", "c", "a", "b"}
 	d := DescribeCategorical(vs, 2)
@@ -528,52 +507,6 @@ func TestDescribeCategoricalEmpty(t *testing.T) {
 	d := DescribeCategorical(nil, 3)
 	if d.Count != 0 || d.Distinct != 0 || len(d.TopK) != 0 {
 		t.Fatalf("d = %+v", d)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{10, 20, 30})
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if !almostEq(out[i], want[i], 1e-12) {
-			t.Fatalf("out = %v", out)
-		}
-	}
-	cst := Normalize([]float64{7, 7})
-	if cst[0] != 0 || cst[1] != 0 {
-		t.Fatalf("constant normalize = %v", cst)
-	}
-}
-
-func TestNormalizeRangeProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := Clean(raw)
-		if len(xs) == 0 {
-			return true
-		}
-		out := Normalize(xs)
-		for _, v := range out {
-			if v < -1e-12 || v > 1+1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCovariance(t *testing.T) {
-	c, err := Covariance([]float64{1, 2, 3}, []float64{2, 4, 6})
-	if err != nil {
-		t.Fatalf("Covariance: %v", err)
-	}
-	if !almostEq(c, 2, 1e-12) {
-		t.Fatalf("cov = %v, want 2", c)
-	}
-	if _, err := Covariance([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("want length mismatch error")
 	}
 }
 
@@ -692,38 +625,5 @@ func TestRanks(t *testing.T) {
 	got = ranks([]float64{5, 5, 9})
 	if got[0] != 1.5 || got[1] != 1.5 || got[2] != 3 {
 		t.Fatalf("tied ranks = %v", got)
-	}
-}
-
-func TestSumIQRStandardZScores(t *testing.T) {
-	xs := []float64{4, 1, math.NaN(), 3, 2, math.Inf(1)}
-	if s := Sum(xs); s != 10 {
-		t.Fatalf("Sum = %v, want 10", s)
-	}
-	iqr, err := IQR(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iqr <= 0 || iqr > 3 {
-		t.Fatalf("IQR = %v, want in (0, 3]", iqr)
-	}
-	if _, err := IQR([]float64{math.NaN()}); err == nil {
-		t.Fatal("IQR of no finite values succeeded")
-	}
-	zs, err := StandardZScores(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(zs) != len(xs) {
-		t.Fatalf("got %d z-scores for %d values", len(zs), len(xs))
-	}
-	if !math.IsNaN(zs[2]) || !math.IsNaN(zs[5]) {
-		t.Fatalf("non-finite inputs got finite z-scores: %v", zs)
-	}
-	if zs[0] <= 0 || zs[1] >= 0 {
-		t.Fatalf("z-scores lost ordering: %v", zs)
-	}
-	if _, err := StandardZScores(nil); err == nil {
-		t.Fatal("StandardZScores of nothing succeeded")
 	}
 }

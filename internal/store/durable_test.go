@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -364,12 +365,11 @@ func TestPageLoadsOnlyTouchedSegments(t *testing.T) {
 	}
 }
 
-// TestRecoverFromV1SegmentFiles pins backward compatibility with data
-// directories written before segment compression: checkpointed segment
-// files in the raw v1 binary format must recover (ReadEncoded re-encodes
-// them on load) with observable state identical to a store that never
-// left memory.
-func TestRecoverFromV1SegmentFiles(t *testing.T) {
+// TestRecoverRefusesV1SegmentFiles: a checkpointed segment file in the
+// raw v1 binary format (no deployed store ever wrote one) fails recovery
+// with an error naming the file and the version, instead of opening a
+// store that silently lacks or re-encodes it.
+func TestRecoverRefusesV1SegmentFiles(t *testing.T) {
 	dir := t.TempDir()
 	cfg := miniConfig(2)
 	cfg.SegmentRows = 16
@@ -378,13 +378,10 @@ func TestRecoverFromV1SegmentFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, _ := New(cfg)
 	for b := 0; b < 4; b++ {
-		batch := miniBatch(t, b*20, 20, fmt.Sprintf("b%d", b))
-		if _, err := st.AppendTable(batch); err != nil {
+		if _, err := st.AppendTable(miniBatch(t, b*20, 20, fmt.Sprintf("b%d", b))); err != nil {
 			t.Fatal(err)
 		}
-		twin.AppendTable(batch)
 	}
 	if _, err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -393,50 +390,44 @@ func TestRecoverFromV1SegmentFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite every checkpointed segment file in the v1 raw format — the
-	// byte-for-byte layout a pre-compression store left on disk.
+	// Rewrite one checkpointed segment file in the v1 raw format.
 	segDir := filepath.Join(dir, segmentsDirName)
 	names, err := os.ReadDir(segDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewritten := 0
-	for _, de := range names {
-		path := filepath.Join(segDir, de.Name())
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, rerr := table.ReadEncoded(f)
-		f.Close()
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		out, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Decode().WriteBinary(out); err != nil {
-			t.Fatal(err)
-		}
-		if err := out.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rewritten++
-	}
-	if rewritten == 0 {
+	if len(names) == 0 {
 		t.Fatal("checkpoint produced no segment files to downgrade")
 	}
-
-	st2, err := Open(cfg, dur)
+	path := filepath.Join(segDir, names[0].Name())
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	if st2.RecoveryInfo().CheckpointSegments != rewritten {
-		t.Fatalf("recovery = %+v, want %d segments", st2.RecoveryInfo(), rewritten)
+	enc, rerr := table.ReadEncoded(f)
+	f.Close()
+	if rerr != nil {
+		t.Fatal(rerr)
 	}
-	assertStoresEqual(t, st2, twin)
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Decode().WriteBinary(out); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(cfg, dur)
+	if err == nil {
+		st2.Close()
+		t.Fatal("recovery opened a store over a v1 segment file")
+	}
+	if msg := err.Error(); !strings.Contains(msg, names[0].Name()) || !strings.Contains(msg, "version 1") {
+		t.Fatalf("error %q does not name the file and the version", msg)
+	}
 }
 
 // TestConcurrentReloadUnderTinyBudget pins the eviction-versus-reload

@@ -51,9 +51,6 @@ func (f *FS) Ops() int64 { return f.ops.Load() }
 // the whole lifetime counter) and all later ones fail.
 func (f *FS) CrashAt(n int64) { f.crashAt.Store(n) }
 
-// Crashed reports whether the crash point has been hit.
-func (f *FS) Crashed() bool { return f.crashed.Load() }
-
 // step counts one operation and reports whether it must fail.
 func (f *FS) step() error {
 	if f.crashed.Load() {

@@ -16,11 +16,6 @@ import (
 // in the store schema reject the record.
 type Record map[string]any
 
-// Append ingests a single record.
-func (s *Store) Append(rec Record) (IngestResult, error) {
-	return s.AppendRecords([]Record{rec})
-}
-
 // getRecScratch returns pooled per-batch scratch (an empty projection
 // table over the store schema plus a cell buffer); putRecScratch recycles
 // it. Safe because AppendTable copies every value into shard storage —

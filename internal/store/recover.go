@@ -119,9 +119,6 @@ func (s *Store) adoptCheckpoint(m *manifest, rec *RecoveryInfo) error {
 			if err != nil {
 				return fmt.Errorf("store: checkpoint segment %s: %w", ms.File, err)
 			}
-			// ReadEncoded accepts both the current encoded format (v2) and
-			// v1 files from checkpoints written before segment compression,
-			// so old data directories recover without conversion.
 			enc, rerr := table.ReadEncoded(f)
 			cerr := f.Close()
 			if rerr != nil {

@@ -41,13 +41,6 @@ type segment struct {
 // numRows returns the segment's row count without loading it.
 func (sg *segment) numRows() int { return sg.rows }
 
-// resident reports whether the segment's content is in memory.
-func (sg *segment) resident() bool {
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-	return sg.enc != nil || sg.tab != nil
-}
-
 // open returns the segment's rows as a decoded table, reading the
 // encoding back from disk when evicted. Paths that can work over the
 // encoded form directly (the planner) use openEnc instead; open is for

@@ -124,41 +124,11 @@ func (sn *Snapshot) Generation() uint64 { return sn.generation }
 // ShardRows returns shard i's row count at snapshot time.
 func (sn *Snapshot) ShardRows(i int) int { return sn.shardRows[i] }
 
-// StatsAttrs returns the numeric attributes with tracked summary
-// statistics, in schema order.
-func (sn *Snapshot) StatsAttrs() []string {
-	out := make([]string, 0, len(sn.stats))
-	for _, f := range sn.schema {
-		if _, ok := sn.stats[f.Name]; ok {
-			out = append(out, f.Name)
-		}
-	}
-	return out
-}
-
 // NumRows returns the total row count of the snapshot.
 func (sn *Snapshot) NumRows() int { return sn.rows }
 
 // NumShards returns the shard count.
 func (sn *Snapshot) NumShards() int { return len(sn.segs) }
-
-// Schema returns the column layout (shared slice; do not modify).
-func (sn *Snapshot) Schema() []table.Field { return sn.schema }
-
-// ShardSegments returns shard i's immutable segment tables, reloading
-// any evicted segment from disk. Readers may iterate them freely; they
-// are shared with the store and other snapshots.
-func (sn *Snapshot) ShardSegments(i int) ([]*table.Table, error) {
-	out := make([]*table.Table, len(sn.segs[i]))
-	for j, sg := range sn.segs[i] {
-		tab, err := sg.open(sn.ld)
-		if err != nil {
-			return nil, err
-		}
-		out[j] = tab
-	}
-	return out, nil
-}
 
 // ShardEncoded returns shard i's segments in the compressed encoded
 // form — the replication wire unit. Sealed segments come back as-is
@@ -185,25 +155,6 @@ func (sn *Snapshot) ShardEncoded(i int) ([]*table.Encoded, error) {
 func (sn *Snapshot) Stats(attr string) (stats.Running, bool) {
 	r, ok := sn.stats[attr]
 	return r, ok
-}
-
-// CountBy returns the per-value row counts of an indexed categorical
-// attribute, merged across shards. The second return value is false for
-// unindexed attributes.
-func (sn *Snapshot) CountBy(attr string) (map[string]int, bool) {
-	if len(sn.index) == 0 {
-		return nil, false
-	}
-	if _, ok := sn.index[0][attr]; !ok {
-		return nil, false
-	}
-	out := make(map[string]int)
-	for _, idx := range sn.index {
-		for v, b := range idx[attr] {
-			out[v] += b.Len()
-		}
-	}
-	return out, true
 }
 
 // Table materializes the snapshot as one contiguous table (shard order,

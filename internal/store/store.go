@@ -278,9 +278,6 @@ func New(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Schema returns the store's column layout (shared slice; do not modify).
-func (s *Store) Schema() []table.Field { return s.schema }
-
 // SegmentRows returns the configured mutable-tail bound — the layout
 // parameter replicas mirror alongside the shard count.
 func (s *Store) SegmentRows() int { return s.cfg.SegmentRows }

@@ -1,9 +1,8 @@
 // Package supervised implements the supervised techniques INDICE offers
 // energy scientists for benchmarking analysis (§2.2.1 mentions supervised
 // and unsupervised characterization; the future work plans more): a
-// k-nearest-neighbour regressor/classifier over the thermo-physical
-// attributes plus the evaluation utilities (deterministic train/test
-// split, R², MAE, RMSE, accuracy, confusion matrix).
+// k-nearest-neighbour regressor over the thermo-physical attributes plus
+// the evaluation utilities (deterministic train/test split, R², MAE).
 package supervised
 
 import (
@@ -21,12 +20,11 @@ type KNN struct {
 	feats  [][]float64
 	mins   []float64
 	spans  []float64
-	target []float64 // regression targets
-	labels []string  // classification labels
+	target []float64
 }
 
 // NewKNN validates k and the training features and returns an un-fitted
-// model skeleton; use FitRegression or FitClassification.
+// model skeleton; use FitRegression.
 func NewKNN(k int) (*KNN, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("supervised: k must be >= 1, got %d", k)
@@ -104,20 +102,6 @@ func (m *KNN) FitRegression(X [][]float64, y []float64) error {
 		}
 	}
 	m.target = append([]float64(nil), y...)
-	m.labels = nil
-	return nil
-}
-
-// FitClassification trains the model on categorical labels.
-func (m *KNN) FitClassification(X [][]float64, y []string) error {
-	if len(X) != len(y) {
-		return errors.New("supervised: features/labels length mismatch")
-	}
-	if err := m.fitFeatures(X); err != nil {
-		return err
-	}
-	m.labels = append([]string(nil), y...)
-	m.target = nil
 	return nil
 }
 
@@ -168,34 +152,6 @@ func (m *KNN) PredictValue(x []float64) (float64, error) {
 		s += m.target[n.idx]
 	}
 	return s / float64(len(ns)), nil
-}
-
-// PredictLabel returns the majority label of the k nearest neighbours
-// (ties broken by the nearer neighbour set, then lexicographically).
-func (m *KNN) PredictLabel(x []float64) (string, error) {
-	if m.labels == nil {
-		return "", errors.New("supervised: model not fitted for classification")
-	}
-	ns, err := m.nearest(x)
-	if err != nil {
-		return "", err
-	}
-	votes := make(map[string]int)
-	for _, n := range ns {
-		votes[m.labels[n.idx]]++
-	}
-	best, bestVotes := "", -1
-	keys := make([]string, 0, len(votes))
-	for l := range votes {
-		keys = append(keys, l)
-	}
-	sort.Strings(keys)
-	for _, l := range keys {
-		if votes[l] > bestVotes {
-			best, bestVotes = l, votes[l]
-		}
-	}
-	return best, nil
 }
 
 // SplitIndices returns a deterministic shuffled train/test index split
@@ -254,79 +210,4 @@ func MAE(truth, pred []float64) (float64, error) {
 		s += math.Abs(truth[i] - pred[i])
 	}
 	return s / float64(len(truth)), nil
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(truth, pred []float64) (float64, error) {
-	if len(truth) != len(pred) || len(truth) == 0 {
-		return 0, errors.New("supervised: RMSE needs matching non-empty slices")
-	}
-	var s float64
-	for i := range truth {
-		d := truth[i] - pred[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(truth))), nil
-}
-
-// Accuracy returns the fraction of matching labels.
-func Accuracy(truth, pred []string) (float64, error) {
-	if len(truth) != len(pred) || len(truth) == 0 {
-		return 0, errors.New("supervised: accuracy needs matching non-empty slices")
-	}
-	hits := 0
-	for i := range truth {
-		if truth[i] == pred[i] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(truth)), nil
-}
-
-// ConfusionMatrix tabulates predicted against true labels.
-type ConfusionMatrix struct {
-	Labels []string
-	// Counts[i][j] is the number of rows with true label i predicted j.
-	Counts [][]int
-}
-
-// NewConfusionMatrix builds the matrix over the union of observed labels,
-// sorted for determinism.
-func NewConfusionMatrix(truth, pred []string) (*ConfusionMatrix, error) {
-	if len(truth) != len(pred) || len(truth) == 0 {
-		return nil, errors.New("supervised: confusion matrix needs matching non-empty slices")
-	}
-	set := make(map[string]bool)
-	for _, l := range truth {
-		set[l] = true
-	}
-	for _, l := range pred {
-		set[l] = true
-	}
-	labels := make([]string, 0, len(set))
-	for l := range set {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	idx := make(map[string]int, len(labels))
-	for i, l := range labels {
-		idx[l] = i
-	}
-	cm := &ConfusionMatrix{Labels: labels, Counts: make([][]int, len(labels))}
-	for i := range cm.Counts {
-		cm.Counts[i] = make([]int, len(labels))
-	}
-	for i := range truth {
-		cm.Counts[idx[truth[i]]][idx[pred[i]]]++
-	}
-	return cm, nil
-}
-
-// Diagonal returns the number of correct predictions.
-func (cm *ConfusionMatrix) Diagonal() int {
-	var s int
-	for i := range cm.Counts {
-		s += cm.Counts[i][i]
-	}
-	return s
 }

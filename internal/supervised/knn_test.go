@@ -60,37 +60,6 @@ func TestKNNRegressionExact(t *testing.T) {
 	}
 }
 
-func TestKNNClassification(t *testing.T) {
-	m, _ := NewKNN(3)
-	X := [][]float64{{0, 0}, {0, 1}, {1, 0}, {10, 10}, {10, 11}, {11, 10}}
-	y := []string{"a", "a", "a", "b", "b", "b"}
-	if err := m.FitClassification(X, y); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		q    []float64
-		want string
-	}{
-		{[]float64{0.5, 0.5}, "a"},
-		{[]float64{10.5, 10.5}, "b"},
-	} {
-		got, err := m.PredictLabel(c.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Fatalf("PredictLabel(%v) = %q", c.q, got)
-		}
-	}
-	// Wrong mode errors.
-	if _, err := m.PredictValue([]float64{0, 0}); err == nil {
-		t.Fatal("regression predict on classifier should fail")
-	}
-	if _, err := m.PredictLabel([]float64{0}); err == nil {
-		t.Fatal("want error for wrong query dim")
-	}
-}
-
 func TestSplitIndices(t *testing.T) {
 	train, test, err := SplitIndices(100, 0.2, 7)
 	if err != nil {
@@ -140,35 +109,8 @@ func TestMetrics(t *testing.T) {
 	if mae != 1 {
 		t.Fatalf("MAE = %v", mae)
 	}
-	rmse, _ := RMSE(truth, []float64{2, 3, 4, 5})
-	if rmse != 1 {
-		t.Fatalf("RMSE = %v", rmse)
-	}
 	if _, err := R2(truth, truth[:2]); err == nil {
 		t.Fatal("want error for length mismatch")
-	}
-	acc, _ := Accuracy([]string{"a", "b"}, []string{"a", "c"})
-	if acc != 0.5 {
-		t.Fatalf("accuracy = %v", acc)
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	cm, err := NewConfusionMatrix([]string{"a", "a", "b"}, []string{"a", "b", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cm.Labels) != 2 || cm.Labels[0] != "a" {
-		t.Fatalf("labels = %v", cm.Labels)
-	}
-	if cm.Counts[0][0] != 1 || cm.Counts[0][1] != 1 || cm.Counts[1][1] != 1 {
-		t.Fatalf("counts = %v", cm.Counts)
-	}
-	if cm.Diagonal() != 2 {
-		t.Fatalf("diagonal = %d", cm.Diagonal())
-	}
-	if _, err := NewConfusionMatrix(nil, nil); err == nil {
-		t.Fatal("want error for empty input")
 	}
 }
 
@@ -218,29 +160,25 @@ func TestKNNOnSyntheticEPCs(t *testing.T) {
 		t.Fatal(err)
 	}
 	eph, _ := ds.Table.Floats(epc.AttrEPH)
-	classes, _ := ds.Table.Strings(epc.AttrEnergyClass)
 	y := make([]float64, len(rows))
-	lab := make([]string, len(rows))
 	for i, r := range rows {
 		y[i] = eph[r]
-		lab[i] = classes[r]
 	}
 
 	train, test, err := SplitIndices(len(X), 0.25, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pick := func(idx []int) ([][]float64, []float64, []string) {
+	pick := func(idx []int) ([][]float64, []float64) {
 		xs := make([][]float64, len(idx))
 		ys := make([]float64, len(idx))
-		ls := make([]string, len(idx))
 		for i, r := range idx {
-			xs[i], ys[i], ls[i] = X[r], y[r], lab[r]
+			xs[i], ys[i] = X[r], y[r]
 		}
-		return xs, ys, ls
+		return xs, ys
 	}
-	trX, trY, trL := pick(train)
-	teX, teY, teL := pick(test)
+	trX, trY := pick(train)
+	teX, teY := pick(test)
 
 	// Regression: EPH is physically determined by the features up to
 	// noise, so kNN must clearly beat the mean predictor.
@@ -262,47 +200,6 @@ func TestKNNOnSyntheticEPCs(t *testing.T) {
 	}
 	if r2 < 0.5 {
 		t.Fatalf("kNN regression R2 = %.3f, want > 0.5", r2)
-	}
-
-	// Classification: energy class derives from EPH, so accuracy must
-	// beat the majority baseline by a wide margin.
-	clf, _ := NewKNN(8)
-	if err := clf.FitClassification(trX, trL); err != nil {
-		t.Fatal(err)
-	}
-	predL := make([]string, len(teX))
-	for i, x := range teX {
-		p, err := clf.PredictLabel(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		predL[i] = p
-	}
-	acc, err := Accuracy(teL, predL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Majority baseline.
-	counts := map[string]int{}
-	for _, l := range teL {
-		counts[l]++
-	}
-	majority := 0
-	for _, c := range counts {
-		if c > majority {
-			majority = c
-		}
-	}
-	base := float64(majority) / float64(len(teL))
-	if acc < base+0.1 {
-		t.Fatalf("kNN accuracy %.3f not above majority baseline %.3f", acc, base)
-	}
-	cm, err := NewConfusionMatrix(teL, predL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm.Diagonal() != int(acc*float64(len(teL))+0.5) {
-		t.Fatalf("confusion diagonal %d inconsistent with accuracy %.3f", cm.Diagonal(), acc)
 	}
 }
 

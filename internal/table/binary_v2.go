@@ -25,9 +25,9 @@ import (
 // width, never read from the file, so a hostile header cannot inflate
 // them independently.
 //
-// Segment files written before this PR are v1; ReadEncoded accepts both
-// and re-encodes v1 payloads on the way in, so old checkpoints recover
-// cleanly.
+// A raw (v1) payload is not a segment: ReadEncoded refuses any other
+// version by name. v1 stays the format of WAL records and binary ingest
+// bodies (WriteBinary/ReadBinary on Table).
 
 const binaryVersionEncoded = 2
 
@@ -130,27 +130,18 @@ func (e *Encoded) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadEncoded parses an encoded table from a segment file. Both binary
-// versions are accepted: v2 natively, v1 by reading the raw table and
-// encoding it (old checkpoints keep recovering after the format change).
+// ReadEncoded parses an encoded table from a segment file or a
+// replication frame.
 func ReadEncoded(r io.Reader) (*Encoded, error) {
 	br := bufio.NewReader(r)
 	version, rows, cols, err := readBinaryHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	switch version {
-	case binaryVersion:
-		tab, err := readBinaryV1Body(br, rows, cols)
-		if err != nil {
-			return nil, err
-		}
-		return Encode(tab), nil
-	case binaryVersionEncoded:
-		return readBinaryV2Body(br, rows, cols)
-	default:
-		return nil, fmt.Errorf("table: unsupported binary version %d", version)
+	if version != binaryVersionEncoded {
+		return nil, fmt.Errorf("table: encoded segment has binary version %d, want %d", version, binaryVersionEncoded)
 	}
+	return readBinaryV2Body(br, rows, cols)
 }
 
 func readBinaryV2Body(br *bufio.Reader, rows, cols uint32) (*Encoded, error) {

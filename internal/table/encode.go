@@ -122,9 +122,6 @@ type EncodedColumn struct {
 	rawS []string
 }
 
-// Name returns the column name.
-func (c *EncodedColumn) Name() string { return c.name }
-
 // Type returns the logical column type.
 func (c *EncodedColumn) Type() Type { return c.typ }
 

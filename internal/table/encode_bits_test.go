@@ -262,8 +262,8 @@ func TestEncodedAccessors(t *testing.T) {
 		t.Fatalf("NumRows = %d", e.NumRows())
 	}
 	c := e.Column("class")
-	if c.Name() != "class" || c.Type() != String {
-		t.Fatalf("accessors: name=%q type=%v", c.Name(), c.Type())
+	if c.name != "class" || c.Type() != String {
+		t.Fatalf("accessors: name=%q type=%v", c.name, c.Type())
 	}
 	if c.AllValid() {
 		t.Fatal("class has invalid cells, AllValid must be false")

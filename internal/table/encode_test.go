@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -280,19 +281,21 @@ func TestEncodedBinaryRoundTripV2(t *testing.T) {
 	}
 }
 
-func TestReadEncodedAcceptsV1Files(t *testing.T) {
+// TestReadEncodedRefusesV1Files: a raw (v1) table where an encoded
+// segment is expected is an error that names the version, not a silent
+// re-encode.
+func TestReadEncodedRefusesV1Files(t *testing.T) {
 	tab := encTestTable(t, 250, rand.New(rand.NewSource(19)))
 	var buf bytes.Buffer
 	if err := tab.WriteBinary(&buf); err != nil { // v1 writer
 		t.Fatal(err)
 	}
 	e, err := ReadEncoded(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || e != nil {
+		t.Fatalf("ReadEncoded took a v1 payload: %v, %v", e, err)
 	}
-	assertBitwiseEqual(t, tab, e.Decode(), "v1 via ReadEncoded")
-	if got := e.Column("class").Kind(); got != KindDict {
-		t.Fatalf("v1 class column re-encoded as %v, want dict", got)
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("error %q does not name the version", err)
 	}
 }
 

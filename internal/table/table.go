@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Type enumerates the supported column types.
@@ -386,18 +385,6 @@ func (t *Table) FilterMask(keep []bool) (*Table, error) {
 	return t.Take(rows)
 }
 
-// Filter returns a new table with the rows for which pred returns true.
-// The predicate receives the row index and reads cells via the table.
-func (t *Table) Filter(pred func(row int) bool) (*Table, error) {
-	rows := make([]int, 0, t.rows)
-	for i := 0; i < t.rows; i++ {
-		if pred(i) {
-			rows = append(rows, i)
-		}
-	}
-	return t.Take(rows)
-}
-
 // DropRows returns a new table without the given row indices.
 func (t *Table) DropRows(drop []int) (*Table, error) {
 	mask := make([]bool, t.rows)
@@ -411,35 +398,6 @@ func (t *Table) DropRows(drop []int) (*Table, error) {
 		mask[r] = false
 	}
 	return t.FilterMask(mask)
-}
-
-// SortByFloat returns a new table sorted ascending (or descending) on the
-// named numeric column. Invalid cells sort last. The sort is stable.
-func (t *Table) SortByFloat(name string, descending bool) (*Table, error) {
-	vals, err := t.Floats(name)
-	if err != nil {
-		return nil, err
-	}
-	valid, _ := t.ValidMask(name)
-	rows := make([]int, t.rows)
-	for i := range rows {
-		rows[i] = i
-	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		ra, rb := rows[a], rows[b]
-		va, vb := valid[ra], valid[rb]
-		if va != vb {
-			return va // valid before invalid
-		}
-		if !va {
-			return false
-		}
-		if descending {
-			return vals[ra] > vals[rb]
-		}
-		return vals[ra] < vals[rb]
-	})
-	return t.Take(rows)
 }
 
 // GroupByString partitions rows by the values of the named categorical
@@ -476,21 +434,6 @@ func (t *Table) ValidFloats(name string) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// CountValid returns the number of valid cells in the named column.
-func (t *Table) CountValid(name string) (int, error) {
-	mask, err := t.ValidMask(name)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, ok := range mask {
-		if ok {
-			n++
-		}
-	}
-	return n, nil
 }
 
 // NumericColumns returns the names of all Float64 columns in schema order.

@@ -55,10 +55,6 @@ func TestNaNBecomesInvalid(t *testing.T) {
 	if mask[3] {
 		t.Fatal("NaN cell should be invalid")
 	}
-	n, _ := tab.CountValid("epc")
-	if n != 4 {
-		t.Fatalf("CountValid = %d", n)
-	}
 	vf, _ := tab.ValidFloats("epc")
 	if len(vf) != 4 {
 		t.Fatalf("ValidFloats = %v", vf)
@@ -161,17 +157,6 @@ func TestTakeAndFilter(t *testing.T) {
 		t.Fatal("want out-of-range error")
 	}
 
-	f, err := tab.Filter(func(r int) bool {
-		a, _ := tab.Floats("area")
-		return a[r] > 60
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumRows() != 4 {
-		t.Fatalf("filtered rows = %d", f.NumRows())
-	}
-
 	m, err := tab.FilterMask([]bool{true, false, false, false, true})
 	if err != nil {
 		t.Fatal(err)
@@ -199,27 +184,6 @@ func TestDropRows(t *testing.T) {
 	}
 	if _, err := tab.DropRows([]int{-1}); err == nil {
 		t.Fatal("want out-of-range error")
-	}
-}
-
-func TestSortByFloat(t *testing.T) {
-	tab := sample(t)
-	asc, err := tab.SortByFloat("epc", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, _ := asc.Floats("epc")
-	mask, _ := asc.ValidMask("epc")
-	if vals[0] != 80 || vals[1] != 95 || vals[2] != 120 || vals[3] != 200 {
-		t.Fatalf("ascending = %v", vals)
-	}
-	if mask[4] {
-		t.Fatal("invalid cell should sort last")
-	}
-	desc, _ := tab.SortByFloat("epc", true)
-	dv, _ := desc.Floats("epc")
-	if dv[0] != 200 {
-		t.Fatalf("descending head = %v", dv[0])
 	}
 }
 

@@ -42,8 +42,8 @@ type hit struct {
 	shared int32
 }
 
-// compareHits orders hits the way Candidates lists them: more shared
-// grams first, ties by ascending id.
+// compareHits orders hits best first: more shared grams first, ties by
+// ascending id.
 func compareHits(a, b hit) int {
 	if a.shared != b.shared {
 		return cmp.Compare(b.shared, a.shared)
@@ -82,9 +82,6 @@ func NewIndex(n int, entries []string) *Index {
 
 // Len returns the number of indexed entries.
 func (idx *Index) Len() int { return len(idx.entries) }
-
-// Entry returns the i-th indexed string.
-func (idx *Index) Entry(i int) string { return idx.entries[i] }
 
 // gramBuf holds the padded UTF-8 form of one string and the byte offset
 // of each of its runes, so gram i is the byte window text[offs[i]:offs[i+n]]
@@ -135,29 +132,10 @@ func ngrams(s string, n int) []string {
 	return out
 }
 
-// Candidate is one blocking-index hit.
-type Candidate struct {
-	ID     int    // index into the entry list
-	Entry  string // the reference string
-	Shared int    // number of shared n-grams with the query
-}
-
-// Candidates returns up to limit entries sharing the most n-grams with
-// query, sorted by descending shared count (ties by ascending ID for
-// determinism). A non-positive limit means no truncation.
-func (idx *Index) Candidates(query string, limit int) []Candidate {
-	s := idx.scratch.Get().(*searchScratch)
-	defer idx.scratch.Put(s)
-	hits := idx.search(s, query, limit)
-	out := make([]Candidate, len(hits))
-	for i, h := range hits {
-		out[i] = Candidate{ID: int(h.id), Entry: idx.entries[h.id], Shared: int(h.shared)}
-	}
-	return out
-}
-
 // search counts, per entry, the distinct query grams it shares, and
-// returns the top limit hits in Candidates order. The result aliases s.
+// returns the top limit hits, best first (compareHits): descending shared
+// count, ties by ascending id. A non-positive limit means no truncation.
+// The result aliases s.
 func (idx *Index) search(s *searchScratch, query string, limit int) []hit {
 	ngram := s.grams.load(query, idx.n)
 	s.touched = s.touched[:0]

@@ -87,74 +87,6 @@ func (l *levBuf) similarity(ra, rb []rune) float64 {
 	return 1 - float64(l.distance(ra, rb))/float64(max)
 }
 
-// Distance returns the Levenshtein edit distance between a and b: the
-// minimum number of single-rune insertions, deletions and substitutions
-// needed to transform a into b.
-func Distance(a, b string) int {
-	l := levBufs.Get().(*levBuf)
-	defer levBufs.Put(l)
-	return l.distance(l.decode(a, b))
-}
-
-// DistanceBounded returns the Levenshtein distance between a and b if it
-// does not exceed max; otherwise it returns max+1. The early-exit lets the
-// blocking index reject distant candidates cheaply.
-func DistanceBounded(a, b string, max int) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la-lb > max || lb-la > max {
-		return max + 1
-	}
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	if la < lb {
-		ra, rb = rb, ra
-		la, lb = lb, la
-	}
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		rowMin := cur[0]
-		ai := ra[i-1]
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ai == rb[j-1] {
-				cost = 0
-			}
-			del := prev[j] + 1
-			ins := cur[j-1] + 1
-			sub := prev[j-1] + cost
-			m := del
-			if ins < m {
-				m = ins
-			}
-			if sub < m {
-				m = sub
-			}
-			cur[j] = m
-			if m < rowMin {
-				rowMin = m
-			}
-		}
-		if rowMin > max {
-			return max + 1
-		}
-		prev, cur = cur, prev
-	}
-	if prev[lb] > max {
-		return max + 1
-	}
-	return prev[lb]
-}
-
 // Similarity returns the normalized Levenshtein similarity between a and b,
 // in [0,1]: 1 - distance/max(len(a), len(b)). Identical strings score 1,
 // totally dissimilar strings score 0, exactly as §2.1.1 of the paper

@@ -59,39 +59,6 @@ func TestDistanceIdentityProperty(t *testing.T) {
 	}
 }
 
-func TestDistanceBounded(t *testing.T) {
-	if got := DistanceBounded("kitten", "sitting", 3); got != 3 {
-		t.Fatalf("bounded = %d", got)
-	}
-	if got := DistanceBounded("kitten", "sitting", 2); got != 3 {
-		t.Fatalf("bounded over max = %d, want max+1 = 3", got)
-	}
-	if got := DistanceBounded("short", "a very long different string", 3); got != 4 {
-		t.Fatalf("length prefilter = %d, want 4", got)
-	}
-	if got := DistanceBounded("", "ab", 5); got != 2 {
-		t.Fatalf("empty = %d", got)
-	}
-}
-
-func TestDistanceBoundedAgreesProperty(t *testing.T) {
-	f := func(a, b string, m8 uint8) bool {
-		if len(a) > 25 || len(b) > 25 {
-			return true
-		}
-		max := int(m8) % 10
-		d := Distance(a, b)
-		bd := DistanceBounded(a, b, max)
-		if d <= max {
-			return bd == d
-		}
-		return bd == max+1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSimilarity(t *testing.T) {
 	if s := Similarity("", ""); s != 1 {
 		t.Fatalf("empty similarity = %v", s)
@@ -309,4 +276,34 @@ func BenchmarkBestExhaustive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		idx.BestExhaustive("via roma xc")
 	}
+}
+
+// Distance returns the Levenshtein edit distance between a and b: the
+// minimum number of single-rune insertions, deletions and substitutions
+// needed to transform a into b.
+func Distance(a, b string) int {
+	l := levBufs.Get().(*levBuf)
+	defer levBufs.Put(l)
+	return l.distance(l.decode(a, b))
+}
+
+// Candidate is one blocking-index hit.
+type Candidate struct {
+	ID     int    // index into the entry list
+	Entry  string // the reference string
+	Shared int    // number of shared n-grams with the query
+}
+
+// Candidates returns up to limit entries sharing the most n-grams with
+// query, sorted by descending shared count (ties by ascending ID for
+// determinism). A non-positive limit means no truncation.
+func (idx *Index) Candidates(query string, limit int) []Candidate {
+	s := idx.scratch.Get().(*searchScratch)
+	defer idx.scratch.Put(s)
+	hits := idx.search(s, query, limit)
+	out := make([]Candidate, len(hits))
+	for i, h := range hits {
+		out[i] = Candidate{ID: int(h.id), Entry: idx.entries[h.id], Shared: int(h.shared)}
+	}
+	return out
 }
