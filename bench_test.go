@@ -18,6 +18,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -1777,6 +1778,288 @@ func BenchmarkE22Snapshot(b *testing.B) {
 			}
 			if !pub.Incremental || pub.DeltaRows != deltaRows || pub.Rows != next {
 				b.Fatalf("refresh %d: incremental=%v, %d new of %d rows", i, pub.Incremental, pub.DeltaRows, pub.Rows)
+			}
+		}
+	})
+}
+
+// e23Plain is the corpus as tables held string cells before they were
+// dictionary coded — a []string and a []bool per column — keyed by
+// certificate id, so that whatever a store did to row order every cell of
+// every result can be held against it.
+type e23Plain struct {
+	names []string
+	strs  map[string][]string
+	valid map[string][]bool
+	row   map[string]int // certificate id → source row
+}
+
+func e23Oracle(b *testing.B, tab *table.Table) *e23Plain {
+	b.Helper()
+	o := &e23Plain{names: tab.CategoricalColumns(), strs: map[string][]string{}, valid: map[string][]bool{}, row: map[string]int{}}
+	for _, name := range o.names {
+		vals, err := tab.Strings(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mask, _ := tab.ValidMask(name)
+		o.strs[name] = append([]string(nil), vals...)
+		o.valid[name] = append([]bool(nil), mask...)
+	}
+	for r, id := range o.strs[epc.AttrCertificateID] {
+		o.row[id] = r
+	}
+	return o
+}
+
+// mustHold fails unless every categorical cell of got is the source cell
+// of the certificate in its row. csv says got went through the typed CSV,
+// which cannot carry a valid empty string.
+func (o *e23Plain) mustHold(b *testing.B, label string, got *table.Table, wantRows int, csv bool) {
+	b.Helper()
+	if got.NumRows() != wantRows {
+		b.Fatalf("%s: %d rows, want %d", label, got.NumRows(), wantRows)
+	}
+	ids, err := got.Strings(epc.AttrCertificateID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range o.names {
+		vals, err := got.Strings(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mask, _ := got.ValidMask(name)
+		src, srcValid := o.strs[name], o.valid[name]
+		for r, id := range ids {
+			s, ok := o.row[id]
+			if !ok {
+				b.Fatalf("%s: row %d carries unknown certificate %q", label, r, id)
+			}
+			want, wantValid := src[s], srcValid[s]
+			if csv && want == "" {
+				wantValid = false
+			}
+			if !wantValid {
+				want = ""
+			}
+			if vals[r] != want || mask[r] != wantValid {
+				b.Fatalf("%s: certificate %s column %s reads %q (valid %v), source %q (valid %v)", label, id, name, vals[r], mask[r], want, wantValid)
+			}
+		}
+	}
+}
+
+// BenchmarkE23DictColumns prices the dictionary-coded string columns on
+// the roads a categorical cell travels, at the gated benchmark's shape
+// (20k × 132 certificates, 4 shards): parsed from typed CSV, appended to
+// shard tails, materialized for a refresh out of raw tails and out of
+// sealed segments, cut into a 20-row page that spans all four shards,
+// grouped and filtered in a raw tail, and sealed. Every arm's result is
+// held, outside timing, against the corpus as plain []string columns.
+// Methodology and the parent's numbers in docs/benchmarks.md.
+func BenchmarkE23DictColumns(b *testing.B) {
+	const rows, batchRows, shards = 20_000, 2000, 4
+	city, err := synth.GenerateCity(synth.DefaultCityConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	gcfg := synth.DefaultConfig()
+	gcfg.Certificates = rows
+	ds, err := synth.Generate(gcfg, city)
+	if err != nil {
+		b.Fatal(err)
+	}
+	oracle := e23Oracle(b, ds.Table)
+	var bodies [][]byte
+	var batches []*table.Table
+	for lo := 0; lo < rows; lo += batchRows {
+		part, err := ds.Table.View(lo, lo+batchRows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := part.WriteCSV(&buf); err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, buf.Bytes())
+		batch, err := table.ReadCSV(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		oracle.mustHold(b, "parsed batch", batch, batchRows, true)
+		batches = append(batches, batch)
+	}
+	load := func(segmentRows int) *store.Store {
+		cfg := store.DefaultConfig()
+		cfg.Shards, cfg.SegmentRows = shards, segmentRows
+		st, err := store.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range batches {
+			if _, err := st.AppendTable(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return st
+	}
+	raw, sealed := load(8192), load(2048)
+	for label, st := range map[string]*store.Store{"unsealed": raw, "sealed": sealed} {
+		segments := 0
+		for _, sh := range st.Status().Shards {
+			segments += sh.Segments
+		}
+		if (label == "sealed") != (segments >= 2*shards) || (label == "unsealed" && segments != 0) {
+			b.Fatalf("the %s store holds %d sealed segments", label, segments)
+		}
+	}
+	rawSnap, sealedSnap := raw.Snapshot(), sealed.Snapshot()
+
+	b.Run("csv-parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := table.ReadCSV(bytes.NewReader(bodies[i%len(bodies)])); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("append-batch", func(b *testing.B) {
+		b.ReportAllocs()
+		var st *store.Store
+		for i := 0; i < b.N; i++ {
+			if i%len(batches) == 0 {
+				b.StopTimer()
+				cfg := store.DefaultConfig()
+				cfg.Shards = shards
+				if st, err = store.New(cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			if res, err := st.AppendTable(batches[i%len(batches)]); err != nil || res.Accepted != batchRows {
+				b.Fatalf("append: %+v, %v", res, err)
+			}
+		}
+	})
+	for _, arm := range []struct {
+		name string
+		snap *store.Snapshot
+	}{{"unsealed", rawSnap}, {"sealed", sealedSnap}} {
+		tab, err := arm.snap.Table()
+		if err != nil {
+			b.Fatal(err)
+		}
+		oracle.mustHold(b, "materialized "+arm.name, tab, rows, true)
+		b.Run("materialize-"+arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if tab, err := arm.snap.Table(); err != nil || tab.NumRows() != rows {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
+	// A numeric range some 24 certificates wide: a page of 20 takes its
+	// rows from every shard in turn.
+	eph, err := ds.Table.ValidFloats(epc.AttrEPH)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sort.Float64s(eph)
+	lo := len(eph) / 2
+	narrow := query.NumRange{Attr: epc.AttrEPH, Min: eph[lo], Max: eph[lo+23]}
+	for _, arm := range []struct {
+		name string
+		snap *store.Snapshot
+	}{{"raw", rawSnap}, {"sealed", sealedSnap}} {
+		res, page, _, err := arm.snap.QueryShardsPage(narrow, 0, shards, 1, store.AggSpec{}, 0, 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Matched < 24 || res.Matched > 60 {
+			b.Fatalf("the narrow range matches %d certificates", res.Matched)
+		}
+		oracle.mustHold(b, "page over "+arm.name, page, 20, true)
+		all, _, err := arm.snap.Query(narrow, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		first, _ := all.Strings(epc.AttrCertificateID)
+		got, _ := page.Strings(epc.AttrCertificateID)
+		if !reflect.DeepEqual(got, first[:20]) {
+			b.Fatalf("page over %s is not the first 20 matches", arm.name)
+		}
+		b.Run("page-"+arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, page, _, err := arm.snap.QueryShardsPage(narrow, 0, shards, 1, store.AggSpec{}, 0, 20); err != nil || page.NumRows() != 20 {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
+	// Group-by and In over raw tails, counted against the plain columns.
+	const by, inAttr = "heating_type", epc.AttrIntendedUse
+	inValues := []string{"E.1.1", "E.2"}
+	spec := store.AggSpec{By: by, Attrs: []string{epc.AttrEPH}}
+	wantGroups, wantIn := map[string]int{}, 0
+	for r, v := range oracle.strs[by] {
+		if !oracle.valid[by][r] {
+			v = ""
+		}
+		wantGroups[v]++
+		if u := oracle.strs[inAttr][r]; oracle.valid[inAttr][r] && (u == inValues[0] || u == inValues[1]) {
+			wantIn++
+		}
+	}
+	grouped, _, err := rawSnap.QueryAgg(nil, spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(grouped.Groups) != len(wantGroups) {
+		b.Fatalf("%d groups, the plain column has %d", len(grouped.Groups), len(wantGroups))
+	}
+	for _, g := range grouped.Groups {
+		if g.Rows != wantGroups[g.Key] {
+			b.Fatalf("group %q holds %d rows, the plain column %d", g.Key, g.Rows, wantGroups[g.Key])
+		}
+	}
+	in := query.In{Attr: inAttr, Values: inValues}
+	if res, ps, err := rawSnap.QueryAgg(in, store.AggSpec{}, 1); err != nil || res.Matched != wantIn || wantIn == 0 || ps.ScannedRows != rows {
+		b.Fatalf("In matches %d rows, the plain column %d (plan %+v, %v)", res.Matched, wantIn, ps, err)
+	}
+	b.Run("group-by-raw", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := rawSnap.QueryAgg(nil, spec, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("in-raw", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := rawSnap.QueryAgg(in, store.AggSpec{}, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	// ShardEncoded encodes a raw tail view on the fly: sealing, without the
+	// store's bookkeeping.
+	encs, err := rawSnap.ShardEncoded(0)
+	if err != nil || len(encs) != 1 {
+		b.Fatalf("shard 0 encodes to %d segments (%v)", len(encs), err)
+	}
+	oracle.mustHold(b, "decoded tail", encs[0].Decode(), rawSnap.ShardRows(0), true)
+	b.Run("encode-tail", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rawSnap.ShardEncoded(0); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

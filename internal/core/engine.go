@@ -300,6 +300,9 @@ func cleanTable(tab *table.Table, hier *geo.Hierarchy, sm *geocode.StreetMap, gc
 			return nil, err
 		}
 	}
+	// The table is kept (as a serving table's source, as lineage): without
+	// the value indexes rewriting its cells built.
+	tab.DropIndex()
 	return crep, nil
 }
 

@@ -32,11 +32,14 @@ type RowValidator struct {
 }
 
 type rvCol struct {
-	spec    AttrSpec
-	floats  []float64
-	strs    []string
-	valid   []bool
-	allowed map[string]bool
+	spec   AttrSpec
+	floats []float64
+	codes  []uint32 // categorical cells: dict[codes[row]]
+	dict   []string
+	valid  []bool
+	// outside[k] marks dictionary entry k as outside the admissible levels;
+	// nil when the attribute admits any value.
+	outside []bool
 }
 
 // NewRowValidator prepares a validator over t. Schema attributes missing
@@ -61,11 +64,16 @@ func NewRowValidator(t *table.Table) *RowValidator {
 			if typ != table.String {
 				continue
 			}
-			c.strs, _ = t.Strings(spec.Name)
+			c.codes, c.dict, _ = t.StringCodes(spec.Name)
 			if len(spec.Levels) > 0 {
-				c.allowed = make(map[string]bool, len(spec.Levels))
+				// Levels are checked once per distinct value, not per row.
+				allowed := make(map[string]bool, len(spec.Levels))
 				for _, l := range spec.Levels {
-					c.allowed[l] = true
+					allowed[l] = true
+				}
+				c.outside = make([]bool, len(c.dict))
+				for k, v := range c.dict {
+					c.outside[k] = !allowed[v]
 				}
 			}
 		}
@@ -94,10 +102,10 @@ func (v *RowValidator) Validate(row int) []ValidationIssue {
 			}
 			continue
 		}
-		if c.allowed != nil && !c.allowed[c.strs[row]] {
+		if k := c.codes[row]; c.outside != nil && c.outside[k] {
 			issues = append(issues, ValidationIssue{
 				c.spec.Name,
-				fmt.Sprintf("value %q outside the admissible levels", c.strs[row]),
+				fmt.Sprintf("value %q outside the admissible levels", c.dict[k]),
 			})
 		}
 	}

@@ -57,8 +57,9 @@ type evalNode struct {
 	// definitively true / definitively false; neither = UNKNOWN), the
 	// word-wise analogue of t/f.
 	tw, fw []uint64
-	// codeSet is the encoded path's per-segment scratch: the In value
-	// set translated to a bitset over the current dictionary's codes.
+	// codeSet is per-segment scratch: the In value set translated to a
+	// bitset over the codes of the dictionary at hand (a sealed segment's
+	// or a raw table's).
 	codeSet []uint64
 }
 
@@ -155,17 +156,24 @@ func (n *evalNode) eval(tab *table.Table) error {
 			n.f[i] = !in
 		}
 	case opIn:
-		vals, err := tab.Strings(n.attr)
+		codes, dict, err := tab.StringCodes(n.attr)
 		if err != nil {
 			return err
 		}
 		valid, _ := tab.ValidMask(n.attr)
+		// One set lookup per dictionary entry, then an array index per row.
+		n.resetCodeSet(len(dict))
+		for k, v := range dict {
+			if n.set[v] {
+				n.codeSet[k>>6] |= 1 << (k & 63)
+			}
+		}
 		n.grow(rows)
-		for i, v := range vals {
+		for i, k := range codes {
 			if !valid[i] {
 				continue
 			}
-			in := n.set[v]
+			in := n.codeSet[k>>6]&(1<<(k&63)) != 0
 			n.t[i] = in
 			n.f[i] = !in
 		}

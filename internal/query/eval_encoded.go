@@ -204,19 +204,23 @@ func (n *evalNode) evalEncodedRows(enc *table.Encoded, rows []int) error {
 // growCodeSet rebuilds the node's In value set as a bitset over the
 // dictionary codes of c.
 func (n *evalNode) growCodeSet(c *table.EncodedColumn) {
-	nw := (c.DictLen() + 63) / 64
-	if cap(n.codeSet) < nw {
-		n.codeSet = make([]uint64, nw)
-	}
-	n.codeSet = n.codeSet[:nw]
-	for i := range n.codeSet {
-		n.codeSet[i] = 0
-	}
+	n.resetCodeSet(c.DictLen())
 	for v := range n.set {
 		if code, ok := c.DictCode(v); ok {
 			n.codeSet[code>>6] |= 1 << (code & 63)
 		}
 	}
+}
+
+// resetCodeSet sizes the node's code bitset for a dictionary of entries
+// values and clears it.
+func (n *evalNode) resetCodeSet(entries int) {
+	nw := (entries + 63) / 64
+	if cap(n.codeSet) < nw {
+		n.codeSet = make([]uint64, nw)
+	}
+	n.codeSet = n.codeSet[:nw]
+	clear(n.codeSet)
 }
 
 // encodedColumn resolves the node's attribute against the segment with

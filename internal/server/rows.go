@@ -25,7 +25,8 @@ type rowColumn struct {
 	numeric bool
 	valid   []bool
 	floats  []float64
-	strs    []string
+	codes   []uint32 // categorical cells: dict[codes[r]]
+	dict    []string
 }
 
 func newRowEncoder(tab *table.Table) *rowEncoder {
@@ -43,7 +44,7 @@ func newRowEncoder(tab *table.Table) *rowEncoder {
 		if c.numeric = f.Type == table.Float64; c.numeric {
 			c.floats, _ = tab.Floats(f.Name)
 		} else {
-			c.strs, _ = tab.Strings(f.Name)
+			c.codes, c.dict, _ = tab.StringCodes(f.Name)
 		}
 	}
 	return e
@@ -61,7 +62,7 @@ func (e *rowEncoder) appendRow(dst []byte, r int) []byte {
 		case c.numeric:
 			dst = appendJSONFloat(dst, c.floats[r])
 		default:
-			dst = appendJSONString(dst, c.strs[r])
+			dst = appendJSONString(dst, c.dict[c.codes[r]])
 		}
 	}
 	return append(dst, '}')

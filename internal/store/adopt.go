@@ -46,7 +46,7 @@ func (s *Store) Reset() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		removed += sh.rows
-		tail, err := table.NewWithSchema(s.schema)
+		tail, err := newTail(s.schema)
 		if err != nil {
 			sh.mu.Unlock()
 			return fmt.Errorf("store: reset: %w", err)
@@ -54,9 +54,9 @@ func (s *Store) Reset() error {
 		for _, sg := range sh.sealed {
 			s.mem.addSealed(-sg.bytes)
 		}
-		s.mem.addTail(-sh.tail.SizeBytes())
 		sh.sealed = nil
 		sh.tail = tail
+		sh.accountTail()
 		sh.rows = 0
 		for a := range sh.index {
 			sh.index[a] = make(map[string]*bitmap.Bitmap)

@@ -160,7 +160,8 @@ func (sn *Snapshot) Stats(attr string) (stats.Running, bool) {
 // Table materializes the snapshot as one contiguous table (shard order,
 // segment order within each shard). Every call builds a fresh copy the
 // caller owns and may rewrite: the snapshot keeps no reference to it, so
-// the copy lives exactly as long as its caller needs it.
+// the copy lives exactly as long as its caller needs it. Sealed segments
+// are decoded straight onto it, with no decoded table of their own.
 func (sn *Snapshot) Table() (*table.Table, error) {
 	out, err := table.NewWithSchema(sn.schema)
 	if err != nil {
@@ -169,11 +170,16 @@ func (sn *Snapshot) Table() (*table.Table, error) {
 	out.Grow(sn.rows)
 	for _, segs := range sn.segs {
 		for _, sg := range segs {
-			tab, err := sg.open(sn.ld)
+			enc, tab, err := sg.openEnc(sn.ld)
 			if err != nil {
 				return nil, err
 			}
-			if err := out.AppendTable(tab); err != nil {
+			if enc != nil {
+				err = enc.AppendTo(out)
+			} else {
+				err = out.AppendTable(tab)
+			}
+			if err != nil {
 				return nil, err
 			}
 		}

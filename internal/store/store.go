@@ -86,6 +86,8 @@ type shard struct {
 	tail   *table.Table
 	rows   int
 	mem    *residentBytes // the store's byte account
+	// tailBytes is what tail measured when mem was last moved for it.
+	tailBytes int
 	// index maps attr -> value -> bitmap of shard-local row ordinals.
 	// Rows only ever append, so ordinals arrive strictly ascending and the
 	// bitmaps grow in place; Snapshot freezes copy-on-write views.
@@ -154,8 +156,18 @@ type Store struct {
 // residentBytes is the store's running estimate (table.SizeBytes and
 // Encoded.SizeBytes) of the row bytes it owns: raw shard tails and resident
 // sealed encodings. It moves where the bytes move — append, seal, adopt,
-// segment load and eviction — so reading it never scans a row.
+// segment load and eviction — so reading it never scans a row. A tail is
+// measured as a whole each time (accountTail): its dictionaries hold each
+// distinct value once, so the sizes of the batches it took do not add up.
 type residentBytes struct{ tail, sealed atomic.Int64 }
+
+// accountTail moves the byte account by what the shard's tail has grown or
+// shrunk since it was last measured. Caller holds sh.mu.
+func (sh *shard) accountTail() {
+	n := sh.tail.SizeBytes()
+	sh.mem.addTail(n - sh.tailBytes)
+	sh.tailBytes = n
+}
 
 func (m *residentBytes) addTail(d int) {
 	m.tail.Add(int64(d))
@@ -257,7 +269,7 @@ func New(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg, schema: cfg.Schema, keyCol: keyCol, colPos: pos}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		tail, err := table.NewWithSchema(cfg.Schema)
+		tail, err := newTail(cfg.Schema)
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -276,6 +288,18 @@ func New(cfg Config) (*Store, error) {
 		s.shards[i] = sh
 	}
 	return s, nil
+}
+
+// newTail returns an empty shard tail. A tail takes every batch of its
+// shard until it seals, so it looks the values of each up (IndexValues) and
+// holds every one once, however small the batches.
+func newTail(schema []table.Field) (*table.Table, error) {
+	tail, err := table.NewWithSchema(schema)
+	if err != nil {
+		return nil, err
+	}
+	tail.IndexValues()
+	return tail, nil
 }
 
 // SegmentRows returns the configured mutable-tail bound — the layout
@@ -363,10 +387,11 @@ func (s *Store) AppendTable(t *table.Table) (IngestResult, error) {
 		}
 	}
 
-	var keys []string
+	var keyCodes []uint32
+	var keyDict []string
 	var keyValid []bool
 	if s.keyCol >= 0 {
-		keys, _ = t.Strings(s.cfg.KeyAttr)
+		keyCodes, keyDict, _ = t.StringCodes(s.cfg.KeyAttr)
 		keyValid, _ = t.ValidMask(s.cfg.KeyAttr)
 	}
 
@@ -381,10 +406,10 @@ func (s *Store) AppendTable(t *table.Table) (IngestResult, error) {
 		routed = append(routed, walPart{shard: 0, tab: t})
 	} else {
 		parts, err := t.Partition(len(s.shards), func(row int) int {
-			if keys == nil {
+			if keyCodes == nil {
 				return s.shardFor("", false)
 			}
-			return s.shardFor(keys[row], keyValid[row])
+			return s.shardFor(keyDict[keyCodes[row]], keyValid[row])
 		})
 		if err != nil {
 			return res, err
@@ -512,18 +537,24 @@ func (sh *shard) append(part *table.Table, cfg *Config) {
 		panic(fmt.Sprintf("store: shard append: %v", err))
 	}
 	for _, attr := range cfg.IndexAttrs {
-		vals, _ := part.Strings(attr)
+		codes, dict, _ := part.StringCodes(attr)
 		valid, _ := part.ValidMask(attr)
 		byVal := sh.index[attr]
-		for i, v := range vals {
-			if valid[i] && v != "" {
-				b := byVal[v]
-				if b == nil {
-					b = bitmap.New()
-					byVal[v] = b
-				}
-				b.Add(uint32(base + i))
+		// One posting lookup per distinct code of the batch, not per row.
+		byCode := make([]*bitmap.Bitmap, len(dict))
+		for i, k := range codes {
+			if !valid[i] || dict[k] == "" {
+				continue
 			}
+			b := byCode[k]
+			if b == nil {
+				if b = byVal[dict[k]]; b == nil {
+					b = bitmap.New()
+					byVal[dict[k]] = b
+				}
+				byCode[k] = b
+			}
+			b.Add(uint32(base + i))
 		}
 	}
 	for _, attr := range cfg.StatsAttrs {
@@ -537,7 +568,7 @@ func (sh *shard) append(part *table.Table, cfg *Config) {
 		}
 	}
 	sh.rows += part.NumRows()
-	sh.mem.addTail(part.SizeBytes())
+	sh.accountTail()
 	if sh.tail.NumRows() >= cfg.SegmentRows {
 		sh.seal(cfg)
 	}
@@ -555,12 +586,12 @@ func (sh *shard) seal(cfg *Config) {
 	sg := &segment{rows: sh.tail.NumRows(), enc: enc, bytes: enc.SizeBytes()}
 	sh.sealed = append(sh.sealed, sg)
 	sh.mem.addSealed(sg.bytes)
-	tail, err := table.NewWithSchema(cfg.Schema)
+	tail, err := newTail(cfg.Schema)
 	if err != nil {
 		panic(fmt.Sprintf("store: reseal: %v", err))
 	}
-	sh.mem.addTail(-sh.tail.SizeBytes())
 	sh.tail = tail
+	sh.accountTail()
 }
 
 // adopt installs an already-sealed segment (a checkpointed encoding loaded

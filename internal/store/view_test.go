@@ -46,7 +46,8 @@ func tailView(sn *Snapshot, i int) *table.Table {
 }
 
 // mustBePinnedView fails unless every column of the table has cap == len,
-// so that no append through it can write memory its source still owns.
+// dictionary included, so that no append through it can write memory its
+// source still owns.
 func mustBePinnedView(t *testing.T, label string, tab *table.Table) {
 	t.Helper()
 	for _, f := range tab.Schema() {
@@ -56,8 +57,8 @@ func mustBePinnedView(t *testing.T, label string, tab *table.Table) {
 			v, _ := tab.Floats(f.Name)
 			spare += cap(v) - len(v)
 		} else {
-			v, _ := tab.Strings(f.Name)
-			spare += cap(v) - len(v)
+			codes, dict, _ := tab.StringCodes(f.Name)
+			spare += cap(codes) - len(codes) + cap(dict) - len(dict)
 		}
 		if spare != 0 {
 			t.Fatalf("%s: column %q has spare capacity", label, f.Name)
@@ -208,7 +209,9 @@ func TestSnapshotAllocatesIndependentOfRows(t *testing.T) {
 	}
 	small, large := snapshotBytes(false, 1000), snapshotBytes(false, 20000)
 	t.Logf("no indexes: Snapshot allocates %d B at 1k rows, %d B at 20k rows", small, large)
-	if small != large {
+	// The runtime now and then allocates a few dozen bytes of its own inside
+	// one of the two windows; a copied row would be 1.8 KB, 19 000 times.
+	if diff := int64(large) - int64(small); diff < -256 || diff > 256 {
 		t.Fatalf("Snapshot allocates %d B at 1k rows and %d B at 20k rows: it copies rows", small, large)
 	}
 	small, large = snapshotBytes(true, 1000), snapshotBytes(true, 20000)

@@ -34,15 +34,18 @@ func NewWithSchema(fields []Field) (*Table, error) {
 }
 
 // Reset truncates the table to zero rows in place, keeping every column's
-// backing capacity — the pooling primitive of the streaming ingest path,
+// cell capacity — the pooling primitive of the streaming ingest path,
 // where per-batch scratch tables are recycled instead of reallocated.
-// Safe only on tables whose columns no other table shares (Reset-and-
-// refill would otherwise rewrite memory a Select view still reads).
+// Safe only on tables no View shares cells with (Reset-and-refill would
+// rewrite memory the view still reads). Dictionaries are dropped, not
+// truncated: tables taken from this one, and an empty table that adopted
+// its dictionary, go on reading the old array.
 func (t *Table) Reset() {
 	for _, c := range t.cols {
 		c.Floats = c.Floats[:0]
-		c.Strs = c.Strs[:0]
+		c.Codes = c.Codes[:0]
 		c.Valid = c.Valid[:0]
+		c.Dict, c.index = nil, nil
 	}
 	t.rows = 0
 }
@@ -106,7 +109,7 @@ func (t *Table) AppendRow(cells []Cell) error {
 			if !cell.Valid {
 				s = ""
 			}
-			c.Strs = append(c.Strs, s)
+			c.Codes = append(c.Codes, c.code(s))
 			c.Valid = append(c.Valid, cell.Valid)
 		}
 	}
@@ -126,7 +129,9 @@ func (t *Table) AppendTable(o *Table) error {
 		if c.Typ == Float64 {
 			c.Floats = append(c.Floats, oc.Floats...)
 		} else {
-			c.Strs = append(c.Strs, oc.Strs...)
+			at := len(c.Codes)
+			c.Codes = append(c.Codes, oc.Codes...)
+			c.rebase(at, oc.Dict, &t.memo)
 		}
 		c.Valid = append(c.Valid, oc.Valid...)
 	}
@@ -144,7 +149,7 @@ func (t *Table) Grow(n int) {
 		if c.Typ == Float64 {
 			c.Floats = slices.Grow(c.Floats, n)
 		} else {
-			c.Strs = slices.Grow(c.Strs, n)
+			c.Codes = slices.Grow(c.Codes, n)
 		}
 		c.Valid = slices.Grow(c.Valid, n)
 	}
@@ -174,9 +179,11 @@ func (t *Table) AppendTaken(o *Table, rows []int) error {
 				c.Floats = append(c.Floats, oc.Floats[r])
 			}
 		} else {
+			at := len(c.Codes)
 			for _, r := range rows {
-				c.Strs = append(c.Strs, oc.Strs[r])
+				c.Codes = append(c.Codes, oc.Codes[r])
 			}
+			c.rebase(at, oc.Dict, &t.memo)
 		}
 		for _, r := range rows {
 			c.Valid = append(c.Valid, oc.Valid[r])
@@ -206,12 +213,13 @@ func Concat(tables ...*Table) (*Table, error) {
 }
 
 // View returns rows [lo, hi) as a table that shares t's column storage:
-// every column is a slice header over the same backing arrays, pinned to
-// cap == len, so building one costs O(columns) and an append through a
-// view reallocates instead of writing memory t may still grow into. The
-// rows a view sees never change as long as t only appends — cells below a
-// length someone has captured are never rewritten — which is the rule the
-// store's tails keep. A view is read-only: Set* on it writes t's cells.
+// every column is a slice header over the same backing arrays (cells and
+// dictionary alike), pinned to cap == len, so building one costs
+// O(columns) and an append through a view reallocates instead of writing
+// memory t may still grow into. The rows a view sees never change as long
+// as t only appends — cells below a length someone has captured are never
+// rewritten — which is the rule the store's tails keep. A view is
+// read-only: Set* on it writes t's cells.
 func (t *Table) View(lo, hi int) (*Table, error) {
 	if lo < 0 || hi < lo || hi > t.rows {
 		return nil, fmt.Errorf("table: view [%d,%d) out of range [0,%d]", lo, hi, t.rows)
@@ -224,7 +232,7 @@ func (t *Table) View(lo, hi int) (*Table, error) {
 		if c.Typ == Float64 {
 			v.Floats = c.Floats[lo:hi:hi]
 		} else {
-			v.Strs = c.Strs[lo:hi:hi]
+			v.Codes, v.Dict = c.Codes[lo:hi:hi], c.sharedDict()
 		}
 		out.cols[i] = v
 		out.index[c.Name] = i

@@ -78,7 +78,8 @@ func (t *Table) WriteBinary(w io.Writer) error {
 				}
 			}
 		} else {
-			for _, s := range c.Strs {
+			for _, k := range c.Codes {
+				s := c.Dict[k]
 				if err := writeU32(bw, uint32(len(s))); err != nil {
 					return err
 				}
@@ -203,7 +204,9 @@ func readBinaryV1Body(br *bufio.Reader, rows, cols uint32) (*Table, error) {
 				return nil, err
 			}
 		} else {
-			vals := make([]string, 0, min(int(rows), 1<<16))
+			c := &Column{Name: string(nameBuf), Typ: String, Valid: append([]bool(nil), valid...)}
+			c.Codes = make([]uint32, 0, min(int(rows), 1<<16))
+			var sb []byte
 			for i := uint32(0); i < rows; i++ {
 				l, err := readU32(br)
 				if err != nil {
@@ -212,15 +215,24 @@ func readBinaryV1Body(br *bufio.Reader, rows, cols uint32) (*Table, error) {
 				if l > 1<<24 {
 					return nil, fmt.Errorf("table: implausible string length %d", l)
 				}
-				sb := make([]byte, l)
+				if sb = sb[:0]; cap(sb) < int(l) {
+					sb = make([]byte, 0, l)
+				}
+				sb = sb[:l]
 				if _, err := io.ReadFull(br, sb); err != nil {
 					return nil, fmt.Errorf("table: reading string column: %w", err)
 				}
-				vals = append(vals, string(sb))
+				k, ok := c.findBytes(sb)
+				if !ok {
+					k = c.add(string(sb))
+				}
+				c.Codes = append(c.Codes, k)
 			}
-			if err := t.AddStringsValid(string(nameBuf), vals, valid); err != nil {
+			c.index = nil
+			if err := t.checkAdd(c.Name, len(c.Codes)); err != nil {
 				return nil, err
 			}
+			t.push(c)
 		}
 	}
 	if t.NumCols() == 0 {

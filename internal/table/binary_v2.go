@@ -235,6 +235,7 @@ func readBinaryV2Body(br *bufio.Reader, rows, cols uint32) (*Encoded, error) {
 					}
 					c.dict = append(c.dict, s)
 				}
+				c.dict = withEmptySlot(c.dict)
 			} else {
 				base, err := readU64(br)
 				if err != nil {

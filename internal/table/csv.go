@@ -38,7 +38,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 			case c.Typ == Float64:
 				rec[i] = strconv.FormatFloat(c.Floats[r], 'g', -1, 64)
 			default:
-				rec[i] = c.Strs[r]
+				rec[i] = c.Dict[c.Codes[r]]
 			}
 		}
 		if err := cw.Write(rec); err != nil {
@@ -47,33 +47,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// maxInterned bounds the distinct values one string column's interner
-// remembers. Most categorical attributes have a handful of levels, so a
-// linear scan of this many beats hashing every cell, and a column of
-// identifiers pays at most this many comparisons per cell.
-const maxInterned = 16
-
-// interner hands out one shared copy per remembered value of a string
-// column and a private copy of every other cell, so no cell keeps the CSV
-// line it was parsed from alive.
-type interner []string
-
-func (in *interner) get(cell string) string {
-	if cell == "" {
-		return ""
-	}
-	for _, s := range *in {
-		if s == cell {
-			return s
-		}
-	}
-	s := strings.Clone(cell)
-	if len(*in) < maxInterned {
-		*in = append(*in, s)
-	}
-	return s
 }
 
 // ReadCSV parses a table from the typed CSV format produced by WriteCSV.
@@ -87,7 +60,6 @@ func ReadCSV(r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("table: reading CSV header: %w", err)
 	}
 	cols := make([]*Column, len(header))
-	interns := make([]interner, len(header))
 	for i, h := range header {
 		idx := strings.LastIndexByte(h, ':')
 		if idx < 0 {
@@ -131,7 +103,13 @@ func ReadCSV(r io.Reader) (*Table, error) {
 				c.Floats = append(c.Floats, v)
 				c.Valid = append(c.Valid, !math.IsNaN(v))
 			} else {
-				c.Strs = append(c.Strs, interns[i].get(cell))
+				// The dictionary keeps one private copy per distinct value,
+				// so no cell keeps the CSV line it was parsed from alive.
+				k, ok := c.find(cell)
+				if !ok {
+					k = c.add(strings.Clone(cell))
+				}
+				c.Codes = append(c.Codes, k)
 				c.Valid = append(c.Valid, cell != "")
 			}
 		}
@@ -144,6 +122,7 @@ func ReadCSV(r io.Reader) (*Table, error) {
 		if err := t.checkAdd(c.Name, rows); err != nil {
 			return nil, err
 		}
+		c.index = nil
 		t.push(c)
 	}
 	return t, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -285,55 +286,85 @@ func encodeString(c *Column, rows int) *EncodedColumn {
 	ec := &EncodedColumn{name: c.Name, typ: String, rows: rows}
 	ec.valid, _ = packValidity(c.Valid)
 
-	// Round-trip invariant: decode reconstructs invalid cells as "". A
-	// table read from an untrusted binary file may carry a payload there
-	// (AddStringsValid preserves it), and raw is the only exact layout.
-	for i, ok := range c.Valid {
-		if !ok && c.Strs[i] != "" {
-			ec.kind = KindRawString
-			ec.rawS = c.Strs
-			return ec
+	raw := func() *EncodedColumn {
+		ec.kind = KindRawString
+		ec.rawS = make([]string, len(c.Codes))
+		for i, k := range c.Codes {
+			ec.rawS[i] = c.Dict[k]
 		}
+		return ec
 	}
 
-	distinct := make(map[string]struct{}, 64)
-	limit := dictMaxCardinality(rows)
-	for i, s := range c.Strs {
+	// The table's dictionary is in first-seen order, may hold entries no
+	// valid cell uses and may hold a value twice; the segment's holds
+	// exactly the distinct values in use, sorted. used collects the entries
+	// in use, rank maps a table code to its segment code + 1.
+	//
+	// Round-trip invariant: decode reconstructs invalid cells as "". A
+	// table read from an untrusted binary file may carry a payload there
+	// (ReadBinary preserves it), and raw is the only exact layout.
+	rank := make([]uint32, len(c.Dict))
+	var used []uint32
+	for i, k := range c.Codes {
 		if !c.Valid[i] {
+			if c.Dict[k] != "" {
+				return raw()
+			}
 			continue
 		}
-		if _, seen := distinct[s]; !seen {
-			distinct[s] = struct{}{}
-			if len(distinct) > limit {
-				ec.kind = KindRawString
-				ec.rawS = c.Strs
-				return ec
+		if rank[k] == 0 {
+			rank[k] = 1
+			used = append(used, k)
+		}
+	}
+	if limit := dictMaxCardinality(rows); len(used) > limit {
+		// Too many entries for a dictionary — unless they repeat values.
+		distinct := make(map[string]struct{}, limit+1)
+		for _, k := range used {
+			if distinct[c.Dict[k]] = struct{}{}; len(distinct) > limit {
+				return raw()
 			}
 		}
 	}
-
-	dict := make([]string, 0, len(distinct))
-	for s := range distinct {
-		dict = append(dict, s)
-	}
-	sort.Strings(dict)
-	codeOf := make(map[string]uint64, len(dict))
-	for i, s := range dict {
-		codeOf[s] = uint64(i)
-	}
-	width := 0
-	if len(dict) > 1 {
-		width = bits.Len(uint(len(dict) - 1))
-	}
+	sort.Slice(used, func(i, j int) bool { return c.Dict[used[i]] < c.Dict[used[j]] })
 	ec.kind = KindDict
-	ec.dict = dict
+	ec.dict = make([]string, 0, len(used)+1)
+	for _, k := range used {
+		if n := len(ec.dict); n == 0 || ec.dict[n-1] != c.Dict[k] {
+			ec.dict = append(ec.dict, c.Dict[k])
+		}
+		rank[k] = uint32(len(ec.dict))
+	}
+	ec.dict = withEmptySlot(ec.dict)
+	width := 0
+	if len(ec.dict) > 1 {
+		width = bits.Len(uint(len(ec.dict) - 1))
+	}
 	ec.codes = newPacked(rows, width)
-	for i, s := range c.Strs {
+	for i, k := range c.Codes {
 		if c.Valid[i] {
-			ec.codes.set(i, codeOf[s])
+			ec.codes.set(i, uint64(rank[k]-1))
 		}
 	}
 	return ec
+}
+
+// withEmptySlot stores "" just past the end of a segment dictionary, so
+// that decodeDict can hand out either form without copying.
+func withEmptySlot(dict []string) []string {
+	return append(dict, "")[:len(dict)]
+}
+
+// decodeDict returns the dictionary a table column decoding c's cells
+// indexes, and the code its invalid cells take there: the sorted
+// dictionary itself when it holds "" (which sorts first) or no cell is
+// invalid, otherwise extended by the "" stored past its end.
+func (c *EncodedColumn) decodeDict() (dict []string, inv uint32) {
+	n := len(c.dict)
+	if c.valid == nil || (n > 0 && c.dict[0] == "") {
+		return c.dict[:n:n], 0
+	}
+	return c.dict[: n+1 : n+1], uint32(n)
 }
 
 func encodeFloat(c *Column, rows int) *EncodedColumn {
@@ -404,84 +435,46 @@ func encodeFloat(c *Column, rows int) *EncodedColumn {
 	return ec
 }
 
-func (c *EncodedColumn) validBools() []bool {
-	out := make([]bool, c.rows)
-	if c.valid == nil {
-		for i := range out {
-			out[i] = true
-		}
-		return out
-	}
-	for i := range out {
-		out[i] = c.valid[i>>6]&(1<<(i&63)) != 0
-	}
-	return out
-}
-
 // Decode reconstructs the original table, bitwise identical to what
 // Encode was given.
 func (e *Encoded) Decode() *Table {
+	t := e.emptyTable()
+	e.appendRows(t, e.allRows())
+	return t
+}
+
+// emptyTable returns a zero-row table with the encoded table's schema.
+func (e *Encoded) emptyTable() *Table {
 	t := New()
 	for _, c := range e.cols {
-		col := &Column{Name: c.name, Typ: c.typ, Valid: c.validBools()}
-		switch c.kind {
-		case KindRawFloat:
-			col.Floats = append([]float64(nil), c.rawF...)
-		case KindRawString:
-			col.Strs = append([]string(nil), c.rawS...)
-		case KindPacked:
-			col.Floats = make([]float64, c.rows)
-			for i := range col.Floats {
-				col.Floats[i] = c.FloatAt(i)
-			}
-		case KindDict:
-			col.Strs = make([]string, c.rows)
-			for i := range col.Strs {
-				if col.Valid[i] {
-					col.Strs[i] = c.dict[c.codes.at(i)]
-				}
-			}
-		}
-		t.push(col)
-	}
-	if len(e.cols) == 0 {
-		t.rows = e.rows
+		t.push(&Column{Name: c.name, Typ: c.typ})
 	}
 	return t
+}
+
+func (e *Encoded) allRows() []int {
+	rows := make([]int, e.rows)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
 }
 
 // Take decodes only the given rows, in order (the planner's candidate
 // materialization: decode 50 matching rows, not the 64k-row segment).
 // Out-of-range rows are an error.
 func (e *Encoded) Take(rows []int) (*Table, error) {
-	for _, r := range rows {
-		if r < 0 || r >= e.rows {
-			return nil, fmt.Errorf("table: row %d out of range [0,%d)", r, e.rows)
-		}
-	}
-	t := New()
-	for _, c := range e.cols {
-		col := &Column{Name: c.name, Typ: c.typ, Valid: make([]bool, len(rows))}
-		for i, r := range rows {
-			col.Valid[i] = c.ValidAt(r)
-		}
-		if c.typ == Float64 {
-			col.Floats = make([]float64, len(rows))
-			for i, r := range rows {
-				col.Floats[i] = c.FloatAt(r)
-			}
-		} else {
-			col.Strs = make([]string, len(rows))
-			for i, r := range rows {
-				col.Strs[i] = c.StringAt(r)
-			}
-		}
-		t.push(col)
-	}
-	if len(e.cols) == 0 {
-		t.rows = len(rows)
+	t := e.emptyTable()
+	if err := e.TakeAppend(t, rows); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// AppendTo decodes every row onto the end of dst: how a sealed segment
+// joins a materialization without a decoded table of its own in between.
+func (e *Encoded) AppendTo(dst *Table) error {
+	return e.TakeAppend(dst, e.allRows())
 }
 
 // TakeAppend decodes the given rows directly onto the end of dst, which
@@ -502,6 +495,12 @@ func (e *Encoded) TakeAppend(dst *Table, rows []int) error {
 			return fmt.Errorf("table: row %d out of range [0,%d)", r, e.rows)
 		}
 	}
+	e.appendRows(dst, rows)
+	return nil
+}
+
+// appendRows is TakeAppend after its checks.
+func (e *Encoded) appendRows(dst *Table, rows []int) {
 	dst.Grow(len(rows))
 	for i, c := range e.cols {
 		col := dst.cols[i]
@@ -514,8 +513,11 @@ func (e *Encoded) TakeAppend(dst *Table, rows []int) error {
 				col.Floats = append(col.Floats, c.rawF[r])
 			}
 		case KindRawString:
+			// Dictionary encoding was declined: nearly every cell is a
+			// value of its own, and arrives as an entry of its own.
+			col.Dict = slices.Grow(col.Dict, len(rows))
 			for _, r := range rows {
-				col.Strs = append(col.Strs, c.rawS[r])
+				col.Codes = append(col.Codes, col.carry(c.rawS[r]))
 			}
 		case KindPacked:
 			for _, r := range rows {
@@ -526,13 +528,18 @@ func (e *Encoded) TakeAppend(dst *Table, rows []int) error {
 				}
 			}
 		case KindDict:
+			// Segment codes cross as they are and are translated per
+			// distinct code, never through a string per cell.
+			dict, inv := c.decodeDict()
+			at := len(col.Codes)
 			for _, r := range rows {
 				if c.ValidAt(r) {
-					col.Strs = append(col.Strs, c.dict[c.codes.at(r)])
+					col.Codes = append(col.Codes, uint32(c.codes.at(r)))
 				} else {
-					col.Strs = append(col.Strs, "")
+					col.Codes = append(col.Codes, inv)
 				}
 			}
+			col.rebase(at, dict, &dst.memo)
 		}
 		if c.valid == nil {
 			for range rows {
@@ -545,7 +552,6 @@ func (e *Encoded) TakeAppend(dst *Table, rows []int) error {
 		}
 	}
 	dst.rows += len(rows)
-	return nil
 }
 
 // SizeBytes estimates the resident heap footprint of the encoded form.
@@ -566,13 +572,16 @@ func (e *Encoded) SizeBytes() int {
 }
 
 // SizeBytes estimates the resident heap footprint of the raw table (the
-// baseline the encoded form is compared against).
+// baseline the encoded form is compared against): cells, plus each
+// dictionary entry's header and payload once. Tables sharing a dictionary
+// each count it, so sizes of a table's parts do not add up to its own.
 func (t *Table) SizeBytes() int {
 	total := 0
 	for _, c := range t.cols {
 		total += len(c.Valid)
 		total += len(c.Floats) * 8
-		for _, s := range c.Strs {
+		total += len(c.Codes) * 4
+		for _, s := range c.Dict {
 			total += 16 + len(s)
 		}
 	}

@@ -329,18 +329,27 @@ func (g *GroupAggregator) AddTable(t *Table, rows []int) error {
 
 	var ptrs []*GroupAccum
 	if g.by != "" {
-		keys, err := t.Strings(g.by)
+		codes, dict, err := t.StringCodes(g.by)
 		if err != nil {
 			return err
 		}
 		gvalid, _ := t.ValidMask(g.by)
 		ptrs = g.scratchPtrs(n)
+		// As in AddEncoded: one group lookup per distinct code, slot
+		// len(dict) standing in for invalid cells.
+		inv := len(dict)
+		lookup := g.scratchLookup(inv + 1)
 		each := func(j, r int) {
-			key := ""
+			code, key := inv, ""
 			if gvalid[r] {
-				key = keys[r]
+				code = int(codes[r])
+				key = dict[code]
 			}
-			p := g.group(key)
+			p := lookup[code]
+			if p == nil {
+				p = g.group(key)
+				lookup[code] = p
+			}
 			p.Rows++
 			ptrs[j] = p
 		}

@@ -43,15 +43,23 @@ type Field struct {
 	Type Type
 }
 
-// Column is a typed column with a validity mask. Exactly one of Floats or
-// Strs is populated, according to Typ. Valid[i] reports whether row i holds
-// a value; invalid float cells also carry NaN so accidental reads are loud.
+// Column is a typed column with a validity mask. A Float64 column holds
+// its cells in Floats; a String column holds one code per row in Codes,
+// each the position of the cell's value in Dict (see dict.go for the
+// dictionary's sharing rules). Valid[i] reports whether row i holds a
+// value; invalid float cells also carry NaN so accidental reads are loud,
+// and an invalid string cell still has a code — of "" unless a binary file
+// smuggled a payload in.
 type Column struct {
 	Name   string
 	Typ    Type
 	Floats []float64
-	Strs   []string
+	Codes  []uint32
+	Dict   []string
 	Valid  []bool
+
+	// index is the value → code scratch of whoever appends by value.
+	index map[string]uint32
 }
 
 // Len returns the number of rows in the column.
@@ -59,24 +67,25 @@ func (c *Column) Len() int {
 	if c.Typ == Float64 {
 		return len(c.Floats)
 	}
-	return len(c.Strs)
+	return len(c.Codes)
 }
 
-// clone deep-copies the column.
+// clone copies the column's cells; the dictionary is shared.
 func (c *Column) clone() *Column {
-	out := &Column{Name: c.Name, Typ: c.Typ}
+	out := &Column{Name: c.Name, Typ: c.Typ, Dict: c.sharedDict()}
 	out.Valid = append([]bool(nil), c.Valid...)
 	if c.Typ == Float64 {
 		out.Floats = append([]float64(nil), c.Floats...)
 	} else {
-		out.Strs = append([]string(nil), c.Strs...)
+		out.Codes = append([]uint32(nil), c.Codes...)
 	}
 	return out
 }
 
-// take materializes a new column containing the given rows, in order.
+// take materializes a new column containing the given rows, in order; the
+// dictionary is shared.
 func (c *Column) take(rows []int) *Column {
-	out := &Column{Name: c.Name, Typ: c.Typ, Valid: make([]bool, len(rows))}
+	out := &Column{Name: c.Name, Typ: c.Typ, Dict: c.sharedDict(), Valid: make([]bool, len(rows))}
 	if c.Typ == Float64 {
 		out.Floats = make([]float64, len(rows))
 		for i, r := range rows {
@@ -84,9 +93,9 @@ func (c *Column) take(rows []int) *Column {
 			out.Valid[i] = c.Valid[r]
 		}
 	} else {
-		out.Strs = make([]string, len(rows))
+		out.Codes = make([]uint32, len(rows))
 		for i, r := range rows {
-			out.Strs[i] = c.Strs[r]
+			out.Codes[i] = c.Codes[r]
 			out.Valid[i] = c.Valid[r]
 		}
 	}
@@ -98,6 +107,9 @@ type Table struct {
 	cols  []*Column
 	index map[string]int
 	rows  int
+
+	// memo is code-translation scratch of appends into this table (rebase).
+	memo []uint32
 }
 
 // New returns an empty table with no columns and no rows.
@@ -195,7 +207,7 @@ func (t *Table) AddStrings(name string, vals []string) error {
 	for i := range valid {
 		valid[i] = true
 	}
-	t.push(&Column{Name: name, Typ: String, Strs: append([]string(nil), vals...), Valid: valid})
+	t.push(newStringColumn(name, vals, valid))
 	return nil
 }
 
@@ -207,12 +219,7 @@ func (t *Table) AddStringsValid(name string, vals []string, valid []bool) error 
 	if err := t.checkAdd(name, len(vals)); err != nil {
 		return err
 	}
-	t.push(&Column{
-		Name:  name,
-		Typ:   String,
-		Strs:  append([]string(nil), vals...),
-		Valid: append([]bool(nil), valid...),
-	})
+	t.push(newStringColumn(name, vals, append([]bool(nil), valid...)))
 	return nil
 }
 
@@ -252,18 +259,35 @@ func (t *Table) Floats(name string) ([]float64, error) {
 	return c.Floats, nil
 }
 
-// Strings returns the backing slice of the named categorical column. The
-// slice is shared with the table; callers must not modify it.
+// Strings returns the cells of the named categorical column as a fresh
+// slice the caller owns: 16 bytes per row, each call. Code that runs per
+// request or per batch reads StringCodes instead.
 func (t *Table) Strings(name string) ([]string, error) {
+	codes, dict, err := t.StringCodes(name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, len(codes))
+	for i, k := range codes {
+		out[i] = dict[k]
+	}
+	return out, nil
+}
+
+// StringCodes returns the named categorical column as it is held: row i's
+// value is dict[codes[i]]. Both slices are shared with the table; callers
+// must not modify them. dict may hold entries no row uses, and a value
+// more than once: it is not the column's set of levels (see dict.go).
+func (t *Table) StringCodes(name string) (codes []uint32, dict []string, err error) {
 	i, ok := t.index[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoColumn, name)
+		return nil, nil, fmt.Errorf("%w: %q", ErrNoColumn, name)
 	}
 	c := t.cols[i]
 	if c.Typ != String {
-		return nil, fmt.Errorf("%w: %q is %v, want string", ErrTypeMismatch, name, c.Typ)
+		return nil, nil, fmt.Errorf("%w: %q is %v, want string", ErrTypeMismatch, name, c.Typ)
 	}
-	return c.Strs, nil
+	return c.Codes, c.Dict, nil
 }
 
 // ValidMask returns the validity mask of the named column (shared slice).
@@ -306,7 +330,7 @@ func (t *Table) SetString(name string, row int, v string) error {
 	if row < 0 || row >= t.rows {
 		return fmt.Errorf("table: row %d out of range [0,%d)", row, t.rows)
 	}
-	c.Strs[row] = v
+	c.Codes[row] = c.code(v)
 	c.Valid[row] = true
 	return nil
 }
@@ -325,12 +349,12 @@ func (t *Table) SetInvalid(name string, row int) error {
 	if c.Typ == Float64 {
 		c.Floats[row] = math.NaN()
 	} else {
-		c.Strs[row] = ""
+		c.Codes[row] = c.code("")
 	}
 	return nil
 }
 
-// Clone deep-copies the table.
+// Clone copies the table's cells into one the caller may rewrite.
 func (t *Table) Clone() *Table {
 	out := New()
 	for _, c := range t.cols {
@@ -340,7 +364,7 @@ func (t *Table) Clone() *Table {
 }
 
 // Select returns a new table holding only the named columns, in the given
-// order. Columns are deep-copied.
+// order. Columns are copied as Clone copies them.
 func (t *Table) Select(names ...string) (*Table, error) {
 	out := New()
 	for _, n := range names {

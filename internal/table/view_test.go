@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -36,13 +38,17 @@ func appendViewRows(t *testing.T, tab *Table, n int) {
 	}
 }
 
-// mustBePinned fails unless every column of the view has cap == len.
+// mustBePinned fails unless every column of the view has cap == len, its
+// dictionary included.
 func mustBePinned(t *testing.T, label string, view *Table) {
 	t.Helper()
 	for _, c := range view.cols {
-		if cap(c.Valid) != len(c.Valid) || cap(c.Floats) != len(c.Floats) || cap(c.Strs) != len(c.Strs) {
-			t.Fatalf("%s: column %q has spare capacity (valid %d/%d, floats %d/%d, strs %d/%d)", label, c.Name,
-				len(c.Valid), cap(c.Valid), len(c.Floats), cap(c.Floats), len(c.Strs), cap(c.Strs))
+		if cap(c.Valid) != len(c.Valid) || cap(c.Floats) != len(c.Floats) || cap(c.Codes) != len(c.Codes) || cap(c.Dict) != len(c.Dict) {
+			t.Fatalf("%s: column %q has spare capacity (valid %d/%d, floats %d/%d, codes %d/%d, dict %d/%d)", label, c.Name,
+				len(c.Valid), cap(c.Valid), len(c.Floats), cap(c.Floats), len(c.Codes), cap(c.Codes), len(c.Dict), cap(c.Dict))
+		}
+		if c.index != nil {
+			t.Fatalf("%s: column %q inherited a value index", label, c.Name)
 		}
 	}
 }
@@ -63,7 +69,7 @@ func TestViewSharesStorageAndSurvivesAppends(t *testing.T) {
 	mustBePinned(t, "view", view)
 	for i, c := range src.cols {
 		v := view.cols[i]
-		if &v.Valid[0] != &c.Valid[0] || (c.Typ == Float64 && &v.Floats[0] != &c.Floats[0]) || (c.Typ == String && &v.Strs[0] != &c.Strs[0]) {
+		if &v.Valid[0] != &c.Valid[0] || (c.Typ == Float64 && &v.Floats[0] != &c.Floats[0]) || (c.Typ == String && (&v.Codes[0] != &c.Codes[0] || &v.Dict[0] != &c.Dict[0])) {
 			t.Fatalf("column %q: the view copied its rows", c.Name)
 		}
 	}
@@ -90,8 +96,11 @@ func TestViewSharesStorageAndSurvivesAppends(t *testing.T) {
 // view onto fresh arrays, so the cell the source would write next stays
 // untouched and the source's own next row is not disturbed.
 func TestAppendThroughViewNeverWritesSource(t *testing.T) {
-	const n = 16
+	const n = 20
 	src := viewSource(t, n, 8)
+	if sc := src.cols[1]; cap(sc.Dict) == n {
+		t.Fatal("the source's dictionary has no spare capacity: the test no longer covers a shared array")
+	}
 	view, err := src.View(0, n)
 	if err != nil {
 		t.Fatal(err)
@@ -105,15 +114,69 @@ func TestAppendThroughViewNeverWritesSource(t *testing.T) {
 	if next := src.cols[0].Floats[:n+1][n]; next != 0 {
 		t.Fatalf("the append through the view wrote %v into the source's spare capacity", next)
 	}
-	if next := src.cols[1].Strs[:n+1][n]; next != "" {
-		t.Fatalf("the append through the view wrote %q into the source's spare capacity", next)
+	sc := src.cols[1]
+	if code, entry := sc.Codes[:n+1][n], sc.Dict[:n+1][n]; code != 0 || entry != "" {
+		t.Fatalf("the append through the view wrote code %d / entry %q into the source's spare capacity", code, entry)
 	}
 	appendViewRows(t, src, 1)
-	if got := src.cols[1].Strs[n]; got != fmt.Sprintf("s-%04d", n) {
+	if got := sc.Dict[sc.Codes[n]]; got != fmt.Sprintf("s-%04d", n) {
 		t.Fatalf("source row %d reads %q after its own append", n, got)
 	}
-	if got := view.cols[1].Strs[n]; got != "through-view" {
+	vc := view.cols[1]
+	if got := vc.Dict[vc.Codes[n]]; got != "through-view" {
 		t.Fatalf("view row %d reads %q after the source's append", n, got)
+	}
+}
+
+// TestViewReaderRacesAppenderOfNewValues is the contract under -race: a
+// reader walks the string cells of a view while the source appends rows
+// whose values its dictionary has never held, first into spare capacity
+// (the same arrays the view reads a prefix of) and then past it.
+func TestViewReaderRacesAppenderOfNewValues(t *testing.T) {
+	const n = 200
+	src := viewSource(t, n, 50)
+	sc := src.cols[1]
+	spare := min(cap(sc.Dict)-len(sc.Dict), cap(sc.Codes)-len(sc.Codes))
+	if spare < 10 {
+		t.Fatalf("the source has room for %d more values in place: the test no longer covers a shared array", spare)
+	}
+	view, err := src.View(0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustBePinned(t, "view", view)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			codes, dict, _ := view.StringCodes("s")
+			vals, _ := view.Strings("s")
+			for r, k := range codes {
+				if want := fmt.Sprintf("s-%04d", r); dict[k] != want || vals[r] != want {
+					errs <- fmt.Errorf("view row %d reads %q / %q, want %q", r, dict[k], vals[r], want)
+					return
+				}
+			}
+		}
+	}()
+	dict := &sc.Dict[0]
+	appendViewRows(t, src, spare)
+	if &sc.Dict[0] != dict {
+		t.Fatal("appends within capacity reallocated the dictionary")
+	}
+	appendViewRows(t, src, 4*n)
+	if &sc.Dict[0] == dict {
+		t.Fatal("appends past capacity did not reallocate the dictionary")
+	}
+	stop.Store(true)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
 	}
 }
 
