@@ -19,8 +19,10 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"indice/internal/assoc"
 	"indice/internal/cluster"
@@ -2063,4 +2065,113 @@ func BenchmarkE23DictColumns(b *testing.B) {
 			}
 		}
 	})
+}
+
+// e24Outcome is what the clustering stage of core.Analyze leaves behind.
+type e24Outcome struct {
+	Curve []cluster.SSECurvePoint
+	Final *cluster.KMeansResult
+}
+
+// E24 — the elbow sweep on the shape the repo benchmark's first refresh
+// pays for: 20 000 synthetic certificates, the five case-study attributes
+// min-max normalized, K 2…10 × 3 restarts, then the final clustering at
+// the elbow's K, written as core.Analyze's clustering stage writes it.
+// "sequential" is Parallelism 1, "parallel" one worker per CPU; their
+// ratio is what the (K, restart) fan-out gets out of the machine. Gate,
+// outside timing: each arm's curve and final clustering equal, bit for
+// bit, the oracle's — every (K, restart) job run on its own and the final
+// clustering by the loop that runs all its restarts afresh. With -v the
+// oracle's per-job cost is logged. Methodology in docs/benchmarks.md.
+func BenchmarkE24ElbowSweep(b *testing.B) {
+	const rows, kMin, kMax, restarts, seed = 20_000, 2, 10, 3, 1
+	city, err := synth.GenerateCity(synth.DefaultCityConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	gcfg := synth.DefaultConfig()
+	gcfg.Certificates = rows
+	ds, err := synth.Generate(gcfg, city)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mat, _, err := ds.Table.DenseMatrix(epc.CaseStudyAttributes...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	norm, _, _ := mat.NormalizeColumnsBounds()
+	fit := func(k int, seed int64) *cluster.KMeansResult {
+		res, err := cluster.KMeansMatrix(norm, cluster.KMeansConfig{K: k, Seed: seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+
+	var want e24Outcome
+	var jobs []string
+	for k := kMin; k <= kMax; k++ {
+		var best *cluster.KMeansResult
+		for r := 0; r < restarts; r++ {
+			start := time.Now()
+			res := fit(k, seed+int64(r)*7919+int64(k))
+			jobs = append(jobs, fmt.Sprintf("K=%-2d restart=%d iterations=%-3d %6.1f ms", k, r, res.Iterations,
+				float64(time.Since(start).Microseconds())/1000))
+			if best == nil || res.SSE < best.SSE {
+				best = res
+			}
+		}
+		want.Curve = append(want.Curve, cluster.SSECurvePoint{K: k, SSE: best.SSE})
+	}
+	if testing.Verbose() {
+		b.Logf("the sweep's jobs, one at a time:\n%s", strings.Join(jobs, "\n"))
+	}
+	k, err := cluster.ElbowK(want.Curve)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want.Final = fit(k, seed)
+	for r := 1; r < restarts; r++ {
+		if res := fit(k, seed+int64(r)*7919+int64(k)); res.SSE < want.Final.SSE {
+			want.Final = res
+		}
+	}
+
+	stage := func(parallelism int) e24Outcome {
+		cfg := cluster.KMeansConfig{Seed: seed, Parallelism: parallelism}
+		sweep, err := cluster.ElbowSweep(norm, kMin, kMax, restarts, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cfg.K, err = cluster.ElbowK(sweep.Curve); err != nil {
+			b.Fatal(err)
+		}
+		final, err := cluster.KMeansMatrix(norm, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kept := range sweep.Fits(cfg.K)[1:] {
+			if kept.SSE < final.SSE {
+				final = kept
+			}
+		}
+		return e24Outcome{sweep.Curve, final}
+	}
+	for _, arm := range []struct {
+		name        string
+		parallelism int
+	}{{"sequential", 1}, {"parallel", parallel.Auto}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var got e24Outcome
+			for i := 0; i < b.N; i++ {
+				got = stage(arm.parallelism)
+			}
+			b.StopTimer()
+			if !reflect.DeepEqual(got, want) {
+				b.Fatalf("curve or final clustering differ from the job-by-job oracle (K=%d, SSE %v; want K=%d, SSE %v)",
+					got.Final.K, got.Final.SSE, want.Final.K, want.Final.SSE)
+			}
+		})
+	}
 }

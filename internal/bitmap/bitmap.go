@@ -58,9 +58,9 @@ func (c *container) toWords() {
 // Bitmap is a set of uint32 ordinals. The zero value is an empty,
 // appendable bitmap.
 type Bitmap struct {
-	keys []uint32 // chunk keys (ordinal >> 16), ascending
-	cs   []*container
-	n    int
+	keys   []uint32 // chunk keys (ordinal >> 16), ascending
+	cs     []*container
+	n      int
 	last   int64 // largest ordinal added, -1 when empty
 	frozen bool
 }

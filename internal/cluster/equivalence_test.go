@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -117,6 +118,89 @@ func TestKMeansMatchesReferenceTinySeparation(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameKMeans(t, "tiny-separation", got, want)
+	}
+}
+
+// TestKMeansMatchesReferenceLongLivedBounds covers what the small draws
+// above never reach: bounds that decay across dozens of updates, runs
+// stopped by the iteration cap rather than by convergence, and an
+// empty-cluster re-seed arriving after quiet iterations, when every bound
+// is live and one more shift is due.
+func TestKMeansMatchesReferenceLongLivedBounds(t *testing.T) {
+	// One broad overlapping cloud: no K in 6…10 has a clean partition, so
+	// Lloyd's creeps for 40–100 iterations.
+	rng := rand.New(rand.NewSource(23))
+	cloud := make([][]float64, 4000)
+	for i := range cloud {
+		p := make([]float64, 5)
+		for d := range p {
+			p[d] = 0.5 + 0.18*rng.NormFloat64() + 0.1*float64(i%3)
+		}
+		cloud[i] = p
+	}
+	capped := 0
+	for k := 6; k <= 10; k++ {
+		for seed := int64(2); seed <= 3; seed++ {
+			cfg := KMeansConfig{K: k, Seed: seed}
+			want, err := KMeansReference(cloud, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Iterations < 40 {
+				t.Fatalf("K=%d seed=%d: the reference converges in %d iterations; the cloud no longer ages the bounds", k, seed, want.Iterations)
+			}
+			if want.Iterations == 101 {
+				capped++
+			}
+			for _, par := range []int{1, 4} {
+				cfg.Parallelism = par
+				got, err := KMeans(cloud, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameKMeans(t, fmt.Sprintf("cloud K=%d seed=%d parallelism=%d", k, seed, par), got, want)
+			}
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no run of the cloud ends at the iteration cap (Iterations == MaxIterations+1)")
+	}
+
+	// A line of ~24 distinct values with skewed multiplicities. The seeds
+	// are the ones of the first 21 000 on which a cluster runs empty at
+	// iteration >= 3 right after an iteration without any re-seed.
+	for _, seed := range []int64{288, 1906, 3930, 8896, 20928} {
+		rng := rand.New(rand.NewSource(seed))
+		n := 250 + rng.Intn(150)
+		values := make([]float64, 18+rng.Intn(12))
+		for i := range values {
+			values[i] = rng.Float64()
+		}
+		line := make([][]float64, n)
+		for i := range line {
+			line[i] = []float64{values[int(float64(len(values))*rng.Float64()*rng.Float64())]}
+		}
+		cfg := KMeansConfig{K: 7 + rng.Intn(3), Seed: seed}
+		reseedAt := map[int]bool{}
+		want, err := kmeansReference(line, cfg, func(iter int) { reseedAt[iter] = true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		midRun := false
+		for iter := range reseedAt {
+			midRun = midRun || (iter >= 3 && !reseedAt[iter-1])
+		}
+		if !midRun {
+			t.Fatalf("seed %d: re-seeds at iterations %v, none after a quiet iteration", seed, reseedAt)
+		}
+		for _, par := range []int{1, 4} {
+			cfg.Parallelism = par
+			got, err := KMeans(line, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameKMeans(t, fmt.Sprintf("line seed=%d parallelism=%d", seed, par), got, want)
+		}
 	}
 }
 

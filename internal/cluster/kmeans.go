@@ -120,13 +120,28 @@ func boundDown(x float64) float64 {
 //     error bound of the minimum are confirmed with the exact reference
 //     loop — which also supplies the exact tie-break ordering.
 func KMeansMatrix(m *matrix.Matrix, cfg KMeansConfig) (*KMeansResult, error) {
-	n, dim := m.Rows(), m.Cols()
-	if n == 0 {
-		return nil, errors.New("cluster: kmeans on empty input")
+	if err := checkPoints(m); err != nil {
+		return nil, err
+	}
+	return kmeansRun(m, m.RowNorms(nil), cfg)
+}
+
+// checkPoints is the part of K-means' input validation that depends on
+// the points alone; a sweep pays it once for all its runs.
+func checkPoints(m *matrix.Matrix) error {
+	if m.Rows() == 0 {
+		return errors.New("cluster: kmeans on empty input")
 	}
 	if i := m.Finite(); i >= 0 {
-		return nil, fmt.Errorf("cluster: point %d holds a non-finite coordinate", i)
+		return fmt.Errorf("cluster: point %d holds a non-finite coordinate", i)
 	}
+	return nil
+}
+
+// kmeansRun is KMeansMatrix over points checkPoints has passed, with
+// xn = m.RowNorms, which it only reads.
+func kmeansRun(m *matrix.Matrix, xn []float64, cfg KMeansConfig) (*KMeansResult, error) {
+	n, dim := m.Rows(), m.Cols()
 	if cfg.K < 1 || cfg.K > n {
 		return nil, fmt.Errorf("cluster: K=%d out of range [1, %d]", cfg.K, n)
 	}
@@ -167,7 +182,6 @@ func KMeansMatrix(m *matrix.Matrix, cfg KMeansConfig) (*KMeansResult, error) {
 	// kernel; upper/lower are the per-point Hamerly bounds (Euclidean,
 	// not squared). upper=+Inf forces a full scan, so iteration 1
 	// assigns every point exactly as the reference does.
-	xn := m.RowNorms(nil)
 	var cn []float64
 	upper := make([]float64, n)
 	lower := make([]float64, n)
@@ -175,11 +189,71 @@ func KMeansMatrix(m *matrix.Matrix, cfg KMeansConfig) (*KMeansResult, error) {
 		upper[i] = math.Inf(1)
 	}
 	deltas := make([]float64, cfg.K)
+	// The two largest centroid movements of the last update and the mover's
+	// index: a point's lower bound only decays by movements of non-assigned
+	// centroids, so points of the biggest mover decay by the runner-up.
+	// shift says the bounds have not been moved across that update yet: the
+	// next assignment pass does it, point by point, before it reads them.
+	var maxDelta, maxDelta2 float64
+	var maxDeltaC int
+	shift := false
 	// sHalf[c] is a safe lower bound on half the distance from centroid c
 	// to its nearest other centroid: a point whose upper bound is below it
 	// is provably nearest to c (triangle inequality), independently of how
 	// far its lower bound has decayed. Recomputed per iteration, O(K²·dim).
 	sHalf := make([]float64, cfg.K)
+	// nearestCentroid's scratch: K entries per chunk of the assignment
+	// pass, a cache line apart so that no two workers write to one.
+	const cacheLine = 64
+	chunk := parallel.ChunkSize(n, cfg.Parallelism)
+	chunks := (n + chunk - 1) / chunk
+	dStride, eStride := cfg.K+cacheLine/8, cfg.K+cacheLine
+	dbufs := make([]float64, chunks*dStride)
+	exacts := make([]bool, chunks*eStride)
+
+	// Assignment step: each point's nearest centroid is independent of
+	// every other point, so chunks of the row range fan out across the
+	// workers. Ties resolve to the lowest centroid index either way.
+	var changed atomic.Bool
+	assign := func(start, end int) {
+		chunkChanged := false
+		c := start / chunk
+		dbuf, exact := dbufs[c*dStride:][:cfg.K], exacts[c*eStride:][:cfg.K]
+		for i := start; i < end; i++ {
+			if shift {
+				// Shift the bounds across the last update's centroid
+				// movements.
+				a := labels[i]
+				upper[i] = boundUp(upper[i] + deltas[a])
+				if a == maxDeltaC {
+					lower[i] = boundDown(lower[i] - maxDelta2)
+				} else {
+					lower[i] = boundDown(lower[i] - maxDelta)
+				}
+			}
+			if u, a := upper[i], labels[i]; u < lower[i] || u < sHalf[a] {
+				continue // provably still nearest to labels[i]
+			}
+			x := m.Row(i)
+			// Tighten the upper bound with one exact distance before
+			// paying for the full scan.
+			u := boundUp(math.Sqrt(matrix.SqDist(x, cents.Row(labels[i]))))
+			upper[i] = u
+			if u < lower[i] || u < sHalf[labels[i]] {
+				continue
+			}
+			best, bestD, secondLB := nearestCentroid(x, xn[i], cents, cn, dbuf, exact)
+			if labels[i] != best {
+				chunkChanged = true
+			}
+			labels[i] = best
+			upper[i] = boundUp(math.Sqrt(bestD))
+			lower[i] = secondLB
+		}
+		if chunkChanged {
+			changed.Store(true)
+		}
+	}
 
 	var iter int
 	for iter = 1; iter <= cfg.MaxIterations; iter++ {
@@ -196,42 +270,8 @@ func KMeansMatrix(m *matrix.Matrix, cfg KMeansConfig) (*KMeansResult, error) {
 			}
 			sHalf[c] = boundDown(0.5 * math.Sqrt(nearest))
 		}
-		// Assignment step: each point's nearest centroid is independent of
-		// every other point, so chunks of the row range fan out across the
-		// workers. Ties resolve to the lowest centroid index either way.
-		var changedFlag atomic.Bool
-		if iter == 1 {
-			changedFlag.Store(true)
-		}
-		parallel.For(n, cfg.Parallelism, func(start, end int) {
-			chunkChanged := false
-			dbuf := make([]float64, cfg.K)
-			exact := make([]bool, cfg.K)
-			for i := start; i < end; i++ {
-				if u, a := upper[i], labels[i]; u < lower[i] || u < sHalf[a] {
-					continue // provably still nearest to labels[i]
-				}
-				x := m.Row(i)
-				// Tighten the upper bound with one exact distance before
-				// paying for the full scan.
-				u := boundUp(math.Sqrt(matrix.SqDist(x, cents.Row(labels[i]))))
-				upper[i] = u
-				if u < lower[i] || u < sHalf[labels[i]] {
-					continue
-				}
-				best, bestD, secondLB := nearestCentroid(x, xn[i], cents, cn, dbuf, exact)
-				if labels[i] != best {
-					chunkChanged = true
-				}
-				labels[i] = best
-				upper[i] = boundUp(math.Sqrt(bestD))
-				lower[i] = secondLB
-			}
-			if chunkChanged {
-				changedFlag.Store(true)
-			}
-		})
-		changed := changedFlag.Load()
+		changed.Store(iter == 1)
+		parallel.For(n, cfg.Parallelism, assign)
 
 		// Update step: sums fold in point-index order, exactly the
 		// reference arithmetic.
@@ -250,11 +290,7 @@ func KMeansMatrix(m *matrix.Matrix, cfg KMeansConfig) (*KMeansResult, error) {
 			}
 		}
 		maxMove := 0.0
-		// The two largest centroid movements and the mover's index: a
-		// point's lower bound only decays by movements of non-assigned
-		// centroids, so points of the biggest mover decay by the runner-up.
-		maxDelta, maxDelta2 := 0.0, 0.0
-		maxDeltaC := -1
+		maxDelta, maxDelta2, maxDeltaC = 0, 0, -1
 		reseeded := false
 		for c := 0; c < cfg.K; c++ {
 			if sizes[c] == 0 {
@@ -292,25 +328,16 @@ func KMeansMatrix(m *matrix.Matrix, cfg KMeansConfig) (*KMeansResult, error) {
 				maxDelta2 = deltas[c]
 			}
 		}
-		if !changed || maxMove <= cfg.Tolerance {
+		if !changed.Load() || maxMove <= cfg.Tolerance {
 			break
 		}
-		// Shift the bounds across the centroid movements. A re-seed
-		// teleports a centroid, so bounds reset wholesale (rare).
+		// A re-seed teleports a centroid: no shift covers that, so the
+		// bounds reset wholesale (rare) and there is nothing left to shift.
+		shift = !reseeded
 		if reseeded {
 			for i := range upper {
 				upper[i] = math.Inf(1)
 				lower[i] = 0
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				a := labels[i]
-				upper[i] = boundUp(upper[i] + deltas[a])
-				if a == maxDeltaC {
-					lower[i] = boundDown(lower[i] - maxDelta2)
-				} else {
-					lower[i] = boundDown(lower[i] - maxDelta)
-				}
 			}
 		}
 	}
@@ -464,48 +491,77 @@ func SSECurve(points [][]float64, kMin, kMax, restarts int, cfg KMeansConfig) ([
 	return SSECurveMatrix(m, kMin, kMax, restarts, cfg)
 }
 
-// SSECurveMatrix runs K-means for every K in [kMin, kMax] over the flat
-// point matrix and returns the SSE trend the elbow method inspects. Each
-// K is run restarts times (≥1) with distinct seeds, keeping the lowest
-// SSE. With cfg.Parallelism > 1 the (K, restart) runs fan out across the
-// workers as independent jobs sharing the read-only matrix; each job is
-// seeded exactly as the sequential sweep and the per-K minimum folds in
-// restart order, so the curve is bitwise-identical at any parallelism.
+// SSECurveMatrix is the SSE trend of ElbowSweep without the fits.
 func SSECurveMatrix(m *matrix.Matrix, kMin, kMax, restarts int, cfg KMeansConfig) ([]SSECurvePoint, error) {
+	sw, err := ElbowSweep(m, kMin, kMax, restarts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sw.Curve, nil
+}
+
+// Sweep is the outcome of ElbowSweep: the SSE curve the elbow method
+// inspects and every K-means run behind it.
+type Sweep struct {
+	Curve          []SSECurvePoint
+	kMin, restarts int
+	fits           []*KMeansResult // run (k, r) at (k-kMin)*restarts + r
+}
+
+// Fits returns the sweep's runs at k in restart order; restart r was
+// seeded with cfg.Seed + r·7919 + k.
+func (s *Sweep) Fits(k int) []*KMeansResult {
+	at := (k - s.kMin) * s.restarts
+	return s.fits[at : at+s.restarts]
+}
+
+// ElbowSweep runs K-means for every K in [kMin, kMax] over the flat point
+// matrix, restarts times (≥1) each with distinct seeds, and keeps the
+// lowest SSE per K. With cfg.Parallelism > 1 the (K, restart) runs are
+// independent jobs sharing the read-only matrix and its row norms; a run
+// costs roughly in proportion to K, so they are issued longest first
+// (descending K) and whichever worker is free takes the next. Each job is
+// seeded exactly as the sequential sweep and the per-K minimum folds in
+// restart order, so the outcome is bitwise-identical at any parallelism.
+func ElbowSweep(m *matrix.Matrix, kMin, kMax, restarts int, cfg KMeansConfig) (*Sweep, error) {
 	if kMin < 1 || kMax < kMin {
 		return nil, fmt.Errorf("cluster: bad K range [%d, %d]", kMin, kMax)
 	}
 	if restarts < 1 {
 		restarts = 1
 	}
+	if err := checkPoints(m); err != nil {
+		return nil, err
+	}
+	xn := m.RowNorms(nil)
 	nk := kMax - kMin + 1
-	sses, err := parallel.MapErr(nk*restarts, cfg.Parallelism, func(j int) (float64, error) {
+	sw := &Sweep{kMin: kMin, restarts: restarts, fits: make([]*KMeansResult, nk*restarts)}
+	errs := make([]error, len(sw.fits))
+	parallel.ForEach(len(sw.fits), cfg.Parallelism, func(issued int) {
+		j := len(sw.fits) - 1 - issued
 		k := kMin + j/restarts
 		r := j % restarts
 		c := cfg
 		c.K = k
 		c.Seed = cfg.Seed + int64(r)*7919 + int64(k)
 		c.Parallelism = 1 // the sweep parallelizes across jobs, not within
-		res, err := KMeansMatrix(m, c)
-		if err != nil {
-			return 0, err
-		}
-		return res.SSE, nil
+		sw.fits[j], errs[j] = kmeansRun(m, xn, c)
 	})
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	out := make([]SSECurvePoint, 0, nk)
 	for k := kMin; k <= kMax; k++ {
 		best := math.Inf(1)
-		for r := 0; r < restarts; r++ {
-			if sse := sses[(k-kMin)*restarts+r]; sse < best {
-				best = sse
+		for _, fit := range sw.Fits(k) {
+			if fit.SSE < best {
+				best = fit.SSE
 			}
 		}
-		out = append(out, SSECurvePoint{K: k, SSE: best})
+		sw.Curve = append(sw.Curve, SSECurvePoint{K: k, SSE: best})
 	}
-	return out, nil
+	return sw, nil
 }
 
 // ElbowK picks the K "where the marginal decrease in the SSE curve is

@@ -125,6 +125,25 @@ func TestSSECurveParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestSSECurveErrorIsTheLowestJobs pins the sweep's error to the one the
+// ascending sequential loop meets first — the smallest failing K, restart
+// 0 — although jobs are issued from the largest K down, and to the
+// input's own error before any job's.
+func TestSSECurveErrorIsTheLowestJobs(t *testing.T) {
+	pts := blobPoints(6, 2, 3)
+	for _, p := range []int{1, 4} {
+		_, err := SSECurve(pts, 5, 9, 2, KMeansConfig{Seed: 1, Parallelism: p})
+		if err == nil || err.Error() != "cluster: K=7 out of range [1, 6]" {
+			t.Fatalf("parallelism %d: err = %v, want the K=7 range error", p, err)
+		}
+		bad := append([][]float64{{math.NaN(), 0}}, pts...)
+		_, err = SSECurve(bad, 5, 9, 2, KMeansConfig{Seed: 1, Parallelism: p})
+		if err == nil || err.Error() != "cluster: point 0 holds a non-finite coordinate" {
+			t.Fatalf("parallelism %d: err = %v, want the non-finite point error", p, err)
+		}
+	}
+}
+
 func TestDBSCANParallelEquivalence(t *testing.T) {
 	pts := blobPoints(500, 2, 3)
 	seq, err := DBSCAN(pts, 0.6, 4)

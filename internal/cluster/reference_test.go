@@ -24,6 +24,12 @@ import (
 // bitwise-identical to KMeans at any cfg.Parallelism (the reference
 // itself always runs sequentially).
 func KMeansReference(points [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
+	return kmeansReference(points, cfg, nil)
+}
+
+// kmeansReference is KMeansReference telling onReseed (when not nil) the
+// iteration of every empty-cluster re-seed.
+func kmeansReference(points [][]float64, cfg KMeansConfig, onReseed func(iter int)) (*KMeansResult, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, errors.New("cluster: kmeans on empty input")
@@ -97,6 +103,9 @@ func KMeansReference(points [][]float64, cfg KMeansConfig) (*KMeansResult, error
 		maxMove := 0.0
 		for c := range centroids {
 			if sizes[c] == 0 {
+				if onReseed != nil {
+					onReseed(iter)
+				}
 				far, farD := 0, -1.0
 				for i, p := range points {
 					if d := refSqDist(p, centroids[labels[i]]); d > farD {

@@ -187,35 +187,29 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 	// per-cluster response means.
 	clusteringStage := func() error {
 		kcfg := cluster.KMeansConfig{Seed: cfg.Seed, Parallelism: cfg.Parallelism}
-		curve, err := cluster.SSECurveMatrix(norm, cfg.KMin, cfg.KMax, cfg.Restarts, kcfg)
+		sweep, err := cluster.ElbowSweep(norm, cfg.KMin, cfg.KMax, cfg.Restarts, kcfg)
 		if err != nil {
 			return fmt.Errorf("core: analyze: %w", err)
 		}
-		an.SSECurve = curve
-		k, err := cluster.ElbowK(curve)
+		an.SSECurve = sweep.Curve
+		k, err := cluster.ElbowK(sweep.Curve)
 		if err != nil {
 			return err
 		}
 		an.ChosenK = k
-		// The final clustering repeats the restarts at the chosen K; the
-		// runs fan out as independent jobs and the minimum folds in
-		// restart order, exactly as the sequential loop.
-		results, err := parallel.MapErr(cfg.Restarts, cfg.Parallelism, func(r int) (*cluster.KMeansResult, error) {
-			c := kcfg
-			c.K = k
-			c.Parallelism = 1
-			if r > 0 {
-				c.Seed = cfg.Seed + int64(r)*7919 + int64(k)
-			}
-			return cluster.KMeansMatrix(norm, c)
-		})
+		// The final clustering is the best of cfg.Restarts runs at the
+		// chosen K: restart 0 seeded with cfg.Seed itself, the others as
+		// the sweep seeds them. Only restart 0 is a run the sweep has not
+		// made; the minimum folds in restart order under a strict <, so
+		// restart 0 keeps a tie.
+		kcfg.K = k
+		best, err := cluster.KMeansMatrix(norm, kcfg)
 		if err != nil {
 			return fmt.Errorf("core: analyze: %w", err)
 		}
-		best := results[0]
-		for _, res := range results[1:] {
-			if res.SSE < best.SSE {
-				best = res
+		for _, fit := range sweep.Fits(k)[1:] {
+			if fit.SSE < best.SSE {
+				best = fit
 			}
 		}
 		an.Clustering = best

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,6 +22,31 @@ func bitsEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// mustMatchClusterings fails the test unless the two analyses hold the
+// same final clustering, bit for bit, spread over the same rows.
+func mustMatchClusterings(t *testing.T, label string, got, want *Analysis) {
+	t.Helper()
+	gc, wc := got.Clustering, want.Clustering
+	if gc.K != wc.K || gc.Iterations != wc.Iterations || math.Float64bits(gc.SSE) != math.Float64bits(wc.SSE) {
+		t.Fatalf("%s: clustering has K %d, %d iterations, SSE %v; want K %d, %d iterations, SSE %v",
+			label, gc.K, gc.Iterations, gc.SSE, wc.K, wc.Iterations, wc.SSE)
+	}
+	for c := range wc.Centroids {
+		if !bitsEqual(gc.Centroids[c], wc.Centroids[c]) {
+			t.Fatalf("%s: centroid %d = %v, want %v", label, c, gc.Centroids[c], wc.Centroids[c])
+		}
+	}
+	if !slices.Equal(gc.Labels, wc.Labels) || !slices.Equal(gc.Sizes, wc.Sizes) {
+		t.Fatalf("%s: Clustering.Labels or Sizes diverge", label)
+	}
+	if !slices.Equal(got.RowLabels, want.RowLabels) {
+		t.Fatalf("%s: RowLabels diverge", label)
+	}
+	if !bitsEqual(got.ClusterResponseMeans, want.ClusterResponseMeans) {
+		t.Fatalf("%s: ClusterResponseMeans = %v, want %v", label, got.ClusterResponseMeans, want.ClusterResponseMeans)
+	}
 }
 
 // mustMatchAnalyses fails the test unless the two analyses are
@@ -56,24 +82,7 @@ func mustMatchAnalyses(t *testing.T, label string, got, want *Analysis) {
 	if got.ChosenK != want.ChosenK {
 		fail("ChosenK")
 	}
-	if math.Float64bits(got.Clustering.SSE) != math.Float64bits(want.Clustering.SSE) ||
-		got.Clustering.Iterations != want.Clustering.Iterations {
-		fail("Clustering")
-	}
-	for c := range want.Clustering.Centroids {
-		if !bitsEqual(got.Clustering.Centroids[c], want.Clustering.Centroids[c]) {
-			fail("Clustering.Centroids")
-		}
-	}
-	if fmt.Sprint(got.Clustering.Labels) != fmt.Sprint(want.Clustering.Labels) {
-		fail("Clustering.Labels")
-	}
-	if fmt.Sprint(got.RowLabels) != fmt.Sprint(want.RowLabels) {
-		fail("RowLabels")
-	}
-	if !bitsEqual(got.ClusterResponseMeans, want.ClusterResponseMeans) {
-		fail("ClusterResponseMeans")
-	}
+	mustMatchClusterings(t, label, got, want)
 	if len(got.Binnings) != len(want.Binnings) {
 		fail("Binnings")
 	}

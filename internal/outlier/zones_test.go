@@ -26,8 +26,8 @@ func zoneTable(t *testing.T) *table.Table {
 			xs[i] = 100 + rng.NormFloat64()
 		}
 	}
-	xs[0] = 40  // zone A local outlier, globally mid-range
-	xs[1] = 60  // zone B local outlier, globally mid-range
+	xs[0] = 40 // zone A local outlier, globally mid-range
+	xs[1] = 60 // zone B local outlier, globally mid-range
 	tab := table.New()
 	if err := tab.AddStrings("district", zones); err != nil {
 		t.Fatal(err)

@@ -1,20 +1,30 @@
 // Package parallel provides the bounded concurrency primitives the INDICE
-// analytics engine threads through its hot paths: a chunked parallel-for,
-// an indexed map, a chunk-wise map/reduce, and a task group for running
-// independent pipeline stages concurrently.
+// analytics engine threads through its hot paths, two shapes of fan-out
+// and a task group:
+//
+//   - For (and ChunkReduce) cut [0, n) into contiguous chunks, one per
+//     worker: the shape for row loops, where every index costs about the
+//     same and a worker wants a cache-friendly range of its own.
+//   - ForEach, Map and MapErr hand out the next index to whichever worker
+//     is free: the shape for jobs of unequal cost (K-means runs, outlier
+//     zones, distinct addresses, CART attributes, Apriori candidates,
+//     shards), where a pre-cut half can hold most of the work.
+//   - Tasks runs independent pipeline stages concurrently.
 //
 // Every helper takes an explicit worker count resolved by Workers: 1 (or
-// 0, the zero value of the configs that embed it) runs inline with no
-// goroutines, and Auto expands to GOMAXPROCS. Callers that need
-// bitwise-identical results across worker counts must keep their
-// reductions order-independent (integer counts) or reduce indexed results
-// sequentially; ChunkReduce folds chunk results in ascending chunk order
-// to make the order at least deterministic for a fixed worker count.
+// 0, the zero value of the configs that embed it) runs inline on the
+// caller's goroutine, in index order, with no goroutines, and Auto expands
+// to GOMAXPROCS. Callers that need bitwise-identical results across worker
+// counts must keep their reductions order-independent (integer counts) or
+// reduce indexed results sequentially; ChunkReduce folds chunk results in
+// ascending chunk order to make the order at least deterministic for a
+// fixed worker count.
 package parallel
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Auto requests one worker per available CPU (GOMAXPROCS).
@@ -34,6 +44,21 @@ func Workers(requested int) int {
 	}
 }
 
+// ChunkSize is the length of the contiguous chunks For and ChunkReduce cut
+// [0, n) into: chunk c covers [c*size, min(n, (c+1)*size)), and there are
+// at most Workers(workers) of them. A For body that keeps per-chunk state
+// across calls indexes it by start/size.
+func ChunkSize(n, workers int) int {
+	workers = Workers(workers)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		return n
+	}
+	return (n + workers - 1) / workers
+}
+
 // For splits [0, n) into at most workers contiguous chunks and runs body
 // on each concurrently. body receives the half-open [start, end) bounds
 // of its chunk. One worker (or n <= 1) degrades to a single inline call.
@@ -41,15 +66,11 @@ func For(n, workers int, body func(start, end int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
+	chunk := ChunkSize(n, workers)
+	if chunk == n {
 		body(0, n)
 		return
 	}
-	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for start := 0; start < n; start += chunk {
 		end := start + chunk
@@ -65,13 +86,37 @@ func For(n, workers int, body func(start, end int)) {
 	wg.Wait()
 }
 
-// ForEach runs body(i) for every i in [0, n) across workers.
+// ForEach runs body(i) for every i in [0, n) on at most workers
+// goroutines, each taking the next index not yet handed out as soon as it
+// is free, so the jobs may cost anything: no worker idles while an index
+// is left. One worker calls body inline, in index order.
 func ForEach(n, workers int, body func(i int)) {
-	For(n, workers, func(start, end int) {
-		for i := start; i < end; i++ {
+	workers = Workers(workers)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
 			body(i)
 		}
-	})
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				body(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Map fills out[i] = f(i) for i in [0, n) across workers. Each index is
@@ -110,14 +155,10 @@ func ChunkReduce[T any](n, workers int, acc T, mapper func(start, end int) T, fo
 	if n <= 0 {
 		return acc
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
+	chunk := ChunkSize(n, workers)
+	if chunk == n {
 		return fold(acc, mapper(0, n))
 	}
-	chunk := (n + workers - 1) / workers
 	nchunks := (n + chunk - 1) / chunk
 	parts := make([]T, nchunks)
 	var wg sync.WaitGroup

@@ -111,23 +111,23 @@ func TestReadBinaryCorruptHeaders(t *testing.T) {
 	binary.LittleEndian.PutUint32(hugeStr[strLenOff:], math.MaxUint32)
 
 	cases := map[string][]byte{
-		"rows u32 max":           hugeRows,
-		"rows beyond cap":        overCapRows,
-		"cols u32 max":           hugeCols,
-		"column name len max":    hugeName,
-		"unknown column type":    badType,
-		"string length max":      hugeStr,
-		"truncated mid bitmap":   good[:19],
-		"truncated mid floats":   good[:30],
-		"header only":            good[:14],
-		"declared cols missing":  good[:14+2+1+1],
-		"zero-length input":      nil,
-		"magic only":             good[:4],
-		"version truncated":      good[:5],
-		"rows truncated":         good[:8],
-		"cols truncated":         good[:13],
-		"extra col declared":     mutate(good, 10, 3),
-		"version 2":              mutate(good, 4, 2),
+		"rows u32 max":          hugeRows,
+		"rows beyond cap":       overCapRows,
+		"cols u32 max":          hugeCols,
+		"column name len max":   hugeName,
+		"unknown column type":   badType,
+		"string length max":     hugeStr,
+		"truncated mid bitmap":  good[:19],
+		"truncated mid floats":  good[:30],
+		"header only":           good[:14],
+		"declared cols missing": good[:14+2+1+1],
+		"zero-length input":     nil,
+		"magic only":            good[:4],
+		"version truncated":     good[:5],
+		"rows truncated":        good[:8],
+		"cols truncated":        good[:13],
+		"extra col declared":    mutate(good, 10, 3),
+		"version 2":             mutate(good, 4, 2),
 	}
 	for name, data := range cases {
 		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {

@@ -171,7 +171,7 @@ func buildAggTable(t *testing.T, rng *rand.Rand, rows int, mode string) *Table {
 		}
 		kvalid[i] = mode != "allinvalid" && rng.Intn(12) != 0
 		vals[i] = float64(rng.Intn(800))
-		vvalid[i] = rng.Intn(3) != 0 // NULL-heavy value column
+		vvalid[i] = rng.Intn(3) != 0           // NULL-heavy value column
 		second[i] = float64(rng.Intn(100)) / 4 // fractional → raw float
 		if rng.Intn(20) == 0 {
 			second[i] = math.NaN()
@@ -335,8 +335,8 @@ func TestGroupAggregatorErrors(t *testing.T) {
 	}{
 		{"missing", []string{"x"}},
 		{"g", []string{"missing"}},
-		{"x", []string{"x"}},  // group column must be a string column
-		{"g", []string{"g"}},  // value column must be float
+		{"x", []string{"x"}}, // group column must be a string column
+		{"g", []string{"g"}}, // value column must be float
 	} {
 		g := NewGroupAggregator(tc.by, tc.attrs)
 		if err := g.AddEncoded(enc, nil); err == nil {
@@ -374,9 +374,9 @@ func TestAggAccumObserveMeanMerge(t *testing.T) {
 	}
 	a.Observe(2)
 	a.Observe(4)
-	a.Observe(math.NaN())     // skipped
-	a.Observe(math.Inf(1))    // skipped
-	a.Observe(math.Inf(-1))   // skipped
+	a.Observe(math.NaN())   // skipped
+	a.Observe(math.Inf(1))  // skipped
+	a.Observe(math.Inf(-1)) // skipped
 	if a.R.Count != 2 || a.Sum != 6 {
 		t.Fatalf("accumulated %d/%v, want 2/6", a.R.Count, a.Sum)
 	}
