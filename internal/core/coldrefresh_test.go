@@ -133,8 +133,9 @@ func coldLive(t *testing.T, certs, base int, corrupt, clean bool, workers int) (
 
 // TestColdRefreshNeverTouchesSnapshotTable pins the ownership rule: the
 // cold refresh cleans its own materialization of the snapshot in place,
-// and the lineage later appends deltas to that copy — neither ever writes
-// a cell the published snapshot (a view of the store's tails) can read.
+// and the incremental refreshes append deltas to the lineage's copies cut
+// out of it — neither ever writes a cell the published snapshot (a view of
+// the store's tails) can read.
 func TestColdRefreshNeverTouchesSnapshotTable(t *testing.T) {
 	for _, clean := range []bool{true, false} {
 		st, live, corpus := coldLive(t, 2400, 2000, true, clean, parallel.Auto)
@@ -206,27 +207,27 @@ func TestColdRefreshParallelEquivalence(t *testing.T) {
 		}
 		mustMatchTables(t, "published table", par.Engine.Table(), seq.Engine.Table())
 		mustMatchAnalyses(t, "cold refresh", par.Analysis, seq.Analysis)
+		// What the lineage cut out of the pre-drop table, compared bitwise
+		// (NULL floats are NaN, which DeepEqual never equates).
+		pl, sl := parLive.lineage, seqLive.lineage
+		mustMatchTables(t, "lineage screen", pl.screen, sl.screen)
+		mustMatchTables(t, "lineage dropped rows", pl.dropped, sl.dropped)
+		if !slices.Equal(pl.droppedAt, sl.droppedAt) || len(pl.droppedAt) != pl.dropped.NumRows() {
+			t.Fatalf("corrupt=%v: dropped rows at %v, want %v", corrupt, pl.droppedAt, sl.droppedAt)
+		}
+		if !reflect.DeepEqual(par.Report, seq.Report) {
+			t.Fatalf("corrupt=%v: report differs between Parallelism 1 and parallel.Auto", corrupt)
+		}
 		if !corrupt {
-			// No NULL cell anywhere, so the comparison can be structural,
-			// unexported fields (the retained pre-drop table) included.
-			if !reflect.DeepEqual(par.Report, seq.Report) {
-				t.Fatal("registry corpus: report differs between Parallelism 1 and parallel.Auto")
-			}
+			// No NULL cell anywhere, so the analysis can be compared
+			// structurally too.
 			if !reflect.DeepEqual(par.Analysis, seq.Analysis) {
 				t.Fatal("registry corpus: analysis differs between Parallelism 1 and parallel.Auto")
 			}
 			continue
 		}
-		// NULL floats are NaN, which DeepEqual never equates: compare the
-		// report field by field and the pre-drop table bitwise.
-		mustMatchTables(t, "pre-drop table", par.Report.preDrop, seq.Report.preDrop)
-		pr, sr := *par.Report, *seq.Report
-		pr.preDrop, sr.preDrop = nil, nil
-		if !reflect.DeepEqual(pr, sr) {
-			t.Fatal("corrupted corpus: report differs between Parallelism 1 and parallel.Auto")
-		}
-		if pr.Cleaning.StreetMap == 0 || pr.Cleaning.GeocoderRequests == 0 {
-			t.Fatalf("corrupted corpus exercised neither repair path: %+v", pr.Cleaning)
+		if c := par.Report.Cleaning; c.StreetMap == 0 || c.GeocoderRequests == 0 {
+			t.Fatalf("corrupted corpus exercised neither repair path: %+v", c)
 		}
 	}
 }

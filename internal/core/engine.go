@@ -132,10 +132,6 @@ type PreprocessConfig struct {
 	// their own Parallelism unset.
 	Parallelism int
 
-	// keepPreDrop retains the post-clean, pre-drop table in the report —
-	// the incremental refresh lineage's base state. Internal to the live
-	// loop.
-	keepPreDrop bool
 	// ownsTable marks the engine's table as a copy nobody else reads (the
 	// live loop's fresh snapshot materialization), so cleaning rewrites it
 	// in place instead of cloning it first. Internal to the live loop.
@@ -199,10 +195,6 @@ type PreprocessReport struct {
 	OutlierRows []int
 	// RowsBefore/RowsAfter document the removal.
 	RowsBefore, RowsAfter int
-
-	// preDrop is the post-clean, pre-drop table, retained only with
-	// keepPreDrop (it may alias the engine table when nothing dropped).
-	preDrop *table.Table
 }
 
 // Preprocess runs the pre-processing tier and, when configured, replaces
@@ -267,9 +259,6 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 	}
 	slices.Sort(rep.OutlierRows)
 
-	if cfg.keepPreDrop {
-		rep.preDrop = e.tab
-	}
 	if cfg.DropOutliers && len(rep.OutlierRows) > 0 {
 		cleaned, err := outlier.RemoveRows(e.tab, rep.OutlierRows)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"indice/internal/cluster"
@@ -47,20 +48,99 @@ type IncrementalConfig struct {
 // rather than failing the refresh.
 var errIncremental = errors.New("core: incremental refresh unavailable")
 
-// lineage is the mutable cross-epoch state of the incremental path, owned
-// by the refresh lock. raw accumulates the post-clean, pre-drop rows of
-// every epoch in arrival order; mat mirrors its complete rows over the
-// clustering attributes in an appendable buffer, so each refresh
-// materializes only the delta.
+// lineage is the incremental path's cross-epoch state, owned by the
+// refresh lock. The post-clean, pre-drop rows of every epoch, in arrival
+// order, are in three parts: screen (their lineageColumns), served (the
+// published serving table) and dropped (whole, at pre-drop positions
+// droppedAt). mat holds screen's complete rows over the clustering
+// attributes, so each refresh materializes only the delta.
 type lineage struct {
-	epoch     uint64
-	raw       *table.Table
-	mat       *matrix.Appendable
-	rowIdx    []int                    // mat row -> raw row
-	refStats  map[string]stats.Running // drift baseline, at last full sweep
-	centroids []float64                // flat K×dim, raw attribute space
-	chosenK   int
-	sinceFull int
+	epoch                   uint64
+	screen, served, dropped *table.Table
+	droppedAt               []int // ascending
+	mat                     *matrix.Appendable
+	rowIdx                  []int                    // mat row -> pre-drop row
+	refStats                map[string]stats.Running // drift baseline, at last full sweep
+	centroids               []float64                // flat K×dim, raw attribute space
+	chosenK, sinceFull      int
+}
+
+// lineageColumns are the columns the incremental path reads of every
+// pre-drop row: the screened attributes, the zone label of a per-zone
+// screen, and the clustering attributes.
+func (cfg LiveConfig) lineageColumns() []string {
+	cols := append(slices.Clone(cfg.Preprocess.outlierAttrs()), cfg.Analysis.Attributes...)
+	if cfg.Preprocess.ByZoneAttr != "" {
+		cols = append(cols, cfg.Preprocess.ByZoneAttr)
+	}
+	slices.Sort(cols)
+	return slices.Compact(cols)
+}
+
+// advance moves served and dropped to the next epoch in one pass, in
+// pre-drop order, over the serving table, the dropped rows and the delta
+// (whose rows follow theirs): a row dropped earlier comes back when the
+// fences release it, a kept one leaves when they catch it.
+func (lin *lineage) advance(delta *table.Table, drop []bool) error {
+	out := [2]gather{{rows: make([]int, 0, len(drop))}} // kept, dropped
+	var droppedAt []int
+	base, next, j := lin.served.NumRows()+lin.dropped.NumRows(), 0, 0
+	for p, d := range drop {
+		src, r := lin.served, next
+		switch {
+		case p >= base:
+			src, r = delta, p-base
+		case j < len(lin.droppedAt) && lin.droppedAt[j] == p:
+			src, r = lin.dropped, j
+			j++
+		default:
+			next++
+		}
+		k := 0
+		if d {
+			k = 1
+			droppedAt = append(droppedAt, p)
+		}
+		out[k].add(src, r)
+	}
+	served, err := out[0].table(lin.served.Schema())
+	if err == nil {
+		lin.dropped, err = out[1].table(lin.served.Schema())
+	}
+	lin.served, lin.droppedAt = served, droppedAt
+	return err
+}
+
+// gather collects rows of source tables in runs of one source, then copies
+// them into a new table grown once, one AppendTaken per run.
+type gather struct {
+	srcs []*table.Table
+	ends []int // run i is rows[ends[i-1]:ends[i]]
+	rows []int
+}
+
+func (g *gather) add(src *table.Table, row int) {
+	if k := len(g.srcs); k == 0 || g.srcs[k-1] != src {
+		g.srcs, g.ends = append(g.srcs, src), append(g.ends, len(g.rows))
+	}
+	g.rows = append(g.rows, row)
+	g.ends[len(g.ends)-1]++
+}
+
+func (g *gather) table(schema []table.Field) (*table.Table, error) {
+	t, err := table.NewWithSchema(schema)
+	if err != nil {
+		return nil, err
+	}
+	t.Grow(len(g.rows))
+	lo := 0
+	for i, src := range g.srcs {
+		if err := t.AppendTaken(src, g.rows[lo:g.ends[i]]); err != nil {
+			return nil, err
+		}
+		lo = g.ends[i]
+	}
+	return t, nil
 }
 
 // driftSince measures how far the store's distribution moved from the
@@ -176,6 +256,7 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 	delta *store.Delta, drift float64) (*Published, error) {
 	lin := l.lineage
 	pcfg := l.cfg.Preprocess
+	var deltaTab *table.Table
 	var deltaCleaning *geocode.Report
 	if delta.NewRows > 0 {
 		// An error abandons the refresh, so the span is only recorded on
@@ -183,7 +264,8 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 		_, spDelta := obs.StartSpan(ctx, "delta")
 		// One owned copy of the new rows (the store shares segments
 		// zero-copy; cleaning mutates, so the delta must be private).
-		deltaTab, err := table.Concat(delta.Tables()...)
+		var err error
+		deltaTab, err = table.Concat(delta.Tables()...)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errIncremental, err)
 		}
@@ -193,10 +275,14 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 				return nil, fmt.Errorf("%w: %v", errIncremental, err)
 			}
 		}
-		if err := lin.raw.AppendTable(deltaTab); err != nil {
+		part, err := deltaTab.Select(lin.screen.ColumnNames()...)
+		if err == nil {
+			err = lin.screen.AppendTable(part)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errIncremental, err)
 		}
-		newIdx, err := lin.raw.DenseMatrixAppend(lin.mat, lin.raw.NumRows()-deltaTab.NumRows(), l.cfg.Analysis.Attributes...)
+		newIdx, err := lin.screen.DenseMatrixAppend(lin.mat, lin.screen.NumRows()-part.NumRows(), l.cfg.Analysis.Attributes...)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errIncremental, err)
 		}
@@ -212,34 +298,28 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 	// dropped rows is identical — only their order differs.
 	_, spScreen := obs.StartSpan(ctx, "screen")
 	rep := &PreprocessReport{
-		RowsBefore: lin.raw.NumRows(),
+		RowsBefore: lin.screen.NumRows(),
 		// Cleaning covers only this refresh's delta: the base rows were
 		// cleaned by the epochs that ingested them.
 		Cleaning: deltaCleaning,
 	}
-	union, err := univariateScreen(lin.raw, pcfg, pcfg.Univariate, rep)
+	union, err := univariateScreen(lin.screen, pcfg, pcfg.Univariate, rep)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
 	rep.OutlierRows = union
 
-	drop := make([]bool, lin.raw.NumRows())
-	keep := make([]bool, lin.raw.NumRows())
-	for i := range keep {
-		keep[i] = true
-	}
+	drop := make([]bool, lin.screen.NumRows())
 	if pcfg.DropOutliers {
 		for _, r := range union {
 			drop[r] = true
-			keep[r] = false
 		}
 	}
-	tab, err := lin.raw.FilterMask(keep)
-	if err != nil {
+	if err := lin.advance(deltaTab, drop); err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
-	rep.RowsAfter = tab.NumRows()
-	eng, err := NewEngine(tab, l.hier, l.cfg.Options)
+	rep.RowsAfter = lin.served.NumRows()
+	eng, err := NewEngine(lin.served, l.hier, l.cfg.Options)
 	spScreen.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
@@ -309,7 +389,7 @@ func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*An
 	}
 
 	// Survivor mask over the lineage matrix, plus the matrix-row → engine-
-	// table-row mapping (engine rows are the raw rows minus the dropped).
+	// table-row mapping (engine rows are the pre-drop rows minus the dropped).
 	full := lin.mat.Matrix()
 	dim := full.Cols()
 	mask := make([]bool, full.Rows())
@@ -386,27 +466,41 @@ func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*An
 	return an, nil
 }
 
-// rebuildLineage re-bases the incremental state after a successful full
-// (cold) refresh: the lineage adopts the snapshot's post-clean pre-drop
-// table, re-materializes the appendable clustering matrix once, and
-// records the drift baseline and raw-space centroids of the fresh sweep.
-func (l *Live) rebuildLineage(snap *store.Snapshot, eng *Engine, rep *PreprocessReport, an *Analysis) {
-	l.lineage = nil
-	if l.cfg.Incremental.Disable || l.cfg.SkipAnalysis ||
-		an == nil || an.Clustering == nil || rep == nil || rep.preDrop == nil {
-		return
+// cutLineage copies a cold refresh's post-clean, pre-drop table's
+// lineageColumns and dropped rows (with only the dictionary entries they
+// use); nil when the loop keeps no lineage or a column is missing.
+func (l *Live) cutLineage(pre *table.Table, rep *PreprocessReport) *lineage {
+	if l.cfg.Incremental.Disable || l.cfg.SkipAnalysis {
+		return nil
 	}
-	raw := rep.preDrop
-	if raw == eng.Table() {
-		// Nothing was dropped, so the pre-drop table aliases the serving
-		// table; the lineage needs its own copy to keep appending to.
-		raw = raw.Clone()
+	screen, err := pre.Select(l.cfg.lineageColumns()...)
+	if err != nil {
+		return nil
+	}
+	lin := &lineage{screen: screen}
+	if l.cfg.Preprocess.DropOutliers {
+		lin.droppedAt = rep.OutlierRows
+	}
+	g := gather{srcs: []*table.Table{pre}, ends: []int{len(lin.droppedAt)}, rows: lin.droppedAt}
+	if lin.dropped, err = g.table(pre.Schema()); err != nil {
+		return nil
+	}
+	return lin
+}
+
+// rebuildLineage re-bases the incremental state after a successful full
+// (cold) refresh: the cut lineage takes the serving table, the clustering
+// matrix and the fresh sweep's drift baseline and raw-space centroids.
+func (l *Live) rebuildLineage(snap *store.Snapshot, served *table.Table, lin *lineage, an *Analysis) {
+	l.lineage = nil
+	if lin == nil || an == nil || an.Clustering == nil {
+		return
 	}
 	mat, err := matrix.NewAppendable(len(l.cfg.Analysis.Attributes))
 	if err != nil {
 		return
 	}
-	rowIdx, err := raw.DenseMatrixAppend(mat, 0, l.cfg.Analysis.Attributes...)
+	rowIdx, err := lin.screen.DenseMatrixAppend(mat, 0, l.cfg.Analysis.Attributes...)
 	if err != nil {
 		return
 	}
@@ -416,13 +510,7 @@ func (l *Live) rebuildLineage(snap *store.Snapshot, eng *Engine, rep *Preprocess
 			refStats[a] = r
 		}
 	}
-	l.lineage = &lineage{
-		epoch:     snap.Epoch(),
-		raw:       raw,
-		mat:       mat,
-		rowIdx:    rowIdx,
-		refStats:  refStats,
-		centroids: an.rawCentroids(),
-		chosenK:   an.ChosenK,
-	}
+	lin.epoch, lin.served, lin.mat, lin.rowIdx = snap.Epoch(), served, mat, rowIdx
+	lin.refStats, lin.centroids, lin.chosenK = refStats, an.rawCentroids(), an.ChosenK
+	l.lineage = lin
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -132,21 +134,28 @@ func labelsByID(t *testing.T, pub *Published) map[string]int {
 
 // TestIncrementalMatchesColdPath is the randomized equivalence test the
 // tentpole demands: the fast path must publish the same preprocessing
-// outcome as the cold pipeline on the same snapshot — identical kept-row
-// sets (the fences are computed over the same value multiset) — and a
-// clustering that agrees with the cold one up to cluster relabeling and
+// outcome as the cold pipeline on the same snapshot — the same served
+// certificates (the fences are computed over the same value multiset),
+// also after a delta that moves a fence across rows of earlier epochs — and
+// a clustering that agrees with the cold one up to cluster relabeling and
 // summation-order rounding.
 func TestIncrementalMatchesColdPath(t *testing.T) {
 	stInc, liveInc := incrLive(t, IncrementalConfig{DriftThreshold: 1e9, FullEvery: 1 << 30})
 	stCold, liveCold := incrLive(t, IncrementalConfig{Disable: true})
+	// The latitude is screened too: its ladder of rows around the upper
+	// fence lets the last delta move a fence across rows of earlier epochs.
+	for _, l := range []*Live{liveInc, liveCold} {
+		l.cfg.Preprocess.OutlierAttrs = append(slices.Clone(incrAttrs), epc.AttrLatitude)
+	}
 
-	base := incrBatch(t, 0, 1200, 0, 7)
+	base := latBatch(t, 0, 1200, 7, latLadder)
 	for _, st := range []*store.Store{stInc, stCold} {
 		if _, err := st.AppendTable(base); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := liveInc.Refresh(); err != nil {
+	first, err := liveInc.Refresh()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := liveCold.Refresh(); err != nil {
@@ -157,8 +166,14 @@ func TestIncrementalMatchesColdPath(t *testing.T) {
 			liveInc.IncrementalRefreshes(), liveInc.FullRefreshes())
 	}
 
-	for round := 0; round < 3; round++ {
-		delta := incrBatch(t, 1200+120*round, 1200+120*(round+1), 0, int64(100+round))
+	const rounds = 4
+	served := servedIDs(t, first)
+	for round := 0; round < rounds; round++ {
+		lat := latUniform(0, 1)
+		if round == rounds-1 {
+			lat = latUniform(0, 2.4) // widens the spread: the upper fence moves out
+		}
+		delta := latBatch(t, 1200+120*round, 1200+120*(round+1), int64(100+round), lat)
 		for _, st := range []*store.Store{stInc, stCold} {
 			if _, err := st.AppendTable(delta); err != nil {
 				t.Fatal(err)
@@ -186,7 +201,8 @@ func TestIncrementalMatchesColdPath(t *testing.T) {
 		}
 
 		// Preprocessing equivalence: identical value multisets mean
-		// identical fences, so the same rows survive on both paths.
+		// identical fences, so the same certificates survive on both paths
+		// (in different row orders).
 		if pubInc.Report.RowsBefore != pubCold.Report.RowsBefore ||
 			pubInc.Report.RowsAfter != pubCold.Report.RowsAfter {
 			t.Fatalf("round %d: rows inc %d→%d vs cold %d→%d", round,
@@ -196,6 +212,22 @@ func TestIncrementalMatchesColdPath(t *testing.T) {
 		if len(pubInc.Report.OutlierRows) != len(pubCold.Report.OutlierRows) {
 			t.Fatalf("round %d: flagged %d vs %d rows", round,
 				len(pubInc.Report.OutlierRows), len(pubCold.Report.OutlierRows))
+		}
+		wasServed := served
+		served = servedIDs(t, pubInc)
+		if !maps.Equal(served, servedIDs(t, pubCold)) {
+			t.Fatalf("round %d: the incremental and the cold path serve different certificates", round)
+		}
+		if round == rounds-1 {
+			moved := 0
+			for id := range served {
+				if !wasServed[id] && id < fmt.Sprintf("cert-%06d", 1200+120*round) {
+					moved++
+				}
+			}
+			if moved == 0 {
+				t.Fatalf("round %d: the widening delta re-admitted no earlier certificate", round)
+			}
 		}
 
 		// Clustering equivalence: same K, SSE within summation-order
@@ -246,8 +278,8 @@ func TestIncrementalMatchesColdPath(t *testing.T) {
 			}
 		}
 	}
-	if liveInc.IncrementalRefreshes() != 3 {
-		t.Fatalf("incremental refreshes = %d, want 3", liveInc.IncrementalRefreshes())
+	if liveInc.IncrementalRefreshes() != rounds {
+		t.Fatalf("incremental refreshes = %d, want %d", liveInc.IncrementalRefreshes(), rounds)
 	}
 }
 

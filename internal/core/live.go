@@ -100,9 +100,9 @@ type Published struct {
 	DeltaRows   int
 	ReusedRows  int
 	Drift       float64
-	// TableBytes and LineageBytes estimate (table.SizeBytes) the two
-	// corpus copies the refresh loop owns at this publication: the serving
-	// table and the incremental lineage's pre-drop table (0 without one).
+	// TableBytes and LineageBytes estimate (table.SizeBytes) the serving
+	// table, the loop's one full-width copy of the corpus, and the
+	// incremental lineage's parts beside it (0 without a lineage).
 	TableBytes   int
 	LineageBytes int
 }
@@ -225,7 +225,7 @@ func (l *Live) Refresh() (*Published, error) {
 	l.lastErr.Store(nil)
 	pub.TableBytes = pub.Engine.Table().SizeBytes()
 	if l.lineage != nil {
-		pub.LineageBytes = l.lineage.raw.SizeBytes()
+		pub.LineageBytes = l.lineage.screen.SizeBytes() + l.lineage.dropped.SizeBytes()
 	}
 	mPublishedBytes.Set(float64(pub.TableBytes))
 	mLineageBytes.Set(float64(pub.LineageBytes))
@@ -265,7 +265,7 @@ func (l *Live) refreshLocked() (*Published, error) {
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
 	// The materialization is this refresh's one owned copy of the corpus:
-	// cleaning rewrites it in place and the lineage later appends to it.
+	// cleaning rewrites it in place.
 	eng, err := NewEngine(tab, l.hier, l.cfg.Options)
 	spMat.End()
 	if err != nil {
@@ -273,13 +273,15 @@ func (l *Live) refreshLocked() (*Published, error) {
 	}
 	pcfg := l.cfg.Preprocess
 	pcfg.ownsTable = true
-	pcfg.keepPreDrop = !l.cfg.Incremental.Disable && !l.cfg.SkipAnalysis
 	_, spPrep := obs.StartSpan(ctx, "preprocess")
 	rep, err := eng.Preprocess(pcfg)
 	spPrep.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
+	// Cleaned in place, tab is the post-clean, pre-drop table: the lineage
+	// copies its parts, and nothing holds tab through Analyze.
+	lin := l.cutLineage(tab, rep)
 	var an *Analysis
 	if !l.cfg.SkipAnalysis {
 		_, spAn := obs.StartSpan(ctx, "analyze")
@@ -289,7 +291,7 @@ func (l *Live) refreshLocked() (*Published, error) {
 			return nil, fmt.Errorf("core: refresh: %w", err)
 		}
 	}
-	l.rebuildLineage(snap, eng, rep, an)
+	l.rebuildLineage(snap, eng.Table(), lin, an)
 	l.fullRefr.Add(1)
 	mRefreshFull.Inc()
 	return &Published{

@@ -12,24 +12,25 @@ import (
 )
 
 // TestResidentCopiesStayWithinBudget is the heap profile of the serving
-// node as a permanent test. A node that has refreshed owns three copies of
-// its corpus — the store's tails, the lineage's pre-drop table and the
-// published serving table — plus the analysis and the clustering matrix.
+// node as a permanent test. A node that has refreshed owns two copies of
+// its corpus — the store's tails and the published serving table — plus
+// the lineage's narrow parts (the screened and clustered columns of every
+// pre-drop row, the dropped rows), the analysis and the clustering matrix.
 // The budget is in bytes, not in copies: the live heap the node adds may
 // be residentFixedBytes — for what does not grow with the corpus: the
 // analysis, index headers, pooled scratch — plus so many bytes per stored
 // row, after the full refresh and again after three incremental ones. (A
 // budget in multiples of table.SizeBytes would loosen by itself whenever a
-// copy grew.) Each bound is what this run measured plus 15 %: 2 980 and
-// 3 067 B per row of 132 attributes, of which a copy is ≈ 870 — 4 B per
-// categorical cell, 8 per numeric one, a validity byte each. One more copy (3 836 B per row
-// when the lineage clones its table), or string cells held as 16-byte
-// headers again (6 221 at the parent of the dictionary-coded columns),
-// fail it.
+// copy grew.) Each bound is what this run measured plus 15 %: 2 230 and
+// 2 159 B per row of 132 attributes, of which a copy is ≈ 870 — 4 B per
+// categorical cell, 8 per numeric one, a validity byte each. One more copy
+// (2 980 / 3 067 B per row when the lineage kept the whole pre-drop table),
+// or string cells held as 16-byte headers again (6 221 at the parent of the
+// dictionary-coded columns), fail it.
 const (
 	residentFixedBytes       = 1 << 20
-	residentRowBytesFull     = 3425
-	residentRowBytesFollowUp = 3525
+	residentRowBytesFull     = 2565
+	residentRowBytesFollowUp = 2483
 )
 
 func TestResidentCopiesStayWithinBudget(t *testing.T) {

@@ -523,12 +523,13 @@ func TestStoreReportsIncrementalRefreshStats(t *testing.T) {
 		t.Fatalf("drift = %v", resp.Published.Drift)
 	}
 	// Nothing sealed (900 rows over the default segment size): the tails
-	// hold the corpus, the lineage a cleaned copy of it, the serving table
-	// that copy minus the dropped outliers.
+	// hold the corpus, the serving table a cleaned copy of it minus the
+	// dropped outliers, the lineage only a few of its columns and the
+	// dropped rows.
 	if resp.SealedResidentBytes == nil || *resp.SealedResidentBytes != 0 || resp.TailBytes <= 0 {
 		t.Fatalf("store bytes: tails %d, sealed %v", resp.TailBytes, resp.SealedResidentBytes)
 	}
-	if lb, tb := resp.Published.LineageBytes, resp.Published.TableBytes; tb <= 0 || tb > lb || lb > 2*resp.TailBytes {
+	if lb, tb := resp.Published.LineageBytes, resp.Published.TableBytes; tb <= 0 || tb > 2*resp.TailBytes || lb <= 0 || lb >= tb/4 {
 		t.Fatalf("published bytes: table %d, lineage %d beside %d B of tails", tb, lb, resp.TailBytes)
 	}
 

@@ -696,7 +696,7 @@ type publishedInfo struct {
 	ReusedRows  int     `json:"reused_rows,omitempty"`
 	Drift       float64 `json:"drift,omitempty"`
 	// TableBytes and LineageBytes estimate the serving table and the
-	// incremental lineage's pre-drop table; with the store's tail_bytes and
+	// incremental lineage's parts beside it; with the store's tail_bytes and
 	// sealed_resident_bytes they account for every corpus copy the node owns.
 	TableBytes   int `json:"table_bytes"`
 	LineageBytes int `json:"lineage_bytes"`
