@@ -899,8 +899,9 @@ func e13Open(b *testing.B, mode string) *store.Store {
 // flush the ack waits on. The recover variants time a full boot
 // (manifest + segment adoption + WAL replay) over a 40k-row directory:
 // wal-only replays everything from the log; checkpoint+wal adopts half
-// from checkpoint segments and replays the other half. Captured numbers
-// and methodology in docs/benchmarks.md.
+// from checkpoint segments and replays the other half. The wal-bytes
+// variants price the log itself per row at four batch sizes (E26).
+// Captured numbers and methodology in docs/benchmarks.md.
 func BenchmarkE13Durability(b *testing.B) {
 	const batchRows = 2000
 	for _, mode := range []string{"memory", "wal-nofsync", "wal-fsync"} {
@@ -966,6 +967,98 @@ func BenchmarkE13Durability(b *testing.B) {
 				}
 				b.StartTimer()
 			}
+		})
+	}
+
+	// wal-bytes: the synth corpus (132 columns, keyed, 4 shards) logged in
+	// batches of each size, each batch parsed from its own typed-CSV body
+	// as the ingest endpoint does (so its dictionaries hold its own values,
+	// not the corpus's). wal-B/row is what the WAL costs a row on disk;
+	// the gate reopens the store and compares its rows, by encoded binary
+	// bytes, with an in-memory twin fed the same batches.
+	const walRows = 4000
+	city, err := synth.GenerateCity(synth.DefaultCityConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	gcfg := synth.DefaultConfig()
+	gcfg.Certificates = walRows
+	ds, err := synth.Generate(gcfg, city)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, batch := range []int{1, 20, 250, 2000} {
+		b.Run(fmt.Sprintf("wal-bytes/batch=%d", batch), func(b *testing.B) {
+			cfg := store.DefaultConfig()
+			var batches []*table.Table
+			for lo := 0; lo < walRows; lo += batch {
+				part, err := ds.Table.View(lo, min(lo+batch, walRows))
+				if err != nil {
+					b.Fatal(err)
+				}
+				var body bytes.Buffer
+				if err := part.WriteCSV(&body); err != nil {
+					b.Fatal(err)
+				}
+				parsed, err := table.ReadCSV(&body)
+				if err != nil {
+					b.Fatal(err)
+				}
+				batches = append(batches, parsed)
+			}
+			ingest := func(st *store.Store) {
+				for _, t := range batches {
+					if _, err := st.AppendTable(t); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			var dir string
+			var walBytes int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dir = b.TempDir()
+				st, err := store.Open(cfg, store.Durability{Dir: dir, Fsync: store.FsyncOff, MaxWALBytes: -1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ingest(st)
+				walBytes = st.DurabilityStatus().WALBytes
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			twin, err := store.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ingest(twin)
+			got, err := store.Open(cfg, store.Durability{Dir: dir, MaxWALBytes: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer got.Close()
+			gt, err := got.Snapshot().Table()
+			if err != nil {
+				b.Fatal(err)
+			}
+			wt, err := twin.Snapshot().Table()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var gb, wb bytes.Buffer
+			if err := table.Encode(gt).WriteBinary(&gb); err != nil {
+				b.Fatal(err)
+			}
+			if err := table.Encode(wt).WriteBinary(&wb); err != nil {
+				b.Fatal(err)
+			}
+			if wt.NumRows() == 0 || !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+				b.Fatalf("reopened store (%d rows) differs from its input (%d rows)", gt.NumRows(), wt.NumRows())
+			}
+			b.ReportMetric(float64(walBytes)/float64(wt.NumRows()), "wal-B/row")
 		})
 	}
 }

@@ -98,7 +98,7 @@ func (l *Leader) ServeSegments(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			for _, enc := range encs {
-				if err := EncodeFrame(&buf, i, enc); err != nil {
+				if err := store.EncodeFrame(&buf, i, enc); err != nil {
 					http.Error(w, err.Error(), http.StatusInternalServerError)
 					return
 				}
@@ -146,7 +146,7 @@ func (l *Leader) ServeDelta(w http.ResponseWriter, r *http.Request) {
 		}
 		var buf bytes.Buffer
 		for i, tab := range d.Tables() {
-			if err := EncodeFrame(&buf, d.TableShard(i), table.Encode(tab)); err != nil {
+			if err := store.EncodeFrame(&buf, d.TableShard(i), table.Encode(tab)); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}

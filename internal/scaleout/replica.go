@@ -164,7 +164,7 @@ func (r *Replica) SyncOnce(ctx context.Context) error {
 		if shards != r.st.NumShards() {
 			return fmt.Errorf("scaleout: leader has %d shards, replica %d", shards, r.st.NumShards())
 		}
-		parts, rows, err := ReadFrames(resp.Body, shards)
+		parts, rows, err := store.ReadFrames(resp.Body, shards)
 		if err != nil {
 			return err
 		}
@@ -196,7 +196,7 @@ func (r *Replica) fullSync(ctx context.Context) error {
 	if shards != r.st.NumShards() {
 		return fmt.Errorf("scaleout: leader has %d shards, replica %d", shards, r.st.NumShards())
 	}
-	parts, rows, err := ReadFrames(resp.Body, shards)
+	parts, rows, err := store.ReadFrames(resp.Body, shards)
 	if err != nil {
 		return err
 	}

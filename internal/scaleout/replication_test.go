@@ -49,19 +49,14 @@ func leaderServer(t testing.TB, st *store.Store) (*Leader, *httptest.Server) {
 	return l, srv
 }
 
-// bitwise renders a store's snapshot to the v1 binary form — equal
-// stores produce equal bytes, so replication fidelity is byte-checkable.
+// bitwise renders a store's snapshot to its encoded binary form.
 func bitwise(t testing.TB, st *store.Store) []byte {
 	t.Helper()
 	tab, err := st.Snapshot().Table()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tab.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodedBytes(t, tab)
 }
 
 func TestReplicaFullThenDeltaSync(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"indice/internal/store"
 	"indice/internal/table"
 )
 
@@ -40,36 +41,43 @@ func wireTable(t testing.TB, seed int64, n int) *table.Table {
 	return tab
 }
 
+// encodedBytes is a table's encoded binary form: equal stores produce
+// equal bytes, so replication fidelity is byte-checkable.
+func encodedBytes(t testing.TB, tab *table.Table) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := table.Encode(tab).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payloads := map[int][]byte{
-		0: []byte("alpha"),
-		3: []byte("gamma-gamma"),
-		1: {0x00, 0xff, 0x80},
-	}
+	tabs := map[int]*table.Table{0: wireTable(t, 1, 5), 3: wireTable(t, 2, 40), 1: wireTable(t, 3, 1)}
 	for _, shard := range []int{0, 3, 1} {
-		if err := WriteFrame(&buf, shard, payloads[shard]); err != nil {
+		if err := store.EncodeFrame(&buf, shard, table.Encode(tabs[shard])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r := bytes.NewReader(buf.Bytes())
 	for _, want := range []int{0, 3, 1} {
-		shard, payload, err := ReadFrame(r)
+		shard, payload, err := store.ReadFrame(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shard != want || !bytes.Equal(payload, payloads[want]) {
-			t.Fatalf("frame = (%d, %q), want (%d, %q)", shard, payload, want, payloads[want])
+		if shard != want || !bytes.Equal(payload, encodedBytes(t, tabs[want])) {
+			t.Fatalf("frame = (shard %d, %d bytes), want shard %d and its table's bytes", shard, len(payload), want)
 		}
 	}
-	if _, _, err := ReadFrame(r); err != io.EOF {
+	if _, _, err := store.ReadFrame(r); err != io.EOF {
 		t.Fatalf("stream end = %v, want io.EOF", err)
 	}
 }
 
 func TestReadFrameRejectsTruncationAndJunk(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 0, []byte("payload-bytes")); err != nil {
+	if err := store.EncodeFrame(&buf, 0, table.Encode(wireTable(t, 4, 3))); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
@@ -77,41 +85,37 @@ func TestReadFrameRejectsTruncationAndJunk(t *testing.T) {
 	// Every strict prefix is either a clean EOF (empty) or an error —
 	// never a successfully parsed frame.
 	for cut := 1; cut < len(whole); cut++ {
-		_, _, err := ReadFrame(bytes.NewReader(whole[:cut]))
+		_, _, err := store.ReadFrame(bytes.NewReader(whole[:cut]))
 		if err == nil {
 			t.Fatalf("truncation at %d bytes parsed as a frame", cut)
 		}
 	}
 
 	// A zero-length payload marks a corrupt stream.
-	var zero bytes.Buffer
-	if err := WriteFrame(&zero, 0, nil); err == nil {
-		hdr := zero.Bytes()
-		if _, _, err := ReadFrame(bytes.NewReader(hdr)); err == nil || err == io.EOF {
-			t.Fatalf("zero-length frame accepted: %v", err)
-		}
+	if _, _, err := store.ReadFrame(bytes.NewReader(make([]byte, 8))); err == nil || err == io.EOF {
+		t.Fatalf("zero-length frame accepted: %v", err)
 	}
 
 	// An absurd declared length is rejected before allocation.
 	junk := []byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}
-	if _, _, err := ReadFrame(bytes.NewReader(junk)); err == nil {
+	if _, _, err := store.ReadFrame(bytes.NewReader(junk)); err == nil {
 		t.Fatal("oversized frame length accepted")
 	}
 }
 
-// TestWireV2BitwiseRoundTrip is the v2 negotiation half: a leader-side
-// encoded segment must arrive at the replica as exactly the same bytes
-// it would re-serialize to — the stream is applied without decoding, so
-// byte identity is the equivalence that matters.
+// TestWireV2BitwiseRoundTrip: a leader-side encoded segment must arrive
+// at the replica as exactly the same bytes it would re-serialize to —
+// the stream is applied without decoding, so byte identity is the
+// equivalence that matters.
 func TestWireV2BitwiseRoundTrip(t *testing.T) {
 	tab := wireTable(t, 1, 500)
 	enc := table.Encode(tab)
 
 	var stream bytes.Buffer
-	if err := EncodeFrame(&stream, 2, enc); err != nil {
+	if err := store.EncodeFrame(&stream, 2, enc); err != nil {
 		t.Fatal(err)
 	}
-	parts, rows, err := ReadFrames(bytes.NewReader(stream.Bytes()), 4)
+	parts, rows, err := store.ReadFrames(bytes.NewReader(stream.Bytes()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,25 +135,24 @@ func TestWireV2BitwiseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireRefusesV1Frames: a frame whose payload is the v1 (plain table)
-// binary format is not a segment. The whole stream is rejected, naming
-// the version, and the valid frame ahead of it is not handed out either.
+// TestWireRefusesV1Frames: a frame whose payload header says binary
+// version 1 (the raw per-cell layout) is not a segment. The whole stream
+// is rejected, naming the version, and the valid frame ahead of it is not
+// handed out either.
 func TestWireRefusesV1Frames(t *testing.T) {
 	tab := wireTable(t, 2, 300)
 
 	var stream bytes.Buffer
-	if err := EncodeFrame(&stream, 0, table.Encode(tab)); err != nil {
+	if err := store.EncodeFrame(&stream, 0, table.Encode(tab)); err != nil {
 		t.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if err := tab.WriteBinary(&v1); err != nil {
+	second := stream.Len()
+	if err := store.EncodeFrame(&stream, 1, table.Encode(tab)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&stream, 1, v1.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	stream.Bytes()[second+8+4] = 1 // the u16 version after the frame header and "INDT"
 
-	parts, rows, err := ReadFrames(bytes.NewReader(stream.Bytes()), 2)
+	parts, rows, err := store.ReadFrames(bytes.NewReader(stream.Bytes()), 2)
 	if err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("mixed-version stream: err = %v, want one naming version 1", err)
 	}
@@ -160,10 +163,10 @@ func TestWireRefusesV1Frames(t *testing.T) {
 
 func TestReadFramesRejectsBadShard(t *testing.T) {
 	var stream bytes.Buffer
-	if err := EncodeFrame(&stream, 7, table.Encode(wireTable(t, 3, 10))); err != nil {
+	if err := store.EncodeFrame(&stream, 7, table.Encode(wireTable(t, 3, 10))); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadFrames(bytes.NewReader(stream.Bytes()), 4); err == nil {
+	if _, _, err := store.ReadFrames(bytes.NewReader(stream.Bytes()), 4); err == nil {
 		t.Fatal("frame for shard 7 of 4 accepted")
 	}
 }

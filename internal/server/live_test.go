@@ -307,7 +307,7 @@ func TestIngestFormatsAndErrors(t *testing.T) {
 
 	// Binary batch.
 	var bin bytes.Buffer
-	if err := ds.Table.WriteBinary(&bin); err != nil {
+	if err := table.Encode(ds.Table).WriteBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
 	code, body := post(t, ts.URL+"/api/ingest", "application/octet-stream", bin.Bytes())

@@ -8,7 +8,7 @@
 // There is one serving mode: a Server (NewLive) serves from a core.Live
 // loop over a store. Every request reads the last atomically published
 // snapshot state, POST /api/ingest appends certificates (JSON records,
-// typed CSV or binary batches), POST /api/refresh re-runs the pipeline,
+// typed CSV or encoded binary batches), POST /api/refresh re-runs the pipeline,
 // and GET /api/store reports the store shape. The paper's batch workflow
 // — one frozen dataset — is the same server over a store that was seeded
 // once and published once (cmd/indice-server without -ingest). All routes
@@ -537,7 +537,7 @@ type ingestResponse struct {
 // handleIngest appends certificates to the live store. The body format
 // follows the Content-Type: application/json carries one record object or
 // an array of them, text/csv a typed-CSV batch, application/octet-stream
-// a binary columnar batch.
+// an encoded binary batch (table.Encode(t).WriteBinary).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.replica != nil {
 		http.Error(w, "replica is read-only: ingest at the leader", http.StatusForbidden)

@@ -9,10 +9,11 @@ import (
 	"indice/internal/table"
 )
 
-// AdoptPart is one replication wire unit: a sealed, encoded segment and
-// the shard it belongs to. Replicas mirror the leader's shard layout, so
-// the shard id travels with the segment instead of being re-derived by
-// hashing rows — applying a part never decodes it.
+// AdoptPart is one decoded part frame: an encoded table and the shard it
+// belongs to — a replicated segment, or one shard's slice of a logged
+// batch. Replicas mirror the leader's shard layout, so the shard id
+// travels with the segment instead of being re-derived by hashing rows —
+// adopting a part never decodes it.
 type AdoptPart struct {
 	Shard int
 	Enc   *table.Encoded

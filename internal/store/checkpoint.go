@@ -72,8 +72,9 @@ type manifestSeg struct {
 	Rows int    `json:"rows"`
 }
 
-// writeFrame writes a CRC frame (length, checksum, payload).
-func writeFrame(w io.Writer, payload []byte) error {
+// writeCRCFrame writes a CRC frame (length, checksum, payload): a WAL
+// record or the MANIFEST.
+func writeCRCFrame(w io.Writer, payload []byte) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
@@ -84,8 +85,8 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one CRC frame, enforcing the size bound.
-func readFrame(r io.Reader, maxLen int) ([]byte, error) {
+// readCRCFrame reads one CRC frame, enforcing the size bound.
+func readCRCFrame(r io.Reader, maxLen int) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -117,7 +118,7 @@ func writeManifest(fsx FS, dir string, m *manifest) error {
 	if err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
-	if err := writeFrame(f, payload); err != nil {
+	if err := writeCRCFrame(f, payload); err != nil {
 		f.Close()
 		return fmt.Errorf("store: manifest write: %w", err)
 	}
@@ -147,7 +148,7 @@ func readManifest(fsx FS, dir string) (*manifest, error) {
 		}
 		return nil, fmt.Errorf("store: manifest open: %w", err)
 	}
-	payload, rerr := readFrame(f, maxManifestBytes)
+	payload, rerr := readCRCFrame(f, maxManifestBytes)
 	cerr := f.Close()
 	if rerr != nil {
 		return nil, fmt.Errorf("store: manifest read: %w", rerr)

@@ -158,10 +158,10 @@ func assertObservablyEqual(t testing.TB, label string, got, want *store.Store) {
 func binEqual(t testing.TB, a, b *table.Table) bool {
 	t.Helper()
 	var ab, bb bytes.Buffer
-	if err := a.WriteBinary(&ab); err != nil {
+	if err := table.Encode(a).WriteBinary(&ab); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.WriteBinary(&bb); err != nil {
+	if err := table.Encode(b).WriteBinary(&bb); err != nil {
 		t.Fatal(err)
 	}
 	return bytes.Equal(ab.Bytes(), bb.Bytes())

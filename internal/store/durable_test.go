@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"indice/internal/query"
-	"indice/internal/table"
 )
 
 // reopen closes a durable store and opens the same directory again.
@@ -365,8 +364,8 @@ func TestPageLoadsOnlyTouchedSegments(t *testing.T) {
 	}
 }
 
-// TestRecoverRefusesV1SegmentFiles: a checkpointed segment file in the
-// raw v1 binary format (no deployed store ever wrote one) fails recovery
+// TestRecoverRefusesV1SegmentFiles: a checkpointed segment file whose
+// header says binary version 1 (no deployed store ever wrote one) fails recovery
 // with an error naming the file and the version, instead of opening a
 // store that silently lacks or re-encodes it.
 func TestRecoverRefusesV1SegmentFiles(t *testing.T) {
@@ -390,7 +389,7 @@ func TestRecoverRefusesV1SegmentFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite one checkpointed segment file in the v1 raw format.
+	// Hand-build a version-1 header on one checkpointed segment file.
 	segDir := filepath.Join(dir, segmentsDirName)
 	names, err := os.ReadDir(segDir)
 	if err != nil {
@@ -400,23 +399,12 @@ func TestRecoverRefusesV1SegmentFiles(t *testing.T) {
 		t.Fatal("checkpoint produced no segment files to downgrade")
 	}
 	path := filepath.Join(segDir, names[0].Name())
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, rerr := table.ReadEncoded(f)
-	f.Close()
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	out, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Decode().WriteBinary(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Close(); err != nil {
+	data[4], data[5] = 1, 0 // the u16 version after "INDT"
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -468,11 +456,7 @@ func TestConcurrentReloadUnderTinyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantBuf bytes.Buffer
-	if err := wantTab.WriteBinary(&wantBuf); err != nil {
-		t.Fatal(err)
-	}
-	want := wantBuf.Bytes()
+	want := encodedBytes(wantTab)
 
 	errs := make(chan error, 8)
 	var wg sync.WaitGroup
@@ -487,12 +471,7 @@ func TestConcurrentReloadUnderTinyBudget(t *testing.T) {
 					errs <- fmt.Errorf("worker %d: %v", w, err)
 					return
 				}
-				var buf bytes.Buffer
-				if err := got.WriteBinary(&buf); err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(buf.Bytes(), want) {
+				if !bytes.Equal(encodedBytes(got), want) {
 					errs <- fmt.Errorf("worker %d iteration %d: result diverged under reload pressure", w, i)
 					return
 				}

@@ -148,12 +148,13 @@ func (s *Store) AppendCSV(r io.Reader) (IngestResult, error) {
 	return s.AppendTable(t)
 }
 
-// AppendBinary ingests a binary columnar batch (the table.WriteBinary
-// format) — the fast path bulk loaders use.
+// AppendBinary ingests a batch in the encoded binary format
+// (table.Encode(t).WriteBinary) — the fast path bulk loaders use, and the
+// form the store logs and replicates a batch in.
 func (s *Store) AppendBinary(r io.Reader) (IngestResult, error) {
-	t, err := table.ReadBinary(r)
+	enc, err := table.ReadEncoded(r)
 	if err != nil {
 		return IngestResult{}, fmt.Errorf("store: binary batch: %w", err)
 	}
-	return s.AppendTable(t)
+	return s.AppendTable(enc.Decode())
 }

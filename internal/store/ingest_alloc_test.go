@@ -62,10 +62,10 @@ func TestIngestAllocsPerRecord(t *testing.T) {
 	}
 }
 
-// TestReadBinaryPooledDecode pins the bulk decode path: a round-tripped
+// TestAppendBinaryRoundTrip pins the bulk decode path: a round-tripped
 // binary batch must come back identical (the pooled chunk must never leak
 // between columns or calls).
-func TestReadBinaryPooledDecode(t *testing.T) {
+func TestAppendBinaryRoundTrip(t *testing.T) {
 	st, err := New(Config{Shards: 1, Schema: []table.Field{
 		{Name: "id", Type: table.String},
 		{Name: "x", Type: table.Float64},
@@ -90,7 +90,7 @@ func TestReadBinaryPooledDecode(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := tab.WriteBinary(&buf); err != nil {
+	if err := table.Encode(tab).WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	res, err := st.AppendBinary(&buf)

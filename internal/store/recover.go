@@ -167,8 +167,10 @@ func schemaEqual(a, b []table.Field) bool {
 // torn record's seq, so a successor file starting at exactly applied+1
 // holds acked records. Files are walked by first seq with a strict
 // contiguity rule: a file whose first record would leave a gap is not
-// replayed (it is residue of a stray file past real damage). Returns the
-// last applied seq.
+// replayed (it is residue of a stray file past real damage). A record
+// that passes its CRC but does not decode is no torn tail: replay stops
+// with an error naming the file and leaves the file as it is. Returns
+// the last applied seq.
 func (s *Store) replayWAL(applied uint64, rec *RecoveryInfo) (uint64, error) {
 	names, err := s.fs.ReadDir(s.dur.Dir)
 	if err != nil {
@@ -202,7 +204,7 @@ func (s *Store) replayWAL(applied uint64, rec *RecoveryInfo) (uint64, error) {
 		if err != nil {
 			return applied, fmt.Errorf("store: wal open %s: %w", wf.name, err)
 		}
-		_, validBytes, clean, serr := scanWAL(f, func(r *walRecord) error {
+		_, validBytes, clean, serr := scanWAL(f, len(s.shards), func(r *walRecord) error {
 			if stopped || r.seq <= applied {
 				return nil
 			}
@@ -213,18 +215,14 @@ func (s *Store) replayWAL(applied uint64, rec *RecoveryInfo) (uint64, error) {
 			}
 			rows := 0
 			for _, p := range r.parts {
-				if p.shard < 0 || p.shard >= len(s.shards) {
+				if !schemaEqual(p.Enc.Schema(), s.schema) {
 					stopped = true
 					return nil
 				}
-				if !p.tab.SchemaMatches(s.schema) {
-					stopped = true
-					return nil
-				}
-				rows += p.tab.NumRows()
+				rows += p.Enc.NumRows()
 			}
 			for _, p := range r.parts {
-				s.shards[p.shard].append(p.tab, &s.cfg)
+				s.shards[p.Shard].append(p.Enc.Decode(), &s.cfg)
 			}
 			applied = r.seq
 			rec.ReplayedBatches++
@@ -233,7 +231,7 @@ func (s *Store) replayWAL(applied uint64, rec *RecoveryInfo) (uint64, error) {
 		})
 		cerr := f.Close()
 		if serr != nil {
-			return applied, serr
+			return applied, fmt.Errorf("store: wal %s: %w", wf.name, serr)
 		}
 		if cerr != nil {
 			return applied, fmt.Errorf("store: wal close %s: %w", wf.name, cerr)

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,15 +29,48 @@ func appendBytes(t testing.TB, path string, b []byte) {
 // crash mid-append leaves on disk.
 func tornFrame(t testing.TB, seq uint64) []byte {
 	t.Helper()
-	payload, err := encodeWALRecord(nil, seq, []walPart{{shard: 0, tab: miniBatch(t, 900, 4, "torn")}})
-	if err != nil {
-		t.Fatal(err)
+	frame := crcFrame(t, walPayload(t, seq, []walPart{{shard: 0, tab: miniBatch(t, 900, 4, "torn")}}))
+	return frame[:len(frame)/2]
+}
+
+// TestRecoverRefusesOldWALRecords: a log whose records pass their CRC but
+// do not decode — kind 1, the layout before WAL parts were encoded
+// tables, or a kind-2 record carrying a version-1 part — holds acked
+// batches, not a torn tail. Open must fail naming the file, the seq and
+// the kind, and leave every byte of the log in place.
+func TestRecoverRefusesOldWALRecords(t *testing.T) {
+	good := crcFrame(t, walPayload(t, 1, []walPart{{shard: 0, tab: miniBatch(t, 0, 3, "w")}}))
+	v1Part := walPayload(t, 2, []walPart{{shard: 0, tab: miniBatch(t, 10, 3, "w")}})
+	v1Part[9+8+4] = 1 // the part's binary version: record header, frame header, "INDT"
+	cases := []struct {
+		name, want string
+		log        []byte
+	}{
+		{"kind 1 log", "seq 1 has kind 1", append(crcFrame(t, oldWALRecord(1)), crcFrame(t, oldWALRecord(2))...)},
+		{"v1 part behind an acked record", "seq 2 (kind 2)", append(append([]byte(nil), good...), crcFrame(t, v1Part)...)},
 	}
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, payload); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := join(dir, walFileName(1))
+			appendBytes(t, path, tc.log)
+			st, err := Open(miniConfig(1), Durability{Dir: dir, MaxWALBytes: -1})
+			if err == nil {
+				st.Close()
+				t.Fatal("recovery opened a store over CRC-valid records it cannot decode")
+			}
+			if msg := err.Error(); !strings.Contains(msg, walFileName(1)) || !strings.Contains(msg, tc.want) {
+				t.Fatalf("error %q does not name the file and %q", msg, tc.want)
+			}
+			after, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if !bytes.Equal(after, tc.log) {
+				t.Fatalf("the refused log changed: %d bytes, was %d", len(after), len(tc.log))
+			}
+		})
 	}
-	return buf.Bytes()[:buf.Len()/2]
 }
 
 // TestTornTailDoesNotMaskLaterAckedBatches is the regression for the
@@ -143,15 +178,7 @@ func TestTornIntermediateFileReplaysSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := func(seq uint64, base int) []byte {
-		payload, err := encodeWALRecord(nil, seq, []walPart{{shard: 0, tab: miniBatch(t, base, 3, "w")}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, payload); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return crcFrame(t, walPayload(t, seq, []walPart{{shard: 0, tab: miniBatch(t, base, 3, "w")}}))
 	}
 	// wal-1: seqs 1,2 then a torn frame; wal-3: seq 3 (acked after a
 	// recovery that discarded the torn record and reassigned its seq).

@@ -1,7 +1,7 @@
 // Package store implements the live EPC store: a sharded, columnar,
 // append-only table that accepts streaming ingestion (single records,
-// typed-CSV and binary batches) while serving readers through epoch-based
-// copy-on-write snapshots.
+// typed-CSV and encoded binary batches) while serving readers through
+// epoch-based copy-on-write snapshots.
 //
 // Layout. Rows are hashed over a fixed set of shards by certificate
 // identifier. Each shard accumulates appends into a mutable columnar tail

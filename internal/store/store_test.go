@@ -334,7 +334,7 @@ func TestCSVAndBinaryIngestion(t *testing.T) {
 	if err := batch.WriteCSV(&csvBuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := miniBatch(t, 40, 25, "bin").WriteBinary(&binBuf); err != nil {
+	if err := table.Encode(miniBatch(t, 40, 25, "bin")).WriteBinary(&binBuf); err != nil {
 		t.Fatal(err)
 	}
 	if res, err := st.AppendCSV(&csvBuf); err != nil || res.Accepted != 40 {

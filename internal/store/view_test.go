@@ -22,14 +22,7 @@ func mustMatchTable(t testing.TB, label string, got, want *table.Table) {
 
 // diffTables is mustMatchTable for goroutines that may not call t.Fatal.
 func diffTables(got, want *table.Table) error {
-	var g, w bytes.Buffer
-	if err := got.WriteBinary(&g); err != nil {
-		return err
-	}
-	if err := want.WriteBinary(&w); err != nil {
-		return err
-	}
-	if !bytes.Equal(g.Bytes(), w.Bytes()) {
+	if !bytes.Equal(encodedBytes(got), encodedBytes(want)) {
 		return fmt.Errorf("tables differ (%d rows, want %d)", got.NumRows(), want.NumRows())
 	}
 	return nil

@@ -21,31 +21,32 @@ import (
 //
 // payload:
 //
-//	u8 kind (1 = batch) | u64 seq | u16 nparts
-//	per part: u32 shard | u32 tableLen | table.WriteBinary bytes
+//	u8 kind (2 = batch) | u64 seq | one part frame (frame.go) per shard part
 //
-// All integers little endian. The payload carries the batch in its
+// The record header is little endian. The payload carries the batch in its
 // post-routing form — the accepted rows already partitioned to shards —
 // so replay reproduces the exact per-shard row order of the original
 // ingest without re-running the (non-deterministic for keyless rows)
 // routing. seq increases by one per record across the log's whole life;
 // log files are named wal-<firstSeq>.log and rotated at checkpoints.
 //
-// Recovery scans frames until the first invalid one (short frame, CRC
-// mismatch, implausible length, undecodable table): everything before it
-// is applied, everything from it on is a torn tail of an unacked batch
-// and is discarded. A frame that was fsynced before its ingest call
-// returned can never be the torn one.
+// Recovery scans records until the first torn one (short frame, CRC
+// mismatch, implausible length): everything before it is applied,
+// everything from it on is the torn tail of an unacked batch and is
+// discarded. A frame that was fsynced before its ingest call returned can
+// never be the torn one. A record whose CRC holds was written whole, so
+// one that does not decode — another kind (kind 1 carried v1 tables) or
+// parts that are not encoded tables of this store — is no torn tail:
+// recovery refuses the log by file, seq and kind and leaves it as it is,
+// rather than truncate acked batches away.
 
 const (
-	walKindBatch = 1
+	walKindBatch = 2
 
 	// maxWALPayload bounds the length a frame may claim, so a corrupt
 	// header cannot trigger a multi-gigabyte allocation. Ingest bodies are
 	// capped well below this.
 	maxWALPayload = 256 << 20
-	// maxWALParts bounds the per-record part count (one part per shard).
-	maxWALParts = 1 << 12
 )
 
 // FsyncMode selects when the WAL is flushed to stable storage.
@@ -99,7 +100,7 @@ type walPart struct {
 // walRecord is one decoded log record.
 type walRecord struct {
 	seq   uint64
-	parts []walPart
+	parts []AdoptPart
 }
 
 // walWriter appends records to the current log file. It serializes both
@@ -123,7 +124,7 @@ type walWriter struct {
 	bytes    int64  // bytes in the current file
 	damaged  bool   // a failed write left damage that could not be cleared
 	lastSync time.Time
-	buf      []byte // encode scratch, reused across appends
+	buf      bytes.Buffer // encode scratch, reused across appends
 }
 
 // walFileName names the log file whose first record is seq.
@@ -177,8 +178,8 @@ func (w *walWriter) flushLoop() {
 // append encodes the parts as the next record, writes and (per policy)
 // syncs it, then runs apply while still holding the writer lock — the
 // record is on the log before any of its rows are visible, and shard
-// application happens in seq order. On a write error the record is not
-// acked and apply does not run.
+// application happens in seq order. On an encode or write error the
+// record is not acked and apply does not run.
 func (w *walWriter) append(parts []walPart, apply func() error) (uint64, error) {
 	start := time.Now()
 	defer func() { mWALAppendSeconds.ObserveDuration(time.Since(start)) }()
@@ -188,11 +189,11 @@ func (w *walWriter) append(parts []walPart, apply func() error) (uint64, error) 
 		return 0, fmt.Errorf("store: wal: log damaged by an earlier failed write; reopen the store to recover")
 	}
 	seq := w.seq + 1
-	payload, err := encodeWALRecord(w.buf[:0], seq, parts)
-	if err != nil {
+	w.buf.Reset()
+	if err := encodeWALRecord(&w.buf, seq, parts); err != nil {
 		return 0, err
 	}
-	w.buf = payload[:0]
+	payload := w.buf.Bytes()
 	if w.f == nil {
 		name := join(w.dir, walFileName(seq))
 		f, err := w.fs.OpenAppend(name)
@@ -201,14 +202,7 @@ func (w *walWriter) append(parts []walPart, apply func() error) (uint64, error) 
 		}
 		w.f, w.name, w.bytes = f, name, 0
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(hdr[:]); err != nil {
-		w.dropFile()
-		return 0, fmt.Errorf("store: wal write: %w", err)
-	}
-	if _, err := w.f.Write(payload); err != nil {
+	if err := writeCRCFrame(w.f, payload); err != nil {
 		w.dropFile()
 		return 0, fmt.Errorf("store: wal write: %w", err)
 	}
@@ -228,7 +222,7 @@ func (w *walWriter) append(parts []walPart, apply func() error) (uint64, error) 
 		}
 	}
 	w.seq = seq
-	w.bytes += int64(len(hdr) + len(payload))
+	w.bytes += int64(8 + len(payload))
 	mWALRecords.Inc()
 	mWALBytes.Set(float64(w.bytes))
 	if err := apply(); err != nil {
@@ -335,77 +329,54 @@ func (w *walWriter) lastSeqBytes() (uint64, int64) {
 	return w.seq, w.bytes
 }
 
-// encodeWALRecord appends the record payload for (seq, parts) to dst.
-func encodeWALRecord(dst []byte, seq uint64, parts []walPart) ([]byte, error) {
-	if len(parts) > maxWALParts {
-		return nil, fmt.Errorf("store: wal record with %d parts", len(parts))
-	}
-	dst = append(dst, walKindBatch)
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(parts)))
-	var tb bytes.Buffer
+// encodeWALRecord writes the record payload for (seq, parts) to buf: the
+// kind, the seq and one part frame per routed part. A part whose encoding
+// exceeds the frame bound fails here, before anything is logged.
+func encodeWALRecord(buf *bytes.Buffer, seq uint64, parts []walPart) error {
+	var hdr [9]byte
+	hdr[0] = walKindBatch
+	binary.LittleEndian.PutUint64(hdr[1:], seq)
+	buf.Write(hdr[:])
 	for _, p := range parts {
-		tb.Reset()
-		if err := p.tab.WriteBinary(&tb); err != nil {
-			return nil, fmt.Errorf("store: wal encode: %w", err)
+		if err := EncodeFrame(buf, p.shard, table.Encode(p.tab)); err != nil {
+			return fmt.Errorf("store: wal encode: %w", err)
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.shard))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(tb.Len()))
-		dst = append(dst, tb.Bytes()...)
 	}
-	if len(dst) > maxWALPayload {
-		return nil, fmt.Errorf("store: wal record of %d bytes exceeds the frame bound", len(dst))
+	if buf.Len() > maxWALPayload {
+		return fmt.Errorf("store: wal record of %d bytes exceeds the frame bound", buf.Len())
 	}
-	return dst, nil
+	return nil
 }
 
-// decodeWALPayload parses one record payload.
-func decodeWALPayload(p []byte) (*walRecord, error) {
-	if len(p) < 1+8+2 {
-		return nil, fmt.Errorf("store: wal payload of %d bytes", len(p))
-	}
-	if p[0] != walKindBatch {
-		return nil, fmt.Errorf("store: unknown wal record kind %d", p[0])
+// decodeWALPayload parses one CRC-valid record payload into parts for a
+// store of the given shard count. Its errors name the seq and the kind.
+func decodeWALPayload(p []byte, shards int) (*walRecord, error) {
+	if len(p) < 9 {
+		return nil, fmt.Errorf("store: wal record of %d bytes (kind %d) carries no seq", len(p), p[0])
 	}
 	rec := &walRecord{seq: binary.LittleEndian.Uint64(p[1:9])}
-	nparts := int(binary.LittleEndian.Uint16(p[9:11]))
-	if nparts > maxWALParts {
-		return nil, fmt.Errorf("store: wal record with %d parts", nparts)
+	if p[0] != walKindBatch {
+		return nil, fmt.Errorf("store: wal record seq %d has kind %d, want %d", rec.seq, p[0], walKindBatch)
 	}
-	off := 11
-	for i := 0; i < nparts; i++ {
-		if len(p)-off < 8 {
-			return nil, fmt.Errorf("store: truncated wal part header")
-		}
-		shard := binary.LittleEndian.Uint32(p[off : off+4])
-		tlen := int(binary.LittleEndian.Uint32(p[off+4 : off+8]))
-		off += 8
-		if tlen < 0 || len(p)-off < tlen {
-			return nil, fmt.Errorf("store: wal part length %d exceeds payload", tlen)
-		}
-		tab, err := table.ReadBinary(bytes.NewReader(p[off : off+tlen]))
-		if err != nil {
-			return nil, fmt.Errorf("store: wal part table: %w", err)
-		}
-		off += tlen
-		rec.parts = append(rec.parts, walPart{shard: int(shard), tab: tab})
+	parts, _, err := ReadFrames(bytes.NewReader(p[9:]), shards)
+	if err != nil {
+		return nil, fmt.Errorf("store: wal record seq %d (kind %d): %w", rec.seq, p[0], err)
 	}
-	if off != len(p) {
-		return nil, fmt.Errorf("store: %d trailing bytes in wal payload", len(p)-off)
-	}
+	rec.parts = parts
 	return rec, nil
 }
 
 // scanWAL reads records from one log stream, calling fn for each valid
-// record in order. Scanning stops cleanly at the first invalid frame —
-// a truncated header, an implausible length, a CRC mismatch, or an
-// undecodable payload — which is the torn tail of a crashed append, not
-// an error. The return values report the last valid seq seen (0 when
-// none), the byte length of the valid frame prefix (recovery truncates a
-// torn file back to this boundary), whether the stream ended exactly on
-// a frame boundary, and any error from fn or the underlying reader's
+// record in order. Scanning stops cleanly at the first torn frame — a
+// truncated header or payload, an implausible length or a CRC mismatch —
+// which is the tail of a crashed append, not an error. A frame whose CRC
+// holds but whose payload does not decode stops the scan with an error.
+// The return values report the last valid seq seen (0 when none), the
+// byte length of the valid frame prefix (recovery truncates a torn file
+// back to this boundary), whether the stream ended exactly on a frame
+// boundary, and any error from decoding, fn or the underlying reader's
 // non-EOF failures.
-func scanWAL(r io.Reader, fn func(rec *walRecord) error) (lastSeq uint64, validBytes int64, clean bool, err error) {
+func scanWAL(r io.Reader, shards int, fn func(rec *walRecord) error) (lastSeq uint64, validBytes int64, clean bool, err error) {
 	var hdr [8]byte
 	var payload []byte
 	for {
@@ -441,9 +412,10 @@ func scanWAL(r io.Reader, fn func(rec *walRecord) error) (lastSeq uint64, validB
 		if crc32.ChecksumIEEE(payload) != want {
 			return lastSeq, validBytes, false, nil
 		}
-		rec, derr := decodeWALPayload(payload)
-		if derr != nil {
-			return lastSeq, validBytes, false, nil
+		rec, err := decodeWALPayload(payload, shards)
+		if err != nil {
+			// The CRC held, so the record was written whole: not a torn tail.
+			return lastSeq, validBytes, false, err
 		}
 		if fn != nil {
 			if err := fn(rec); err != nil {

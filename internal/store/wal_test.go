@@ -4,19 +4,31 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"strings"
 	"testing"
 
 	"indice/internal/table"
 )
 
-// encodeFrame wraps a payload in the length+CRC frame, as append does.
-func encodeFrame(t testing.TB, payload []byte) []byte {
+// crcFrame wraps a payload in the length+CRC frame, as append does.
+func crcFrame(t testing.TB, payload []byte) []byte {
 	t.Helper()
 	var out bytes.Buffer
-	if err := writeFrame(&out, payload); err != nil {
+	if err := writeCRCFrame(&out, payload); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// walPayload encodes one record payload, as append does.
+func walPayload(t testing.TB, seq uint64, parts []walPart) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := encodeWALRecord(&buf, seq, parts); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // miniParts builds one routed two-part record over the mini schema.
@@ -28,26 +40,24 @@ func miniParts(t testing.TB, base int) []walPart {
 	}
 }
 
-// tablesEqualBinary compares two tables via their binary serialization.
+// encodedBytes is a table's encoded binary form. Encoding is canonical:
+// two tables hold the same cells, bit for bit, exactly when these bytes
+// are equal.
+func encodedBytes(tab *table.Table) []byte {
+	var buf bytes.Buffer
+	_ = table.Encode(tab).WriteBinary(&buf) // writes to a bytes.Buffer cannot fail
+	return buf.Bytes()
+}
+
+// tablesEqualBinary compares two tables via their encoded binary form.
 func tablesEqualBinary(t testing.TB, a, b *table.Table) bool {
 	t.Helper()
-	var ab, bb bytes.Buffer
-	if err := a.WriteBinary(&ab); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteBinary(&bb); err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Equal(ab.Bytes(), bb.Bytes())
+	return bytes.Equal(encodedBytes(a), encodedBytes(b))
 }
 
 func TestWALRecordRoundTrip(t *testing.T) {
 	parts := miniParts(t, 0)
-	payload, err := encodeWALRecord(nil, 42, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := decodeWALPayload(payload)
+	rec, err := decodeWALPayload(walPayload(t, 42, parts), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,26 +65,18 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		t.Fatalf("decoded seq=%d parts=%d", rec.seq, len(rec.parts))
 	}
 	for i, p := range rec.parts {
-		if p.shard != parts[i].shard {
-			t.Fatalf("part %d shard = %d, want %d", i, p.shard, parts[i].shard)
+		if p.Shard != parts[i].shard {
+			t.Fatalf("part %d shard = %d, want %d", i, p.Shard, parts[i].shard)
 		}
-		if !tablesEqualBinary(t, p.tab, parts[i].tab) {
+		if !tablesEqualBinary(t, p.Enc.Decode(), parts[i].tab) {
 			t.Fatalf("part %d table differs after round trip", i)
 		}
 	}
 }
 
 func TestScanWALStopsAtTornTail(t *testing.T) {
-	p1, err := encodeWALRecord(nil, 1, miniParts(t, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := encodeWALRecord(nil, 2, miniParts(t, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1 := encodeFrame(t, p1)
-	f2 := encodeFrame(t, p2)
+	f1 := crcFrame(t, walPayload(t, 1, miniParts(t, 0)))
+	f2 := crcFrame(t, walPayload(t, 2, miniParts(t, 10)))
 	full := append(append([]byte(nil), f1...), f2...)
 
 	cases := []struct {
@@ -94,7 +96,7 @@ func TestScanWALStopsAtTornTail(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			seen := 0
-			last, _, clean, err := scanWAL(bytes.NewReader(tc.log), func(rec *walRecord) error {
+			last, _, clean, err := scanWAL(bytes.NewReader(tc.log), 2, func(rec *walRecord) error {
 				seen++
 				return nil
 			})
@@ -110,23 +112,19 @@ func TestScanWALStopsAtTornTail(t *testing.T) {
 }
 
 func TestScanWALRejectsCorruptFrames(t *testing.T) {
-	p1, err := encodeWALRecord(nil, 1, miniParts(t, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := encodeFrame(t, p1)
+	good := crcFrame(t, walPayload(t, 1, miniParts(t, 0)))
 
 	// Flipped CRC: record is dropped, scan stops.
 	flipped := append([]byte(nil), good...)
 	flipped[4] ^= 0xff
-	if last, _, clean, _ := scanWAL(bytes.NewReader(flipped), nil); last != 0 || clean {
+	if last, _, clean, _ := scanWAL(bytes.NewReader(flipped), 2, nil); last != 0 || clean {
 		t.Fatalf("flipped CRC accepted: seq=%d clean=%v", last, clean)
 	}
 
 	// Flipped payload byte: CRC catches it.
 	mangled := append([]byte(nil), good...)
 	mangled[12] ^= 0x01
-	if last, _, _, _ := scanWAL(bytes.NewReader(mangled), nil); last != 0 {
+	if last, _, _, _ := scanWAL(bytes.NewReader(mangled), 2, nil); last != 0 {
 		t.Fatalf("mangled payload accepted: seq=%d", last)
 	}
 
@@ -136,20 +134,17 @@ func TestScanWALRejectsCorruptFrames(t *testing.T) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(maxWALPayload+1))
 	huge.Write(hdr[:])
 	huge.WriteString("xxxx")
-	if last, _, clean, _ := scanWAL(&huge, nil); last != 0 || clean {
+	if last, _, clean, _ := scanWAL(&huge, 2, nil); last != 0 || clean {
 		t.Fatal("oversized frame accepted")
 	}
 
 	// Valid CRC over an undecodable payload (unknown record kind): the
-	// decoder rejects it and the scan stops cleanly before it.
-	junk := []byte{99, 1, 2, 3}
-	frame := make([]byte, 8+len(junk))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(junk)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(junk))
-	copy(frame[8:], junk)
-	both := append(append([]byte(nil), good...), frame...)
-	if last, _, clean, _ := scanWAL(bytes.NewReader(both), nil); last != 1 || clean {
-		t.Fatalf("bad-kind record not treated as tail: seq=%d clean=%v", last, clean)
+	// record was written whole, so it is no torn tail — the scan keeps the
+	// records before it and fails naming the kind.
+	both := append(append([]byte(nil), good...), crcFrame(t, []byte{99, 1, 2, 3})...)
+	last, _, _, err := scanWAL(bytes.NewReader(both), 2, nil)
+	if err == nil || last != 1 || !strings.Contains(err.Error(), "kind 99") {
+		t.Fatalf("bad-kind record: seq=%d err=%v, want seq 1 and an error naming kind 99", last, err)
 	}
 }
 
@@ -187,26 +182,46 @@ func TestParseFsyncMode(t *testing.T) {
 	}
 }
 
+// oldWALRecord hand-builds a kind-1 record payload: a u16 part count and
+// v1 table bytes per part, the layout logs had before parts were encoded
+// tables.
+func oldWALRecord(seq uint64) []byte {
+	v1 := []byte("INDT\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00") // version 1, no rows, no columns
+	p := []byte{1}
+	p = binary.LittleEndian.AppendUint64(p, seq)
+	p = binary.LittleEndian.AppendUint16(p, 1)
+	p = binary.LittleEndian.AppendUint32(p, 0)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(v1)))
+	return append(p, v1...)
+}
+
+// crcValidFrameAt reports whether b starts with a whole frame whose CRC
+// holds.
+func crcValidFrameAt(b []byte) bool {
+	if len(b) < 8 {
+		return false
+	}
+	n := binary.LittleEndian.Uint32(b[0:4])
+	if n == 0 || n > maxWALPayload || uint64(len(b)-8) < uint64(n) {
+		return false
+	}
+	return crc32.ChecksumIEEE(b[8:8+n]) == binary.LittleEndian.Uint32(b[4:8])
+}
+
 // FuzzWALReplay feeds arbitrary bytes to the WAL scanner and to a full
 // store recovery. Whatever the input, recovery must neither panic nor
-// admit a corrupt batch: every record it applies passed the CRC, decode
-// and schema gates in unbroken seq order, and scanning stops cleanly at
-// the first invalid frame.
+// admit a corrupt batch. Either it comes up holding exactly the rows of
+// the valid prefix — contiguous seqs from 1, matching schema — having cut
+// off at most a torn tail, never a CRC-valid frame; or it refuses with an
+// error, exactly when the scanner meets a CRC-valid record that does not
+// decode, and leaves the log byte for byte as it was.
 func FuzzWALReplay(f *testing.F) {
 	seedParts := func(base int) []walPart {
 		return []walPart{{shard: 0, tab: miniBatch(f, base, 3, "w0")}}
 	}
-	p1, err := encodeWALRecord(nil, 1, seedParts(0))
-	if err != nil {
-		f.Fatal(err)
-	}
-	p2, err := encodeWALRecord(nil, 2, seedParts(10))
-	if err != nil {
-		f.Fatal(err)
-	}
 	var valid bytes.Buffer
-	writeFrame(&valid, p1)
-	writeFrame(&valid, p2)
+	valid.Write(crcFrame(f, walPayload(f, 1, seedParts(0))))
+	valid.Write(crcFrame(f, walPayload(f, 2, seedParts(10))))
 	f.Add(append([]byte(nil), valid.Bytes()...))
 	f.Add(valid.Bytes()[:valid.Len()-5]) // torn tail
 	f.Add([]byte{})
@@ -214,45 +229,62 @@ func FuzzWALReplay(f *testing.F) {
 	mut := append([]byte(nil), valid.Bytes()...)
 	mut[9] ^= 0x40 // flip a payload bit under a stale CRC
 	f.Add(mut)
+	f.Add(append(append([]byte(nil), valid.Bytes()...), crcFrame(f, oldWALRecord(3))...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The scanner: must terminate without panicking, yielding only
 		// records that fully decoded.
-		if _, _, _, err := scanWAL(bytes.NewReader(data), func(rec *walRecord) error { return nil }); err != nil {
-			t.Fatalf("scanWAL error: %v", err)
-		}
+		_, _, _, scanErr := scanWAL(bytes.NewReader(data), 1, func(rec *walRecord) error { return nil })
 
-		// Full recovery over the same bytes as a wal file. The store must
-		// come up holding exactly the rows of the valid prefix: contiguous
-		// seqs from 1, in-range shards, matching schema.
+		// Full recovery over the same bytes as a wal file.
 		dir := t.TempDir()
-		fh, err := OSFS{}.Create(join(dir, walFileName(1)))
+		path := join(dir, walFileName(1))
+		fh, err := OSFS{}.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fh.Write(data)
 		fh.Close()
 		cfg := miniConfig(1)
-		st, err := Open(cfg, Durability{Dir: dir, Fsync: FsyncOff})
+		st, oerr := Open(cfg, Durability{Dir: dir, Fsync: FsyncOff})
+		after, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("recovery refused a torn wal instead of truncating: %v", err)
+			t.Fatal(err)
+		}
+		if oerr != nil {
+			if scanErr == nil {
+				t.Fatalf("recovery refused a log the scanner accepts: %v", oerr)
+			}
+			if !bytes.Equal(after, data) {
+				t.Fatal("a refused recovery rewrote the log")
+			}
+			return
 		}
 		defer st.Close()
+		if scanErr != nil {
+			t.Fatalf("recovery accepted a log holding a CRC-valid record that does not decode: %v", scanErr)
+		}
+		if !bytes.HasPrefix(data, after) {
+			t.Fatal("recovery rewrote the log instead of truncating it")
+		}
+		if crcValidFrameAt(data[len(after):]) {
+			t.Fatalf("recovery truncated a CRC-valid frame at byte %d", len(after))
+		}
 		want := 0
 		next := uint64(1)
-		scanWAL(bytes.NewReader(data), func(rec *walRecord) error {
+		scanWAL(bytes.NewReader(data), 1, func(rec *walRecord) error {
 			if next == 0 || rec.seq != next {
 				next = 0
 				return nil
 			}
 			for _, p := range rec.parts {
-				if p.shard != 0 || !p.tab.SchemaMatches(cfg.Schema) {
+				if !schemaEqual(p.Enc.Schema(), cfg.Schema) {
 					next = 0
 					return nil
 				}
 			}
 			for _, p := range rec.parts {
-				want += p.tab.NumRows()
+				want += p.Enc.NumRows()
 			}
 			next++
 			return nil

@@ -3,15 +3,15 @@ package table
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"testing"
 )
 
-// TestBinaryEdgeCases pins the WriteBinary/ReadBinary round trip on the
-// degenerate shapes the durable store's WAL and segment files depend on:
-// zero-row tables that still carry a schema (an empty shard checkpoint),
-// columns that are entirely NULL, and empty-but-valid strings, which must
-// stay distinguishable from NULL after the trip.
+// TestBinaryEdgeCases pins the binary round trip (Encode + WriteBinary,
+// ReadEncoded + Decode) bit for bit on the degenerate shapes the durable
+// store's WAL and segment files depend on: zero-row tables that still
+// carry a schema (an empty shard checkpoint), columns that are entirely
+// NULL, empty-but-valid strings (which must stay distinguishable from
+// NULL), NaN and -0.0 cells, and invalid cells that carry a payload.
 func TestBinaryEdgeCases(t *testing.T) {
 	schema := []Field{
 		{Name: "id", Type: String},
@@ -87,55 +87,47 @@ func TestBinaryEdgeCases(t *testing.T) {
 			addRow(t, tab, "m", true, 4, true)
 			return tab
 		}},
+		{"negative zero", func(t *testing.T) *Table {
+			// -0.0 is integral but cannot be packed (its round trip would
+			// give +0.0): the column must stay raw and keep the sign bit.
+			tab := build(t, nil)
+			addRow(t, tab, "z", true, math.Copysign(0, -1), true)
+			addRow(t, tab, "o", true, 1, true)
+			return tab
+		}},
+		{"invalid cells carrying payloads", func(t *testing.T) *Table {
+			// What a foreign body may hold under NULL: a string and a
+			// float that are not the canonical "" and NaN.
+			tab := New()
+			if err := tab.AddStringsValid("id", []string{"payload", "x", "y"}, []bool{false, true, true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.AddFloatsValid("v", []float64{7, 2, 3}, []bool{false, true, true}); err != nil {
+				t.Fatal(err)
+			}
+			return tab
+		}},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tab := tc.build(t)
 			var buf bytes.Buffer
-			if err := tab.WriteBinary(&buf); err != nil {
+			if err := Encode(tab).WriteBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
-			back, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+			enc, err := ReadEncoded(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(back.Schema(), tab.Schema()) {
-				t.Fatalf("schema = %+v, want %+v", back.Schema(), tab.Schema())
-			}
-			if back.NumRows() != tab.NumRows() {
-				t.Fatalf("rows = %d, want %d", back.NumRows(), tab.NumRows())
-			}
+			back := enc.Decode()
+			assertBitwiseEqual(t, tab, back, tc.name)
 			if !back.SchemaMatches(tab.Schema()) {
 				t.Fatal("SchemaMatches is false after round trip")
 			}
-			for _, f := range tab.Schema() {
-				om, _ := tab.ValidMask(f.Name)
-				bm, _ := back.ValidMask(f.Name)
-				if !reflect.DeepEqual(om, bm) {
-					t.Fatalf("%s validity mask: %v, want %v", f.Name, bm, om)
-				}
-				switch f.Type {
-				case String:
-					ov, _ := tab.Strings(f.Name)
-					bv, _ := back.Strings(f.Name)
-					if !reflect.DeepEqual(ov, bv) {
-						t.Fatalf("%s values: %v, want %v", f.Name, bv, ov)
-					}
-				case Float64:
-					ov, _ := tab.Floats(f.Name)
-					bv, _ := back.Floats(f.Name)
-					for i := range ov {
-						if math.IsNaN(ov[i]) != math.IsNaN(bv[i]) ||
-							(!math.IsNaN(ov[i]) && ov[i] != bv[i]) {
-							t.Fatalf("%s row %d: %v, want %v", f.Name, i, bv[i], ov[i])
-						}
-					}
-				}
-			}
 			// A second trip is byte-stable: serialization is canonical.
 			var buf2 bytes.Buffer
-			if err := back.WriteBinary(&buf2); err != nil {
+			if err := Encode(back).WriteBinary(&buf2); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {

@@ -9,19 +9,26 @@ import (
 	"testing/quick"
 )
 
+// binaryRoundTrip writes tab in the binary format and reads it back.
+func binaryRoundTrip(t testing.TB, tab *Table) *Table {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Encode(tab).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadEncoded(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back.Decode()
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	tab := sample(t)
 	if err := tab.SetInvalid("class", 2); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tab.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := binaryRoundTrip(t, tab)
 	if !reflect.DeepEqual(back.Schema(), tab.Schema()) {
 		t.Fatalf("schema = %+v", back.Schema())
 	}
@@ -80,13 +87,14 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			return false
 		}
 		var buf bytes.Buffer
-		if err := tab.WriteBinary(&buf); err != nil {
+		if err := Encode(tab).WriteBinary(&buf); err != nil {
 			return false
 		}
-		back, err := ReadBinary(&buf)
+		enc, err := ReadEncoded(&buf)
 		if err != nil {
 			return false
 		}
+		back := enc.Decode()
 		bv, _ := back.Floats("v")
 		bl, _ := back.Strings("l")
 		for i := 0; i < n; i++ {
@@ -108,23 +116,15 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 }
 
 func TestBinaryEmptyTable(t *testing.T) {
-	var buf bytes.Buffer
-	if err := New().WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := binaryRoundTrip(t, New())
 	if back.NumRows() != 0 || back.NumCols() != 0 {
 		t.Fatalf("shape = %dx%d", back.NumRows(), back.NumCols())
 	}
 }
 
 func TestBinaryCorruptInputs(t *testing.T) {
-	tab := sample(t)
 	var buf bytes.Buffer
-	if err := tab.WriteBinary(&buf); err != nil {
+	if err := Encode(sample(t)).WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -138,7 +138,7 @@ func TestBinaryCorruptInputs(t *testing.T) {
 		"missing cols": good[:12],
 	}
 	for name, data := range cases {
-		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		if _, err := ReadEncoded(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}
@@ -146,17 +146,11 @@ func TestBinaryCorruptInputs(t *testing.T) {
 
 func TestBinaryVsCSVAgreement(t *testing.T) {
 	tab := sample(t)
-	var bbuf, cbuf bytes.Buffer
-	if err := tab.WriteBinary(&bbuf); err != nil {
-		t.Fatal(err)
-	}
+	var cbuf bytes.Buffer
 	if err := tab.WriteCSV(&cbuf); err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := ReadBinary(&bbuf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromBin := binaryRoundTrip(t, tab)
 	fromCSV, err := ReadCSV(&cbuf)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +195,7 @@ func BenchmarkWriteBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := tab.WriteBinary(&buf); err != nil {
+		if err := Encode(tab).WriteBinary(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -219,17 +213,17 @@ func BenchmarkWriteCSV(b *testing.B) {
 	}
 }
 
-func BenchmarkReadBinary(b *testing.B) {
+func BenchmarkReadEncoded(b *testing.B) {
 	tab := bigTable(b, 25000)
 	var buf bytes.Buffer
-	if err := tab.WriteBinary(&buf); err != nil {
+	if err := Encode(tab).WriteBinary(&buf); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+		if _, err := ReadEncoded(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,9 +8,10 @@ import (
 	"math"
 )
 
-// Binary format v2 — encoded segment files. The shared header is the v1
-// header with version = 2; the column payloads carry the encoded layout
-// instead of raw cells:
+// Binary format v2 — encoded tables: segment files, the part frames of
+// WAL records and replication streams, and octet-stream ingest bodies.
+// After the shared header (binary.go, version = 2) the column payloads
+// carry the encoded layout:
 //
 //	magic "INDT" | u16 version=2 | u32 rows | u32 cols
 //	per column: u16 nameLen | name | u8 type | u8 kind
@@ -25,9 +26,8 @@ import (
 // width, never read from the file, so a hostile header cannot inflate
 // them independently.
 //
-// A raw (v1) payload is not a segment: ReadEncoded refuses any other
-// version by name. v1 stays the format of WAL records and binary ingest
-// bodies (WriteBinary/ReadBinary on Table).
+// ReadEncoded refuses any other version by name; version 1, a raw
+// length-prefixed value per cell, has no reader.
 
 const binaryVersionEncoded = 2
 
@@ -130,8 +130,9 @@ func (e *Encoded) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadEncoded parses an encoded table from a segment file or a
-// replication frame.
+// ReadEncoded parses an encoded table. Every table body the process
+// reads goes through it: segment files, WAL and replication part frames,
+// octet-stream ingest bodies.
 func ReadEncoded(r io.Reader) (*Encoded, error) {
 	br := bufio.NewReader(r)
 	version, rows, cols, err := readBinaryHeader(br)
@@ -139,7 +140,7 @@ func ReadEncoded(r io.Reader) (*Encoded, error) {
 		return nil, err
 	}
 	if version != binaryVersionEncoded {
-		return nil, fmt.Errorf("table: encoded segment has binary version %d, want %d", version, binaryVersionEncoded)
+		return nil, fmt.Errorf("table: encoded table has binary version %d, want %d", version, binaryVersionEncoded)
 	}
 	return readBinaryV2Body(br, rows, cols)
 }

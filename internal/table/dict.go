@@ -73,20 +73,6 @@ func (c *Column) find(v string) (uint32, bool) {
 	return k, ok
 }
 
-// findBytes is find for a value still in a read buffer (no string is built).
-func (c *Column) findBytes(v []byte) (uint32, bool) {
-	if c.index == nil && len(c.Dict) <= scanDict {
-		for k, s := range c.Dict {
-			if s == string(v) {
-				return uint32(k), true
-			}
-		}
-		return 0, false
-	}
-	k, ok := c.lookup()[string(v)]
-	return k, ok
-}
-
 // add appends v, which find did not report, to the dictionary.
 func (c *Column) add(v string) uint32 {
 	k := uint32(len(c.Dict))

@@ -301,8 +301,9 @@ func encodeString(c *Column, rows int) *EncodedColumn {
 	// in use, rank maps a table code to its segment code + 1.
 	//
 	// Round-trip invariant: decode reconstructs invalid cells as "". A
-	// table read from an untrusted binary file may carry a payload there
-	// (ReadBinary preserves it), and raw is the only exact layout.
+	// table decoded from an untrusted binary body may carry a payload
+	// there (a raw-string column preserves it), and raw is the only exact
+	// layout.
 	rank := make([]uint32, len(c.Dict))
 	var used []uint32
 	for i, k := range c.Codes {

@@ -281,16 +281,17 @@ func TestEncodedBinaryRoundTripV2(t *testing.T) {
 	}
 }
 
-// TestReadEncodedRefusesV1Files: a raw (v1) table where an encoded
-// segment is expected is an error that names the version, not a silent
-// re-encode.
+// TestReadEncodedRefusesV1Files: a body whose header says version 1 (the
+// raw per-cell layout) is an error that names the version, not a silent
+// misread.
 func TestReadEncodedRefusesV1Files(t *testing.T) {
 	tab := encTestTable(t, 250, rand.New(rand.NewSource(19)))
 	var buf bytes.Buffer
-	if err := tab.WriteBinary(&buf); err != nil { // v1 writer
+	if err := Encode(tab).WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	e, err := ReadEncoded(bytes.NewReader(buf.Bytes()))
+	data := mutate(buf.Bytes(), 4, 1) // the u16 version after "INDT"
+	e, err := ReadEncoded(bytes.NewReader(data))
 	if err == nil || e != nil {
 		t.Fatalf("ReadEncoded took a v1 payload: %v, %v", e, err)
 	}
@@ -333,6 +334,10 @@ func TestReadEncodedRejectsCorruptV2(t *testing.T) {
 	}
 }
 
+// FuzzReadEncoded feeds arbitrary bytes to the one table decoder. Every
+// table body the process reads — ingest socket, WAL, segment file,
+// replication frame — goes through it, so it must never panic, and
+// whatever it accepts must decode and round-trip bitwise.
 func FuzzReadEncoded(f *testing.F) {
 	tab := New()
 	_ = tab.AddStrings("c", []string{"a", "b", "a"})
@@ -340,9 +345,17 @@ func FuzzReadEncoded(f *testing.F) {
 	var v2 bytes.Buffer
 	_ = Encode(tab).WriteBinary(&v2)
 	f.Add(v2.Bytes())
-	var v1 bytes.Buffer
-	_ = tab.WriteBinary(&v1)
-	f.Add(v1.Bytes())
+	f.Add(mutate(v2.Bytes(), 4, 1)) // a version-1 header
+	var seed bytes.Buffer
+	if err := Encode(fuzzSeedTable(f)).WriteBinary(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte(nil))
+	f.Add([]byte("INDT"))
+	f.Add([]byte("INDT\x02\x00\xff\xff\xff\xff\x01\x00\x00\x00"))
+	// Header claiming one valid empty-named string column and zero rows.
+	f.Add([]byte("INDT\x02\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := ReadEncoded(bytes.NewReader(data))
 		if err != nil {

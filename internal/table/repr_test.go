@@ -220,7 +220,7 @@ func runReprSequence(t *testing.T, seed int64, steps int) {
 		return add("fresh", tab, newPlain(reprSchema))
 	}
 	// withPayloads builds a table whose invalid string cells carry values:
-	// what ReadBinary makes of a foreign file, reachable through
+	// what a foreign binary body decodes to, reachable through
 	// AddStringsValid only.
 	withPayloads := func() *pair {
 		n := 5 + rng.Intn(30)
@@ -463,14 +463,14 @@ func runReprSequence(t *testing.T, seed int64, steps int) {
 			add("csv", got, p.want.throughCSV())
 		case 20: // binary round trip: payloads under invalid cells survive
 			var buf bytes.Buffer
-			if err := p.tab.WriteBinary(&buf); err != nil {
+			if err := Encode(p.tab).WriteBinary(&buf); err != nil {
 				t.Fatalf("%s: %v", desc, err)
 			}
-			got, err := ReadBinary(&buf)
+			got, err := ReadEncoded(&buf)
 			if err != nil {
 				t.Fatalf("%s: %v", desc, err)
 			}
-			add("binary", got, p.want.take(seq(0, n)))
+			add("binary", got.Decode(), p.want.take(seq(0, n)))
 		case 21: // the value index comes and goes; cells never notice
 			switch rng.Intn(3) {
 			case 0:
@@ -542,14 +542,14 @@ func TestRepresentationPastSixteenBitCodes(t *testing.T) {
 	mustAgree(t, "taken from the encoding", got, want.take(tail))
 
 	var buf bytes.Buffer
-	if err := tab.WriteBinary(&buf); err != nil {
+	if err := enc.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := ReadEncoded(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAgree(t, "binary round trip", back, want)
+	mustAgree(t, "binary round trip", back.Decode(), want)
 }
 
 // TestIndexedTableHoldsEachValueOnce: a table that looks values up
