@@ -76,12 +76,28 @@ func TestE2EClusterReplicaKill(t *testing.T) {
 	go func() { genDone <- gen.Wait() }()
 	defer func() { _ = gen.Process.Kill() }()
 
-	// Wait until the coordinator can actually serve (both replicas have
-	// synced something), then kill replica 2 while the stream runs.
+	// Wait until the coordinator can actually serve, and until both
+	// replicas have synced far enough to take a leg of the same query —
+	// /api/ready turns 200 on the first synced replica, and a kill of one
+	// that is not yet a participant would never reach a fan-out. Each probe
+	// is a fresh cache shape (limits above the burst's), so it reflects the
+	// coordinator's current participant set rather than a cached answer.
 	waitFor(t, func() bool {
 		code, _ := httpGet(t, coordURL+"/api/ready")
 		return code == http.StatusOK
 	}, 30*time.Second, "coordinator never became ready")
+	probe := 1000
+	waitFor(t, func() bool {
+		probe++
+		code, body := httpGet(t, fmt.Sprintf("%s/api/query?attrs=eph&limit=%d", coordURL, probe))
+		var resp struct {
+			Cluster *struct {
+				Replicas int `json:"replicas"`
+			} `json:"cluster"`
+		}
+		return code == http.StatusOK && json.Unmarshal([]byte(body), &resp) == nil &&
+			resp.Cluster != nil && resp.Cluster.Replicas == 2
+	}, 30*time.Second, "the coordinator never fanned a query out over both replicas")
 
 	if err := rep2.cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill -9 replica 2: %v", err)
