@@ -13,28 +13,30 @@ import (
 
 // TestResidentCopiesStayWithinBudget is the heap profile of the serving
 // node as a permanent test. A node that has refreshed owns two copies of
-// its corpus — the store's tails and the published serving table — plus
-// the lineage's narrow parts (the screened and clustered columns of every
-// pre-drop row, the dropped rows), the analysis and the clustering matrix.
-// The budget is in bytes, not in copies: the live heap the node adds may
-// be residentFixedBytes — for what does not grow with the corpus: the
+// its corpus — the store's sealed segments and tails, and the published
+// serving table — plus the lineage's narrow parts (the screened and
+// clustered columns of every pre-drop row, the dropped rows), the analysis
+// and the clustering matrix. The corpus is 20 000 rows in 1 000-row
+// batches, so every shard seals twice at the default SegmentRows and the
+// store's copy is mostly encoded segments, as on a served node. The budget
+// is in bytes, not in copies: the live heap the node adds may be
+// residentFixedBytes — for what does not grow with the corpus: the
 // analysis, index headers, pooled scratch — plus so many bytes per stored
 // row, after the full refresh and again after three incremental ones. (A
 // budget in multiples of table.SizeBytes would loosen by itself whenever a
-// copy grew.) Each bound is what this run measured plus 15 %: 2 230 and
-// 2 159 B per row of 132 attributes, of which a copy is ≈ 870 — 4 B per
-// categorical cell, 8 per numeric one, a validity byte each. One more copy
-// (2 980 / 3 067 B per row when the lineage kept the whole pre-drop table),
-// or string cells held as 16-byte headers again (6 221 at the parent of the
-// dictionary-coded columns), fail it.
+// copy grew.) Each bound is what this run measured plus 15 %: 1 604 and
+// 1 660 B per row of 132 attributes, of which a raw copy is ≈ 870 and a
+// sealed one ≈ 400.
+// Store copies held as raw tails again (SegmentRows 8 192), one more copy,
+// or string cells held as 16-byte headers again fail it.
 const (
 	residentFixedBytes       = 1 << 20
-	residentRowBytesFull     = 2565
-	residentRowBytesFollowUp = 2483
+	residentRowBytesFull     = 1845
+	residentRowBytesFollowUp = 1909
 )
 
 func TestResidentCopiesStayWithinBudget(t *testing.T) {
-	const base, deltaRows, deltas, batchRows = 6000, 200, 3, 1000
+	const base, deltaRows, deltas, batchRows = 20000, 200, 3, 1000
 	ds, sm, _ := world(t, base+deltas*deltaRows)
 	corpus, _, err := synth.Corrupt(ds.Table, synth.DefaultCorruptionConfig())
 	if err != nil {
@@ -87,9 +89,10 @@ func TestResidentCopiesStayWithinBudget(t *testing.T) {
 		t.Helper()
 		resident := heap() - before
 		rows := int64(pub.Rows)
-		owned := st.Status().TailBytes + int64(pub.LineageBytes) + int64(pub.TableBytes)
+		status := st.Status()
+		owned := status.TailBytes + status.SealedResidentBytes + int64(pub.LineageBytes) + int64(pub.TableBytes)
 		perRow := (resident - residentFixedBytes) / rows
-		t.Logf("epoch %d: node holds %.1f MB live for %d rows: %d B per row over the fixed %d (tails + lineage + serving table account for %d)",
+		t.Logf("epoch %d: node holds %.1f MB live for %d rows: %d B per row over the fixed %d (store + lineage + serving table account for %d)",
 			pub.Epoch, float64(resident)/1e6, rows, perRow, residentFixedBytes, owned/rows)
 		if perRow > rowBytes {
 			t.Errorf("epoch %d: live heap is %d B per stored row (%d B for %d rows), budget %d: something holds the corpus again, or holds it wider",
@@ -116,6 +119,11 @@ func TestResidentCopiesStayWithinBudget(t *testing.T) {
 			checkBudget(pub, residentRowBytesFull)
 		case len(bodies) - 1:
 			checkBudget(pub, residentRowBytesFollowUp)
+		}
+	}
+	for i, sh := range st.Status().Shards {
+		if sh.Segments < 2 {
+			t.Errorf("shard %d sealed %d segments, want at least 2: the budget did not see the store's encoded road", i, sh.Segments)
 		}
 	}
 	if live.FullRefreshes() != 1 || live.IncrementalRefreshes() != deltas {

@@ -45,8 +45,12 @@ const (
 // manifest is the durable root of a checkpoint, serialized as CRC-framed
 // JSON (u32 len | u32 crc32 | payload).
 type manifest struct {
-	Version     int             `json:"version"`
-	Shards      int             `json:"shards"`
+	Version int `json:"version"`
+	Shards  int `json:"shards"`
+	// SegmentRows is the tail bound the writer ran with, recorded for
+	// operators only: recovery reads each segment's own row count and
+	// adopts segments of any size, so a store may reopen under another
+	// bound (TestReopenUnderSmallerSegmentRows).
 	SegmentRows int             `json:"segment_rows"`
 	Schema      []manifestField `json:"schema"`
 	// WALSeq is the last WAL record included in this checkpoint; recovery

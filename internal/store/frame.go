@@ -21,10 +21,10 @@ import (
 // — the property that makes coordinator-side shard-range partitioning
 // disjoint and covering across the whole cluster.
 
-// maxFramePayload bounds one frame's encoded table. Segments hold at most
-// SegmentRows rows (8k by default) and ingest bodies are capped well
-// below it, so anything near this limit is a corrupt or hostile stream,
-// not data.
+// maxFramePayload bounds one frame's encoded table. A segment holds about
+// SegmentRows rows (2 048 by default, plus the rest of the part that
+// crossed the bound) and ingest bodies are capped well below the limit,
+// so anything near it is a corrupt or hostile stream, not data.
 const maxFramePayload = 64 << 20
 
 // EncodeFrame appends one encoded table as a frame to buf. A table whose

@@ -44,8 +44,13 @@ type Config struct {
 	// Shards is the number of shards rows are hashed over (default 4).
 	Shards int
 	// SegmentRows caps the mutable tail; a tail reaching this size is
-	// sealed into an immutable segment (default 8192). Snapshots view
+	// sealed into an immutable segment (default 2048, so that a 20k-row
+	// corpus over four shards is served from sealed segments; shorter
+	// segments would push mid-cardinality columns out of dictionaries,
+	// which Encode keeps only up to rows/4 distinct values). Snapshots view
 	// smaller tails in place; checkpoints seal them regardless of size.
+	// Recovery adopts segments of any size, so the bound may change
+	// between restarts of a durable store.
 	SegmentRows int
 	// Schema fixes the column layout. Batches must match it exactly;
 	// records are projected onto it. Default: the canonical EPC schema.
@@ -71,7 +76,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Shards:      4,
-		SegmentRows: 8192,
+		SegmentRows: 2048,
 		Schema:      epc.TableSchema(),
 		KeyAttr:     epc.AttrCertificateID,
 		IndexAttrs:  []string{epc.AttrDistrict, epc.AttrNeighbourhood, epc.AttrEnergyClass},

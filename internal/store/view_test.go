@@ -150,8 +150,9 @@ func TestSnapshotPinnedAcrossAppendsReallocationAndSeal(t *testing.T) {
 	check("after the next tail began")
 }
 
-// TestSnapshotAllocatesIndependentOfRows: taking a snapshot of an unsealed
-// store costs per-shard and per-column bookkeeping only. Without indexes
+// TestSnapshotAllocatesIndependentOfRows: taking a snapshot of a store
+// whose rows all sit in raw tails (its SegmentRows is above both row
+// counts) costs per-shard and per-column bookkeeping only. Without indexes
 // the bytes are the same at 1k and at 20k rows; with the default indexes
 // the only row-dependent part is the frozen copy of each posting's last
 // container (two bytes per posting), three orders of magnitude under the
@@ -159,6 +160,7 @@ func TestSnapshotPinnedAcrossAppendsReallocationAndSeal(t *testing.T) {
 func TestSnapshotAllocatesIndependentOfRows(t *testing.T) {
 	snapshotBytes := func(indexed bool, rows int) uint64 {
 		cfg := DefaultConfig()
+		cfg.SegmentRows = 1 << 15
 		if !indexed {
 			cfg.IndexAttrs = []string{}
 		}
