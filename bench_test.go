@@ -1793,11 +1793,12 @@ func BenchmarkE21ColdRefresh(b *testing.B) {
 }
 
 // E22 — what a snapshot and a refresh cost in bytes on the repo
-// benchmark's shape: 20k × 132 certificates over 4 shards, none of them
-// sealed (5 000 rows per shard under SegmentRows 8192). "snapshot" is
-// Store.Snapshot alone — tail views, so its B/op does not depend on the
-// row count (internal/store's TestSnapshotAllocatesIndependentOfRows pins
-// that); "refresh-full" is the cold Live.Refresh, one owned
+// benchmark's shape: 20k × 132 certificates over 4 shards, loaded in one
+// append, so each shard seals its 5 000 rows into one segment under the
+// default SegmentRows. "snapshot" is Store.Snapshot alone — segment lists
+// and tail views, so its B/op does not depend on the row count
+// (internal/store's TestSnapshotAllocatesIndependentOfRows pins that for
+// tails); "refresh-full" is the cold Live.Refresh, one owned
 // materialization; "refresh-incremental" a 250-row delta on the fast path.
 // Methodology in docs/benchmarks.md.
 func BenchmarkE22Snapshot(b *testing.B) {
