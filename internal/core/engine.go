@@ -76,7 +76,9 @@ func NewEngine(t *table.Table, h *geo.Hierarchy, opts Options) (*Engine, error) 
 	}, nil
 }
 
-// Table returns the engine's current table (cleaned after Preprocess).
+// Table returns the engine's current table (cleaned after Preprocess). A
+// live loop's engine holds only the columns its readers name (see
+// LiveConfig.servingColumns), not every column of the store.
 func (e *Engine) Table() *table.Table { return e.tab }
 
 // Hierarchy returns the administrative hierarchy.

@@ -262,12 +262,19 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 		// An error abandons the refresh, so the span is only recorded on
 		// the successful path.
 		_, spDelta := obs.StartSpan(ctx, "delta")
-		// One owned copy of the new rows (the store shares segments
-		// zero-copy; cleaning mutates, so the delta must be private).
+		// One owned copy of the new rows' serving columns (the store
+		// shares segments zero-copy; cleaning mutates, so the delta must
+		// be private).
 		var err error
-		deltaTab, err = table.Concat(delta.Tables()...)
+		deltaTab, err = table.NewWithSchema(lin.served.Schema())
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errIncremental, err)
+		}
+		deltaTab.Grow(delta.NewRows)
+		for _, t := range delta.Tables() {
+			if err := deltaTab.AppendTable(t); err != nil {
+				return nil, fmt.Errorf("%w: %v", errIncremental, err)
+			}
 		}
 		if pcfg.cleans(l.cfg.Options.StreetMap) {
 			deltaCleaning, err = cleanTable(deltaTab, l.hier, l.cfg.Options.StreetMap, l.cfg.Options.Geocoder, pcfg.cleanConfig())
@@ -275,14 +282,10 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 				return nil, fmt.Errorf("%w: %v", errIncremental, err)
 			}
 		}
-		part, err := deltaTab.Select(lin.screen.ColumnNames()...)
-		if err == nil {
-			err = lin.screen.AppendTable(part)
-		}
-		if err != nil {
+		if err := lin.screen.AppendTable(deltaTab); err != nil {
 			return nil, fmt.Errorf("%w: %v", errIncremental, err)
 		}
-		newIdx, err := lin.screen.DenseMatrixAppend(lin.mat, lin.screen.NumRows()-part.NumRows(), l.cfg.Analysis.Attributes...)
+		newIdx, err := lin.screen.DenseMatrixAppend(lin.mat, lin.screen.NumRows()-deltaTab.NumRows(), l.cfg.Analysis.Attributes...)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errIncremental, err)
 		}

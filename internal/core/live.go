@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"indice/internal/epc"
 	"indice/internal/geo"
 	"indice/internal/obs"
 	"indice/internal/store"
+	"indice/internal/table"
 )
 
 // Live converts the batch pipeline into a serving loop over a streaming
@@ -26,6 +29,7 @@ type Live struct {
 	store *store.Store
 	hier  *geo.Hierarchy
 	cfg   LiveConfig
+	cols  []string // servingColumns of the store schema
 
 	cur atomic.Pointer[Published]
 
@@ -69,7 +73,9 @@ type LiveConfig struct {
 }
 
 // Published is one atomically swapped serving state: the engine and
-// analysis built from the store snapshot of the recorded epoch.
+// analysis built from the store snapshot of the recorded epoch. The
+// engine's table holds the snapshot's servingColumns only; /api/query
+// reads every column from Snapshot.
 type Published struct {
 	// Epoch is the store epoch of the snapshot this state was built from.
 	Epoch uint64
@@ -83,8 +89,8 @@ type Published struct {
 	// query planner serves /api/query off it, so every response within
 	// one published state reads one consistent epoch.
 	Snapshot *store.Snapshot
-	// Engine holds the preprocessed table; Analysis may be nil with
-	// LiveConfig.SkipAnalysis.
+	// Engine holds the preprocessed serving table; Analysis may be nil
+	// with LiveConfig.SkipAnalysis.
 	Engine   *Engine
 	Analysis *Analysis
 	// Report documents the preprocessing of this refresh.
@@ -101,8 +107,9 @@ type Published struct {
 	ReusedRows  int
 	Drift       float64
 	// TableBytes and LineageBytes estimate (table.SizeBytes) the serving
-	// table, the loop's one full-width copy of the corpus, and the
-	// incremental lineage's parts beside it (0 without a lineage).
+	// table — the loop's one copy of the corpus, narrowed to the columns
+	// its readers name (servingColumns) — and the incremental lineage's
+	// parts beside it (0 without a lineage).
 	TableBytes   int
 	LineageBytes int
 }
@@ -147,7 +154,36 @@ func NewLive(st *store.Store, hier *geo.Hierarchy, cfg LiveConfig) (*Live, error
 	// Resolved once: the incremental path reads the same attributes,
 	// response and K bounds Analyze will.
 	cfg.Analysis = cfg.Analysis.withDefaults()
-	return &Live{store: st, hier: hier, cfg: cfg, refreshNow: make(chan struct{}, 1)}, nil
+	return &Live{store: st, hier: hier, cfg: cfg, cols: cfg.servingColumns(st.Schema()), refreshNow: make(chan struct{}, 1)}, nil
+}
+
+// servingColumns are the columns of the store schema that some reader of
+// a publication names, in schema order — the one list the refresh
+// materializes, cleans, screens, keeps in its lineage and publishes:
+//
+//   - every Float64 column: /api/stats, /map and /api/zones accept any
+//     numeric attribute;
+//   - the columns cleaning reads or rewrites: address, house number, ZIP
+//     code, district and neighbourhood;
+//   - the per-zone screen's zone label, the screened and clustered
+//     attributes, the response and the extra rule attributes;
+//   - the energy class, whose breakdown closes every dashboard;
+//   - the certificate id, the row key.
+//
+// The other categorical columns stay in the store, where /api/query
+// reads them.
+func (cfg LiveConfig) servingColumns(schema []table.Field) []string {
+	named := append(cfg.lineageColumns(), cfg.Analysis.Response)
+	named = append(named, cfg.Analysis.ExtraRuleAttrs...)
+	named = append(named, epc.AttrAddress, epc.AttrHouseNumber, epc.AttrZIP,
+		epc.AttrDistrict, epc.AttrNeighbourhood, epc.AttrEnergyClass, epc.AttrCertificateID)
+	var cols []string
+	for _, f := range schema {
+		if f.Type == table.Float64 || slices.Contains(named, f.Name) {
+			cols = append(cols, f.Name)
+		}
+	}
+	return cols
 }
 
 // Store returns the underlying live store (the ingestion target).
@@ -259,7 +295,7 @@ func (l *Live) refreshLocked() (*Published, error) {
 		return pub, nil
 	}
 	_, spMat := obs.StartSpan(ctx, "materialize")
-	tab, err := snap.Table()
+	tab, err := snap.Table(l.cols...)
 	if err != nil {
 		spMat.End()
 		return nil, fmt.Errorf("core: refresh: %w", err)

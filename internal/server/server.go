@@ -44,6 +44,7 @@ import (
 	"indice/internal/scaleout"
 	"indice/internal/stats"
 	"indice/internal/store"
+	"indice/internal/table"
 )
 
 // maxIngestBody bounds POST /api/ingest bodies (batches); maxSmallBody
@@ -327,8 +328,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	if attr == "" {
 		attr = epc.AttrEPH
 	}
-	if typ, err := eng.Table().TypeOf(attr); err != nil || typ.String() != "float64" {
-		http.Error(w, fmt.Sprintf("unknown numeric attribute %q", attr), http.StatusBadRequest)
+	if !numericAttr(w, eng.Table(), attr) {
 		return
 	}
 	raw := r.URL.Query().Get("raw") == "1"
@@ -370,6 +370,17 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// numericAttr answers 400 unless attr names a numeric column of the
+// serving table: /map, /api/stats and /api/zones refuse a categorical
+// attribute and one the serving table does not keep alike.
+func numericAttr(w http.ResponseWriter, tab *table.Table, attr string) bool {
+	if typ, err := tab.TypeOf(attr); err != nil || typ != table.Float64 {
+		http.Error(w, fmt.Sprintf("unknown numeric attribute %q", attr), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
 // statsResponse is the JSON shape of /api/stats.
 type statsResponse struct {
 	Attr   string  `json:"attr"`
@@ -391,6 +402,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	attr := r.URL.Query().Get("attr")
 	if attr == "" {
 		http.Error(w, "attr query parameter required", http.StatusBadRequest)
+		return
+	}
+	if !numericAttr(w, pub.Engine.Table(), attr) {
 		return
 	}
 	vals, err := pub.Engine.Table().ValidFloats(attr)
@@ -434,6 +448,9 @@ func (s *Server) handleZones(w http.ResponseWriter, r *http.Request) {
 	attr := r.URL.Query().Get("attr")
 	if attr == "" {
 		attr = epc.AttrEPH
+	}
+	if !numericAttr(w, pub.Engine.Table(), attr) {
+		return
 	}
 	zs, err := dashboard.AggregateByZone(pub.Engine.Table(), pub.Engine.Hierarchy(), level, attr)
 	if err != nil {

@@ -10,9 +10,6 @@ func (s *Store) Append(rec Record) (IngestResult, error) {
 	return s.AppendRecords([]Record{rec})
 }
 
-// Schema returns the store's column layout (shared slice; do not modify).
-func (s *Store) Schema() []table.Field { return s.schema }
-
 // Schema returns the column layout (shared slice; do not modify).
 func (sn *Snapshot) Schema() []table.Field { return sn.schema }
 

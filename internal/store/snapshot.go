@@ -1,6 +1,9 @@
 package store
 
 import (
+	"fmt"
+	"slices"
+
 	"indice/internal/bitmap"
 	"indice/internal/stats"
 	"indice/internal/table"
@@ -158,12 +161,25 @@ func (sn *Snapshot) Stats(attr string) (stats.Running, bool) {
 }
 
 // Table materializes the snapshot as one contiguous table (shard order,
-// segment order within each shard). Every call builds a fresh copy the
-// caller owns and may rewrite: the snapshot keeps no reference to it, so
-// the copy lives exactly as long as its caller needs it. Sealed segments
-// are decoded straight onto it, with no decoded table of their own.
-func (sn *Snapshot) Table() (*table.Table, error) {
-	out, err := table.NewWithSchema(sn.schema)
+// segment order within each shard): the named columns, in the given
+// order, or every column when none is named. Every call builds a fresh
+// copy the caller owns and may rewrite: the snapshot keeps no reference
+// to it, so the copy lives exactly as long as its caller needs it. Sealed
+// segments are decoded straight onto it, with no decoded table of their
+// own, and a column left unnamed is never decoded.
+func (sn *Snapshot) Table(cols ...string) (*table.Table, error) {
+	schema := sn.schema
+	if len(cols) > 0 {
+		schema = make([]table.Field, len(cols))
+		for i, name := range cols {
+			j := slices.IndexFunc(sn.schema, func(f table.Field) bool { return f.Name == name })
+			if j < 0 {
+				return nil, fmt.Errorf("store: %w: %q", table.ErrNoColumn, name)
+			}
+			schema[i] = sn.schema[j]
+		}
+	}
+	out, err := table.NewWithSchema(schema)
 	if err != nil {
 		return nil, err
 	}

@@ -323,6 +323,9 @@ func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 // remembered generation (e.g. to skip a no-op refresh).
 func (s *Store) Generation() uint64 { return s.generation.Load() }
 
+// Schema returns the store's column layout (shared slice; do not modify).
+func (s *Store) Schema() []table.Field { return s.schema }
+
 // Rows returns the current total row count across shards.
 func (s *Store) Rows() int {
 	s.mu.RLock()

@@ -117,15 +117,18 @@ func (t *Table) AppendRow(cells []Cell) error {
 	return nil
 }
 
-// AppendTable appends all rows of o to t in place. The schemas must be
-// identical (same names, types and order); on mismatch t is unchanged.
+// AppendTable appends all rows of o to t in place. Each column of t is
+// found in o by name and must have the same type there; o may carry more
+// columns, which are skipped — how a table narrowed to the columns its
+// readers name takes the rows of a full-width one. On a missing or
+// mistyped column t is unchanged.
 func (t *Table) AppendTable(o *Table) error {
-	if !t.SchemaEquals(o) {
-		return fmt.Errorf("table: appending table with mismatched schema (%d cols vs %d)",
-			o.NumCols(), t.NumCols())
+	src, err := t.sources(o)
+	if err != nil {
+		return err
 	}
 	for i, c := range t.cols {
-		oc := o.cols[i]
+		oc := src[i]
 		if c.Typ == Float64 {
 			c.Floats = append(c.Floats, oc.Floats...)
 		} else {
@@ -137,6 +140,24 @@ func (t *Table) AppendTable(o *Table) error {
 	}
 	t.rows += o.rows
 	return nil
+}
+
+// sources returns, for each column of t, the column of o with its name,
+// checking the types once per call.
+func (t *Table) sources(o *Table) ([]*Column, error) {
+	if t.SchemaEquals(o) {
+		return o.cols, nil
+	}
+	src := make([]*Column, len(t.cols))
+	for i, c := range t.cols {
+		j, ok := o.index[c.Name]
+		if !ok || o.cols[j].Typ != c.Typ {
+			return nil, fmt.Errorf("table: appending rows without column %s %q (%d cols vs %d)",
+				c.Typ, c.Name, o.NumCols(), t.NumCols())
+		}
+		src[i] = o.cols[j]
+	}
+	return src, nil
 }
 
 // Grow reserves capacity for at least n additional rows in every
@@ -156,12 +177,13 @@ func (t *Table) Grow(n int) {
 }
 
 // AppendTaken appends the given rows of o, in order — the single-copy
-// form of Take + AppendTable. The schemas must be identical; on mismatch
-// or an out-of-range row t is unchanged.
+// form of Take + AppendTable, matching columns by name as AppendTable
+// does. On a missing or mistyped column or an out-of-range row t is
+// unchanged.
 func (t *Table) AppendTaken(o *Table, rows []int) error {
-	if !t.SchemaEquals(o) {
-		return fmt.Errorf("table: appending table with mismatched schema (%d cols vs %d)",
-			o.NumCols(), t.NumCols())
+	src, err := t.sources(o)
+	if err != nil {
+		return err
 	}
 	for _, r := range rows {
 		if r < 0 || r >= o.rows {
@@ -173,7 +195,7 @@ func (t *Table) AppendTaken(o *Table, rows []int) error {
 	}
 	t.Grow(len(rows))
 	for i, c := range t.cols {
-		oc := o.cols[i]
+		oc := src[i]
 		if c.Typ == Float64 {
 			for _, r := range rows {
 				c.Floats = append(c.Floats, oc.Floats[r])

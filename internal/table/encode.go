@@ -440,7 +440,7 @@ func encodeFloat(c *Column, rows int) *EncodedColumn {
 // Encode was given.
 func (e *Encoded) Decode() *Table {
 	t := e.emptyTable()
-	e.appendRows(t, e.allRows())
+	appendRows(t, e.cols, e.allRows())
 	return t
 }
 
@@ -478,32 +478,51 @@ func (e *Encoded) AppendTo(dst *Table) error {
 	return e.TakeAppend(dst, e.allRows())
 }
 
-// TakeAppend decodes the given rows directly onto the end of dst, which
-// must have the encoded table's schema — the single-copy form of
-// Take + AppendTable used when materializing many segments' matches into
-// one result table. Decoded cells are identical to Take's.
+// TakeAppend decodes the given rows directly onto the end of dst — the
+// single-copy form of Take + AppendTable used when materializing many
+// segments' matches into one result table. Each column of dst is found in
+// the encoding by name, once per call, and must have the same type there;
+// columns dst does not carry are never decoded, so a full-width page and a
+// narrowed materialization share one decode loop. Decoded cells are
+// identical to Take's. On a missing or mistyped column or an out-of-range
+// row dst is unchanged.
 func (e *Encoded) TakeAppend(dst *Table, rows []int) error {
-	if len(dst.cols) != len(e.cols) {
-		return fmt.Errorf("table: take-append schema mismatch (%d cols vs %d)", len(dst.cols), len(e.cols))
-	}
-	for i, c := range e.cols {
-		if dst.cols[i].Name != c.name || dst.cols[i].Typ != c.typ {
-			return fmt.Errorf("table: take-append schema mismatch at column %q", c.name)
-		}
+	src, err := e.sources(dst)
+	if err != nil {
+		return err
 	}
 	for _, r := range rows {
 		if r < 0 || r >= e.rows {
 			return fmt.Errorf("table: row %d out of range [0,%d)", r, e.rows)
 		}
 	}
-	e.appendRows(dst, rows)
+	appendRows(dst, src, rows)
 	return nil
 }
 
-// appendRows is TakeAppend after its checks.
-func (e *Encoded) appendRows(dst *Table, rows []int) {
+// sources returns, for each column of dst, the encoded column with its
+// name: the encoding's own column list when dst has its schema.
+func (e *Encoded) sources(dst *Table) ([]*EncodedColumn, error) {
+	if slices.EqualFunc(dst.cols, e.cols, func(c *Column, ec *EncodedColumn) bool {
+		return c.Name == ec.name && c.Typ == ec.typ
+	}) {
+		return e.cols, nil
+	}
+	src := make([]*EncodedColumn, len(dst.cols))
+	for i, c := range dst.cols {
+		ec := e.Column(c.Name)
+		if ec == nil || ec.typ != c.Typ {
+			return nil, fmt.Errorf("table: take-append without column %s %q (%d cols vs %d)", c.Typ, c.Name, len(e.cols), len(dst.cols))
+		}
+		src[i] = ec
+	}
+	return src, nil
+}
+
+// appendRows is TakeAppend after its checks: src[i] fills dst's column i.
+func appendRows(dst *Table, src []*EncodedColumn, rows []int) {
 	dst.Grow(len(rows))
-	for i, c := range e.cols {
+	for i, c := range src {
 		col := dst.cols[i]
 		// Per-kind loops hoist the layout dispatch out of the row loop.
 		// Raw layouts copy cells verbatim (bit-exact, as Decode does);

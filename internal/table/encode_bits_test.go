@@ -241,6 +241,66 @@ func TestTakeAppendMatchesTake(t *testing.T) {
 	}
 }
 
+// TestAppendsMatchColumnsByName: a destination holding some of the
+// source's columns, in another order, takes exactly those columns from
+// every append — encoded or raw, taken rows or all of them — and a column
+// the source lacks or types otherwise leaves the destination unchanged.
+func TestAppendsMatchColumnsByName(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	tab := encTestTable(t, 300, rng)
+	e := Encode(tab)
+	rows := []int{299, 0, 7, 7, 150}
+	cols := []string{"year", "class"}
+	taken, err := tab.Take(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTaken, err := taken.Select(cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAll, err := tab.Select(cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := func() *Table {
+		d, err := NewWithSchema(wantAll.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for name, c := range map[string]struct {
+		want   *Table
+		append func(dst *Table) error
+	}{
+		"encoded TakeAppend": {wantTaken, func(d *Table) error { return e.TakeAppend(d, rows) }},
+		"encoded AppendTo":   {wantAll, func(d *Table) error { return e.AppendTo(d) }},
+		"raw AppendTaken":    {wantTaken, func(d *Table) error { return d.AppendTaken(tab, rows) }},
+		"raw AppendTable":    {wantAll, func(d *Table) error { return d.AppendTable(tab) }},
+	} {
+		got := narrow()
+		if err := c.append(got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		assertBitwiseEqual(t, c.want, got, name)
+	}
+
+	retyped := New()
+	if err := retyped.AddFloats("class", []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range map[string]error{
+		"TakeAppend":  e.TakeAppend(retyped, rows),
+		"AppendTaken": retyped.AppendTaken(tab, rows),
+		"AppendTable": retyped.AppendTable(tab),
+	} {
+		if err == nil || retyped.NumRows() != 1 {
+			t.Errorf("%s onto a mistyped column: %v, %d rows", name, err, retyped.NumRows())
+		}
+	}
+}
+
 func TestColKindString(t *testing.T) {
 	for k, want := range map[ColKind]string{
 		KindRawFloat:  "raw-float",
