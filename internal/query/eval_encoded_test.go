@@ -84,8 +84,7 @@ func randEncPredicate(rng *rand.Rand, depth int) Predicate {
 }
 
 // TestMaskEncodedMatchesMaskBitwise pins the encoded evaluation path
-// bitwise against both the compiled raw-table path and the naive
-// Predicate.Mask reference.
+// bitwise against the naive Predicate.Mask reference.
 func TestMaskEncodedMatchesMaskBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 120; trial++ {
@@ -111,17 +110,6 @@ func TestMaskEncodedMatchesMaskBitwise(t *testing.T) {
 		for i := range got {
 			if got[i] != wantRef[i] {
 				t.Fatalf("trial %d (%s): row %d: encoded=%v reference=%v", trial, p, i, got[i], wantRef[i])
-			}
-		}
-		// Same evaluator, raw path, to confirm the shared buffers don't
-		// leak state between the two entry points.
-		gotRaw, err := ev.Mask(tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range gotRaw {
-			if gotRaw[i] != wantRef[i] {
-				t.Fatalf("trial %d (%s): row %d: raw-after-encoded=%v reference=%v", trial, p, i, gotRaw[i], wantRef[i])
 			}
 		}
 	}
@@ -151,30 +139,32 @@ func TestMaskEncodedRowsMatchesFullMask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sparse) != len(ords) {
-			t.Fatalf("trial %d (%s): sparse mask has %d entries, want %d", trial, p, len(sparse), len(ords))
+		if len(sparse) != (len(ords)+63)/64 {
+			t.Fatalf("trial %d (%s): sparse mask has %d words for %d ordinals", trial, p, len(sparse), len(ords))
 		}
 		// Copy before the second evaluation: sparse aliases a buffer the
 		// full path will overwrite.
-		got := make([]bool, len(sparse))
-		copy(got, sparse)
+		got := append([]uint64(nil), sparse...)
+		if tail := uint(len(ords) & 63); tail != 0 && got[len(got)-1]>>tail != 0 {
+			t.Fatalf("trial %d (%s): bits set beyond %d ordinals", trial, p, len(ords))
+		}
 		full, err := ev.MaskEncoded(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j, r := range ords {
-			if got[j] != full[r] {
-				t.Fatalf("trial %d (%s): ordinal %d (row %d): sparse=%v full=%v", trial, p, j, r, got[j], full[r])
+			if bitAt(got, j) != full[r] {
+				t.Fatalf("trial %d (%s): ordinal %d (row %d): sparse=%v full=%v", trial, p, j, r, bitAt(got, j), full[r])
 			}
 		}
 	}
 }
 
-func TestMaskEncodedRowsOpaqueAndErrors(t *testing.T) {
+func TestMaskEncodedRowsErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tab := encEquivTable(t, rng, 120)
 	enc := table.Encode(tab)
-	p := Not{P: Or{opaquePred{attr: "class"}, NumRange{Attr: "year", Min: 1990, Max: 2000}}}
+	p := Not{P: Or{In{Attr: "class", Values: []string{"A"}}, NumRange{Attr: "year", Min: 1990, Max: 2000}}}
 	ev, err := NewEvaluator(p)
 	if err != nil {
 		t.Fatal(err)
@@ -189,14 +179,16 @@ func TestMaskEncodedRowsOpaqueAndErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j, r := range ords {
-		if got[j] != want[r] {
-			t.Fatalf("ordinal %d (row %d): %v vs %v", j, r, got[j], want[r])
+		if bitAt(got, j) != want[r] {
+			t.Fatalf("ordinal %d (row %d): %v vs %v", j, r, bitAt(got, j), want[r])
 		}
+	}
+	if got, err := ev.MaskEncodedRows(enc, nil); err != nil || len(got) != 0 {
+		t.Fatalf("no ordinals: %d words, %v", len(got), err)
 	}
 	for _, bad := range []Predicate{
 		In{Attr: "missing", Values: []string{"x"}},
 		NumRange{Attr: "class", Min: 0, Max: 1}, // type mismatch
-		opaquePred{attr: "missing"},
 	} {
 		ev, err := NewEvaluator(bad)
 		if err != nil {
@@ -204,54 +196,6 @@ func TestMaskEncodedRowsOpaqueAndErrors(t *testing.T) {
 		}
 		if _, err := ev.MaskEncodedRows(enc, ords); err == nil {
 			t.Errorf("%v: want error", bad)
-		}
-	}
-	if ev, err = NewEvaluator(opaquePred{attr: "class"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.MaskEncodedRows(enc, []int{120}); err == nil {
-		t.Error("out-of-range ordinal against an opaque predicate: want error")
-	}
-}
-
-// opaquePred is a Predicate implementation outside this package's known
-// types: MaskEncoded must decode and fall back.
-type opaquePred struct{ attr string }
-
-func (o opaquePred) Mask(t *table.Table) ([]bool, error) {
-	vals, err := t.Strings(o.attr)
-	if err != nil {
-		return nil, err
-	}
-	m := make([]bool, len(vals))
-	for i, v := range vals {
-		m[i] = v == "A"
-	}
-	return m, nil
-}
-
-func (o opaquePred) String() string { return "opaque" }
-
-func TestMaskEncodedOpaqueFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tab := encEquivTable(t, rng, 200)
-	enc := table.Encode(tab)
-	p := And{opaquePred{attr: "class"}, NumRange{Attr: "year", Min: 1960, Max: 2010}}
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.Mask(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ev.MaskEncoded(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: %v vs %v", i, got[i], want[i])
 		}
 	}
 }
@@ -277,24 +221,85 @@ func TestMaskEncodedErrors(t *testing.T) {
 	}
 }
 
-// MaskEncoded is MaskEncodedBits expanded to the []bool shape of Mask,
-// for callers (and equivalence tests) that compare the two paths
-// row-wise. The returned slice aliases an evaluator buffer.
+// MaskEncoded is MaskEncodedBits expanded to the []bool shape of
+// Predicate.Mask, for equivalence tests that compare the two row-wise.
+// The result is freshly allocated.
 func (e *Evaluator) MaskEncoded(enc *table.Encoded) ([]bool, error) {
 	words, err := e.MaskEncodedBits(enc)
 	if err != nil {
 		return nil, err
 	}
-	rows := enc.NumRows()
-	n := e.root
-	// t and f resize as a pair — grow assumes equal capacity.
-	if cap(n.t) < rows {
-		n.t = make([]bool, rows)
-		n.f = make([]bool, rows)
+	out := make([]bool, enc.NumRows())
+	for i := range out {
+		out[i] = bitAt(words, i)
 	}
-	n.t = n.t[:rows]
-	for i := range n.t {
-		n.t[i] = words[i>>6]&(1<<(uint(i)&63)) != 0
+	return out, nil
+}
+
+// FuzzEvaluatorMatchesMask parses a DSL predicate from the fuzz input and
+// evaluates it over one fixed table with invalid cells in every column
+// type, a dictionary and a raw string column, and a packed and a raw
+// float column. The compiled evaluator's whole-segment bits and its
+// sparse re-check at every ordinal (visited in reverse, so bit j is row
+// rows-1-j) must equal Predicate.Mask bit for bit, and a predicate the
+// reference refuses (unknown attribute, wrong type) must be refused.
+func FuzzEvaluatorMatchesMask(f *testing.F) {
+	tab := encEquivTable(f, rand.New(rand.NewSource(5)), 150)
+	enc := table.Encode(tab)
+	kinds := map[table.ColKind]bool{}
+	for _, fld := range enc.Schema() {
+		kinds[enc.Column(fld.Name).Kind()] = true
 	}
-	return n.t, nil
+	if len(kinds) != 4 {
+		f.Fatalf("the fuzz table encodes to column kinds %v, want all four", kinds)
+	}
+	ords := make([]int, tab.NumRows())
+	for j := range ords {
+		ords[j] = len(ords) - 1 - j
+	}
+	for _, s := range []string{
+		"class in {A, B, \"\"} and not (year in [1970, 1999])",
+		"cert_id = id-00042 or eph >= 120.5",
+		"not (class != C) or (year <= 1960 and eph in [-50, 0])",
+		"eph in [-Inf, +Inf] and class in {D, E, F}",
+		"missing = x",
+		"class >= 3",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		p, err := Parse(in)
+		if err != nil {
+			return
+		}
+		want, wantErr := p.Mask(tab)
+		ev, err := NewEvaluator(p)
+		if err != nil {
+			t.Fatalf("%q: compile: %v", in, err)
+		}
+		words, err := ev.MaskEncodedBits(enc)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%q: evaluator error %v, Mask error %v", in, err, wantErr)
+		}
+		if wantErr != nil {
+			if _, err := ev.MaskEncodedRows(enc, ords); err == nil {
+				t.Fatalf("%q: sparse evaluation accepts what Mask refuses (%v)", in, wantErr)
+			}
+			return
+		}
+		for i := range want {
+			if bitAt(words, i) != want[i] {
+				t.Fatalf("%q: row %d: bits %v, Mask %v", in, i, bitAt(words, i), want[i])
+			}
+		}
+		sparse, err := ev.MaskEncodedRows(enc, ords)
+		if err != nil {
+			t.Fatalf("%q: sparse: %v", in, err)
+		}
+		for j, r := range ords {
+			if bitAt(sparse, j) != want[r] {
+				t.Fatalf("%q: ordinal %d (row %d): sparse %v, Mask %v", in, j, r, bitAt(sparse, j), want[r])
+			}
+		}
+	})
 }

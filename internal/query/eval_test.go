@@ -69,8 +69,9 @@ func randEvalPredicate(rng *rand.Rand, depth int) Predicate {
 
 // TestEvaluatorMatchesPredicateMask pins the compiled evaluator bitwise
 // against the naive Predicate.Mask over random trees and tables, reusing
-// one evaluator across tables of different sizes (the segment-scan
-// pattern the store planner runs).
+// one evaluator across segments of different sizes (the segment-scan
+// pattern the store planner runs): the whole-segment bits and, at a
+// random ordinal subset, the sparse re-check.
 func TestEvaluatorMatchesPredicateMask(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 80; trial++ {
@@ -81,32 +82,50 @@ func TestEvaluatorMatchesPredicateMask(t *testing.T) {
 		}
 		for seg := 0; seg < 4; seg++ {
 			tab := evalTestTable(rng, 1+rng.Intn(200))
+			enc := table.Encode(tab)
 			want, err := p.Mask(tab)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ev.Mask(tab)
+			words, err := ev.MaskEncodedBits(enc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d seg %d: mask len %d, want %d", trial, seg, len(got), len(want))
+			if len(words) != (len(want)+63)/64 {
+				t.Fatalf("trial %d seg %d: %d mask words for %d rows", trial, seg, len(words), len(want))
 			}
 			for i := range want {
-				if got[i] != want[i] {
+				if got := bitAt(words, i); got != want[i] {
 					t.Fatalf("trial %d seg %d (%s): row %d = %v, want %v",
-						trial, seg, p.String(), i, got[i], want[i])
+						trial, seg, p.String(), i, got, want[i])
+				}
+			}
+			ords := make([]int, rng.Intn(len(want)+1))
+			for j := range ords {
+				ords[j] = rng.Intn(len(want))
+			}
+			sparse, err := ev.MaskEncodedRows(enc, ords)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, r := range ords {
+				if got := bitAt(sparse, j); got != want[r] {
+					t.Fatalf("trial %d seg %d (%s): ordinal %d (row %d) = %v, want %v",
+						trial, seg, p.String(), j, r, got, want[r])
 				}
 			}
 		}
 	}
 }
 
+// bitAt reads bit i of a packed mask.
+func bitAt(words []uint64, i int) bool { return words[i>>6]&(1<<(uint(i)&63)) != 0 }
+
 func TestEvaluatorErrors(t *testing.T) {
 	if _, err := NewEvaluator(nil); err == nil {
 		t.Fatal("want error for nil predicate")
 	}
-	tab := evalTestTable(rand.New(rand.NewSource(1)), 10)
+	enc := table.Encode(evalTestTable(rand.New(rand.NewSource(1)), 10))
 	for _, p := range []Predicate{
 		NumRange{Attr: "missing", Min: 0, Max: 1},
 		In{Attr: "missing", Values: []string{"x"}},
@@ -118,56 +137,31 @@ func TestEvaluatorErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ev.Mask(tab); err == nil {
+		if _, err := ev.MaskEncodedBits(enc); err == nil {
 			t.Fatalf("want error for %T", p)
 		}
-	}
-}
-
-// opaquePredicate is a Predicate implemented outside the DSL types; the
-// evaluator must fall back to its two-valued Mask exactly like evalTri.
-type opaquePredicate struct{ keepEven bool }
-
-func (o opaquePredicate) Mask(t *table.Table) ([]bool, error) {
-	m := make([]bool, t.NumRows())
-	for i := range m {
-		m[i] = (i%2 == 0) == o.keepEven
-	}
-	return m, nil
-}
-
-func (o opaquePredicate) String() string { return "opaque()" }
-
-func TestEvaluatorOpaqueFallback(t *testing.T) {
-	tab := evalTestTable(rand.New(rand.NewSource(2)), 21)
-	p := And{opaquePredicate{keepEven: true}, NumRange{Attr: "eph", Min: 0, Max: 300}}
-	want, err := p.Mask(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ev.Mask(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d = %v, want %v", i, got[i], want[i])
+		if _, err := ev.MaskEncodedRows(enc, []int{0, 9}); err == nil {
+			t.Fatalf("sparse: want error for %T", p)
 		}
 	}
+	// A pointer is not one of the five predicate types the evaluator
+	// compiles, though its method set satisfies Predicate.
+	if _, err := NewEvaluator(And{&NumRange{Attr: "eph"}}); err == nil {
+		t.Fatal("want error for *NumRange")
+	}
 }
 
-// BenchmarkEvaluatorSegments measures the compiled evaluator against the
-// naive per-segment Mask on the planner's fallback-scan access pattern:
-// one predicate, many segments.
+// BenchmarkEvaluatorSegments measures the compiled evaluator over
+// encoded segments against the naive per-segment Mask over the same
+// rows on the planner's fallback-scan access pattern: one predicate,
+// many segments.
 func BenchmarkEvaluatorSegments(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	segs := make([]*table.Table, 16)
+	encs := make([]*table.Encoded, len(segs))
 	for i := range segs {
 		segs[i] = evalTestTable(rng, 4096)
+		encs[i] = table.Encode(segs[i])
 	}
 	p := And{
 		In{Attr: "class", Values: []string{"C1", "C2"}},
@@ -182,7 +176,7 @@ func BenchmarkEvaluatorSegments(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ev.Mask(segs[i%len(segs)]); err != nil {
+			if _, err := ev.MaskEncodedBits(encs[i%len(encs)]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -26,7 +26,7 @@ import (
 	"indice/internal/table"
 )
 
-// Predicate selects rows of a table. Implementations must be pure.
+// Predicate selects rows of a table.
 type Predicate interface {
 	// Mask returns a keep-mask over the table's rows: true exactly for
 	// the rows whose three-valued evaluation is definitively TRUE.
@@ -34,39 +34,16 @@ type Predicate interface {
 	// String renders the predicate in the textual DSL; the output
 	// re-parses (Parse) to an equivalent predicate.
 	String() string
+	// tri is the three-valued evaluation Mask reports the TRUE half of.
+	// Unexported, it closes the interface to NumRange, In, And, Or and
+	// Not: the compiled Evaluator knows every predicate there is.
+	tri(t *table.Table) (tri, error)
 }
 
 // tri is a per-row Kleene truth assignment. T[i] marks rows that are
 // definitively true, F[i] rows that are definitively false; a row with
 // neither set is UNKNOWN (its cell was invalid).
 type tri struct{ T, F []bool }
-
-// evalTri evaluates a predicate under three-valued logic. Predicate
-// implementations outside this package fall back to their two-valued
-// Mask (no UNKNOWN rows).
-func evalTri(p Predicate, t *table.Table) (tri, error) {
-	switch p := p.(type) {
-	case NumRange:
-		return p.tri(t)
-	case In:
-		return p.tri(t)
-	case And:
-		return p.tri(t)
-	case Or:
-		return p.tri(t)
-	case Not:
-		return p.tri(t)
-	}
-	m, err := p.Mask(t)
-	if err != nil {
-		return tri{}, err
-	}
-	f := make([]bool, len(m))
-	for i, v := range m {
-		f[i] = !v
-	}
-	return tri{T: m, F: f}, nil
-}
 
 // NumRange keeps rows whose numeric attribute lies in [Min, Max]
 // (inclusive). Invalid cells evaluate UNKNOWN: they never match, under
@@ -158,12 +135,12 @@ func (p And) tri(t *table.Table) (tri, error) {
 	if len(p) == 0 {
 		return tri{}, errors.New("query: empty conjunction")
 	}
-	acc, err := evalTri(p[0], t)
+	acc, err := p[0].tri(t)
 	if err != nil {
 		return tri{}, err
 	}
 	for _, sub := range p[1:] {
-		m, err := evalTri(sub, t)
+		m, err := sub.tri(t)
 		if err != nil {
 			return tri{}, err
 		}
@@ -198,12 +175,12 @@ func (p Or) tri(t *table.Table) (tri, error) {
 	if len(p) == 0 {
 		return tri{}, errors.New("query: empty disjunction")
 	}
-	acc, err := evalTri(p[0], t)
+	acc, err := p[0].tri(t)
 	if err != nil {
 		return tri{}, err
 	}
 	for _, sub := range p[1:] {
-		m, err := evalTri(sub, t)
+		m, err := sub.tri(t)
 		if err != nil {
 			return tri{}, err
 		}
@@ -245,7 +222,7 @@ func groupString(p Predicate) string {
 type Not struct{ P Predicate }
 
 func (p Not) tri(t *table.Table) (tri, error) {
-	m, err := evalTri(p.P, t)
+	m, err := p.P.tri(t)
 	if err != nil {
 		return tri{}, err
 	}

@@ -15,7 +15,7 @@ import (
 // internal/table's grouped-aggregation kernels, so dictionary codes and
 // packed values are consumed in place and the only rows ever decoded are
 // the ones a row page asks for. No-predicate requests additionally reuse
-// cached per-(segment, spec) partials on sealed segments — the dashboard's
+// cached per-(segment, spec) partials — the dashboard's
 // steady-state grouped queries reduce to merging a handful of frozen
 // partials, near-O(groups) regardless of corpus size.
 
@@ -179,7 +179,7 @@ func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool,
 		if !selectAll {
 			for _, part := range r.parts {
 				if lo, hi := cut(len(part.rows)); lo < hi {
-					if err := part.appendTo(out, part.rows[lo:hi]); err != nil {
+					if err := part.enc.TakeAppend(out, part.rows[lo:hi]); err != nil {
 						return nil, err
 					}
 				}
@@ -191,7 +191,7 @@ func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool,
 			if lo == hi {
 				continue
 			}
-			enc, raw, err := sg.openEnc(sn.ld)
+			enc, err := sg.openEnc(sn.ld)
 			if err != nil {
 				return nil, err
 			}
@@ -199,7 +199,7 @@ func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool,
 			for k := range rows {
 				rows[k] = lo + k
 			}
-			if err := (shardPart{enc: enc, raw: raw}).appendTo(out, rows); err != nil {
+			if err := enc.TakeAppend(out, rows); err != nil {
 				return nil, err
 			}
 		}
@@ -237,8 +237,8 @@ func (sn *Snapshot) checkAggSpec(spec AggSpec) error {
 }
 
 // aggShard aggregates one shard's matches. With no predicate it folds
-// whole segments — via the per-segment partial cache on sealed segments,
-// or a bare row count when the spec asks for nothing but Matched. With a
+// whole segments — via the per-segment partial cache, or a bare row
+// count when the spec asks for nothing but Matched. With a
 // predicate it reuses the planner's queryShard verbatim and feeds the
 // resulting match ordinals into the kernels instead of materializing,
 // handing them back for the caller's row page.
@@ -273,13 +273,7 @@ func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRa
 		return aggShardResult{err: r.err}
 	}
 	for _, part := range r.parts {
-		var err error
-		if part.enc != nil {
-			err = g.AddEncoded(part.enc, part.rows)
-		} else {
-			err = g.AddTable(part.raw, part.rows)
-		}
-		if err != nil {
+		if err := g.AddEncoded(part.enc, part.rows); err != nil {
 			return aggShardResult{err: err}
 		}
 	}
@@ -301,8 +295,8 @@ const maxAggPartials = 8
 // computing and caching it on first use. Cached partials live on the
 // segment struct itself — the residency sweep nils only the encoding, so
 // a cached partial keeps serving no-predicate aggregates even after its
-// segment is evicted to disk. Only sealed (encoded) segments cache: a
-// raw tail view belongs to one snapshot and dies with it.
+// segment is evicted to disk. A tail view's partials live on its
+// snapshot's own segment and die with it.
 // Partials are immutable once built (AddPartial never mutates its
 // argument), so one cached value may serve many concurrent queries.
 func (sg *segment) aggPartial(ld *segLoader, spec AggSpec) (*table.AggPartial, bool, error) {
@@ -314,23 +308,15 @@ func (sg *segment) aggPartial(ld *segLoader, spec AggSpec) (*table.AggPartial, b
 	}
 	sg.aggMu.Unlock()
 
-	enc, tab, err := sg.openEnc(ld)
+	enc, err := sg.openEnc(ld)
 	if err != nil {
 		return nil, false, err
 	}
 	g := table.NewGroupAggregator(spec.By, spec.Attrs)
-	if enc != nil {
-		err = g.AddEncoded(enc, nil)
-	} else {
-		err = g.AddTable(tab, nil)
-	}
-	if err != nil {
+	if err := g.AddEncoded(enc, nil); err != nil {
 		return nil, false, err
 	}
 	part := g.Partial()
-	if enc == nil {
-		return part, false, nil
-	}
 	sg.aggMu.Lock()
 	if existing := sg.agg[key]; existing != nil {
 		part = existing // concurrent compute raced us; converge on one value

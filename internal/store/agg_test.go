@@ -321,9 +321,10 @@ func TestQueryAggAllInvalidGroups(t *testing.T) {
 	}
 }
 
-// TestQueryAggCachedPartials: the second no-predicate aggregate over
-// sealed segments is served from cached partials — no rows rescanned —
-// and answers identically.
+// TestQueryAggCachedPartials: the second no-predicate aggregate over a
+// snapshot is served from cached partials — no rows rescanned, the tail
+// view's included — and answers identically. A later snapshot shares
+// the sealed segments' partials and rescans only its own tail.
 func TestQueryAggCachedPartials(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	st, err := New(planConfig(2))
@@ -333,39 +334,43 @@ func TestQueryAggCachedPartials(t *testing.T) {
 	if _, err := st.AppendTable(aggBatch(t, rng, 0, 400)); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := st.AppendTable(aggBatch(t, rng, 400, 9)); err != nil {
+		t.Fatal(err)
+	}
 	snap := st.Snapshot()
 	spec := AggSpec{By: "zone", Attrs: []string{"v", "w"}}
 
-	// Raw tail copies are snapshot-private and never cache; only their
-	// rows may be rescanned once the sealed segments' partials are cached.
 	tail := 0
 	sealed := 0
 	for _, segs := range snap.segs {
 		for _, sg := range segs {
-			if sg.enc == nil {
+			if sg.tab != nil {
 				tail += sg.numRows()
 			} else {
 				sealed++
 			}
 		}
 	}
-	if sealed == 0 {
-		t.Fatal("corpus produced no sealed segments; cache path untested")
+	if sealed == 0 || tail == 0 {
+		t.Fatalf("corpus produced %d sealed segments and %d tail rows; the test needs both", sealed, tail)
 	}
 
 	first, ps1, err := snap.QueryAgg(nil, spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps1.ScannedRows != 400 {
-		t.Fatalf("first pass scanned %d rows, want 400", ps1.ScannedRows)
+	if ps1.ScannedRows != 409 {
+		t.Fatalf("first pass scanned %d rows, want 409", ps1.ScannedRows)
 	}
 	second, ps2, err := snap.QueryAgg(nil, spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps2.ScannedRows != tail {
-		t.Fatalf("second pass rescanned %d rows; want only the %d tail rows", ps2.ScannedRows, tail)
+	if ps2.ScannedRows != 0 {
+		t.Fatalf("second pass rescanned %d rows; want none", ps2.ScannedRows)
+	}
+	if _, ps3, err := st.Snapshot().QueryAgg(nil, spec, 2); err != nil || ps3.ScannedRows != tail {
+		t.Fatalf("a later snapshot rescanned %d rows (%v); want only its %d tail rows", ps3.ScannedRows, err, tail)
 	}
 	if len(first.Groups) != len(second.Groups) {
 		t.Fatalf("cached pass returned %d groups, first %d", len(second.Groups), len(first.Groups))

@@ -87,12 +87,11 @@ func (sn *Snapshot) DeltaSince(epoch uint64) (*Delta, bool) {
 				d.tables = append(d.tables, tab)
 				d.shards = append(d.shards, i)
 			default:
-				enc, tab, err := sg.openEnc(sn.ld)
+				tab, err := sg.open(sn.ld)
 				if err != nil {
 					return nil, false
 				}
-				if enc != nil {
-					tab = enc.Decode()
+				if sg.tab == nil {
 					d.CopiedRows += off + n - prefix
 				}
 				part, err := tab.View(prefix-off, n)

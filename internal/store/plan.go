@@ -45,22 +45,12 @@ func (ps *PlanStats) Add(o PlanStats) {
 	ps.MatchedRows += o.MatchedRows
 }
 
-// shardPart is one segment's matched ordinals, resolved to whichever
-// form of the segment the shard held (exactly one of enc/raw is set).
-// Parts defer materialization: workers only select rows, and the merge
-// decodes every match once, straight into the result table.
+// shardPart is one segment's matched ordinals over its encoding. Parts
+// defer materialization: workers only select rows, and the merge decodes
+// every match once, straight into the result table.
 type shardPart struct {
 	enc  *table.Encoded
-	raw  *table.Table
 	rows []int
-}
-
-// appendTo decodes the given ordinals of the part's segment onto dst.
-func (p shardPart) appendTo(dst *table.Table, rows []int) error {
-	if p.enc != nil {
-		return p.enc.TakeAppend(dst, rows)
-	}
-	return dst.AppendTaken(p.raw, rows)
 }
 
 // shardResult is one shard's contribution to a query.
@@ -90,8 +80,11 @@ type shardResult struct {
 //
 // Everything else — negations, disjunctions, ranges on untracked
 // attributes — is evaluated by a masked scan over the remaining
-// candidates or segments. Shards are processed on workers goroutines
-// (see parallel.Workers); the result is identical at any parallelism.
+// candidates or segments. Below the planner there is one layout: every
+// segment, a snapshot's tail view included, is read through its
+// table.Encoded form (see segment), so each kernel exists once. Shards
+// are processed on workers goroutines (see parallel.Workers); the result
+// is identical at any parallelism.
 //
 // Query materializes the whole match set. It is the planner's reference
 // API — what FullScan equivalence and the page-equivalence suites compare
@@ -141,7 +134,7 @@ func (sn *Snapshot) Query(p query.Predicate, workers int) (*table.Table, PlanSta
 		ps.CandidateRows += r.cand
 		ps.ScannedRows += r.scanned
 		for _, p := range r.parts {
-			if err := p.appendTo(out, p.rows); err != nil {
+			if err := p.enc.TakeAppend(out, p.rows); err != nil {
 				return nil, ps, fmt.Errorf("store: query: %w", err)
 			}
 		}
@@ -300,63 +293,28 @@ func (sn *Snapshot) queryShard(i int, p query.Predicate, pushIn []query.In, push
 	}
 
 	if !useIndex {
-		// One compiled evaluator serves every segment scan of this
-		// shard: In value sets build once and the per-node truth buffers
-		// recycle across segments, so the masked scan touches the
-		// column data with no per-segment predicate allocations. The
-		// mask itself is bitwise-identical to p.Mask.
+		// Masked scan over every segment. One compiled evaluator serves
+		// them all: In value sets build once and the per-node truth
+		// buffers recycle across segments, and each segment evaluates
+		// word-at-a-time over its encoded columns. Workers emit
+		// match-ordinal parts, never tables — the merge decodes each
+		// matching row exactly once.
 		ev, err := query.NewEvaluator(p)
 		if err != nil {
 			return shardResult{err: err}
 		}
-		// Fallback: masked scan over every segment. Sealed segments
-		// evaluate word-at-a-time directly over their encoded columns
-		// (dictionary-code and packed-code compares on packed truth
-		// bitsets); only the raw tail view takes the column-slice path.
-		// Workers emit match-ordinal parts, never tables — the merge
-		// decodes each matching row exactly once, so non-matching rows
-		// are never decoded or copied, and matches are copied once.
 		var parts []shardPart
 		for _, sg := range segs {
-			enc, raw, err := sg.openEnc(sn.ld)
+			enc, err := sg.openEnc(sn.ld)
 			if err != nil {
 				return shardResult{err: err}
 			}
-			if enc != nil {
-				words, err := ev.MaskEncodedBits(enc)
-				if err != nil {
-					return shardResult{err: err}
-				}
-				n := 0
-				for _, word := range words {
-					n += bits.OnesCount64(word)
-				}
-				if n == 0 {
-					continue
-				}
-				match := make([]int, 0, n)
-				for w, word := range words {
-					base := w << 6
-					for word != 0 {
-						match = append(match, base+bits.TrailingZeros64(word))
-						word &= word - 1
-					}
-				}
+			words, err := ev.MaskEncodedBits(enc)
+			if err != nil {
+				return shardResult{err: err}
+			}
+			if match := setOrdinals(words, nil); match != nil {
 				parts = append(parts, shardPart{enc: enc, rows: match})
-			} else {
-				mask, err := ev.Mask(raw)
-				if err != nil {
-					return shardResult{err: err}
-				}
-				var match []int
-				for r, m := range mask {
-					if m {
-						match = append(match, r)
-					}
-				}
-				if len(match) > 0 {
-					parts = append(parts, shardPart{raw: raw, rows: match})
-				}
 			}
 		}
 		return shardResult{parts: parts, scanned: rows}
@@ -365,9 +323,9 @@ func (sn *Snapshot) queryShard(i int, p query.Predicate, pushIn []query.In, push
 	// Candidate path: walk the candidate ordinals (ascending, so
 	// snapshot order is preserved) and re-check the residual predicate
 	// on them — the index already vouches for the pushed In conjuncts,
-	// and leftover Not/Or/range structure evaluates row-wise exactly as
-	// it would on the full shard. With no residual, candidates are
-	// matches and go out as parts unfiltered.
+	// and leftover Not/Or/range structure evaluates at just those rows
+	// exactly as it would on the full segment. With no residual,
+	// candidates are matches and go out as parts unfiltered.
 	var ev *query.Evaluator
 	if residual != nil {
 		var err error
@@ -379,72 +337,63 @@ func (sn *Snapshot) queryShard(i int, p query.Predicate, pushIn []query.In, push
 	var parts []shardPart
 	base := 0
 	k := 0
-	var local []int
 	for _, sg := range segs {
 		n := sg.numRows()
 		lo := k
 		for k < len(cand) && cand[k] < base+n {
+			cand[k] -= base
 			k++
 		}
-		if k > lo {
-			// Only segments actually holding candidates are loaded — an
-			// indexed query over a mostly-cold store touches disk just for
-			// the segments its postings point into. Part slices are
-			// allocated fresh (local is per-segment scratch; parts
-			// outlive the loop).
-			enc, raw, err := sg.openEnc(sn.ld)
-			if err != nil {
-				return shardResult{err: err}
-			}
-			local = local[:0]
-			for j := lo; j < k; j++ {
-				local = append(local, cand[j]-base)
-			}
-			if ev == nil {
-				keep := make([]int, len(local))
-				copy(keep, local)
-				if enc != nil {
-					parts = append(parts, shardPart{enc: enc, rows: keep})
-				} else {
-					parts = append(parts, shardPart{raw: raw, rows: keep})
-				}
-			} else if enc != nil {
-				// Sparse re-check over the encoded columns: only the
-				// candidates that survive the residual are ever decoded.
-				mask, err := ev.MaskEncodedRows(enc, local)
-				if err != nil {
-					return shardResult{err: err}
-				}
-				var keep []int
-				for j, m := range mask {
-					if m {
-						keep = append(keep, local[j])
-					}
-				}
-				if len(keep) > 0 {
-					parts = append(parts, shardPart{enc: enc, rows: keep})
-				}
-			} else {
-				// A raw tail is bounded by SegmentRows and its columns are
-				// plain slices: masking all of it allocates nothing, where
-				// copying the candidates out first would decode every
-				// column of every candidate just to read the residual's.
-				mask, err := ev.Mask(raw)
-				if err != nil {
-					return shardResult{err: err}
-				}
-				var keep []int
-				for _, r := range local {
-					if mask[r] {
-						keep = append(keep, r)
-					}
-				}
-				if len(keep) > 0 {
-					parts = append(parts, shardPart{raw: raw, rows: keep})
-				}
-			}
-		}
 		base += n
+		if k == lo {
+			continue
+		}
+		// Only segments actually holding candidates are loaded — an
+		// indexed query over a mostly-cold store touches disk just for
+		// the segments its postings point into. cand is this call's own
+		// slice, rebased in place to segment ordinals, so a part may
+		// keep a window of it.
+		enc, err := sg.openEnc(sn.ld)
+		if err != nil {
+			return shardResult{err: err}
+		}
+		local := cand[lo:k:k]
+		if ev == nil {
+			parts = append(parts, shardPart{enc: enc, rows: local})
+			continue
+		}
+		words, err := ev.MaskEncodedRows(enc, local)
+		if err != nil {
+			return shardResult{err: err}
+		}
+		if keep := setOrdinals(words, local); keep != nil {
+			parts = append(parts, shardPart{enc: enc, rows: keep})
+		}
 	}
 	return shardResult{parts: parts, indexed: true, cand: len(cand)}
+}
+
+// setOrdinals returns the positions of the set bits of words in
+// ascending order, each mapped through rows when rows is non-nil, in a
+// slice of exactly that length; nil when no bit is set.
+func setOrdinals(words []uint64, rows []int) []int {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
+	for w, word := range words {
+		for word != 0 {
+			j := w<<6 + bits.TrailingZeros64(word)
+			if rows != nil {
+				j = rows[j]
+			}
+			out = append(out, j)
+			word &= word - 1
+		}
+	}
+	return out
 }

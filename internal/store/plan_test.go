@@ -458,3 +458,92 @@ func TestQueryErrorPropagates(t *testing.T) {
 		t.Fatal("want error for type mismatch")
 	}
 }
+
+// TestTailEncodesOncePerSnapshot: a snapshot reads its tail views
+// through one encoding, made on first read and kept. ShardEncoded hands
+// the replication stream that same encoding before and after a query
+// has read it, and eight goroutines racing to the first read of a fresh
+// snapshot's tails all answer exactly as FullScan does.
+func TestTailEncodesOncePerSnapshot(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	st, err := New(planConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 3; b++ {
+		if _, err := st.AppendTable(planBatch(t, rng, b*150, 150)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.AppendTable(planBatch(t, rng, 450, 11)); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := st.Snapshot()
+	for i := 0; i < snap.NumShards(); i++ {
+		segs := snap.segs[i]
+		if tail := segs[len(segs)-1]; tail.tab == nil || len(segs) < 2 {
+			t.Fatalf("shard %d: %d segments, the last with no tail view; the test needs sealed segments and a tail", i, len(segs))
+		}
+		before, err := snap.ShardEncoded(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := snap.QueryAgg(query.MustParse("w <= 0"), AggSpec{By: "zone", Attrs: []string{"v"}}, 1); err != nil {
+			t.Fatal(err)
+		}
+		after, err := snap.ShardEncoded(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range before {
+			if before[k] != after[k] {
+				t.Fatalf("shard %d segment %d: ShardEncoded returned a different encoding after a query", i, k)
+			}
+		}
+	}
+
+	preds := []query.Predicate{
+		query.MustParse("zone = Z1"),
+		query.MustParse("zone = Z1 and w <= 0"),
+		query.MustParse("w <= 0"),
+		query.MustParse("not (zone = Z0) or v >= 50"),
+	}
+	for len(preds) < 16 {
+		preds = append(preds, randPredicate(rng, 3))
+	}
+	fresh := st.Snapshot()
+	wants := make([]*table.Table, len(preds))
+	for k, p := range preds {
+		if wants[k], err = fresh.FullScan(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, segs := range fresh.segs {
+		if tail := segs[len(segs)-1]; tail.enc != nil {
+			t.Fatal("FullScan encoded a tail view: copies must read the view")
+		}
+	}
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func(g int) {
+			for k := range preds {
+				k := (k + g) % len(preds)
+				got, _, err := fresh.Query(preds[k], 1)
+				if err == nil {
+					err = tablesEqual(got, wants[k])
+				}
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d, %s: %w", g, preds[k], err)
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -9,24 +9,27 @@ import (
 	"indice/internal/table"
 )
 
-// segment is one immutable sealed chunk of a shard. Sealed segments hold
-// their rows in the compressed encoded form (dictionary / bit-packed
-// columns); only a snapshot's view of a shard tail — bounded by
-// SegmentRows, never persisted, sharing the tail's arrays — is raw. Row
-// content never changes, but residency does: once a checkpoint has
-// persisted the segment to disk (path != ""), the in-memory encoding may
-// be evicted and lazily reloaded on demand, so the corpus can exceed RAM.
-// Snapshots share segment pointers with the store; a reader holding a
-// loaded *table.Encoded keeps using it safely after an eviction (the
-// encoding itself is immutable — eviction only drops the cache reference).
+// segment is one immutable chunk of a shard, read through its encoded
+// form (dictionary / bit-packed columns): the planner and the
+// aggregation kernels see nothing else. Sealed segments hold only the
+// encoding. A snapshot's view of a shard tail — bounded by SegmentRows,
+// never persisted, sharing the tail's arrays — is its own segment: it
+// keeps the view for copies and encodes it on first read, once per
+// snapshot. Row content never changes, but residency does: once a
+// checkpoint has persisted a sealed segment to disk (path != ""), the
+// in-memory encoding may be evicted and lazily reloaded on demand, so
+// the corpus can exceed RAM. Snapshots share sealed segment pointers
+// with the store; a reader holding a loaded *table.Encoded keeps using
+// it safely after an eviction (the encoding itself is immutable —
+// eviction only drops the cache reference).
 type segment struct {
 	rows  int
-	bytes int    // SizeBytes of the encoding (0 for a raw tail view)
+	bytes int    // SizeBytes of a sealed encoding (0 for a tail view)
 	path  string // on-disk file (relative to the data dir), "" while hot-only
 
 	mu  sync.Mutex
-	enc *table.Encoded // sealed content, nil while evicted
-	tab *table.Table   // raw content: a snapshot's length-pinned view of a tail
+	enc *table.Encoded // the encoding; nil while evicted, or until a tail view is first read
+	tab *table.Table   // a snapshot's length-pinned view of a tail; nil when sealed
 
 	// Per-spec frozen aggregate partials (see aggPartial). Guarded by its
 	// own mutex so cache hits never contend with residency loads, and
@@ -41,71 +44,88 @@ type segment struct {
 // numRows returns the segment's row count without loading it.
 func (sg *segment) numRows() int { return sg.rows }
 
-// open returns the segment's rows as a decoded table, reading the
-// encoding back from disk when evicted. Paths that can work over the
-// encoded form directly (the planner) use openEnc instead; open is for
-// consumers that need raw columns (materialization, deltas). The decoded
-// table is freshly built per call for encoded segments; a raw tail view
-// comes back as is.
+// open returns the segment's rows as a table for consumers that need raw
+// columns (deltas): a tail view as it is — a copy never encodes a tail —
+// and a sealed segment freshly decoded per call, read back from disk
+// when evicted.
 func (sg *segment) open(ld *segLoader) (*table.Table, error) {
-	enc, tab, err := sg.openEnc(ld)
+	if sg.tab != nil {
+		return sg.tab, nil
+	}
+	enc, err := sg.openEnc(ld)
 	if err != nil {
 		return nil, err
-	}
-	if tab != nil {
-		return tab, nil
 	}
 	return enc.Decode(), nil
 }
 
-// openEnc returns the segment's content in its natural representation:
-// exactly one of enc (sealed, compressed) or tab (raw tail view) is
-// non-nil. Evicted segments are read back from disk. The budget sweep
+// appendTo appends the segment's rows to dst, by column name: a tail
+// view's columns as they are, a sealed encoding decoded straight onto
+// dst.
+func (sg *segment) appendTo(ld *segLoader, dst *table.Table) error {
+	if sg.tab != nil {
+		return dst.AppendTable(sg.tab)
+	}
+	enc, err := sg.openEnc(ld)
+	if err != nil {
+		return err
+	}
+	return enc.AppendTo(dst)
+}
+
+// openEnc returns the segment's encoding, reading an evicted one back
+// from disk and encoding a tail view on its first read. The budget sweep
 // runs only after sg.mu is released — a sweep locks candidate segments,
 // so triggering it while holding this segment's own mutex could
 // self-deadlock.
-func (sg *segment) openEnc(ld *segLoader) (*table.Encoded, *table.Table, error) {
-	enc, tab, loaded, err := sg.load(ld)
+func (sg *segment) openEnc(ld *segLoader) (*table.Encoded, error) {
+	enc, loaded, err := sg.load(ld)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if loaded {
 		ld.requestSweep()
 	}
-	return enc, tab, nil
+	return enc, nil
 }
 
 // load does the locked part of openEnc, reporting whether it pulled the
 // encoding in from disk (in which case the caller enforces the budget).
-func (sg *segment) load(ld *segLoader) (*table.Encoded, *table.Table, bool, error) {
+// Concurrent first readers of a tail view wait on sg.mu for the one
+// encode, as they would for one reload.
+func (sg *segment) load(ld *segLoader) (*table.Encoded, bool, error) {
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
 	if ld != nil {
 		sg.lastUse.Store(ld.clock.Add(1))
 	}
 	if sg.enc != nil {
-		return sg.enc, nil, false, nil
+		return sg.enc, false, nil
 	}
 	if sg.tab != nil {
-		return nil, sg.tab, false, nil
+		// A tail view belongs to this snapshot alone and is never
+		// registered with the loader, so the encoding is neither counted
+		// against the budget nor evicted: it dies with the snapshot.
+		sg.enc = table.Encode(sg.tab)
+		return sg.enc, false, nil
 	}
 	if ld == nil || sg.path == "" {
-		return nil, nil, false, fmt.Errorf("store: segment evicted with no backing file")
+		return nil, false, fmt.Errorf("store: segment evicted with no backing file")
 	}
 	f, err := ld.fs.Open(join(ld.dir, sg.path))
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("store: reloading segment %s: %w", sg.path, err)
+		return nil, false, fmt.Errorf("store: reloading segment %s: %w", sg.path, err)
 	}
 	enc, rerr := table.ReadEncoded(f)
 	cerr := f.Close()
 	if rerr != nil {
-		return nil, nil, false, fmt.Errorf("store: reloading segment %s: %w", sg.path, rerr)
+		return nil, false, fmt.Errorf("store: reloading segment %s: %w", sg.path, rerr)
 	}
 	if cerr != nil {
-		return nil, nil, false, fmt.Errorf("store: reloading segment %s: %w", sg.path, cerr)
+		return nil, false, fmt.Errorf("store: reloading segment %s: %w", sg.path, cerr)
 	}
 	if enc.NumRows() != sg.rows {
-		return nil, nil, false, fmt.Errorf("store: segment %s has %d rows on disk, expected %d", sg.path, enc.NumRows(), sg.rows)
+		return nil, false, fmt.Errorf("store: segment %s has %d rows on disk, expected %d", sg.path, enc.NumRows(), sg.rows)
 	}
 	sg.enc = enc
 	ld.mem.addSealed(sg.bytes)
@@ -113,7 +133,7 @@ func (sg *segment) load(ld *segLoader) (*table.Encoded, *table.Table, bool, erro
 	ld.loads.Add(1)
 	mSegLoads.Inc()
 	mResidentRows.Set(float64(ld.residentRows.Load()))
-	return enc, nil, true, nil
+	return enc, true, nil
 }
 
 // segLoader is the shared residency manager of a durable store: it reads

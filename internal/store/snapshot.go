@@ -13,9 +13,12 @@ import (
 // Snapshots share the store's sealed segments (immutable once sealed, so
 // sharing is free) and see each shard's mutable tail through a
 // length-pinned view of its columns — taking one is O(shards × columns),
-// never O(rows), and holds no row data of its own. A snapshot never
-// changes after creation — ingestion continuing in the store is
-// invisible to it — and never observes a partially applied batch.
+// never O(rows), and holds no row data of its own. The first query to
+// read a tail encodes its view, once, and the snapshot keeps that
+// encoding (fewer than SegmentRows rows per shard) for every later
+// reader. A snapshot's rows never change after creation — ingestion
+// continuing in the store is invisible to it — and it never observes a
+// partially applied batch.
 type Snapshot struct {
 	epoch      uint64
 	generation uint64
@@ -135,18 +138,16 @@ func (sn *Snapshot) NumShards() int { return len(sn.segs) }
 
 // ShardEncoded returns shard i's segments in the compressed encoded
 // form — the replication wire unit. Sealed segments come back as-is
-// (reloading evicted ones from disk); the raw tail view, if any, is
-// encoded on the fly. The encodings are immutable and shared with the
-// store: stream them, never mutate them.
+// (reloading evicted ones from disk); the tail view, if any, comes back
+// as the encoding this snapshot reads it through, made on first read
+// and kept. The encodings are immutable and shared with the store and
+// every later reader of the snapshot: stream them, never mutate them.
 func (sn *Snapshot) ShardEncoded(i int) ([]*table.Encoded, error) {
 	out := make([]*table.Encoded, 0, len(sn.segs[i]))
 	for _, sg := range sn.segs[i] {
-		enc, raw, err := sg.openEnc(sn.ld)
+		enc, err := sg.openEnc(sn.ld)
 		if err != nil {
 			return nil, err
-		}
-		if enc == nil {
-			enc = table.Encode(raw)
 		}
 		out = append(out, enc)
 	}
@@ -166,7 +167,8 @@ func (sn *Snapshot) Stats(attr string) (stats.Running, bool) {
 // copy the caller owns and may rewrite: the snapshot keeps no reference
 // to it, so the copy lives exactly as long as its caller needs it. Sealed
 // segments are decoded straight onto it, with no decoded table of their
-// own, and a column left unnamed is never decoded.
+// own, a tail is copied from its view (a refresh never encodes a tail),
+// and a column left unnamed is never decoded.
 func (sn *Snapshot) Table(cols ...string) (*table.Table, error) {
 	schema := sn.schema
 	if len(cols) > 0 {
@@ -186,16 +188,7 @@ func (sn *Snapshot) Table(cols ...string) (*table.Table, error) {
 	out.Grow(sn.rows)
 	for _, segs := range sn.segs {
 		for _, sg := range segs {
-			enc, tab, err := sg.openEnc(sn.ld)
-			if err != nil {
-				return nil, err
-			}
-			if enc != nil {
-				err = enc.AppendTo(out)
-			} else {
-				err = out.AppendTable(tab)
-			}
-			if err != nil {
+			if err := sg.appendTo(sn.ld, out); err != nil {
 				return nil, err
 			}
 		}

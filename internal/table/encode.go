@@ -134,9 +134,6 @@ func (c *EncodedColumn) ValidAt(i int) bool {
 	return c.valid == nil || c.valid[i>>6]&(1<<(i&63)) != 0
 }
 
-// AllValid reports whether every cell holds a value.
-func (c *EncodedColumn) AllValid() bool { return c.valid == nil }
-
 // DictLen returns the dictionary size (KindDict only).
 func (c *EncodedColumn) DictLen() int { return len(c.dict) }
 

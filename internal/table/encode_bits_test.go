@@ -325,8 +325,8 @@ func TestEncodedAccessors(t *testing.T) {
 	if c.name != "class" || c.Type() != String {
 		t.Fatalf("accessors: name=%q type=%v", c.name, c.Type())
 	}
-	if c.AllValid() {
-		t.Fatal("class has invalid cells, AllValid must be false")
+	if c.valid == nil {
+		t.Fatal("class has invalid cells, yet no validity bitset")
 	}
 	if y := e.Column("year"); y.Kind() == KindPacked {
 		// value − code must be the same frame-of-reference base on every

@@ -305,100 +305,6 @@ func (g *GroupAggregator) AddEncoded(e *Encoded, rows []int) error {
 	return nil
 }
 
-// AddTable folds the given rows of a raw table (the snapshot-private tail
-// segments) into the aggregator; rows == nil means every row. Semantics
-// match AddEncoded on the decoded equivalent.
-func (g *GroupAggregator) AddTable(t *Table, rows []int) error {
-	n := t.rows
-	if rows != nil {
-		n = len(rows)
-	}
-	type valueCol struct {
-		vals []float64
-		mask []bool
-	}
-	cols := make([]valueCol, len(g.attrs))
-	for k, attr := range g.attrs {
-		vals, err := t.Floats(attr)
-		if err != nil {
-			return err
-		}
-		mask, _ := t.ValidMask(attr)
-		cols[k] = valueCol{vals: vals, mask: mask}
-	}
-
-	var ptrs []*GroupAccum
-	if g.by != "" {
-		codes, dict, err := t.StringCodes(g.by)
-		if err != nil {
-			return err
-		}
-		gvalid, _ := t.ValidMask(g.by)
-		ptrs = g.scratchPtrs(n)
-		// As in AddEncoded: one group lookup per distinct code, slot
-		// len(dict) standing in for invalid cells.
-		inv := len(dict)
-		lookup := g.scratchLookup(inv + 1)
-		each := func(j, r int) {
-			code, key := inv, ""
-			if gvalid[r] {
-				code = int(codes[r])
-				key = dict[code]
-			}
-			p := lookup[code]
-			if p == nil {
-				p = g.group(key)
-				lookup[code] = p
-			}
-			p.Rows++
-			ptrs[j] = p
-		}
-		if rows == nil {
-			for r := 0; r < n; r++ {
-				each(r, r)
-			}
-		} else {
-			for j, r := range rows {
-				each(j, r)
-			}
-		}
-	}
-	g.rows += n
-
-	for k, c := range cols {
-		var acc *AggAccum
-		if g.by == "" {
-			acc = &g.totals[k]
-		}
-		observe := func(j, r int) {
-			if !c.mask[r] {
-				return
-			}
-			v := c.vals[r]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return
-			}
-			a := acc
-			if a == nil {
-				a = &ptrs[j].Attrs[k]
-			}
-			a.Sum += v
-			a.R.Add(v)
-			a.S.Add(v)
-		}
-		if rows == nil {
-			for r := 0; r < n; r++ {
-				observe(r, r)
-			}
-		} else {
-			for j, r := range rows {
-				observe(j, r)
-			}
-		}
-	}
-	return nil
-}
-
 // AddPartial folds a frozen partial (another aggregator's Partial, or a
 // cached per-segment one) into the aggregator. p is never mutated, so
 // cached partials can be shared by concurrent queries.

@@ -207,12 +207,6 @@ func TestGroupAggregatorMatchesOracle(t *testing.T) {
 				}
 				checkAgainstOracle(t, ge, oracle, rows)
 
-				gt := NewGroupAggregator("g", attrs)
-				if err := gt.AddTable(tab, nil); err != nil {
-					t.Fatal(err)
-				}
-				checkAgainstOracle(t, gt, oracle, rows)
-
 				// Ordinal-subset path (the pushdown feed from predicate matches).
 				var sel []int
 				for i := 0; i < rows; i++ {
@@ -343,8 +337,8 @@ func TestGroupAggregatorErrors(t *testing.T) {
 			t.Fatalf("AddEncoded(by=%q attrs=%v): want error", tc.by, tc.attrs)
 		}
 		g = NewGroupAggregator(tc.by, tc.attrs)
-		if err := g.AddTable(tab, nil); err == nil {
-			t.Fatalf("AddTable(by=%q attrs=%v): want error", tc.by, tc.attrs)
+		if err := g.AddEncoded(enc, []int{1}); err == nil {
+			t.Fatalf("AddEncoded(by=%q attrs=%v, rows [1]): want error", tc.by, tc.attrs)
 		}
 	}
 

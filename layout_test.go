@@ -25,8 +25,11 @@ import (
 
 // TestSegmentLayoutLeavesAnswersAlone loads one seeded 20k-row corpus, as
 // 2 000-row typed-CSV bodies, into stores whose tails seal at 600, 2 048
-// (the default) and 8 192 rows — many small segments, two per shard, raw
-// tails only — and holds every answer of one layout against the others'.
+// (the default) and 8 192 rows — many small segments, two per shard, tail
+// views only — plus two layouts cut to the edges of a tail's size: one
+// where a shard's tail holds a single row and one where a tail holds
+// SegmentRows−1 rows, the most a tail ever holds. Every answer of one
+// layout is held against the others'.
 // A predicated query folds its matches in row order within each shard
 // whatever the segments, so its totals, groups and pages are bitwise
 // equal, and so are its /api/query bodies once the plan echo is set aside.
@@ -46,26 +49,31 @@ func TestSegmentLayoutLeavesAnswersAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bodies [][]byte
-	for lo := 0; lo < rows; lo += batchRows {
-		part, err := ds.Table.View(lo, lo+batchRows)
-		if err != nil {
-			t.Fatal(err)
+	// csvBodies cuts the corpus into typed-CSV bodies at the given row
+	// boundaries.
+	csvBodies := func(cuts ...int) [][]byte {
+		var out [][]byte
+		lo := 0
+		for _, hi := range append(cuts, rows) {
+			part, err := ds.Table.View(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := part.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, buf.Bytes())
+			lo = hi
 		}
-		var buf bytes.Buffer
-		if err := part.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		bodies = append(bodies, buf.Bytes())
+		return out
 	}
-
-	type node struct {
-		segRows int
-		snap    *store.Snapshot
-		srv     http.Handler
+	var cuts []int
+	for cut := batchRows; cut < rows; cut += batchRows {
+		cuts = append(cuts, cut)
 	}
-	var nodes []node
-	for _, segRows := range []int{600, 2048, 8192} {
+	bodies := csvBodies(cuts...)
+	load := func(segRows int, bodies [][]byte) *store.Store {
 		scfg := store.DefaultConfig()
 		scfg.SegmentRows = segRows
 		st, err := store.New(scfg)
@@ -77,11 +85,16 @@ func TestSegmentLayoutLeavesAnswersAlone(t *testing.T) {
 				t.Fatalf("SegmentRows %d: ingest: %+v, %v", segRows, res, err)
 			}
 		}
-		for i, sh := range st.Status().Shards {
-			if (sh.Segments >= 2) != (segRows < rows/scfg.Shards) || sh.TailRows >= segRows {
-				t.Fatalf("SegmentRows %d: shard %d holds %d sealed segments and %d tail rows", segRows, i, sh.Segments, sh.TailRows)
-			}
-		}
+		return st
+	}
+
+	type node struct {
+		layout string
+		snap   *store.Snapshot
+		srv    http.Handler
+	}
+	var nodes []node
+	publish := func(layout string, st *store.Store) {
 		live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{SkipAnalysis: true})
 		if err != nil {
 			t.Fatal(err)
@@ -94,8 +107,59 @@ func TestSegmentLayoutLeavesAnswersAlone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, node{segRows, pub.Snapshot, srv})
+		nodes = append(nodes, node{layout, pub.Snapshot, srv})
 	}
+	for _, segRows := range []int{600, 2048, 8192} {
+		st := load(segRows, bodies)
+		for i, sh := range st.Status().Shards {
+			if (sh.Segments >= 2) != (segRows < rows/store.DefaultConfig().Shards) || sh.TailRows >= segRows {
+				t.Fatalf("SegmentRows %d: shard %d holds %d sealed segments and %d tail rows", segRows, i, sh.Segments, sh.TailRows)
+			}
+		}
+		publish("SegmentRows "+strconv.Itoa(segRows), st)
+	}
+	// A single-row tail: two bodies of a quarter of the corpus per shard
+	// each seal every shard's tail at the default SegmentRows, and the
+	// last row comes alone.
+	st := load(2048, csvBodies(rows/2-1, rows-1))
+	ones := 0
+	for _, sh := range st.Status().Shards {
+		if sh.Segments != 2 || sh.TailRows > 1 {
+			t.Fatalf("single-row tail layout: a shard holds %d sealed segments and %d tail rows", sh.Segments, sh.TailRows)
+		}
+		ones += sh.TailRows
+	}
+	if ones != 1 {
+		t.Fatalf("single-row tail layout: %d tail rows, want 1", ones)
+	}
+	publish("a single-row tail", st)
+	// A full tail: the first body seals every shard, and SegmentRows is
+	// one more than the most rows the second body routes to one shard.
+	fullCut := rows * 3 / 5
+	fullBodies := csvBodies(fullCut)
+	probe := load(rows, fullBodies[:1])
+	before := probe.Status().Shards
+	if res, err := probe.AppendCSV(bytes.NewReader(fullBodies[1])); err != nil || res.Rejected != 0 {
+		t.Fatalf("probe ingest: %+v, %v", res, err)
+	}
+	most := 0
+	for i, sh := range probe.Status().Shards {
+		most = max(most, sh.Rows-before[i].Rows)
+	}
+	st = load(most+1, fullBodies)
+	full := 0
+	for _, sh := range st.Status().Shards {
+		if sh.Segments != 1 || sh.TailRows > most {
+			t.Fatalf("full tail layout, SegmentRows %d: a shard holds %d sealed segments and %d tail rows", most+1, sh.Segments, sh.TailRows)
+		}
+		if sh.TailRows == most {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Fatalf("full tail layout: no tail holds SegmentRows-1 = %d rows", most)
+	}
+	publish("a SegmentRows-1 tail", st)
 
 	// Seeded predicates over every planner road: In on an indexed zone or
 	// class (alone or with a range the index cannot vouch for), a numeric
@@ -214,15 +278,15 @@ func TestSegmentLayoutLeavesAnswersAlone(t *testing.T) {
 			for _, n := range nodes {
 				agg, page, ps, err := n.snap.QueryShardsPage(sp.p, 0, n.snap.NumShards(), 2, spec, offset, 20)
 				if err != nil {
-					t.Fatalf("SegmentRows %d, %v: %v", n.segRows, sp.p, err)
+					t.Fatalf("%s, %v: %v", n.layout, sp.p, err)
 				}
 				if ps.MatchedRows != res.Matched {
-					t.Fatalf("SegmentRows %d, %v: %d matched, want %d", n.segRows, sp.p, ps.MatchedRows, res.Matched)
+					t.Fatalf("%s, %v: %d matched, want %d", n.layout, sp.p, ps.MatchedRows, res.Matched)
 				}
 				rec := httptest.NewRecorder()
 				n.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
 				if rec.Code != http.StatusOK {
-					t.Fatalf("SegmentRows %d: GET %s: %d %s", n.segRows, target, rec.Code, rec.Body)
+					t.Fatalf("%s: GET %s: %d %s", n.layout, target, rec.Code, rec.Body)
 				}
 				gotAgg, gotPage, gotBody := dump(agg), csv(page), withoutPlan(rec.Body.Bytes())
 				if wantBody == nil {
@@ -230,13 +294,13 @@ func TestSegmentLayoutLeavesAnswersAlone(t *testing.T) {
 					continue
 				}
 				if gotAgg != wantAgg {
-					t.Fatalf("SegmentRows %d, %v, by %q: the aggregate differs from SegmentRows %d's", n.segRows, sp.p, spec.By, nodes[0].segRows)
+					t.Fatalf("%s, %v, by %q: the aggregate differs from %s's", n.layout, sp.p, spec.By, nodes[0].layout)
 				}
 				if gotPage != wantPage {
-					t.Fatalf("SegmentRows %d, %v: the page at offset %d differs", n.segRows, sp.p, offset)
+					t.Fatalf("%s, %v: the page at offset %d differs", n.layout, sp.p, offset)
 				}
 				if !reflect.DeepEqual(gotBody, wantBody) {
-					t.Fatalf("SegmentRows %d: GET %s: the body differs beside the plan", n.segRows, target)
+					t.Fatalf("%s: GET %s: the body differs beside the plan", n.layout, target)
 				}
 			}
 		}
@@ -282,7 +346,7 @@ func TestSegmentLayoutLeavesAnswersAlone(t *testing.T) {
 				want, wantPages = agg, pages
 				continue
 			}
-			label := "SegmentRows " + strconv.Itoa(n.segRows) + ", select-all by " + strconv.Quote(spec.By)
+			label := n.layout + ", select-all by " + strconv.Quote(spec.By)
 			if !reflect.DeepEqual(pages, wantPages) {
 				t.Fatalf("%s: pages differ", label)
 			}
