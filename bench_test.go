@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -1124,12 +1125,14 @@ func BenchmarkE14ObsOverhead(b *testing.B) {
 
 // e15Table builds the E15 dataset: 100k EPC-shaped rows whose columns are
 // quantized the way real certificate registries are — a handful of zone
-// and class levels, integer-valued years/degree-days/floors/EPH — so the
+// and class levels, integer-valued years/degree-days/floors — so the
 // sealed-segment encoder can dictionary-code the categoricals and
-// bit-pack the numerics. The unique certificate id stays raw by design
-// (cardinality cap), pinning the honest case where one column resists
-// compression.
-func e15Table(b *testing.B, rows int) *table.Table {
+// bit-pack the numerics. EPH carries ephDecimals fraction digits (0 in
+// the integral shape, 2 in the decimal one, as the registry's eph does),
+// each value the one its text would parse to. The unique certificate id
+// stays raw by design (cardinality cap), pinning the honest case where
+// one column resists compression.
+func e15Table(b *testing.B, rows, ephDecimals int) *table.Table {
 	b.Helper()
 	ids := make([]string, rows)
 	districts := make([]string, rows)
@@ -1140,6 +1143,7 @@ func e15Table(b *testing.B, rows int) *table.Table {
 	floors := make([]float64, rows)
 	eph := make([]float64, rows)
 	heatKinds := []string{"district-heating", "natural-gas", "heat-pump", "oil"}
+	ephDiv := math.Pow10(ephDecimals)
 	for i := 0; i < rows; i++ {
 		ids[i] = fmt.Sprintf("cert-%07d", i)
 		districts[i] = fmt.Sprintf("D%02d", (i*7919)%20)
@@ -1148,7 +1152,7 @@ func e15Table(b *testing.B, rows int) *table.Table {
 		year[i] = float64(1950 + (i*13)%70)
 		degreeDays[i] = float64(2200 + (i*17)%900)
 		floors[i] = float64(1 + (i*7)%10)
-		eph[i] = float64((i * 31) % 500)
+		eph[i] = float64((i*31)%(500*int(ephDiv))) / ephDiv
 	}
 	tab := table.New()
 	for _, c := range []struct {
@@ -1195,10 +1199,16 @@ func e15Table(b *testing.B, rows int) *table.Table {
 //
 // encode times sealing one segment-sized chunk and reports the measured
 // resident-memory compression of the whole table as x-reduction.
+// decimal/ runs every arm again over the decimal shape, EPH at two
+// fraction digits, which sealed segments pack as scaled codes.
 // Captured numbers and methodology in docs/benchmarks.md.
 func BenchmarkE15Encoding(b *testing.B) {
 	const rows = 100_000
-	seed := e15Table(b, rows)
+	e15Encoding(b, e15Table(b, rows, 0))
+	b.Run("decimal", func(b *testing.B) { e15Encoding(b, e15Table(b, rows, 2)) })
+}
+
+func e15Encoding(b *testing.B, seed *table.Table) {
 	cfg := store.Config{
 		Shards:     4,
 		Schema:     seed.Schema(),
@@ -1318,10 +1328,15 @@ func seqInts(n int) []int {
 // over the encoded segments without building a table. "pushdown-cached"
 // is the no-predicate dashboard shape served from the per-segment
 // partial-aggregate cache — near-O(groups) per request. Captured
-// numbers and methodology in docs/benchmarks.md.
+// numbers and methodology in docs/benchmarks.md. decimal/ runs every arm
+// again over E15's decimal shape, EPH at two fraction digits.
 func BenchmarkE17AggPushdown(b *testing.B) {
 	const rows = 100_000
-	seed := e15Table(b, rows)
+	e17AggPushdown(b, e15Table(b, rows, 0))
+	b.Run("decimal", func(b *testing.B) { e17AggPushdown(b, e15Table(b, rows, 2)) })
+}
+
+func e17AggPushdown(b *testing.B, seed *table.Table) {
 	cfg := store.Config{
 		Shards:     4,
 		Schema:     seed.Schema(),

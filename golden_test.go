@@ -35,11 +35,15 @@ import (
 // line dates from WAL parts becoming encoded tables, and the two
 // serving-table lines from the serving table keeping only the columns its
 // readers name: each is the digest of the earlier full-width table with
-// its other 81 columns selected away.
+// its other 81 columns selected away. The six lines that carry encoded
+// tables (checkpoint, encoded/*, replication/*, wal) date from decimal
+// float columns packing as scaled codes; the test proves the re-recorded
+// encoded bytes hold the same corpus by decoding them back to the CSV the
+// csv/* lines pin.
 var goldenDigests = map[string]string{
 	"analysis/cold":                      "73aee87c4f1a3403221547d2f730f632ce731b51e9c1734ab8d818c8391dcf87",
 	"analysis/incremental":               "385588dc07209e837b2333dd53451d6974a8330ab4ca02c1097757fa249774a2",
-	"checkpoint":                         "7f301f1810ca90869d554859d797bbbb70d64cd7b79c04ce986a3075e495a27f",
+	"checkpoint":                         "15cd2671b0779eb43d9448ea75ab0c885c6d5c1856694264eac5694b0b590560",
 	"csv/clean":                          "05616105b357db1da097ae7d9719916f662fda873b794478dda1ebda74b72c10",
 	"csv/dirty":                          "3ed65ed5b1f03cf7742a4cd7323da8f61a5698e6d7055b6cf035f6f52b140a0e",
 	"dashboard/citizen/e1":               "6dfe304cae9c44ff1e586f83ac89a9c328187e4a9f3fce99688ae42561ac3dd4",
@@ -48,8 +52,8 @@ var goldenDigests = map[string]string{
 	"dashboard/energy-scientist/e2":      "4590b23e880f3db7008966ff1e6faef7d8d656dd4f1360bf74a6f26045874480",
 	"dashboard/public-administration/e1": "05c9eea939a60fb1cb186201dd7c882701127bd9d8325d638008dcd8db1fc78b",
 	"dashboard/public-administration/e2": "3311e13db4961f226ceefb021bdfd0911b08c08e5cc618dca159ccc788ace93f",
-	"encoded/clean":                      "87dc4a6f18c39bc98f842261edbf7b649454c0b43713d50dc79d606b6605b80b",
-	"encoded/dirty":                      "6823c5a35ca6b01440ef1961eb9c4e240c717d717ae9a19944aff63c1017f4bc",
+	"encoded/clean":                      "d45048d6ad9e2bea63be2f9a6e54c008c83a4a5c115e6ed732b8861fec5b32cb",
+	"encoded/dirty":                      "8a9f0d9bf59c1ebaed7a37cc524965ee1ef880223cc23f11ceedc41c2a642151",
 	"query/grouped-indexed/e1":           "aaade874e3ddb8e36b6f1f8a1c93406206f02a73f735c060f4fcf492398946c7",
 	"query/grouped-indexed/e2":           "3c8a28bf7846eb31ce1916c199f267ba2814d2f22c56f214452e0ea820c8036d",
 	"query/grouped-masked/e1":            "366f1f3922c19b0ef2d17e8fd9866980e6aae86f74536f55755480a4376b9ef9",
@@ -66,13 +70,13 @@ var goldenDigests = map[string]string{
 	"query/preset-by/e2":                 "0e511db50f57d7a8570bd92bebe9401966a8444db516f1423a8452ea53004f3f",
 	"query/stats-ungrouped/e1":           "eab30e6dc99362f1755de2503b98e67caafea1b98eb13170e4eec1df0ca8914f",
 	"query/stats-ungrouped/e2":           "a28a0bcb6b5e07b77833dcbea62c5738fdf0abdcdd5dca341774aec05ec0b741",
-	"replication/delta":                  "f6ccbef52462b6be4f8b244a4370652b3763961bae7493844415d1ade50c06d9",
-	"replication/full":                   "aefcc8c20bbc3e1dc2d6b1c2e650d1979df1666bbe60c0225a768563943bba05",
+	"replication/delta":                  "f1d27b54b5da356d8673fdda2b46712f56c9d9e66a10a83331c7c57163c26b6c",
+	"replication/full":                   "12dad35c50501a98dc15836a9118a49bbe94c9d9515100dc88471d4064f7a9ec",
 	"report/cold":                        "93058bd07d9da97e4213485cfe6eb43b71d2f9311b77e3c8a03172be9db971fb",
 	"report/incremental":                 "4fe63f7fe7f109f67e4bf35413a656e50668eccc9c3bd06da9173e79dd84928a",
 	"serving-table/cold":                 "c5f5c3c36d139669409fabbc8a227348baf7f5dbff15bb508813a0cbce99d81d",
 	"serving-table/incremental":          "41291a6a2852a36b8311cdaab56ae5d4728b24b953fa45f08caa59966a3cea60",
-	"wal":                                "47b186a50cb28fb7508bb38e56f46e63245cacc37d84f9be46ecd127a523458a",
+	"wal":                                "89fbc3c9f7c31005739ebb3dca2c318e707b67a4a9a68755a52171e83bd6f485",
 }
 
 // goldenQueries are the /api/query shapes digested at both epochs: stats
@@ -128,6 +132,17 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		digest("csv/"+name, csv.Bytes())
 		digest("encoded/"+name, enc.Bytes())
+		back, err := table.ReadEncoded(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded bytes.Buffer
+		if err := back.Decode().WriteCSV(&decoded); err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(decoded.Bytes()); hex.EncodeToString(sum[:]) != goldenDigests["csv/"+name] {
+			t.Errorf("encoded/%s decoded and written as CSV does not digest to csv/%s", name, name)
+		}
 	}
 
 	// The corpus as the ingest endpoints receive it: typed-CSV and binary

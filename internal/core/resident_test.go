@@ -24,17 +24,18 @@ import (
 // analysis, index headers, pooled scratch — plus so many bytes per stored
 // row, after the full refresh and again after three incremental ones. (A
 // budget in multiples of table.SizeBytes would loosen by itself whenever a
-// copy grew.) Each bound is what this run measured plus 15 %: 1 146 and
-// 1 207 B per row of 132 attributes, of which the store's sealed copy is
-// ≈ 400 and the serving table, which keeps the 51 columns its readers
-// name, ≈ 440.
-// A full-width serving table again (1 605 and 1 660 B per row), store
-// copies held as raw tails again (SegmentRows 8 192), one more copy, or
-// string cells held as 16-byte headers again fail it.
+// copy grew.) Each bound is what this run measured plus 15 %: 921 and
+// 989 B per row of 132 attributes, of which the store's copy is ≈ 270
+// (sealed segments keep 41 of the 43 numeric columns as scaled codes) and
+// the serving table, which keeps the 51 columns its readers name, ≈ 440.
+// Packing only integral floats again (1 146 and 1 207 B per row, the
+// store ≈ 460), a full-width serving table again, store copies held as
+// raw tails again (SegmentRows 8 192), one more copy, or string cells
+// held as 16-byte headers again fail it.
 const (
 	residentFixedBytes       = 1 << 20
-	residentRowBytesFull     = 1318
-	residentRowBytesFollowUp = 1388
+	residentRowBytesFull     = 1059
+	residentRowBytesFollowUp = 1137
 )
 
 func TestResidentCopiesStayWithinBudget(t *testing.T) {
@@ -94,8 +95,8 @@ func TestResidentCopiesStayWithinBudget(t *testing.T) {
 		status := st.Status()
 		owned := status.TailBytes + status.SealedResidentBytes + int64(pub.LineageBytes) + int64(pub.TableBytes)
 		perRow := (resident - residentFixedBytes) / rows
-		t.Logf("epoch %d: node holds %.1f MB live for %d rows: %d B per row over the fixed %d (store + lineage + serving table account for %d, the serving table for %d)",
-			pub.Epoch, float64(resident)/1e6, rows, perRow, residentFixedBytes, owned/rows, int64(pub.TableBytes)/rows)
+		t.Logf("epoch %d: node holds %.1f MB live for %d rows: %d B per row over the fixed %d (store + lineage + serving table account for %d, the store for %d, the serving table for %d)",
+			pub.Epoch, float64(resident)/1e6, rows, perRow, residentFixedBytes, owned/rows, (status.TailBytes+status.SealedResidentBytes)/rows, int64(pub.TableBytes)/rows)
 		if perRow > rowBytes {
 			t.Errorf("epoch %d: live heap is %d B per stored row (%d B for %d rows), budget %d: something holds the corpus again, or holds it wider",
 				pub.Epoch, perRow, resident, rows, rowBytes)

@@ -10,8 +10,9 @@ import (
 )
 
 // encEquivTable builds tables that hit every encoded layout and every
-// Kleene edge: dict and raw strings, packed and raw floats, NULLs, NaN,
-// empty strings (valid and invalid), duplicate-heavy columns.
+// Kleene edge: dict and raw strings, packed (integral year, two-decimal
+// u) and raw floats, NULLs, NaN, empty strings (valid and invalid),
+// duplicate-heavy columns.
 func encEquivTable(t testing.TB, rng *rand.Rand, rows int) *table.Table {
 	t.Helper()
 	tab := table.New()
@@ -22,6 +23,8 @@ func encEquivTable(t testing.TB, rng *rand.Rand, rows int) *table.Table {
 	year := make([]float64, rows)
 	yearValid := make([]bool, rows)
 	eph := make([]float64, rows)
+	u := make([]float64, rows)
+	uValid := make([]bool, rows)
 	for i := 0; i < rows; i++ {
 		cls[i] = classes[rng.Intn(len(classes))]
 		clsValid[i] = rng.Intn(8) != 0
@@ -35,6 +38,8 @@ func encEquivTable(t testing.TB, rng *rand.Rand, rows int) *table.Table {
 		if rng.Intn(9) == 0 {
 			eph[i] = math.NaN()
 		}
+		u[i] = float64(100+rng.Intn(300)) / 100
+		uValid[i] = rng.Intn(7) != 0
 	}
 	if err := tab.AddStringsValid("class", cls, clsValid); err != nil {
 		t.Fatal(err)
@@ -46,6 +51,9 @@ func encEquivTable(t testing.TB, rng *rand.Rand, rows int) *table.Table {
 		t.Fatal(err)
 	}
 	if err := tab.AddFloats("eph", eph); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.AddFloatsValid("u", u, uValid); err != nil {
 		t.Fatal(err)
 	}
 	return tab
@@ -67,7 +75,7 @@ func randEncPredicate(rng *rand.Rand, depth int) Predicate {
 			return Not{P: randEncPredicate(rng, depth-1)}
 		}
 	}
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		vals := []string{"A", "B", "C", "D", "E", "F", ""}
 		rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
@@ -77,6 +85,14 @@ func randEncPredicate(rng *rand.Rand, depth int) Predicate {
 	case 2:
 		lo := float64(1950 + rng.Intn(80))
 		return NumRange{Attr: "year", Min: lo - 0.5, Max: lo + float64(rng.Intn(30))}
+	case 3:
+		// Bounds on one of u's decimals, or the double just beside it.
+		lo := float64(90+rng.Intn(320)) / 100
+		hi := lo + float64(rng.Intn(120))/100
+		if rng.Intn(2) == 0 {
+			lo = math.Nextafter(lo, float64(rng.Intn(2)*4-2))
+		}
+		return NumRange{Attr: "u", Min: lo, Max: hi}
 	default:
 		lo := rng.Float64()*400 - 50
 		return NumRange{Attr: "eph", Min: lo, Max: lo + rng.Float64()*200}
@@ -238,8 +254,8 @@ func (e *Evaluator) MaskEncoded(enc *table.Encoded) ([]bool, error) {
 
 // FuzzEvaluatorMatchesMask parses a DSL predicate from the fuzz input and
 // evaluates it over one fixed table with invalid cells in every column
-// type, a dictionary and a raw string column, and a packed and a raw
-// float column. The compiled evaluator's whole-segment bits and its
+// type, a dictionary and a raw string column, and an integral packed, a
+// two-decimal packed (scaled) and a raw float column. The compiled evaluator's whole-segment bits and its
 // sparse re-check at every ordinal (visited in reverse, so bit j is row
 // rows-1-j) must equal Predicate.Mask bit for bit, and a predicate the
 // reference refuses (unknown attribute, wrong type) must be refused.
@@ -250,8 +266,8 @@ func FuzzEvaluatorMatchesMask(f *testing.F) {
 	for _, fld := range enc.Schema() {
 		kinds[enc.Column(fld.Name).Kind()] = true
 	}
-	if len(kinds) != 4 {
-		f.Fatalf("the fuzz table encodes to column kinds %v, want all four", kinds)
+	if len(kinds) != 4 || enc.Column("u").Kind() != table.KindPacked {
+		f.Fatalf("the fuzz table encodes to column kinds %v (u %v), want all four and u scaled", kinds, enc.Column("u").Kind())
 	}
 	ords := make([]int, tab.NumRows())
 	for j := range ords {
@@ -264,6 +280,10 @@ func FuzzEvaluatorMatchesMask(f *testing.F) {
 		"eph in [-Inf, +Inf] and class in {D, E, F}",
 		"missing = x",
 		"class >= 3",
+		"u in [1.005, 2.5]",
+		"u >= 1.1 and u <= 1.1 or u in [2.999999999, 3.01]",
+		"not (u <= 1.5) and class in {A, C}",
+		"u in [-Inf, 1.2] or u >= 3.98",
 	} {
 		f.Add(s)
 	}

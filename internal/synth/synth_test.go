@@ -1,7 +1,9 @@
 package synth
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"indice/internal/epc"
@@ -121,6 +123,33 @@ func TestGenerateSchemaConformance(t *testing.T) {
 		if bi < 0 || bi >= len(ds.City.Entries) {
 			t.Fatalf("building index out of range: %d", bi)
 		}
+	}
+}
+
+// TestCorpusPacksAllButCoordinates: the generator writes its numeric
+// attributes as short decimals, as certificate registries do, so a sealed
+// segment of the corpus, as ingest parses it from typed CSV, packs every
+// numeric column as codes except latitude and longitude, whose values
+// need all their digits.
+func TestCorpusPacksAllButCoordinates(t *testing.T) {
+	ds := smallDataset(t, 2000)
+	var body bytes.Buffer
+	if err := ds.Table.WriteCSV(&body); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := table.ReadCSV(&body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := table.Encode(parsed)
+	var raw []string
+	for _, f := range enc.Schema() {
+		if f.Type == table.Float64 && enc.Column(f.Name).Kind() != table.KindPacked {
+			raw = append(raw, f.Name)
+		}
+	}
+	if want := []string{epc.AttrLatitude, epc.AttrLongitude}; !slices.Equal(raw, want) {
+		t.Fatalf("numeric columns left raw: %v, want %v", raw, want)
 	}
 }
 

@@ -21,6 +21,8 @@ import (
 //	            kind dict:       u32 dictLen | dict entries (u32 len | bytes)
 //	                             u8 width | code words ((rows·width+63)/64 × u64)
 //	            kind packed:     u64 base (two's complement) | u8 width | code words
+//	            kind scaled (4): u8 scale (1…15) | then as packed; in memory a
+//	                             KindPacked column whose values divide by 10^scale
 //
 // All integers are little endian. Word counts are derived from rows and
 // width, never read from the file, so a hostile header cannot inflate
@@ -30,6 +32,9 @@ import (
 // length-prefixed value per cell, has no reader.
 
 const binaryVersionEncoded = 2
+
+// wireScaled is the kind byte of a packed column with a decimal scale.
+const wireScaled = 4
 
 // maxDictWidth bounds the per-code bit width v2 files may claim. The
 // encoder never exceeds 32 (dict cardinality is capped at rows/4 ≤ 2^26,
@@ -64,7 +69,11 @@ func (e *Encoded) WriteBinary(w io.Writer) error {
 		if err := bw.WriteByte(byte(c.typ)); err != nil {
 			return err
 		}
-		if err := bw.WriteByte(byte(c.kind)); err != nil {
+		kind := byte(c.kind)
+		if c.scale > 0 {
+			kind = wireScaled
+		}
+		if err := bw.WriteByte(kind); err != nil {
 			return err
 		}
 		if c.valid == nil {
@@ -116,6 +125,11 @@ func (e *Encoded) WriteBinary(w io.Writer) error {
 				return err
 			}
 		case KindPacked:
+			if c.scale > 0 {
+				if err := bw.WriteByte(c.scale); err != nil {
+					return err
+				}
+			}
 			if err := writeU64(bw, uint64(c.base)); err != nil {
 				return err
 			}
@@ -175,7 +189,10 @@ func readBinaryV2Body(br *bufio.Reader, rows, cols uint32) (*Encoded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table: reading column kind: %w", err)
 		}
-		kind := ColKind(kindByte)
+		kind, scaled := ColKind(kindByte), kindByte == wireScaled
+		if scaled {
+			kind = KindPacked
+		}
 		switch {
 		case typ == Float64 && (kind == KindRawFloat || kind == KindPacked):
 		case typ == String && (kind == KindRawString || kind == KindDict):
@@ -238,6 +255,14 @@ func readBinaryV2Body(br *bufio.Reader, rows, cols uint32) (*Encoded, error) {
 				}
 				c.dict = withEmptySlot(c.dict)
 			} else {
+				if scaled {
+					if c.scale, err = br.ReadByte(); err != nil {
+						return nil, fmt.Errorf("table: reading scale: %w", err)
+					}
+					if c.scale < 1 || c.scale > maxScale {
+						return nil, fmt.Errorf("table: packed column %q: scale %d outside 1…%d", name, c.scale, maxScale)
+					}
+				}
 				base, err := readU64(br)
 				if err != nil {
 					return nil, err
@@ -254,6 +279,11 @@ func readBinaryV2Body(br *bufio.Reader, rows, cols uint32) (*Encoded, error) {
 			}
 			if kind == KindDict && len(c.dict) > 1<<uint(width) {
 				return nil, fmt.Errorf("table: dict column %q: width %d cannot address %d entries", name, width, len(c.dict))
+			}
+			// base + code must not overflow, or decoding would not be
+			// monotone in the code and CodeBounds would miss rows.
+			if kind == KindPacked && c.base > math.MaxInt64-(int64(1)<<uint(width)-1) {
+				return nil, fmt.Errorf("table: packed column %q: base %d overflows at width %d", name, c.base, width)
 			}
 			c.codes = packed{width: width, n: int(rows)}
 			if width > 0 {

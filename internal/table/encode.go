@@ -15,8 +15,12 @@ import (
 //   - low-cardinality string columns become a sorted dictionary plus
 //     bit-packed per-row codes (code order = string order, so equality
 //     and membership compare small integers, never strings);
-//   - integral float64 columns become frame-of-reference bit-packed
-//     codes (value = base + code);
+//   - float64 columns of short decimals become frame-of-reference
+//     bit-packed codes, value = (base + code) / 10^scale (scale 0 divides
+//     by nothing): ALP's decimal exponent (Afroozeh, Kuffó, Boncz, SIGMOD
+//     2024) without its exception lists. A decimal parsed from text with
+//     ≤ 15 fraction digits and a mantissa < 2^53 is the correctly rounded
+//     m / 10^e, as is the IEEE quotient of the two exact doubles;
 //   - anything else stays raw.
 //
 // Decode is pinned bitwise-identical to the original table: an encoding
@@ -38,7 +42,8 @@ const (
 	KindRawString
 	// KindDict stores a sorted string dictionary and bit-packed codes.
 	KindDict
-	// KindPacked stores integral floats as base + bit-packed code.
+	// KindPacked stores decimal floats as base + bit-packed code over
+	// 10^scale (scale 0: integral floats, no division).
 	KindPacked
 )
 
@@ -115,8 +120,9 @@ type EncodedColumn struct {
 	dict  []string
 	codes packed
 
-	// KindPacked: value = float64(base + int64(code)).
-	base int64
+	// KindPacked: value = float64(base + int64(code)) / 10^scale; see dec.
+	base  int64
+	scale uint8
 
 	// Raw fallbacks.
 	rawF []float64
@@ -158,9 +164,52 @@ func (c *EncodedColumn) FloatAt(i int) float64 {
 		return math.NaN()
 	}
 	if c.kind == KindPacked {
-		return float64(c.base + int64(c.codes.at(i)))
+		return c.dec(c.codes.at(i))
 	}
 	return c.rawF[i]
+}
+
+// block returns the values of up to 64 rows — rows[j0:j1], or rows j0
+// to j1−1 when rows is nil — and their validity word, bit i for the i-th.
+// Packed codes decode into buf in a loop of their own, so that the
+// divisions pipeline apart from the caller's fold. The values of invalid
+// rows are meaningless.
+func (c *EncodedColumn) block(rows []int, j0, j1 int, buf *[64]float64) ([]float64, uint64) {
+	out := buf[:j1-j0]
+	var word uint64
+	for i := range out {
+		r := j0 + i
+		if rows != nil {
+			r = rows[r]
+		}
+		if c.ValidAt(r) {
+			word |= 1 << i
+		}
+		if c.kind == KindPacked {
+			out[i] = c.dec(c.codes.at(r))
+		} else {
+			out[i] = c.rawF[r]
+		}
+	}
+	return out, word
+}
+
+// maxScale is the largest decimal exponent a packed column may carry: up
+// to 10^15 a decimal's digits and its power of ten are both exact doubles.
+const maxScale = 15
+
+// pow10 holds the exact powers of ten a packed column's scale divides by.
+var pow10 = [maxScale + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// dec reconstructs the value of a packed code. It is monotone in the code
+// while base + code does not overflow (the reader refuses a base where it
+// could), as int-to-float conversion and correctly rounded division are.
+func (c *EncodedColumn) dec(code uint64) float64 {
+	v := float64(c.base + int64(code))
+	if c.scale == 0 {
+		return v
+	}
+	return v / pow10[c.scale]
 }
 
 // StringAt reconstructs the string value of row i ("" for invalid cells
@@ -177,24 +226,35 @@ func (c *EncodedColumn) StringAt(i int) string {
 
 // CodeBounds translates an inclusive float range [lo, hi] into the
 // inclusive code range of a KindPacked column. ok is false when the
-// ranges don't overlap (no valid row can match).
+// ranges don't overlap (no valid row can match) or a bound is NaN.
 func (c *EncodedColumn) CodeBounds(lo, hi float64) (cLo, cHi uint64, ok bool) {
-	lo = math.Ceil(lo) - float64(c.base)
-	hi = math.Floor(hi) - float64(c.base)
-	maxCode := float64(uint64(1)<<uint(c.codes.width) - 1)
-	if c.codes.width == 0 {
-		maxCode = 0
-	}
-	if hi < 0 || lo > maxCode || lo > hi {
+	if !(lo <= hi) {
 		return 0, 0, false
 	}
-	if lo < 0 {
-		lo = 0
+	maxCode := int64(1)<<uint(c.codes.width) - 1
+	first := c.codesBelow(lo, false, maxCode)
+	end := c.codesBelow(hi, true, maxCode)
+	if first >= end {
+		return 0, 0, false
 	}
-	if hi > maxCode {
-		hi = maxCode
+	return uint64(first), uint64(end - 1), true
+}
+
+// codesBelow counts the codes in [0, maxCode] whose value is below x (at
+// most x when orEqual). Because dec is monotone they are the codes
+// [0, n): n starts from the scaled estimate Ceil(x·10^scale) − base and
+// steps until dec confirms it, since x·10^scale is itself rounded.
+func (c *EncodedColumn) codesBelow(x float64, orEqual bool, maxCode int64) int64 {
+	below := func(v float64) bool { return v < x || orEqual && v == x }
+	est := math.Ceil(x*pow10[c.scale]) - float64(c.base)
+	n := int64(max(0, min(est, float64(maxCode+1))))
+	for n > 0 && !below(c.dec(uint64(n-1))) {
+		n--
 	}
-	return uint64(lo), uint64(hi), true
+	for n <= maxCode && below(c.dec(uint64(n))) {
+		n++
+	}
+	return n
 }
 
 // Encoded is a compressed, immutable table. All reads are safe
@@ -375,62 +435,97 @@ func encodeFloat(c *Column, rows int) *EncodedColumn {
 		return ec
 	}
 
-	// Pass 1: the column is packable only if invalid cells carry the
-	// canonical NaN (what decode will regenerate) and every valid value
-	// is finite, integral and inside the exactly-representable integer
-	// range.
-	const maxExact = 1 << 52
-	haveValid := false
-	var lo, hi float64
-	for i, v := range c.Floats {
-		if !c.Valid[i] {
-			if math.Float64bits(v) != nanBits {
-				return raw()
+	// Pass 1 finds the scale and the range. Invalid cells must carry the
+	// canonical NaN (what decode regenerates) and every valid value must
+	// be float64(n) / 10^scale, bit for bit, for an integer n within
+	// ±maxExact: this rejects NaN, ±Inf and -0.0, whose round trip yields
+	// +0.0. A value that is not moves the column to the next scale it
+	// round-trips at and the pass starts over, at most maxScale times.
+	valid := c.Valid[:len(c.Floats)]
+	scale, nLo, nHi := 0, int64(0), int64(0)
+pass:
+	for scale <= maxScale {
+		p := pow10[scale]
+		nLo, nHi = math.MaxInt64, math.MinInt64
+		for i, v := range c.Floats {
+			if !valid[i] {
+				if math.Float64bits(v) != nanBits {
+					return raw()
+				}
+				continue
 			}
-			continue
+			n := math.RoundToEven(v * p)
+			r := float64(int64(n)) // scaleFor's check, the scale in a register
+			if scale > 0 {
+				r /= p
+			}
+			if !(n >= -maxExact && n <= maxExact) || math.Float64bits(r) != math.Float64bits(v) {
+				scale = scaleFor(v, scale+1)
+				continue pass
+			}
+			nLo, nHi = min(nLo, int64(n)), max(nHi, int64(n))
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v != math.Trunc(v) || v < -maxExact || v > maxExact {
-			return raw()
-		}
-		if !haveValid {
-			lo, hi = v, v
-			haveValid = true
-		} else if v < lo {
-			lo = v
-		} else if v > hi {
-			hi = v
-		}
+		break
 	}
-	if !haveValid {
-		// All-invalid column: width-0 packed, base 0.
-		ec.kind = KindPacked
-		ec.codes = newPacked(rows, 0)
-		return ec
+	if nLo > nHi {
+		nLo, nHi = 0, 0 // all invalid: width-0 codes, base 0
 	}
-	span := int64(hi) - int64(lo)
-	width := bits.Len64(uint64(span))
-	if width > 32 {
+	// A scaled column must also be smaller than its raw form (u8 scale,
+	// u64 base, u8 width and the code words against 8 bytes a row), so
+	// that a one-row WAL part does not grow.
+	width := bits.Len64(uint64(nHi - nLo))
+	if scale > maxScale || width > 32 || scale > 0 && 10+(rows*width+63)/64*8 >= 8*rows {
 		return raw()
 	}
 
-	// Pass 2: build codes, verifying each value reconstructs bit-exact
-	// (this is what rejects -0.0, whose round trip yields +0.0).
-	base := int64(lo)
+	// Pass 2 packs the integers pass 1 checked.
+	p := pow10[scale]
 	codes := newPacked(rows, width)
+	var acc uint64 // row order, a word at a time: no word is read back
+	off, w := uint(0), 0
 	for i, v := range c.Floats {
-		if !c.Valid[i] {
+		var code uint64
+		if valid[i] {
+			code = uint64(int64(math.RoundToEven(v*p)) - nLo)
+		}
+		acc |= code << off
+		if off += uint(width); off >= 64 {
+			off -= 64
+			codes.words[w] = acc
+			w++
+			acc = code >> (uint(width) - off)
+		}
+	}
+	if off > 0 {
+		codes.words[w] = acc
+	}
+	ec.kind, ec.base, ec.scale, ec.codes = KindPacked, nLo, uint8(scale), codes
+	return ec
+}
+
+// maxExact bounds the integers a packed column's values map to: every
+// one of them, and 10^scale, is then an exact double.
+const maxExact = 1 << 52
+
+// scaleFor returns the smallest scale from on at which v is
+// float64(n) / 10^scale (n itself at scale 0), bit for bit, for an
+// integer n within ±maxExact, or maxScale+1 when there is none: there is
+// none for NaN, ±Inf and -0.0.
+func scaleFor(v float64, from int) int {
+	for ; from <= maxScale; from++ {
+		n := math.RoundToEven(v * pow10[from])
+		if !(n >= -maxExact && n <= maxExact) {
 			continue
 		}
-		code := uint64(int64(v) - base)
-		if math.Float64bits(float64(base+int64(code))) != math.Float64bits(v) {
-			return raw()
+		r := float64(int64(n))
+		if from > 0 {
+			r /= pow10[from]
 		}
-		codes.set(i, code)
+		if math.Float64bits(r) == math.Float64bits(v) {
+			break
+		}
 	}
-	ec.kind = KindPacked
-	ec.base = base
-	ec.codes = codes
-	return ec
+	return from
 }
 
 // Decode reconstructs the original table, bitwise identical to what
@@ -539,7 +634,7 @@ func appendRows(dst *Table, src []*EncodedColumn, rows []int) {
 		case KindPacked:
 			for _, r := range rows {
 				if c.ValidAt(r) {
-					col.Floats = append(col.Floats, float64(c.base+int64(c.codes.at(r))))
+					col.Floats = append(col.Floats, c.dec(c.codes.at(r)))
 				} else {
 					col.Floats = append(col.Floats, math.NaN())
 				}

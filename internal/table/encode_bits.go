@@ -1,5 +1,7 @@
 package table
 
+import "math/bits"
+
 // Bitwise predicate leaves. The query evaluator's encoded path asks each
 // column for a pair of Kleene truth bitsets — one bit per row for
 // definitively-true and definitively-false; a row with neither bit is
@@ -47,28 +49,32 @@ func (p *packed) rangeBits(cLo, cHi uint64, dst []uint64) {
 		}
 		return
 	}
-	width := p.width
-	mask := uint64(1)<<uint(width) - 1
+	width := uint(p.width)
+	mask, span := uint64(1)<<width-1, cHi-cLo
+	// The codes are read in order through a register, so only a code
+	// that straddles two words costs a load, and the compare is a borrow:
+	// no branch depends on the data.
 	words := p.words
-	var acc uint64
-	for i := 0; i < p.n; i++ {
-		bit := i * width
-		w, off := bit>>6, uint(bit&63)
-		v := words[w] >> off
-		if off+uint(width) > 64 {
-			v |= words[w+1] << (64 - off)
+	cur, avail, w := uint64(0), uint(0), -1
+	for lo := 0; lo < p.n; lo += 64 {
+		n := min(64, p.n-lo)
+		var out uint64 // bit i: the code of row lo+i is outside the range
+		for i := range n {
+			var v uint64
+			if avail >= width {
+				v = cur & mask
+				cur >>= width
+				avail -= width
+			} else {
+				w++
+				v = (cur | words[w]<<avail) & mask
+				cur = words[w] >> (width - avail)
+				avail += 64 - width
+			}
+			_, b := bits.Sub64(span, v-cLo, 0)
+			out |= b << i
 		}
-		v &= mask
-		if v >= cLo && v <= cHi {
-			acc |= 1 << (uint(i) & 63)
-		}
-		if i&63 == 63 {
-			dst[i>>6] = acc
-			acc = 0
-		}
-	}
-	if p.n&63 != 0 {
-		dst[p.n>>6] = acc
+		dst[lo>>6] = ^out & (^uint64(0) >> (64 - n))
 	}
 }
 

@@ -70,6 +70,21 @@ func TestFloatRangeBitsMatchesRowWise(t *testing.T) {
 		if err := tab.AddFloats("eph", eph); err != nil {
 			t.Fatal(err)
 		}
+		// Two-decimal columns at widths whose codes straddle words in
+		// every pattern.
+		names := []string{"year", "single", "eph"}
+		for _, width := range []int{1, 5, 13, 16, 27, 32} {
+			vals := make([]float64, rows)
+			for i := range vals {
+				vals[i] = float64(rng.Int63n(1<<width)) / 100
+			}
+			vals[0], vals[rows-1] = 0.01, float64(int64(1)<<width-1)/100
+			name := fmt.Sprintf("w%d", width)
+			if err := tab.AddFloats(name, vals); err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, name)
+		}
 		e := Encode(tab)
 		if k := e.Column("single").Kind(); k != KindPacked {
 			t.Fatalf("single-valued column encoded as %v, want %v", k, KindPacked)
@@ -79,7 +94,10 @@ func TestFloatRangeBitsMatchesRowWise(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			lo := rng.Float64()*200 - 60
 			hi := lo + rng.Float64()*2100 // wide enough to sometimes cover everything
-			for _, name := range []string{"year", "single", "eph"} {
+			if trial%4 == 3 {
+				lo, hi = rng.Float64()*1e7, rng.Float64()*4e7
+			}
+			for _, name := range names {
 				c := e.Column(name)
 				c.FloatRangeBits(lo, hi, gt, gf)
 				wt, wf := refTruthPair(rows, func(i int) (bool, bool) {

@@ -13,11 +13,11 @@ import (
 // pushdown path feeds each segment's matched ordinals straight into these
 // accumulators instead of materializing matched rows into a Table first:
 // group keys stay dictionary codes (array-indexed accumulator lookup, no
-// string hashing on the hot path), packed value columns are consumed as
-// base+code without a decode pass, and validity folds word-at-a-time on
-// full-segment scans. Per-segment partials carry their group keys as
-// strings only at the boundaries (Partial/AddPartial), so partials from
-// segments with different dictionaries merge correctly.
+// string hashing on the hot path), and value columns decode 64 rows at a
+// time into a buffer whose valid rows are folded. Per-segment partials
+// carry their group keys as strings only at the boundaries
+// (Partial/AddPartial), so partials from segments with different
+// dictionaries merge correctly.
 
 // AggAccum is one attribute's mergeable aggregate over a set of rows: a
 // plain sum (exact for the integral-valued EPC attributes, so means match
@@ -158,9 +158,8 @@ func (g *GroupAggregator) scratchLookup(n int) []*GroupAccum {
 // AddEncoded folds the given rows of an encoded segment into the
 // aggregator; rows == nil means every row. This is the pushdown kernel:
 // dictionary group codes index an array of group pointers (one string
-// lookup per distinct code per segment, not per row), packed values are
-// reconstructed as base+code in-place, and on full-segment passes
-// validity folds word-at-a-time over the packed bitsets.
+// lookup per distinct code per segment, not per row), and values decode
+// 64 rows at a time, apart from the fold of the valid ones.
 func (g *GroupAggregator) AddEncoded(e *Encoded, rows []int) error {
 	n := e.rows
 	if rows != nil {
@@ -253,21 +252,15 @@ func (g *GroupAggregator) AddEncoded(e *Encoded, rows []int) error {
 	}
 	g.rows += n
 
+	var buf [64]float64
 	for k, c := range cols {
 		var acc *AggAccum
 		if g.by == "" {
 			acc = &g.totals[k]
 		}
-		packed := c.kind == KindPacked
-		observe := func(j, r int) {
-			var v float64
-			if packed {
-				v = float64(c.base + int64(c.codes.at(r)))
-			} else {
-				v = c.rawF[r]
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return
-				}
+		observe := func(j int, v float64) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return
 			}
 			a := acc
 			if a == nil {
@@ -277,28 +270,13 @@ func (g *GroupAggregator) AddEncoded(e *Encoded, rows []int) error {
 			a.R.Add(v)
 			a.S.Add(v)
 		}
-		if rows == nil {
-			if c.valid == nil {
-				for r := 0; r < n; r++ {
-					observe(r, r)
-				}
-			} else {
-				// Word-at-a-time validity fold: only set bits cost a visit,
-				// and an all-invalid word costs one compare.
-				for w, word := range c.valid {
-					base := w << 6
-					for word != 0 {
-						r := base + bits.TrailingZeros64(word)
-						observe(r, r)
-						word &= word - 1
-					}
-				}
-			}
-		} else {
-			for j, r := range rows {
-				if c.ValidAt(r) {
-					observe(j, r)
-				}
+		// A block of 64 rows at a time: values first, then only valid
+		// rows cost a visit.
+		for j0 := 0; j0 < n; j0 += 64 {
+			vals, word := c.block(rows, j0, min(j0+64, n), &buf)
+			for ; word != 0; word &= word - 1 {
+				i := bits.TrailingZeros64(word)
+				observe(j0+i, vals[i])
 			}
 		}
 	}
