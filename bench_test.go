@@ -1597,21 +1597,17 @@ func (w *e20Sink) Header() http.Header         { return w.h }
 func (w *e20Sink) WriteHeader(int)             {}
 func (w *e20Sink) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
-// E20 — hot response: a cache hit on the repo benchmark's 100-row citizen
-// page over the 20k × 132 corpus, through Server.ServeHTTP. "bytes" is
-// the serving path: the cache holds the encoded body and a hit writes it.
-// "reencode" is what a hit cost while the cache held response structs:
-// one indented json encode of the 100 rows as map[string]any — the
-// handler's share only, without the request parsing "bytes" also pays.
-// Methodology in docs/benchmarks.md.
-func BenchmarkE20HotResponse(b *testing.B) {
-	const rows = 20_000
+// e20Live publishes the repo benchmark's corpus shape, 20 000 synthetic
+// certificates × 132 attributes, once, with the analysis skipped: the
+// serving state E20 and E31 put servers in front of.
+func e20Live(b *testing.B) *core.Live {
+	b.Helper()
 	city, err := synth.GenerateCity(synth.DefaultCityConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	gcfg := synth.DefaultConfig()
-	gcfg.Certificates = rows
+	gcfg.Certificates = 20_000
 	ds, err := synth.Generate(gcfg, city)
 	if err != nil {
 		b.Fatal(err)
@@ -1630,7 +1626,18 @@ func BenchmarkE20HotResponse(b *testing.B) {
 	if _, err := live.Refresh(); err != nil {
 		b.Fatal(err)
 	}
-	srv, err := server.NewLive(live)
+	return live
+}
+
+// E20 — hot response: a cache hit on the repo benchmark's 100-row citizen
+// page over the 20k × 132 corpus, through Server.ServeHTTP. "bytes" is
+// the serving path: the cache holds the encoded body and a hit writes it.
+// "reencode" is what a hit cost while the cache held response structs:
+// one indented json encode of the 100 rows as map[string]any — the
+// handler's share only, without the request parsing "bytes" also pays.
+// Methodology in docs/benchmarks.md.
+func BenchmarkE20HotResponse(b *testing.B) {
+	srv, err := server.NewLive(e20Live(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1695,6 +1702,161 @@ func BenchmarkE20HotResponse(b *testing.B) {
 			}
 		}
 	})
+}
+
+// e31ColdPaths returns n distinct seeded drill-downs, eph ranges asked
+// alternately as a 20-row page and as stats only (limit=0, by
+// energy_class).
+func e31ColdPaths(n int, seed int64) []string {
+	rng := rand.New(rand.NewSource(seed))
+	paths := make([]string, 0, n)
+	seen := make(map[string]bool, n)
+	for len(paths) < n {
+		lo := float64(rng.Intn(30000)) / 100
+		q := fmt.Sprintf("q=eph+in+%%5B%.2f%%2C+%.2f%%5D", lo, lo+float64(2000+rng.Intn(20000))/100)
+		if seen[q] {
+			continue
+		}
+		seen[q] = true
+		if len(paths)%2 == 0 {
+			paths = append(paths, "/api/query?"+q+"&limit=20")
+		} else {
+			paths = append(paths, "/api/query?"+q+"&attrs=eph&by=energy_class&limit=0")
+		}
+	}
+	return paths
+}
+
+// e31Server is a fresh server, with an empty result cache, over live.
+func e31Server(b *testing.B, live *core.Live) *server.Server {
+	b.Helper()
+	srv, err := server.NewLive(live)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return srv
+}
+
+// e31Serve answers one GET through ServeHTTP; the body with its cached
+// literal set to false, so a hit and a computed answer compare equal.
+func e31Serve(b *testing.B, srv *server.Server, path string) []byte {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+	}
+	return bytes.Replace(rec.Body.Bytes(), []byte(`"cached":true`), []byte(`"cached":false`), 1)
+}
+
+// e31Resident reports, after a GC, the result cache's resident body bytes
+// gained since before (the indice_query_cache_bytes gauge) and HeapAlloc.
+func e31Resident(before float64) (cacheBytes, heap float64) {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return obs.Default.Gauge("indice_query_cache_bytes", "").Value() - before, float64(ms.HeapAlloc)
+}
+
+// E31 — cold residency: what the result cache keeps after a stream of
+// drill-downs nobody repeats. A fresh server over E20's 20k × 132
+// publication answers 1 024 distinct seeded eph ranges through
+// ServeHTTP, alternately as a 20-row page and as stats only (limit=0, by
+// energy_class); then a GC, and the cache's resident body bytes (the
+// indice_query_cache_bytes delta) and HeapAlloc are reported. One op is
+// the whole stream. Gate, outside timing: every answer equals the same
+// request's on a fresh server, the cached literal aside. Methodology in
+// docs/benchmarks.md.
+func BenchmarkE31ColdResidency(b *testing.B) {
+	live := e20Live(b)
+	paths := e31ColdPaths(1024, 31)
+	srv := e31Server(b, live)
+	for _, p := range paths {
+		if got, want := e31Serve(b, srv, p), e31Serve(b, e31Server(b, live), p); !bytes.Equal(got, want) {
+			b.Fatalf("%s: the answer differs from a fresh server's", p)
+		}
+	}
+
+	resident := obs.Default.Gauge("indice_query_cache_bytes", "")
+	var cacheBytes, heap float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := resident.Value()
+		srv := e31Server(b, live)
+		b.StartTimer()
+		for _, p := range paths {
+			e31Serve(b, srv, p)
+		}
+		b.StopTimer()
+		cacheBytes, heap = e31Resident(before)
+		runtime.KeepAlive(srv)
+		b.StartTimer()
+	}
+	b.ReportMetric(cacheBytes, "cache-B")
+	b.ReportMetric(heap, "heap-B")
+}
+
+// E32 — revisits: requests one client comes back to while other clients
+// drill down, the traffic a result cache that keeps only what is asked
+// twice could lose. A fresh server over E20's publication serves 8 rounds
+// of the same 6 revisited requests (the map at three levels, two grouped
+// stats, a 20-row page), each followed by gap distinct cold queries of
+// E31's kind, so a revisit comes back after 6 × (gap+1) − 1 other
+// requests. Reported: hit-ratio, the share of revisits served from the
+// cache (at most 7/8: a first ask cannot hit), and after a GC the cache's
+// resident body bytes and HeapAlloc. Gate: every revisit's answer equals
+// its first, the cached literal aside. One op is the whole trace.
+// Methodology in docs/benchmarks.md.
+func BenchmarkE32Revisits(b *testing.B) {
+	live := e20Live(b)
+	hot := []string{
+		"/map?level=city&raw=1",
+		"/map?level=district&raw=1",
+		"/map?level=neighbourhood&raw=1",
+		"/api/query?preset=pa&by=district",
+		"/api/query?attrs=eph&by=energy_class&q=eph+%3E%3D+60&limit=0",
+		"/api/query?preset=citizen&limit=20",
+	}
+	const rounds = 8
+	hits := func() float64 {
+		return float64(obs.Default.Counter("indice_query_cache_hits_total", "").Value() +
+			obs.Default.Counter("indice_page_cache_hits_total", "").Value())
+	}
+	for _, gap := range []int{1, 4, 40, 44, 255} {
+		b.Run(fmt.Sprintf("gap=%d", gap), func(b *testing.B) {
+			cold := e31ColdPaths(rounds*len(hot)*gap, int64(32+gap))
+			var ratio, cacheBytes, heap float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				before, hits0 := obs.Default.Gauge("indice_query_cache_bytes", "").Value(), hits()
+				srv := e31Server(b, live)
+				first := make([][]byte, len(hot))
+				b.StartTimer()
+				next := 0
+				for r := 0; r < rounds; r++ {
+					for h, p := range hot {
+						if body := e31Serve(b, srv, p); r == 0 {
+							first[h] = body
+						} else if !bytes.Equal(body, first[h]) {
+							b.Fatalf("%s: round %d differs from the first answer", p, r)
+						}
+						for _, c := range cold[next : next+gap] {
+							e31Serve(b, srv, c)
+						}
+						next += gap
+					}
+				}
+				b.StopTimer()
+				ratio = (hits() - hits0) / float64(rounds*len(hot))
+				cacheBytes, heap = e31Resident(before)
+				runtime.KeepAlive(srv)
+				b.StartTimer()
+			}
+			b.ReportMetric(ratio, "hit-ratio")
+			b.ReportMetric(cacheBytes, "cache-B")
+			b.ReportMetric(heap, "heap-B")
+		})
+	}
 }
 
 // e21StreetMap builds the default city's street registry the way

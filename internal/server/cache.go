@@ -9,12 +9,16 @@ import (
 	"indice/internal/obs"
 )
 
-// The result cache holds at most maxCacheEntries bodies and at most
-// maxCacheBytes of them; a body over the byte budget is served but never
-// stored.
+// The result cache: a newly computed answer enters probation, a FIFO of
+// probationEntries; a hit there promotes it into the main LRU of
+// maxCacheEntries. An answer asked once falls off probation, leaving its
+// key as a ghost (the newest maxCacheEntries kept): a ghost's next answer
+// goes straight into main, so a repeat too late for probation costs one
+// miss (2Q, Johnson & Shasha 1994). Bodies total at most maxCacheBytes.
 const (
-	maxCacheEntries = 256
-	maxCacheBytes   = 64 << 20
+	maxCacheEntries  = 256
+	probationEntries = 16
+	maxCacheBytes    = 64 << 20
 )
 
 // answer is one encoded response — an /api/query body, a dashboard page
@@ -54,17 +58,19 @@ func (a *answer) write(w http.ResponseWriter, computed bool) {
 // cacheCounters are the lookup counters of one class of cached answer.
 type cacheCounters struct{ hits, misses *obs.Counter }
 
-// queryCache is the LRU result cache behind /api/query, the dashboards
-// and the maps. Every entry belongs to the newest epoch the cache has
-// seen: a refresh publishes a new epoch, the first lookup or store under
-// it purges the previous generation, and a request still holding an older
+// queryCache is the result cache behind /api/query, the dashboards and
+// the maps. Every entry belongs to the newest epoch the cache has seen:
+// a refresh publishes a new epoch, the first lookup or store under it
+// purges the previous generation, and a request still holding an older
 // publication misses and is not stored — so an answer computed under one
 // published state can never serve another.
 type queryCache struct {
 	mu         sync.Mutex
 	maxEntries int
 	maxBytes   int
-	ll         *list.List // front = most recently used
+	main       *list.List // front = most recently used
+	probation  *list.List // front = most recently stored
+	ghosts     *list.List // keys that fell off probation, front = newest
 	entries    map[string]*list.Element
 	epoch      uint64
 	bytes      int
@@ -72,15 +78,18 @@ type queryCache struct {
 
 type cacheEntry struct {
 	key string
-	val *answer
+	val *answer    // nil for a ghost
+	in  *list.List // the segment the entry lives in
 }
 
 func newQueryCache() *queryCache {
 	return &queryCache{
 		maxEntries: maxCacheEntries,
 		maxBytes:   maxCacheBytes,
-		ll:         list.New(),
-		entries:    make(map[string]*list.Element, maxCacheEntries),
+		main:       list.New(),
+		probation:  list.New(),
+		ghosts:     list.New(),
+		entries:    make(map[string]*list.Element),
 	}
 }
 
@@ -91,8 +100,10 @@ func (c *queryCache) sync(epoch uint64) {
 		return
 	}
 	c.epoch = epoch
-	c.ll.Init()
-	c.entries = make(map[string]*list.Element, c.maxEntries)
+	c.main.Init()
+	c.probation.Init()
+	c.ghosts.Init()
+	c.entries = make(map[string]*list.Element)
 	c.resize(-c.bytes)
 }
 
@@ -103,26 +114,43 @@ func (c *queryCache) resize(delta int) {
 	mCacheBytes.Add(float64(delta))
 }
 
-// get returns the answer cached under key at the given epoch, if any.
+// move puts an entry at the front of another segment; unlike a hit on
+// main, it allocates. Caller holds c.mu.
+func (c *queryCache) move(el *list.Element, to *list.List) {
+	e := el.Value.(*cacheEntry)
+	e.in.Remove(el)
+	e.in = to
+	c.entries[e.key] = to.PushFront(e)
+}
+
+// get returns the answer cached under key at the given epoch, if any. A
+// probation hit is its key's second ask and promotes; a ghost misses.
 func (c *queryCache) get(epoch uint64, key string, m cacheCounters) (*answer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sync(epoch)
 	el, ok := c.entries[key]
-	if !ok || epoch != c.epoch {
+	if !ok || epoch != c.epoch || el.Value.(*cacheEntry).val == nil {
 		m.misses.Inc()
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
+	e := el.Value.(*cacheEntry)
+	if e.in == c.main {
+		c.main.MoveToFront(el)
+	} else {
+		c.move(el, c.main)
+		mCachePromoted.Inc()
+		c.evict(nil)
+	}
 	m.hits.Inc()
-	return el.Value.(*cacheEntry).val, true
+	return e.val, true
 }
 
-// put stores an answer under its epoch, then evicts least recently used
-// entries until the cache is back inside both budgets. Answers from
-// epochs older than the newest seen are not stored (their published
-// state is already superseded), nor is a body larger than the whole byte
-// budget.
+// put stores an answer under its epoch — in probation if its key is new,
+// in main if the key is a ghost — then evicts until the cache is back
+// inside its budgets. Answers from epochs older than the newest seen are
+// not stored (their published state is already superseded), nor is a
+// body larger than the whole byte budget.
 func (c *queryCache) put(key string, val *answer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -130,29 +158,76 @@ func (c *queryCache) put(key string, val *answer) {
 	if val.epoch != c.epoch || len(val.body) > c.maxBytes {
 		return
 	}
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
+	el, ok := c.entries[key]
+	switch {
+	case !ok:
+		c.entries[key] = c.probation.PushFront(&cacheEntry{key: key, in: c.probation})
+	case el.Value.(*cacheEntry).val == nil:
+		c.move(el, c.main)
+		mCachePromoted.Inc()
+	default:
 		e := el.Value.(*cacheEntry)
-		c.resize(len(val.body) - len(e.val.body))
-		e.val = val
-	} else {
-		c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
-		c.resize(len(val.body))
-	}
-	for c.ll.Len() > c.maxEntries || c.bytes > c.maxBytes {
-		last := c.ll.Back()
-		e := c.ll.Remove(last).(*cacheEntry)
-		delete(c.entries, e.key)
+		e.in.MoveToFront(el)
 		c.resize(-len(e.val.body))
 	}
+	el = c.entries[key]
+	el.Value.(*cacheEntry).val = val
+	c.resize(len(val.body))
+	c.evict(el)
+}
+
+// evict drops entries until each segment and the ghosts are inside their
+// entry bounds and both segments inside the byte budget, taking
+// probation's oldest first and then main's least recently used, but
+// never the answer just stored. Caller holds c.mu.
+func (c *queryCache) evict(stored *list.Element) {
+	for c.probation.Len() > probationEntries {
+		c.retire(c.probation.Back())
+	}
+	for c.main.Len() > c.maxEntries {
+		c.remove(c.main.Back())
+	}
+	for c.bytes > c.maxBytes {
+		if b := c.probation.Back(); b != nil && b != stored {
+			c.retire(b)
+		} else {
+			c.remove(c.main.Back())
+		}
+	}
+	for c.ghosts.Len() > c.maxEntries {
+		delete(c.entries, c.ghosts.Remove(c.ghosts.Back()).(*cacheEntry).key)
+	}
+}
+
+// retire turns a probation entry into a ghost. Caller holds c.mu.
+func (c *queryCache) retire(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	c.resize(-len(e.val.body))
+	e.val = nil
+	c.move(el, c.ghosts)
+}
+
+// remove drops a main entry. Caller holds c.mu.
+func (c *queryCache) remove(el *list.Element) {
+	c.main.Remove(el)
+	e := el.Value.(*cacheEntry)
+	delete(c.entries, e.key)
+	c.resize(-len(e.val.body))
 }
 
 // stats returns the /api/query hit/miss counters (read through the obs
 // registry — the same series /metrics exports, so they aggregate
-// process-wide across server instances) and the current per-instance
-// entry count.
-func (c *queryCache) stats() (hits, misses uint64, size int) {
+// process-wide across server instances) and this instance's residency.
+func (c *queryCache) stats() *cacheInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return mCacheHits.Value(), mCacheMisses.Value(), c.ll.Len()
+	return &cacheInfo{
+		Hits:      mCacheHits.Value(),
+		Misses:    mCacheMisses.Value(),
+		Size:      c.main.Len() + c.probation.Len(),
+		Bytes:     c.bytes,
+		Main:      c.main.Len(),
+		Probation: c.probation.Len(),
+		Ghosts:    c.ghosts.Len(),
+	}
 }

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -25,27 +28,43 @@ func bodyOf(n int) *answer {
 	return &answer{epoch: 1, contentType: "application/json", body: make([]byte, n), cachedAt: -1}
 }
 
-// TestCacheByteBudget: resident bytes never exceed the budget, eviction
-// is least-recently-used, a body over the whole budget is not stored, and
-// the gauge follows the resident bytes through eviction and epoch purges.
+// TestCacheByteBudget: resident bytes never exceed the budget across
+// both segments. Over it, eviction takes probation's oldest entry before
+// main's least recently used one, and never the answer just stored. A
+// body over the whole budget is not stored, each segment keeps its entry
+// bound, and the gauge follows the resident bytes through eviction and
+// epoch purges.
 func TestCacheByteBudget(t *testing.T) {
 	c := newQueryCache()
 	c.maxBytes = 1000
 	gauge := mCacheBytes.Value()
 	resident := func() float64 { return mCacheBytes.Value() - gauge }
+	hit := func(k string) bool {
+		_, ok := c.get(1, k, queryLookups)
+		return ok
+	}
 
 	c.put("a", bodyOf(400))
-	c.put("b", bodyOf(400))
-	if _, hit := c.get(1, "a", queryLookups); !hit { // a is now the most recent
+	c.put("b", bodyOf(300))
+	if !hit("a") { // promotes a into main
 		t.Fatal("a missing")
 	}
-	c.put("c", bodyOf(400)) // 1200 > 1000: evicts b, the least recent
-	if _, hit := c.get(1, "b", queryLookups); hit {
-		t.Fatal("b survived; eviction is not least-recently-used")
+	c.put("c", bodyOf(400)) // 1100 > 1000: evicts b, probation's oldest
+	if hit("b") {
+		t.Fatal("b survived; a one-off answer must go before a promoted one")
 	}
-	for _, k := range []string{"a", "c"} {
-		if _, hit := c.get(1, k, queryLookups); !hit {
+	for _, k := range []string{"a", "c"} { // c is promoted after a
+		if !hit(k) {
 			t.Fatalf("%s evicted while the cache was inside its budget", k)
+		}
+	}
+	c.put("d", bodyOf(400)) // 1200: probation holds only d, so main's least recent goes
+	if hit("a") {
+		t.Fatal("a survived; main must evict its least recently used entry")
+	}
+	for _, k := range []string{"c", "d"} {
+		if !hit(k) {
+			t.Fatalf("%s evicted; the answer just stored must survive to be asked again", k)
 		}
 	}
 	if c.bytes != 800 || resident() != 800 {
@@ -53,30 +72,37 @@ func TestCacheByteBudget(t *testing.T) {
 	}
 
 	c.put("huge", bodyOf(1001))
-	if _, hit := c.get(1, "huge", queryLookups); hit || c.bytes != 800 {
+	if hit("huge") || c.bytes != 800 {
 		t.Fatalf("a body over the budget was stored (resident %d)", c.bytes)
 	}
-	c.put("a", bodyOf(100)) // replacing re-accounts the entry
+	c.put("c", bodyOf(100)) // replacing re-accounts the entry
 	if c.bytes != 500 || resident() != 500 {
-		t.Fatalf("after replacing a: resident %d (gauge %v), want 500", c.bytes, resident())
+		t.Fatalf("after replacing c: resident %d (gauge %v), want 500", c.bytes, resident())
 	}
 
-	// The entry bound still holds under the byte budget.
+	// Each segment keeps its entry bound under the byte budget.
 	c.maxEntries = 3
 	for i := 0; i < 5; i++ {
-		c.put(fmt.Sprint("k", i), bodyOf(1))
+		k := fmt.Sprint("k", i)
+		c.put(k, bodyOf(1))
+		hit(k)
 	}
-	if c.ll.Len() != 3 || len(c.entries) != 3 {
-		t.Fatalf("%d entries resident, want 3", c.ll.Len())
+	for i := 0; i < 2*probationEntries; i++ {
+		c.put(fmt.Sprint("once", i), bodyOf(1))
+	}
+	if c.main.Len() != 3 || c.probation.Len() != probationEntries || c.ghosts.Len() != 3 || len(c.entries) != 6+probationEntries {
+		t.Fatalf("%d main, %d probation entries and %d ghosts (%d keys), want 3, %d and 3",
+			c.main.Len(), c.probation.Len(), c.ghosts.Len(), len(c.entries), probationEntries)
 	}
 
-	// A newer epoch purges everything, and the old epoch can neither read
-	// nor write any more.
+	// A newer epoch purges both segments and the ghosts, and the old epoch
+	// can neither read nor write any more.
 	newer := bodyOf(7)
 	newer.epoch = 2
 	c.put("n", newer)
-	if c.bytes != 7 || resident() != 7 || c.ll.Len() != 1 {
-		t.Fatalf("after the epoch change: resident %d (gauge %v), %d entries", c.bytes, resident(), c.ll.Len())
+	if c.bytes != 7 || resident() != 7 || c.main.Len() != 0 || c.probation.Len() != 1 || c.ghosts.Len() != 0 {
+		t.Fatalf("after the epoch change: resident %d (gauge %v), %d main and %d probation entries",
+			c.bytes, resident(), c.main.Len(), c.probation.Len())
 	}
 	c.put("old", bodyOf(5))
 	if _, hit := c.get(1, "n", queryLookups); hit {
@@ -84,6 +110,216 @@ func TestCacheByteBudget(t *testing.T) {
 	}
 	if _, hit := c.get(2, "old", queryLookups); hit {
 		t.Fatal("an answer of a superseded epoch was stored")
+	}
+}
+
+// residentBytes sums the bodies the cache holds, walking both segments
+// and the ghosts, which must hold none.
+func residentBytes(t *testing.T, c *queryCache) int {
+	t.Helper()
+	n, keys := 0, 0
+	for _, l := range []*list.List{c.main, c.probation, c.ghosts} {
+		for el := l.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*cacheEntry)
+			if c.entries[e.key] != el || e.in != l || (e.val == nil) != (l == c.ghosts) {
+				t.Fatalf("entry %q is not indexed where it lives", e.key)
+			}
+			if e.val != nil {
+				n += len(e.val.body)
+			}
+			keys++
+		}
+	}
+	if keys != len(c.entries) {
+		t.Fatalf("%d keys indexed, %d entries in the segments", len(c.entries), keys)
+	}
+	return n
+}
+
+// TestOneOffAnswersStayInProbation: answers asked once never reach main,
+// so a flood of them leaves at most probation's worth resident and keeps
+// every answer that was asked twice; the gauge moves by exactly the
+// resident bodies; a key asked again after its answer fell off probation
+// misses once and is then kept in main, while it is among the last
+// maxCacheEntries ghosts; an epoch change empties both segments and the
+// ghosts; and under random traffic both segments and the ghosts keep
+// their entry bounds and the segments share the byte budget.
+func TestOneOffAnswersStayInProbation(t *testing.T) {
+	c := newQueryCache()
+	gauge, promotions := mCacheBytes.Value(), mCachePromoted.Value()
+	c.put("kept", bodyOf(50))
+	if _, hit := c.get(1, "kept", queryLookups); !hit {
+		t.Fatal("kept missing")
+	}
+	for i := 0; i < 4*maxCacheEntries; i++ {
+		c.put(fmt.Sprint("flood", i), bodyOf(100+i%7))
+	}
+	if c.probation.Len() != probationEntries || c.main.Len() != 1 || c.ghosts.Len() != maxCacheEntries {
+		t.Fatalf("after the flood: %d probation, %d main entries and %d ghosts, want %d, 1 and %d",
+			c.probation.Len(), c.main.Len(), c.ghosts.Len(), probationEntries, maxCacheEntries)
+	}
+	if _, hit := c.get(1, "kept", queryLookups); !hit {
+		t.Fatal("an answer asked twice did not survive a flood of one-off answers")
+	}
+	want := residentBytes(t, c)
+	if c.bytes != want || mCacheBytes.Value()-gauge != float64(want) {
+		t.Fatalf("resident bodies %d B, cache accounts %d B, gauge moved %v", want, c.bytes, mCacheBytes.Value()-gauge)
+	}
+
+	// A probation hit promotes: the newest flood answer moves into main.
+	newest := fmt.Sprint("flood", 4*maxCacheEntries-1)
+	if _, hit := c.get(1, newest, queryLookups); !hit {
+		t.Fatal("the newest answer is not in probation")
+	}
+	if c.entries[newest].Value.(*cacheEntry).in != c.main || c.main.Len() != 2 || c.probation.Len() != probationEntries-1 {
+		t.Fatalf("a probation hit did not promote: %d main, %d probation", c.main.Len(), c.probation.Len())
+	}
+
+	// The newest ghost is asked again: one miss, then its answer goes to
+	// main. The oldest flood answer is no longer even a ghost, so its new
+	// answer starts over in probation.
+	for _, k := range []struct {
+		key string
+		to  *list.List
+	}{
+		{fmt.Sprint("flood", 4*maxCacheEntries-probationEntries-1), c.main},
+		{"flood0", c.probation},
+	} {
+		if _, hit := c.get(1, k.key, queryLookups); hit {
+			t.Fatalf("%s answered after it fell off probation", k.key)
+		}
+		c.put(k.key, bodyOf(100))
+		if c.entries[k.key].Value.(*cacheEntry).in != k.to {
+			t.Fatalf("%s stored in the wrong segment", k.key)
+		}
+		if _, hit := c.get(1, k.key, queryLookups); !hit {
+			t.Fatalf("%s missing after it was stored again", k.key)
+		}
+	}
+	if got := mCachePromoted.Value() - promotions; got != 4 {
+		t.Fatalf("promotions counter moved by %d, want 4", got)
+	}
+	if got := residentBytes(t, c); c.bytes != got || mCacheBytes.Value()-gauge != float64(got) {
+		t.Fatalf("resident bodies %d B, cache accounts %d B, gauge moved %v", got, c.bytes, mCacheBytes.Value()-gauge)
+	}
+
+	// The next epoch's first lookup empties both segments.
+	if _, hit := c.get(2, "kept", queryLookups); hit {
+		t.Fatal("an entry of the previous epoch answered")
+	}
+	if c.main.Len() != 0 || c.probation.Len() != 0 || c.ghosts.Len() != 0 || len(c.entries) != 0 || c.bytes != 0 || mCacheBytes.Value() != gauge {
+		t.Fatalf("after the epoch change: %d main, %d probation, %d B (gauge moved %v)",
+			c.main.Len(), c.probation.Len(), c.bytes, mCacheBytes.Value()-gauge)
+	}
+
+	// Random traffic over a small budget: a few keys repeat often, some
+	// return after falling off probation, many come once. Every step ends
+	// inside each entry bound and the byte budget.
+	c.maxEntries, c.maxBytes = 8, 4000
+	rng := rand.New(rand.NewSource(36))
+	for i := 0; i < 20000; i++ {
+		k := fmt.Sprint("hot", rng.Intn(12))
+		if r := rng.Intn(6); r < 2 {
+			k = fmt.Sprint("cold", i)
+		} else if r == 2 {
+			k = fmt.Sprint("cold", i-rng.Intn(64))
+		}
+		if _, hit := c.get(2, k, queryLookups); !hit {
+			a := bodyOf(1 + rng.Intn(900))
+			a.epoch = 2
+			c.put(k, a)
+		}
+		if c.main.Len() > c.maxEntries || c.probation.Len() > probationEntries || c.ghosts.Len() > c.maxEntries || c.bytes > c.maxBytes {
+			t.Fatalf("step %d: %d main, %d probation entries, %d ghosts, %d B over budgets %d, %d, %d, %d",
+				i, c.main.Len(), c.probation.Len(), c.ghosts.Len(), c.bytes, c.maxEntries, probationEntries, c.maxEntries, c.maxBytes)
+		}
+	}
+	if got := residentBytes(t, c); c.bytes != got || mCacheBytes.Value()-gauge != float64(got) {
+		t.Fatalf("resident bodies %d B, cache accounts %d B, gauge moved %v", got, c.bytes, mCacheBytes.Value()-gauge)
+	}
+	if c.main.Len() == 0 {
+		t.Fatal("no repeated key was ever promoted")
+	}
+}
+
+// TestRepeatedRequestsHitAfterOneAsk: the warm-up real clients produce. A
+// query asked twice in a row is computed, then served cached. Probation
+// is shared by every client: a dashboard viewed once is a page hit when
+// viewed again after 15 distinct cold queries from another client, as
+// many as probation holds besides it; a map viewed again after 16 is
+// computed again, and that second answer goes straight into main. Either
+// page then outlives a further probation's worth of cold queries.
+// /api/store reports the segments and the ghosts.
+func TestRepeatedRequestsHitAfterOneAsk(t *testing.T) {
+	ts := testServer(t, true)
+	const q = "/api/query?attrs=eph&by=energy_class&q=eph+%3E%3D+60&limit=5"
+	if _, body := get(t, ts.URL+q); !strings.Contains(body, `"cached":false`) {
+		t.Fatalf("first ask not computed: %.200s", body)
+	}
+	if _, body := get(t, ts.URL+q); !strings.Contains(body, `"cached":true`) {
+		t.Fatalf("second ask not served from the cache: %.200s", body)
+	}
+	other := &http.Client{Transport: &http.Transport{}} // a second client, on its own connections
+	defer other.CloseIdleConnections()
+	cold := 0
+	askCold := func(n int) {
+		for i := 0; i < n; i++ {
+			cold++
+			resp, err := other.Get(fmt.Sprintf("%s/api/query?q=eph+%%3E%%3D+%d&limit=20", ts.URL, cold))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"cached":false`)) {
+				t.Fatalf("cold query %d: %d %v %.200s", cold, resp.StatusCode, err, body)
+			}
+		}
+	}
+	view := func(path string) (string, bool) {
+		hits := mPageHits.Value()
+		_, body := get(t, ts.URL+path)
+		return body, mPageHits.Value() > hits
+	}
+	for _, c := range []struct {
+		path  string
+		cold  int
+		again bool // the second view is a page hit
+	}{
+		{"/dashboard/citizen", probationEntries - 1, true},
+		{"/map?level=district&raw=1", probationEntries, false},
+	} {
+		first, hit := view(c.path)
+		if hit {
+			t.Fatalf("%s: the first view was a hit", c.path)
+		}
+		askCold(c.cold)
+		second, hit := view(c.path)
+		if hit != c.again {
+			t.Fatalf("%s viewed again after %d cold queries: page hit %v, want %v", c.path, c.cold, hit, c.again)
+		}
+		askCold(probationEntries)
+		third, hit := view(c.path)
+		if !hit {
+			t.Fatalf("%s: not kept in main after its second view", c.path)
+		}
+		if second != first || third != first {
+			t.Fatalf("%s: a later view differs from the first", c.path)
+		}
+	}
+
+	var store struct {
+		QueryCache cacheInfo `json:"query_cache"`
+	}
+	_, body := get(t, ts.URL+"/api/store")
+	if err := json.Unmarshal([]byte(body), &store); err != nil {
+		t.Fatal(err)
+	}
+	// Main holds the query and both pages; probation the last cold
+	// queries. Every other cold answer left probation as a ghost.
+	qc := store.QueryCache
+	if qc.Main != 3 || qc.Probation != probationEntries || qc.Ghosts != cold-probationEntries || qc.Size != qc.Main+qc.Probation || qc.Bytes <= 0 {
+		t.Fatalf("query_cache %+v, want 3 main and %d probation entries, %d ghosts", qc, probationEntries, cold-probationEntries)
 	}
 }
 

@@ -20,6 +20,7 @@ var (
 	mPageHits       = obs.Default.Counter("indice_page_cache_hits_total", "Dashboard and map pages served from the result cache.")
 	mPageMisses     = obs.Default.Counter("indice_page_cache_misses_total", "Dashboard and map page lookups that missed the result cache.")
 	mCacheBytes     = obs.Default.Gauge("indice_query_cache_bytes", "Encoded body bytes resident in the result cache (query answers and pages).")
+	mCachePromoted  = obs.Default.Counter("indice_query_cache_promotions_total", "Answers that entered the result cache's main LRU on their key's second ask: a probation hit, or a ghost's new answer (query answers and pages).")
 	mQueryCoalesced = obs.Default.Counter("indice_query_coalesced_total", "Requests that waited on another request's in-flight identical computation instead of recomputing (single-flight).")
 
 	queryLookups = cacheCounters{mCacheHits, mCacheMisses}

@@ -682,11 +682,16 @@ type storeResponse struct {
 	Durability *store.DurabilityStatus `json:"durability,omitempty"`
 }
 
-// cacheInfo summarizes the /api/query result cache.
+// cacheInfo summarizes the result cache: the /api/query lookup counters
+// and what each of its segments holds.
 type cacheInfo struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	Size   int    `json:"size"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Size      int    `json:"size"`
+	Bytes     int    `json:"bytes"`
+	Main      int    `json:"main"`
+	Probation int    `json:"probation"`
+	Ghosts    int    `json:"ghosts"`
 }
 
 type liveStatsInfo struct {
@@ -751,8 +756,7 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 		resp.LastError = msg
 	}
 	resp.LastIncrementalError = s.live.LastIncrementalError()
-	hits, misses, size := s.cache.stats()
-	resp.QueryCache = &cacheInfo{Hits: hits, Misses: misses, Size: size}
+	resp.QueryCache = s.cache.stats()
 	if ds := st.DurabilityStatus(); ds.Enabled {
 		resp.Durability = &ds
 	}
