@@ -1598,9 +1598,10 @@ func (w *e20Sink) WriteHeader(int)             {}
 func (w *e20Sink) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
 // e20Live publishes the repo benchmark's corpus shape, 20 000 synthetic
-// certificates × 132 attributes, once, with the analysis skipped: the
-// serving state E20 and E31 put servers in front of.
-func e20Live(b *testing.B) *core.Live {
+// certificates × 132 attributes, once: with the analysis skipped, the
+// serving state E20, E31 and E32 put servers in front of; with it, the
+// state E33 renders dashboards from.
+func e20Live(b *testing.B, cfg core.LiveConfig) *core.Live {
 	b.Helper()
 	city, err := synth.GenerateCity(synth.DefaultCityConfig())
 	if err != nil {
@@ -1619,7 +1620,7 @@ func e20Live(b *testing.B) *core.Live {
 	if _, err := st.AppendTable(ds.Table); err != nil {
 		b.Fatal(err)
 	}
-	live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{SkipAnalysis: true})
+	live, err := core.NewLive(st, city.Hierarchy, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1637,7 +1638,7 @@ func e20Live(b *testing.B) *core.Live {
 // handler's share only, without the request parsing "bytes" also pays.
 // Methodology in docs/benchmarks.md.
 func BenchmarkE20HotResponse(b *testing.B) {
-	srv, err := server.NewLive(e20Live(b))
+	srv, err := server.NewLive(e20Live(b, core.LiveConfig{SkipAnalysis: true}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1767,7 +1768,7 @@ func e31Resident(before float64) (cacheBytes, heap float64) {
 // request's on a fresh server, the cached literal aside. Methodology in
 // docs/benchmarks.md.
 func BenchmarkE31ColdResidency(b *testing.B) {
-	live := e20Live(b)
+	live := e20Live(b, core.LiveConfig{SkipAnalysis: true})
 	paths := e31ColdPaths(1024, 31)
 	srv := e31Server(b, live)
 	for _, p := range paths {
@@ -1808,7 +1809,7 @@ func BenchmarkE31ColdResidency(b *testing.B) {
 // its first, the cached literal aside. One op is the whole trace.
 // Methodology in docs/benchmarks.md.
 func BenchmarkE32Revisits(b *testing.B) {
-	live := e20Live(b)
+	live := e20Live(b, core.LiveConfig{SkipAnalysis: true})
 	hot := []string{
 		"/map?level=city&raw=1",
 		"/map?level=district&raw=1",
@@ -2453,6 +2454,71 @@ func BenchmarkE24ElbowSweep(b *testing.B) {
 				b.Fatalf("curve or final clustering differ from the job-by-job oracle (K=%d, SSE %v; want K=%d, SSE %v)",
 					got.Final.K, got.Final.SSE, want.Final.K, want.Final.SSE)
 			}
+		})
+	}
+}
+
+// E33 — cold render: what one first visit after an epoch costs the node,
+// at the served size. Over E20's 20k × 132 corpus, published with its
+// analysis, each arm renders one page the way its route does on a cache
+// miss: the three stakeholder dashboards and the unit-level scatter map
+// (≈ 19.4k points). B/op and allocs/op are the transient cost; page-B is
+// the page's length, the floor of B/op. Gate, outside timing: every
+// iteration's page equals the first's, and the first equals the route's
+// answer at that epoch. Methodology in docs/benchmarks.md.
+func BenchmarkE33ColdRender(b *testing.B) {
+	live := e20Live(b, core.LiveConfig{})
+	pub := live.Current()
+	srv, err := server.NewLive(live)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dash := func(st query.Stakeholder) func() ([]byte, error) {
+		return func() ([]byte, error) { return pub.Engine.DashboardBytes(st, pub.Analysis) }
+	}
+	arms := []struct {
+		name, route string
+		render      func() ([]byte, error)
+	}{
+		{"citizen", "/dashboard/citizen", dash(query.Citizen)},
+		{"public-administration", "/dashboard/public-administration", dash(query.PublicAdministration)},
+		{"energy-scientist", "/dashboard/energy-scientist", dash(query.EnergyScientist)},
+		{"map-unit", "/map?level=unit&attr=eph&raw=1", func() ([]byte, error) {
+			svg, _, err := dashboard.RenderMap(pub.Engine.Table(), pub.Engine.Hierarchy(), dashboard.MapSpec{
+				Title: fmt.Sprintf("Average %s — %s zoom", epc.AttrEPH, geo.LevelUnit),
+				Level: geo.LevelUnit,
+				Attr:  epc.AttrEPH,
+			})
+			return svg, err
+		}},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, arm.route, nil))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("%s: status %d: %s", arm.route, rec.Code, rec.Body)
+			}
+			var first []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				page, err := arm.render()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if first == nil {
+					first = page
+					if !bytes.Equal(first, rec.Body.Bytes()) {
+						b.Fatalf("the render differs from %s's answer", arm.route)
+					}
+				} else if !bytes.Equal(page, first) {
+					b.Fatalf("iteration %d renders a different page", i)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(len(first)), "page-B")
 		})
 	}
 }

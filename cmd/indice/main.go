@@ -157,11 +157,11 @@ func run(o options, logw io.Writer) error {
 	if err != nil {
 		return err
 	}
-	html, err := eng.Dashboard(s, an)
+	html, err := eng.DashboardBytes(s, an)
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(o.out, []byte(html), 0o644); err != nil {
+	if err := os.WriteFile(o.out, html, 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(logw, "wrote %s dashboard to %s (%d bytes)\n", s, o.out, len(html))

@@ -87,17 +87,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.WriteFile("citizen_choropleth.svg", []byte(svg), 0o644); err != nil {
+	if err := os.WriteFile("citizen_choropleth.svg", svg, 0o644); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nwrote citizen_choropleth.svg (%s map)\n", kind)
 
 	// The complete citizen dashboard needs no analytics tier.
-	html, err := eng.Dashboard(query.Citizen, nil)
+	html, err := eng.DashboardBytes(query.Citizen, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.WriteFile("citizen_dashboard.html", []byte(html), 0o644); err != nil {
+	if err := os.WriteFile("citizen_dashboard.html", html, 0o644); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote citizen_dashboard.html (%d bytes)\n", len(html))

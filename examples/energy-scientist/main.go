@@ -152,11 +152,11 @@ func main() {
 	}
 	fmt.Printf("\nhierarchical clustering (average linkage, n=80 sample): cut at K=%d -> %d clusters\n",
 		an.ChosenK, len(distinct))
-	dsvg, err := render.DendrogramChart("Agglomerative dendrogram (sample)", dg, 720, 380)
+	dsvg, err := render.DendrogramChart(nil, "Agglomerative dendrogram (sample)", dg, 720, 380)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.WriteFile("scientist_dendrogram.svg", []byte(dsvg), 0o644); err != nil {
+	if err := os.WriteFile("scientist_dendrogram.svg", dsvg, 0o644); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote scientist_dendrogram.svg")
@@ -214,11 +214,11 @@ func main() {
 	fmt.Printf("\nrules with class/EPH consequents: %d; top 6 by conviction:\n", len(templated))
 	fmt.Print(assoc.FormatTable(assoc.TopK(templated, assoc.ByConviction, 6)))
 
-	html, err := eng.Dashboard(query.EnergyScientist, an)
+	html, err := eng.DashboardBytes(query.EnergyScientist, an)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.WriteFile("scientist_dashboard.html", []byte(html), 0o644); err != nil {
+	if err := os.WriteFile("scientist_dashboard.html", html, 0o644); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote scientist_dashboard.html (%d bytes)\n", len(html))

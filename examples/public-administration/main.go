@@ -104,18 +104,18 @@ func main() {
 			log.Fatal(err)
 		}
 		name := fmt.Sprintf("pa_map_%s.svg", level)
-		if err := os.WriteFile(name, []byte(svg), 0o644); err != nil {
+		if err := os.WriteFile(name, svg, 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s (%s map)\n", name, kind)
 	}
 
 	// And the full interactive dashboard document.
-	html, err := eng.Dashboard(query.PublicAdministration, an)
+	html, err := eng.DashboardBytes(query.PublicAdministration, an)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.WriteFile("pa_dashboard.html", []byte(html), 0o644); err != nil {
+	if err := os.WriteFile("pa_dashboard.html", html, 0o644); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote pa_dashboard.html (%d bytes)\n", len(html))

@@ -64,12 +64,12 @@ func main() {
 		an.ChosenK, len(an.Rules), an.WeaklyCorrelated)
 
 	// 5. The informative dashboard.
-	html, err := eng.Dashboard(query.PublicAdministration, an)
+	html, err := eng.DashboardBytes(query.PublicAdministration, an)
 	if err != nil {
 		log.Fatal(err)
 	}
 	const out = "quickstart_dashboard.html"
-	if err := os.WriteFile(out, []byte(html), 0o644); err != nil {
+	if err := os.WriteFile(out, html, 0o644); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d bytes)\n", out, len(html))

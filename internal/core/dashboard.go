@@ -17,9 +17,25 @@ import (
 // may be nil only for stakeholders whose proposal contains no analytic
 // panel; PA and energy-scientist dashboards require one.
 func (e *Engine) Dashboard(s query.Stakeholder, an *Analysis) (string, error) {
+	page, err := e.DashboardBytes(s, an)
+	return string(page), err
+}
+
+// DashboardBytes is Dashboard's page as the bytes it was written into:
+// every chart is drawn straight into the page's buffer.
+func (e *Engine) DashboardBytes(s query.Stakeholder, an *Analysis) ([]byte, error) {
 	prop, err := query.ProposalFor(s)
 	if err != nil {
-		return "", err
+		return nil, err
+	}
+	fail := func(err error) ([]byte, error) {
+		return nil, fmt.Errorf("core: dashboard: %w", err)
+	}
+	mapPanel := func(title string, level geo.Level) render.Panel {
+		return func(dst []byte) ([]byte, error) {
+			b, _, err := dashboard.AppendMap(dst, e.tab, e.hier, dashboard.MapSpec{Title: title, Level: level, Attr: prop.Response})
+			return b, err
+		}
 	}
 	page := render.NewPage(fmt.Sprintf("INDICE — %s dashboard", s))
 	page.AddParagraph(fmt.Sprintf(
@@ -29,67 +45,52 @@ func (e *Engine) Dashboard(s query.Stakeholder, an *Analysis) (string, error) {
 	for _, kind := range prop.Reports {
 		switch kind {
 		case query.ReportChoropleth:
-			svg, _, err := dashboard.RenderMap(e.tab, e.hier, dashboard.MapSpec{
-				Title: "Average " + prop.Response + " by neighbourhood",
-				Level: geo.LevelNeighbourhood,
-				Attr:  prop.Response,
-			})
-			if err != nil {
-				return "", fmt.Errorf("core: dashboard: %w", err)
-			}
 			page.AddHeading("Choropleth energy map")
-			page.AddSVG(svg)
-		case query.ReportScatterMap:
-			svg, _, err := dashboard.RenderMap(e.tab, e.hier, dashboard.MapSpec{
-				Title: prop.Response + " per housing unit",
-				Level: geo.LevelUnit,
-				Attr:  prop.Response,
-			})
-			if err != nil {
-				return "", fmt.Errorf("core: dashboard: %w", err)
+			if err := page.AddSVG(mapPanel("Average "+prop.Response+" by neighbourhood", geo.LevelNeighbourhood)); err != nil {
+				return fail(err)
 			}
+		case query.ReportScatterMap:
 			page.AddHeading("Scatter energy map")
-			page.AddSVG(svg)
+			if err := page.AddSVG(mapPanel(prop.Response+" per housing unit", geo.LevelUnit)); err != nil {
+				return fail(err)
+			}
 		case query.ReportClusterMarker:
 			page.AddHeading("Cluster-marker maps")
-			svg, _, err := dashboard.RenderMap(e.tab, e.hier, dashboard.MapSpec{
-				Title: "Certificates per district (avg " + prop.Response + ")",
-				Level: geo.LevelDistrict,
-				Attr:  prop.Response,
-			})
-			if err != nil {
-				return "", fmt.Errorf("core: dashboard: %w", err)
-			}
-			if an != nil && an.Clustering != nil {
-				ms, err := dashboard.ClusterMarkers(e.tab, an.RowLabels, prop.Response)
-				if err != nil {
-					return "", fmt.Errorf("core: dashboard: %w", err)
+			districts := mapPanel("Certificates per district (avg "+prop.Response+")", geo.LevelDistrict)
+			if an == nil || an.Clustering == nil {
+				if err := page.AddSVG(districts); err != nil {
+					return fail(err)
 				}
-				csvg, err := render.ClusterMarkerMap(
+				break
+			}
+			ms, err := dashboard.ClusterMarkers(e.tab, an.RowLabels, prop.Response)
+			if err != nil {
+				return fail(err)
+			}
+			if err := page.AddSVGRow(districts, func(dst []byte) ([]byte, error) {
+				return render.ClusterMarkerMap(dst,
 					fmt.Sprintf("K-means clusters (K=%d, avg %s)", an.ChosenK, prop.Response),
 					ms, e.hier.City().Ring.Bounds(), 560, 460)
-				if err != nil {
-					return "", err
-				}
-				page.AddSVGRow(svg, csvg)
-			} else {
-				page.AddSVG(svg)
+			}); err != nil {
+				return fail(err)
 			}
 		case query.ReportDistribution:
 			page.AddHeading("Frequency distributions")
 			rows := make([][]string, 0, len(prop.Attributes))
-			var svgs []string
+			panels := make([]render.Panel, 0, len(prop.Attributes))
 			for _, attr := range prop.Attributes {
 				p, err := dashboard.NewDistributionPanel(e.tab, attr, 20, 380, 240)
 				if err != nil {
-					return "", fmt.Errorf("core: dashboard: %w", err)
+					return fail(err)
 				}
-				svgs = append(svgs, p.SVG)
+				panels = append(panels, p.Draw)
 				rows = append(rows, p.StatsRow())
 			}
-			page.AddSVGRow(svgs...)
+			if err := page.AddSVGRow(panels...); err != nil {
+				return fail(err)
+			}
 			if err := page.AddTable(dashboard.StatsHeader(), rows); err != nil {
-				return "", err
+				return fail(err)
 			}
 			if an != nil && an.Clustering != nil {
 				labels := make([]string, an.ChosenK)
@@ -98,30 +99,23 @@ func (e *Engine) Dashboard(s query.Stakeholder, an *Analysis) (string, error) {
 					labels[c] = fmt.Sprintf("C%d", c)
 					sizes[c] = float64(an.Clustering.Sizes[c])
 				}
-				bc, err := render.BarChart("Cluster cardinalities", labels, sizes, 380, 240)
-				if err != nil {
-					return "", err
-				}
 				means := make([]float64, an.ChosenK)
 				for c, m := range an.ClusterResponseMeans {
 					if !math.IsNaN(m) {
 						means[c] = m
 					}
 				}
-				mc, err := render.BarChart("Mean "+prop.Response+" per cluster", labels, means, 380, 240)
-				if err != nil {
-					return "", err
+				if err := page.AddSVGRow(func(dst []byte) ([]byte, error) {
+					return render.BarChart(dst, "Cluster cardinalities", labels, sizes, 380, 240)
+				}, func(dst []byte) ([]byte, error) {
+					return render.BarChart(dst, "Mean "+prop.Response+" per cluster", labels, means, 380, 240)
+				}); err != nil {
+					return fail(err)
 				}
-				page.AddSVGRow(bc, mc)
 			}
 		case query.ReportCorrelation:
 			if an == nil {
-				return "", ErrNoAnalysis
-			}
-			svg, err := render.CorrelationMatrixPlot(
-				"Pearson correlation (grayscale: dark = strong)", an.Correlations, 560)
-			if err != nil {
-				return "", err
+				return nil, ErrNoAnalysis
 			}
 			page.AddHeading("Correlation matrix")
 			if an.WeaklyCorrelated {
@@ -129,10 +123,15 @@ func (e *Engine) Dashboard(s query.Stakeholder, an *Analysis) (string, error) {
 			} else {
 				page.AddParagraph("Warning: strongly correlated attribute pairs detected; consider removing redundant attributes.")
 			}
-			page.AddSVG(svg)
+			if err := page.AddSVG(func(dst []byte) ([]byte, error) {
+				return render.CorrelationMatrixPlot(dst,
+					"Pearson correlation (grayscale: dark = strong)", an.Correlations, 560)
+			}); err != nil {
+				return fail(err)
+			}
 		case query.ReportClusterering:
 			if an == nil {
-				return "", ErrNoAnalysis
+				return nil, ErrNoAnalysis
 			}
 			ks := make([]int, len(an.SSECurve))
 			sses := make([]float64, len(an.SSECurve))
@@ -140,25 +139,25 @@ func (e *Engine) Dashboard(s query.Stakeholder, an *Analysis) (string, error) {
 				ks[i] = p.K
 				sses[i] = p.SSE
 			}
-			svg, err := render.SSECurveChart("SSE curve (elbow)", ks, sses, an.ChosenK, 420, 260)
-			if err != nil {
-				return "", err
-			}
 			page.AddHeading(fmt.Sprintf("Cluster analysis (K = %d by the elbow method)", an.ChosenK))
-			if an.Dendrogram != nil {
-				dsvg, err := render.DendrogramChart(
-					fmt.Sprintf("Agglomerative dendrogram (%d-row sample, average linkage)", an.Dendrogram.N),
-					an.Dendrogram, 560, 320)
-				if err != nil {
-					return "", err
-				}
-				page.AddSVGRow(svg, dsvg)
+			sse := func(dst []byte) ([]byte, error) {
+				return render.SSECurveChart(dst, "SSE curve (elbow)", ks, sses, an.ChosenK, 420, 260)
+			}
+			if an.Dendrogram == nil {
+				err = page.AddSVG(sse)
 			} else {
-				page.AddSVG(svg)
+				err = page.AddSVGRow(sse, func(dst []byte) ([]byte, error) {
+					return render.DendrogramChart(dst,
+						fmt.Sprintf("Agglomerative dendrogram (%d-row sample, average linkage)", an.Dendrogram.N),
+						an.Dendrogram, 560, 320)
+				})
+			}
+			if err != nil {
+				return fail(err)
 			}
 		case query.ReportRules:
 			if an == nil {
-				return "", ErrNoAnalysis
+				return nil, ErrNoAnalysis
 			}
 			page.AddHeading("Association rules")
 			for _, attr := range an.Attributes {
@@ -173,11 +172,12 @@ func (e *Engine) Dashboard(s query.Stakeholder, an *Analysis) (string, error) {
 
 	// Energy class breakdown closes every dashboard when available.
 	if e.tab.HasColumn(epc.AttrEnergyClass) {
-		svg, _, err := dashboard.CategoricalPanel(e.tab, epc.AttrEnergyClass, 10, 420, 240)
-		if err == nil {
+		if panel, _, err := dashboard.CategoricalPanel(e.tab, epc.AttrEnergyClass, 10, 420, 240); err == nil {
 			page.AddHeading("Energy class breakdown")
-			page.AddSVG(svg)
+			if err := page.AddSVG(panel); err != nil {
+				return fail(err)
+			}
 		}
 	}
-	return page.String(), nil
+	return page.End(), nil
 }

@@ -54,7 +54,7 @@ func AggregateByZone(t *table.Table, h *geo.Hierarchy, level geo.Level, attr str
 	if level == geo.LevelUnit {
 		return nil, errors.New("dashboard: unit level has no zones to aggregate")
 	}
-	pts, err := certPoints(t)
+	lat, lon, err := coords(t)
 	if err != nil {
 		return nil, err
 	}
@@ -63,43 +63,39 @@ func AggregateByZone(t *table.Table, h *geo.Hierarchy, level geo.Level, attr str
 		return nil, fmt.Errorf("dashboard: %w", err)
 	}
 	valid, _ := t.ValidMask(attr)
-	ids := h.Assign(pts, level)
-	sums := make(map[string]float64)
-	counts := make(map[string]int)
-	for i, id := range ids {
-		if id == "" || !valid[i] || !pts[i].Valid() {
+	zones, locate := h.Locator(level)
+	sums := make([]float64, len(zones))
+	counts := make([]int, len(zones))
+	for i := range lat {
+		p := geo.Point{Lat: lat[i], Lon: lon[i]}
+		if !valid[i] || !p.Valid() {
 			continue
 		}
-		sums[id] += vals[i]
-		counts[id]++
-	}
-	zones := h.ZonesAt(level)
-	out := make([]ZoneStat, 0, len(zones))
-	for _, z := range zones {
-		st := ZoneStat{Zone: z, Count: counts[z.ID], Mean: math.NaN()}
-		if st.Count > 0 {
-			st.Mean = sums[z.ID] / float64(st.Count)
+		if j := locate(p); j >= 0 {
+			sums[j] += vals[i]
+			counts[j]++
 		}
-		out = append(out, st)
+	}
+	out := make([]ZoneStat, len(zones))
+	for j, z := range zones {
+		out[j] = ZoneStat{Zone: z, Count: counts[j], Mean: math.NaN()}
+		if counts[j] > 0 {
+			out[j].Mean = sums[j] / float64(counts[j])
+		}
 	}
 	return out, nil
 }
 
-// certPoints extracts the certificate coordinates.
-func certPoints(t *table.Table) ([]geo.Point, error) {
-	lat, err := t.Floats(epc.AttrLatitude)
-	if err != nil {
-		return nil, fmt.Errorf("dashboard: %w", err)
+// coords returns the table's latitude and longitude columns, read in
+// place.
+func coords(t *table.Table) (lat, lon []float64, err error) {
+	if lat, err = t.Floats(epc.AttrLatitude); err != nil {
+		return nil, nil, fmt.Errorf("dashboard: %w", err)
 	}
-	lon, err := t.Floats(epc.AttrLongitude)
-	if err != nil {
-		return nil, fmt.Errorf("dashboard: %w", err)
+	if lon, err = t.Floats(epc.AttrLongitude); err != nil {
+		return nil, nil, fmt.Errorf("dashboard: %w", err)
 	}
-	pts := make([]geo.Point, len(lat))
-	for i := range lat {
-		pts[i] = geo.Point{Lat: lat[i], Lon: lon[i]}
-	}
-	return pts, nil
+	return lat, lon, nil
 }
 
 // MapSpec describes one map render request.
@@ -113,7 +109,12 @@ type MapSpec struct {
 
 // RenderMap produces the SVG energy map for the requested zoom level,
 // choosing the representation with MapKindForLevel.
-func RenderMap(t *table.Table, h *geo.Hierarchy, spec MapSpec) (string, MapKind, error) {
+func RenderMap(t *table.Table, h *geo.Hierarchy, spec MapSpec) ([]byte, MapKind, error) {
+	return AppendMap(nil, t, h, spec)
+}
+
+// AppendMap is RenderMap appending the map to dst.
+func AppendMap(dst []byte, t *table.Table, h *geo.Hierarchy, spec MapSpec) ([]byte, MapKind, error) {
 	if spec.Width <= 0 {
 		spec.Width = 560
 	}
@@ -133,7 +134,7 @@ func RenderMap(t *table.Table, h *geo.Hierarchy, spec MapSpec) (string, MapKind,
 		}
 		zs, err := AggregateByZone(t, h, level, spec.Attr)
 		if err != nil {
-			return "", kind, err
+			return dst, kind, err
 		}
 		var markers []render.Marker
 		for _, z := range zs {
@@ -147,38 +148,39 @@ func RenderMap(t *table.Table, h *geo.Hierarchy, spec MapSpec) (string, MapKind,
 				Label:  z.Zone.Name,
 			})
 		}
-		svg, err := render.ClusterMarkerMap(spec.Title, markers, bounds, spec.Width, spec.Height)
-		return svg, kind, err
+		b, err := render.ClusterMarkerMap(dst, spec.Title, markers, bounds, spec.Width, spec.Height)
+		return b, kind, err
 	case KindChoropleth:
 		zs, err := AggregateByZone(t, h, spec.Level, spec.Attr)
 		if err != nil {
-			return "", kind, err
+			return dst, kind, err
 		}
 		zv := make([]render.ZoneValue, len(zs))
 		for i, z := range zs {
 			zv[i] = render.ZoneValue{Zone: z.Zone, Value: z.Mean, Count: z.Count}
 		}
-		svg, err := render.Choropleth(spec.Title, zv, bounds, spec.Width, spec.Height)
-		return svg, kind, err
+		b, err := render.Choropleth(dst, spec.Title, zv, bounds, spec.Width, spec.Height)
+		return b, kind, err
 	default: // scatter
-		pts, err := certPoints(t)
+		lat, lon, err := coords(t)
 		if err != nil {
-			return "", kind, err
+			return dst, kind, err
 		}
 		vals, err := t.Floats(spec.Attr)
 		if err != nil {
-			return "", kind, err
+			return dst, kind, err
 		}
 		valid, _ := t.ValidMask(spec.Attr)
-		var pv []render.PointValue
-		for i, p := range pts {
+		pv := make([]render.PointValue, 0, len(lat))
+		for i := range lat {
+			p := geo.Point{Lat: lat[i], Lon: lon[i]}
 			if !p.Valid() || !valid[i] {
 				continue
 			}
 			pv = append(pv, render.PointValue{Point: p, Value: vals[i]})
 		}
-		svg, err := render.ScatterMap(spec.Title, pv, bounds, spec.Width, spec.Height)
-		return svg, kind, err
+		b, err := render.ScatterMap(dst, spec.Title, pv, bounds, spec.Width, spec.Height)
+		return b, kind, err
 	}
 }
 
@@ -190,7 +192,7 @@ func ClusterMarkers(t *table.Table, labels []int, response string) ([]render.Mar
 	if t.NumRows() != len(labels) {
 		return nil, fmt.Errorf("dashboard: %d labels for %d rows", len(labels), t.NumRows())
 	}
-	pts, err := certPoints(t)
+	lat, lon, err := coords(t)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +207,8 @@ func ClusterMarkers(t *table.Table, labels []int, response string) ([]render.Mar
 	}
 	byCluster := make(map[int]*agg)
 	for i, l := range labels {
-		if l < 0 || !pts[i].Valid() {
+		p := geo.Point{Lat: lat[i], Lon: lon[i]}
+		if l < 0 || !p.Valid() {
 			continue
 		}
 		a := byCluster[l]
@@ -213,8 +216,8 @@ func ClusterMarkers(t *table.Table, labels []int, response string) ([]render.Mar
 			a = &agg{}
 			byCluster[l] = a
 		}
-		a.lat += pts[i].Lat
-		a.lon += pts[i].Lon
+		a.lat += p.Lat
+		a.lon += p.Lon
 		a.n++
 		if valid[i] {
 			a.sum += vals[i]
@@ -252,8 +255,9 @@ func ClusterMarkers(t *table.Table, labels []int, response string) ([]render.Mar
 // lists (count, mean, standard deviation and the three quartiles).
 type DistributionPanel struct {
 	Attr string
-	SVG  string
 	Desc stats.Description
+	hist *stats.Histogram
+	w, h int
 }
 
 // NewDistributionPanel builds the panel with the given number of bins.
@@ -269,15 +273,16 @@ func NewDistributionPanel(t *table.Table, attr string, bins, w, h int) (*Distrib
 	if err != nil {
 		return nil, fmt.Errorf("dashboard: distribution of %q: %w", attr, err)
 	}
-	svg, err := render.HistogramChart("Distribution of "+attr, hist, w, h)
-	if err != nil {
-		return nil, err
-	}
 	desc, err := stats.Describe(vals)
 	if err != nil {
 		return nil, err
 	}
-	return &DistributionPanel{Attr: attr, SVG: svg, Desc: desc}, nil
+	return &DistributionPanel{Attr: attr, Desc: desc, hist: hist, w: w, h: h}, nil
+}
+
+// Draw appends the panel's histogram to dst; p.Draw is a render.Panel.
+func (p *DistributionPanel) Draw(dst []byte) ([]byte, error) {
+	return render.HistogramChart(dst, "Distribution of "+p.Attr, p.hist, p.w, p.h)
 }
 
 // StatsRow renders the panel's indices as a table row
@@ -296,12 +301,12 @@ func StatsHeader() []string {
 	return []string{"attribute", "count", "mean", "std", "min", "q1", "median", "q3", "max"}
 }
 
-// CategoricalPanel renders the categorical frequency panel: mode and
-// top-k bar chart.
-func CategoricalPanel(t *table.Table, attr string, k, w, h int) (string, stats.CategoricalDescription, error) {
+// CategoricalPanel describes the categorical frequency panel, mode and
+// top-k values, and returns the panel drawing its bar chart.
+func CategoricalPanel(t *table.Table, attr string, k, w, h int) (render.Panel, stats.CategoricalDescription, error) {
 	vals, err := t.Strings(attr)
 	if err != nil {
-		return "", stats.CategoricalDescription{}, fmt.Errorf("dashboard: %w", err)
+		return nil, stats.CategoricalDescription{}, fmt.Errorf("dashboard: %w", err)
 	}
 	if k <= 0 {
 		k = 8
@@ -314,8 +319,9 @@ func CategoricalPanel(t *table.Table, attr string, k, w, h int) (string, stats.C
 		counts[i] = float64(c.Count)
 	}
 	if len(labels) == 0 {
-		return "", d, errors.New("dashboard: categorical panel with no values")
+		return nil, d, errors.New("dashboard: categorical panel with no values")
 	}
-	svg, err := render.BarChart("Top values of "+attr, labels, counts, w, h)
-	return svg, d, err
+	return func(dst []byte) ([]byte, error) {
+		return render.BarChart(dst, "Top values of "+attr, labels, counts, w, h)
+	}, d, nil
 }

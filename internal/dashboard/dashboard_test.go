@@ -88,10 +88,11 @@ func TestAggregateByZone(t *testing.T) {
 func TestRenderMapPerLevel(t *testing.T) {
 	tab, h := testWorld(t)
 	for _, level := range []geo.Level{geo.LevelCity, geo.LevelDistrict, geo.LevelNeighbourhood, geo.LevelUnit} {
-		svg, kind, err := RenderMap(tab, h, MapSpec{Title: "t", Level: level, Attr: epc.AttrEPH})
+		b, kind, err := RenderMap(tab, h, MapSpec{Title: "t", Level: level, Attr: epc.AttrEPH})
 		if err != nil {
 			t.Fatalf("%v: %v", level, err)
 		}
+		svg := string(b)
 		if kind != MapKindForLevel(level) {
 			t.Fatalf("%v: kind = %v", level, kind)
 		}
@@ -154,7 +155,7 @@ func TestNewDistributionPanel(t *testing.T) {
 	if p.Desc.Count != 6 {
 		t.Fatalf("count = %d", p.Desc.Count)
 	}
-	if !strings.Contains(p.SVG, "<svg") {
+	if svg, err := p.Draw(nil); err != nil || !strings.Contains(string(svg), "<svg") {
 		t.Fatal("no svg")
 	}
 	row := p.StatsRow()
@@ -174,7 +175,11 @@ func TestCategoricalPanel(t *testing.T) {
 	if err := tab.AddStrings("class", []string{"C", "C", "D", "D", "D", "G"}); err != nil {
 		t.Fatal(err)
 	}
-	svg, d, err := CategoricalPanel(tab, "class", 2, 400, 240)
+	panel, d, err := CategoricalPanel(tab, "class", 2, 400, 240)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svg, err := panel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +189,7 @@ func TestCategoricalPanel(t *testing.T) {
 	if len(d.TopK) != 2 {
 		t.Fatalf("topk = %v", d.TopK)
 	}
-	if !strings.Contains(svg, ">D<") {
+	if !strings.Contains(string(svg), ">D<") {
 		t.Fatal("mode label missing from chart")
 	}
 	if _, _, err := CategoricalPanel(tab, epc.AttrEPH, 2, 400, 240); err == nil {

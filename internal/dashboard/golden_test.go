@@ -52,7 +52,7 @@ func TestRenderMapGoldens(t *testing.T) {
 			t.Fatalf("%v: %v", level, err)
 		}
 		name := fmt.Sprintf("map_%s_%s.golden.svg", strings.ReplaceAll(level.String(), " ", "_"), kind)
-		checkGolden(t, name, svg)
+		checkGolden(t, name, string(svg))
 	}
 }
 
@@ -63,6 +63,10 @@ func TestDistributionPanelGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "distribution_panel.golden.svg", p.SVG)
+	svg, err := p.Draw(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "distribution_panel.golden.svg", string(svg))
 	checkGolden(t, "distribution_stats.golden.txt", strings.Join(p.StatsRow(), "|")+"\n")
 }

@@ -117,7 +117,7 @@ type Runner struct {
 
 // writeFigure persists an artifact and returns its path (empty without an
 // output directory).
-func (r *Runner) writeFigure(name, content string) (string, error) {
+func (r *Runner) writeFigure(name string, content []byte) (string, error) {
 	if r.OutDir == "" {
 		return "", nil
 	}
@@ -125,7 +125,7 @@ func (r *Runner) writeFigure(name, content string) (string, error) {
 		return "", fmt.Errorf("experiments: %w", err)
 	}
 	path := filepath.Join(r.OutDir, name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	if err := os.WriteFile(path, content, 0o644); err != nil {
 		return "", fmt.Errorf("experiments: %w", err)
 	}
 	return path, nil

@@ -85,7 +85,7 @@ func (r *Runner) E4() (*Result, error) {
 	fmt.Fprintf(&b, "paper shape: \"all the variables considered in the analysis are weakly correlated\" -> %v\n",
 		sub.WeaklyCorrelated(0.8))
 
-	svg, err := render.CorrelationMatrixPlot("Figure 3 — correlation matrix", m, 620)
+	svg, err := render.CorrelationMatrixPlot(nil, "Figure 3 — correlation matrix", m, 620)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func (r *Runner) E5() (*Result, error) {
 		ks[i] = p.K
 		sses[i] = p.SSE
 	}
-	if svg, err := render.SSECurveChart("Figure 4 — SSE elbow", ks, sses, an.ChosenK, 480, 300); err == nil {
+	if svg, err := render.SSECurveChart(nil, "Figure 4 — SSE elbow", ks, sses, an.ChosenK, 480, 300); err == nil {
 		if fig, err := r.writeFigure("fig4_sse_elbow.svg", svg); err == nil && fig != "" {
 			res.Figures = append(res.Figures, fig)
 		}
@@ -153,12 +153,12 @@ func (r *Runner) E5() (*Result, error) {
 			means[c] = an.ClusterResponseMeans[c]
 		}
 	}
-	if svg, err := render.BarChart("Figure 4 — cluster cardinalities", labels, sizes, 480, 300); err == nil {
+	if svg, err := render.BarChart(nil, "Figure 4 — cluster cardinalities", labels, sizes, 480, 300); err == nil {
 		if fig, _ := r.writeFigure("fig4_cluster_sizes.svg", svg); fig != "" {
 			res.Figures = append(res.Figures, fig)
 		}
 	}
-	if svg, err := render.BarChart("Figure 4 — mean EPH per cluster", labels, means, 480, 300); err == nil {
+	if svg, err := render.BarChart(nil, "Figure 4 — mean EPH per cluster", labels, means, 480, 300); err == nil {
 		if fig, _ := r.writeFigure("fig4_cluster_eph.svg", svg); fig != "" {
 			res.Figures = append(res.Figures, fig)
 		}
@@ -214,7 +214,7 @@ func (r *Runner) E6() (*Result, error) {
 	b.WriteString("shape check: high-U / low-efficiency antecedents imply high EPH classes.\n")
 
 	res := &Result{ID: "E6", Title: "Figure 4 — association rules", Report: b.String()}
-	if fig, err := r.writeFigure("fig4_rules.txt", assoc.FormatTable(top)); err == nil && fig != "" {
+	if fig, err := r.writeFigure("fig4_rules.txt", []byte(assoc.FormatTable(top))); err == nil && fig != "" {
 		res.Figures = append(res.Figures, fig)
 	}
 	return res, nil
@@ -273,7 +273,7 @@ func (r *Runner) E8() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		html, err := eng.Dashboard(s, an)
+		html, err := eng.DashboardBytes(s, an)
 		if err != nil {
 			return nil, err
 		}

@@ -176,25 +176,34 @@ func (h *Hierarchy) Locate(p Point, l Level) (Zone, bool) {
 // Assign maps every point to the ID of its containing zone at the given
 // level; points outside all zones map to the empty string.
 func (h *Hierarchy) Assign(pts []Point, l Level) []string {
+	zones, locate := h.Locator(l)
+	out := make([]string, len(pts))
+	for i, p := range pts {
+		if j := locate(p); j >= 0 {
+			out[i] = zones[j].ID
+		}
+	}
+	return out
+}
+
+// Locator returns the zones at the given level and a function mapping a
+// point to the index of its containing zone among them, -1 outside all
+// of them: Assign one point at a time, with nothing allocated per point.
+func (h *Hierarchy) Locator(l Level) ([]Zone, func(Point) int) {
 	zones := h.ZonesAt(l)
 	// Precompute bounding boxes to skip most polygon tests.
 	boxes := make([]Bounds, len(zones))
 	for i, z := range zones {
 		boxes[i] = z.Ring.Bounds()
 	}
-	out := make([]string, len(pts))
-	for i, p := range pts {
+	return zones, func(p Point) int {
 		for j, z := range zones {
-			if !boxes[j].Contains(p) {
-				continue
-			}
-			if z.Ring.Contains(p) {
-				out[i] = z.ID
-				break
+			if boxes[j].Contains(p) && z.Ring.Contains(p) {
+				return j
 			}
 		}
+		return -1
 	}
-	return out
 }
 
 // GridHierarchy builds a rectangular administrative hierarchy over the

@@ -2,19 +2,19 @@ package render
 
 import (
 	"errors"
-	"fmt"
 	"math"
+	"strconv"
 
 	"indice/internal/stats"
 )
 
-// HistogramChart renders a frequency-distribution bar chart of a numeric
-// attribute, the core element of the INDICE distribution panel.
-func HistogramChart(title string, h *stats.Histogram, w, height int) (string, error) {
+// HistogramChart appends a frequency-distribution bar chart of a numeric
+// attribute to dst, the core element of the INDICE distribution panel.
+func HistogramChart(dst []byte, title string, h *stats.Histogram, w, height int) ([]byte, error) {
 	if h == nil || len(h.Counts) == 0 {
-		return "", errors.New("render: empty histogram")
+		return dst, errors.New("render: empty histogram")
 	}
-	c := NewCanvas(w, height)
+	c := NewCanvas(dst, w, height)
 	c.Rect(0, 0, float64(w), float64(height), "#ffffff", "#cccccc", 1)
 	const (
 		left   = 46.0
@@ -45,18 +45,18 @@ func HistogramChart(title string, h *stats.Histogram, w, height int) (string, er
 	c.Text(left+plotW, float64(height)-14, trimNum(h.Edges[n]), 9, "#333333", AnchorMiddle)
 	// Y labels: 0 and max.
 	c.Text(left-4, top+plotH, "0", 9, "#333333", AnchorEnd)
-	c.Text(left-4, top+10, fmt.Sprintf("%d", h.MaxCount()), 9, "#333333", AnchorEnd)
+	c.Text(left-4, top+10, strconv.Itoa(h.MaxCount()), 9, "#333333", AnchorEnd)
 	c.Title(title)
-	return c.String(), nil
+	return c.End(), nil
 }
 
-// BarChart renders a categorical frequency chart (used for cluster
-// populations and top-k category panels).
-func BarChart(title string, labels []string, values []float64, w, height int) (string, error) {
+// BarChart appends a categorical frequency chart to dst (used for
+// cluster populations and top-k category panels).
+func BarChart(dst []byte, title string, labels []string, values []float64, w, height int) ([]byte, error) {
 	if len(labels) == 0 || len(labels) != len(values) {
-		return "", errors.New("render: bar chart needs matching labels and values")
+		return dst, errors.New("render: bar chart needs matching labels and values")
 	}
-	c := NewCanvas(w, height)
+	c := NewCanvas(dst, w, height)
 	c.Rect(0, 0, float64(w), float64(height), "#ffffff", "#cccccc", 1)
 	const (
 		left   = 46.0
@@ -92,15 +92,15 @@ func BarChart(title string, labels []string, values []float64, w, height int) (s
 	c.Line(left, top, left, top+plotH, "#333333", 1)
 	c.Line(left, top+plotH, left+plotW, top+plotH, "#333333", 1)
 	c.Title(title)
-	return c.String(), nil
+	return c.End(), nil
 }
 
-// CorrelationMatrixPlot renders the Figure 3 panel: a grid of squares, one
-// per attribute pair, where the gray level encodes the absolute Pearson
-// coefficient (dark = strong correlation, light = weak).
-func CorrelationMatrixPlot(title string, m *stats.CorrelationMatrix, w int) (string, error) {
+// CorrelationMatrixPlot appends the Figure 3 panel to dst: a grid of
+// squares, one per attribute pair, where the gray level encodes the
+// absolute Pearson coefficient (dark = strong correlation, light = weak).
+func CorrelationMatrixPlot(dst []byte, title string, m *stats.CorrelationMatrix, w int) ([]byte, error) {
 	if m == nil || len(m.Names) == 0 {
-		return "", errors.New("render: empty correlation matrix")
+		return dst, errors.New("render: empty correlation matrix")
 	}
 	k := len(m.Names)
 	const (
@@ -109,7 +109,7 @@ func CorrelationMatrixPlot(title string, m *stats.CorrelationMatrix, w int) (str
 	)
 	cell := (float64(w) - labelBand - 16) / float64(k)
 	height := int(top + labelBand + cell*float64(k) + 16)
-	c := NewCanvas(w, height)
+	c := NewCanvas(dst, w, height)
 	c.Rect(0, 0, float64(w), float64(height), "#ffffff", "#cccccc", 1)
 	x0 := labelBand
 	y0 := top + labelBand
@@ -125,27 +125,25 @@ func CorrelationMatrixPlot(title string, m *stats.CorrelationMatrix, w int) (str
 			if v > 0.55 {
 				txt = "#eeeeee"
 			}
-			c.Text(x+cell/2, y+cell/2+3, fmt.Sprintf("%.2f", m.Coef[i][j]), math.Min(11, cell/4), txt, AnchorMiddle)
+			c.Text(x+cell/2, y+cell/2+3, strconv.FormatFloat(m.Coef[i][j], 'f', 2, 64), math.Min(11, cell/4), txt, AnchorMiddle)
 		}
 	}
 	for i, name := range m.Names {
 		// Row labels on the left, column labels angled on top.
 		c.Text(x0-6, y0+float64(i)*cell+cell/2+3, name, 10, "#222222", AnchorEnd)
-		cx := x0 + float64(i)*cell + cell/2
-		fmt.Fprintf(&c.b,
-			`<text x="%.2f" y="%.2f" font-size="10" font-family="sans-serif" fill="#222222" text-anchor="start" transform="rotate(-60 %.2f %.2f)">%s</text>`+"\n",
-			cx, y0-8, cx, y0-8, escText(name))
+		c.rotatedLabel(x0+float64(i)*cell+cell/2, y0-8, name)
 	}
 	c.Title(title)
-	return c.String(), nil
+	return c.End(), nil
 }
 
-// SSECurveChart renders the K-selection elbow plot of the analytics engine.
-func SSECurveChart(title string, ks []int, sses []float64, chosenK, w, height int) (string, error) {
+// SSECurveChart appends the K-selection elbow plot of the analytics
+// engine to dst.
+func SSECurveChart(dst []byte, title string, ks []int, sses []float64, chosenK, w, height int) ([]byte, error) {
 	if len(ks) == 0 || len(ks) != len(sses) {
-		return "", errors.New("render: SSE curve needs matching ks and values")
+		return dst, errors.New("render: SSE curve needs matching ks and values")
 	}
-	c := NewCanvas(w, height)
+	c := NewCanvas(dst, w, height)
 	c.Rect(0, 0, float64(w), float64(height), "#ffffff", "#cccccc", 1)
 	const (
 		left   = 56.0
@@ -182,12 +180,12 @@ func SSECurveChart(title string, ks []int, sses []float64, chosenK, w, height in
 			r = 5.5
 		}
 		c.Circle(px(i), py(sses[i]), r, fill, "#222222", 0.8, 1)
-		c.Text(px(i), top+plotH+14, fmt.Sprintf("%d", k), 9, "#333333", AnchorMiddle)
+		c.Text(px(i), top+plotH+14, strconv.Itoa(k), 9, "#333333", AnchorMiddle)
 	}
 	c.Line(left, top, left, top+plotH, "#333333", 1)
 	c.Line(left, top+plotH, left+plotW, top+plotH, "#333333", 1)
 	c.Text(left-6, top+10, trimNum(maxS), 9, "#333333", AnchorEnd)
 	c.Text(left-6, top+plotH, "0", 9, "#333333", AnchorEnd)
 	c.Title(title)
-	return c.String(), nil
+	return c.End(), nil
 }

@@ -4,22 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"indice/internal/cluster"
 )
 
-// DendrogramChart renders an agglomerative-clustering dendrogram: leaves
+// DendrogramChart appends an agglomerative-clustering dendrogram to dst: leaves
 // along the bottom, merge heights on the vertical axis. Supports the
 // hierarchical-clustering extension of the energy-scientist profile; for
 // readability the caller should pass a sampled dendrogram (≲ 100 leaves).
-func DendrogramChart(title string, dg *cluster.Dendrogram, w, h int) (string, error) {
+func DendrogramChart(dst []byte, title string, dg *cluster.Dendrogram, w, h int) ([]byte, error) {
 	if dg == nil || dg.N == 0 {
-		return "", errors.New("render: empty dendrogram")
+		return dst, errors.New("render: empty dendrogram")
 	}
 	if dg.N > 512 {
-		return "", fmt.Errorf("render: dendrogram with %d leaves is unreadable; sample first", dg.N)
+		return dst, fmt.Errorf("render: dendrogram with %d leaves is unreadable; sample first", dg.N)
 	}
-	c := NewCanvas(w, h)
+	c := NewCanvas(dst, w, h)
 	c.Rect(0, 0, float64(w), float64(h), "#ffffff", "#cccccc", 1)
 	const (
 		left   = 40.0
@@ -98,12 +99,12 @@ func DendrogramChart(title string, dg *cluster.Dendrogram, w, h int) (string, er
 	// Leaf ticks (indices) when few enough to read.
 	if len(order) <= 40 {
 		for _, leaf := range order {
-			c.Text(xAt[leaf], float64(h)-8, fmt.Sprintf("%d", leaf), 8, "#333333", AnchorMiddle)
+			c.Text(xAt[leaf], float64(h)-8, strconv.Itoa(leaf), 8, "#333333", AnchorMiddle)
 		}
 	}
 	c.Title(title)
 	if math.IsInf(maxH, 0) {
-		return "", errors.New("render: non-finite merge height")
+		return dst, errors.New("render: non-finite merge height")
 	}
-	return c.String(), nil
+	return c.End(), nil
 }

@@ -39,11 +39,11 @@ func TestPageGolden(t *testing.T) {
 	p := NewPage("INDICE — golden dashboard")
 	p.AddHeading("Energy maps")
 	p.AddParagraph("Average EPH per district at city zoom.")
-	svg, err := BarChart("cluster cardinalities", []string{"C0", "C1", "C2"}, []float64{120, 45, 80}, 320, 200)
-	if err != nil {
+	if err := p.AddSVG(func(dst []byte) ([]byte, error) {
+		return BarChart(dst, "cluster cardinalities", []string{"C0", "C1", "C2"}, []float64{120, 45, 80}, 320, 200)
+	}); err != nil {
 		t.Fatal(err)
 	}
-	p.AddSVG(svg)
 	if err := p.AddTable(
 		[]string{"cluster", "size", "mean EPH"},
 		[][]string{
@@ -55,19 +55,19 @@ func TestPageGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.AddPre("shape check: clusters separate on EPH")
-	checkGolden(t, "page.golden.html", p.String())
+	checkGolden(t, "page.golden.html", string(p.End()))
 }
 
 // TestChartGoldens pins the SVG output of the chart primitives the paper
 // figures are built from.
 func TestChartGoldens(t *testing.T) {
-	bar, err := BarChart("mean EPH per cluster", []string{"C0", "C1"}, []float64{84.25, 190.75}, 480, 300)
+	bar, err := asString(BarChart(nil, "mean EPH per cluster", []string{"C0", "C1"}, []float64{84.25, 190.75}, 480, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "barchart.golden.svg", bar)
 
-	sse, err := SSECurveChart("SSE elbow", []int{2, 3, 4, 5, 6}, []float64{900, 420, 260, 210, 190}, 4, 480, 300)
+	sse, err := asString(SSECurveChart(nil, "SSE elbow", []int{2, 3, 4, 5, 6}, []float64{900, 420, 260, 210, 190}, 4, 480, 300))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"indice/internal/geo"
 )
@@ -101,19 +102,19 @@ type ZoneValue struct {
 	Count int
 }
 
-// Choropleth renders the choropleth energy map: "each area is colored
-// according to the average value of the considered variable".
-func Choropleth(title string, zones []ZoneValue, bounds geo.Bounds, w, h int) (string, error) {
+// Choropleth appends the choropleth energy map to dst: "each area is
+// colored according to the average value of the considered variable".
+func Choropleth(dst []byte, title string, zones []ZoneValue, bounds geo.Bounds, w, h int) ([]byte, error) {
 	proj, err := NewProjection(bounds, w, h, 28)
 	if err != nil {
-		return "", fmt.Errorf("render: choropleth: %w", err)
+		return dst, fmt.Errorf("render: choropleth: %w", err)
 	}
 	vals := make([]float64, len(zones))
 	for i, z := range zones {
 		vals[i] = z.Value
 	}
 	norm := newNormalizer(vals)
-	c := NewCanvas(w, h)
+	c := NewCanvas(dst, w, h)
 	c.Rect(0, 0, float64(w), float64(h), "#ffffff", "#cccccc", 1)
 	for _, z := range zones {
 		pts := make([][2]float64, len(z.Zone.Ring))
@@ -127,12 +128,12 @@ func Choropleth(title string, zones []ZoneValue, bounds geo.Bounds, w, h int) (s
 		cx, cy := ringCentroid(pts)
 		c.Text(cx, cy, z.Zone.Name, 9, "#222222", AnchorMiddle)
 		if !math.IsNaN(z.Value) {
-			c.Text(cx, cy+11, fmt.Sprintf("%.1f (n=%d)", z.Value, z.Count), 8, "#333333", AnchorMiddle)
+			c.Text(cx, cy+11, strconv.FormatFloat(z.Value, 'f', 1, 64)+" (n="+strconv.Itoa(z.Count)+")", 8, "#333333", AnchorMiddle)
 		}
 	}
 	c.Title(title)
 	drawRampLegend(c, norm)
-	return c.String(), nil
+	return c.End(), nil
 }
 
 // PointValue is one marker of a scatter map.
@@ -141,19 +142,20 @@ type PointValue struct {
 	Value float64
 }
 
-// ScatterMap renders the scatter energy map: "a point and its
+// ScatterMap appends the scatter energy map to dst: "a point and its
 // corresponding value for each EPC contained in the selected area".
-func ScatterMap(title string, pts []PointValue, bounds geo.Bounds, w, h int) (string, error) {
+func ScatterMap(dst []byte, title string, pts []PointValue, bounds geo.Bounds, w, h int) ([]byte, error) {
 	proj, err := NewProjection(bounds, w, h, 28)
 	if err != nil {
-		return "", fmt.Errorf("render: scatter map: %w", err)
+		return dst, fmt.Errorf("render: scatter map: %w", err)
 	}
 	vals := make([]float64, len(pts))
 	for i, p := range pts {
 		vals[i] = p.Value
 	}
 	norm := newNormalizer(vals)
-	c := NewCanvas(w, h)
+	c := NewCanvas(dst, w, h)
+	c.grow(len(pts) * circleBytes)
 	c.Rect(0, 0, float64(w), float64(h), "#ffffff", "#cccccc", 1)
 	for _, p := range pts {
 		x, y := proj.Pixel(p.Point)
@@ -161,7 +163,7 @@ func ScatterMap(title string, pts []PointValue, bounds geo.Bounds, w, h int) (st
 	}
 	c.Title(title)
 	drawRampLegend(c, norm)
-	return c.String(), nil
+	return c.End(), nil
 }
 
 // Marker is one aggregated marker of a cluster-marker map.
@@ -177,14 +179,14 @@ type Marker struct {
 	Label string
 }
 
-// ClusterMarkerMap renders the paper's cluster-marker map: dynamic markers
+// ClusterMarkerMap appends the paper's cluster-marker map to dst: dynamic markers
 // whose size and inner label encode the cluster cardinality and whose
 // color encodes the average response value, solving the multi-variable
 // representation problem at coarse zoom.
-func ClusterMarkerMap(title string, markers []Marker, bounds geo.Bounds, w, h int) (string, error) {
+func ClusterMarkerMap(dst []byte, title string, markers []Marker, bounds geo.Bounds, w, h int) ([]byte, error) {
 	proj, err := NewProjection(bounds, w, h, 36)
 	if err != nil {
-		return "", fmt.Errorf("render: cluster-marker map: %w", err)
+		return dst, fmt.Errorf("render: cluster-marker map: %w", err)
 	}
 	vals := make([]float64, len(markers))
 	maxCount := 1
@@ -195,7 +197,7 @@ func ClusterMarkerMap(title string, markers []Marker, bounds geo.Bounds, w, h in
 		}
 	}
 	norm := newNormalizer(vals)
-	c := NewCanvas(w, h)
+	c := NewCanvas(dst, w, h)
 	c.Rect(0, 0, float64(w), float64(h), "#ffffff", "#cccccc", 1)
 	for _, m := range markers {
 		x, y := proj.Pixel(m.Center)
@@ -203,14 +205,14 @@ func ClusterMarkerMap(title string, markers []Marker, bounds geo.Bounds, w, h in
 		r := 10 + 26*math.Sqrt(float64(m.Count)/float64(maxCount))
 		fill := EnergyRamp.At(norm.at(m.Value)).Hex()
 		c.Circle(x, y, r, fill, "#333333", 1.5, 0.85)
-		c.Text(x, y+4, fmt.Sprintf("%d", m.Count), math.Max(10, r/2), "#ffffff", AnchorMiddle)
+		c.Text(x, y+4, strconv.Itoa(m.Count), math.Max(10, r/2), "#ffffff", AnchorMiddle)
 		if m.Label != "" {
 			c.Text(x, y+r+12, m.Label, 9, "#222222", AnchorMiddle)
 		}
 	}
 	c.Title(title)
 	drawRampLegend(c, norm)
-	return c.String(), nil
+	return c.End(), nil
 }
 
 // drawRampLegend draws the horizontal color legend at the bottom left.
@@ -232,9 +234,9 @@ func drawRampLegend(c *Canvas, norm normalizer) {
 
 func trimNum(v float64) string {
 	if math.Abs(v) >= 100 {
-		return fmt.Sprintf("%.0f", v)
+		return strconv.FormatFloat(v, 'f', 0, 64)
 	}
-	return fmt.Sprintf("%.2f", v)
+	return strconv.FormatFloat(v, 'f', 2, 64)
 }
 
 func ringCentroid(pts [][2]float64) (float64, float64) {

@@ -2,6 +2,7 @@ package render
 
 import (
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,15 +13,23 @@ import (
 	"indice/internal/stats"
 )
 
+// asString adapts a chart's appended bytes to the string assertions.
+func asString(b []byte, err error) (string, error) { return string(b), err }
+
+// svgPanel is a panel that appends a fixed document.
+func svgPanel(svg string) Panel {
+	return func(dst []byte) ([]byte, error) { return append(dst, svg...), nil }
+}
+
 func TestCanvasPrimitives(t *testing.T) {
-	c := NewCanvas(200, 100)
+	c := NewCanvas(nil, 200, 100)
 	c.Rect(1, 2, 3, 4, "#fff", "#000", 1)
 	c.Circle(10, 10, 5, "red", "none", 0, 0.5)
 	c.Line(0, 0, 10, 10, "blue", 2)
 	c.Polygon([][2]float64{{0, 0}, {10, 0}, {5, 8}}, "green", "black", 1, 1)
 	c.Text(5, 5, "hello <world> & \"quotes\"", 10, "#333", AnchorMiddle)
 	c.Title("My Chart")
-	out := c.String()
+	out := string(c.End())
 	for _, want := range []string{"<svg", "<rect", "<circle", "<line", "<polygon", "<text", "hello &lt;world&gt; &amp;"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
@@ -32,7 +41,7 @@ func TestCanvasPrimitives(t *testing.T) {
 }
 
 func TestCanvasDefaultSize(t *testing.T) {
-	c := NewCanvas(0, -5)
+	c := NewCanvas(nil, 0, -5)
 	if c.W <= 0 || c.H <= 0 {
 		t.Fatalf("size = %dx%d", c.W, c.H)
 	}
@@ -129,7 +138,7 @@ func TestChoropleth(t *testing.T) {
 		{Zone: zoneSquare("B", 1, 2), Value: 200, Count: 4},
 		{Zone: zoneSquare("C", 2, 3), Value: math.NaN(), Count: 0},
 	}
-	svg, err := Choropleth("EPH by district", zones, geo.Bounds{MinLat: 0, MinLon: 0, MaxLat: 3, MaxLon: 3}, 500, 500)
+	svg, err := asString(Choropleth(nil, "EPH by district", zones, geo.Bounds{MinLat: 0, MinLon: 0, MaxLat: 3, MaxLon: 3}, 500, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +158,7 @@ func TestScatterMap(t *testing.T) {
 		{Point: geo.Point{Lat: 0.2, Lon: 0.3}, Value: 50},
 		{Point: geo.Point{Lat: 0.8, Lon: 0.9}, Value: 300},
 	}
-	svg, err := ScatterMap("units", pts, geo.Bounds{MinLat: 0, MinLon: 0, MaxLat: 1, MaxLon: 1}, 400, 400)
+	svg, err := asString(ScatterMap(nil, "units", pts, geo.Bounds{MinLat: 0, MinLon: 0, MaxLat: 1, MaxLon: 1}, 400, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +172,7 @@ func TestClusterMarkerMap(t *testing.T) {
 		{Center: geo.Point{Lat: 0.25, Lon: 0.25}, Count: 120, Value: 90, Label: "D1"},
 		{Center: geo.Point{Lat: 0.75, Lon: 0.75}, Count: 12, Value: 210, Label: "D2"},
 	}
-	svg, err := ClusterMarkerMap("clusters", markers, geo.Bounds{MinLat: 0, MinLon: 0, MaxLat: 1, MaxLon: 1}, 400, 400)
+	svg, err := asString(ClusterMarkerMap(nil, "clusters", markers, geo.Bounds{MinLat: 0, MinLon: 0, MaxLat: 1, MaxLon: 1}, 400, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,20 +225,20 @@ func TestHistogramChart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svg, err := HistogramChart("EPH distribution", h, 420, 260)
+	svg, err := asString(HistogramChart(nil, "EPH distribution", h, 420, 260))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Count(svg, "<rect") < 6 { // 5 bars + background
 		t.Fatalf("bars = %d", strings.Count(svg, "<rect"))
 	}
-	if _, err := HistogramChart("x", nil, 100, 100); err == nil {
+	if _, err := HistogramChart(nil, "x", nil, 100, 100); err == nil {
 		t.Fatal("want error for nil histogram")
 	}
 }
 
 func TestBarChart(t *testing.T) {
-	svg, err := BarChart("clusters", []string{"C0", "C1", "C2"}, []float64{120, 80, 44}, 420, 260)
+	svg, err := asString(BarChart(nil, "clusters", []string{"C0", "C1", "C2"}, []float64{120, 80, 44}, 420, 260))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +247,7 @@ func TestBarChart(t *testing.T) {
 			t.Errorf("label %q missing", want)
 		}
 	}
-	if _, err := BarChart("x", []string{"a"}, []float64{1, 2}, 100, 100); err == nil {
+	if _, err := BarChart(nil, "x", []string{"a"}, []float64{1, 2}, 100, 100); err == nil {
 		t.Fatal("want error for mismatched inputs")
 	}
 }
@@ -251,7 +260,7 @@ func TestCorrelationMatrixPlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svg, err := CorrelationMatrixPlot("Figure 3", m, 480)
+	svg, err := asString(CorrelationMatrixPlot(nil, "Figure 3", m, 480))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,20 +276,20 @@ func TestCorrelationMatrixPlot(t *testing.T) {
 			t.Errorf("label %q missing", n)
 		}
 	}
-	if _, err := CorrelationMatrixPlot("x", nil, 100); err == nil {
+	if _, err := CorrelationMatrixPlot(nil, "x", nil, 100); err == nil {
 		t.Fatal("want error for nil matrix")
 	}
 }
 
 func TestSSECurveChart(t *testing.T) {
-	svg, err := SSECurveChart("elbow", []int{2, 3, 4, 5}, []float64{100, 60, 30, 25}, 4, 420, 260)
+	svg, err := asString(SSECurveChart(nil, "elbow", []int{2, 3, 4, 5}, []float64{100, 60, 30, 25}, 4, 420, 260))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(svg, "#d92b1c") {
 		t.Fatal("chosen K not highlighted")
 	}
-	if _, err := SSECurveChart("x", []int{1}, []float64{1, 2}, 1, 100, 100); err == nil {
+	if _, err := SSECurveChart(nil, "x", []int{1}, []float64{1, 2}, 1, 100, 100); err == nil {
 		t.Fatal("want error for mismatched inputs")
 	}
 }
@@ -289,13 +298,26 @@ func TestPageAssembly(t *testing.T) {
 	p := NewPage("INDICE dashboard <test>")
 	p.AddHeading("Maps & stats")
 	p.AddParagraph("District-level view.")
-	p.AddSVG("<svg xmlns=\"http://www.w3.org/2000/svg\"></svg>")
-	p.AddSVGRow("<svg a=\"1\"></svg>", "<svg b=\"2\"></svg>")
+	if err := p.AddSVG(svgPanel("<svg xmlns=\"http://www.w3.org/2000/svg\"></svg>")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddSVGRow(svgPanel("<svg a=\"1\"></svg>"), svgPanel("<svg b=\"2\"></svg>")); err != nil {
+		t.Fatal(err)
+	}
 	if err := p.AddTable([]string{"attr", "mean"}, [][]string{{"eph", "132.4"}}); err != nil {
 		t.Fatal(err)
 	}
 	p.AddPre("A -> B (lift=2)")
-	out := p.String()
+	before := len(p.b)
+	if err := p.AddSVGRow(svgPanel("<svg/>"), func(dst []byte) ([]byte, error) {
+		return BarChart(dst, "x", nil, nil, 100, 100)
+	}); err == nil {
+		t.Fatal("want the failing panel's error")
+	}
+	if len(p.b) != before {
+		t.Fatalf("a failed row left %d bytes on the page", len(p.b)-before)
+	}
+	out := string(p.End())
 	for _, want := range []string{
 		"<!DOCTYPE html>", "INDICE dashboard &lt;test&gt;", "<h2>Maps &amp; stats</h2>",
 		"<table>", "<pre>", "class=\"row\"",
@@ -312,22 +334,63 @@ func TestPageAssembly(t *testing.T) {
 	}
 }
 
-func BenchmarkScatterMap25k(b *testing.B) {
-	pts := make([]PointValue, 25000)
+// scatterPoints is n points on a 500 × 499 lattice of the unit square
+// with values cycling through 0..299.
+func scatterPoints(n int) []PointValue {
+	pts := make([]PointValue, n)
 	for i := range pts {
 		pts[i] = PointValue{
 			Point: geo.Point{Lat: float64(i%500) / 500, Lon: float64(i%499) / 499},
 			Value: float64(i % 300),
 		}
 	}
-	bounds := geo.Bounds{MinLat: 0, MinLon: 0, MaxLat: 1, MaxLon: 1}
+	return pts
+}
+
+var unitSquare = geo.Bounds{MinLat: 0, MinLon: 0, MaxLat: 1, MaxLon: 1}
+
+func BenchmarkScatterMap25k(b *testing.B) {
+	pts := scatterPoints(25000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ScatterMap("bench", pts, bounds, 800, 600); err != nil {
+		if _, err := ScatterMap(nil, "bench", pts, unitSquare, 800, 600); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestScatterMapAllocationsDoNotGrowWithPoints: a point costs the scatter
+// map no allocation of its own (no escaping, formatting or colour string
+// on the heap), and the document is written into one buffer grown once,
+// so the bytes allocated stay within a small multiple of the output.
+func TestScatterMapAllocationsDoNotGrowWithPoints(t *testing.T) {
+	cost := func(n int) (allocs float64, perOutByte float64) {
+		pts := scatterPoints(n)
+		var svg []byte
+		allocs = testing.AllocsPerRun(3, func() {
+			var err error
+			if svg, err = ScatterMap(nil, "allocs", pts, unitSquare, 800, 600); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ScatterMap(nil, "allocs", pts, unitSquare, 800, 600); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(len(svg))
+	}
+	smallAllocs, _ := cost(1_000)
+	bigAllocs, perByte := cost(20_000)
+	if bigAllocs-smallAllocs > 2 {
+		t.Errorf("allocations: %v at 1 000 points, %v at 20 000", smallAllocs, bigAllocs)
+	}
+	if perByte > 3 {
+		t.Errorf("20 000 points allocate %.2f bytes per output byte, want <= 3", perByte)
+	}
+	t.Logf("allocs %v / %v at 1 000 / 20 000 points; %.2f B allocated per output byte", smallAllocs, bigAllocs, perByte)
 }
 
 func TestDendrogramChart(t *testing.T) {
@@ -336,7 +399,7 @@ func TestDendrogramChart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svg, err := DendrogramChart("dendrogram", dg, 480, 320)
+	svg, err := asString(DendrogramChart(nil, "dendrogram", dg, 480, 320))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +416,7 @@ func TestDendrogramChart(t *testing.T) {
 			t.Fatalf("leaf tick %d missing", i)
 		}
 	}
-	if _, err := DendrogramChart("x", nil, 100, 100); err == nil {
+	if _, err := DendrogramChart(nil, "x", nil, 100, 100); err == nil {
 		t.Fatal("want error for nil dendrogram")
 	}
 }
@@ -367,7 +430,7 @@ func TestDendrogramChartTooLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DendrogramChart("x", dg, 400, 300); err == nil {
+	if _, err := DendrogramChart(nil, "x", dg, 400, 300); err == nil {
 		t.Fatal("want error for oversized dendrogram")
 	}
 }

@@ -589,7 +589,7 @@ func TestCachedAnswersNeverGoBackAnEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 		mu.Lock()
-		wantPages = append(wantPages, rendering{dash, svg})
+		wantPages = append(wantPages, rendering{dash, string(svg)})
 		mu.Unlock()
 	}
 	for _, c := range chunks[:4] {

@@ -17,7 +17,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -297,11 +296,11 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, pageLookups, pub.Epoch, "dashboard\x00"+string(st), func(context.Context) (*answer, error) {
-		page, err := pub.Engine.Dashboard(st, pub.Analysis)
+		page, err := pub.Engine.DashboardBytes(st, pub.Analysis)
 		if err != nil {
 			return nil, err
 		}
-		return pageAnswer(pub.Epoch, htmlType, []byte(page)), nil
+		return pageAnswer(pub.Epoch, htmlType, page), nil
 	})
 }
 
@@ -334,39 +333,40 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.Query().Get("raw") == "1"
 	key := fmt.Sprintf("map\x00%s\x00%s\x00%t", level, attr, raw)
 	s.serveCached(w, r, pageLookups, epoch, key, func(context.Context) (*answer, error) {
-		svg, kind, err := dashboard.RenderMap(eng.Table(), eng.Hierarchy(), dashboard.MapSpec{
+		spec := dashboard.MapSpec{
 			Title: fmt.Sprintf("Average %s — %s zoom", attr, level),
 			Level: level,
 			Attr:  attr,
-		})
+		}
+		if raw {
+			svg, _, err := dashboard.RenderMap(eng.Table(), eng.Hierarchy(), spec)
+			if err != nil {
+				return nil, err
+			}
+			return pageAnswer(epoch, "image/svg+xml", svg), nil
+		}
+		b := []byte("<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>INDICE map</title></head><body>")
+		b = fmt.Appendf(b, "<p>%s map — drill: ", dashboard.MapKindForLevel(level))
+		for _, l := range []geo.Level{geo.LevelCity, geo.LevelDistrict, geo.LevelNeighbourhood, geo.LevelUnit} {
+			if l == level {
+				b = fmt.Appendf(b, "<b>%s</b> ", l)
+			} else {
+				b = fmt.Appendf(b, `<a href="/map?level=%s&attr=%s">%s</a> `, l, html.EscapeString(attr), l)
+			}
+		}
+		b = append(b, "| attribute: "...)
+		for _, a := range []string{epc.AttrEPH, epc.AttrUOpaque, epc.AttrUWindows, epc.AttrETAH} {
+			if a == attr {
+				b = fmt.Appendf(b, "<b>%s</b> ", a)
+			} else {
+				b = fmt.Appendf(b, `<a href="/map?level=%s&attr=%s">%s</a> `, level, a, a)
+			}
+		}
+		b, _, err := dashboard.AppendMap(append(b, "</p>"...), eng.Table(), eng.Hierarchy(), spec)
 		if err != nil {
 			return nil, err
 		}
-		if raw {
-			return pageAnswer(epoch, "image/svg+xml", []byte(svg)), nil
-		}
-		var b bytes.Buffer
-		b.WriteString("<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>INDICE map</title></head><body>")
-		fmt.Fprintf(&b, "<p>%s map — drill: ", kind)
-		for _, l := range []geo.Level{geo.LevelCity, geo.LevelDistrict, geo.LevelNeighbourhood, geo.LevelUnit} {
-			if l == level {
-				fmt.Fprintf(&b, "<b>%s</b> ", l)
-			} else {
-				fmt.Fprintf(&b, `<a href="/map?level=%s&attr=%s">%s</a> `, l, html.EscapeString(attr), l)
-			}
-		}
-		b.WriteString("| attribute: ")
-		for _, a := range []string{epc.AttrEPH, epc.AttrUOpaque, epc.AttrUWindows, epc.AttrETAH} {
-			if a == attr {
-				fmt.Fprintf(&b, "<b>%s</b> ", a)
-			} else {
-				fmt.Fprintf(&b, `<a href="/map?level=%s&attr=%s">%s</a> `, level, a, a)
-			}
-		}
-		b.WriteString("</p>")
-		b.WriteString(svg)
-		b.WriteString("</body></html>")
-		return pageAnswer(epoch, htmlType, b.Bytes()), nil
+		return pageAnswer(epoch, htmlType, append(b, "</body></html>"...)), nil
 	})
 }
 

@@ -18,34 +18,37 @@ type Histogram struct {
 
 // NewHistogram bins the finite values of xs into the given number of
 // equal-width bins spanning [min, max]. With a constant input all values
-// land in a single bin.
+// land in a single bin. It reads xs in place: a panel bins a whole column
+// without a cleaned copy of it.
 func NewHistogram(xs []float64, bins int) (*Histogram, error) {
 	if bins < 1 {
 		return nil, errors.New("stats: histogram needs at least one bin")
 	}
-	c := Clean(xs)
-	if len(c) == 0 {
-		return nil, ErrEmpty
+	min, max, err := MinMax(xs)
+	if err != nil {
+		return nil, err
 	}
-	min, max, _ := MinMax(c)
 	if min == max {
-		return &Histogram{
-			Edges:  []float64{min, max},
-			Counts: []int{len(c)},
-			Total:  len(c),
-		}, nil
+		bins = 1
 	}
 	h := &Histogram{
 		Edges:  make([]float64, bins+1),
 		Counts: make([]int, bins),
-		Total:  len(c),
 	}
 	width := (max - min) / float64(bins)
 	for i := 0; i <= bins; i++ {
 		h.Edges[i] = min + float64(i)*width
 	}
 	h.Edges[bins] = max // avoid FP drift on the last edge
-	for _, x := range c {
+	for _, x := range xs {
+		if !finite(x) {
+			continue
+		}
+		h.Total++
+		if width == 0 {
+			h.Counts[0]++
+			continue
+		}
 		i := int((x - min) / width)
 		if i >= bins {
 			i = bins - 1
@@ -91,7 +94,7 @@ type CategoricalDescription struct {
 // determinism). Empty strings are counted as the category "" like any
 // other value.
 func DescribeCategorical(vs []string, k int) CategoricalDescription {
-	counts := make(map[string]int, len(vs))
+	counts := make(map[string]int)
 	for _, v := range vs {
 		counts[v]++
 	}

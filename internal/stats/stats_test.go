@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -482,7 +483,13 @@ func TestHistogramCountConservationProperty(t *testing.T) {
 		for _, c := range h.Counts {
 			total += c
 		}
-		return total == len(xs)
+		// Non-finite values are skipped in place, as if cleaned first.
+		dirty := []float64{math.NaN()}
+		for _, x := range xs {
+			dirty = append(dirty, x, math.Inf(1), math.Inf(-1))
+		}
+		hd, err := NewHistogram(dirty, bins)
+		return total == len(xs) && err == nil && fmt.Sprint(*hd) == fmt.Sprint(*h) // NaN edges print alike
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -41,6 +41,18 @@ func (t *Table) WriteCSV(w io.Writer) error {
 				rec[i] = c.Dict[c.Codes[r]]
 			}
 		}
+		if len(rec) == 1 && rec[0] == "" {
+			// encoding/csv writes a lone empty field as a blank line,
+			// which its reader skips: the row is written quoted instead.
+			cw.Flush()
+			if err := cw.Error(); err != nil {
+				return fmt.Errorf("table: writing CSV row %d: %w", r, err)
+			}
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return fmt.Errorf("table: writing CSV row %d: %w", r, err)
+			}
+			continue
+		}
 		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("table: writing CSV row %d: %w", r, err)
 		}

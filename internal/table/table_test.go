@@ -281,6 +281,50 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCSVOneColumnKeepsMissingCells: a one-column table's missing cell is
+// a record with one empty field, which must not be written as the blank
+// line encoding/csv's reader skips.
+func TestCSVOneColumnKeepsMissingCells(t *testing.T) {
+	roundTrip := func(tab *Table, want string) *Table {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := tab.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != want {
+			t.Fatalf("wrote %q, want %q", buf.String(), want)
+		}
+		back, err := ReadCSV(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.NumRows() != tab.NumRows() {
+			t.Fatalf("%q read back as %d rows, want %d", want, back.NumRows(), tab.NumRows())
+		}
+		return back
+	}
+
+	floats := New()
+	if err := floats.AddFloats("v", []float64{1, math.NaN(), 3}); err != nil {
+		t.Fatal(err)
+	}
+	back := roundTrip(floats, "v:f\n1\n\"\"\n3\n")
+	vs, _ := back.Floats("v")
+	valid, _ := back.ValidMask("v")
+	if vs[0] != 1 || vs[2] != 3 || !reflect.DeepEqual(valid, []bool{true, false, true}) {
+		t.Fatalf("read back %v, valid %v", vs, valid)
+	}
+
+	strs := New()
+	if err := strs.AddStrings("s", []string{"a", "", "c"}); err != nil {
+		t.Fatal(err)
+	}
+	back = roundTrip(strs, "s:s\na\n\"\"\nc\n")
+	if ss, _ := back.Strings("s"); !reflect.DeepEqual(ss, []string{"a", "", "c"}) {
+		t.Fatalf("read back %q", ss)
+	}
+}
+
 func TestCSVHeaderOnly(t *testing.T) {
 	got, err := ReadCSV(strings.NewReader("a:f,b:s\n"))
 	if err != nil {
