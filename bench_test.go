@@ -157,32 +157,7 @@ func BenchmarkE3Outliers(b *testing.B) {
 	b.Run("dbscan-auto", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := outlier.DetectMultivariate(w.Dirty, epc.CaseStudyAttributes,
-				outlier.MultivariateConfig{SampleSize: 300}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkE3AblationFixedEps is the docs/benchmarks.md ablation: DBSCAN with the
-// k-distance auto-estimated eps versus a fixed eps.
-func BenchmarkE3AblationFixedEps(b *testing.B) {
-	w := benchWorld(b)
-	b.Run("auto-eps", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := outlier.DetectMultivariate(w.Dirty, epc.CaseStudyAttributes,
-				outlier.MultivariateConfig{SampleSize: 300}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fixed-eps", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := outlier.DetectMultivariate(w.Dirty, epc.CaseStudyAttributes,
-				outlier.MultivariateConfig{Eps: 0.05, MinPts: 5}); err != nil {
+			if _, err := outlier.DetectMultivariate(w.Dirty, epc.CaseStudyAttributes, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -210,8 +185,7 @@ func BenchmarkE3OutliersParallel(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := outlier.DetectMultivariate(w.Dirty, epc.CaseStudyAttributes,
-					outlier.MultivariateConfig{SampleSize: 300, Parallelism: parallelism}); err != nil {
+				if _, err := outlier.DetectMultivariate(w.Dirty, epc.CaseStudyAttributes, parallelism); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -276,27 +250,6 @@ func BenchmarkE5KMeansElbowParallel(b *testing.B) {
 	}
 	b.Run("sequential", sweep(1))
 	b.Run("parallel", sweep(runtime.GOMAXPROCS(0)))
-}
-
-// BenchmarkE5AblationInit is the docs/benchmarks.md ablation: the paper's uniform
-// random centroid initialization versus k-means++.
-func BenchmarkE5AblationInit(b *testing.B) {
-	w := benchWorld(b)
-	mat, _, err := w.Clean.Matrix(epc.CaseStudyAttributes...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for name, pp := range map[string]bool{"random": false, "plusplus": true} {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := cluster.KMeansConfig{K: 5, Seed: int64(i), PlusPlus: pp}
-				if _, err := cluster.KMeans(mat, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkE6AssociationRules regenerates the Figure 4 rule panel (CART
@@ -687,7 +640,6 @@ func e12Live(b *testing.B, incremental bool) (*store.Store, *core.Live) {
 	acfg.Attributes = append([]string(nil), e12Attrs...)
 	acfg.KMin, acfg.KMax = 2, 8
 	acfg.Restarts = 2
-	acfg.HierarchicalSample = 0
 	pcfg := core.DefaultPreprocessConfig()
 	pcfg.OutlierAttrs = append([]string(nil), e12Attrs...)
 	live, err := core.NewLive(st, hier, core.LiveConfig{
@@ -1638,7 +1590,7 @@ func e20Live(b *testing.B, cfg core.LiveConfig) *core.Live {
 // handler's share only, without the request parsing "bytes" also pays.
 // Methodology in docs/benchmarks.md.
 func BenchmarkE20HotResponse(b *testing.B) {
-	srv, err := server.NewLive(e20Live(b, core.LiveConfig{SkipAnalysis: true}))
+	srv, err := server.NewLive(e20Live(b, core.LiveConfig{Analysis: core.AnalysisConfig{KMax: 3}}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1768,7 +1720,7 @@ func e31Resident(before float64) (cacheBytes, heap float64) {
 // request's on a fresh server, the cached literal aside. Methodology in
 // docs/benchmarks.md.
 func BenchmarkE31ColdResidency(b *testing.B) {
-	live := e20Live(b, core.LiveConfig{SkipAnalysis: true})
+	live := e20Live(b, core.LiveConfig{Analysis: core.AnalysisConfig{KMax: 3}})
 	paths := e31ColdPaths(1024, 31)
 	srv := e31Server(b, live)
 	for _, p := range paths {
@@ -1809,7 +1761,7 @@ func BenchmarkE31ColdResidency(b *testing.B) {
 // its first, the cached literal aside. One op is the whole trace.
 // Methodology in docs/benchmarks.md.
 func BenchmarkE32Revisits(b *testing.B) {
-	live := e20Live(b, core.LiveConfig{SkipAnalysis: true})
+	live := e20Live(b, core.LiveConfig{Analysis: core.AnalysisConfig{KMax: 3}})
 	hot := []string{
 		"/map?level=city&raw=1",
 		"/map?level=district&raw=1",

@@ -72,10 +72,6 @@ type MiningConfig struct {
 	// MaxLen bounds itemset length (default 4: antecedent up to 3 items
 	// plus a consequent).
 	MaxLen int
-	// DisablePruning turns off the anti-monotone candidate pruning; the
-	// correctness-equivalent exhaustive variant exists for the ablation
-	// bench only.
-	DisablePruning bool
 	// Parallelism bounds the worker goroutines of the support-counting
 	// passes, which fan out over the candidates of a level. 0 or 1 run
 	// sequentially; counts are exact, so the mined itemsets are identical
@@ -187,14 +183,13 @@ func (m *Miner) FrequentItemsets(cfg MiningConfig) ([]FrequentItemset, error) {
 		return level
 	}
 
-	level := keepFrequent(m.allCandidates(1))
+	singles := make([]idset, len(m.items))
+	for i := range singles {
+		singles[i] = idset{int32(i)}
+	}
+	level := keepFrequent(singles)
 	for length := 2; length <= maxLen && len(level) > 0; length++ {
-		var candidates []idset
-		if cfg.DisablePruning {
-			candidates = m.allCandidates(length)
-		} else {
-			candidates = m.joinAndPrune(level)
-		}
+		candidates := m.joinAndPrune(level)
 		if len(candidates) == 0 {
 			break
 		}
@@ -267,29 +262,5 @@ func (m *Miner) joinAndPrune(level []idset) []idset {
 			}
 		}
 	}
-	return out
-}
-
-// allCandidates enumerates every length-k combination of observed items
-// with distinct attributes, in sorted order: the unpruned ablation
-// baseline, and at k = 1 simply every item.
-func (m *Miner) allCandidates(k int) []idset {
-	var out []idset
-	var rec func(start int, cur idset)
-	rec = func(start int, cur idset) {
-		if len(cur) == k {
-			out = append(out, slices.Clone(cur))
-			return
-		}
-		for i := start; i < len(m.items); i++ {
-			// Ids follow (attribute, value) order, so an attribute could
-			// only repeat the one chosen last.
-			if len(cur) > 0 && m.items[cur[len(cur)-1]].Attr == m.items[i].Attr {
-				continue
-			}
-			rec(i+1, append(cur, int32(i)))
-		}
-	}
-	rec(0, nil)
 	return out
 }

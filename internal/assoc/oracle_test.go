@@ -16,10 +16,13 @@ import (
 // (containsAll), every ordering done on rendered string keys. The interned
 // tidset miner must return exactly what it returns, in the same order.
 
-// oracleMiner is the old Miner.
+// oracleMiner is the old Miner. With exhaustive set it counts every
+// combination of observed items instead of the pruned candidates: the
+// unpruned Apriori the pruned miner must match.
 type oracleMiner struct {
-	txs []Itemset
-	n   int
+	txs        []Itemset
+	n          int
+	exhaustive bool
 }
 
 func newOracleMiner(txs []Transaction) *oracleMiner {
@@ -121,7 +124,7 @@ func (m *oracleMiner) FrequentItemsets(cfg MiningConfig) ([]FrequentItemset, err
 
 	for length := 2; length <= maxLen && len(level) > 0; length++ {
 		var candidates []Itemset
-		if cfg.DisablePruning {
+		if m.exhaustive {
 			candidates = m.allCandidates(length)
 		} else {
 			candidates = oracleJoinAndPrune(level)
@@ -254,7 +257,7 @@ func oracleJoinAndPrune(level []Itemset) []Itemset {
 }
 
 // allCandidates enumerates every length-k combination of observed items
-// with distinct attributes: the unpruned ablation baseline.
+// with distinct attributes: the unpruned baseline.
 func (m *oracleMiner) allCandidates(k int) []Itemset {
 	seen := make(map[string]Item)
 	for _, tx := range m.txs {
@@ -366,16 +369,21 @@ func TestMinerMatchesStringOracle(t *testing.T) {
 			t.Fatalf("shape %+v interned only %d items, want more than 64", sh, len(m.items))
 		}
 		oracle := newOracleMiner(txs)
-		for _, cfg := range []MiningConfig{
-			{MinSupport: 0.02, MaxLen: 3},
-			{MinSupport: 0.1},
-			{MinSupport: 0.3, MaxLen: 2, Parallelism: 4},
-			{MinSupport: 0.05, MaxLen: 3, DisablePruning: true},
-			{MinSupport: 1},
+		for _, tc := range []struct {
+			cfg        MiningConfig
+			exhaustive bool
+		}{
+			{cfg: MiningConfig{MinSupport: 0.02, MaxLen: 3}},
+			{cfg: MiningConfig{MinSupport: 0.1}},
+			{cfg: MiningConfig{MinSupport: 0.3, MaxLen: 2, Parallelism: 4}},
+			{cfg: MiningConfig{MinSupport: 0.05, MaxLen: 3}, exhaustive: true},
+			{cfg: MiningConfig{MinSupport: 1}},
 		} {
-			if cfg.DisablePruning && sh.attrs > 6 {
+			if tc.exhaustive && sh.attrs > 6 {
 				continue // the exhaustive variant is cubic in the items
 			}
+			cfg := tc.cfg
+			oracle.exhaustive = tc.exhaustive
 			want, err := oracle.FrequentItemsets(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -387,7 +395,7 @@ func TestMinerMatchesStringOracle(t *testing.T) {
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("shape %+v cfg %+v: Apriori returned %d itemsets, oracle %d (or another order)", sh, cfg, len(got), len(want))
 			}
-			if cfg.DisablePruning {
+			if tc.exhaustive {
 				continue
 			}
 			wantRules, _ := m.Rules(want, RuleConfig{MinConfidence: 0.3})

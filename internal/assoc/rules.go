@@ -29,13 +29,12 @@ func (r Rule) String() string {
 		r.Antecedent, r.Consequent, r.Support, r.Confidence, r.Lift, r.Conviction)
 }
 
-// RuleConfig filters generated rules. The paper's four indices each get a
-// minimum constraint; zero values disable a constraint (except MinSupport,
-// inherited from mining).
+// RuleConfig filters generated rules on the paper's indices: support is
+// inherited from mining, confidence and lift get a minimum here (a zero
+// value disables it), and conviction is reported, never filtered on.
 type RuleConfig struct {
 	MinConfidence float64
 	MinLift       float64
-	MinConviction float64
 	// MaxConsequentLen bounds the consequent size (default 1, the
 	// template INDICE uses for readable tabular rules).
 	MaxConsequentLen int
@@ -96,9 +95,6 @@ func (m *Miner) Rules(frequent []FrequentItemset, cfg RuleConfig) ([]Rule, error
 			conv := math.Inf(1)
 			if conf < 1 {
 				conv = (1 - supB) / (1 - conf)
-			}
-			if cfg.MinConviction > 0 && conv < cfg.MinConviction {
-				continue
 			}
 			rules = append(rules, Rule{
 				Antecedent: ante,

@@ -168,27 +168,6 @@ func TestElbowKEdgeCases(t *testing.T) {
 	}
 }
 
-func TestKMeansPlusPlusNotWorse(t *testing.T) {
-	pts, _ := blobs(6, 5, 40, 1.2)
-	var sseRand, ssePP float64
-	for r := int64(0); r < 5; r++ {
-		a, err := KMeans(pts, KMeansConfig{K: 5, Seed: r})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := KMeans(pts, KMeansConfig{K: 5, Seed: r, PlusPlus: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sseRand += a.SSE
-		ssePP += b.SSE
-	}
-	// k-means++ should not be dramatically worse on average.
-	if ssePP > sseRand*1.5 {
-		t.Fatalf("k-means++ mean SSE %v much worse than random %v", ssePP/5, sseRand/5)
-	}
-}
-
 func TestDBSCANBlobsAndNoise(t *testing.T) {
 	pts, _ := blobs(7, 2, 80, 0.4)
 	// Plant three isolated outliers.

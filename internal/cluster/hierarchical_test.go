@@ -135,7 +135,7 @@ func TestHierarchicalAgreesWithKMeansOnBlobs(t *testing.T) {
 	// a bad local optimum on 4 blobs.
 	var km *KMeansResult
 	for r := int64(0); r < 6; r++ {
-		res, err := KMeans(pts, KMeansConfig{K: 4, Seed: r, PlusPlus: true})
+		res, err := KMeans(pts, KMeansConfig{K: 4, Seed: r})
 		if err != nil {
 			t.Fatal(err)
 		}

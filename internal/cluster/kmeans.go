@@ -35,17 +35,12 @@ type KMeansConfig struct {
 	K int
 	// MaxIterations bounds the Lloyd iterations (default 100).
 	MaxIterations int
-	// Seed drives centroid initialization.
+	// Seed drives centroid initialization: K distinct points picked
+	// uniformly, the paper's variant.
 	Seed int64
-	// PlusPlus selects k-means++ seeding instead of the paper's uniform
-	// random initial centroids. Exposed for the ablation bench.
-	PlusPlus bool
-	// Tolerance stops iteration when no centroid moves more than this
-	// (squared Euclidean); 0 means exact convergence.
-	Tolerance float64
 	// WarmStart, when non-empty, supplies the K initial centroids as one
 	// flat row-major []float64 of length K×dim, skipping random seeding
-	// entirely (Seed and PlusPlus are then ignored). Incremental refreshes
+	// entirely (Seed is then ignored). Incremental refreshes
 	// use it to resume Lloyd's iteration from the previous epoch's
 	// converged centroids: on slowly drifting data the run converges in a
 	// handful of iterations instead of re-descending from scratch, and a
@@ -69,20 +64,6 @@ type KMeansResult struct {
 	Iterations int
 	// Sizes[c] is the population of cluster c.
 	Sizes []int
-}
-
-// KMeans clusters the row-major points into cfg.K groups with Lloyd's
-// algorithm under the Euclidean metric. It is a thin adapter over
-// KMeansMatrix; see there for the algorithm.
-func KMeans(points [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
-	if len(points) == 0 {
-		return nil, errors.New("cluster: kmeans on empty input")
-	}
-	m, err := matrix.FromRows(points)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	return KMeansMatrix(m, cfg)
 }
 
 // boundSlack is the relative margin applied to every stored distance
@@ -152,8 +133,7 @@ func kmeansRun(m *matrix.Matrix, xn []float64, cfg KMeansConfig) (*KMeansResult,
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	switch {
-	case len(cfg.WarmStart) > 0:
+	if len(cfg.WarmStart) > 0 {
 		if len(cfg.WarmStart) != cfg.K*dim {
 			return nil, fmt.Errorf("cluster: warm start carries %d values, want K×dim = %d×%d",
 				len(cfg.WarmStart), cfg.K, dim)
@@ -164,10 +144,7 @@ func kmeansRun(m *matrix.Matrix, xn []float64, cfg KMeansConfig) (*KMeansResult,
 			}
 		}
 		copy(cents.Data(), cfg.WarmStart)
-	case cfg.PlusPlus:
-		seedPlusPlus(rand.New(rand.NewSource(cfg.Seed)), m, cents)
-	default:
-		// The paper's variant: K distinct points picked uniformly.
+	} else {
 		perm := rand.New(rand.NewSource(cfg.Seed)).Perm(n)
 		for c := 0; c < cfg.K; c++ {
 			cents.CopyRow(c, m.Row(perm[c]))
@@ -328,7 +305,8 @@ func kmeansRun(m *matrix.Matrix, xn []float64, cfg KMeansConfig) (*KMeansResult,
 				maxDelta2 = deltas[c]
 			}
 		}
-		if !changed.Load() || maxMove <= cfg.Tolerance {
+		// Lloyd's iteration runs to exact convergence.
+		if !changed.Load() || maxMove == 0 {
 			break
 		}
 		// A re-seed teleports a centroid: no shift covers that, so the
@@ -429,45 +407,6 @@ func nearestCentroid(x []float64, xn float64, cents *matrix.Matrix, cn, dbuf []f
 	}
 	secondLB = boundDown(math.Sqrt(slb))
 	return best, bestD, secondLB
-}
-
-// seedPlusPlus performs k-means++ seeding into cents, reusing one
-// distance buffer across all K draws. It consumes the rng stream and
-// produces centroids bitwise-identically to the pre-refactor seeding.
-func seedPlusPlus(rng *rand.Rand, m *matrix.Matrix, cents *matrix.Matrix) {
-	n := m.Rows()
-	k := cents.Rows()
-	cents.CopyRow(0, m.Row(rng.Intn(n)))
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = matrix.SqDist(m.Row(i), cents.Row(0))
-	}
-	for c := 1; c < k; c++ {
-		var total float64
-		for _, d := range dist {
-			total += d
-		}
-		var pick int
-		if total <= 0 {
-			pick = rng.Intn(n)
-		} else {
-			x := rng.Float64() * total
-			for i, d := range dist {
-				x -= d
-				if x <= 0 {
-					pick = i
-					break
-				}
-			}
-		}
-		cents.CopyRow(c, m.Row(pick))
-		crow := cents.Row(c)
-		for i := range dist {
-			if d := matrix.SqDist(m.Row(i), crow); d < dist[i] {
-				dist[i] = d
-			}
-		}
-	}
 }
 
 // Dist returns the Euclidean distance between two points.

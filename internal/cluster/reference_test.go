@@ -54,13 +54,9 @@ func kmeansReference(points [][]float64, cfg KMeansConfig, onReseed func(iter in
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	centroids := make([][]float64, cfg.K)
-	if cfg.PlusPlus {
-		seedPlusPlusReference(rng, points, centroids)
-	} else {
-		perm := rng.Perm(n)
-		for c := 0; c < cfg.K; c++ {
-			centroids[c] = append([]float64(nil), points[perm[c]]...)
-		}
+	perm := rng.Perm(n)
+	for c := 0; c < cfg.K; c++ {
+		centroids[c] = append([]float64(nil), points[perm[c]]...)
 	}
 
 	labels := make([]int, n)
@@ -129,7 +125,7 @@ func kmeansReference(points [][]float64, cfg KMeansConfig, onReseed func(iter in
 				maxMove = move
 			}
 		}
-		if !changed || maxMove <= cfg.Tolerance {
+		if !changed || maxMove <= 0 {
 			break
 		}
 	}
@@ -146,43 +142,6 @@ func kmeansReference(points [][]float64, cfg KMeansConfig, onReseed func(iter in
 		res.SSE += refSqDist(points[i], centroids[labels[i]])
 	}
 	return res, nil
-}
-
-// seedPlusPlusReference is the pre-refactor k-means++ seeding; it draws
-// the same rng sequence as the optimized seeding.
-func seedPlusPlusReference(rng *rand.Rand, points [][]float64, centroids [][]float64) {
-	n := len(points)
-	k := len(centroids)
-	centroids[0] = append([]float64(nil), points[rng.Intn(n)]...)
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = refSqDist(points[i], centroids[0])
-	}
-	for c := 1; c < k; c++ {
-		var total float64
-		for _, d := range dist {
-			total += d
-		}
-		var pick int
-		if total <= 0 {
-			pick = rng.Intn(n)
-		} else {
-			x := rng.Float64() * total
-			for i, d := range dist {
-				x -= d
-				if x <= 0 {
-					pick = i
-					break
-				}
-			}
-		}
-		centroids[c] = append([]float64(nil), points[pick]...)
-		for i := range dist {
-			if d := refSqDist(points[i], centroids[c]); d < dist[i] {
-				dist[i] = d
-			}
-		}
-	}
 }
 
 func refSqDist(a, b []float64) float64 {

@@ -7,9 +7,23 @@ import (
 	"indice/internal/matrix"
 )
 
-// The [][]float64 adapters of the DBSCAN family. No other package calls
-// them (production feeds the *Matrix entry points); the tests here still
-// describe their inputs as row slices.
+// The [][]float64 adapters of K-means and the DBSCAN family. No other
+// package calls them (production feeds the *Matrix entry points); the
+// tests here still describe their inputs as row slices.
+
+// KMeans clusters the row-major points into cfg.K groups with Lloyd's
+// algorithm under the Euclidean metric. It is a thin adapter over
+// KMeansMatrix; see there for the algorithm.
+func KMeans(points [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
+	if len(points) == 0 {
+		return nil, errors.New("cluster: kmeans on empty input")
+	}
+	m, err := matrix.FromRows(points)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	return KMeansMatrix(m, cfg)
+}
 
 // DBSCAN is DBSCANMatrix over row slices, sequential.
 func DBSCAN(points [][]float64, eps float64, minPts int) (*DBSCANResult, error) {

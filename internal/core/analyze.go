@@ -34,12 +34,6 @@ type AnalysisConfig struct {
 	MinSupport    float64
 	MinConfidence float64
 	MinLift       float64
-	// HierarchicalSample, when positive, additionally builds an
-	// agglomerative dendrogram (average linkage) over a deterministic
-	// sample of at most that many complete rows — the benchmarking view
-	// of the energy-scientist dashboard. The construction is O(n²) in the
-	// sample size; values ≲ 200 keep it instant.
-	HierarchicalSample int
 	// ExtraRuleAttrs are categorical attributes mined alongside the
 	// discretized numeric ones (default: energy class and construction
 	// era).
@@ -48,9 +42,9 @@ type AnalysisConfig struct {
 	CART cart.Config
 	// Parallelism is the worker degree of the analytics tier. The
 	// independent analyses — correlation screening, the K-means elbow
-	// sweep, CART discretization + rule mining, and the hierarchical view —
-	// run as a concurrent stage graph, and the same degree threads into
-	// each algorithm's own hot loop. Because the stages overlap, the tier
+	// sweep, and CART discretization + rule mining — run as a concurrent
+	// stage graph, and the same degree threads into each algorithm's own
+	// hot loop. Because the stages overlap, the tier
 	// may briefly run up to (stages × Parallelism) goroutines rather than
 	// treating the value as a global cap; the Go scheduler multiplexes
 	// them onto GOMAXPROCS threads either way. 0 or 1 run the tier fully
@@ -109,37 +103,60 @@ type Analysis struct {
 	Binnings map[string]*cart.Binning
 	// Rules are the mined association rules, sorted by lift.
 	Rules []assoc.Rule
-	// Dendrogram is the optional hierarchical-clustering view over a
-	// sample (nil unless AnalysisConfig.HierarchicalSample > 0).
+	// Dendrogram is always nil: no analysis builds the hierarchical view
+	// (examples/energy-scientist draws its own with cluster.Hierarchical).
+	// TestGoldenDigests digests this struct field by field, names
+	// included, so the field goes when those digests are next re-recorded.
 	Dendrogram *cluster.Dendrogram
 }
 
-// withDefaults resolves the zero values of the fields both the cold and
-// the incremental analysis read.
+// withDefaults fills every zero field but Parallelism from
+// DefaultAnalysisConfig, so a partial configuration changes only what it
+// sets: Analyze(AnalysisConfig{}) is the paper's analysis. A KMax below
+// KMin becomes KMin+8.
 func (cfg AnalysisConfig) withDefaults() AnalysisConfig {
+	d := DefaultAnalysisConfig()
 	if len(cfg.Attributes) == 0 {
-		cfg.Attributes = append([]string(nil), epc.CaseStudyAttributes...)
+		cfg.Attributes = d.Attributes
 	}
 	if cfg.Response == "" {
-		cfg.Response = epc.AttrEPH
+		cfg.Response = d.Response
 	}
 	if cfg.CorrelationThreshold <= 0 {
-		cfg.CorrelationThreshold = 0.8
+		cfg.CorrelationThreshold = d.CorrelationThreshold
 	}
 	if cfg.KMin < 2 {
-		cfg.KMin = 2
+		cfg.KMin = d.KMin
 	}
 	if cfg.KMax < cfg.KMin {
 		cfg.KMax = cfg.KMin + 8
 	}
 	if cfg.Restarts <= 0 {
-		cfg.Restarts = 3
+		cfg.Restarts = d.Restarts
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = d.Seed
 	}
 	if cfg.MinSupport <= 0 {
-		cfg.MinSupport = 0.05
+		cfg.MinSupport = d.MinSupport
 	}
 	if cfg.MinConfidence <= 0 {
-		cfg.MinConfidence = 0.6
+		cfg.MinConfidence = d.MinConfidence
+	}
+	if cfg.MinLift <= 0 {
+		cfg.MinLift = d.MinLift
+	}
+	if len(cfg.ExtraRuleAttrs) == 0 {
+		cfg.ExtraRuleAttrs = d.ExtraRuleAttrs
+	}
+	if cfg.CART.MaxDepth <= 0 {
+		cfg.CART.MaxDepth = d.CART.MaxDepth
+	}
+	if cfg.CART.MinLeaf <= 0 {
+		cfg.CART.MinLeaf = d.CART.MinLeaf
+	}
+	if cfg.CART.MinImprove <= 0 {
+		cfg.CART.MinImprove = d.CART.MinImprove
 	}
 	return cfg
 }
@@ -162,8 +179,7 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 		return nil, err
 	}
 	// The complete-row attribute matrix is built once per analysis as a
-	// flat row-major matrix.Matrix and shared read-only by the clustering
-	// and hierarchical stages — no per-stage re-materialization, no
+	// flat row-major matrix.Matrix, which the clustering stage reads — no
 	// [][]float64 row-pointer chasing in the hot loops.
 	mat, rowIdx, err := e.tab.DenseMatrix(cfg.Attributes...)
 	if err != nil {
@@ -177,7 +193,7 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 	resp := cols[len(cols)-1]
 	respValid, _ := e.tab.ValidMask(cfg.Response)
 
-	// The four analyses are independent of each other, so they run as a
+	// The three analyses are independent of each other, so they run as a
 	// concurrent stage graph on cfg.Parallelism workers, each stage
 	// writing disjoint fields of an. At Parallelism <= 1 the stages run in
 	// the original sequential order.
@@ -265,35 +281,7 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 		return nil
 	}
 
-	// Optional hierarchical view over a sample.
-	dendrogramStage := func() error {
-		if cfg.HierarchicalSample <= 0 {
-			return nil
-		}
-		// Deterministic stride sample over the shared normalized matrix;
-		// the sampled rows are zero-copy views into its backing slice.
-		view := norm
-		if norm.Rows() > cfg.HierarchicalSample {
-			v, err := norm.StrideView(norm.Rows()/cfg.HierarchicalSample, cfg.HierarchicalSample)
-			if err != nil {
-				return fmt.Errorf("core: analyze: %w", err)
-			}
-			view = v
-		}
-		sample := make([][]float64, view.Rows())
-		for i := range sample {
-			sample[i] = view.Row(i)
-		}
-		dg, err := cluster.Hierarchical(sample, cluster.AverageLinkage)
-		if err != nil {
-			return fmt.Errorf("core: analyze: %w", err)
-		}
-		an.Dendrogram = dg
-		return nil
-	}
-
-	if err := parallel.Tasks(cfg.Parallelism,
-		correlationStage, clusteringStage, rulesStage, dendrogramStage); err != nil {
+	if err := parallel.Tasks(cfg.Parallelism, correlationStage, clusteringStage, rulesStage); err != nil {
 		return nil, err
 	}
 	return an, nil

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"indice/internal/geocode"
-	"indice/internal/outlier"
 	"indice/internal/parallel"
 	"indice/internal/store"
 	"indice/internal/synth"
@@ -55,7 +54,6 @@ func TestOutlierRowsSortedAndDistinct(t *testing.T) {
 	cfg := DefaultPreprocessConfig()
 	cfg.SkipCleaning = true
 	cfg.Multivariate = true
-	cfg.MultivariateCfg = outlier.MultivariateConfig{SampleSize: 300}
 	rep, err := eng.Preprocess(cfg)
 	if err != nil {
 		t.Fatal(err)

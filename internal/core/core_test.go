@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -150,7 +151,6 @@ func TestPreprocessMultivariate(t *testing.T) {
 	cfg := DefaultPreprocessConfig()
 	cfg.SkipCleaning = true
 	cfg.Multivariate = true
-	cfg.MultivariateCfg = outlier.MultivariateConfig{SampleSize: 200}
 	rep, err := eng.Preprocess(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -401,47 +401,21 @@ func TestReport(t *testing.T) {
 	}
 }
 
-func TestAnalyzeHierarchicalSample(t *testing.T) {
-	eng := engineFor(t, 1200, false)
-	cfg := DefaultAnalysisConfig()
-	cfg.KMax = 6
-	cfg.HierarchicalSample = 120
-	an, err := eng.Analyze(cfg)
+// TestAnalyzeZeroConfigIsTheDefault pins one default table: an empty
+// AnalysisConfig runs the paper's analysis, rule thresholds, seed, extra
+// rule attributes and CART depth included.
+func TestAnalyzeZeroConfigIsTheDefault(t *testing.T) {
+	eng := engineFor(t, 600, false)
+	want, err := eng.Analyze(DefaultAnalysisConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if an.Dendrogram == nil {
-		t.Fatal("no dendrogram built")
-	}
-	if an.Dendrogram.N > 120 {
-		t.Fatalf("sample size = %d", an.Dendrogram.N)
-	}
-	labels, err := an.Dendrogram.Cut(an.ChosenK)
+	got, err := eng.Analyze(AnalysisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	distinct := map[int]bool{}
-	for _, l := range labels {
-		distinct[l] = true
-	}
-	if len(distinct) != an.ChosenK {
-		t.Fatalf("cut produced %d clusters, want %d", len(distinct), an.ChosenK)
-	}
-	// The scientist dashboard shows the dendrogram panel.
-	html, err := eng.Dashboard(query.EnergyScientist, an)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(html, "Agglomerative dendrogram") {
-		t.Fatal("dashboard missing the dendrogram panel")
-	}
-	// Without the option the panel is absent.
-	cfg.HierarchicalSample = 0
-	an2, err := eng.Analyze(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an2.Dendrogram != nil {
-		t.Fatal("dendrogram built without the option")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Analyze(AnalysisConfig{}) differs from Analyze(DefaultAnalysisConfig()): K %d vs %d, %d vs %d rules",
+			got.ChosenK, want.ChosenK, len(got.Rules), len(want.Rules))
 	}
 }

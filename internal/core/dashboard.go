@@ -140,19 +140,9 @@ func (e *Engine) DashboardBytes(s query.Stakeholder, an *Analysis) ([]byte, erro
 				sses[i] = p.SSE
 			}
 			page.AddHeading(fmt.Sprintf("Cluster analysis (K = %d by the elbow method)", an.ChosenK))
-			sse := func(dst []byte) ([]byte, error) {
+			if err := page.AddSVG(func(dst []byte) ([]byte, error) {
 				return render.SSECurveChart(dst, "SSE curve (elbow)", ks, sses, an.ChosenK, 420, 260)
-			}
-			if an.Dendrogram == nil {
-				err = page.AddSVG(sse)
-			} else {
-				err = page.AddSVGRow(sse, func(dst []byte) ([]byte, error) {
-					return render.DendrogramChart(dst,
-						fmt.Sprintf("Agglomerative dendrogram (%d-row sample, average linkage)", an.Dendrogram.N),
-						an.Dendrogram, 560, 320)
-				})
-			}
-			if err != nil {
+			}); err != nil {
 				return fail(err)
 			}
 		case query.ReportRules:

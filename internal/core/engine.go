@@ -114,24 +114,16 @@ type PreprocessConfig struct {
 	// Expert marks this run's configuration as expert-provided; it is
 	// then recorded in the suggestion store for future non-expert users.
 	Expert bool
-	// Multivariate enables the DBSCAN screen over OutlierAttrs.
+	// Multivariate enables the DBSCAN screen over OutlierAttrs, with eps
+	// and minPts estimated on a sample.
 	Multivariate bool
-	// MultivariateCfg tunes the DBSCAN screen.
-	MultivariateCfg outlier.MultivariateConfig
 	// DropOutliers removes flagged rows from the working table.
 	DropOutliers bool
-	// ByZoneAttr, when non-empty, partitions the table by this categorical
-	// attribute (typically the district or neighbourhood label) and runs
-	// the univariate screen independently inside each zone, so fences
-	// adapt to local distributions. Zones fan out across Parallelism
-	// workers.
-	ByZoneAttr string
 	// Parallelism bounds the worker goroutines of the pre-processing tier
-	// (address matching, per-attribute and per-zone detection fan-out,
-	// DBSCAN region queries). 0 or 1 run sequentially; results are
-	// identical at any setting. It is only applied to the Clean,
-	// Univariate and MultivariateCfg sub-configurations when those leave
-	// their own Parallelism unset.
+	// (address matching, per-attribute detection fan-out, DBSCAN region
+	// queries). 0 or 1 run sequentially; results are identical at any
+	// setting. It is only applied to the Clean and Univariate
+	// sub-configurations when those leave their own Parallelism unset.
 	Parallelism int
 
 	// ownsTable marks the engine's table as a copy nobody else reads (the
@@ -188,8 +180,6 @@ type PreprocessReport struct {
 	UnivariateMethod outlier.Method
 	// Suggested is true when the method came from the expert store.
 	Suggested bool
-	// Zones holds the per-partition results when ByZoneAttr was set.
-	Zones []*outlier.ZoneResult
 	// Multivariate is nil unless the DBSCAN screen ran.
 	Multivariate *outlier.MultivariateResult
 	// OutlierRows is the union of flagged rows (indices into the table
@@ -241,11 +231,7 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 	}
 
 	if cfg.Multivariate {
-		mcfg := cfg.MultivariateCfg
-		if mcfg.Parallelism == 0 {
-			mcfg.Parallelism = cfg.Parallelism
-		}
-		mres, err := outlier.DetectMultivariate(e.tab, attrs, mcfg)
+		mres, err := outlier.DetectMultivariate(e.tab, attrs, cfg.Parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("core: preprocess: %w", err)
 		}
@@ -297,22 +283,13 @@ func cleanTable(tab *table.Table, hier *geo.Hierarchy, sm *geocode.StreetMap, gc
 	return crep, nil
 }
 
-// univariateScreen runs the univariate outlier screen over tab — inside
-// each zone of cfg.ByZoneAttr when set, over the whole table otherwise —
-// records the per-zone or per-attribute results in rep and returns the
-// sorted union of flagged rows.
+// univariateScreen runs the univariate outlier screen over tab, records
+// the per-attribute results in rep and returns the sorted union of
+// flagged rows.
 func univariateScreen(tab *table.Table, cfg PreprocessConfig, ucfg outlier.Config, rep *PreprocessReport) ([]int, error) {
 	rep.UnivariateMethod = ucfg.Method
 	if ucfg.Parallelism == 0 {
 		ucfg.Parallelism = cfg.Parallelism
-	}
-	if cfg.ByZoneAttr != "" {
-		zones, union, err := outlier.DetectByZone(tab, cfg.ByZoneAttr, cfg.outlierAttrs(), ucfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: preprocess: %w", err)
-		}
-		rep.Zones = zones
-		return union, nil
 	}
 	results, union, err := outlier.DetectColumns(tab, cfg.outlierAttrs(), ucfg)
 	if err != nil {

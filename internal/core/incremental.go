@@ -66,13 +66,9 @@ type lineage struct {
 }
 
 // lineageColumns are the columns the incremental path reads of every
-// pre-drop row: the screened attributes, the zone label of a per-zone
-// screen, and the clustering attributes.
+// pre-drop row: the screened and the clustering attributes.
 func (cfg LiveConfig) lineageColumns() []string {
 	cols := append(slices.Clone(cfg.Preprocess.outlierAttrs()), cfg.Analysis.Attributes...)
-	if cfg.Preprocess.ByZoneAttr != "" {
-		cols = append(cols, cfg.Preprocess.ByZoneAttr)
-	}
 	slices.Sort(cols)
 	return slices.Compact(cols)
 }
@@ -185,9 +181,9 @@ func driftSince(ref map[string]stats.Running, snap *store.Snapshot, attrs []stri
 // for this refresh, before paying for a delta or drift computation.
 func (l *Live) incrementalEligible(prev *Published) bool {
 	switch {
-	case l.cfg.Incremental.Disable || l.cfg.SkipAnalysis:
+	case l.cfg.Incremental.Disable:
 		return false
-	case l.lineage == nil || prev == nil || prev.Analysis == nil || prev.Analysis.Clustering == nil:
+	case l.lineage == nil || prev == nil:
 		return false
 	case l.lineage.epoch != prev.Epoch:
 		// A failed or interrupted refresh left the lineage out of step
@@ -364,8 +360,8 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 // analyzeIncremental is the warm analytics tier: correlations, the
 // masked-and-normalized clustering matrix compacted from the lineage
 // buffer, and one warm-started K-means run at the previously chosen K.
-// The elbow sweep, CART discretization, rule mining and dendrogram are
-// carried forward from the previous analysis — they recompute on the next
+// The elbow sweep, CART discretization and rule mining are carried
+// forward from the previous analysis — they recompute on the next
 // full sweep (drift or FullEvery).
 func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*Analysis, error) {
 	lin := l.lineage
@@ -374,11 +370,10 @@ func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*An
 		Attributes: append([]string(nil), cfg.Attributes...),
 		Response:   cfg.Response,
 		// Carried forward from the last full sweep:
-		SSECurve:   prevAn.SSECurve,
-		ChosenK:    lin.chosenK,
-		Binnings:   prevAn.Binnings,
-		Rules:      prevAn.Rules,
-		Dendrogram: prevAn.Dendrogram,
+		SSECurve: prevAn.SSECurve,
+		ChosenK:  lin.chosenK,
+		Binnings: prevAn.Binnings,
+		Rules:    prevAn.Rules,
 	}
 
 	// Correlation screen: cheap relative to clustering, recomputed every
@@ -473,7 +468,7 @@ func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*An
 // lineageColumns and dropped rows (with only the dictionary entries they
 // use); nil when the loop keeps no lineage or a column is missing.
 func (l *Live) cutLineage(pre *table.Table, rep *PreprocessReport) *lineage {
-	if l.cfg.Incremental.Disable || l.cfg.SkipAnalysis {
+	if l.cfg.Incremental.Disable {
 		return nil
 	}
 	screen, err := pre.Select(l.cfg.lineageColumns()...)
@@ -496,7 +491,7 @@ func (l *Live) cutLineage(pre *table.Table, rep *PreprocessReport) *lineage {
 // matrix and the fresh sweep's drift baseline and raw-space centroids.
 func (l *Live) rebuildLineage(snap *store.Snapshot, served *table.Table, lin *lineage, an *Analysis) {
 	l.lineage = nil
-	if lin == nil || an == nil || an.Clustering == nil {
+	if lin == nil {
 		return
 	}
 	mat, err := matrix.NewAppendable(len(l.cfg.Analysis.Attributes))

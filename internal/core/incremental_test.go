@@ -84,7 +84,6 @@ func incrLiveConfig(inc IncrementalConfig) LiveConfig {
 	acfg.Attributes = append([]string(nil), incrAttrs...)
 	acfg.KMin, acfg.KMax = 2, 6
 	acfg.Restarts = 2
-	acfg.HierarchicalSample = 0
 	pcfg := DefaultPreprocessConfig()
 	pcfg.OutlierAttrs = append([]string(nil), incrAttrs...)
 	return LiveConfig{

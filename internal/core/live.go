@@ -51,8 +51,9 @@ type Live struct {
 // LiveConfig parameterizes the refresh pipeline.
 type LiveConfig struct {
 	// Preprocess and Analysis configure the two pipeline tiers run on
-	// every refresh; zero values take the library defaults. The configs'
-	// Parallelism threads into internal/parallel as usual.
+	// every refresh. Each zero field of Analysis takes the library
+	// default; a wholly zero Preprocess takes DefaultPreprocessConfig.
+	// The configs' Parallelism threads into internal/parallel as usual.
 	Preprocess PreprocessConfig
 	Analysis   AnalysisConfig
 	// Options configures each refresh's Engine (street map, geocoder).
@@ -62,10 +63,6 @@ type LiveConfig struct {
 	// max(5×KMax, 50) — Analyze needs at least KMax complete rows, and a
 	// margin on top keeps the elbow sweep meaningful.
 	MinRows int
-	// SkipAnalysis publishes preprocessed engines without the analytics
-	// tier (dashboards needing analysis then 404, like a nil-analysis
-	// server).
-	SkipAnalysis bool
 	// Incremental tunes the delta-proportional refresh fast path (see
 	// IncrementalConfig). Enabled by default with a 0.25 drift threshold
 	// and a full sweep at least every 8th refresh.
@@ -89,8 +86,8 @@ type Published struct {
 	// query planner serves /api/query off it, so every response within
 	// one published state reads one consistent epoch.
 	Snapshot *store.Snapshot
-	// Engine holds the preprocessed serving table; Analysis may be nil
-	// with LiveConfig.SkipAnalysis.
+	// Engine holds the preprocessed serving table, Analysis what the
+	// analytics tier made of it.
 	Engine   *Engine
 	Analysis *Analysis
 	// Report documents the preprocessing of this refresh.
@@ -127,13 +124,11 @@ func NewLive(st *store.Store, hier *geo.Hierarchy, cfg LiveConfig) (*Live, error
 	if hier == nil {
 		return nil, errors.New("core: live needs an administrative hierarchy")
 	}
-	// A wholly unconfigured tier takes the library default (Parallelism
-	// survives); a partially configured one is used as-is.
-	if cfg.Analysis.KMax == 0 && len(cfg.Analysis.Attributes) == 0 {
-		par := cfg.Analysis.Parallelism
-		cfg.Analysis = DefaultAnalysisConfig()
-		cfg.Analysis.Parallelism = par
-	}
+	// Resolved once: the incremental path reads the same attributes,
+	// response and K bounds Analyze will.
+	cfg.Analysis = cfg.Analysis.withDefaults()
+	// A wholly unconfigured pre-processing tier takes the library default
+	// (Parallelism survives); a partially configured one is used as-is.
 	if len(cfg.Preprocess.OutlierAttrs) == 0 && cfg.Preprocess.Univariate.Method == "" {
 		par := cfg.Preprocess.Parallelism
 		cfg.Preprocess = DefaultPreprocessConfig()
@@ -151,9 +146,6 @@ func NewLive(st *store.Store, hier *geo.Hierarchy, cfg LiveConfig) (*Live, error
 	if cfg.Incremental.FullEvery <= 0 {
 		cfg.Incremental.FullEvery = 8
 	}
-	// Resolved once: the incremental path reads the same attributes,
-	// response and K bounds Analyze will.
-	cfg.Analysis = cfg.Analysis.withDefaults()
 	return &Live{store: st, hier: hier, cfg: cfg, cols: cfg.servingColumns(st.Schema()), refreshNow: make(chan struct{}, 1)}, nil
 }
 
@@ -165,8 +157,8 @@ func NewLive(st *store.Store, hier *geo.Hierarchy, cfg LiveConfig) (*Live, error
 //     numeric attribute;
 //   - the columns cleaning reads or rewrites: address, house number, ZIP
 //     code, district and neighbourhood;
-//   - the per-zone screen's zone label, the screened and clustered
-//     attributes, the response and the extra rule attributes;
+//   - the screened and clustered attributes, the response and the extra
+//     rule attributes;
 //   - the energy class, whose breakdown closes every dashboard;
 //   - the certificate id, the row key.
 //
@@ -318,14 +310,11 @@ func (l *Live) refreshLocked() (*Published, error) {
 	// Cleaned in place, tab is the post-clean, pre-drop table: the lineage
 	// copies its parts, and nothing holds tab through Analyze.
 	lin := l.cutLineage(tab, rep)
-	var an *Analysis
-	if !l.cfg.SkipAnalysis {
-		_, spAn := obs.StartSpan(ctx, "analyze")
-		an, err = eng.Analyze(l.cfg.Analysis)
-		spAn.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: refresh: %w", err)
-		}
+	_, spAn := obs.StartSpan(ctx, "analyze")
+	an, err := eng.Analyze(l.cfg.Analysis)
+	spAn.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
 	l.rebuildLineage(snap, eng.Table(), lin, an)
 	l.fullRefr.Add(1)

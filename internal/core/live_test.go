@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
-	"indice/internal/epc"
 	"indice/internal/store"
 	"indice/internal/synth"
 )
@@ -122,26 +122,15 @@ func TestLiveRefreshPublishes(t *testing.T) {
 	}
 }
 
-func TestLiveSkipAnalysis(t *testing.T) {
-	city, err := synth.GenerateCity(synth.CityConfig{
-		Name: "T", Seed: 6, Streets: 20, CivicsPerStreet: 6,
-		DistrictRows: 1, DistrictCols: 2, NeighbourhoodsPerDistrict: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := synth.Generate(synth.Config{Seed: 6, Certificates: 200, ResidentialShare: 0.8}, city)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.New(store.Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestLiveKeepsAPartialAnalysisConfig: NewLive fills only the zero
+// fields of the analysis tier's configuration, so a Live built with seed
+// 7 publishes the analysis at seed 7.
+func TestLiveKeepsAPartialAnalysisConfig(t *testing.T) {
+	st, _, ds := liveWorld(t, 400)
 	if _, err := st.AppendTable(ds.Table); err != nil {
 		t.Fatal(err)
 	}
-	live, err := NewLive(st, city.Hierarchy, LiveConfig{SkipAnalysis: true, MinRows: 10})
+	live, err := NewLive(st, ds.City.Hierarchy, LiveConfig{Analysis: AnalysisConfig{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +138,12 @@ func TestLiveSkipAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pub.Analysis != nil {
-		t.Fatal("analysis published despite SkipAnalysis")
-	}
-	if _, err := pub.Engine.Table().Floats(epc.AttrEPH); err != nil {
+	want, err := pub.Engine.Analyze(AnalysisConfig{Seed: 7})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pub.Analysis, want) {
+		t.Fatalf("published analysis is not the seed-7 analysis: SSE curve %v, want %v", pub.Analysis.SSECurve, want.SSECurve)
 	}
 }
 

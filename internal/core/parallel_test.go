@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"indice/internal/epc"
@@ -100,9 +99,6 @@ func mustMatchAnalyses(t *testing.T, label string, got, want *Analysis) {
 			fail("Rules")
 		}
 	}
-	if (got.Dendrogram == nil) != (want.Dendrogram == nil) {
-		fail("Dendrogram")
-	}
 }
 
 // TestAnalyzeParallelEquivalence is the contract behind
@@ -112,7 +108,6 @@ func TestAnalyzeParallelEquivalence(t *testing.T) {
 	eng := engineFor(t, 420, false)
 	cfg := DefaultAnalysisConfig()
 	cfg.KMax = 8
-	cfg.HierarchicalSample = 60
 	cfg.Parallelism = 1
 	want, err := eng.Analyze(cfg)
 	if err != nil {
@@ -156,42 +151,6 @@ func TestPreprocessParallelEquivalence(t *testing.T) {
 	}
 	if par.Table().NumRows() != seq.Table().NumRows() {
 		t.Fatalf("table rows diverge: %d != %d", par.Table().NumRows(), seq.Table().NumRows())
-	}
-}
-
-// TestPreprocessByZone exercises the per-zone univariate screen through
-// the engine: the report carries per-zone results instead of the flat
-// per-attribute ones.
-func TestPreprocessByZone(t *testing.T) {
-	eng := engineFor(t, 300, false)
-	cfg := DefaultPreprocessConfig()
-	cfg.SkipCleaning = true
-	cfg.ByZoneAttr = epc.AttrDistrict
-	cfg.Parallelism = 4
-	rep, err := eng.Preprocess(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Zones) == 0 {
-		t.Fatal("per-zone preprocess reported no zones")
-	}
-	if rep.Univariate != nil {
-		t.Fatal("per-zone preprocess also ran the flat screen")
-	}
-	for _, z := range rep.Zones {
-		if z.Zone == "" || z.Size == 0 {
-			t.Fatalf("degenerate zone result %+v", z)
-		}
-		if len(z.Results) == 0 {
-			t.Fatalf("zone %q screened no attribute", z.Zone)
-		}
-	}
-	if rep.RowsAfter != eng.Table().NumRows() {
-		t.Fatalf("report rows %d != table rows %d", rep.RowsAfter, eng.Table().NumRows())
-	}
-	md := eng.Report(rep, nil)
-	if !strings.Contains(md, "fenced per zone") || !strings.Contains(md, "zone "+rep.Zones[0].Zone) {
-		t.Fatalf("run report does not render the per-zone screen:\n%s", md)
 	}
 }
 

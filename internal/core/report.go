@@ -33,17 +33,9 @@ func (e *Engine) Report(pre *PreprocessReport, an *Analysis) string {
 		if pre.Suggested {
 			src = "suggestion store (non-expert path)"
 		}
-		if len(pre.Zones) > 0 {
-			fmt.Fprintf(&b, "- univariate outlier screen: %s via %s, fenced per zone\n",
-				pre.UnivariateMethod, src)
-			for _, z := range pre.Zones {
-				fmt.Fprintf(&b, "  - zone %s: %d of %d rows flagged\n", z.Zone, len(z.Rows), z.Size)
-			}
-		} else {
-			fmt.Fprintf(&b, "- univariate outlier screen: %s via %s\n", pre.UnivariateMethod, src)
-			for _, r := range pre.Univariate {
-				fmt.Fprintf(&b, "  - %s: %d of %d values flagged\n", r.Attr, len(r.Rows), r.Checked)
-			}
+		fmt.Fprintf(&b, "- univariate outlier screen: %s via %s\n", pre.UnivariateMethod, src)
+		for _, r := range pre.Univariate {
+			fmt.Fprintf(&b, "  - %s: %d of %d values flagged\n", r.Attr, len(r.Rows), r.Checked)
 		}
 		if pre.Multivariate != nil {
 			m := pre.Multivariate

@@ -43,9 +43,8 @@ type Config struct {
 	// MADCutoff is the modified z-score threshold (default 3.5, the value
 	// the paper adopts from Iglewicz & Hoaglin).
 	MADCutoff float64
-	// Parallelism bounds the worker goroutines of DetectColumns (fanning
-	// across attributes) and DetectByZone (fanning across geographic
-	// partitions). 0 or 1 run sequentially; per-attribute and per-zone
+	// Parallelism bounds the worker goroutines of DetectColumns, which
+	// fans out across attributes. 0 or 1 run sequentially; per-attribute
 	// detections are independent, so results are identical at any setting.
 	Parallelism int
 }
@@ -198,25 +197,6 @@ func RemoveRows(t *table.Table, rows []int) (*table.Table, error) {
 	return t.DropRows(rows)
 }
 
-// MultivariateConfig parameterizes the DBSCAN-based detector.
-type MultivariateConfig struct {
-	// Eps and MinPts, when positive, are used directly. When zero they
-	// are estimated from k-distance plots on a sample, as the paper
-	// prescribes.
-	Eps    float64
-	MinPts int
-	// SampleSize bounds the quadratic parameter-estimation pass
-	// (default 500).
-	SampleSize int
-	// MinPtsCandidates are the candidate minPts values for the
-	// stabilisation search (default 3,4,5,8,10).
-	MinPtsCandidates []int
-	// Parallelism bounds the worker goroutines of the k-distance
-	// estimation pass and the DBSCAN region queries. 0 or 1 run
-	// sequentially; results are identical at any setting.
-	Parallelism int
-}
-
 // MultivariateResult reports a DBSCAN detection run.
 type MultivariateResult struct {
 	Attrs    []string
@@ -229,11 +209,18 @@ type MultivariateResult struct {
 	Checked int
 }
 
+// multivariateSample bounds the quadratic parameter-estimation pass of
+// DetectMultivariate.
+const multivariateSample = 500
+
 // DetectMultivariate runs DBSCAN over the min-max normalized attribute
-// matrix and flags noise points as outliers. Rows with a missing value in
-// any of the attributes are skipped (the univariate stage deals with
-// those).
-func DetectMultivariate(t *table.Table, attrs []string, cfg MultivariateConfig) (*MultivariateResult, error) {
+// matrix and flags noise points as outliers. Eps and minPts are estimated
+// from k-distance plots on a sample of at most 500 rows, as the paper
+// prescribes. Rows with a missing value in any of the attributes are
+// skipped (the univariate stage deals with those). The k-distance pass and
+// the region queries run on up to workers goroutines; 0 or 1 run
+// sequentially, and results are identical at any setting.
+func DetectMultivariate(t *table.Table, attrs []string, workers int) (*MultivariateResult, error) {
 	if len(attrs) == 0 {
 		return nil, errors.New("outlier: no attributes given")
 	}
@@ -251,33 +238,20 @@ func DetectMultivariate(t *table.Table, attrs []string, cfg MultivariateConfig) 
 	// heterogeneous units.
 	norm := mat.NormalizeColumns()
 
-	eps, minPts := cfg.Eps, cfg.MinPts
-	if eps <= 0 || minPts <= 0 {
-		sample := norm
-		limit := cfg.SampleSize
-		if limit <= 0 {
-			limit = 500
-		}
-		if norm.Rows() > limit {
-			// Deterministic stride sample, viewed without copying.
-			sample, err = norm.StrideView(norm.Rows()/limit, limit)
-			if err != nil {
-				return nil, fmt.Errorf("outlier: parameter estimation: %w", err)
-			}
-		}
-		e, m, err := cluster.EstimateDBSCANParamsMatrix(sample, cfg.MinPtsCandidates, cfg.Parallelism)
+	sample := norm
+	if norm.Rows() > multivariateSample {
+		// Deterministic stride sample, viewed without copying.
+		sample, err = norm.StrideView(norm.Rows()/multivariateSample, multivariateSample)
 		if err != nil {
 			return nil, fmt.Errorf("outlier: parameter estimation: %w", err)
 		}
-		if eps <= 0 {
-			eps = e
-		}
-		if minPts <= 0 {
-			minPts = m
-		}
+	}
+	eps, minPts, err := cluster.EstimateDBSCANParamsMatrix(sample, nil, workers)
+	if err != nil {
+		return nil, fmt.Errorf("outlier: parameter estimation: %w", err)
 	}
 
-	res, err := cluster.DBSCANMatrixParallel(norm, eps, minPts, cfg.Parallelism)
+	res, err := cluster.DBSCANMatrixParallel(norm, eps, minPts, workers)
 	if err != nil {
 		return nil, fmt.Errorf("outlier: dbscan: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"indice/internal/table"
@@ -187,7 +188,7 @@ func TestDetectMultivariate(t *testing.T) {
 	if err := tab.AddFloats("b", b); err != nil {
 		t.Fatal(err)
 	}
-	res, err := DetectMultivariate(tab, []string{"a", "b"}, MultivariateConfig{})
+	res, err := DetectMultivariate(tab, []string{"a", "b"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,26 +203,6 @@ func TestDetectMultivariate(t *testing.T) {
 	}
 }
 
-func TestDetectMultivariateExplicitParams(t *testing.T) {
-	tab := table.New()
-	if err := tab.AddFloats("a", []float64{0, 0.1, 0.2, 9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.AddFloats("b", []float64{0, 0.1, 0.2, 9}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := DetectMultivariate(tab, []string{"a", "b"}, MultivariateConfig{Eps: 0.2, MinPts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Eps != 0.2 || res.MinPts != 2 {
-		t.Fatalf("params overridden: %+v", res)
-	}
-	if !containsAll(res.Rows, 3) {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-}
-
 func TestDetectMultivariateSkipsIncompleteRows(t *testing.T) {
 	tab := table.New()
 	if err := tab.AddFloats("a", []float64{0, math.NaN(), 0.2, 0.3, 0.1, 0.25}); err != nil {
@@ -230,15 +211,52 @@ func TestDetectMultivariateSkipsIncompleteRows(t *testing.T) {
 	if err := tab.AddFloats("b", []float64{0, 0.1, 0.2, 0.3, 0.15, 0.28}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := DetectMultivariate(tab, []string{"a", "b"}, MultivariateConfig{Eps: 0.5, MinPts: 2})
+	res, err := DetectMultivariate(tab, []string{"a", "b"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Checked != 5 {
 		t.Fatalf("checked = %d, want 5", res.Checked)
 	}
-	if _, err := DetectMultivariate(tab, nil, MultivariateConfig{}); err == nil {
+	if _, err := DetectMultivariate(tab, nil, 0); err == nil {
 		t.Fatal("want error for no attributes")
+	}
+}
+
+func TestDetectColumnsParallelEquivalence(t *testing.T) {
+	// Two value regimes, around 10 and around 100, with one value planted
+	// between them.
+	rng := rand.New(rand.NewSource(7))
+	xs := make([]float64, 400)
+	for i := range xs {
+		xs[i] = 10 + 90*float64(i%2) + rng.NormFloat64()
+	}
+	xs[0], xs[1] = 40, 60
+	tab := table.New()
+	if err := tab.AddFloats("x", xs); err != nil {
+		t.Fatal(err)
+	}
+	base := DefaultConfig(MethodMAD)
+	seqRes, seqUnion, err := DetectColumns(tab, []string{"x"}, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := base
+	cfg.Parallelism = 4
+	parRes, parUnion, err := DetectColumns(tab, []string{"x"}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parRes) != len(seqRes) {
+		t.Fatalf("results = %d, want %d", len(parRes), len(seqRes))
+	}
+	for i := range seqRes {
+		if !slices.Equal(parRes[i].Rows, seqRes[i].Rows) || parRes[i].Checked != seqRes[i].Checked {
+			t.Fatalf("attribute %d diverges", i)
+		}
+	}
+	if !slices.Equal(parUnion, seqUnion) {
+		t.Fatalf("union diverges: %v != %v", parUnion, seqUnion)
 	}
 }
 

@@ -29,8 +29,6 @@ func (e *ClientError) Error() string { return e.Msg }
 type CoordinatorConfig struct {
 	// Replicas are the base URLs fanned out over (http://host:port).
 	Replicas []string
-	// Client issues every replica request; default: a fresh client.
-	Client *http.Client
 	// Timeout bounds each individual replica request (default 5s).
 	Timeout time.Duration
 	// HedgeAfter is how long a partition leg may run before a hedge
@@ -95,10 +93,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 250 * time.Millisecond
 	}
-	c := &Coordinator{cfg: cfg, client: cfg.Client, views: make(map[string]*view)}
-	if c.client == nil {
-		c.client = &http.Client{}
-	}
+	c := &Coordinator{cfg: cfg, client: &http.Client{}, views: make(map[string]*view)}
 	ctx, cancel := context.WithCancel(context.Background())
 	c.cancel = cancel
 	c.done = make(chan struct{})

@@ -251,7 +251,7 @@ func TestOneOffAnswersStayInProbation(t *testing.T) {
 // page then outlives a further probation's worth of cold queries.
 // /api/store reports the segments and the ghosts.
 func TestRepeatedRequestsHitAfterOneAsk(t *testing.T) {
-	ts := testServer(t, true)
+	ts := testServer(t)
 	const q = "/api/query?attrs=eph&by=energy_class&q=eph+%3E%3D+60&limit=5"
 	if _, body := get(t, ts.URL+q); !strings.Contains(body, `"cached":false`) {
 		t.Fatalf("first ask not computed: %.200s", body)
@@ -353,7 +353,7 @@ func reencoded(t *testing.T, body string) string {
 func TestComputedAndCachedAnswersAreTheSameBytes(t *testing.T) {
 	tc := newTestCluster(t, 2, 600)
 	tc.syncAll(t)
-	frozen := testServer(t, false)
+	frozen := testServer(t)
 	for name, base := range map[string]string{"live": tc.leader.URL, "coordinator": tc.coordSrv.URL, "frozen": frozen.URL} {
 		for _, q := range []string{
 			"/api/query?attrs=eph&by=energy_class&q=eph+%3E%3D+60",
@@ -512,7 +512,7 @@ func TestHitAllocatesAConstant(t *testing.T) {
 // TestPagesServeFromTheCache: dashboards and maps are rendered once per
 // epoch, count on their own lookup counters, and repeat byte for byte.
 func TestPagesServeFromTheCache(t *testing.T) {
-	ts := testServer(t, true)
+	ts := testServer(t)
 	for _, path := range []string{"/dashboard/citizen", "/map?level=district", "/map?level=district&raw=1"} {
 		qHits, qMisses := mCacheHits.Value(), mCacheMisses.Value()
 		hits, misses, resident := mPageHits.Value(), mPageMisses.Value(), mCacheBytes.Value()

@@ -427,7 +427,7 @@ func TestMethodAndBodyLimits(t *testing.T) {
 // publication. (Refusing POST /api/ingest without -ingest is
 // cmd/indice-server's doing; see its frozen-boot test.)
 func TestStaticServerStoreRoutes(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 	code, body := get(t, ts.URL+"/api/store")
 	if code != http.StatusOK {
 		t.Fatalf("store = %d: %s", code, body)

@@ -23,7 +23,7 @@ func classValue(route, class string) uint64 {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 	// Touch a data route first so request series carry samples.
 	if code, _ := get(t, ts.URL+"/api/stats?attr="+"eph"); code != http.StatusOK {
 		t.Log("warm-up route answered non-200 (fine for the exposition check)")
@@ -66,7 +66,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestMiddlewareStatusClassAccounting(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 	url := ts.URL + "/api/stats"
 
 	ok2xx := classValue("/api/stats", "2xx")
@@ -140,7 +140,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 // TestHealthEndpointStatic: a frozen boot reports like every published
 // node — mode "live", its epoch and its refresh count.
 func TestHealthEndpointStatic(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 	code, body := get(t, ts.URL+"/api/health")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -198,7 +198,7 @@ func TestHealthEndpointLiveStarting(t *testing.T) {
 }
 
 func TestCacheStatsReadThroughRegistry(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 	hits, misses := mCacheHits.Value(), mCacheMisses.Value()
 	url := ts.URL + "/api/query?q=eph+%3E%3D+50"
 	if code, _ := get(t, url); code != http.StatusOK {

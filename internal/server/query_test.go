@@ -56,7 +56,7 @@ func rowsOf(r *queryResponse) []map[string]any {
 // — an epoch, a plan block, the seeded row count — and caches per
 // (epoch, canonical query, options).
 func TestQueryStatic(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 
 	code, resp, body := getQuery(t, ts.URL+"/api/query?q="+
 		"intended_use+%3D+E.1.1&attrs="+epc.AttrEPH+"&limit=5")
@@ -104,7 +104,7 @@ func TestQueryStatic(t *testing.T) {
 }
 
 func TestQueryGroupsAndPresets(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 
 	_, resp, _ := getQuery(t, ts.URL+"/api/query?preset=pa&by="+epc.AttrDistrict)
 	if resp.Preset == nil || resp.Preset.Stakeholder != "public-administration" {
@@ -152,7 +152,7 @@ func TestQueryGroupsAndPresets(t *testing.T) {
 }
 
 func TestQueryPost(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 
 	body := `{"predicate":{"op":"and","args":[{"op":"in","attr":"intended_use","values":["E.1.1"]},{"op":"range","attr":"eph","min":0,"max":200}]},"attrs":["eph"],"limit":3}`
 	code, out := post(t, ts.URL+"/api/query", "application/json", []byte(body))
@@ -179,7 +179,7 @@ func TestQueryPost(t *testing.T) {
 }
 
 func TestQueryBadRequests(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 	for _, url := range []string{
 		"/api/query?q=eph+in+[",             // parse error
 		"/api/query?q=ghost+%3D+x",          // unknown attribute
@@ -252,7 +252,7 @@ func TestQueryBadRequests(t *testing.T) {
 // preset echo). Distinct row pages of one query must likewise never share
 // an entry.
 func TestQueryCachePresetAndPagingDoNotAlias(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 
 	bare := "/api/query?q=eph+%3E%3D+100&attrs=eph"
 	withPreset := bare + "&preset=energy-scientist"
@@ -378,9 +378,9 @@ func TestQueryConcurrentConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SkipAnalysis keeps refreshes fast so many epochs publish while the
-	// query clients run.
-	live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{MinRows: 100, SkipAnalysis: true})
+	// A short elbow sweep keeps refreshes fast so many epochs publish
+	// while the query clients run.
+	live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{MinRows: 100, Analysis: core.AnalysisConfig{KMax: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func newTestCluster(t *testing.T, nReplicas, certificates int) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.leaderLive, err = core.NewLive(tc.leaderStore, city.Hierarchy, core.LiveConfig{MinRows: 100, SkipAnalysis: true})
+	tc.leaderLive, err = core.NewLive(tc.leaderStore, city.Hierarchy, core.LiveConfig{MinRows: 100, Analysis: core.AnalysisConfig{KMax: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func newTestCluster(t *testing.T, nReplicas, certificates int) *testCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rlive, err := core.NewLive(rstore, city.Hierarchy, core.LiveConfig{MinRows: 100, SkipAnalysis: true})
+		rlive, err := core.NewLive(rstore, city.Hierarchy, core.LiveConfig{MinRows: 100, Analysis: core.AnalysisConfig{KMax: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -604,7 +604,7 @@ func mustLive(t *testing.T) *core.Live {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{MinRows: 100, SkipAnalysis: true})
+	live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{MinRows: 100, Analysis: core.AnalysisConfig{KMax: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -485,10 +485,6 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	if pub == nil {
 		return
 	}
-	if pub.Analysis == nil {
-		http.Error(w, "analysis not available", http.StatusNotFound)
-		return
-	}
 	k := 20
 	if raw := r.URL.Query().Get("k"); raw != "" {
 		var err error
@@ -524,10 +520,6 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	an := pub.Analysis
-	if an == nil || an.Clustering == nil {
-		http.Error(w, "analysis not available", http.StatusNotFound)
-		return
-	}
 	out := make([]clusterResponse, an.ChosenK)
 	for c := 0; c < an.ChosenK; c++ {
 		mean := an.ClusterResponseMeans[c]

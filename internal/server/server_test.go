@@ -17,9 +17,8 @@ import (
 
 // testServer spins an httptest server over a frozen boot: a store seeded
 // with a small synthetic corpus and published once, the way
-// cmd/indice-server serves a dataset without -ingest. Without analysis
-// the publication carries none (LiveConfig.SkipAnalysis).
-func testServer(t *testing.T, withAnalysis bool) *httptest.Server {
+// cmd/indice-server serves a dataset without -ingest.
+func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	ccfg := synth.DefaultCityConfig()
 	ccfg.Streets, ccfg.CivicsPerStreet = 40, 10
@@ -40,12 +39,9 @@ func testServer(t *testing.T, withAnalysis bool) *httptest.Server {
 	if _, err := st.AppendTable(ds.Table); err != nil {
 		t.Fatal(err)
 	}
-	acfg := core.DefaultAnalysisConfig()
-	acfg.KMax = 6
 	live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{
-		Analysis:     acfg,
-		SkipAnalysis: !withAnalysis,
-		Incremental:  core.IncrementalConfig{Disable: true},
+		Analysis:    core.AnalysisConfig{KMax: 3},
+		Incremental: core.IncrementalConfig{Disable: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +110,7 @@ func TestNewNilEngine(t *testing.T) {
 }
 
 func TestIndex(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 	code, body := get(t, ts.URL+"/")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -130,7 +126,7 @@ func TestIndex(t *testing.T) {
 }
 
 func TestDashboardRoutes(t *testing.T) {
-	ts := testServer(t, true)
+	ts := testServer(t)
 	for _, s := range []string{"citizen", "public-administration", "energy-scientist"} {
 		code, body := get(t, ts.URL+"/dashboard/"+s)
 		if code != http.StatusOK {
@@ -146,7 +142,7 @@ func TestDashboardRoutes(t *testing.T) {
 }
 
 func TestMapRoute(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 	for _, level := range []string{"city", "district", "neighbourhood", "unit"} {
 		code, body := get(t, ts.URL+"/map?level="+level+"&attr="+epc.AttrUOpaque)
 		if code != http.StatusOK {
@@ -182,7 +178,7 @@ func TestMapRoute(t *testing.T) {
 }
 
 func TestStatsAPI(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 	code, body := get(t, ts.URL+"/api/stats?attr="+epc.AttrEPH)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d: %s", code, body)
@@ -207,7 +203,7 @@ func TestStatsAPI(t *testing.T) {
 }
 
 func TestZonesAPI(t *testing.T) {
-	ts := testServer(t, false)
+	ts := testServer(t)
 	code, body := get(t, ts.URL+"/api/zones?level=district&attr="+epc.AttrEPH)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d: %s", code, body)
@@ -236,7 +232,7 @@ func TestZonesAPI(t *testing.T) {
 }
 
 func TestRulesAndClustersAPI(t *testing.T) {
-	ts := testServer(t, true)
+	ts := testServer(t)
 	code, body := get(t, ts.URL+"/api/rules?k=5")
 	if code != http.StatusOK {
 		t.Fatalf("rules status = %d: %s", code, body)
@@ -275,23 +271,5 @@ func TestRulesAndClustersAPI(t *testing.T) {
 	}
 	if len(clusters) < 2 {
 		t.Fatalf("clusters = %d", len(clusters))
-	}
-}
-
-func TestAnalyticRoutesWithoutAnalysis(t *testing.T) {
-	ts := testServer(t, false)
-	if code, _ := get(t, ts.URL+"/api/rules"); code != http.StatusNotFound {
-		t.Fatalf("rules status = %d", code)
-	}
-	if code, _ := get(t, ts.URL+"/api/clusters"); code != http.StatusNotFound {
-		t.Fatalf("clusters status = %d", code)
-	}
-	// The PA dashboard needs analytics and must fail cleanly.
-	if code, _ := get(t, ts.URL+"/dashboard/public-administration"); code != http.StatusInternalServerError {
-		t.Fatalf("PA dashboard status = %d", code)
-	}
-	// The citizen dashboard works without analytics.
-	if code, _ := get(t, ts.URL+"/dashboard/citizen"); code != http.StatusOK {
-		t.Fatalf("citizen dashboard status = %d", code)
 	}
 }

@@ -95,7 +95,9 @@ func TestSegmentLayoutLeavesAnswersAlone(t *testing.T) {
 	}
 	var nodes []node
 	publish := func(layout string, st *store.Store) {
-		live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{SkipAnalysis: true})
+		// One K and one restart keep five 20k-row analyses cheap; no answer
+		// compared here reads the analysis.
+		live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{Analysis: core.AnalysisConfig{KMax: 2, Restarts: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,11 @@ package indice
 // A method counts as reached when it is referenced, or when its
 // receiver type is reached and an interface — any declared in the
 // module, or one of stdIfaces — names it.
+//
+// The same declaration graph, marked from the mains under cmd/ and
+// examples/ alone, carries the rule for options
+// (TestEveryConfigFieldIsWrittenByAMain): a reached function behind a
+// switch that no production caller turns is still dead code.
 
 import (
 	"fmt"
@@ -23,8 +28,10 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -112,7 +119,24 @@ func (o overlay) Import(path string) (*types.Package, error) {
 	return o.next.Import(path)
 }
 
+// loaded is the module as loadModule type-checked it: both rules read
+// the same declarations, so the module is checked once per test binary.
+var loaded struct {
+	sync.Mutex
+	l *reachLoader
+}
+
 func loadModule(t *testing.T) *reachLoader {
+	t.Helper()
+	loaded.Lock()
+	defer loaded.Unlock()
+	if loaded.l == nil {
+		loaded.l = checkModule(t)
+	}
+	return loaded.l
+}
+
+func checkModule(t *testing.T) *reachLoader {
 	t.Helper()
 	// net and os/user have cgo variants; the pure-Go files declare the
 	// same API and need no C toolchain to type-check.
@@ -228,13 +252,21 @@ func recvName(e ast.Expr) string {
 	}
 }
 
-func TestEveryInternalSymbolIsReachable(t *testing.T) {
-	l := loadModule(t)
+// reachGraph is the declaration graph of the module's non-test files:
+// every func, method, type and package-level value, keyed by position,
+// and the set marked reached so far.
+type reachGraph struct {
+	l          *reachLoader
+	syms       map[token.Pos]*reachSym
+	roots      []*reachSym // main, init and the package-level initializers
+	ifaceNames map[string]bool
+	reached    map[*reachSym]bool
+	work       []*reachSym
+}
 
-	// Declarations of the non-test files, keyed by position.
-	syms := map[token.Pos]*reachSym{}
-	var roots []*reachSym
-	ifaceNames := map[string]bool{}
+func newReachGraph(t *testing.T, l *reachLoader) *reachGraph {
+	t.Helper()
+	g := &reachGraph{l: l, syms: map[token.Pos]*reachSym{}, ifaceNames: map[string]bool{}, reached: map[*reachSym]bool{}}
 	for _, d := range l.dirs {
 		pkgName := strings.TrimPrefix(d.path, reachModule+"/")
 		typesByName := map[string]*reachSym{}
@@ -242,7 +274,7 @@ func TestEveryInternalSymbolIsReachable(t *testing.T) {
 		add := func(id *ast.Ident, span ast.Node, rule bool) *reachSym {
 			s := &reachSym{name: pkgName + "." + id.Name, pos: id.Pos(), dir: d, span: span, rule: rule}
 			if id.Name != "_" {
-				syms[s.pos] = s
+				g.syms[s.pos] = s
 			}
 			return s
 		}
@@ -251,7 +283,7 @@ func TestEveryInternalSymbolIsReachable(t *testing.T) {
 				if it, ok := n.(*ast.InterfaceType); ok {
 					for _, m := range it.Methods.List {
 						for _, id := range m.Names {
-							ifaceNames[id.Name] = true
+							g.ifaceNames[id.Name] = true
 						}
 					}
 				}
@@ -268,7 +300,7 @@ func TestEveryInternalSymbolIsReachable(t *testing.T) {
 						s.name = pkgName + "." + recv + "." + s.method
 						methodsOf[recv] = append(methodsOf[recv], s)
 					case x.Name.Name == "init", d.isMain && x.Name.Name == "main":
-						roots = append(roots, s)
+						g.roots = append(g.roots, s)
 					}
 				case *ast.GenDecl:
 					for _, spec := range x.Specs {
@@ -279,7 +311,7 @@ func TestEveryInternalSymbolIsReachable(t *testing.T) {
 							for _, id := range sp.Names {
 								if x.Tok == token.VAR {
 									// Initializers run when the program starts.
-									roots = append(roots, add(id, sp, false))
+									g.roots = append(g.roots, add(id, sp, false))
 								} else {
 									// An iota block repeats its first spec's type.
 									add(id, x, false)
@@ -309,15 +341,19 @@ func TestEveryInternalSymbolIsReachable(t *testing.T) {
 			}
 			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
 				for i := 0; i < it.NumMethods(); i++ {
-					ifaceNames[it.Method(i).Name()] = true
+					g.ifaceNames[it.Method(i).Name()] = true
 				}
 			}
 		}
 	}
-	ifaceNames["Error"] = true // the predeclared error interface
+	g.ifaceNames["Error"] = true // the predeclared error interface
+	return g
+}
 
-	// Packages a production binary links: only their init functions and
-	// initializers run.
+// runMains reaches what the main packages under the given top-level
+// directories run: main, init and the package-level initializers of
+// every package they link.
+func (g *reachGraph) runMains(tops ...string) {
 	linked := map[string]bool{}
 	var link func(path string)
 	link = func(path string) {
@@ -325,88 +361,94 @@ func TestEveryInternalSymbolIsReachable(t *testing.T) {
 			return
 		}
 		linked[path] = true
-		for _, ip := range l.dirs[path].imports {
+		for _, ip := range g.l.dirs[path].imports {
 			link(ip)
 		}
 	}
-	for path, d := range l.dirs {
+	for path, d := range g.l.dirs {
 		top, _, _ := strings.Cut(d.rel, "/")
-		if d.isMain && (top == "cmd" || top == "examples" || top == "bench") {
+		if d.isMain && slices.Contains(tops, top) {
 			link(path)
 		}
 	}
-
-	// Mark.
-	reached := map[*reachSym]bool{}
-	var work []*reachSym
-	reach := func(s *reachSym) {
-		if !reached[s] {
-			reached[s] = true
-			work = append(work, s)
-		}
-	}
-	for _, s := range roots {
+	for _, s := range g.roots {
 		if linked[s.dir.path] {
-			reach(s)
+			g.reach(s)
 		}
 	}
-	// eachUse calls f with every module declaration an identifier under
-	// n resolves to.
-	eachUse := func(n ast.Node, f func(*reachSym)) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := l.info.Uses[id]; obj != nil {
-					if s := syms[obj.Pos()]; s != nil {
-						f(s)
-					}
+}
+
+func (g *reachGraph) reach(s *reachSym) {
+	if !g.reached[s] {
+		g.reached[s] = true
+		g.work = append(g.work, s)
+	}
+}
+
+// eachUse calls f with every module declaration an identifier under n
+// resolves to.
+func (g *reachGraph) eachUse(n ast.Node, f func(*reachSym)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := g.l.info.Uses[id]; obj != nil {
+				if s := g.syms[obj.Pos()]; s != nil {
+					f(s)
 				}
 			}
-			return true
-		})
+		}
+		return true
+	})
+}
+
+// propagate reaches everything the reached declarations use.
+func (g *reachGraph) propagate() {
+	for len(g.work) > 0 {
+		s := g.work[len(g.work)-1]
+		g.work = g.work[:len(g.work)-1]
+		g.eachUse(s.span, g.reach)
+		for _, m := range s.methods {
+			if g.ifaceNames[m.method] {
+				g.reach(m)
+			}
+		}
 	}
+}
+
+func TestEveryInternalSymbolIsReachable(t *testing.T) {
+	l := loadModule(t)
+	g := newReachGraph(t, l)
+	g.runMains("cmd", "examples", "bench")
 	for _, d := range l.dirs {
 		for _, f := range append(append([]*ast.File{}, d.test...), d.xtest...) {
-			eachUse(f, func(s *reachSym) {
+			g.eachUse(f, func(s *reachSym) {
 				if s.dir != d {
-					reach(s)
+					g.reach(s)
 				}
 			})
 		}
 	}
-	propagate := func() {
-		for len(work) > 0 {
-			s := work[len(work)-1]
-			work = work[:len(work)-1]
-			eachUse(s.span, reach)
-			for _, m := range s.methods {
-				if ifaceNames[m.method] {
-					reach(m)
-				}
-			}
-		}
-	}
-	propagate()
+	g.propagate()
 
 	// An allowlisted symbol stays, so what only it calls stays with it.
 	if len(reachAllow) > 5 {
 		t.Errorf("the allowlist holds %d symbols; the rule allows five", len(reachAllow))
 	}
 	byName := map[string]*reachSym{}
-	for _, s := range syms {
+	for _, s := range g.syms {
 		byName[s.name] = s
 	}
 	for name := range reachAllow {
-		if s := byName[name]; s == nil || reached[s] {
+		if s := byName[name]; s == nil || g.reached[s] {
 			t.Errorf("allowlist entry %s is reachable (or gone): drop it", name)
 		} else {
-			reach(s)
+			g.reach(s)
 		}
 	}
-	propagate()
+	g.propagate()
 
 	var bad []string
-	for _, s := range syms {
-		if s.rule && !reached[s] && strings.HasPrefix(s.dir.rel, "internal/") {
+	for _, s := range g.syms {
+		if s.rule && !g.reached[s] && strings.HasPrefix(s.dir.rel, "internal/") {
 			p := l.fset.Position(s.pos)
 			bad = append(bad, fmt.Sprintf("%s:%d %s", filepath.ToSlash(p.Filename), p.Line, s.name))
 		}
@@ -414,5 +456,141 @@ func TestEveryInternalSymbolIsReachable(t *testing.T) {
 	sort.Strings(bad)
 	for _, b := range bad {
 		t.Errorf("unreachable from cmd/, examples/, bench/ and other packages' tests: %s", b)
+	}
+}
+
+// configAllow holds at most two fields of exported …Config structs that
+// stay although no main writes them, each with the reason.
+var configAllow = map[string]string{}
+
+// writtenFields calls f with the identifier of every struct field that n
+// writes: the left of an assignment, the operand of ++/--, of & or a
+// composite-literal key.
+func writtenFields(info *types.Info, n ast.Node, f func(*ast.Ident)) {
+	field := func(id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			f(id)
+		}
+	}
+	selected := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			field(sel.Sel)
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				selected(lhs)
+			}
+		case *ast.IncDecStmt:
+			selected(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				selected(x.X)
+			}
+		case *ast.KeyValueExpr:
+			if id, ok := x.Key.(*ast.Ident); ok {
+				field(id)
+			}
+		}
+		return true
+	})
+}
+
+// TestEveryConfigFieldIsWrittenByAMain is the reachability rule for
+// options: every field of an exported …Config struct under internal/ is
+// read by non-test code and written on a path a main under cmd/ or
+// examples/ runs. Tests and bench/ are not writers: a field only they
+// set selects a branch no served node takes, so it goes, together with
+// that branch. Setting a field's default inside the package that reads
+// it (a withDefaults, a DefaultXConfig) counts as a write.
+func TestEveryConfigFieldIsWrittenByAMain(t *testing.T) {
+	l := loadModule(t)
+	g := newReachGraph(t, l)
+	g.runMains("cmd", "examples")
+	g.propagate()
+
+	// The fields under the rule, keyed by position: a use type-checked
+	// with a package's tests resolves to another object at the same place.
+	fields := map[token.Pos]string{}
+	for path, p := range l.pkgs {
+		rel := strings.TrimPrefix(path, reachModule+"/")
+		if !strings.HasPrefix(rel, "internal/") {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					fields[st.Field(i).Pos()] = rel + "." + name + "." + st.Field(i).Name()
+				}
+			}
+		}
+	}
+
+	written := map[token.Pos]bool{}
+	for s := range g.reached {
+		writtenFields(l.info, s.span, func(id *ast.Ident) { written[l.info.Uses[id].Pos()] = true })
+	}
+	read := map[token.Pos]bool{}
+	for _, d := range l.dirs {
+		if top, _, _ := strings.Cut(d.rel, "/"); top == "bench" {
+			continue
+		}
+		for _, f := range d.src {
+			writes := map[*ast.Ident]bool{}
+			writtenFields(l.info, f, func(id *ast.Ident) { writes[id] = true })
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !writes[id] {
+					if obj := l.info.Uses[id]; obj != nil {
+						read[obj.Pos()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	if len(configAllow) > 2 {
+		t.Errorf("the allowlist holds %d fields; the rule allows two", len(configAllow))
+	}
+	var bad []string
+	for pos, name := range fields {
+		var why string
+		switch {
+		case !read[pos]:
+			why = "no non-test code reads it"
+		case !written[pos]:
+			why = "no main under cmd/ or examples/ writes it"
+		}
+		if reason, ok := configAllow[name]; ok {
+			if why == "" {
+				t.Errorf("allowlist entry %s is written by a main: drop it", name)
+			} else if reason == "" {
+				t.Errorf("allowlist entry %s gives no reason", name)
+			}
+			continue
+		}
+		if why != "" {
+			p := l.fset.Position(pos)
+			bad = append(bad, fmt.Sprintf("%s:%d %s: %s", filepath.ToSlash(p.Filename), p.Line, name, why))
+		}
+	}
+	names := map[string]bool{}
+	for _, name := range fields {
+		names[name] = true
+	}
+	for name := range configAllow {
+		if !names[name] {
+			t.Errorf("allowlist entry %s names no field: drop it", name)
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
 	}
 }
