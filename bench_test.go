@@ -1925,8 +1925,8 @@ func BenchmarkE21ColdRefresh(b *testing.B) {
 // E22 — what a snapshot and a refresh cost in bytes on the repo
 // benchmark's shape: 20k × 132 certificates over 4 shards, loaded in one
 // append, so each shard seals its 5 000 rows into one segment under the
-// default SegmentRows. "snapshot" is Store.Snapshot alone — segment lists
-// and tail views, so its B/op does not depend on the row count
+// default SegmentRows. "snapshot" is Store.Snapshot alone — segment and
+// tail part lists, so its B/op does not depend on the row count
 // (internal/store's TestSnapshotAllocatesIndependentOfRows pins that for
 // tails); "refresh-full" is the cold Live.Refresh, one owned
 // materialization; "refresh-incremental" a 250-row delta on the fast path.
@@ -2079,10 +2079,11 @@ func (o *e23Plain) mustHold(b *testing.B, label string, got *table.Table, wantRo
 // BenchmarkE23DictColumns prices the dictionary-coded string columns on
 // the roads a categorical cell travels, at the gated benchmark's shape
 // (20k × 132 certificates, 4 shards): parsed from typed CSV, appended to
-// shard tails, materialized for a refresh out of raw tails and out of
+// shard tails, materialized for a refresh out of unsealed tails and out of
 // sealed segments, cut into a 20-row page that spans all four shards,
-// grouped and filtered through a tail's encoding, and that encoding made. Every arm's result is
-// held, outside timing, against the corpus as plain []string columns.
+// grouped and filtered through a tail's parts, and those parts merged
+// into one encoding. Every arm's result is held, outside timing, against
+// the corpus as plain []string columns.
 // Methodology and the parent's numbers in docs/benchmarks.md.
 func BenchmarkE23DictColumns(b *testing.B) {
 	const rows, batchRows, shards = 20_000, 2000, 4
@@ -2258,11 +2259,11 @@ func BenchmarkE23DictColumns(b *testing.B) {
 	if res, ps, err := rawSnap.QueryAgg(in, store.AggSpec{}, 1); err != nil || res.Matched != wantIn || wantIn == 0 || ps.ScannedRows != rows {
 		b.Fatalf("In matches %d rows, the plain column %d (plan %+v, %v)", res.Matched, wantIn, ps, err)
 	}
-	// The "-raw" arms keep their names for the record's sake; they are
-	// the encoded road over a tail now. The first read encodes each
-	// shard's tail view once for the snapshot, so "group-by-raw" then
-	// folds the tails' cached partials, and "in-raw" masks the tails'
-	// encodings word-at-a-time.
+	// The "-raw" arms keep their names for the record's sake; they read
+	// the unsealed store's tails, each the encoded parts its 2 000-row
+	// batches arrived as (folded past 8). "group-by-raw" folds each
+	// shard's parts in one run, whose partial the snapshot keeps after
+	// the first pass, and "in-raw" masks every part word-at-a-time.
 	b.Run("group-by-raw", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -2280,23 +2281,31 @@ func BenchmarkE23DictColumns(b *testing.B) {
 		}
 	})
 
-	// ShardEncoded hands out the encoding a snapshot reads its tail view
-	// through, made on first read and kept: each iteration takes a fresh
-	// snapshot (untimed), so the arm times one publication's tail encode.
-	encs, err := raw.Snapshot().ShardEncoded(0)
-	if err != nil || len(encs) != 1 {
-		b.Fatalf("shard 0 encodes to %d segments (%v)", len(encs), err)
+	// A snapshot encodes nothing: it reads each tail as the parts its
+	// batches arrived as. "encode-tail" times what the store does instead,
+	// once per seal and per fold of a tail's parts: shard 0's 5 000 tail
+	// rows decoded from their parts onto one table and encoded once.
+	encs, err := rawSnap.ShardEncoded(0)
+	if err != nil || len(encs) == 0 {
+		b.Fatalf("shard 0 holds %d tail parts (%v)", len(encs), err)
 	}
-	oracle.mustHold(b, "decoded tail", encs[0].Decode(), rawSnap.ShardRows(0), true)
+	mergeTail := func() *table.Table {
+		t, err := table.NewWithSchema(store.DefaultConfig().Schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, enc := range encs {
+			if err := enc.AppendTo(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return t
+	}
+	oracle.mustHold(b, "decoded tail", mergeTail(), rawSnap.ShardRows(0), true)
 	b.Run("encode-tail", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			snap := raw.Snapshot()
-			b.StartTimer()
-			if _, err := snap.ShardEncoded(0); err != nil {
-				b.Fatal(err)
-			}
+			table.Encode(mergeTail())
 		}
 	})
 }
@@ -2471,6 +2480,195 @@ func BenchmarkE33ColdRender(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(len(first)), "page-B")
+		})
+	}
+}
+
+// BenchmarkE34TailParts prices the cap on a tail's parts (the store folds
+// a tail's parts into one past 8) at explore_cold's shape: 20 000
+// synthetic certificates loaded in 2 000-row batches, so every shard of 4
+// is sealed, then 24 batches of 250 rows, which each shard holds as the
+// encoded parts they arrived as (about 1 500 rows in at most 8 parts).
+// "first-query" runs one explore_cold-shaped predicate — an indexed In
+// with a range, a range alone, or a Kleene not/or — with 1 to 3
+// attributes, by a zone or class on half of them, through QueryShardsPage
+// on a fresh snapshot each iteration (taken untimed), so nothing of the
+// snapshot is warm; "steady" runs the same predicates on one snapshot.
+// "ingest/batch=N" times an in-memory AppendTable of N rows into a store
+// of the same shape: routing, the parts' encode, index and statistics,
+// and the folds and seals the batches come to. Gate, outside timing:
+// every predicate's match count and 20-row page equal FullScan's.
+// Methodology and numbers in docs/benchmarks.md § E34.
+func BenchmarkE34TailParts(b *testing.B) {
+	const base, batches, batchRows, loadRows, limit = 20_000, 24, 250, 2000, 20
+	city, err := synth.GenerateCity(synth.DefaultCityConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	gcfg := synth.DefaultConfig()
+	gcfg.Certificates = base + batches*batchRows
+	ds, err := synth.Generate(gcfg, city)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := func(lo, hi int) *table.Table {
+		v, err := ds.Table.View(lo, hi)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return v
+	}
+	load := func() *store.Store {
+		st, err := store.New(store.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lo := 0; lo < base; lo += loadRows {
+			if _, err := st.AppendTable(rows(lo, lo+loadRows)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return st
+	}
+	st := load()
+	for k := 0; k < batches; k++ {
+		lo := base + k*batchRows
+		if _, err := st.AppendTable(rows(lo, lo+batchRows)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, sh := range st.Status().Shards {
+		if sh.Segments == 0 || sh.TailRows == 0 {
+			b.Fatalf("shard %d holds %d sealed segments and %d tail rows; the arms need both", i, sh.Segments, sh.TailRows)
+		}
+	}
+
+	// The explore_cold shapes, drawn once from a seeded generator over the
+	// corpus's own quantiles and levels.
+	rng := rand.New(rand.NewSource(34))
+	sorted := map[string][]float64{}
+	for _, a := range []string{epc.AttrEPH, epc.AttrUWindows, epc.AttrHeatSurface, epc.AttrETAH} {
+		v, err := ds.Table.ValidFloats(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sort.Float64s(v)
+		sorted[a] = v
+	}
+	rangeAttrs := []string{epc.AttrEPH, epc.AttrUWindows, epc.AttrHeatSurface, epc.AttrETAH}
+	span := func(width float64) query.Predicate {
+		a := rangeAttrs[rng.Intn(len(rangeAttrs))]
+		v := sorted[a]
+		lo := rng.Float64() * (1 - width)
+		return query.NumRange{Attr: a, Min: v[int(lo*float64(len(v)-1))], Max: v[int((lo+width)*float64(len(v)-1))]}
+	}
+	levels := map[string][]string{}
+	for _, a := range []string{epc.AttrDistrict, epc.AttrNeighbourhood, epc.AttrEnergyClass} {
+		vals, err := ds.Table.Strings(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, v := range vals {
+			if v != "" && !seen[v] {
+				seen[v] = true
+				levels[a] = append(levels[a], v)
+			}
+		}
+		sort.Strings(levels[a])
+	}
+	member := func(a string, k int) query.In {
+		lv := levels[a]
+		in := query.In{Attr: a}
+		for _, p := range rng.Perm(len(lv))[:min(k, len(lv))] {
+			in.Values = append(in.Values, lv[p])
+		}
+		return in
+	}
+	statAttrs := []string{epc.AttrEPH, epc.AttrUWindows, epc.AttrHeatSurface, epc.AttrUOpaque, epc.AttrETAH}
+	type e34Query struct {
+		p    query.Predicate
+		spec store.AggSpec
+	}
+	var qs []e34Query
+	for len(qs) < 64 {
+		var p query.Predicate
+		switch u := rng.Float64(); {
+		case u < 0.4:
+			a := []string{epc.AttrDistrict, epc.AttrNeighbourhood, epc.AttrEnergyClass}[rng.Intn(3)]
+			p = query.And{member(a, 2), span(0.4)}
+		case u < 0.8:
+			p = span(0.2 + 0.4*rng.Float64())
+		default:
+			p = query.Or{query.Not{P: member(epc.AttrEnergyClass, 2)}, span(0.15)}
+		}
+		spec := store.AggSpec{}
+		for _, k := range rng.Perm(len(statAttrs))[:1+rng.Intn(3)] {
+			spec.Attrs = append(spec.Attrs, statAttrs[k])
+		}
+		if rng.Intn(2) == 0 {
+			spec.By = []string{epc.AttrDistrict, epc.AttrEnergyClass}[rng.Intn(2)]
+		}
+		qs = append(qs, e34Query{p, spec})
+	}
+
+	steady := st.Snapshot()
+	for _, q := range qs {
+		want, err := steady.FullScan(q.p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, page, _, err := steady.QueryShardsPage(q.p, 0, steady.NumShards(), 1, q.spec, 0, limit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wantPage, err := want.Take(seqInts(min(limit, want.NumRows())))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var got, exp bytes.Buffer
+		if err := page.WriteCSV(&got); err != nil {
+			b.Fatal(err)
+		}
+		if err := wantPage.WriteCSV(&exp); err != nil {
+			b.Fatal(err)
+		}
+		if res.Matched != want.NumRows() || !bytes.Equal(got.Bytes(), exp.Bytes()) {
+			b.Fatalf("%v: %d matches and a page unlike FullScan's %d", q.p, res.Matched, want.NumRows())
+		}
+	}
+	run := func(snap *store.Snapshot, q e34Query) {
+		if _, _, _, err := snap.QueryShardsPage(q.p, 0, snap.NumShards(), 1, q.spec, 0, limit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("first-query", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			snap := st.Snapshot()
+			b.StartTimer()
+			run(snap, qs[i%len(qs)])
+		}
+	})
+	b.Run("steady", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run(steady, qs[i%len(qs)])
+		}
+	})
+	for _, n := range []int{1, batchRows} {
+		b.Run(fmt.Sprintf("ingest/batch=%d", n), func(b *testing.B) {
+			b.StopTimer()
+			in := load()
+			b.StartTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lo := base + i*n%(batches*batchRows-n)
+				if _, err := in.AppendTable(rows(lo, lo+n)); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -82,7 +82,7 @@ var goldenDigests = map[string]string{
 // goldenQueries are the /api/query shapes digested at both epochs: stats
 // only and row pages, grouped and not, each planner road (index postings,
 // masked scan, a not/or tree the pushdown cannot split, select-all), over a
-// store that holds sealed segments and raw tails side by side.
+// store that holds sealed segments and tail parts side by side.
 var goldenQueries = []struct{ name, rawQuery string }{
 	{"stats-ungrouped", "attrs=eph,heat_surface&q=" + url.QueryEscape("eph in [40, 260]")},
 	{"grouped-indexed", "attrs=eph&by=district&q=" + url.QueryEscape("energy_class in {C, D, E}")},

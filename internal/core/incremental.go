@@ -258,19 +258,15 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 		// An error abandons the refresh, so the span is only recorded on
 		// the successful path.
 		_, spDelta := obs.StartSpan(ctx, "delta")
-		// One owned copy of the new rows' serving columns (the store
-		// shares segments zero-copy; cleaning mutates, so the delta must
-		// be private).
+		// One owned copy of the new rows' serving columns, decoded
+		// straight out of the store's encodings (cleaning mutates it).
 		var err error
 		deltaTab, err = table.NewWithSchema(lin.served.Schema())
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errIncremental, err)
 		}
-		deltaTab.Grow(delta.NewRows)
-		for _, t := range delta.Tables() {
-			if err := deltaTab.AppendTable(t); err != nil {
-				return nil, fmt.Errorf("%w: %v", errIncremental, err)
-			}
+		if err := delta.AppendTo(deltaTab); err != nil {
+			return nil, fmt.Errorf("%w: %v", errIncremental, err)
 		}
 		if pcfg.cleans(l.cfg.Options.StreetMap) {
 			deltaCleaning, err = cleanTable(deltaTab, l.hier, l.cfg.Options.StreetMap, l.cfg.Options.Geocoder, pcfg.cleanConfig())

@@ -88,7 +88,10 @@ func (o *oracleLineage) refresh(t *testing.T, l *Live, pub *Published, since uin
 	if !ok {
 		t.Fatalf("no delta from epoch %d", since)
 	}
-	deltaTab, err := table.Concat(delta.Tables()...)
+	deltaTab, err := table.NewWithSchema(o.raw.Schema())
+	if err == nil {
+		err = delta.AppendTo(deltaTab)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"indice/internal/store"
-	"indice/internal/table"
 )
 
 // LeaderInfo is GET /api/replicate/info: the layout a replica must
@@ -91,18 +90,9 @@ func (l *Leader) ServeSegments(w http.ResponseWriter, r *http.Request) {
 	l.mu.Unlock()
 	if body == nil {
 		var buf bytes.Buffer
-		for i := 0; i < snap.NumShards(); i++ {
-			encs, err := snap.ShardEncoded(i)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			for _, enc := range encs {
-				if err := store.EncodeFrame(&buf, i, enc); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-			}
+		if err := snap.EncodeFrames(&buf); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
 		body = buf.Bytes()
 		l.mu.Lock()
@@ -145,11 +135,9 @@ func (l *Leader) ServeDelta(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var buf bytes.Buffer
-		for i, tab := range d.Tables() {
-			if err := store.EncodeFrame(&buf, d.TableShard(i), table.Encode(tab)); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
+		if err := d.EncodeFrames(&buf); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
 		dp = deltaPayload{body: buf.Bytes(), rows: d.NewRows}
 		l.mu.Lock()

@@ -3,12 +3,14 @@ package scaleout
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"indice/internal/query"
 	"indice/internal/store"
 	"indice/internal/table"
 )
@@ -126,6 +128,94 @@ func TestReplicaFullThenDeltaSync(t *testing.T) {
 	}
 	if applies != 2 {
 		t.Fatalf("OnApply ran %d times, want 2 (no-op syncs must not fire it)", applies)
+	}
+}
+
+// TestReplicaSealsAsItsLeaderDoes: replicated frames enter the replica's
+// tails by the road accepted batches take, so a replica synced after every
+// small batch seals and folds its tails as its leader does. Through 24
+// such syncs each shard holds at most ⌈rows/SegmentRows⌉ sealed segments
+// and 8 tail parts, the leader's layout, and every answer — select-all
+// sums included — is bitwise the leader's.
+func TestReplicaSealsAsItsLeaderDoes(t *testing.T) {
+	cfg := replConfig()
+	cfg.SegmentRows = 100
+	leaderStore, err := store.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leaderStore.AppendTable(replBatch(t, 1, 300)); err != nil {
+		t.Fatal(err)
+	}
+	_, srv := leaderServer(t, leaderStore)
+	replicaStore, err := store.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl := NewReplica(replicaStore, srv.URL, srv.Client(), 10*time.Millisecond)
+	preds := []query.Predicate{
+		nil,
+		query.MustParse("class = c1"),
+		query.MustParse("v >= 0"),
+		query.MustParse("not (class = c2) or v <= -50"),
+	}
+	spec := store.AggSpec{By: "class", Attrs: []string{"v"}}
+	answer := func(st *store.Store, p query.Predicate) []byte {
+		t.Helper()
+		snap := st.Snapshot()
+		res, page, _, err := snap.QueryShardsPage(p, 0, snap.NumShards(), 1, spec, 0, snap.NumRows()+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(body, encodedBytes(t, page)...)
+	}
+	// parts counts a store's tail parts per shard: what a snapshot reads
+	// past the sealed segments.
+	parts := func(st *store.Store) []int {
+		snap := st.Snapshot()
+		out := make([]int, snap.NumShards())
+		for i, sh := range st.Status().Shards {
+			encs, err := snap.ShardEncoded(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = len(encs) - sh.Segments
+		}
+		return out
+	}
+	folded := false
+	prev, prevParts := replicaStore.Status().Shards, parts(replicaStore)
+	for b := 0; b < 24; b++ {
+		if _, err := leaderStore.AppendTable(replBatch(t, int64(2+b), 25)); err != nil {
+			t.Fatal(err)
+		}
+		if err := repl.SyncOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		lead, got, tails := leaderStore.Status(), replicaStore.Status(), parts(replicaStore)
+		for i, sh := range got.Shards {
+			if limit := (sh.Rows + cfg.SegmentRows - 1) / cfg.SegmentRows; sh.Segments > limit || tails[i] > 8 {
+				t.Fatalf("batch %d, shard %d: %d sealed segments and %d tail parts over %d rows; want at most %d and 8",
+					b, i, sh.Segments, tails[i], sh.Rows, limit)
+			}
+			if l := lead.Shards[i]; sh != l {
+				t.Fatalf("batch %d, shard %d: the replica holds %+v, its leader %+v", b, i, sh, l)
+			}
+			folded = folded || sh.Segments == prev[i].Segments && sh.Rows > prev[i].Rows && tails[i] <= prevParts[i]
+		}
+		prev, prevParts = got.Shards, tails
+		for _, p := range preds {
+			if !bytes.Equal(answer(replicaStore, p), answer(leaderStore, p)) {
+				t.Fatalf("batch %d: the replica answers %v unlike its leader", b, p)
+			}
+		}
+	}
+	if !folded {
+		t.Fatal("no replica tail ever folded its parts: the test must see it")
 	}
 }
 

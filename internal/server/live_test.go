@@ -523,14 +523,15 @@ func TestStoreReportsIncrementalRefreshStats(t *testing.T) {
 		t.Fatalf("drift = %v", resp.Published.Drift)
 	}
 	// Nothing sealed (900 rows over the default segment size): the tails
-	// hold the corpus, the serving table a cleaned copy of it minus the
-	// dropped outliers, the lineage only a few of its columns and the
-	// dropped rows.
-	if resp.SealedResidentBytes == nil || *resp.SealedResidentBytes != 0 || resp.TailBytes <= 0 {
-		t.Fatalf("store bytes: tails %d, sealed %v", resp.TailBytes, resp.SealedResidentBytes)
+	// hold the corpus encoded, in less than its raw size; the serving table
+	// a cleaned raw copy of it minus the dropped outliers and the unserved
+	// columns; the lineage only a few of its columns and the dropped rows.
+	raw := int64(ds.Table.SizeBytes())
+	if resp.SealedResidentBytes == nil || *resp.SealedResidentBytes != 0 || resp.TailBytes <= 0 || resp.TailBytes >= raw {
+		t.Fatalf("store bytes: tails %d, sealed %v, beside a %d B raw corpus", resp.TailBytes, resp.SealedResidentBytes, raw)
 	}
-	if lb, tb := resp.Published.LineageBytes, resp.Published.TableBytes; tb <= 0 || tb > 2*resp.TailBytes || lb <= 0 || lb >= tb/4 {
-		t.Fatalf("published bytes: table %d, lineage %d beside %d B of tails", tb, lb, resp.TailBytes)
+	if lb, tb := resp.Published.LineageBytes, resp.Published.TableBytes; tb <= 0 || tb > raw || lb <= 0 || lb >= tb/4 {
+		t.Fatalf("published bytes: table %d, lineage %d beside a %d B raw corpus", tb, lb, raw)
 	}
 
 	// A refresh with nothing new must not change the split (generation

@@ -10,25 +10,15 @@ import (
 )
 
 // AdoptPart is one decoded part frame: an encoded table and the shard it
-// belongs to — a replicated segment, or one shard's slice of a logged
-// batch. Replicas mirror the leader's shard layout, so the shard id
-// travels with the segment instead of being re-derived by hashing rows —
-// adopting a part never decodes it.
+// belongs to — a replicated segment or tail, one shard's slice of a
+// logged batch, or of an accepted one. Replicas mirror the leader's shard
+// layout, so the shard id travels with the part instead of being
+// re-derived by hashing rows — adding a part never decodes it.
 type AdoptPart struct {
 	Shard int
 	Enc   *table.Encoded
 }
 
-// AdoptParts installs pre-encoded sealed segments directly into the
-// named shards: the replication apply path. Indexes and summary
-// statistics update through the encoded accessors (dictionary lookups,
-// packed-code reads), so the segment content is never materialized as a
-// raw table. The whole batch lands atomically with respect to
-// snapshots — a snapshot observes all parts or none.
-//
-// Only in-memory stores accept adopted segments: a durable store's WAL
-// could not vouch for rows that bypassed it, and replicas re-sync from
-// their leader on boot instead of recovering locally.
 // Reset discards every row, index posting and summary statistic while
 // keeping the schema and shard layout, so a replica whose delta baseline
 // aged out of the leader's history can rebuild from a full segment
@@ -47,17 +37,11 @@ func (s *Store) Reset() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		removed += sh.rows
-		tail, err := newTail(s.schema)
-		if err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("store: reset: %w", err)
-		}
 		for _, sg := range sh.sealed {
 			s.mem.addSealed(-sg.bytes)
 		}
 		sh.sealed = nil
-		sh.tail = tail
-		sh.accountTail()
+		sh.setTail(nil)
 		sh.rows = 0
 		for a := range sh.index {
 			sh.index[a] = make(map[string]*bitmap.Bitmap)
@@ -73,6 +57,15 @@ func (s *Store) Reset() error {
 	return nil
 }
 
+// AdoptParts adds pre-encoded parts to the named shards' tails: the
+// replication apply path. They take the road every accepted batch takes
+// (shard.add), so a replica seals and folds its tails exactly as its
+// leader does, and nothing is decoded. The whole batch lands atomically
+// with respect to snapshots — a snapshot observes all parts or none.
+//
+// Only in-memory stores accept adopted parts: a durable store's WAL
+// could not vouch for rows that bypassed it, and replicas re-sync from
+// their leader on boot instead of recovering locally.
 func (s *Store) AdoptParts(parts []AdoptPart) (int, error) {
 	if len(parts) == 0 {
 		return 0, nil
@@ -97,7 +90,7 @@ func (s *Store) AdoptParts(parts []AdoptPart) (int, error) {
 	defer s.mu.RUnlock()
 	rows := 0
 	for _, p := range parts {
-		s.shards[p.Shard].adopt(p.Enc, "", &s.cfg)
+		s.shards[p.Shard].add(p.Enc, "", &s.cfg)
 		rows += p.Enc.NumRows()
 	}
 	s.accepted.Add(uint64(rows))

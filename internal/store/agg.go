@@ -237,28 +237,41 @@ func (sn *Snapshot) checkAggSpec(spec AggSpec) error {
 }
 
 // aggShard aggregates one shard's matches. With no predicate it folds
-// whole segments — via the per-segment partial cache, or a bare row
-// count when the spec asks for nothing but Matched. With a
-// predicate it reuses the planner's queryShard verbatim and feeds the
-// resulting match ordinals into the kernels instead of materializing,
-// handing them back for the caller's row page.
+// whole segments — via the partial cache, or a bare row count when the
+// spec asks for nothing but Matched — and the shard's tail parts in one
+// run, as one segment: a select-all sum then adds the same partials in
+// the same order whatever parts the tail arrived in. With a predicate it
+// reuses the planner's queryShard verbatim and feeds the resulting match
+// ordinals into the kernels instead of materializing, handing them back
+// for the caller's row page.
 func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRange []query.NumRange, residual query.Predicate, spec AggSpec) aggShardResult {
 	g := table.NewGroupAggregator(spec.By, spec.Attrs)
 	if p == nil {
 		out := aggShardResult{}
-		for _, sg := range sn.segs[i] {
+		segs := sn.segs[i]
+		for j := 0; j < len(segs); {
+			end := j + 1
+			if j >= sn.tailAt[i] {
+				end = len(segs)
+			}
+			run := segs[j:end]
+			j = end
 			if spec.empty() {
-				g.AddRows(sg.numRows())
+				for _, sg := range run {
+					g.AddRows(sg.numRows())
+				}
 				continue
 			}
-			part, hit, err := sg.aggPartial(sn.ld, spec)
+			part, hit, err := sn.aggPartial(run, spec)
 			if err != nil {
 				return aggShardResult{err: err}
 			}
 			if hit {
 				out.cached++
 			} else {
-				out.scanned += sg.numRows()
+				for _, sg := range run {
+					out.scanned += sg.numRows()
+				}
 			}
 			if err := g.AddPartial(part); err != nil {
 				return aggShardResult{err: err}
@@ -291,16 +304,20 @@ func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRa
 // dashboard shapes per segment, never an unbounded working set.
 const maxAggPartials = 8
 
-// aggPartial returns the segment's frozen aggregate partial for the spec,
-// computing and caching it on first use. Cached partials live on the
-// segment struct itself — the residency sweep nils only the encoding, so
-// a cached partial keeps serving no-predicate aggregates even after its
-// segment is evicted to disk. A tail view's partials live on its
-// snapshot's own segment and die with it.
+// aggPartial returns the frozen aggregate partial of a run of segments
+// for the spec — one sealed segment, or a snapshot's tail parts —
+// computing it in one pass over the run and caching it on the run's last
+// segment on first use. That segment ends no other run: a sealed one is
+// its own, and a tail part's segment is its snapshot's own. Cached
+// partials live on the segment struct itself — the residency sweep nils
+// only the encoding, so a cached partial keeps serving no-predicate
+// aggregates even after its segment is evicted to disk; a tail's die
+// with its snapshot.
 // Partials are immutable once built (AddPartial never mutates its
 // argument), so one cached value may serve many concurrent queries.
-func (sg *segment) aggPartial(ld *segLoader, spec AggSpec) (*table.AggPartial, bool, error) {
+func (sn *Snapshot) aggPartial(run []*segment, spec AggSpec) (*table.AggPartial, bool, error) {
 	key := spec.cacheKey()
+	sg := run[len(run)-1]
 	sg.aggMu.Lock()
 	if part := sg.agg[key]; part != nil {
 		sg.aggMu.Unlock()
@@ -308,13 +325,15 @@ func (sg *segment) aggPartial(ld *segLoader, spec AggSpec) (*table.AggPartial, b
 	}
 	sg.aggMu.Unlock()
 
-	enc, err := sg.openEnc(ld)
-	if err != nil {
-		return nil, false, err
-	}
 	g := table.NewGroupAggregator(spec.By, spec.Attrs)
-	if err := g.AddEncoded(enc, nil); err != nil {
-		return nil, false, err
+	for _, r := range run {
+		enc, err := r.openEnc(sn.ld)
+		if err != nil {
+			return nil, false, err
+		}
+		if err := g.AddEncoded(enc, nil); err != nil {
+			return nil, false, err
+		}
 	}
 	part := g.Partial()
 	sg.aggMu.Lock()

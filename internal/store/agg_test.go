@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -323,7 +325,7 @@ func TestQueryAggAllInvalidGroups(t *testing.T) {
 
 // TestQueryAggCachedPartials: the second no-predicate aggregate over a
 // snapshot is served from cached partials — no rows rescanned, the tail
-// view's included — and answers identically. A later snapshot shares
+// parts' included — and answers identically. A later snapshot shares
 // the sealed segments' partials and rescans only its own tail.
 func TestQueryAggCachedPartials(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -342,9 +344,9 @@ func TestQueryAggCachedPartials(t *testing.T) {
 
 	tail := 0
 	sealed := 0
-	for _, segs := range snap.segs {
-		for _, sg := range segs {
-			if sg.tab != nil {
+	for i, segs := range snap.segs {
+		for j, sg := range segs {
+			if j >= snap.tailAt[i] {
 				tail += sg.numRows()
 			} else {
 				sealed++
@@ -381,6 +383,58 @@ func TestQueryAggCachedPartials(t *testing.T) {
 			a.Attrs[0].Sum != b.Attrs[0].Sum || a.Attrs[0].R.Count != b.Attrs[0].R.Count ||
 			a.Attrs[0].S.Quantile(0.5) != b.Attrs[0].S.Quantile(0.5) {
 			t.Fatalf("cached pass diverges at group %q", a.Key)
+		}
+	}
+}
+
+// TestTailPartsFoldInOneRun pins the select-all fold: sums add one
+// partial per sealed segment and one for each shard's whole tail, so a
+// tail of many parts and the same rows ingested as one batch give bitwise
+// the same totals, grouped and not. Non-integral values make the order of
+// the additions show.
+func TestTailPartsFoldInOneRun(t *testing.T) {
+	load := func(batches ...int) *Snapshot {
+		rng := rand.New(rand.NewSource(17))
+		cfg := planConfig(2)
+		cfg.SegmentRows = 128
+		st, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := planBatch(t, rng, 0, 400)
+		base := 0
+		for _, n := range batches {
+			part, err := all.View(base, base+n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.AppendTable(part); err != nil {
+				t.Fatal(err)
+			}
+			base += n
+		}
+		return st.Snapshot()
+	}
+	parts := load(300, 11, 13, 9, 14, 12, 10)
+	whole := load(300, 69)
+	for i := range parts.segs {
+		if n := len(parts.segs[i]) - parts.tailAt[i]; n < 3 || whole.tailAt[i] != parts.tailAt[i] || len(whole.segs[i]) != whole.tailAt[i]+1 {
+			t.Fatalf("shard %d: a tail of %d parts beside one of %d; the test needs several against one", i, n, len(whole.segs[i])-whole.tailAt[i])
+		}
+	}
+	for _, spec := range []AggSpec{{Attrs: []string{"v", "w"}}, {By: "zone", Attrs: []string{"v", "w"}}} {
+		got, _, err := parts.QueryAgg(nil, spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := whole.QueryAgg(nil, spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(got)
+		b, _ := json.Marshal(want)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("by %q: a tail of parts and the same rows as one batch total differently", spec.By)
 		}
 	}
 }

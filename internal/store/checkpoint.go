@@ -235,7 +235,7 @@ func (s *Store) Checkpoint() (CheckpointResult, error) {
 	segs := make([][]*segment, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		sh.seal(&s.cfg)
+		sh.seal()
 		segs[i] = append([]*segment(nil), sh.sealed...)
 		sh.mu.Unlock()
 	}

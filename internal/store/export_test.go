@@ -13,19 +13,28 @@ func (s *Store) Append(rec Record) (IngestResult, error) {
 // Schema returns the column layout (shared slice; do not modify).
 func (sn *Snapshot) Schema() []table.Field { return sn.schema }
 
-// ShardSegments returns shard i's immutable segment tables, reloading
-// any evicted segment from disk. Readers may iterate them freely; they
-// are shared with the store and other snapshots.
+// ShardSegments decodes shard i's sealed segments and tail parts, one
+// table each, reloading any evicted segment from disk.
 func (sn *Snapshot) ShardSegments(i int) ([]*table.Table, error) {
-	out := make([]*table.Table, len(sn.segs[i]))
-	for j, sg := range sn.segs[i] {
-		tab, err := sg.open(sn.ld)
-		if err != nil {
-			return nil, err
-		}
-		out[j] = tab
+	encs, err := sn.ShardEncoded(i)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*table.Table, len(encs))
+	for j, enc := range encs {
+		out[j] = enc.Decode()
 	}
 	return out, nil
+}
+
+// Tables decodes each run of the delta onto a table of its own, in shard
+// order: what the delta's frames carry.
+func (d *Delta) Tables() []*table.Table {
+	out := make([]*table.Table, len(d.runs))
+	for k, r := range d.runs {
+		out[k] = merge(r.encs, r.from).Decode()
+	}
+	return out
 }
 
 // CountBy returns the per-value row counts of an indexed categorical
@@ -51,5 +60,5 @@ func (sn *Snapshot) CountBy(attr string) (map[string]int, bool) {
 func (sg *segment) resident() bool {
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
-	return sg.enc != nil || sg.tab != nil
+	return sg.enc != nil
 }

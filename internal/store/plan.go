@@ -81,8 +81,8 @@ type shardResult struct {
 // Everything else — negations, disjunctions, ranges on untracked
 // attributes — is evaluated by a masked scan over the remaining
 // candidates or segments. Below the planner there is one layout: every
-// segment, a snapshot's tail view included, is read through its
-// table.Encoded form (see segment), so each kernel exists once. Shards
+// segment, each part of a shard's tail included, is a table.Encoded
+// (see segment), so each kernel exists once. Shards
 // are processed on workers goroutines (see parallel.Workers); the result
 // is identical at any parallelism.
 //

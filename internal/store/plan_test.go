@@ -459,46 +459,57 @@ func TestQueryErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestTailEncodesOncePerSnapshot: a snapshot reads its tail views
-// through one encoding, made on first read and kept. ShardEncoded hands
-// the replication stream that same encoding before and after a query
-// has read it, and eight goroutines racing to the first read of a fresh
-// snapshot's tails all answer exactly as FullScan does.
-func TestTailEncodesOncePerSnapshot(t *testing.T) {
+// TestPublicationEncodesNothingOnRead: a snapshot reads the tail parts
+// the store holds, each encoded once when its batch was accepted. Two
+// snapshots, before and after a further batch, hand out the same
+// encodings for every earlier part, whether a query has read them or not,
+// and eight goroutines racing over a fresh snapshot all answer exactly as
+// FullScan does.
+func TestPublicationEncodesNothingOnRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	st, err := New(planConfig(2))
+	cfg := planConfig(2)
+	cfg.SegmentRows = 160
+	st, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := 0; b < 3; b++ {
-		if _, err := st.AppendTable(planBatch(t, rng, b*150, 150)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := st.AppendTable(planBatch(t, rng, 450, 11)); err != nil {
+	if _, err := st.AppendTable(planBatch(t, rng, 0, 400)); err != nil {
 		t.Fatal(err)
 	}
+	for b := 0; b < 3; b++ {
+		if _, err := st.AppendTable(planBatch(t, rng, 400+b*11, 11)); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	snap := st.Snapshot()
-	for i := 0; i < snap.NumShards(); i++ {
-		segs := snap.segs[i]
-		if tail := segs[len(segs)-1]; tail.tab == nil || len(segs) < 2 {
-			t.Fatalf("shard %d: %d segments, the last with no tail view; the test needs sealed segments and a tail", i, len(segs))
+	before := st.Snapshot()
+	encs := make([][]*table.Encoded, before.NumShards())
+	for i := range encs {
+		if segs := before.segs[i]; before.tailAt[i] == 0 || before.tailAt[i] == len(segs) {
+			t.Fatalf("shard %d: %d segments, %d sealed; the test needs sealed segments and a tail", i, len(segs), before.tailAt[i])
 		}
-		before, err := snap.ShardEncoded(i)
+		if encs[i], err = before.ShardEncoded(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := before.QueryAgg(query.MustParse("w <= 0"), AggSpec{By: "zone", Attrs: []string{"v"}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendTable(planBatch(t, rng, 433, 11)); err != nil {
+		t.Fatal(err)
+	}
+	after := st.Snapshot()
+	for i := range encs {
+		got, err := after.ShardEncoded(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := snap.QueryAgg(query.MustParse("w <= 0"), AggSpec{By: "zone", Attrs: []string{"v"}}, 1); err != nil {
-			t.Fatal(err)
+		if len(got) < len(encs[i]) {
+			t.Fatalf("shard %d: %d encodings after a batch, %d before", i, len(got), len(encs[i]))
 		}
-		after, err := snap.ShardEncoded(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range before {
-			if before[k] != after[k] {
-				t.Fatalf("shard %d segment %d: ShardEncoded returned a different encoding after a query", i, k)
+		for k, enc := range encs[i] {
+			if got[k] != enc {
+				t.Fatalf("shard %d part %d: the later snapshot reads another encoding of the same rows", i, k)
 			}
 		}
 	}
@@ -517,11 +528,6 @@ func TestTailEncodesOncePerSnapshot(t *testing.T) {
 	for k, p := range preds {
 		if wants[k], err = fresh.FullScan(p); err != nil {
 			t.Fatal(err)
-		}
-	}
-	for _, segs := range fresh.segs {
-		if tail := segs[len(segs)-1]; tail.enc != nil {
-			t.Fatal("FullScan encoded a tail view: copies must read the view")
 		}
 	}
 	errs := make(chan error, 8)

@@ -133,7 +133,7 @@ func (s *Store) adoptCheckpoint(m *manifest, rec *RecoveryInfo) error {
 			if !schemaEqual(enc.Schema(), s.schema) {
 				return fmt.Errorf("store: checkpoint segment %s does not match the store schema", ms.File)
 			}
-			sg := sh.adopt(enc, ms.File, &s.cfg)
+			sg := sh.add(enc, ms.File, &s.cfg)
 			s.ld.register(sg)
 			s.ld.requestSweep()
 			rec.CheckpointRows += ms.Rows
@@ -222,7 +222,7 @@ func (s *Store) replayWAL(applied uint64, rec *RecoveryInfo) (uint64, error) {
 				rows += p.Enc.NumRows()
 			}
 			for _, p := range r.parts {
-				s.shards[p.Shard].append(p.Enc.Decode(), &s.cfg)
+				s.shards[p.Shard].add(p.Enc, "", &s.cfg)
 			}
 			applied = r.seq
 			rec.ReplayedBatches++
@@ -249,7 +249,6 @@ func (s *Store) replayWAL(applied uint64, rec *RecoveryInfo) (uint64, error) {
 	if rec.ReplayedBatches > 0 {
 		s.generation.Add(uint64(rec.ReplayedBatches))
 		s.accepted.Add(uint64(rec.ReplayedRows))
-		mStoreRows.Add(float64(rec.ReplayedRows))
 	}
 	return applied, nil
 }

@@ -29,7 +29,7 @@ func appendBytes(t testing.TB, path string, b []byte) {
 // crash mid-append leaves on disk.
 func tornFrame(t testing.TB, seq uint64) []byte {
 	t.Helper()
-	frame := crcFrame(t, walPayload(t, seq, []walPart{{shard: 0, tab: miniBatch(t, 900, 4, "torn")}}))
+	frame := crcFrame(t, walPayload(t, seq, []AdoptPart{encPart(0, miniBatch(t, 900, 4, "torn"))}))
 	return frame[:len(frame)/2]
 }
 
@@ -39,8 +39,8 @@ func tornFrame(t testing.TB, seq uint64) []byte {
 // batches, not a torn tail. Open must fail naming the file, the seq and
 // the kind, and leave every byte of the log in place.
 func TestRecoverRefusesOldWALRecords(t *testing.T) {
-	good := crcFrame(t, walPayload(t, 1, []walPart{{shard: 0, tab: miniBatch(t, 0, 3, "w")}}))
-	v1Part := walPayload(t, 2, []walPart{{shard: 0, tab: miniBatch(t, 10, 3, "w")}})
+	good := crcFrame(t, walPayload(t, 1, []AdoptPart{encPart(0, miniBatch(t, 0, 3, "w"))}))
+	v1Part := walPayload(t, 2, []AdoptPart{encPart(0, miniBatch(t, 10, 3, "w"))})
 	v1Part[9+8+4] = 1 // the part's binary version: record header, frame header, "INDT"
 	cases := []struct {
 		name, want string
@@ -178,7 +178,7 @@ func TestTornIntermediateFileReplaysSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := func(seq uint64, base int) []byte {
-		return crcFrame(t, walPayload(t, seq, []walPart{{shard: 0, tab: miniBatch(t, base, 3, "w")}}))
+		return crcFrame(t, walPayload(t, seq, []AdoptPart{encPart(0, miniBatch(t, base, 3, "w"))}))
 	}
 	// wal-1: seqs 1,2 then a torn frame; wal-3: seq 3 (acked after a
 	// recovery that discarded the torn record and reassigned its seq).

@@ -11,25 +11,22 @@ import (
 
 // segment is one immutable chunk of a shard, read through its encoded
 // form (dictionary / bit-packed columns): the planner and the
-// aggregation kernels see nothing else. Sealed segments hold only the
-// encoding. A snapshot's view of a shard tail — bounded by SegmentRows,
-// never persisted, sharing the tail's arrays — is its own segment: it
-// keeps the view for copies and encodes it on first read, once per
-// snapshot. Row content never changes, but residency does: once a
-// checkpoint has persisted a sealed segment to disk (path != ""), the
-// in-memory encoding may be evicted and lazily reloaded on demand, so
-// the corpus can exceed RAM. Snapshots share sealed segment pointers
-// with the store; a reader holding a loaded *table.Encoded keeps using
-// it safely after an eviction (the encoding itself is immutable —
-// eviction only drops the cache reference).
+// aggregation kernels see nothing else. A sealed segment is shared by the
+// store and every snapshot; a snapshot wraps each part of a shard's tail
+// in a segment of its own, never persisted. Row content never changes,
+// but residency does: once a checkpoint has persisted a sealed segment to
+// disk (path != ""), the in-memory encoding may be evicted and lazily
+// reloaded on demand, so the corpus can exceed RAM. A reader holding a
+// loaded *table.Encoded keeps using it safely after an eviction (the
+// encoding itself is immutable — eviction only drops the cache
+// reference).
 type segment struct {
 	rows  int
-	bytes int    // SizeBytes of a sealed encoding (0 for a tail view)
+	bytes int    // SizeBytes of a sealed encoding (0 for a tail part)
 	path  string // on-disk file (relative to the data dir), "" while hot-only
 
 	mu  sync.Mutex
-	enc *table.Encoded // the encoding; nil while evicted, or until a tail view is first read
-	tab *table.Table   // a snapshot's length-pinned view of a tail; nil when sealed
+	enc *table.Encoded // the encoding; nil while evicted
 
 	// Per-spec frozen aggregate partials (see aggPartial). Guarded by its
 	// own mutex so cache hits never contend with residency loads, and
@@ -44,40 +41,10 @@ type segment struct {
 // numRows returns the segment's row count without loading it.
 func (sg *segment) numRows() int { return sg.rows }
 
-// open returns the segment's rows as a table for consumers that need raw
-// columns (deltas): a tail view as it is — a copy never encodes a tail —
-// and a sealed segment freshly decoded per call, read back from disk
-// when evicted.
-func (sg *segment) open(ld *segLoader) (*table.Table, error) {
-	if sg.tab != nil {
-		return sg.tab, nil
-	}
-	enc, err := sg.openEnc(ld)
-	if err != nil {
-		return nil, err
-	}
-	return enc.Decode(), nil
-}
-
-// appendTo appends the segment's rows to dst, by column name: a tail
-// view's columns as they are, a sealed encoding decoded straight onto
-// dst.
-func (sg *segment) appendTo(ld *segLoader, dst *table.Table) error {
-	if sg.tab != nil {
-		return dst.AppendTable(sg.tab)
-	}
-	enc, err := sg.openEnc(ld)
-	if err != nil {
-		return err
-	}
-	return enc.AppendTo(dst)
-}
-
 // openEnc returns the segment's encoding, reading an evicted one back
-// from disk and encoding a tail view on its first read. The budget sweep
-// runs only after sg.mu is released — a sweep locks candidate segments,
-// so triggering it while holding this segment's own mutex could
-// self-deadlock.
+// from disk. The budget sweep runs only after sg.mu is released — a
+// sweep locks candidate segments, so triggering it while holding this
+// segment's own mutex could self-deadlock.
 func (sg *segment) openEnc(ld *segLoader) (*table.Encoded, error) {
 	enc, loaded, err := sg.load(ld)
 	if err != nil {
@@ -91,8 +58,6 @@ func (sg *segment) openEnc(ld *segLoader) (*table.Encoded, error) {
 
 // load does the locked part of openEnc, reporting whether it pulled the
 // encoding in from disk (in which case the caller enforces the budget).
-// Concurrent first readers of a tail view wait on sg.mu for the one
-// encode, as they would for one reload.
 func (sg *segment) load(ld *segLoader) (*table.Encoded, bool, error) {
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
@@ -100,13 +65,6 @@ func (sg *segment) load(ld *segLoader) (*table.Encoded, bool, error) {
 		sg.lastUse.Store(ld.clock.Add(1))
 	}
 	if sg.enc != nil {
-		return sg.enc, false, nil
-	}
-	if sg.tab != nil {
-		// A tail view belongs to this snapshot alone and is never
-		// registered with the loader, so the encoding is neither counted
-		// against the budget nor evicted: it dies with the snapshot.
-		sg.enc = table.Encode(sg.tab)
 		return sg.enc, false, nil
 	}
 	if ld == nil || sg.path == "" {

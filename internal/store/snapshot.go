@@ -10,25 +10,24 @@ import (
 )
 
 // Snapshot is a frozen, consistent view of the store at one epoch.
-// Snapshots share the store's sealed segments (immutable once sealed, so
-// sharing is free) and see each shard's mutable tail through a
-// length-pinned view of its columns — taking one is O(shards × columns),
-// never O(rows), and holds no row data of its own. The first query to
-// read a tail encodes its view, once, and the snapshot keeps that
-// encoding (fewer than SegmentRows rows per shard) for every later
-// reader. A snapshot's rows never change after creation — ingestion
-// continuing in the store is invisible to it — and it never observes a
-// partially applied batch.
+// Snapshots share the store's sealed segments and each shard's tail parts
+// (all immutable, so sharing is free) — taking one is O(shards × parts),
+// never O(rows), holds no row data of its own and encodes nothing. A
+// snapshot's rows never change after creation — ingestion continuing in
+// the store is invisible to it — and it never observes a partially
+// applied batch.
 type Snapshot struct {
 	epoch      uint64
 	generation uint64
 	rows       int
 	schema     []table.Field
-	// segs[i] lists shard i's sealed segments at snapshot time. Segments
-	// are shared with the store; persisted ones may be evicted from memory
-	// and are transparently reloaded through ld on access.
-	segs [][]*segment
-	ld   *segLoader
+	// segs[i] lists shard i's sealed segments at snapshot time, then one
+	// segment per part of its tail, from segs[i][tailAt[i]] on. Sealed
+	// segments are shared with the store; persisted ones may be evicted
+	// from memory and are transparently reloaded through ld on access.
+	segs   [][]*segment
+	tailAt []int
+	ld     *segLoader
 	// shardRows[i] is shard i's total row count at snapshot time; history
 	// carries the same counts for recent earlier epochs so DeltaSince can
 	// locate a baseline without reaching back into the store.
@@ -47,13 +46,10 @@ type Snapshot struct {
 }
 
 // Snapshot freezes the current store contents under a new epoch: each
-// shard's sealed segments are shared as-is (they never change) and its
-// mutable tail is captured as a view of the rows it holds now. Tails only
-// ever append — no cell below a published length is rewritten, and sealing
-// starts a fresh tail instead of truncating the old one — so later appends
-// reallocate or write beyond what the view can reach, the same discipline
-// as the index postings below. Concurrent appends are excluded for the
-// duration, so the snapshot is batch-atomic.
+// shard's sealed segments and tail parts are shared as they are (they
+// never change; a later merge or seal replaces parts, it does not rewrite
+// them). Concurrent appends are excluded for the duration, so the
+// snapshot is batch-atomic.
 func (s *Store) Snapshot() *Snapshot {
 	mSnapshots.Inc()
 	s.mu.Lock()
@@ -64,6 +60,7 @@ func (s *Store) Snapshot() *Snapshot {
 		generation: s.generation.Load(),
 		schema:     s.schema,
 		segs:       make([][]*segment, len(s.shards)),
+		tailAt:     make([]int, len(s.shards)),
 		ld:         s.ld,
 		shardRows:  make([]int, len(s.shards)),
 		index:      make([]map[string]map[string]*bitmap.Bitmap, len(s.shards)),
@@ -72,17 +69,13 @@ func (s *Store) Snapshot() *Snapshot {
 	}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		segs := make([]*segment, 0, len(sh.sealed)+1)
+		segs := make([]*segment, 0, len(sh.sealed)+len(sh.tail))
 		segs = append(segs, sh.sealed...)
-		if n := sh.tail.NumRows(); n > 0 {
-			view, err := sh.tail.View(0, n)
-			if err != nil {
-				// The bounds are the tail's own row count.
-				panic("store: snapshot tail view: " + err.Error())
-			}
-			segs = append(segs, &segment{rows: n, tab: view})
+		for _, p := range sh.tail {
+			segs = append(segs, &segment{rows: p.NumRows(), enc: p})
 		}
 		snap.segs[i] = segs
+		snap.tailAt[i] = len(sh.sealed)
 		snap.shardRows[i] = sh.rows
 		snap.rows += sh.rows
 
@@ -136,12 +129,10 @@ func (sn *Snapshot) NumRows() int { return sn.rows }
 // NumShards returns the shard count.
 func (sn *Snapshot) NumShards() int { return len(sn.segs) }
 
-// ShardEncoded returns shard i's segments in the compressed encoded
-// form — the replication wire unit. Sealed segments come back as-is
-// (reloading evicted ones from disk); the tail view, if any, comes back
-// as the encoding this snapshot reads it through, made on first read
-// and kept. The encodings are immutable and shared with the store and
-// every later reader of the snapshot: stream them, never mutate them.
+// ShardEncoded returns shard i's sealed segments (reloading evicted ones
+// from disk), then its tail's parts, as the encodings the store holds.
+// They are immutable and shared with the store and every other snapshot
+// holding them: read them, never mutate them.
 func (sn *Snapshot) ShardEncoded(i int) ([]*table.Encoded, error) {
 	out := make([]*table.Encoded, 0, len(sn.segs[i]))
 	for _, sg := range sn.segs[i] {
@@ -165,10 +156,9 @@ func (sn *Snapshot) Stats(attr string) (stats.Running, bool) {
 // segment order within each shard): the named columns, in the given
 // order, or every column when none is named. Every call builds a fresh
 // copy the caller owns and may rewrite: the snapshot keeps no reference
-// to it, so the copy lives exactly as long as its caller needs it. Sealed
-// segments are decoded straight onto it, with no decoded table of their
-// own, a tail is copied from its view (a refresh never encodes a tail),
-// and a column left unnamed is never decoded.
+// to it, so the copy lives exactly as long as its caller needs it. Every
+// segment and part is decoded straight onto it, with no decoded table of
+// its own, and a column left unnamed is never decoded.
 func (sn *Snapshot) Table(cols ...string) (*table.Table, error) {
 	schema := sn.schema
 	if len(cols) > 0 {
@@ -188,7 +178,11 @@ func (sn *Snapshot) Table(cols ...string) (*table.Table, error) {
 	out.Grow(sn.rows)
 	for _, segs := range sn.segs {
 		for _, sg := range segs {
-			if err := sg.appendTo(sn.ld, out); err != nil {
+			enc, err := sg.openEnc(sn.ld)
+			if err != nil {
+				return nil, err
+			}
+			if err := enc.AppendTo(out); err != nil {
 				return nil, err
 			}
 		}

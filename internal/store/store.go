@@ -4,21 +4,24 @@
 // epoch-based copy-on-write snapshots.
 //
 // Layout. Rows are hashed over a fixed set of shards by certificate
-// identifier. Each shard accumulates appends into a mutable columnar tail
-// and seals the tail into an immutable segment when it reaches the
-// segment bound; sealed segments are never modified again, so snapshots
-// share them with writers at zero copy cost. Alongside the raw columns
-// every shard maintains secondary indexes over configured categorical
-// attributes (zones, energy class) and Welford summary statistics over
-// the numeric attributes, both updated incrementally on append.
+// identifier. A shard's rows are encoded (table.Encoded) from the moment
+// they arrive: its tail is the list of parts its writes arrived as — an
+// accepted batch's slice, a logged batch's slice at replay, a replicated
+// frame — and when the tail reaches the segment bound its parts merge
+// into one immutable sealed segment. Parts and segments never change, so
+// snapshots share them with writers at zero copy cost. Every writer
+// reaches a shard by one road (shard.add), which also folds the part into
+// the shard's secondary indexes over configured categorical attributes
+// (zones, energy class) and its Welford summary statistics over the
+// numeric attributes, read off the encoding.
 //
 // Consistency. Appends — single records and whole batches — run under a
 // store-level read lock with per-shard mutexes, so writers on different
 // shards proceed in parallel. Snapshot takes the store-level write lock
-// and captures the segment lists (plus a length-pinned view of each
-// tail), index headers and statistics under a new epoch. A snapshot
-// therefore always observes either all rows of a batch or none of them,
-// and stays immutable while ingestion continues.
+// and captures the segment and part lists, index headers and statistics
+// under a new epoch. A snapshot therefore always observes either all rows
+// of a batch or none of them, and stays immutable while ingestion
+// continues.
 //
 //	st, _ := store.New(store.DefaultConfig())
 //	st.AppendTable(batch)
@@ -43,12 +46,13 @@ import (
 type Config struct {
 	// Shards is the number of shards rows are hashed over (default 4).
 	Shards int
-	// SegmentRows caps the mutable tail; a tail reaching this size is
+	// SegmentRows caps a shard's tail; a tail reaching this size is
 	// sealed into an immutable segment (default 2048, so that a 20k-row
 	// corpus over four shards is served from sealed segments; shorter
 	// segments would push mid-cardinality columns out of dictionaries,
-	// which Encode keeps only up to rows/4 distinct values). Snapshots view
-	// smaller tails in place; checkpoints seal them regardless of size.
+	// which Encode keeps only up to rows/4 distinct values). Snapshots
+	// read smaller tails as their parts; checkpoints seal them regardless
+	// of size.
 	// Recovery adopts segments of any size, so the bound may change
 	// between restarts of a durable store.
 	SegmentRows int
@@ -84,15 +88,18 @@ func DefaultConfig() Config {
 	}
 }
 
-// shard holds one hash partition of the store.
+// shard holds one hash partition of the store: its sealed segments, then
+// its tail's parts, in arrival order.
 type shard struct {
 	mu     sync.Mutex
 	sealed []*segment
-	tail   *table.Table
-	rows   int
-	mem    *residentBytes // the store's byte account
-	// tailBytes is what tail measured when mem was last moved for it.
-	tailBytes int
+	// tail holds the encoded parts that arrived since the last seal, at
+	// most maxTailParts of them; snapshots copy the pointers.
+	tail      []*table.Encoded
+	tailRows  int
+	tailBytes int // what tail measured when mem was last moved for it
+	rows      int
+	mem       *residentBytes // the store's byte account
 	// index maps attr -> value -> bitmap of shard-local row ordinals.
 	// Rows only ever append, so ordinals arrive strictly ascending and the
 	// bitmaps grow in place; Snapshot freezes copy-on-write views.
@@ -158,21 +165,11 @@ type Store struct {
 	recovery          RecoveryInfo
 }
 
-// residentBytes is the store's running estimate (table.SizeBytes and
-// Encoded.SizeBytes) of the row bytes it owns: raw shard tails and resident
-// sealed encodings. It moves where the bytes move — append, seal, adopt,
-// segment load and eviction — so reading it never scans a row. A tail is
-// measured as a whole each time (accountTail): its dictionaries hold each
-// distinct value once, so the sizes of the batches it took do not add up.
+// residentBytes is the store's running account (Encoded.SizeBytes) of the
+// row bytes it owns: the shard tails' parts and the resident sealed
+// encodings. It moves where the bytes move — append, merge, seal, segment
+// load and eviction — so reading it never scans a row.
 type residentBytes struct{ tail, sealed atomic.Int64 }
-
-// accountTail moves the byte account by what the shard's tail has grown or
-// shrunk since it was last measured. Caller holds sh.mu.
-func (sh *shard) accountTail() {
-	n := sh.tail.SizeBytes()
-	sh.mem.addTail(n - sh.tailBytes)
-	sh.tailBytes = n
-}
 
 func (m *residentBytes) addTail(d int) {
 	m.tail.Add(int64(d))
@@ -274,12 +271,7 @@ func New(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg, schema: cfg.Schema, keyCol: keyCol, colPos: pos}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		tail, err := newTail(cfg.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
 		sh := &shard{
-			tail:  tail,
 			mem:   &s.mem,
 			index: make(map[string]map[string]*bitmap.Bitmap, len(cfg.IndexAttrs)),
 			stats: make(map[string]*stats.Running, len(cfg.StatsAttrs)),
@@ -293,18 +285,6 @@ func New(cfg Config) (*Store, error) {
 		s.shards[i] = sh
 	}
 	return s, nil
-}
-
-// newTail returns an empty shard tail. A tail takes every batch of its
-// shard until it seals, so it looks the values of each up (IndexValues) and
-// holds every one once, however small the batches.
-func newTail(schema []table.Field) (*table.Table, error) {
-	tail, err := table.NewWithSchema(schema)
-	if err != nil {
-		return nil, err
-	}
-	tail.IndexValues()
-	return tail, nil
 }
 
 // SegmentRows returns the configured mutable-tail bound — the layout
@@ -406,12 +386,13 @@ func (s *Store) AppendTable(t *table.Table) (IngestResult, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
-	// Route the batch to its shards up front: the routed form is both
-	// what the shards apply and what the WAL logs (replay then reproduces
-	// the exact per-shard row order without re-running the routing).
-	var routed []walPart
+	// Route the batch to its shards up front and encode each shard's part
+	// once: the routed parts are both what the shards keep and what the
+	// WAL logs (replay then reproduces the exact per-shard row order
+	// without re-running the routing).
+	var routed []AdoptPart
 	if len(s.shards) == 1 {
-		routed = append(routed, walPart{shard: 0, tab: t})
+		routed = append(routed, AdoptPart{Shard: 0, Enc: table.Encode(t)})
 	} else {
 		parts, err := t.Partition(len(s.shards), func(row int) int {
 			if keyCodes == nil {
@@ -424,13 +405,13 @@ func (s *Store) AppendTable(t *table.Table) (IngestResult, error) {
 		}
 		for i, part := range parts {
 			if part.NumRows() > 0 {
-				routed = append(routed, walPart{shard: i, tab: part})
+				routed = append(routed, AdoptPart{Shard: i, Enc: table.Encode(part)})
 			}
 		}
 	}
 	apply := func() error {
 		for _, p := range routed {
-			s.shards[p.shard].append(p.tab, &s.cfg)
+			s.shards[p.Shard].add(p.Enc, "", &s.cfg)
 		}
 		return nil
 	}
@@ -450,7 +431,6 @@ func (s *Store) AppendTable(t *table.Table) (IngestResult, error) {
 	mIngestBatches.Inc()
 	mIngestAccepted.Add(uint64(res.Accepted))
 	mIngestRejected.Add(uint64(res.Rejected))
-	mStoreRows.Add(float64(res.Accepted))
 	if res.Accepted > 0 {
 		s.generation.Add(1)
 	}
@@ -533,125 +513,129 @@ func (s *Store) screen(t *table.Table) (*table.Table, IngestResult) {
 	return sub, res
 }
 
-// append adds the rows of part (already routed to this shard) to the
-// shard's tail, updating indexes and statistics, and seals the tail when
-// it outgrows the segment bound. Caller holds the store read lock.
-func (sh *shard) append(part *table.Table, cfg *Config) {
+// maxTailParts caps a shard's tail: a part past it folds the whole tail
+// into one, so that a tail fed small batches is read through a few
+// encodings, not one per batch (docs/benchmarks.md § E34 sizes it).
+const maxTailParts = 8
+
+// add is the one road rows take into a shard, whoever writes them: an
+// accepted batch's part, a logged part at WAL replay, a replicated frame,
+// a checkpointed segment at recovery. It folds the part's rows into the
+// index postings and running statistics straight from the encoding, then
+// appends it to the tail, which seals once it holds SegmentRows rows and
+// folds into one part past maxTailParts. A part read back from a
+// checkpoint file (path != "") is a sealed segment already: it lands as
+// one and is returned. The part must carry the store's schema. Caller
+// holds the store lock.
+func (sh *shard) add(part *table.Encoded, path string, cfg *Config) *segment {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	base := sh.rows
-	if err := sh.tail.AppendTable(part); err != nil {
-		// Schema verified by AppendTable's caller.
-		panic(fmt.Sprintf("store: shard append: %v", err))
-	}
+	base, n := sh.rows, part.NumRows()
 	for _, attr := range cfg.IndexAttrs {
-		codes, dict, _ := part.StringCodes(attr)
-		valid, _ := part.ValidMask(attr)
-		byVal := sh.index[attr]
-		// One posting lookup per distinct code of the batch, not per row.
-		byCode := make([]*bitmap.Bitmap, len(dict))
-		for i, k := range codes {
-			if !valid[i] || dict[k] == "" {
-				continue
-			}
-			b := byCode[k]
-			if b == nil {
-				if b = byVal[dict[k]]; b == nil {
+		c, byVal := part.Column(attr), sh.index[attr]
+		for i := 0; i < n; i++ {
+			if v := c.StringAt(i); v != "" && c.ValidAt(i) {
+				b := byVal[v]
+				if b == nil {
 					b = bitmap.New()
-					byVal[dict[k]] = b
+					byVal[v] = b
 				}
-				byCode[k] = b
+				b.Add(uint32(base + i))
 			}
-			b.Add(uint32(base + i))
 		}
 	}
 	for _, attr := range cfg.StatsAttrs {
-		vals, _ := part.Floats(attr)
-		valid, _ := part.ValidMask(attr)
+		c := part.Column(attr)
 		acc := sh.stats[attr]
-		for i, v := range vals {
-			if valid[i] {
-				acc.Add(v)
-			}
-		}
-	}
-	sh.rows += part.NumRows()
-	sh.accountTail()
-	if sh.tail.NumRows() >= cfg.SegmentRows {
-		sh.seal(cfg)
-	}
-}
-
-// seal compresses the tail into an immutable encoded segment and starts a
-// fresh tail. Caller holds sh.mu. Encoding is bitwise lossless (Encode
-// falls back to raw layouts per column when a round trip wouldn't be
-// exact), so sealed segments answer queries identically to the raw rows.
-func (sh *shard) seal(cfg *Config) {
-	if sh.tail.NumRows() == 0 {
-		return
-	}
-	enc := table.Encode(sh.tail)
-	sg := &segment{rows: sh.tail.NumRows(), enc: enc, bytes: enc.SizeBytes()}
-	sh.sealed = append(sh.sealed, sg)
-	sh.mem.addSealed(sg.bytes)
-	tail, err := newTail(cfg.Schema)
-	if err != nil {
-		panic(fmt.Sprintf("store: reseal: %v", err))
-	}
-	sh.tail = tail
-	sh.accountTail()
-}
-
-// adopt installs an already-sealed segment (a checkpointed encoding loaded
-// at recovery) at the end of the shard, updating indexes and statistics
-// from its rows via the encoded accessors — the segment is never decoded.
-// Caller holds the store lock during recovery; shard locking is still
-// taken for uniformity.
-func (sh *shard) adopt(enc *table.Encoded, path string, cfg *Config) *segment {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	base := sh.rows
-	rows := enc.NumRows()
-	for _, attr := range cfg.IndexAttrs {
-		c := enc.Column(attr)
-		if c == nil || c.Type() != table.String {
-			continue
-		}
-		byVal := sh.index[attr]
-		for i := 0; i < rows; i++ {
-			if !c.ValidAt(i) {
-				continue
-			}
-			v := c.StringAt(i)
-			if v == "" {
-				continue
-			}
-			b := byVal[v]
-			if b == nil {
-				b = bitmap.New()
-				byVal[v] = b
-			}
-			b.Add(uint32(base + i))
-		}
-	}
-	for _, attr := range cfg.StatsAttrs {
-		c := enc.Column(attr)
-		if c == nil || c.Type() != table.Float64 {
-			continue
-		}
-		acc := sh.stats[attr]
-		for i := 0; i < rows; i++ {
+		for i := 0; i < n; i++ {
 			if c.ValidAt(i) {
 				acc.Add(c.FloatAt(i))
 			}
 		}
 	}
-	sg := &segment{rows: rows, enc: enc, path: path, bytes: enc.SizeBytes()}
+	sh.rows += n
+	mStoreRows.Add(float64(n))
+	if path != "" {
+		sg := &segment{rows: n, enc: part, path: path, bytes: part.SizeBytes()}
+		sh.sealed = append(sh.sealed, sg)
+		sh.mem.addSealed(sg.bytes)
+		return sg
+	}
+	sh.setTail(append(sh.tail, part))
+	switch {
+	case sh.tailRows >= cfg.SegmentRows:
+		sh.seal()
+	case len(sh.tail) > maxTailParts:
+		sh.setTail([]*table.Encoded{merge(sh.tail, 0)})
+	}
+	return nil
+}
+
+// seal merges the tail's parts into one immutable sealed segment and
+// empties the tail. Caller holds sh.mu.
+func (sh *shard) seal() {
+	if len(sh.tail) == 0 {
+		return
+	}
+	enc := merge(sh.tail, 0)
+	sg := &segment{rows: enc.NumRows(), enc: enc, bytes: enc.SizeBytes()}
 	sh.sealed = append(sh.sealed, sg)
 	sh.mem.addSealed(sg.bytes)
-	sh.rows += rows
-	mStoreRows.Add(float64(rows))
-	return sg
+	sh.setTail(nil)
+}
+
+// setTail makes parts the shard's tail and moves the byte account by what
+// they measure. Caller holds sh.mu.
+func (sh *shard) setTail(parts []*table.Encoded) {
+	rows, bytes := 0, 0
+	for _, p := range parts {
+		rows += p.NumRows()
+		bytes += p.SizeBytes()
+	}
+	sh.mem.addTail(bytes - sh.tailBytes)
+	sh.tail, sh.tailRows, sh.tailBytes = parts, rows, bytes
+}
+
+// merge encodes, once, the rows of parts[0] from row from on, then every
+// row of the rest: how a tail seals, how a tail past maxTailParts folds,
+// and how replication frames a run of new rows. Encode emits each
+// dictionary's distinct values sorted, so the bytes are those of one
+// Encode of the same rows, however they arrived in parts. One whole part
+// is its own merge.
+func merge(parts []*table.Encoded, from int) *table.Encoded {
+	if len(parts) == 1 && from == 0 {
+		return parts[0]
+	}
+	t, err := table.NewWithSchema(parts[0].Schema())
+	if err == nil {
+		err = appendRun(t, parts, from)
+	}
+	if err != nil {
+		// An encoding's own schema is valid, and a shard's parts share it.
+		panic(fmt.Sprintf("store: merge: %v", err))
+	}
+	return table.Encode(t)
+}
+
+// appendRun decodes the rows of encs[0] from row from on, then every row
+// of the rest, onto the end of dst.
+func appendRun(dst *table.Table, encs []*table.Encoded, from int) error {
+	n := -from
+	for _, enc := range encs {
+		n += enc.NumRows()
+	}
+	dst.Grow(n)
+	for _, enc := range encs {
+		rows := make([]int, enc.NumRows()-from)
+		for k := range rows {
+			rows[k] = from + k
+		}
+		if err := enc.TakeAppend(dst, rows); err != nil {
+			return err
+		}
+		from = 0
+	}
+	return nil
 }
 
 // Status summarizes the store for operational endpoints.
@@ -666,8 +650,9 @@ type Status struct {
 	IndexAttrs  []string      `json:"index_attrs"`
 	SegmentRows int           `json:"segment_rows"`
 
-	// TailBytes and SealedResidentBytes estimate the row bytes the store
-	// owns in raw shard tails and in resident sealed encodings.
+	// TailBytes and SealedResidentBytes measure the row bytes the store
+	// owns in its shard tails' encoded parts and in resident sealed
+	// encodings.
 	TailBytes           int64 `json:"tail_bytes"`
 	SealedResidentBytes int64 `json:"sealed_resident_bytes"`
 }
@@ -743,7 +728,7 @@ func (s *Store) Status() Status {
 		st.Shards = append(st.Shards, ShardStatus{
 			Rows:     sh.rows,
 			Segments: len(sh.sealed),
-			TailRows: sh.tail.NumRows(),
+			TailRows: sh.tailRows,
 		})
 		st.Rows += sh.rows
 		sh.mu.Unlock()

@@ -326,7 +326,7 @@ func TestSegmentSealing(t *testing.T) {
 }
 
 // TestSnapshotTableProjects: naming columns materializes exactly those
-// columns, in the order named, over sealed segments and a raw tail alike —
+// columns, in the order named, over sealed segments and tail parts alike —
 // the full materialization with the rest selected away.
 func TestSnapshotTableProjects(t *testing.T) {
 	cfg := miniConfig(2)

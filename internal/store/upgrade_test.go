@@ -122,16 +122,21 @@ func TestReopenUnderSmallerSegmentRows(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// layout lists each shard's segment sizes, a raw tail view negated.
+	// layout lists each shard's sealed segment sizes, then its tail's rows
+	// negated.
 	layout := func(sn *Snapshot) [][]int {
 		out := make([][]int, sn.NumShards())
 		for i, segs := range sn.segs {
-			for _, sg := range segs {
-				if sg.tab != nil {
-					out[i] = append(out[i], -sg.rows)
+			tail := 0
+			for j, sg := range segs {
+				if j >= sn.tailAt[i] {
+					tail -= sg.rows
 				} else {
 					out[i] = append(out[i], sg.rows)
 				}
+			}
+			if tail != 0 {
+				out[i] = append(out[i], tail)
 			}
 		}
 		return out

@@ -28,42 +28,11 @@ func diffTables(got, want *table.Table) error {
 	return nil
 }
 
-// tailView returns the raw tail segment of shard i in the snapshot, or nil
-// when the shard's tail was empty.
-func tailView(sn *Snapshot, i int) *table.Table {
-	segs := sn.segs[i]
-	if len(segs) == 0 {
-		return nil
-	}
-	return segs[len(segs)-1].tab
-}
-
-// mustBePinnedView fails unless every column of the table has cap == len,
-// dictionary included, so that no append through it can write memory its
-// source still owns.
-func mustBePinnedView(t *testing.T, label string, tab *table.Table) {
-	t.Helper()
-	for _, f := range tab.Schema() {
-		valid, _ := tab.ValidMask(f.Name)
-		spare := cap(valid) - len(valid)
-		if f.Type == table.Float64 {
-			v, _ := tab.Floats(f.Name)
-			spare += cap(v) - len(v)
-		} else {
-			codes, dict, _ := tab.StringCodes(f.Name)
-			spare += cap(codes) - len(codes) + cap(dict) - len(dict)
-		}
-		if spare != 0 {
-			t.Fatalf("%s: column %q has spare capacity", label, f.Name)
-		}
-	}
-}
-
 // TestSnapshotPinnedAcrossAppendsReallocationAndSeal is the store half of
-// the aliasing contract. A snapshot taken at n rows views the live tail
-// (no copy), and must read bitwise the same through every later append —
-// those that fit the tail's capacity (same arrays), those that reallocate
-// it, and the one that seals it — and so must the delta it hands out.
+// the aliasing contract. A snapshot taken at n rows shares the tail's
+// parts (no copy), and must read bitwise the same through every later
+// append — those that add a part, those that fold the tail's parts into
+// one, and the one that seals it — and so must the delta it hands out.
 func TestSnapshotPinnedAcrossAppendsReallocationAndSeal(t *testing.T) {
 	cfg := miniConfig(1)
 	cfg.SegmentRows = 400
@@ -79,12 +48,12 @@ func TestSnapshotPinnedAcrossAppendsReallocationAndSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned := st.Snapshot()
-	view := tailView(pinned, 0)
-	mustBePinnedView(t, "tail view", view)
-	pv, _ := view.Floats("v")
-	lv, _ := st.shards[0].tail.Floats("v")
-	if &pv[0] != &lv[0] {
-		t.Fatal("the snapshot copied the tail instead of viewing it")
+	encs, err := pinned.ShardEncoded(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(encs) != 2 || encs[1] != st.shards[0].tail[1] {
+		t.Fatal("the snapshot copied the tail instead of sharing its parts")
 	}
 	want, err := pinned.Table()
 	if err != nil {
@@ -94,13 +63,8 @@ func TestSnapshotPinnedAcrossAppendsReallocationAndSeal(t *testing.T) {
 		t.Fatalf("pinned snapshot materializes %d rows", want.NumRows())
 	}
 	delta, ok := pinned.DeltaSince(first.Epoch())
-	if !ok || delta.NewRows != 30 || delta.CopiedRows != 0 || len(delta.Tables()) != 1 {
+	if !ok || delta.NewRows != 30 || delta.SharedSegments != 1 || len(delta.Tables()) != 1 {
 		t.Fatalf("delta: ok=%v %+v", ok, delta)
-	}
-	mustBePinnedView(t, "delta view", delta.Tables()[0])
-	dv, _ := delta.Tables()[0].Floats("v")
-	if &dv[0] != &lv[100] {
-		t.Fatal("the delta copied the straddled tail instead of viewing it")
 	}
 	wantDelta := miniBatch(t, 100, 30, "delta")
 
@@ -120,22 +84,21 @@ func TestSnapshotPinnedAcrossAppendsReallocationAndSeal(t *testing.T) {
 	}
 	check("fresh")
 
-	inPlace, reallocated := false, false
+	added, folded := false, false
 	for rows := 130; rows < cfg.SegmentRows-10; rows += 10 {
-		before, _ := st.shards[0].tail.Floats("v")
+		before := len(st.shards[0].tail)
 		if _, err := st.AppendTable(miniBatch(t, rows, 10, "later")); err != nil {
 			t.Fatal(err)
 		}
-		after, _ := st.shards[0].tail.Floats("v")
-		if &after[0] == &before[0] {
-			inPlace = true
+		if len(st.shards[0].tail) > before {
+			added = true
 		} else {
-			reallocated = true
+			folded = true
 		}
 		check(fmt.Sprintf("tail at %d rows", rows+10))
 	}
-	if !inPlace || !reallocated {
-		t.Fatalf("appends in place: %v, reallocating: %v — the test must see both", inPlace, reallocated)
+	if !added || !folded {
+		t.Fatalf("appends adding a part: %v, folding the parts: %v — the test must see both", added, folded)
 	}
 	if _, err := st.AppendTable(miniBatch(t, 1000, 50, "sealing")); err != nil {
 		t.Fatal(err)
@@ -151,12 +114,12 @@ func TestSnapshotPinnedAcrossAppendsReallocationAndSeal(t *testing.T) {
 }
 
 // TestSnapshotAllocatesIndependentOfRows: taking a snapshot of a store
-// whose rows all sit in raw tails (its SegmentRows is above both row
-// counts) costs per-shard and per-column bookkeeping only. Without indexes
+// whose rows all sit in tails (its SegmentRows is above both row counts)
+// costs per-shard and per-part bookkeeping only. Without indexes
 // the bytes are the same at 1k and at 20k rows; with the default indexes
 // the only row-dependent part is the frozen copy of each posting's last
 // container (two bytes per posting), three orders of magnitude under the
-// ~1.8 KB per row a copy of the 132-column tail costs.
+// ~1.8 KB per row a decoded copy of the 132-column tail costs.
 func TestSnapshotAllocatesIndependentOfRows(t *testing.T) {
 	snapshotBytes := func(indexed bool, rows int) uint64 {
 		cfg := DefaultConfig()
@@ -216,10 +179,10 @@ func TestSnapshotAllocatesIndependentOfRows(t *testing.T) {
 	}
 }
 
-// TestPinnedSnapshotsUnderIngest is the -race stress of the view
+// TestPinnedSnapshotsUnderIngest is the -race stress of the snapshot
 // discipline: readers pin a snapshot, record what it holds, and keep
 // re-reading it — materialized, queried, paged and as a delta — while
-// writers append through reallocation and sealing.
+// writers append through folds of the tail's parts and sealing.
 func TestPinnedSnapshotsUnderIngest(t *testing.T) {
 	const (
 		writers    = 3
@@ -332,8 +295,8 @@ func TestPinnedSnapshotsUnderIngest(t *testing.T) {
 
 // TestResidentBytesFollowTheRows pins the byte account behind
 // /api/store and the indice_store_*_bytes gauges: it equals what a scan of
-// the tails and the resident encodings would measure, through appends,
-// sealing and a reset.
+// the tails' parts and the resident encodings would measure, through
+// appends, sealing and a reset.
 func TestResidentBytesFollowTheRows(t *testing.T) {
 	cfg := miniConfig(2)
 	cfg.SegmentRows = 64
@@ -346,7 +309,9 @@ func TestResidentBytesFollowTheRows(t *testing.T) {
 		t.Helper()
 		var tail, sealed int64
 		for _, sh := range st.shards {
-			tail += int64(sh.tail.SizeBytes())
+			for _, p := range sh.tail {
+				tail += int64(p.SizeBytes())
+			}
 			for _, sg := range sh.sealed {
 				sealed += int64(sg.enc.SizeBytes())
 			}

@@ -8,8 +8,6 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"indice/internal/table"
 )
 
 // Write-ahead log. Every acked ingest batch is appended to the log before
@@ -91,12 +89,6 @@ func (m FsyncMode) String() string {
 	return fmt.Sprintf("FsyncMode(%d)", int(m))
 }
 
-// walPart is one shard's slice of a batch.
-type walPart struct {
-	shard int
-	tab   *table.Table
-}
-
 // walRecord is one decoded log record.
 type walRecord struct {
 	seq   uint64
@@ -175,12 +167,12 @@ func (w *walWriter) flushLoop() {
 	}
 }
 
-// append encodes the parts as the next record, writes and (per policy)
+// append frames the parts as the next record, writes and (per policy)
 // syncs it, then runs apply while still holding the writer lock — the
 // record is on the log before any of its rows are visible, and shard
 // application happens in seq order. On an encode or write error the
 // record is not acked and apply does not run.
-func (w *walWriter) append(parts []walPart, apply func() error) (uint64, error) {
+func (w *walWriter) append(parts []AdoptPart, apply func() error) (uint64, error) {
 	start := time.Now()
 	defer func() { mWALAppendSeconds.ObserveDuration(time.Since(start)) }()
 	w.mu.Lock()
@@ -330,15 +322,16 @@ func (w *walWriter) lastSeqBytes() (uint64, int64) {
 }
 
 // encodeWALRecord writes the record payload for (seq, parts) to buf: the
-// kind, the seq and one part frame per routed part. A part whose encoding
-// exceeds the frame bound fails here, before anything is logged.
-func encodeWALRecord(buf *bytes.Buffer, seq uint64, parts []walPart) error {
+// kind, the seq and one part frame per routed part, as the shard keeps
+// it. A part whose encoding exceeds the frame bound fails here, before
+// anything is logged.
+func encodeWALRecord(buf *bytes.Buffer, seq uint64, parts []AdoptPart) error {
 	var hdr [9]byte
 	hdr[0] = walKindBatch
 	binary.LittleEndian.PutUint64(hdr[1:], seq)
 	buf.Write(hdr[:])
 	for _, p := range parts {
-		if err := EncodeFrame(buf, p.shard, table.Encode(p.tab)); err != nil {
+		if err := EncodeFrame(buf, p.Shard, p.Enc); err != nil {
 			return fmt.Errorf("store: wal encode: %w", err)
 		}
 	}

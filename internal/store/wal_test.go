@@ -22,7 +22,7 @@ func crcFrame(t testing.TB, payload []byte) []byte {
 }
 
 // walPayload encodes one record payload, as append does.
-func walPayload(t testing.TB, seq uint64, parts []walPart) []byte {
+func walPayload(t testing.TB, seq uint64, parts []AdoptPart) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := encodeWALRecord(&buf, seq, parts); err != nil {
@@ -31,12 +31,17 @@ func walPayload(t testing.TB, seq uint64, parts []walPart) []byte {
 	return buf.Bytes()
 }
 
+// encPart is a routed part as AppendTable hands it on: encoded once.
+func encPart(shard int, tab *table.Table) AdoptPart {
+	return AdoptPart{Shard: shard, Enc: table.Encode(tab)}
+}
+
 // miniParts builds one routed two-part record over the mini schema.
-func miniParts(t testing.TB, base int) []walPart {
+func miniParts(t testing.TB, base int) []AdoptPart {
 	t.Helper()
-	return []walPart{
-		{shard: 0, tab: miniBatch(t, base, 3, "w0")},
-		{shard: 1, tab: miniBatch(t, base+100, 2, "w1")},
+	return []AdoptPart{
+		encPart(0, miniBatch(t, base, 3, "w0")),
+		encPart(1, miniBatch(t, base+100, 2, "w1")),
 	}
 }
 
@@ -65,10 +70,10 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		t.Fatalf("decoded seq=%d parts=%d", rec.seq, len(rec.parts))
 	}
 	for i, p := range rec.parts {
-		if p.Shard != parts[i].shard {
-			t.Fatalf("part %d shard = %d, want %d", i, p.Shard, parts[i].shard)
+		if p.Shard != parts[i].Shard {
+			t.Fatalf("part %d shard = %d, want %d", i, p.Shard, parts[i].Shard)
 		}
-		if !tablesEqualBinary(t, p.Enc.Decode(), parts[i].tab) {
+		if !tablesEqualBinary(t, p.Enc.Decode(), parts[i].Enc.Decode()) {
 			t.Fatalf("part %d table differs after round trip", i)
 		}
 	}
@@ -216,8 +221,8 @@ func crcValidFrameAt(b []byte) bool {
 // error, exactly when the scanner meets a CRC-valid record that does not
 // decode, and leaves the log byte for byte as it was.
 func FuzzWALReplay(f *testing.F) {
-	seedParts := func(base int) []walPart {
-		return []walPart{{shard: 0, tab: miniBatch(f, base, 3, "w0")}}
+	seedParts := func(base int) []AdoptPart {
+		return []AdoptPart{encPart(0, miniBatch(f, base, 3, "w0"))}
 	}
 	var valid bytes.Buffer
 	valid.Write(crcFrame(f, walPayload(f, 1, seedParts(0))))

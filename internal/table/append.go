@@ -215,25 +215,6 @@ func (t *Table) AppendTaken(o *Table, rows []int) error {
 	return nil
 }
 
-// Concat returns a new table holding the rows of every input in order.
-// All inputs must share an identical schema. Concat of zero tables is an
-// error; inputs are not modified.
-func Concat(tables ...*Table) (*Table, error) {
-	if len(tables) == 0 {
-		return nil, errors.New("table: concat of no tables")
-	}
-	out, err := NewWithSchema(tables[0].Schema())
-	if err != nil {
-		return nil, err
-	}
-	for _, in := range tables {
-		if err := out.AppendTable(in); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // View returns rows [lo, hi) as a table that shares t's column storage:
 // every column is a slice header over the same backing arrays (cells and
 // dictionary alike), pinned to cap == len, so building one costs

@@ -124,17 +124,6 @@ func TestAppendTableAndConcat(t *testing.T) {
 	if a.NumRows() != 3 {
 		t.Fatalf("failed append changed rows to %d", a.NumRows())
 	}
-
-	cat, err := Concat(mk([]string{"x"}, []float64{1}), mk([]string{"y", "z"}, []float64{2, 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cat.NumRows() != 3 {
-		t.Fatalf("concat rows = %d", cat.NumRows())
-	}
-	if _, err := Concat(); err == nil {
-		t.Fatal("want error for empty concat")
-	}
 }
 
 func TestSlice(t *testing.T) {

@@ -15,7 +15,7 @@ import "slices"
 //     cap == len: O(1), nothing copied or hashed. At most one column can
 //     append to an array in place; every sharer's first new value
 //     reallocates, the discipline View keeps for cells;
-//   - cells crossing between columns (AppendTable, AppendTaken, Concat,
+//   - cells crossing between columns (AppendTable, AppendTaken,
 //     Encoded.TakeAppend) keep their codes when both dictionaries are
 //     prefixes of one array, an empty destination adopts the source's, and
 //     otherwise each source entry met is carried over once per call and the
@@ -35,9 +35,7 @@ import "slices"
 // Looking a value up in a larger dictionary needs the value → code index,
 // scratch of whoever appends by value: built on first need, never inherited
 // by a derived table, dropped by the readers before they return. While a
-// column holds one, cells crossing into it are looked up too, so that a
-// table taking thousands of small batches — a store tail, which asks for
-// the index up front with IndexValues — holds every value once.
+// column holds one, cells crossing into it are looked up too.
 
 // sharedDict returns the dictionary as a derived column holds it.
 func (c *Column) sharedDict() []string { return c.Dict[:len(c.Dict):len(c.Dict)] }
@@ -112,17 +110,6 @@ func newStringColumn(name string, vals []string, valid []bool) *Column {
 	}
 	c.index = nil
 	return c
-}
-
-// IndexValues makes the table look up, from now on, every value that is
-// appended to it, cells crossing from other tables included: for a table
-// that grows by many small appends over a long life. DropIndex ends it.
-func (t *Table) IndexValues() {
-	for _, c := range t.cols {
-		if c.Typ == String {
-			c.lookup()
-		}
-	}
 }
 
 // DropIndex releases the value → code scratch that appending by value left

@@ -8,9 +8,9 @@ import (
 	"sort"
 )
 
-// Segment encoding. Sealed segments are immutable, so once a Table leaves
-// the mutable tail it is compressed into an Encoded form that both the
-// resident snapshot and the checkpoint files use:
+// Segment encoding. The store keeps its rows immutable and compressed
+// from the moment they arrive, in an Encoded form that snapshots, the
+// WAL, replication frames and checkpoint files all share:
 //
 //   - low-cardinality string columns become a sorted dictionary plus
 //     bit-packed per-row codes (code order = string order, so equality
@@ -303,7 +303,8 @@ func dictMaxCardinality(rows int) int {
 }
 
 // Encode compresses a table. It never fails: columns whose cells violate
-// an encoding's round-trip invariants stay in the raw layout.
+// an encoding's round-trip invariants stay in the raw layout. The
+// encoding shares no cell array with t, so t may be reused after.
 func Encode(t *Table) *Encoded {
 	e := &Encoded{rows: t.rows, index: make(map[string]int, len(t.cols))}
 	for _, c := range t.cols {
@@ -431,7 +432,7 @@ func encodeFloat(c *Column, rows int) *EncodedColumn {
 
 	raw := func() *EncodedColumn {
 		ec.kind = KindRawFloat
-		ec.rawF = c.Floats
+		ec.rawF = slices.Clone(c.Floats)
 		return ec
 	}
 

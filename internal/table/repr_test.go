@@ -375,18 +375,21 @@ func runReprSequence(t *testing.T, seed int64, steps int) {
 				}
 				add("part", part, p.want.take(rows))
 			}
-		case 12: // Concat
+		case 12: // several tables appended onto an empty one
 			ins := []*pair{p, pick(), pick()}[:1+rng.Intn(3)]
 			want := newPlain(reprSchema)
-			var tabs []*Table
 			for _, in := range ins {
-				tabs = append(tabs, in.tab)
 				want.appendTaken(in.want, seq(0, in.want.rows()))
 			}
 			if want.rows() > 900 {
 				continue
 			}
-			got, err := Concat(tabs...)
+			got, err := NewWithSchema(reprSchema)
+			for _, in := range ins {
+				if err == nil {
+					err = got.AppendTable(in.tab)
+				}
+			}
 			if err != nil {
 				t.Fatalf("%s: %v", desc, err)
 			}
@@ -471,13 +474,10 @@ func runReprSequence(t *testing.T, seed int64, steps int) {
 				t.Fatalf("%s: %v", desc, err)
 			}
 			add("binary", got.Decode(), p.want.take(seq(0, n)))
-		case 21: // the value index comes and goes; cells never notice
-			switch rng.Intn(3) {
-			case 0:
+		case 21: // the value index goes; cells never notice
+			if rng.Intn(2) == 0 {
 				withPayloads()
-			case 1:
-				p.tab.IndexValues()
-			default:
+			} else {
 				p.tab.DropIndex()
 			}
 		}
@@ -550,52 +550,4 @@ func TestRepresentationPastSixteenBitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAgree(t, "binary round trip", back.Decode(), want)
-}
-
-// TestIndexedTableHoldsEachValueOnce: a table that looks values up
-// (IndexValues — a store tail) stays as small as its values allow however
-// many small tables are appended to it, each with a dictionary of its own;
-// the same appends without the index carry every batch's entries along.
-func TestIndexedTableHoldsEachValueOnce(t *testing.T) {
-	const levelCount = 40 // more than a destination compares arriving entries with
-	schema := []Field{{Name: "level", Type: String}, {Name: "id", Type: String}}
-	build := func(indexed bool) *Table {
-		dst, err := NewWithSchema(schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if indexed {
-			dst.IndexValues()
-		}
-		for b := 0; b < 300; b++ {
-			batch, _ := NewWithSchema(schema)
-			for i := 0; i < 1+b%5; i++ {
-				r := b*5 + i
-				if err := batch.AppendRow([]Cell{{Str: fmt.Sprintf("l%d", r%levelCount), Valid: true}, {Str: fmt.Sprintf("id-%05d", r), Valid: true}}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			part, err := batch.Take(seq(0, batch.NumRows())) // what Partition hands a shard
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.AppendTable(part); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dst
-	}
-	indexed, plain := build(true), build(false)
-	assertBitwiseEqual(t, plain, indexed, "indexed and plain destinations")
-	_, levels, _ := indexed.StringCodes("level")
-	_, ids, _ := indexed.StringCodes("id")
-	if len(levels) != levelCount || len(ids) != indexed.NumRows() {
-		t.Fatalf("indexed table of %d rows holds %d levels and %d ids, want %d and one per row", indexed.NumRows(), len(levels), len(ids), levelCount)
-	}
-	if _, carried, _ := plain.StringCodes("level"); len(carried) <= levelCount {
-		t.Fatalf("the unindexed table holds %d level entries: the test no longer tells the two roads apart", len(carried))
-	}
-	if indexed.SizeBytes() >= plain.SizeBytes() {
-		t.Fatalf("indexed table measures %d B, unindexed %d B", indexed.SizeBytes(), plain.SizeBytes())
-	}
 }
