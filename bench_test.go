@@ -38,7 +38,6 @@ import (
 	"indice/internal/outlier"
 	"indice/internal/parallel"
 	"indice/internal/query"
-	"indice/internal/scaleout"
 	"indice/internal/server"
 	"indice/internal/store"
 	"indice/internal/synth"
@@ -1274,9 +1273,9 @@ func seqInts(n int) []int {
 // materialize-then-regroup path it replaces. Every variant answers the
 // same dashboard question — per-energy-class count, mean and quartiles
 // of eph — over the E15 100k-row corpus. "materialize" is the before:
-// run the indexed query into a row table, then per-group Welford and
-// sketch passes over the copied columns (the row-wise oracle,
-// scaleout.BuildPartial). "pushdown" computes identical groups directly
+// run the indexed query into a row table, then per-group passes of the
+// same accumulators over the copied columns (rowWiseFold). "pushdown"
+// computes identical groups directly
 // over the encoded segments without building a table. "pushdown-cached"
 // is the no-predicate dashboard shape served from the per-segment
 // partial-aggregate cache — near-O(groups) per request. Captured
@@ -1315,13 +1314,14 @@ func e17AggPushdown(b *testing.B, seed *table.Table) {
 	spec := store.AggSpec{By: epc.AttrEnergyClass, Attrs: []string{epc.AttrEPH}}
 
 	// Equivalence gate, outside timing: the pushdown must reproduce the
-	// materializing path's groups — counts and extrema bitwise, means to
-	// rounding, quantiles exactly (sketch bucketing is deterministic).
+	// materializing path's groups bitwise — counts, extrema, sums, means,
+	// deviations (the sums are exact) and quantiles (sketch bucketing is
+	// deterministic).
 	tab, _, err := snap.Query(pred, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	wantTotals, wantGroups, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By)
+	wantTotals, wantGroups, err := rowWiseFold(tab, spec.Attrs, spec.By)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1335,30 +1335,8 @@ func e17AggPushdown(b *testing.B, seed *table.Table) {
 	if ps.IndexedShards == 0 || ps.ScannedRows != 0 {
 		b.Fatalf("pushdown left the indexed path: %+v", ps)
 	}
-	want := wantTotals[0]
-	got := res.Totals[0]
-	if got.R.Count != want.R.Count || got.R.Min != want.R.Min || got.R.Max != want.R.Max {
-		b.Fatalf("pushdown totals %+v, materialize %+v", got.R, want.R)
-	}
-	if d := got.Mean() - want.R.Mean; d > 1e-9 || d < -1e-9 {
-		b.Fatalf("pushdown mean %v, materialize %v", got.Mean(), want.R.Mean)
-	}
-	if got.S.Quantile(0.5) != want.S.Quantile(0.5) {
-		b.Fatalf("pushdown median %v, materialize %v", got.S.Quantile(0.5), want.S.Quantile(0.5))
-	}
-	if len(res.Groups) != len(wantGroups) {
-		b.Fatalf("pushdown %d groups, materialize %d", len(res.Groups), len(wantGroups))
-	}
-	for i, g := range res.Groups {
-		w := wantGroups[i]
-		if g.Key != w.Key || g.Rows != w.Rows {
-			b.Fatalf("group[%d] = %s/%d, materialize %s/%d", i, g.Key, g.Rows, w.Key, w.Rows)
-		}
-		wa := w.Attrs[0].R
-		ga := g.Attrs[0]
-		if ga.R.Count != wa.Count || ga.R.Min != wa.Min || ga.R.Max != wa.Max {
-			b.Fatalf("group %s: pushdown %+v, materialize %+v", g.Key, ga.R, wa)
-		}
+	if got, want := renderAgg(res), renderAgg(&store.AggResult{Matched: tab.NumRows(), Totals: wantTotals, Groups: wantGroups}); got != want {
+		b.Fatalf("pushdown %s, materialize %s", got, want)
 	}
 	// Warm the per-segment partial cache for the cached variant.
 	if _, _, err := snap.QueryAgg(nil, spec, 1); err != nil {
@@ -1372,7 +1350,7 @@ func e17AggPushdown(b *testing.B, seed *table.Table) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By); err != nil {
+			if _, _, err := rowWiseFold(tab, spec.Attrs, spec.By); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1396,7 +1374,7 @@ func e17AggPushdown(b *testing.B, seed *table.Table) {
 	b.Run("materialize-nopred", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := scaleout.BuildPartial(flat, spec.Attrs, spec.By); err != nil {
+			if _, _, err := rowWiseFold(flat, spec.Attrs, spec.By); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1411,15 +1389,68 @@ func e17AggPushdown(b *testing.B, seed *table.Table) {
 	})
 }
 
+// rowWiseFold computes a match set's aggregates row-wise over the
+// materialized table: one accumulator per attribute over all rows and,
+// when by is set, the groups sorted by key with one accumulator per
+// attribute each. Invalid cells group under "" like Table.GroupByString;
+// invalid and non-finite cells are excluded from every accumulator
+// (matching stats.Describe's reading of the corpus, and the pushdown
+// kernels' semantics).
+//
+// It is the materialize arm of E17 and E19, the road aggregates took
+// before the pushdown, and their equivalence gates' reference.
+func rowWiseFold(tab *table.Table, attrs []string, by string) ([]table.AggAccum, []*table.GroupAccum, error) {
+	cols := make([][]float64, len(attrs))
+	masks := make([][]bool, len(attrs))
+	for k, attr := range attrs {
+		vals, err := tab.Floats(attr)
+		if err != nil {
+			return nil, nil, err
+		}
+		cols[k] = vals
+		masks[k], _ = tab.ValidMask(attr)
+	}
+	totals := make([]table.AggAccum, len(attrs))
+	for k := range attrs {
+		for i, v := range cols[k] {
+			if masks[k][i] {
+				totals[k].Observe(v)
+			}
+		}
+	}
+	if by == "" {
+		return totals, nil, nil
+	}
+	groups, err := tab.GroupByString(by)
+	if err != nil {
+		return nil, nil, err
+	}
+	gs := make([]*table.GroupAccum, 0, len(groups))
+	for val, rows := range groups {
+		g := &table.GroupAccum{Key: val, Rows: len(rows), Attrs: make([]table.AggAccum, len(attrs))}
+		for k := range attrs {
+			for _, i := range rows {
+				if masks[k][i] {
+					g.Attrs[k].Observe(cols[k][i])
+				}
+			}
+		}
+		gs = append(gs, g)
+	}
+	sort.Slice(gs, func(i, j int) bool { return gs[i].Key < gs[j].Key })
+	return totals, gs, nil
+}
+
 // BenchmarkE19RowPage prices one drill-down row page — the statistics of
 // a selection plus its first 20 certificates — on the repo benchmark's
 // corpus shape (20k certificates × 132 attributes, default store layout)
 // for a predicate matching about half of them. "materialize" is the road
 // /api/query and the replica rows leg took before the page path: decode
 // every match into a row table (Snapshot.Query), regroup it row-wise
-// (scaleout.BuildPartial), keep 20 rows. "page" is
-// Snapshot.QueryShardsPage: the pushdown's accumulators plus the 20
-// decoded rows, nothing else. Methodology in docs/benchmarks.md.
+// (rowWiseFold), keep 20 rows. "page" is Snapshot.QueryShardsPage: the
+// pushdown's accumulators plus the runs of encodings that hold the 20
+// rows, which the server renders from without decoding them first.
+// Methodology in docs/benchmarks.md.
 func BenchmarkE19RowPage(b *testing.B) {
 	const (
 		rows  = 20_000
@@ -1465,7 +1496,7 @@ func BenchmarkE19RowPage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wantTotals, wantGroups, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By)
+	wantTotals, wantGroups, err := rowWiseFold(tab, spec.Attrs, spec.By)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1477,24 +1508,14 @@ func BenchmarkE19RowPage(b *testing.B) {
 	if err := wantPage.WriteCSV(&wantCSV); err != nil {
 		b.Fatal(err)
 	}
-	if err := page.WriteCSV(&gotCSV); err != nil {
+	if err := pageTable(b, page).WriteCSV(&gotCSV); err != nil {
 		b.Fatal(err)
 	}
 	if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
 		b.Fatal("page rows differ from the first rows of the materialized match set")
 	}
-	if want := wantTotals[0]; res.Matched != tab.NumRows() || res.Totals[0].R.Count != want.R.Count ||
-		res.Totals[0].R.Min != want.R.Min || res.Totals[0].R.Max != want.R.Max ||
-		res.Totals[0].S.Quantile(0.5) != want.S.Quantile(0.5) {
-		b.Fatalf("page totals %+v over %d rows, materialize %+v over %d", res.Totals[0].R, res.Matched, want.R, tab.NumRows())
-	}
-	if len(res.Groups) != len(wantGroups) {
-		b.Fatalf("page %d groups, materialize %d", len(res.Groups), len(wantGroups))
-	}
-	for i, g := range res.Groups {
-		if w := wantGroups[i]; g.Key != w.Key || g.Rows != w.Rows {
-			b.Fatalf("group[%d] = %s/%d, materialize %s/%d", i, g.Key, g.Rows, w.Key, w.Rows)
-		}
+	if got, want := renderAgg(res), renderAgg(&store.AggResult{Matched: tab.NumRows(), Totals: wantTotals, Groups: wantGroups}); got != want {
+		b.Fatalf("page aggregate %s, materialize %s", got, want)
 	}
 
 	b.Run("materialize", func(b *testing.B) {
@@ -1504,7 +1525,7 @@ func BenchmarkE19RowPage(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := scaleout.BuildPartial(tab, spec.Attrs, spec.By); err != nil {
+			if _, _, err := rowWiseFold(tab, spec.Attrs, spec.By); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := tab.Take(first); err != nil {
@@ -2208,20 +2229,20 @@ func BenchmarkE23DictColumns(b *testing.B) {
 		if res.Matched < 24 || res.Matched > 60 {
 			b.Fatalf("the narrow range matches %d certificates", res.Matched)
 		}
-		oracle.mustHold(b, "page over "+arm.name, page, 20, true)
+		oracle.mustHold(b, "page over "+arm.name, pageTable(b, page), 20, true)
 		all, _, err := arm.snap.Query(narrow, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		first, _ := all.Strings(epc.AttrCertificateID)
-		got, _ := page.Strings(epc.AttrCertificateID)
+		got, _ := pageTable(b, page).Strings(epc.AttrCertificateID)
 		if !reflect.DeepEqual(got, first[:20]) {
 			b.Fatalf("page over %s is not the first 20 matches", arm.name)
 		}
 		b.Run("page-"+arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, page, _, err := arm.snap.QueryShardsPage(narrow, 0, shards, 1, store.AggSpec{}, 0, 20); err != nil || page.NumRows() != 20 {
+				if _, page, _, err := arm.snap.QueryShardsPage(narrow, 0, shards, 1, store.AggSpec{}, 0, 20); err != nil || pageLen(page) != 20 {
 					b.Fatal(err)
 				}
 			}
@@ -2627,7 +2648,7 @@ func BenchmarkE34TailParts(b *testing.B) {
 			b.Fatal(err)
 		}
 		var got, exp bytes.Buffer
-		if err := page.WriteCSV(&got); err != nil {
+		if err := pageTable(b, page).WriteCSV(&got); err != nil {
 			b.Fatal(err)
 		}
 		if err := wantPage.WriteCSV(&exp); err != nil {

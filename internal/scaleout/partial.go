@@ -3,7 +3,6 @@ package scaleout
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"indice/internal/store"
 	"indice/internal/table"
@@ -53,66 +52,11 @@ type Partial struct {
 	Plan store.PlanStats   `json:"plan"`
 }
 
-// BuildPartial computes a match set's aggregates row-wise over the
-// materialized table: one accumulator per attribute over all rows and,
-// when by is set, the groups sorted by key with one accumulator per
-// attribute each. Invalid cells group under "" like Table.GroupByString;
-// invalid and non-finite cells are excluded from every accumulator
-// (matching stats.Describe's reading of the corpus, and the pushdown
-// kernels' semantics).
-//
-// No serving path calls it — replica legs answer through
-// store.QueryShardsPage. It stays as the oracle the merge tests
-// (partial_test.go, coordinator_test.go) and the root benchmarks'
-// materialize baselines and equivalence gates (E17, E19) compare the
-// pushdown against.
-func BuildPartial(tab *table.Table, attrs []string, by string) ([]table.AggAccum, []*table.GroupAccum, error) {
-	cols := make([][]float64, len(attrs))
-	masks := make([][]bool, len(attrs))
-	for k, attr := range attrs {
-		vals, err := tab.Floats(attr)
-		if err != nil {
-			return nil, nil, err
-		}
-		cols[k] = vals
-		masks[k], _ = tab.ValidMask(attr)
-	}
-	totals := make([]table.AggAccum, len(attrs))
-	for k := range attrs {
-		for i, v := range cols[k] {
-			if masks[k][i] {
-				totals[k].Observe(v)
-			}
-		}
-	}
-	if by == "" {
-		return totals, nil, nil
-	}
-	groups, err := tab.GroupByString(by)
-	if err != nil {
-		return nil, nil, err
-	}
-	gs := make([]*table.GroupAccum, 0, len(groups))
-	for val, rows := range groups {
-		g := &table.GroupAccum{Key: val, Rows: len(rows), Attrs: make([]table.AggAccum, len(attrs))}
-		for k := range attrs {
-			for _, i := range rows {
-				if masks[k][i] {
-					g.Attrs[k].Observe(cols[k][i])
-				}
-			}
-		}
-		gs = append(gs, g)
-	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i].Key < gs[j].Key })
-	return totals, gs, nil
-}
-
 // Merged is the coordinator-final answer assembled from the legs of one
 // fan-out. Agg is what a single node's store would have returned for the
 // whole query: legs fold through the accumulators the node's own shards
-// fold through, and sketch bucketing is deterministic, so counts, extrema
-// and rank statistics equal a single pass over all rows exactly.
+// fold through, whose sums are exact and whose sketch bucketing is
+// deterministic, so every statistic equals a single pass over all rows.
 type Merged struct {
 	Epoch     uint64
 	StoreRows int
@@ -125,8 +69,10 @@ type Merged struct {
 	Degraded int
 }
 
-// MergePartials folds the legs of one fan-out of spec, given in
-// shard-range order, into the final answer. Every leg must carry
+// MergePartials folds the legs of one fan-out of spec into the final
+// answer. The aggregate does not depend on the order the legs come in;
+// their rows are concatenated in it, so a caller that pages them passes
+// the legs in shard-range order. Every leg must carry
 // spec.Epoch — partition legs are pinned by QuerySpec, so a mismatch means
 // a protocol bug, not a racing refresh — and accumulators shaped like
 // spec's; the per-leg plans sum field-wise (each leg planned its own
@@ -160,14 +106,15 @@ func MergePartials(spec QuerySpec, parts []*Partial) (*Merged, error) {
 }
 
 // checkLeg rejects what a healthy replica cannot have sent and AddPartial
-// does not look at: a null group, or an accumulator whose sketch does not
-// hold every value it counts — rank statistics merge through the sketch,
-// so the merged quartiles would be silently skewed.
+// does not look at: a null group, or an accumulator whose sums its sketch
+// does not count — the sketch holds the count every mean divides by, so
+// the merged statistics would be silently wrong.
 func checkLeg(p *table.AggPartial) error {
 	check := func(accs []table.AggAccum) error {
 		for k := range accs {
-			if a := &accs[k]; a.S.Count() != a.R.Count {
-				return fmt.Errorf("accumulator %d counts %d values, its sketch %d", k, a.R.Count, a.S.Count())
+			a := &accs[k]
+			if a.Count() == 0 && (len(a.Dec) > 0 || a.Raw != nil) || a.Raw != nil && (a.Raw.Sum == nil || a.Raw.Sq == nil) {
+				return fmt.Errorf("accumulator %d holds sums its sketch does not count", k)
 			}
 		}
 		return nil

@@ -3,7 +3,6 @@ package scaleout
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -167,11 +166,16 @@ func TestReplicaSealsAsItsLeaderDoes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := json.Marshal(res)
+		tab, err := table.NewWithSchema(st.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append(body, encodedBytes(t, page)...)
+		for _, run := range page {
+			if err := run.Enc.TakeAppend(tab, run.Rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return append([]byte(renderResult(res)), encodedBytes(t, tab)...)
 	}
 	// parts counts a store's tail parts per shard: what a snapshot reads
 	// past the sealed segments.
@@ -216,6 +220,62 @@ func TestReplicaSealsAsItsLeaderDoes(t *testing.T) {
 	}
 	if !folded {
 		t.Fatal("no replica tail ever folded its parts: the test must see it")
+	}
+}
+
+// TestReplicaAnswersLikeItsCheckpointedLeader: a checkpoint seals every
+// tail of its leader early and a replica does not checkpoint, so from then
+// on the two cut their shards into different segments. Every answer must
+// still be the same at the same epoch: the select-all sums, means and
+// deviations included, which no longer depend on the cut.
+func TestReplicaAnswersLikeItsCheckpointedLeader(t *testing.T) {
+	cfg := replConfig()
+	cfg.SegmentRows = 100
+	leaderStore, err := store.Open(cfg, store.Durability{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { leaderStore.Close() })
+	if _, err := leaderStore.AppendTable(replBatch(t, 1, 300)); err != nil {
+		t.Fatal(err)
+	}
+	_, srv := leaderServer(t, leaderStore)
+	replicaStore, err := store.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl := NewReplica(replicaStore, srv.URL, srv.Client(), 10*time.Millisecond)
+	for b := 0; b < 7; b++ {
+		if _, err := leaderStore.AppendTable(replBatch(t, int64(2+b), 25)); err != nil {
+			t.Fatal(err)
+		}
+		if b == 5 {
+			if _, err := leaderStore.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := repl.SyncOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lead, got := leaderStore.Status(), replicaStore.Status()
+	if lead.Rows != got.Rows || lead.Shards[0].Segments == got.Shards[0].Segments {
+		t.Fatalf("leader %+v, replica %+v: the test needs the same rows cut differently", lead.Shards, got.Shards)
+	}
+	for _, spec := range []store.AggSpec{{Attrs: []string{"v"}}, {By: "class", Attrs: []string{"v"}}} {
+		for _, p := range []query.Predicate{nil, query.MustParse("v >= 0")} {
+			want, _, err := leaderStore.Snapshot().QueryAgg(p, spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			have, _, err := replicaStore.Snapshot().QueryAgg(p, spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, h := renderResult(want), renderResult(have); w != h {
+				t.Fatalf("by %q, %v: the replica answers\n%s\nits leader\n%s", spec.By, p, h, w)
+			}
+		}
 	}
 }
 

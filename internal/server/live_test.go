@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -548,5 +549,71 @@ func TestStoreReportsIncrementalRefreshStats(t *testing.T) {
 	}
 	if after.Refreshes != 2 {
 		t.Fatalf("no-op refresh re-ran the pipeline (refreshes = %d)", after.Refreshes)
+	}
+}
+
+// TestNonFiniteCellsAreStoredMissing: a ±Inf cell acked through any
+// ingest road — typed CSV, a JSON "Inf" string, a raw column of a binary
+// batch — is stored as a missing cell, so the refreshes after it still
+// publish. A stored Inf coordinate stopped every later refresh at the
+// clustering stage while the node went on reporting itself healthy.
+func TestNonFiniteCellsAreStoredMissing(t *testing.T) {
+	infRow := func(t *testing.T, ds *synth.Dataset) *table.Table {
+		row, err := ds.Table.Slice(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio, _ := row.Floats(epc.AttrAspectRatio)
+		ratio[0] = math.Inf(1)
+		return row
+	}
+	for name, body := range map[string]func(t *testing.T, ds *synth.Dataset) (string, []byte){
+		"csv": func(t *testing.T, ds *synth.Dataset) (string, []byte) {
+			var buf bytes.Buffer
+			if err := infRow(t, ds).WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return "text/csv", buf.Bytes()
+		},
+		"json": func(t *testing.T, ds *synth.Dataset) (string, []byte) {
+			rec := store.Record{epc.AttrCertificateID: "inf-json", epc.AttrAspectRatio: "Inf"}
+			payload, _ := json.Marshal([]store.Record{rec})
+			return "application/json", payload
+		},
+		"binary": func(t *testing.T, ds *synth.Dataset) (string, []byte) {
+			var buf bytes.Buffer
+			if err := table.Encode(infRow(t, ds)).WriteBinary(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return "application/octet-stream", buf.Bytes()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ts, live, ds := liveServer(t, 300)
+			var bin bytes.Buffer
+			if err := table.Encode(ds.Table).WriteBinary(&bin); err != nil {
+				t.Fatal(err)
+			}
+			if code, out := post(t, ts.URL+"/api/ingest", "application/octet-stream", bin.Bytes()); code != http.StatusOK {
+				t.Fatalf("corpus ingest = %d: %s", code, out)
+			}
+			if code, out := post(t, ts.URL+"/api/refresh", "", nil); code != http.StatusOK {
+				t.Fatalf("first refresh = %d: %s", code, out)
+			}
+			contentType, payload := body(t, ds)
+			code, out := post(t, ts.URL+"/api/ingest", contentType, payload)
+			var res store.IngestResult
+			if err := json.Unmarshal([]byte(out), &res); code != http.StatusOK || err != nil || res.Accepted != 1 {
+				t.Fatalf("ingest of the Inf row = %d: %s", code, out)
+			}
+			if rs, _ := live.Store().RunningStats(epc.AttrAspectRatio); math.IsInf(rs.Max, 0) || rs.Count != 300 {
+				t.Fatalf("the store holds %d aspect ratios up to %v; want the Inf cell missing", rs.Count, rs.Max)
+			}
+			for i := 0; i < 2; i++ {
+				if code, out := post(t, ts.URL+"/api/refresh", "", nil); code != http.StatusOK {
+					t.Fatalf("refresh %d after the Inf row = %d: %s", i+2, code, out)
+				}
+			}
+		})
 	}
 }

@@ -331,7 +331,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		var rows func([]byte) []byte
 		if page != nil {
-			rows = func(dst []byte) []byte { return appendRows(dst, page, 0, page.NumRows()) }
+			rows = func(dst []byte) []byte { return appendRows(dst, page) }
 		}
 		return q.encodeAnswer(pub.Epoch, snap.NumRows(), res, &ps, rows, nil)
 	})
@@ -401,12 +401,12 @@ func statsFromAccums(attrs []string, totals []table.AggAccum) []attrStats {
 	out := make([]attrStats, 0, len(attrs))
 	for k, attr := range attrs {
 		a := totals[k]
-		as := attrStats{Attr: attr, Count: int(a.R.Count)}
-		if a.R.Count > 0 {
+		as := attrStats{Attr: attr, Count: a.Count()}
+		if as.Count > 0 {
 			as.Mean = a.Mean()
-			as.StdDev = a.R.StdDev()
-			as.Min = a.R.Min
-			as.Max = a.R.Max
+			as.StdDev = a.StdDev()
+			as.Min = a.S.Min
+			as.Max = a.S.Max
 			as.Q1 = a.S.Quantile(0.25)
 			as.Median = a.S.Quantile(0.5)
 			as.Q3 = a.S.Quantile(0.75)
@@ -424,7 +424,7 @@ func groupsFromAccums(groups []*table.GroupAccum, attrs []string) []groupStats {
 		gs := groupStats{Value: g.Key, Count: g.Rows}
 		for k, attr := range attrs {
 			a := g.Attrs[k]
-			if a.R.Count == 0 {
+			if a.Count() == 0 {
 				continue
 			}
 			if gs.Means == nil {

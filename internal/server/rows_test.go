@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"indice/internal/store"
 	"indice/internal/table"
 )
 
@@ -72,9 +73,30 @@ func oracleRows(t testing.TB, tab *table.Table, offset, limit int) []byte {
 	return compact.Bytes()
 }
 
-// encodedRows is the same array from the columnar encoder.
+// encodedRows is the same array rendered from the encodings: tab encoded
+// in parts of 3 rows, the page cut out of them as runs.
 func encodedRows(tab *table.Table, offset, limit int) []byte {
-	return append(appendRows([]byte{'['}, tab, offset, offset+limit), ']')
+	return append(appendRows([]byte{'['}, pageOf(tab, offset, limit)), ']')
+}
+
+// pageOf returns rows [offset, offset+limit) of tab as runs of encodings
+// of 3 rows each, the way a store hands a page over.
+func pageOf(tab *table.Table, offset, limit int) []store.PageRun {
+	page := []store.PageRun{}
+	for lo := 0; lo < tab.NumRows(); lo += 3 {
+		part, err := tab.View(lo, min(lo+3, tab.NumRows()))
+		if err != nil {
+			panic(err)
+		}
+		run := store.PageRun{Enc: table.Encode(part)}
+		for r := lo; r < lo+part.NumRows(); r++ {
+			if r >= offset && r < offset+limit {
+				run.Rows = append(run.Rows, r-lo)
+			}
+		}
+		page = append(page, run)
+	}
+	return page
 }
 
 var (
@@ -146,7 +168,7 @@ func TestRowEncoderMatchesEncodingJSON(t *testing.T) {
 	}
 
 	// A leg's per-row encoding is the same objects, one message each.
-	rows := encodeRows(tab)
+	rows := encodeRows(pageOf(tab, 0, n))
 	if len(rows) != n {
 		t.Fatalf("encodeRows: %d messages for %d rows", len(rows), n)
 	}
@@ -232,6 +254,36 @@ func FuzzRowEncoder(f *testing.F) {
 		got, want := encodedRows(tab, 0, 2), oracleRows(t, tab, 0, 2)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("name %q s %q v %v valid %v:\n got %s\nwant %s", name, s, v, valid, got, want)
+		}
+	})
+}
+
+// FuzzRowEncoderDecimals: packed decimal cells — a fuzzed integer over a
+// fuzzed power of ten, as a CSV field carries them — print from their
+// integers exactly as encoding/json prints the decoded floats.
+func FuzzRowEncoderDecimals(f *testing.F) {
+	for _, seed := range []struct {
+		n     int64
+		scale uint8
+	}{{0, 0}, {1, 6}, {-1, 7}, {5, 15}, {999999999999999, 3}, {1000000000000000, 0}, {12345, 2}, {-120, 1}, {7, 12}} {
+		f.Add(seed.n, seed.scale, int64(3))
+	}
+	f.Fuzz(func(t *testing.T, n int64, scale uint8, step int64) {
+		if n > 1<<52 || n < -(1<<52) || step > 1<<40 || step < -(1<<40) {
+			t.Skip()
+		}
+		p := math.Pow10(int(scale % 16))
+		vals := make([]float64, 5)
+		for i := range vals {
+			vals[i] = float64(n+int64(i)*step) / p
+		}
+		tab := table.New()
+		if err := tab.AddFloats("v", vals); err != nil {
+			t.Fatal(err)
+		}
+		got, want := encodedRows(tab, 0, len(vals)), oracleRows(t, tab, 0, len(vals))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n %d scale %d step %d:\n got %s\nwant %s", n, scale%16, step, got, want)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -134,18 +135,10 @@ func (tc *testCluster) syncAll(t *testing.T) {
 	tc.coord.PollStatus(context.Background())
 }
 
-func relCloseTo(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-}
-
 // TestCoordinatorMatchesSingleNode is the server-level equivalence
 // check: the scatter-gather /api/query answer over 1, 2 and 3 replicas
-// must match the single-node answer from the leader within 1e-9 on
-// every merged statistic — bitwise on counts, extrema and quartiles —
-// group for group, row for row.
+// must match the single-node answer from the leader bitwise on every
+// merged statistic, group for group, row for row.
 func TestCoordinatorMatchesSingleNode(t *testing.T) {
 	for _, nReplicas := range []int{1, 2, 3} {
 		tc := newTestCluster(t, nReplicas, 1200)
@@ -178,14 +171,13 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 			}
 			for i, m := range merged.Stats {
 				s := single.Stats[i]
-				if m.Attr != s.Attr || m.Count != s.Count ||
-					!relCloseTo(m.Mean, s.Mean) || !relCloseTo(m.StdDev, s.StdDev) ||
+				if m.Attr != s.Attr || m.Count != s.Count || m.Mean != s.Mean || m.StdDev != s.StdDev ||
 					m.Min != s.Min || m.Max != s.Max {
 					t.Fatalf("replicas=%d %s: stats[%d] = %+v, want %+v", nReplicas, q, i, m, s)
 				}
-				// Count, extrema and rank statistics merge exactly: the
-				// same bits, not merely ==.
-				for _, pair := range [][2]float64{{m.Min, s.Min}, {m.Max, s.Max}, {m.Q1, s.Q1}, {m.Median, s.Median}, {m.Q3, s.Q3}} {
+				// Every statistic merges exactly — the sums are exact and
+				// rounded once: the same bits, not merely ==.
+				for _, pair := range [][2]float64{{m.Mean, s.Mean}, {m.StdDev, s.StdDev}, {m.Min, s.Min}, {m.Max, s.Max}, {m.Q1, s.Q1}, {m.Median, s.Median}, {m.Q3, s.Q3}} {
 					if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
 						t.Fatalf("replicas=%d %s: stats[%d] = %+v, want bitwise %+v", nReplicas, q, i, m, s)
 					}
@@ -210,7 +202,7 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 					t.Fatalf("replicas=%d %s: group %q/%d, want %q/%d", nReplicas, q, g.Value, g.Count, w.Value, w.Count)
 				}
 				for attr, mean := range w.Means {
-					if !relCloseTo(g.Means[attr], mean) {
+					if math.Float64bits(g.Means[attr]) != math.Float64bits(mean) {
 						t.Fatalf("replicas=%d %s: group %q mean[%s] = %v, want %v",
 							nReplicas, q, g.Value, attr, g.Means[attr], mean)
 					}
@@ -244,6 +236,71 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 		}
 		if _, second, _ := getQuery(t, tc.coordSrv.URL+q); !second.Cached {
 			t.Fatal("repeated coordinator query missed the cache")
+		}
+	}
+}
+
+// TestCoordinatorLegsMergeInAnyOrder: the legs of one fan-out merge to
+// the same answer whatever order they arrive in, and that answer is the
+// single node's, byte for byte beside the plan and epoch echoes: every
+// accumulator merges exactly.
+func TestCoordinatorLegsMergeInAnyOrder(t *testing.T) {
+	tc := newTestCluster(t, 3, 1200)
+	tc.syncAll(t)
+	epoch := tc.replicas[0].Status().AppliedEpoch
+	shards := tc.leaderStore.NumShards()
+	rng := rand.New(rand.NewSource(41))
+	withoutPlan := func(body []byte) map[string]json.RawMessage {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("answer %s: %v", body, err)
+		}
+		for _, echo := range []string{"plan", "cached", "epoch"} {
+			delete(m, echo)
+		}
+		return m
+	}
+	for _, q := range []string{
+		"/api/query?attrs=eph,u_windows&by=energy_class",
+		"/api/query?attrs=eph,heat_surface&q=eph+%3E%3D+100",
+		"/api/query?preset=pa&by=district",
+	} {
+		rq, err := resolveRequest(httptest.NewRequest(http.MethodGet, q, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, singleBody := getQuery(t, tc.leader.URL+q)
+		spec := scaleout.QuerySpec{Q: rq.canonical, Attrs: rq.attrs, By: rq.req.By, Epoch: epoch}
+		var legs []*scaleout.Partial
+		for i := 0; i < shards; i++ {
+			spec.ShardFrom, spec.ShardTo = i, i+1
+			body, _ := json.Marshal(spec)
+			srv := tc.replicaSrvs[i%len(tc.replicaSrvs)]
+			resp, err := srv.Client().Post(srv.URL+"/api/query/partial", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var leg scaleout.Partial
+			err = json.NewDecoder(resp.Body).Decode(&leg)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			legs = append(legs, &leg)
+		}
+		for trial := 0; trial < 6; trial++ {
+			rng.Shuffle(len(legs), func(i, j int) { legs[i], legs[j] = legs[j], legs[i] })
+			m, err := scaleout.MergePartials(spec, legs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := rq.encodeAnswer(m.Epoch, m.StoreRows, m.Agg, &m.Plan, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := withoutPlan(a.body), withoutPlan([]byte(singleBody)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, legs merged in a shuffled order:\n%s\nthe single node:\n%s", q, a.body, singleBody)
+			}
 		}
 	}
 }
@@ -500,8 +557,8 @@ func TestCoordinatorShutdownDrainsInflightFanout(t *testing.T) {
 }
 
 // TestCoordinatorRefusesMalformedLegs: a replica answering something a
-// healthy one cannot — accumulators that do not fit the query, a counted
-// value missing from its sketch, another epoch than asked — makes the
+// healthy one cannot — accumulators that do not fit the query, summed
+// values missing from the sketch, another epoch than asked — makes the
 // coordinator answer 502; it neither panics nor renders skewed statistics.
 func TestCoordinatorRefusesMalformedLegs(t *testing.T) {
 	var eph table.AggAccum
@@ -666,7 +723,7 @@ func TestPartialQueryValidation(t *testing.T) {
 	if p.Rows != nil || len(p.Agg.Groups) == 0 || p.Agg.Rows == 0 || p.Agg.Totals != nil {
 		t.Fatalf("stats leg: %+v", p)
 	}
-	if eph := p.Agg.Groups[0].Attrs[0]; eph.R.Count == 0 || eph.S.Count() != eph.R.Count {
+	if eph := p.Agg.Groups[0].Attrs[0]; eph.Count() == 0 || len(eph.Dec) == 0 {
 		t.Fatalf("stats leg carried no sketch: %+v", eph)
 	}
 

@@ -39,10 +39,11 @@ type Sketch struct {
 }
 
 // SketchSide is one sign's dense bucket array: Counts[i] counts the
-// observations whose bucket index is Base+i. The span stays dense because
-// indexes are clamped to sketchMinIdx..sketchMaxIdx (±128 octaves around
-// 1.0), bounding the worst-case side at 8k buckets; real EPC-shaped data
-// spans a few dozen.
+// observations whose bucket index is Base+i. The span covers whole
+// octaves and stays dense because indexes are clamped to
+// sketchMinIdx..sketchMaxIdx (±128 octaves around 1.0), bounding the
+// worst-case side at 8k buckets; real EPC-shaped data spans a handful of
+// octaves.
 type SketchSide struct {
 	Base   int      `json:"base"`
 	Counts []uint64 `json:"counts"`
@@ -82,19 +83,36 @@ func sketchRep(idx int) float64 {
 	return lo + (hi-lo)/2
 }
 
-// Add folds one observation into the sketch. NaN is ignored; infinities
-// clamp into the extreme buckets (Min/Max still record them exactly).
+// Add folds one observation into the sketch, a positive one inside the
+// span without a call. NaN is ignored; infinities clamp into the extreme
+// buckets (Min/Max still record them exactly).
 func (s *Sketch) Add(v float64) {
+	if v > 0 && s.Pos != nil && s.N > 0 {
+		if i := sketchIdx(v) - s.Pos.Base; uint(i) < uint(len(s.Pos.Counts)) {
+			s.Pos.Counts[i]++
+			s.N++
+			if v < s.Min {
+				s.Min = v
+			} else if v > s.Max {
+				s.Max = v
+			}
+			return
+		}
+	}
+	s.add(v)
+}
+
+func (s *Sketch) add(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
 	if s.N == 0 {
 		s.Min, s.Max = v, v
 	} else {
-		if v < s.Min {
+		if below(v, s.Min) {
 			s.Min = v
 		}
-		if v > s.Max {
+		if below(s.Max, v) {
 			s.Max = v
 		}
 	}
@@ -115,24 +133,42 @@ func (s *Sketch) Add(v float64) {
 	}
 }
 
+// below orders values with -0 before +0, so that the extremes of a
+// multiset do not depend on the order it arrived in.
+func below(a, b float64) bool { return a < b || a == b && math.Signbit(a) && !math.Signbit(b) }
+
 // add folds n observations into bucket idx, growing the dense span to
 // cover it.
 func (sd *SketchSide) add(idx int, n uint64) {
-	if len(sd.Counts) == 0 {
-		sd.Base = idx
-		sd.Counts = append(sd.Counts, n)
-		return
-	}
-	if idx < sd.Base {
-		grown := make([]uint64, sd.Base-idx+len(sd.Counts))
-		copy(grown[sd.Base-idx:], sd.Counts)
-		sd.Counts = grown
-		sd.Base = idx
-	}
-	for idx >= sd.Base+len(sd.Counts) {
-		sd.Counts = append(sd.Counts, 0)
+	if i := idx - sd.Base; uint(i) >= uint(len(sd.Counts)) {
+		sd.grow(idx, idx)
 	}
 	sd.Counts[idx-sd.Base] += n
+}
+
+// grow widens the span to cover buckets lo to hi. It grows by whole
+// octaves, so its layout depends only on the octaves its values reach,
+// never on the order they came in. Past its capacity the array grows by
+// the span it had; within it, counts move up.
+func (sd *SketchSide) grow(lo, hi int) {
+	const octave = 1 << sketchSubBits
+	lo, hi = lo&^(octave-1), hi|(octave-1)+1
+	if len(sd.Counts) > 0 {
+		lo, hi = min(lo, sd.Base), max(hi, sd.Base+len(sd.Counts))
+	}
+	if lo == sd.Base && hi-lo == len(sd.Counts) {
+		return
+	}
+	grown := sd.Counts[:0]
+	if cap(grown) < hi-lo {
+		grown = make([]uint64, 0, hi-lo+len(sd.Counts))
+	}
+	grown = grown[:hi-lo]
+	if len(sd.Counts) > 0 {
+		copy(grown[sd.Base-lo:], sd.Counts)
+		clear(grown[:sd.Base-lo])
+	}
+	sd.Base, sd.Counts = lo, grown
 }
 
 func (sd *SketchSide) clone() *SketchSide {
@@ -160,38 +196,32 @@ func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || o.N == 0 {
 		return
 	}
-	if s.N == 0 {
-		*s = *o.Clone()
-		return
-	}
-	if o.Min < s.Min {
+	if s.N == 0 || below(o.Min, s.Min) {
 		s.Min = o.Min
 	}
-	if o.Max > s.Max {
+	if s.N == 0 || below(s.Max, o.Max) {
 		s.Max = o.Max
 	}
 	s.N += o.N
 	s.Zeros += o.Zeros
-	if o.Pos != nil {
-		if s.Pos == nil {
-			s.Pos = &SketchSide{}
-		}
-		for i, n := range o.Pos.Counts {
-			if n > 0 {
-				s.Pos.add(o.Pos.Base+i, n)
-			}
-		}
+	s.Pos, s.Neg = s.Pos.merge(o.Pos), s.Neg.merge(o.Neg)
+}
+
+// merge adds o's counts into sd — a new side when sd is nil — once sd's
+// span covers o's.
+func (sd *SketchSide) merge(o *SketchSide) *SketchSide {
+	if o == nil || len(o.Counts) == 0 {
+		return sd
 	}
-	if o.Neg != nil {
-		if s.Neg == nil {
-			s.Neg = &SketchSide{}
-		}
-		for i, n := range o.Neg.Counts {
-			if n > 0 {
-				s.Neg.add(o.Neg.Base+i, n)
-			}
-		}
+	if sd == nil {
+		sd = &SketchSide{}
 	}
+	sd.grow(o.Base, o.Base+len(o.Counts)-1)
+	dst := sd.Counts[o.Base-sd.Base:]
+	for i, n := range o.Counts {
+		dst[i] += n
+	}
+	return sd
 }
 
 // Count returns the number of observations folded in.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,32 +61,33 @@ type aggShardResult struct {
 
 // QueryAgg evaluates the predicate and aggregates the matches per spec —
 // the pushdown equivalent of Query followed by row-wise grouping, with
-// results identical to that oracle (bitwise for count/sum/min/max).
+// results identical to that oracle, bitwise for every statistic.
 func (sn *Snapshot) QueryAgg(p query.Predicate, spec AggSpec, workers int) (*AggResult, PlanStats, error) {
-	return sn.QueryShardsAgg(p, 0, len(sn.segs), workers, spec)
+	res, _, ps, err := sn.QueryShardsPage(p, 0, len(sn.segs), workers, spec, 0, 0)
+	return res, ps, err
 }
 
-// QueryShardsAgg is QueryAgg restricted to the shard range [from, to) —
-// the seam the scatter-gather coordinator partitions cluster aggregates
-// along. Because every accumulator is mergeable, folding the partials of
-// a disjoint covering set of ranges reproduces QueryAgg exactly.
-func (sn *Snapshot) QueryShardsAgg(p query.Predicate, from, to, workers int, spec AggSpec) (*AggResult, PlanStats, error) {
-	res, _, ps, err := sn.QueryShardsPage(p, from, to, workers, spec, 0, 0)
-	return res, ps, err
+// PageRun is a run of a row page: rows of one segment's encoding, in page
+// order. A page is its runs in order, read straight from the encodings.
+type PageRun struct {
+	Enc  *table.Encoded
+	Rows []int
 }
 
 // QueryShardsPage is the store's one aggregate-and-page entry point: it
 // evaluates the predicate over the shard range [from, to) once, aggregates
-// every match per spec exactly as QueryShardsAgg does (which is its
-// limit == 0 case) and, when limit > 0, also decodes rows
-// [offset, offset+limit) of the range's match set — over the whole
-// snapshot, bitwise that slice of Query's result — without materializing
-// the rest. The page is nil when limit == 0 and a (possibly empty) table
-// otherwise; the aggregate and PlanStats do not depend on offset or limit.
+// every match per spec — QueryAgg is its whole-snapshot, limit == 0 case;
+// every accumulator merges exactly, so the partials of a disjoint covering
+// set of ranges fold to QueryAgg's — and, when limit > 0, also cuts rows
+// [offset, offset+limit) out of the range's match set — over the whole
+// snapshot, bitwise that slice of Query's result — as runs of the
+// encodings that hold them, decoding nothing. The page is nil when
+// limit == 0 and a (possibly empty) list of runs otherwise; the aggregate
+// and PlanStats do not depend on offset or limit.
 // Prefixes (offset 0) over a disjoint covering set of shard ranges
 // concatenate, in range order, to a prefix of the whole-snapshot match
 // set — the seam scatter-gather legs partition row pages along.
-func (sn *Snapshot) QueryShardsPage(p query.Predicate, from, to, workers int, spec AggSpec, offset, limit int) (*AggResult, *table.Table, PlanStats, error) {
+func (sn *Snapshot) QueryShardsPage(p query.Predicate, from, to, workers int, spec AggSpec, offset, limit int) (*AggResult, []PageRun, PlanStats, error) {
 	start := time.Now()
 	if from < 0 || to > len(sn.segs) || from > to {
 		return nil, nil, PlanStats{}, fmt.Errorf("store: query shard range [%d,%d) outside [0,%d)", from, to, len(sn.segs))
@@ -130,7 +132,7 @@ func (sn *Snapshot) QueryShardsPage(p query.Predicate, from, to, workers int, sp
 		}
 	}
 	ps.MatchedRows = g.Rows()
-	var page *table.Table
+	var page []PageRun
 	if limit > 0 {
 		var err error
 		if page, err = sn.pageRows(from, results, p == nil, offset, limit); err != nil {
@@ -148,18 +150,15 @@ func (sn *Snapshot) QueryShardsPage(p query.Predicate, from, to, workers int, sp
 	return out, page, ps, nil
 }
 
-// pageRows decodes rows [offset, offset+limit) of the match set into a
-// fresh table, walking the shard results in snapshot order and touching
-// only the segments the page overlaps. A predicated query cuts the page
+// pageRows cuts rows [offset, offset+limit) of the match set into runs,
+// walking the shard results in snapshot order and touching only the
+// segments the page overlaps. A predicated query cuts the page
 // out of the workers' match-ordinal parts; select-all has no parts (its
 // statistics fold per-segment partials, often cached ones) and computes
 // each segment's share of the page from the row counts alone, so segments
 // outside the page are never opened — or reloaded from disk.
-func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool, offset, limit int) (*table.Table, error) {
-	out, err := table.NewWithSchema(sn.schema)
-	if err != nil {
-		return nil, err
-	}
+func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool, offset, limit int) ([]PageRun, error) {
+	out := []PageRun{}
 	skip, need := offset, limit
 	// cut maps the next run of n matches onto its share [lo, hi) of the page.
 	cut := func(n int) (lo, hi int) {
@@ -179,9 +178,7 @@ func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool,
 		if !selectAll {
 			for _, part := range r.parts {
 				if lo, hi := cut(len(part.rows)); lo < hi {
-					if err := part.enc.TakeAppend(out, part.rows[lo:hi]); err != nil {
-						return nil, err
-					}
+					out = append(out, PageRun{part.enc, part.rows[lo:hi]})
 				}
 			}
 			continue
@@ -199,9 +196,7 @@ func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool,
 			for k := range rows {
 				rows[k] = lo + k
 			}
-			if err := enc.TakeAppend(out, rows); err != nil {
-				return nil, err
-			}
+			out = append(out, PageRun{enc, rows})
 		}
 	}
 	return out, nil
@@ -211,67 +206,52 @@ func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool,
 // shard workers never race to report the same shape error and callers get
 // table's sentinel errors (ErrNoColumn, ErrTypeMismatch) to map onto 400s.
 func (sn *Snapshot) checkAggSpec(spec AggSpec) error {
-	byType := make(map[string]table.Type, len(sn.schema))
-	for _, f := range sn.schema {
-		byType[f.Name] = f.Type
+	check := func(attr string, want table.Type) error {
+		i := slices.IndexFunc(sn.schema, func(f table.Field) bool { return f.Name == attr })
+		if i < 0 {
+			return fmt.Errorf("%w: %q", table.ErrNoColumn, attr)
+		}
+		if typ := sn.schema[i].Type; typ != want {
+			return fmt.Errorf("%w: %q is %v, want %v", table.ErrTypeMismatch, attr, typ, want)
+		}
+		return nil
 	}
 	if spec.By != "" {
-		typ, ok := byType[spec.By]
-		if !ok {
-			return fmt.Errorf("%w: %q", table.ErrNoColumn, spec.By)
-		}
-		if typ != table.String {
-			return fmt.Errorf("%w: %q is %v, want string", table.ErrTypeMismatch, spec.By, typ)
+		if err := check(spec.By, table.String); err != nil {
+			return err
 		}
 	}
 	for _, attr := range spec.Attrs {
-		typ, ok := byType[attr]
-		if !ok {
-			return fmt.Errorf("%w: %q", table.ErrNoColumn, attr)
-		}
-		if typ != table.Float64 {
-			return fmt.Errorf("%w: %q is %v, want float64", table.ErrTypeMismatch, attr, typ)
+		if err := check(attr, table.Float64); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // aggShard aggregates one shard's matches. With no predicate it folds
-// whole segments — via the partial cache, or a bare row count when the
-// spec asks for nothing but Matched — and the shard's tail parts in one
-// run, as one segment: a select-all sum then adds the same partials in
-// the same order whatever parts the tail arrived in. With a predicate it
-// reuses the planner's queryShard verbatim and feeds the resulting match
-// ordinals into the kernels instead of materializing, handing them back
-// for the caller's row page.
+// whole segments, sealed ones and tail parts alike — via the partial
+// cache, or a bare row count when the spec asks for nothing but Matched.
+// With a predicate it reuses the planner's queryShard verbatim and feeds
+// the resulting match ordinals into the kernels instead of materializing,
+// handing them back for the caller's row page.
 func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRange []query.NumRange, residual query.Predicate, spec AggSpec) aggShardResult {
 	g := table.NewGroupAggregator(spec.By, spec.Attrs)
 	if p == nil {
 		out := aggShardResult{}
-		segs := sn.segs[i]
-		for j := 0; j < len(segs); {
-			end := j + 1
-			if j >= sn.tailAt[i] {
-				end = len(segs)
-			}
-			run := segs[j:end]
-			j = end
+		for _, sg := range sn.segs[i] {
 			if spec.empty() {
-				for _, sg := range run {
-					g.AddRows(sg.numRows())
-				}
+				g.AddRows(sg.numRows())
 				continue
 			}
-			part, hit, err := sn.aggPartial(run, spec)
+			part, hit, err := sn.aggPartial(sg, spec)
 			if err != nil {
 				return aggShardResult{err: err}
 			}
 			if hit {
 				out.cached++
 			} else {
-				for _, sg := range run {
-					out.scanned += sg.numRows()
-				}
+				out.scanned += sg.numRows()
 			}
 			if err := g.AddPartial(part); err != nil {
 				return aggShardResult{err: err}
@@ -304,20 +284,15 @@ func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRa
 // dashboard shapes per segment, never an unbounded working set.
 const maxAggPartials = 8
 
-// aggPartial returns the frozen aggregate partial of a run of segments
-// for the spec — one sealed segment, or a snapshot's tail parts —
-// computing it in one pass over the run and caching it on the run's last
-// segment on first use. That segment ends no other run: a sealed one is
-// its own, and a tail part's segment is its snapshot's own. Cached
-// partials live on the segment struct itself — the residency sweep nils
-// only the encoding, so a cached partial keeps serving no-predicate
-// aggregates even after its segment is evicted to disk; a tail's die
-// with its snapshot.
-// Partials are immutable once built (AddPartial never mutates its
-// argument), so one cached value may serve many concurrent queries.
-func (sn *Snapshot) aggPartial(run []*segment, spec AggSpec) (*table.AggPartial, bool, error) {
+// aggPartial returns the frozen aggregate partial of one segment — a
+// sealed one or a tail part — for the spec, computing it on first use and
+// caching it on the segment, which every snapshot holding it shares. The
+// residency sweep nils only the encoding, so a cached partial outlives an
+// eviction; a tail part's dies with the part when the tail seals or folds.
+// Partials are immutable (AddPartial never mutates its argument), so one
+// may serve many concurrent queries.
+func (sn *Snapshot) aggPartial(sg *segment, spec AggSpec) (*table.AggPartial, bool, error) {
 	key := spec.cacheKey()
-	sg := run[len(run)-1]
 	sg.aggMu.Lock()
 	if part := sg.agg[key]; part != nil {
 		sg.aggMu.Unlock()
@@ -325,15 +300,13 @@ func (sn *Snapshot) aggPartial(run []*segment, spec AggSpec) (*table.AggPartial,
 	}
 	sg.aggMu.Unlock()
 
+	enc, err := sg.openEnc(sn.ld)
+	if err != nil {
+		return nil, false, err
+	}
 	g := table.NewGroupAggregator(spec.By, spec.Attrs)
-	for _, r := range run {
-		enc, err := r.openEnc(sn.ld)
-		if err != nil {
-			return nil, false, err
-		}
-		if err := g.AddEncoded(enc, nil); err != nil {
-			return nil, false, err
-		}
+	if err := g.AddEncoded(enc, nil); err != nil {
+		return nil, false, err
 	}
 	part := g.Partial()
 	sg.aggMu.Lock()

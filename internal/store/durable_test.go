@@ -356,7 +356,7 @@ func TestPageLoadsOnlyTouchedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tablesEqual(page, wantPage); err != nil {
+	if err := tablesEqual(decodePage(t, snap, page), wantPage); err != nil {
 		t.Fatal(err)
 	}
 	if res.Matched != total {

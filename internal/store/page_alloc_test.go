@@ -72,8 +72,8 @@ func TestPageAllocatesFractionOfQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if page.NumRows() != 20 {
-			t.Fatalf("page has %d rows", page.NumRows())
+		if n := decodePage(t, snap, page).NumRows(); n != 20 {
+			t.Fatalf("page has %d rows", n)
 		}
 	})
 	if sel := float64(matched) / float64(snap.NumRows()); sel < 0.35 || sel > 0.65 {

@@ -209,7 +209,7 @@ func checkPages(t *testing.T, snap *Snapshot, p query.Predicate, want *table.Tab
 		if err != nil {
 			t.Fatalf("%s: %v", at, err)
 		}
-		if err := tablesEqual(page, wantPage); err != nil {
+		if err := tablesEqual(decodePage(t, snap, page), wantPage); err != nil {
 			t.Fatalf("%s: page: %v", at, err)
 		}
 		if !reflect.DeepEqual(agg, wantAgg) {
@@ -228,7 +228,7 @@ func checkPages(t *testing.T, snap *Snapshot, p query.Predicate, want *table.Tab
 			if err != nil {
 				t.Fatalf("%s, shards [%d,%d): %v", at, rg[0], rg[1], err)
 			}
-			if err := concat.AppendTable(prefix); err != nil {
+			if err := concat.AppendTable(decodePage(t, snap, prefix)); err != nil {
 				t.Fatal(err)
 			}
 		}

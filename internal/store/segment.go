@@ -12,8 +12,8 @@ import (
 // segment is one immutable chunk of a shard, read through its encoded
 // form (dictionary / bit-packed columns): the planner and the
 // aggregation kernels see nothing else. A sealed segment is shared by the
-// store and every snapshot; a snapshot wraps each part of a shard's tail
-// in a segment of its own, never persisted. Row content never changes,
+// store and every snapshot; so is each part of a shard's tail, a segment
+// of its own that is never persisted. Row content never changes,
 // but residency does: once a checkpoint has persisted a sealed segment to
 // disk (path != ""), the in-memory encoding may be evicted and lazily
 // reloaded on demand, so the corpus can exceed RAM. A reader holding a

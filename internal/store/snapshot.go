@@ -70,11 +70,7 @@ func (s *Store) Snapshot() *Snapshot {
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		segs := make([]*segment, 0, len(sh.sealed)+len(sh.tail))
-		segs = append(segs, sh.sealed...)
-		for _, p := range sh.tail {
-			segs = append(segs, &segment{rows: p.NumRows(), enc: p})
-		}
-		snap.segs[i] = segs
+		snap.segs[i] = append(append(segs, sh.sealed...), sh.tail...)
 		snap.tailAt[i] = len(sh.sealed)
 		snap.shardRows[i] = sh.rows
 		snap.rows += sh.rows

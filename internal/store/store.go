@@ -32,6 +32,7 @@ package store
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,8 +95,9 @@ type shard struct {
 	mu     sync.Mutex
 	sealed []*segment
 	// tail holds the encoded parts that arrived since the last seal, at
-	// most maxTailParts of them; snapshots copy the pointers.
-	tail      []*table.Encoded
+	// most maxTailParts of them, each as a segment of its own that every
+	// snapshot taken while it is in the tail shares.
+	tail      []*segment
 	tailRows  int
 	tailBytes int // what tail measured when mem was last moved for it
 	rows      int
@@ -375,6 +377,7 @@ func (s *Store) AppendTable(t *table.Table) (IngestResult, error) {
 		}
 	}
 
+	t = s.finite(t)
 	var keyCodes []uint32
 	var keyDict []string
 	var keyValid []bool
@@ -459,6 +462,29 @@ func (s *Store) maybeAutoCheckpoint() {
 		defer s.ckptBusy.Store(false)
 		_, _ = s.Checkpoint()
 	}()
+}
+
+// finite returns t with every non-finite float cell stored as a missing
+// one, as every aggregate reads it and as the analysis needs it, copying
+// t only when it holds one.
+func (s *Store) finite(t *table.Table) *table.Table {
+	out := t
+	for _, f := range s.schema {
+		vals, err := t.Floats(f.Name)
+		if err != nil {
+			continue // a string column
+		}
+		valid, _ := t.ValidMask(f.Name)
+		for r, v := range vals {
+			if valid[r] && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				if out == t {
+					out = t.Clone()
+				}
+				_ = out.SetInvalid(f.Name, r) // the column and row exist
+			}
+		}
+	}
+	return out
 }
 
 // conform projects a batch whose columns match the store schema by name
@@ -561,12 +587,13 @@ func (sh *shard) add(part *table.Encoded, path string, cfg *Config) *segment {
 		sh.mem.addSealed(sg.bytes)
 		return sg
 	}
-	sh.setTail(append(sh.tail, part))
+	sh.setTail(append(sh.tail, &segment{rows: n, enc: part}))
 	switch {
 	case sh.tailRows >= cfg.SegmentRows:
 		sh.seal()
 	case len(sh.tail) > maxTailParts:
-		sh.setTail([]*table.Encoded{merge(sh.tail, 0)})
+		enc := merge(sh.tailParts(), 0)
+		sh.setTail([]*segment{{rows: enc.NumRows(), enc: enc}})
 	}
 	return nil
 }
@@ -577,7 +604,7 @@ func (sh *shard) seal() {
 	if len(sh.tail) == 0 {
 		return
 	}
-	enc := merge(sh.tail, 0)
+	enc := merge(sh.tailParts(), 0)
 	sg := &segment{rows: enc.NumRows(), enc: enc, bytes: enc.SizeBytes()}
 	sh.sealed = append(sh.sealed, sg)
 	sh.mem.addSealed(sg.bytes)
@@ -586,14 +613,23 @@ func (sh *shard) seal() {
 
 // setTail makes parts the shard's tail and moves the byte account by what
 // they measure. Caller holds sh.mu.
-func (sh *shard) setTail(parts []*table.Encoded) {
+func (sh *shard) setTail(parts []*segment) {
 	rows, bytes := 0, 0
 	for _, p := range parts {
-		rows += p.NumRows()
-		bytes += p.SizeBytes()
+		rows += p.rows
+		bytes += p.enc.SizeBytes()
 	}
 	sh.mem.addTail(bytes - sh.tailBytes)
 	sh.tail, sh.tailRows, sh.tailBytes = parts, rows, bytes
+}
+
+// tailParts returns the encodings of the tail's parts. Caller holds sh.mu.
+func (sh *shard) tailParts() []*table.Encoded {
+	encs := make([]*table.Encoded, len(sh.tail))
+	for i, sg := range sh.tail {
+		encs[i] = sg.enc
+	}
+	return encs
 }
 
 // merge encodes, once, the rows of parts[0] from row from on, then every

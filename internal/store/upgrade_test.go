@@ -90,7 +90,7 @@ func TestReopenUnderSmallerSegmentRows(t *testing.T) {
 					t.Fatal(err)
 				}
 				out.aggs = append(out.aggs, agg)
-				out.pages = append(out.pages, encodedBytes(page))
+				out.pages = append(out.pages, encodedBytes(decodePage(t, sn, page)))
 			}
 		}
 		if out.perDist, _, err = sn.QueryAgg(nil, AggSpec{By: epc.AttrDistrict}, 2); err != nil {

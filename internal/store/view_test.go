@@ -52,7 +52,7 @@ func TestSnapshotPinnedAcrossAppendsReallocationAndSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(encs) != 2 || encs[1] != st.shards[0].tail[1] {
+	if len(encs) != 2 || encs[1] != st.shards[0].tail[1].enc {
 		t.Fatal("the snapshot copied the tail instead of sharing its parts")
 	}
 	want, err := pinned.Table()
@@ -264,7 +264,7 @@ func TestPinnedSnapshotsUnderIngest(t *testing.T) {
 						err = fmt.Errorf("aggregate matched %d rows, want %d", res.Matched, wantMatch.NumRows())
 					}
 					if err == nil {
-						err = diffTables(page, wantMatch)
+						err = diffTables(decodePage(t, snap, page), wantMatch)
 					}
 					if err != nil {
 						errs <- fmt.Errorf("epoch %d pass %d: page: %v", snap.Epoch(), pass, err)
@@ -310,7 +310,7 @@ func TestResidentBytesFollowTheRows(t *testing.T) {
 		var tail, sealed int64
 		for _, sh := range st.shards {
 			for _, p := range sh.tail {
-				tail += int64(p.SizeBytes())
+				tail += int64(p.enc.SizeBytes())
 			}
 			for _, sg := range sh.sealed {
 				sealed += int64(sg.enc.SizeBytes())

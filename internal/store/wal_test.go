@@ -54,6 +54,21 @@ func encodedBytes(tab *table.Table) []byte {
 	return buf.Bytes()
 }
 
+// decodePage materializes a row page's runs as a table with sn's schema.
+func decodePage(t testing.TB, sn *Snapshot, page []PageRun) *table.Table {
+	t.Helper()
+	out, err := table.NewWithSchema(sn.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range page {
+		if err := run.Enc.TakeAppend(out, run.Rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // tablesEqualBinary compares two tables via their encoded binary form.
 func tablesEqualBinary(t testing.TB, a, b *table.Table) bool {
 	t.Helper()

@@ -135,6 +135,14 @@ func (c *EncodedColumn) Type() Type { return c.typ }
 // Kind returns the physical layout.
 func (c *EncodedColumn) Kind() ColKind { return c.kind }
 
+// Name returns the column name.
+func (c *EncodedColumn) Name() string { return c.name }
+
+// Decimal returns row i's packed n and scale, value n / 10^scale (KindPacked).
+func (c *EncodedColumn) Decimal(i int) (n int64, scale int) {
+	return c.base + int64(c.codes.at(i)), int(c.scale)
+}
+
 // ValidAt reports whether row i holds a value.
 func (c *EncodedColumn) ValidAt(i int) bool {
 	return c.valid == nil || c.valid[i>>6]&(1<<(i&63)) != 0
@@ -169,15 +177,13 @@ func (c *EncodedColumn) FloatAt(i int) float64 {
 	return c.rawF[i]
 }
 
-// block returns the values of up to 64 rows — rows[j0:j1], or rows j0
-// to j1−1 when rows is nil — and their validity word, bit i for the i-th.
-// Packed codes decode into buf in a loop of their own, so that the
-// divisions pipeline apart from the caller's fold. The values of invalid
-// rows are meaningless.
-func (c *EncodedColumn) block(rows []int, j0, j1 int, buf *[64]float64) ([]float64, uint64) {
-	out := buf[:j1-j0]
+// block returns the validity word of up to 64 rows — rows[j0:j1], or
+// rows j0 to j1−1 when rows is nil — bit i for the i-th, and their cells:
+// a packed column's codes into codes, a raw one's values into vals. The
+// cells of invalid rows are meaningless.
+func (c *EncodedColumn) block(rows []int, j0, j1 int, codes *[64]uint64, vals *[64]float64) uint64 {
 	var word uint64
-	for i := range out {
+	for i := 0; i < j1-j0; i++ {
 		r := j0 + i
 		if rows != nil {
 			r = rows[r]
@@ -186,12 +192,12 @@ func (c *EncodedColumn) block(rows []int, j0, j1 int, buf *[64]float64) ([]float
 			word |= 1 << i
 		}
 		if c.kind == KindPacked {
-			out[i] = c.dec(c.codes.at(r))
+			codes[i] = c.codes.at(r)
 		} else {
-			out[i] = c.rawF[r]
+			vals[i] = c.rawF[r]
 		}
 	}
-	return out, word
+	return word
 }
 
 // maxScale is the largest decimal exponent a packed column may carry: up
@@ -204,8 +210,11 @@ var pow10 = [maxScale + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9
 // dec reconstructs the value of a packed code. It is monotone in the code
 // while base + code does not overflow (the reader refuses a base where it
 // could), as int-to-float conversion and correctly rounded division are.
-func (c *EncodedColumn) dec(code uint64) float64 {
-	v := float64(c.base + int64(code))
+func (c *EncodedColumn) dec(code uint64) float64 { return c.decInt(c.base + int64(code)) }
+
+// decInt is the value of the packed integer n = base + code.
+func (c *EncodedColumn) decInt(n int64) float64 {
+	v := float64(n)
 	if c.scale == 0 {
 		return v
 	}
@@ -276,6 +285,10 @@ func (e *Encoded) Schema() []Field {
 	}
 	return out
 }
+
+// Columns returns the encoded columns in schema order. The slice is the
+// encoding's own: callers must not modify it.
+func (e *Encoded) Columns() []*EncodedColumn { return e.cols }
 
 // Column returns the named encoded column, or nil.
 func (e *Encoded) Column(name string) *EncodedColumn {

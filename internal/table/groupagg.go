@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/bits"
 	"sort"
 
@@ -19,15 +20,17 @@ import (
 // (Partial/AddPartial), so partials from segments with different
 // dictionaries merge correctly.
 
-// AggAccum is one attribute's mergeable aggregate over a set of rows: a
-// plain sum (exact for the integral-valued EPC attributes, so means match
-// a row-order oracle bitwise), the Welford accumulator for
-// variance/extremes, and the quantile sketch. Non-finite cells are
-// treated as missing, matching stats.Clean's reading of the corpus.
+// AggAccum is one attribute's mergeable aggregate over a set of rows:
+// the exact sums of its values and of their squares (exact.go) — per
+// decimal scale, and for values that count as binary doubles — and the
+// quantile sketch, which also holds the count and the extremes. Every
+// merge is exact, so partials fold in any order to the same answer, and
+// Mean and Variance round once. Non-finite cells are treated as missing,
+// matching stats.Clean's reading of the corpus.
 type AggAccum struct {
-	Sum float64       `json:"sum"`
-	R   stats.Running `json:"r"`
 	S   *stats.Sketch `json:"s"`
+	Dec []DecSum      `json:"dec,omitempty"`
+	Raw *RawSums      `json:"raw,omitempty"`
 }
 
 // Observe folds one finite observation into the accumulator.
@@ -38,28 +41,60 @@ func (a *AggAccum) Observe(v float64) {
 	if a.S == nil {
 		a.S = &stats.Sketch{}
 	}
-	a.Sum += v
-	a.R.Add(v)
+	a.observe(v)
+}
+
+// observe folds a finite v into an accumulator with a sketch. Zeros add
+// nothing to the sums.
+func (a *AggAccum) observe(v float64) {
+	if v != 0 {
+		if n, scale, ok := canonical(v); ok {
+			a.decSlot(uint8(scale)).add(n)
+		} else {
+			if a.Raw == nil {
+				a.Raw = &RawSums{new(big.Int), new(big.Int)}
+			}
+			a.Raw.add(v)
+		}
+	}
 	a.S.Add(v)
+}
+
+// decSlot returns the sums of one decimal scale, adding them on first
+// sight; the first scale's lookup inlines.
+func (a *AggAccum) decSlot(scale uint8) *DecSum {
+	if len(a.Dec) > 0 && a.Dec[0].Scale == scale {
+		return &a.Dec[0]
+	}
+	return a.scaleSlot(scale)
+}
+
+func (a *AggAccum) scaleSlot(scale uint8) *DecSum {
+	for i := range a.Dec {
+		if a.Dec[i].Scale == scale {
+			return &a.Dec[i]
+		}
+	}
+	a.Dec = append(a.Dec, DecSum{Scale: scale})
+	return &a.Dec[len(a.Dec)-1]
 }
 
 // MergeAccum folds another accumulator into a without mutating o.
 func (a *AggAccum) MergeAccum(o *AggAccum) {
-	a.Sum += o.Sum
-	a.R.Merge(o.R)
+	for i := range o.Dec {
+		a.decSlot(o.Dec[i].Scale).merge(&o.Dec[i])
+	}
+	if o.Raw != nil {
+		if a.Raw == nil {
+			a.Raw = &RawSums{new(big.Int), new(big.Int)}
+		}
+		a.Raw.Sum.Add(a.Raw.Sum, o.Raw.Sum)
+		a.Raw.Sq.Add(a.Raw.Sq, o.Raw.Sq)
+	}
 	if a.S == nil {
 		a.S = &stats.Sketch{}
 	}
 	a.S.Merge(o.S)
-}
-
-// Mean returns Sum/Count, the mean a sequential sum-then-divide pass
-// would report (bitwise, when the partial sums are exact).
-func (a *AggAccum) Mean() float64 {
-	if a.R.Count == 0 {
-		return 0
-	}
-	return a.Sum / float64(a.R.Count)
 }
 
 // GroupAccum is one group's aggregates: the row count (valid and invalid
@@ -252,31 +287,37 @@ func (g *GroupAggregator) AddEncoded(e *Encoded, rows []int) error {
 	}
 	g.rows += n
 
-	var buf [64]float64
+	var codes [64]uint64
+	var vals [64]float64
 	for k, c := range cols {
-		var acc *AggAccum
-		if g.by == "" {
-			acc = &g.totals[k]
-		}
-		observe := func(j int, v float64) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return
-			}
-			a := acc
-			if a == nil {
-				a = &ptrs[j].Attrs[k]
-			}
-			a.Sum += v
-			a.R.Add(v)
-			a.S.Add(v)
-		}
-		// A block of 64 rows at a time: values first, then only valid
+		// Packed cells below 10^15 are their decimals: they add their
+		// integers, and only the sketch reads them as floats.
+		decimal := c.kind == KindPacked && c.base > -1e15 && c.base+int64(1)<<uint(c.codes.width)-1 < 1e15
+		// A block of 64 rows at a time: cells first, then only valid
 		// rows cost a visit.
 		for j0 := 0; j0 < n; j0 += 64 {
-			vals, word := c.block(rows, j0, min(j0+64, n), &buf)
+			word := c.block(rows, j0, min(j0+64, n), &codes, &vals)
 			for ; word != 0; word &= word - 1 {
 				i := bits.TrailingZeros64(word)
-				observe(j0+i, vals[i])
+				var a *AggAccum
+				if g.by == "" {
+					a = &g.totals[k]
+				} else {
+					a = &ptrs[j0+i].Attrs[k]
+				}
+				if decimal {
+					x := c.base + int64(codes[i])
+					a.decSlot(c.scale).add(x)
+					a.S.Add(c.decInt(x))
+					continue
+				}
+				v := vals[i]
+				if c.kind == KindPacked {
+					v = c.dec(codes[i])
+				} else if math.IsNaN(v) || math.IsInf(v, 0) {
+					continue
+				}
+				a.observe(v)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ type aggOracle struct {
 	keys   []string
 	rows   map[string]int
 	counts map[string][]int
-	sums   map[string][]float64
+	vals   map[string][][]float64
 	mins   map[string][]float64
 	maxs   map[string][]float64
 }
@@ -24,7 +24,7 @@ func oracleOf(t *testing.T, tab *Table, by string, attrs []string, rows []int) *
 	o := &aggOracle{
 		rows:   map[string]int{},
 		counts: map[string][]int{},
-		sums:   map[string][]float64{},
+		vals:   map[string][][]float64{},
 		mins:   map[string][]float64{},
 		maxs:   map[string][]float64{},
 	}
@@ -65,7 +65,7 @@ func oracleOf(t *testing.T, tab *Table, by string, attrs []string, rows []int) *
 		if _, ok := o.rows[key]; !ok {
 			o.keys = append(o.keys, key)
 			o.counts[key] = make([]int, len(attrs))
-			o.sums[key] = make([]float64, len(attrs))
+			o.vals[key] = make([][]float64, len(attrs))
 			o.mins[key] = make([]float64, len(attrs))
 			o.maxs[key] = make([]float64, len(attrs))
 			for k := range attrs {
@@ -83,7 +83,7 @@ func oracleOf(t *testing.T, tab *Table, by string, attrs []string, rows []int) *
 				continue
 			}
 			o.counts[key][k]++
-			o.sums[key][k] += v
+			o.vals[key][k] = append(o.vals[key][k], v)
 			if v < o.mins[key][k] {
 				o.mins[key][k] = v
 			}
@@ -96,7 +96,7 @@ func oracleOf(t *testing.T, tab *Table, by string, attrs []string, rows []int) *
 }
 
 // checkAgainstOracle pins the kernel's groups bitwise against the oracle
-// for count/sum(mean)/min/max and loosely for sketch quantiles.
+// for count/sum/mean/variance/min/max and loosely for sketch quantiles.
 func checkAgainstOracle(t *testing.T, g *GroupAggregator, o *aggOracle, wantRows int) {
 	t.Helper()
 	if g.Rows() != wantRows {
@@ -120,21 +120,13 @@ func checkAgainstOracle(t *testing.T, g *GroupAggregator, o *aggOracle, wantRows
 			t.Fatalf("group %q: Rows = %d, want %d", gp.Key, gp.Rows, wantR)
 		}
 		for k, a := range gp.Attrs {
-			if int(a.R.Count) != o.counts[gp.Key][k] {
-				t.Fatalf("group %q attr %d: count %d, want %d", gp.Key, k, a.R.Count, o.counts[gp.Key][k])
-			}
-			if a.S.Count() != o.counts[gp.Key][k] {
-				t.Fatalf("group %q attr %d: sketch count %d, want %d", gp.Key, k, a.S.Count(), o.counts[gp.Key][k])
-			}
+			checkExact(t, fmt.Sprintf("group %q attr %d", gp.Key, k), &a, oracleOfValues(o.vals[gp.Key][k]))
 			if o.counts[gp.Key][k] == 0 {
 				continue
 			}
-			if a.Sum != o.sums[gp.Key][k] {
-				t.Fatalf("group %q attr %d: sum %v, want %v", gp.Key, k, a.Sum, o.sums[gp.Key][k])
-			}
-			if a.R.Min != o.mins[gp.Key][k] || a.R.Max != o.maxs[gp.Key][k] {
+			if a.S.Min != o.mins[gp.Key][k] || a.S.Max != o.maxs[gp.Key][k] {
 				t.Fatalf("group %q attr %d: extremes [%v, %v], want [%v, %v]",
-					gp.Key, k, a.R.Min, a.R.Max, o.mins[gp.Key][k], o.maxs[gp.Key][k])
+					gp.Key, k, a.S.Min, a.S.Max, o.mins[gp.Key][k], o.maxs[gp.Key][k])
 			}
 			med := a.S.Quantile(0.5)
 			if med < o.mins[gp.Key][k] || med > o.maxs[gp.Key][k] {
@@ -256,7 +248,7 @@ func TestGroupAggregatorMatchesOracle(t *testing.T) {
 				lp2 := left.Partial()
 				for _, gp := range lp.Groups {
 					for _, gp2 := range lp2.Groups {
-						if gp.Key == gp2.Key && gp.Attrs[0].R.Count != gp2.Attrs[0].R.Count {
+						if gp.Key == gp2.Key && gp.Attrs[0].Count() != gp2.Attrs[0].Count() {
 							t.Fatalf("AddPartial mutated source partial for group %q", gp.Key)
 						}
 					}
@@ -282,12 +274,7 @@ func TestGroupAggregatorUngrouped(t *testing.T) {
 	}
 	tot := g.Totals()
 	for k := range attrs {
-		if int(tot[k].R.Count) != oracle.counts[""][k] {
-			t.Fatalf("attr %d: count %d, want %d", k, tot[k].R.Count, oracle.counts[""][k])
-		}
-		if tot[k].Sum != oracle.sums[""][k] {
-			t.Fatalf("attr %d: sum %v, want %v", k, tot[k].Sum, oracle.sums[""][k])
-		}
+		checkExact(t, fmt.Sprintf("attr %d", k), &tot[k], oracleOfValues(oracle.vals[""][k]))
 	}
 
 	// Grouped Totals() folds groups deterministically and agrees on counts.
@@ -297,10 +284,8 @@ func TestGroupAggregatorUngrouped(t *testing.T) {
 	}
 	gtot := gg.Totals()
 	for k := range attrs {
-		if gtot[k].R.Count != tot[k].R.Count {
-			t.Fatalf("attr %d: grouped-total count %d, ungrouped %d", k, gtot[k].R.Count, tot[k].R.Count)
-		}
-		if gtot[k].R.Min != tot[k].R.Min || gtot[k].R.Max != tot[k].R.Max {
+		checkExact(t, fmt.Sprintf("grouped total %d", k), &gtot[k], oracleOfValues(oracle.vals[""][k]))
+		if gtot[k].S.Min != tot[k].S.Min || gtot[k].S.Max != tot[k].S.Max {
 			t.Fatalf("attr %d: grouped-total extremes differ", k)
 		}
 	}
@@ -371,33 +356,29 @@ func TestAggAccumObserveMeanMerge(t *testing.T) {
 	a.Observe(math.NaN())   // skipped
 	a.Observe(math.Inf(1))  // skipped
 	a.Observe(math.Inf(-1)) // skipped
-	if a.R.Count != 2 || a.Sum != 6 {
-		t.Fatalf("accumulated %d/%v, want 2/6", a.R.Count, a.Sum)
+	if a.Count() != 2 || a.Sum() != 6 {
+		t.Fatalf("accumulated %d/%v, want 2/6", a.Count(), a.Sum())
 	}
 	if m := a.Mean(); m != 3 {
 		t.Fatalf("mean = %v, want 3", m)
 	}
-	if a.S == nil || a.S.Count() != 2 {
-		t.Fatalf("sketch count = %v, want 2", a.S.Count())
-	}
 
-	// Merge with a sketchless source (legacy wire legs) and into a
-	// sketchless destination.
+	// Merge into a sketchless destination.
 	var b AggAccum
 	b.Observe(10)
-	src := AggAccum{Sum: b.Sum, R: b.R} // no sketch
-	a.MergeAccum(&src)
-	if a.R.Count != 3 || a.Sum != 16 || a.S.Count() != 2 {
-		t.Fatalf("after sketchless merge: %d/%v sketch %d", a.R.Count, a.Sum, a.S.Count())
+	a.MergeAccum(&b)
+	if a.Count() != 3 || a.Sum() != 16 {
+		t.Fatalf("after merge: %d/%v", a.Count(), a.Sum())
 	}
 	var dst AggAccum
 	dst.MergeAccum(&a)
-	if dst.R.Count != 3 || dst.S == nil || dst.S.Count() != 2 {
-		t.Fatalf("merge into empty: %d sketch %v", dst.R.Count, dst.S)
+	if dst.Count() != 3 || dst.Sum() != 16 {
+		t.Fatalf("merge into empty: %d/%v", dst.Count(), dst.Sum())
 	}
-	// The merged sketch must be a fresh copy, not an alias of a's.
+	// The merged state must be a fresh copy, not an alias of a's.
 	dst.S.Add(1)
-	if a.S.Count() != 2 {
-		t.Fatalf("merge aliased the source sketch")
+	dst.Observe(5)
+	if a.Count() != 3 || a.Sum() != 16 {
+		t.Fatalf("merge aliased the source accumulator")
 	}
 }
