@@ -195,12 +195,11 @@ func TestEdgeConventionsAgree(t *testing.T) {
 			if merged != run || into != run {
 				t.Errorf("Running merged with empty: %+v and %+v, want %+v", merged, into, run)
 			}
-			skMerged := sk.Clone()
-			skMerged.Merge(&stats.Sketch{})
-			skMerged.Merge(nil)
 			skInto := &stats.Sketch{}
 			skInto.Merge(sk)
-			if !reflect.DeepEqual(skMerged, sk) || !reflect.DeepEqual(skInto, sk) {
+			skInto.Merge(&stats.Sketch{})
+			skInto.Merge(nil)
+			if !reflect.DeepEqual(skInto, sk) {
 				t.Errorf("Sketch merged with empty differs from the sketch")
 			}
 			var accInto table.AggAccum

@@ -171,24 +171,6 @@ func (sd *SketchSide) grow(lo, hi int) {
 	sd.Base, sd.Counts = lo, grown
 }
 
-func (sd *SketchSide) clone() *SketchSide {
-	if sd == nil {
-		return nil
-	}
-	return &SketchSide{Base: sd.Base, Counts: append([]uint64(nil), sd.Counts...)}
-}
-
-// Clone returns a deep copy sharing no state with s.
-func (s *Sketch) Clone() *Sketch {
-	if s == nil {
-		return nil
-	}
-	out := *s
-	out.Pos = s.Pos.clone()
-	out.Neg = s.Neg.clone()
-	return &out
-}
-
 // Merge folds another sketch into s without mutating o. Because bucketing
 // is deterministic per value, the result's bucket counts are identical to
 // a single sketch fed both inputs' observations in any order.

@@ -142,7 +142,7 @@ func TestSketchMergeExactness(t *testing.T) {
 // source sketch.
 func TestSketchMergeDoesNotAliasSource(t *testing.T) {
 	src := sketchOf([]float64{1, 2, 3, 100})
-	snapshot := *src.Clone()
+	snapshot := *sketchOf([]float64{1, 2, 3, 100})
 	dst := &Sketch{}
 	dst.Merge(src)
 	for i := 0; i < 100; i++ {
@@ -293,28 +293,4 @@ func FuzzSketch(f *testing.F) {
 			last = v
 		}
 	})
-}
-
-func TestSketchClone(t *testing.T) {
-	if c := (*Sketch)(nil).Clone(); c != nil {
-		t.Fatalf("nil clone = %+v", c)
-	}
-	var s Sketch
-	for _, v := range []float64{-3, -0.5, 0, 0, 1.5, 40} {
-		s.Add(v)
-	}
-	c := s.Clone()
-	if !reflect.DeepEqual(&s, c) {
-		t.Fatalf("clone differs: %+v vs %+v", &s, c)
-	}
-	// Deep copy: growing the original must not touch the clone.
-	before := c.Count()
-	s.Add(1e30)
-	s.Add(-1e30)
-	if c.Count() != before || c.Max == s.Max || c.Min == s.Min {
-		t.Fatalf("clone aliased the original: %+v", c)
-	}
-	if q := c.Quantile(0.5); q < c.Min || q > c.Max {
-		t.Fatalf("clone quantile %v outside [%v, %v]", q, c.Min, c.Max)
-	}
 }
