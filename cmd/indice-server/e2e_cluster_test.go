@@ -22,7 +22,9 @@ import (
 // replicas pulling segments, a coordinator scatter-gathering over them —
 // and kill -9 on one replica mid-load. The coordinator must keep
 // answering (degrading to the survivor, counted on /metrics) and, once
-// the stream lands, answer exactly the leader's counts.
+// the stream lands, answer exactly the leader's counts. The replicas run
+// no analysis: ready without a refresh, they send the dashboards to the
+// leader.
 func TestE2EClusterReplicaKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives real binaries; skipped in -short")
@@ -98,6 +100,23 @@ func TestE2EClusterReplicaKill(t *testing.T) {
 		return code == http.StatusOK && json.Unmarshal([]byte(body), &resp) == nil &&
 			resp.Cluster != nil && resp.Cluster.Replicas == 2
 	}, 30*time.Second, "the coordinator never fanned a query out over both replicas")
+
+	// A replica runs no analysis: it is ready on its first sync, with no
+	// refresh behind it.
+	for _, rep := range []*roleProc{rep1, rep2} {
+		waitFor(t, func() bool {
+			code, _ := httpGet(t, "http://"+rep.addr+"/api/ready")
+			return code == http.StatusOK
+		}, 30*time.Second, "replica "+rep.addr+" never became ready")
+		_, body := httpGet(t, "http://"+rep.addr+"/api/health")
+		var health struct {
+			Mode      string `json:"mode"`
+			Refreshes uint64 `json:"refreshes"`
+		}
+		if err := json.Unmarshal([]byte(body), &health); err != nil || health.Mode != "replica" || health.Refreshes != 0 {
+			t.Fatalf("ready replica %s /api/health: %s (%v)", rep.addr, body, err)
+		}
+	}
 
 	if err := rep2.cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill -9 replica 2: %v", err)
@@ -262,6 +281,24 @@ func TestE2EClusterReplicaKill(t *testing.T) {
 				t.Fatalf("%s: no merged group reported non-zero quartiles", q)
 			}
 		}
+	}
+
+	// The survivor sends the dashboards to the leader: a 307 to the same
+	// path there, and following it reads the leader's bytes.
+	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	resp, err := noFollow.Get("http://" + rep1.addr + "/dashboard/citizen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if loc := resp.Header.Get("Location"); resp.StatusCode != http.StatusTemporaryRedirect || loc != leaderURL+"/dashboard/citizen" {
+		t.Fatalf("replica /dashboard/citizen = %d to %q, want 307 to the leader", resp.StatusCode, loc)
+	}
+	leaderCode, leaderPage := httpGet(t, leaderURL+"/dashboard/citizen")
+	replicaCode, replicaPage := httpGet(t, "http://"+rep1.addr+"/dashboard/citizen")
+	if leaderCode != http.StatusOK || replicaCode != http.StatusOK || replicaPage != leaderPage {
+		t.Fatalf("dashboard through the replica: %d (%d bytes), leader %d (%d bytes)",
+			replicaCode, len(replicaPage), leaderCode, len(leaderPage))
 	}
 
 	// The kill must be visible on the coordinator's metrics: legs failed

@@ -29,9 +29,11 @@
 //
 // Scale-out serving splits the load over processes with -role. A leader
 // is a live server that additionally streams its sealed segments to
-// replicas; replicas pull, serve reads, and answer epoch-pinned partial
-// queries; a coordinator fans /api/query out over the replicas and
-// merges the partials at one common epoch:
+// replicas and runs the cluster's one analysis. A replica is a store: it
+// pulls, serves /api/query at its leader's epochs and answers
+// epoch-pinned partial queries, and redirects (307) the dashboards, maps
+// and analysis APIs to its leader. A coordinator fans /api/query out over
+// the replicas and merges the partials at one common epoch:
 //
 //	indice-server -ingest -role leader -addr :8080
 //	indice-server -role replica -leader http://localhost:8080 -addr :8081
@@ -92,7 +94,6 @@ func main() {
 		leaderURL      = flag.String("leader", "", "replica: the leader's base URL (http://host:port)")
 		replicaList    = flag.String("replicas", "", "coordinator: comma-separated replica base URLs")
 		syncInterval   = flag.Duration("sync-interval", time.Second, "replica: leader poll interval")
-		readyMaxLag    = flag.Uint64("ready-max-lag", 0, "replica: /api/ready answers 503 while more than this many epochs behind the leader")
 		hedgeAfter     = flag.Duration("hedge-after", 250*time.Millisecond, "coordinator: hedge a slow shard-range leg to the next replica after this long")
 		replicaTimeout = flag.Duration("replica-timeout", 5*time.Second, "coordinator: per-replica request timeout")
 	)
@@ -108,15 +109,17 @@ func main() {
 		opts core.Options
 	)
 	// Replicas get their rows from the leader and coordinators hold no
-	// data, so neither seeds a local corpus.
-	wantSeed := (*epcsPath != "" || *n > 0) && *role != "replica" && *role != "coordinator"
-	if *epcsPath == "" {
+	// data; neither runs an analysis, so neither builds a city, a street
+	// map or a corpus.
+	switch {
+	case *role == "replica" || *role == "coordinator":
+	case *epcsPath == "":
 		city, err := synth.GenerateCity(synth.DefaultCityConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
 		hier = city.Hierarchy
-		if wantSeed {
+		if *n > 0 {
 			cfg := synth.DefaultConfig()
 			cfg.Certificates = *n
 			ds, err := synth.Generate(cfg, city)
@@ -130,7 +133,7 @@ func main() {
 			opts.StreetMap = sm
 			opts.Geocoder = geocode.NewMockGeocoder(sm, 2000)
 		}
-	} else {
+	default:
 		f, err := os.Open(*epcsPath)
 		if err != nil {
 			log.Fatal(err)
@@ -213,8 +216,7 @@ func main() {
 		if *dataDir != "" {
 			log.Fatal("-role replica keeps its store in memory (it re-syncs from the leader on boot); drop -data-dir")
 		}
-		handler, closeStore, postDrain = buildReplica(ctx, hier, opts, workers, *kMax,
-			*refreshInterval, *leaderURL, *syncInterval, *readyMaxLag)
+		handler, closeStore, postDrain = buildReplica(ctx, *leaderURL, *syncInterval)
 	case "coordinator":
 		if *replicaList == "" {
 			log.Fatal("-role coordinator requires -replicas URL,URL,...")
@@ -363,13 +365,12 @@ func buildLive(ctx context.Context, tab *table.Table, hier *geo.Hierarchy, opts 
 
 // buildReplica mirrors a leader: it learns the leader's shard layout
 // (retrying until the leader is reachable), pulls segment streams into
-// an in-memory store, runs its own refresh loop over the replicated
-// rows, and serves reads plus epoch-pinned partial queries. The
-// returned postDrain stops the pull loop — after the HTTP drain, per
-// the shutdown ordering.
-func buildReplica(ctx context.Context, hier *geo.Hierarchy, opts core.Options, workers, kMax int,
-	refreshInterval time.Duration, leaderURL string, syncInterval time.Duration,
-	readyMaxLag uint64) (http.Handler, func() error, func()) {
+// an in-memory store, and serves /api/query plus epoch-pinned partial
+// queries from it. It runs no analysis: the dashboards, maps and
+// analysis APIs answer with a redirect to the leader. The returned
+// postDrain stops the pull loop — after the HTTP drain, per the shutdown
+// ordering.
+func buildReplica(ctx context.Context, leaderURL string, syncInterval time.Duration) (http.Handler, func() error, func()) {
 	client := &http.Client{Timeout: 60 * time.Second}
 	var info scaleout.LeaderInfo
 	for {
@@ -394,30 +395,15 @@ func buildReplica(ctx context.Context, hier *geo.Hierarchy, opts core.Options, w
 	if err != nil {
 		log.Fatal(err)
 	}
-	pcfg := core.DefaultPreprocessConfig()
-	pcfg.Parallelism = workers
-	acfg := core.DefaultAnalysisConfig()
-	acfg.KMax = kMax
-	acfg.Parallelism = workers
-	live, err := core.NewLive(st, hier, core.LiveConfig{
-		Preprocess: pcfg,
-		Analysis:   acfg,
-		Options:    opts,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	repl := scaleout.NewReplica(st, leaderURL, client, syncInterval)
-	srv, err := server.NewLiveCluster(live, server.ClusterConfig{Replica: repl, ReadyMaxLag: readyMaxLag})
+	srv, err := server.NewLiveCluster(nil, server.ClusterConfig{Replica: repl})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The server wired repl.OnApply; only now may the pull loop start.
-	// It runs on its own context so it keeps serving sync state while
-	// the HTTP server drains, and stops in postDrain.
+	// The pull loop runs on its own context so it keeps serving sync
+	// state while the HTTP server drains, and stops in postDrain.
 	replCtx, replCancel := context.WithCancel(context.Background())
 	go repl.Run(replCtx)
-	go live.AutoRefresh(ctx, refreshInterval)
 	fmt.Fprintf(os.Stderr, "replica mode: leader %s, %d shards, sync interval %v\n",
 		leaderURL, info.Shards, syncInterval)
 	return srv, st.Close, replCancel

@@ -45,7 +45,6 @@ type Live struct {
 	lastErr      atomic.Pointer[string]
 	lastErrAt    atomic.Int64
 	incErr       atomic.Pointer[string]
-	refreshNow   chan struct{}
 }
 
 // LiveConfig parameterizes the refresh pipeline.
@@ -146,7 +145,7 @@ func NewLive(st *store.Store, hier *geo.Hierarchy, cfg LiveConfig) (*Live, error
 	if cfg.Incremental.FullEvery <= 0 {
 		cfg.Incremental.FullEvery = 8
 	}
-	return &Live{store: st, hier: hier, cfg: cfg, cols: cfg.servingColumns(st.Schema()), refreshNow: make(chan struct{}, 1)}, nil
+	return &Live{store: st, hier: hier, cfg: cfg, cols: cfg.servingColumns(st.Schema())}, nil
 }
 
 // servingColumns are the columns of the store schema that some reader of
@@ -332,33 +331,20 @@ func (l *Live) refreshLocked() (*Published, error) {
 	}, nil
 }
 
-// RefreshAsync requests a refresh from the AutoRefresh loop without
-// blocking; a no-op if one is already queued. Without a running
-// AutoRefresh loop the request fires when one starts.
-func (l *Live) RefreshAsync() {
-	select {
-	case l.refreshNow <- struct{}{}:
-	default:
-	}
-}
-
-// AutoRefresh runs refreshes in a background goroutine's loop: every
-// interval tick (if positive) and on every RefreshAsync request, until
-// the context is cancelled. Refresh errors are recorded (LastError) and
-// do not stop the loop.
+// AutoRefresh re-runs Refresh every interval until the context is
+// cancelled; a non-positive interval runs none. Refresh errors are
+// recorded (LastError) and do not stop the loop.
 func (l *Live) AutoRefresh(ctx context.Context, interval time.Duration) {
-	var tick <-chan time.Time
-	if interval > 0 {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		tick = t.C
+	if interval <= 0 {
+		return
 	}
+	t := time.NewTicker(interval)
+	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-tick:
-		case <-l.refreshNow:
+		case <-t.C:
 		}
 		_, _ = l.Refresh() // error recorded via LastError
 	}

@@ -94,7 +94,6 @@ func TestRestartResumesAutoRefresh(t *testing.T) {
 	if _, err := st2.AppendTable(ds.Table); err != nil {
 		t.Fatal(err)
 	}
-	live2.RefreshAsync()
 	for live2.Current().Rows != 1200 {
 		if time.Now().After(deadline) {
 			t.Fatalf("rows stuck at %d after post-restart ingest", live2.Current().Rows)

@@ -157,15 +157,14 @@ func TestLiveAutoRefresh(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		live.AutoRefresh(ctx, 0) // no ticker: RefreshAsync-driven only
+		live.AutoRefresh(ctx, 20*time.Millisecond)
 	}()
-	live.RefreshAsync()
 	deadline := time.After(30 * time.Second)
 	for live.Current() == nil {
 		select {
 		case <-deadline:
 			msg, _ := live.LastError()
-			t.Fatalf("no published state after async refresh (last error: %q)", msg)
+			t.Fatalf("no published state after a tick (last error: %q)", msg)
 		case <-time.After(10 * time.Millisecond):
 		}
 	}

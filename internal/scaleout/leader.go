@@ -34,17 +34,12 @@ type Leader struct {
 	// full is the cached whole-store stream for l.snap; deltas caches
 	// recent per-baseline streams for it. Both reset when snap moves.
 	full   []byte
-	deltas map[uint64]deltaPayload
-}
-
-type deltaPayload struct {
-	body []byte
-	rows int
+	deltas map[uint64][]byte
 }
 
 // NewLeader wraps a store with the replication serving state.
 func NewLeader(st *store.Store) *Leader {
-	return &Leader{st: st, deltas: make(map[uint64]deltaPayload)}
+	return &Leader{st: st, deltas: make(map[uint64][]byte)}
 }
 
 // snapshot returns the shared replication snapshot, refreshing it when
@@ -55,7 +50,7 @@ func (l *Leader) snapshot() *store.Snapshot {
 	if l.snap == nil || l.snap.Generation() != l.st.Generation() {
 		l.snap = l.st.Snapshot()
 		l.full = nil
-		l.deltas = make(map[uint64]deltaPayload)
+		l.deltas = make(map[uint64][]byte)
 	}
 	return l.snap
 }
@@ -71,13 +66,11 @@ func (l *Leader) Info() LeaderInfo {
 	}
 }
 
-func setStreamHeaders(w http.ResponseWriter, snap *store.Snapshot, rows int) {
+func setStreamHeaders(w http.ResponseWriter, snap *store.Snapshot) {
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set(HeaderEpoch, strconv.FormatUint(snap.Epoch(), 10))
 	h.Set(HeaderShards, strconv.Itoa(snap.NumShards()))
-	h.Set(HeaderRows, strconv.Itoa(rows))
-	h.Set(HeaderStoreRows, strconv.Itoa(snap.NumRows()))
 }
 
 // ServeSegments streams the whole store as encoded segment frames:
@@ -103,7 +96,7 @@ func (l *Leader) ServeSegments(w http.ResponseWriter, r *http.Request) {
 	}
 	mLeadSegments.Inc()
 	mLeadBytes.Add(uint64(len(body)))
-	setStreamHeaders(w, snap, snap.NumRows())
+	setStreamHeaders(w, snap)
 	w.Write(body)
 }
 
@@ -120,12 +113,12 @@ func (l *Leader) ServeDelta(w http.ResponseWriter, r *http.Request) {
 	snap := l.snapshot()
 	if since == snap.Epoch() {
 		mLeadDelta.Inc()
-		setStreamHeaders(w, snap, 0)
+		setStreamHeaders(w, snap)
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
 	l.mu.Lock()
-	dp, hit := l.deltas[since]
+	body, hit := l.deltas[since]
 	l.mu.Unlock()
 	if !hit {
 		d, ok := snap.DeltaSince(since)
@@ -139,16 +132,16 @@ func (l *Leader) ServeDelta(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		dp = deltaPayload{body: buf.Bytes(), rows: d.NewRows}
+		body = buf.Bytes()
 		l.mu.Lock()
 		if l.snap == snap {
-			l.deltas[since] = dp
+			l.deltas[since] = body
 		}
 		l.mu.Unlock()
 	}
 	mLeadDelta.Inc()
-	mLeadBytes.Add(uint64(len(dp.body)))
-	setStreamHeaders(w, snap, dp.rows)
+	mLeadBytes.Add(uint64(len(body)))
+	setStreamHeaders(w, snap)
 	w.Header().Set(HeaderFromEpoch, strconv.FormatUint(since, 10))
-	w.Write(dp.body)
+	w.Write(body)
 }

@@ -4,13 +4,11 @@ import "indice/internal/obs"
 
 // Package-level metric handles for the replication and scatter-gather
 // layer, resolved once at init (see internal/store/metrics.go for the
-// convention). Replica-side gauges track how far this process trails its
-// leader; coordinator-side counters expose fan-out health so a dashboard
+// convention). Replica-side counters track the pull loop;
+// coordinator-side counters expose fan-out health so a dashboard
 // can tell a hedged slow replica from a dead one.
 var (
 	// Replica pull loop.
-	mReplLagEpochs = obs.Default.Gauge("indice_repl_lag_epochs", "Leader epochs this replica still has to apply (0 when caught up, measured at last leader contact).")
-	mReplLagRows   = obs.Default.Gauge("indice_repl_lag_rows", "Leader rows this replica still has to apply (measured at last leader contact).")
 	mReplSyncDelta = obs.Default.Counter("indice_repl_syncs_total", "Replication syncs completed, by kind.", "kind", "delta")
 	mReplSyncFull  = obs.Default.Counter("indice_repl_syncs_total", "Replication syncs completed, by kind.", "kind", "full")
 	mReplSyncNoop  = obs.Default.Counter("indice_repl_syncs_total", "Replication syncs completed, by kind.", "kind", "noop")

@@ -20,23 +20,19 @@ import (
 // short ring suffices and older snapshots are released for collection.
 const ringSize = 8
 
-// ReplicaStatus is GET /api/replicate/status: the replica's position
-// relative to its leader, which is both the coordinator's routing input
-// and the readiness gate's lag measure. Lag is measured at the last
-// successful leader contact — a replica that cannot reach its leader
-// reports its last known position plus LastError.
+// ReplicaStatus is GET /api/replicate/status: the replica's position,
+// which is the coordinator's routing input. A replica that cannot reach
+// its leader reports its last applied position plus LastError;
+// LastSyncUnix dates its last successful leader contact.
 type ReplicaStatus struct {
 	LeaderURL string `json:"leader_url"`
-	// LeaderEpoch is the leader's epoch at last contact; AppliedEpoch
-	// the newest epoch fully applied here; MinEpoch the oldest epoch
-	// still pinned in the snapshot ring (0 until the first sync).
-	LeaderEpoch  uint64 `json:"leader_epoch"`
+	// AppliedEpoch is the newest leader epoch fully applied here;
+	// MinEpoch the oldest epoch still pinned in the snapshot ring (both
+	// 0 until the first sync).
 	AppliedEpoch uint64 `json:"applied_epoch"`
 	MinEpoch     uint64 `json:"min_epoch"`
 	Shards       int    `json:"shards"`
 	Rows         int    `json:"rows"`
-	LagEpochs    uint64 `json:"lag_epochs"`
-	LagRows      int    `json:"lag_rows"`
 	Syncs        uint64 `json:"syncs"`
 	FullSyncs    uint64 `json:"full_syncs"`
 	AppliedRows  uint64 `json:"applied_rows"`
@@ -56,15 +52,8 @@ type Replica struct {
 	client    *http.Client
 	interval  time.Duration
 
-	// OnApply, when set, runs after each sync that landed rows — the
-	// server wires it to kick the analytics refresh loop.
-	OnApply func()
-
 	mu          sync.Mutex
-	ring        []ringEntry
-	applied     uint64
-	leaderEpoch uint64
-	leaderRows  int
+	ring        []ringEntry // newest last: its epoch is the applied one
 	syncs       uint64
 	fullSyncs   uint64
 	appliedRows uint64
@@ -127,10 +116,8 @@ func (r *Replica) Run(ctx context.Context) {
 func (r *Replica) SyncOnce(ctx context.Context) error {
 	start := time.Now()
 	defer func() { mReplSyncSecs.ObserveDuration(time.Since(start)) }()
-	r.mu.Lock()
-	applied := r.applied
-	r.mu.Unlock()
-	if applied == 0 {
+	applied, _, synced := r.Head()
+	if !synced {
 		return r.fullSync(ctx)
 	}
 
@@ -141,12 +128,8 @@ func (r *Replica) SyncOnce(ctx context.Context) error {
 	defer drain(resp)
 	switch resp.StatusCode {
 	case http.StatusNoContent:
-		epoch, _, leaderRows, err := streamHeaders(resp)
-		if err != nil {
-			return err
-		}
 		mReplSyncNoop.Inc()
-		r.note(epoch, leaderRows)
+		r.note()
 		return nil
 	case http.StatusGone:
 		if err := r.st.Reset(); err != nil {
@@ -154,7 +137,7 @@ func (r *Replica) SyncOnce(ctx context.Context) error {
 		}
 		return r.fullSync(ctx)
 	case http.StatusOK:
-		epoch, shards, leaderRows, err := streamHeaders(resp)
+		epoch, shards, err := streamHeaders(resp)
 		if err != nil {
 			return err
 		}
@@ -168,7 +151,7 @@ func (r *Replica) SyncOnce(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if err := r.apply(parts, rows, epoch, leaderRows); err != nil {
+		if err := r.apply(parts, rows, epoch); err != nil {
 			return err
 		}
 		mReplSyncDelta.Inc()
@@ -189,7 +172,7 @@ func (r *Replica) fullSync(ctx context.Context) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("scaleout: segment fetch: %s", resp.Status)
 	}
-	epoch, shards, leaderRows, err := streamHeaders(resp)
+	epoch, shards, err := streamHeaders(resp)
 	if err != nil {
 		return err
 	}
@@ -200,7 +183,7 @@ func (r *Replica) fullSync(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := r.apply(parts, rows, epoch, leaderRows); err != nil {
+	if err := r.apply(parts, rows, epoch); err != nil {
 		return err
 	}
 	mReplSyncFull.Inc()
@@ -210,9 +193,9 @@ func (r *Replica) fullSync(ctx context.Context) error {
 	return nil
 }
 
-// apply lands one stream atomically, pins the resulting snapshot in the
-// ring under the leader epoch it corresponds to, and updates lag.
-func (r *Replica) apply(parts []store.AdoptPart, rows int, epoch uint64, leaderRows int) error {
+// apply lands one stream atomically and pins the resulting snapshot in
+// the ring under the leader epoch it corresponds to.
+func (r *Replica) apply(parts []store.AdoptPart, rows int, epoch uint64) error {
 	if len(parts) > 0 {
 		if _, err := r.st.AdoptParts(parts); err != nil {
 			return err
@@ -224,33 +207,20 @@ func (r *Replica) apply(parts []store.AdoptPart, rows int, epoch uint64, leaderR
 	if len(r.ring) > ringSize {
 		r.ring = append(r.ring[:0:0], r.ring[len(r.ring)-ringSize:]...)
 	}
-	r.applied = epoch
 	r.appliedRows += uint64(rows)
 	r.mu.Unlock()
 	mReplRows.Add(uint64(rows))
-	r.note(epoch, leaderRows)
-	if rows > 0 && r.OnApply != nil {
-		r.OnApply()
-	}
+	r.note()
 	return nil
 }
 
-// note records a successful leader contact and refreshes the lag gauges.
-func (r *Replica) note(leaderEpoch uint64, leaderRows int) {
+// note records a successful leader contact.
+func (r *Replica) note() {
 	r.mu.Lock()
-	r.leaderEpoch = leaderEpoch
-	r.leaderRows = leaderRows
 	r.syncs++
 	r.lastSync = time.Now()
 	r.lastErr = ""
-	lagE := r.leaderEpoch - r.applied
-	lagR := r.leaderRows - r.st.Rows()
 	r.mu.Unlock()
-	if lagR < 0 {
-		lagR = 0
-	}
-	mReplLagEpochs.Set(float64(lagE))
-	mReplLagRows.Set(float64(lagR))
 }
 
 // SnapshotAt returns the pinned snapshot for one leader epoch, or false
@@ -266,40 +236,45 @@ func (r *Replica) SnapshotAt(epoch uint64) (*store.Snapshot, bool) {
 	return nil, false
 }
 
+// Head returns the newest pinned snapshot and the leader epoch it holds,
+// which is what a replica serves /api/query from; ok is false until the
+// first sync has applied.
+func (r *Replica) Head() (epoch uint64, snap *store.Snapshot, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.ring) == 0 {
+		return 0, nil, false
+	}
+	head := r.ring[len(r.ring)-1]
+	return head.epoch, head.snap, true
+}
+
+// Store returns the in-memory store the replica applies into.
+func (r *Replica) Store() *store.Store { return r.st }
+
+// LeaderURL returns the base URL of the leader the replica pulls from.
+func (r *Replica) LeaderURL() string { return r.leaderURL }
+
 // Status reports the replica's position (see ReplicaStatus).
 func (r *Replica) Status() ReplicaStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := ReplicaStatus{
-		LeaderURL:    r.leaderURL,
-		LeaderEpoch:  r.leaderEpoch,
-		AppliedEpoch: r.applied,
-		Shards:       r.st.NumShards(),
-		Rows:         r.st.Rows(),
-		LagEpochs:    r.leaderEpoch - r.applied,
-		Syncs:        r.syncs,
-		FullSyncs:    r.fullSyncs,
-		AppliedRows:  r.appliedRows,
-		LastError:    r.lastErr,
+		LeaderURL:   r.leaderURL,
+		Shards:      r.st.NumShards(),
+		Rows:        r.st.Rows(),
+		Syncs:       r.syncs,
+		FullSyncs:   r.fullSyncs,
+		AppliedRows: r.appliedRows,
+		LastError:   r.lastErr,
 	}
-	if len(r.ring) > 0 {
-		st.MinEpoch = r.ring[0].epoch
-	}
-	if lag := r.leaderRows - st.Rows; lag > 0 {
-		st.LagRows = lag
+	if n := len(r.ring); n > 0 {
+		st.AppliedEpoch, st.MinEpoch = r.ring[n-1].epoch, r.ring[0].epoch
 	}
 	if !r.lastSync.IsZero() {
 		st.LastSyncUnix = r.lastSync.Unix()
 	}
 	return st
-}
-
-// Lag returns how many leader epochs the replica trails by, and whether
-// it has ever completed a sync — the readiness inputs.
-func (r *Replica) Lag() (epochs uint64, synced bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.leaderEpoch - r.applied, r.applied != 0
 }
 
 func (r *Replica) get(ctx context.Context, url string) (*http.Response, error) {
@@ -316,17 +291,14 @@ func drain(resp *http.Response) {
 }
 
 // streamHeaders parses the epoch bookkeeping of a replication response.
-func streamHeaders(resp *http.Response) (epoch uint64, shards, storeRows int, err error) {
+func streamHeaders(resp *http.Response) (epoch uint64, shards int, err error) {
 	if epoch, err = strconv.ParseUint(resp.Header.Get(HeaderEpoch), 10, 64); err != nil {
-		return 0, 0, 0, fmt.Errorf("scaleout: bad %s header: %w", HeaderEpoch, err)
+		return 0, 0, fmt.Errorf("scaleout: bad %s header: %w", HeaderEpoch, err)
 	}
 	if shards, err = strconv.Atoi(resp.Header.Get(HeaderShards)); err != nil {
-		return 0, 0, 0, fmt.Errorf("scaleout: bad %s header: %w", HeaderShards, err)
+		return 0, 0, fmt.Errorf("scaleout: bad %s header: %w", HeaderShards, err)
 	}
-	if storeRows, err = strconv.Atoi(resp.Header.Get(HeaderStoreRows)); err != nil {
-		return 0, 0, 0, fmt.Errorf("scaleout: bad %s header: %w", HeaderStoreRows, err)
-	}
-	return epoch, shards, storeRows, nil
+	return epoch, shards, nil
 }
 
 // FetchLeaderInfo asks a leader for the layout a replica must mirror.

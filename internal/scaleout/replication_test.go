@@ -76,9 +76,6 @@ func TestReplicaFullThenDeltaSync(t *testing.T) {
 	}
 	repl := NewReplica(replicaStore, srv.URL, srv.Client(), 10*time.Millisecond)
 
-	applies := 0
-	repl.OnApply = func() { applies++ }
-
 	// First sync is a full stream.
 	if err := repl.SyncOnce(context.Background()); err != nil {
 		t.Fatal(err)
@@ -90,11 +87,8 @@ func TestReplicaFullThenDeltaSync(t *testing.T) {
 		t.Fatal("full sync is not bitwise-faithful")
 	}
 	st := repl.Status()
-	if st.FullSyncs != 1 || st.AppliedEpoch == 0 || st.LagEpochs != 0 || st.LagRows != 0 {
+	if st.FullSyncs != 1 || st.AppliedEpoch == 0 || st.AppliedRows != 200 || st.Syncs != 1 {
 		t.Fatalf("status after full sync: %+v", st)
-	}
-	if applies != 1 {
-		t.Fatalf("OnApply ran %d times, want 1", applies)
 	}
 	if _, ok := repl.SnapshotAt(st.AppliedEpoch); !ok {
 		t.Fatalf("applied epoch %d not pinned in the ring", st.AppliedEpoch)
@@ -117,16 +111,18 @@ func TestReplicaFullThenDeltaSync(t *testing.T) {
 	if st.FullSyncs != 1 {
 		t.Fatalf("delta sync ran %d full syncs, want 1", st.FullSyncs)
 	}
+	if st.AppliedRows != 320 || st.Syncs != 2 {
+		t.Fatalf("status after delta sync: %+v", st)
+	}
 
 	// Nothing new: a no-op contact, no error, still current.
 	if err := repl.SyncOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if lag, synced := repl.Lag(); lag != 0 || !synced {
-		t.Fatalf("Lag() = (%d, %v) after no-op sync", lag, synced)
-	}
-	if applies != 2 {
-		t.Fatalf("OnApply ran %d times, want 2 (no-op syncs must not fire it)", applies)
+	// A no-op sync counts the contact and applies no rows.
+	noop := repl.Status()
+	if noop.Syncs != 3 || noop.AppliedRows != st.AppliedRows || noop.AppliedEpoch != st.AppliedEpoch {
+		t.Fatalf("status after no-op sync: %+v, before %+v", noop, st)
 	}
 }
 

@@ -18,9 +18,4 @@ const (
 	HeaderFromEpoch = "X-Indice-From-Epoch"
 	// HeaderShards is the leader's shard count; replicas mirror it.
 	HeaderShards = "X-Indice-Shards"
-	// HeaderRows is the number of rows carried by the body.
-	HeaderRows = "X-Indice-Rows"
-	// HeaderStoreRows is the leader's total row count at HeaderEpoch,
-	// which is what replica lag is measured against.
-	HeaderStoreRows = "X-Indice-Store-Rows"
 )

@@ -12,7 +12,8 @@ import (
 // exposition at /metrics.
 type healthResponse struct {
 	// Status is "ok", or "starting" for a live server before the first
-	// successful refresh publishes a state.
+	// successful refresh publishes a state and for a replica before its
+	// first sync.
 	Status        string  `json:"status"`
 	Mode          string  `json:"mode"` // live, leader, replica or coordinator
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -72,19 +73,27 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, resp)
 		return
 	}
-	switch {
-	case s.leader != nil:
-		resp.Mode = "leader"
-	case s.replica != nil:
+	resp.Rows = s.st.Rows()
+	if s.replica != nil {
+		// A replica runs no refreshes: it is up once it has synced, at
+		// its leader's epoch.
 		resp.Mode = "replica"
+		if epoch, _, ok := s.replica.Head(); ok {
+			resp.Epoch = epoch
+		} else {
+			resp.Status, resp.Published = "starting", false
+		}
+		resp.LastError = s.replica.Status().LastError
+		writeJSON(w, resp)
+		return
 	}
-	resp.Rows = s.live.Store().Rows()
+	if s.leader != nil {
+		resp.Mode = "leader"
+	}
 	resp.Refreshes = s.live.Refreshes()
 	resp.FullRefreshes = s.live.FullRefreshes()
 	resp.IncrementalRefreshes = s.live.IncrementalRefreshes()
-	if msg, _ := s.live.LastError(); msg != "" {
-		resp.LastError = msg
-	}
+	resp.LastError, _ = s.live.LastError()
 	if pub := s.live.Current(); pub != nil {
 		resp.Epoch = pub.Epoch
 	} else {

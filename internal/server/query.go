@@ -308,22 +308,21 @@ func (q *resolvedQuery) encodeAnswer(epoch uint64, storeRows int, res *store.Agg
 
 // handleQuery serves the stakeholder query engine: predicate selection
 // with filtered summaries, grouped statistics and row pages, computed on
-// the published snapshot and cached per (epoch, canonical query).
+// the head snapshot (see head) and cached per (epoch, canonical query).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q, err := resolveRequest(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	pub := s.published(w)
-	if pub == nil {
+	epoch, snap := s.head(w)
+	if snap == nil {
 		return
 	}
-	s.serveCached(w, r, queryLookups, pub.Epoch, q.cacheKey(), func(context.Context) (*answer, error) {
+	s.serveCached(w, r, queryLookups, epoch, q.cacheKey(), func(context.Context) (*answer, error) {
 		// One planner pass: group keys stay dictionary codes, values stay
 		// packed, and the only rows decoded are the page's — page is nil on
 		// limit=0 requests.
-		snap := pub.Snapshot
 		res, page, ps, err := snap.QueryShardsPage(q.pred, 0, snap.NumShards(), parallel.Auto,
 			store.AggSpec{By: q.req.By, Attrs: q.attrs}, q.req.Offset, q.req.Limit)
 		if err != nil {
@@ -333,7 +332,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if page != nil {
 			rows = func(dst []byte) []byte { return appendRows(dst, page) }
 		}
-		return q.encodeAnswer(pub.Epoch, snap.NumRows(), res, &ps, rows, nil)
+		return q.encodeAnswer(epoch, snap.NumRows(), res, &ps, rows, nil)
 	})
 }
 

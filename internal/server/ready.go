@@ -19,47 +19,40 @@ func writeJSONBody(w http.ResponseWriter, v any) {
 type readyResponse struct {
 	Ready bool   `json:"ready"`
 	Mode  string `json:"mode"`
-	// Reason explains a 503 (starting, lagging, no replicas).
-	Reason    string `json:"reason,omitempty"`
-	Epoch     uint64 `json:"epoch,omitempty"`
-	LagEpochs uint64 `json:"lag_epochs,omitempty"`
+	// Reason explains a 503 (starting, not synced, no replicas).
+	Reason string `json:"reason,omitempty"`
+	Epoch  uint64 `json:"epoch,omitempty"`
 }
 
 // handleReady answers 200 once the process can serve correct data: a
 // node once the first snapshot analysis is published (a frozen boot
-// publishes before it listens), replicas additionally only while within
-// ReadyMaxLag epochs of their leader, coordinators once at least one
-// reachable replica has synced.
+// publishes before it listens), a replica once its first sync has
+// applied, a coordinator once at least one reachable replica has synced.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	resp := readyResponse{Ready: true, Mode: "live"}
-	if s.coord != nil {
+	switch {
+	case s.coord != nil:
 		resp.Mode = "coordinator"
 		if err := s.coord.Ready(); err != nil {
 			resp.Ready, resp.Reason = false, err.Error()
 		} else if e, err := s.coord.Epoch(); err == nil {
 			resp.Epoch = e
 		}
-	} else {
+	case s.replica != nil:
+		resp.Mode = "replica"
+		if epoch, _, ok := s.replica.Head(); ok {
+			resp.Epoch = epoch
+		} else {
+			resp.Ready, resp.Reason = false, notSynced
+		}
+	default:
 		if s.leader != nil {
 			resp.Mode = "leader"
 		}
-		pub := s.live.Current()
-		if pub == nil {
-			resp.Ready, resp.Reason = false, "no analysis published yet"
-		} else {
+		if pub := s.live.Current(); pub != nil {
 			resp.Epoch = pub.Epoch
-		}
-		if s.replica != nil {
-			resp.Mode = "replica"
-			lag, synced := s.replica.Lag()
-			resp.LagEpochs = lag
-			switch {
-			case !synced:
-				resp.Ready, resp.Reason = false, "no sync from the leader yet"
-			case lag > s.readyMaxLag:
-				resp.Ready = false
-				resp.Reason = "replica lagging the leader"
-			}
+		} else {
+			resp.Ready, resp.Reason = false, "no analysis published yet"
 		}
 	}
 	if !resp.Ready {

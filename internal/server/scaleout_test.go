@@ -32,7 +32,6 @@ type testCluster struct {
 	leaderLive  *core.Live
 	leader      *httptest.Server
 	replicas    []*scaleout.Replica
-	replicaLive []*core.Live
 	replicaSrvs []*httptest.Server
 	coord       *scaleout.Coordinator
 	coordSrv    *httptest.Server
@@ -85,19 +84,14 @@ func newTestCluster(t *testing.T, nReplicas, certificates int) *testCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rlive, err := core.NewLive(rstore, city.Hierarchy, core.LiveConfig{MinRows: 100, Analysis: core.AnalysisConfig{KMax: 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
 		repl := scaleout.NewReplica(rstore, tc.leader.URL, tc.leader.Client(), 10*time.Millisecond)
-		rsrv, err := NewLiveCluster(rlive, ClusterConfig{Replica: repl})
+		rsrv, err := NewLiveCluster(nil, ClusterConfig{Replica: repl})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(rsrv)
 		t.Cleanup(ts.Close)
 		tc.replicas = append(tc.replicas, repl)
-		tc.replicaLive = append(tc.replicaLive, rlive)
 		tc.replicaSrvs = append(tc.replicaSrvs, ts)
 		urls = append(urls, ts.URL)
 	}
@@ -122,13 +116,8 @@ func newTestCluster(t *testing.T, nReplicas, certificates int) *testCluster {
 // view, so queries are deterministic.
 func (tc *testCluster) syncAll(t *testing.T) {
 	t.Helper()
-	for i, r := range tc.replicas {
+	for _, r := range tc.replicas {
 		if err := r.SyncOnce(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		// SyncOnce kicked an async refresh; publish synchronously so the
-		// replica's readiness is deterministic for the assertions.
-		if _, err := tc.replicaLive[i].Refresh(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -624,48 +613,164 @@ func TestCoordinatorRefusesMalformedLegs(t *testing.T) {
 	}
 }
 
-// TestReplicaLagGate covers the ReadyMaxLag branch: a replica that has
-// synced but trails the leader by more epochs than allowed answers 503.
-func TestReplicaLagGate(t *testing.T) {
+// TestReplicaReadyAfterFirstSync: a replica runs no analysis, so its
+// readiness is its first sync alone — 503 before it, 200 after, with no
+// refresh run anywhere on the replica.
+func TestReplicaReadyAfterFirstSync(t *testing.T) {
 	tc := newTestCluster(t, 1, 400)
-	tc.syncAll(t)
-
-	// Create lag: land more epochs at the leader, then let the replica
-	// contact the leader WITHOUT applying (simulated by a direct status
-	// read after manual appends — the real pull would apply, so instead
-	// assert through the handler with readyMaxLag on a fresh server).
-	repl := tc.replicas[0]
-	rsrvLagged, err := NewLiveCluster(mustLive(t), ClusterConfig{Replica: repl, ReadyMaxLag: 1000000})
-	if err != nil {
+	replica := tc.replicaSrvs[0].URL
+	if code, body := get(t, replica+"/api/ready"); code != http.StatusServiceUnavailable {
+		t.Fatalf("unsynced replica /api/ready = %d: %s", code, body)
+	}
+	if code, body := get(t, replica+"/api/query?attrs=eph"); code != http.StatusServiceUnavailable {
+		t.Fatalf("unsynced replica /api/query = %d: %s", code, body)
+	}
+	if err := tc.replicas[0].SyncOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(rsrvLagged)
-	defer ts.Close()
-	// Lag 0 <= huge ReadyMaxLag: ready... but this server's live loop
-	// never published, so the live gate must still hold it at 503.
-	if code, _ := get(t, ts.URL+"/api/ready"); code != http.StatusServiceUnavailable {
-		t.Fatal("unpublished live loop reported ready")
+	if code, body := get(t, replica+"/api/ready"); code != http.StatusOK {
+		t.Fatalf("synced replica /api/ready = %d: %s", code, body)
+	}
+	var health struct {
+		Status    string `json:"status"`
+		Rows      int    `json:"rows"`
+		Refreshes uint64 `json:"refreshes"`
+	}
+	_, body := get(t, replica+"/api/health")
+	if err := json.Unmarshal([]byte(body), &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Status != "ok" || health.Rows != tc.leaderStore.Rows() || health.Refreshes != 0 {
+		t.Fatalf("synced replica /api/health: %s", body)
+	}
+	var st struct {
+		Published *struct{} `json:"published"`
+		Refreshes uint64    `json:"refreshes"`
+	}
+	_, body = get(t, replica+"/api/store")
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Published != nil || st.Refreshes != 0 {
+		t.Fatalf("replica /api/store reports an analysis: %s", body)
 	}
 }
 
-// mustLive builds a minimal live loop over an empty store.
-func mustLive(t *testing.T) *core.Live {
-	t.Helper()
+// TestReplicaAnswersAtLeaderEpochs: a replica's /api/query, /api/ready
+// and /api/health speak the leader's epochs — the ones its status
+// reports and a coordinator pins — not its own store's snapshot count.
+func TestReplicaAnswersAtLeaderEpochs(t *testing.T) {
+	tc := newTestCluster(t, 1, 400)
 	ccfg := synth.DefaultCityConfig()
 	ccfg.Streets, ccfg.CivicsPerStreet = 5, 4
 	city, err := synth.GenerateCity(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.New(store.DefaultConfig())
-	if err != nil {
+	for batch := 0; batch < 3; batch++ {
+		gcfg := synth.DefaultConfig()
+		gcfg.Certificates, gcfg.Seed = 50, int64(100+batch)
+		ds, err := synth.Generate(gcfg, city)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tc.leaderStore.AppendTable(ds.Table); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tc.leaderLive.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tc.syncAll(t)
+	replica := tc.replicaSrvs[0].URL
+	var status scaleout.ReplicaStatus
+	_, body := get(t, replica+"/api/replicate/status")
+	if err := json.Unmarshal([]byte(body), &status); err != nil {
 		t.Fatal(err)
 	}
-	live, err := core.NewLive(st, city.Hierarchy, core.LiveConfig{MinRows: 100, Analysis: core.AnalysisConfig{KMax: 3}})
-	if err != nil {
-		t.Fatal(err)
+	if status.AppliedEpoch != tc.leaderStore.Epoch() || status.AppliedEpoch == tc.replicas[0].Store().Epoch() {
+		t.Fatalf("applied epoch %d, leader store %d, replica store %d: the test needs them apart",
+			status.AppliedEpoch, tc.leaderStore.Epoch(), tc.replicas[0].Store().Epoch())
 	}
-	return live
+	for _, path := range []string{"/api/query?attrs=eph", "/api/ready", "/api/health"} {
+		var resp struct {
+			Epoch uint64 `json:"epoch"`
+		}
+		_, body := get(t, replica+path)
+		if err := json.Unmarshal([]byte(body), &resp); err != nil {
+			t.Fatalf("%s: %v\n%s", path, err, body)
+		}
+		if resp.Epoch != status.AppliedEpoch {
+			t.Fatalf("%s epoch = %d, replica status applied_epoch = %d", path, resp.Epoch, status.AppliedEpoch)
+		}
+	}
+}
+
+// TestReplicaRouteContract pins what a replica serves: its store, its
+// sync state and the query engine locally; every analysis route and the
+// pipeline's controls as a 307 to the same path and query on the
+// leader; and never a write.
+func TestReplicaRouteContract(t *testing.T) {
+	tc := newTestCluster(t, 1, 400)
+	tc.syncAll(t)
+	replica := tc.replicaSrvs[0].URL
+	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	do := func(method, path string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, replica+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := noFollow.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	for _, path := range []string{
+		"/api/query?attrs=eph&by=energy_class", "/api/presets", "/api/store",
+		"/api/replicate/status", "/api/health", "/api/ready", "/metrics",
+	} {
+		if resp := do(http.MethodGet, path); resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200 served locally", path, resp.StatusCode)
+		}
+	}
+	for _, rt := range []struct{ method, path string }{
+		{http.MethodGet, "/"},
+		{http.MethodGet, "/dashboard/citizen"},
+		{http.MethodGet, "/map?level=district&attr=eph"},
+		{http.MethodGet, "/api/stats?attr=eph"},
+		{http.MethodGet, "/api/zones?level=district&attr=u_windows"},
+		{http.MethodGet, "/api/rules?k=3"},
+		{http.MethodGet, "/api/clusters"},
+		{http.MethodPost, "/api/refresh"},
+		{http.MethodPost, "/api/checkpoint"},
+	} {
+		resp := do(rt.method, rt.path)
+		if resp.StatusCode != http.StatusTemporaryRedirect || resp.Header.Get("Location") != tc.leader.URL+rt.path {
+			t.Errorf("%s %s = %d to %q, want 307 to %s", rt.method, rt.path,
+				resp.StatusCode, resp.Header.Get("Location"), tc.leader.URL+rt.path)
+		}
+	}
+	if resp := do(http.MethodPost, "/api/ingest"); resp.StatusCode != http.StatusForbidden {
+		t.Errorf("POST /api/ingest = %d, want 403", resp.StatusCode)
+	}
+}
+
+// TestReplicaAnalysisIsTheLeaders: through the redirect, a replica's
+// analysis routes answer the leader's one analysis, byte for byte.
+func TestReplicaAnalysisIsTheLeaders(t *testing.T) {
+	tc := newTestCluster(t, 1, 400)
+	tc.syncAll(t)
+	for _, path := range []string{"/api/rules?k=5", "/api/clusters", "/dashboard/citizen"} {
+		lcode, leader := get(t, tc.leader.URL+path)
+		rcode, replica := get(t, tc.replicaSrvs[0].URL+path)
+		if lcode != http.StatusOK || rcode != lcode || replica != leader {
+			t.Fatalf("%s: replica %d (%d bytes), leader %d (%d bytes)", path, rcode, len(replica), lcode, len(leader))
+		}
+	}
 }
 
 // TestPartialQueryValidation drives /api/query/partial directly through

@@ -11,8 +11,10 @@
 // typed CSV or encoded binary batches), POST /api/refresh re-runs the pipeline,
 // and GET /api/store reports the store shape. The paper's batch workflow
 // — one frozen dataset — is the same server over a store that was seeded
-// once and published once (cmd/indice-server without -ingest). All routes
-// enforce request methods and bounded bodies.
+// once and published once (cmd/indice-server without -ingest). A
+// replica's Server has no live loop: it serves queries from the store
+// its leader streams to it and redirects the analysis routes to the
+// leader. All routes enforce request methods and bounded bodies.
 package server
 
 import (
@@ -55,61 +57,54 @@ const (
 
 // Server serves the dashboards of a live ingestion loop. Scale-out roles
 // layer on top: a leader additionally serves the replication stream, a
-// replica additionally serves epoch-pinned partial queries (and rejects
-// ingest), and a coordinator serves scatter-gather queries with no local
-// data at all (see NewLiveCluster and NewCoordinator).
+// replica serves its replicated store and epoch-pinned partial queries
+// (and sends every analysis route to its leader), and a coordinator
+// serves scatter-gather queries with no local data at all (see
+// NewLiveCluster and NewCoordinator).
 type Server struct {
 	live    *core.Live
+	st      *store.Store
 	mux     *http.ServeMux
 	cache   *queryCache
 	flights flightGroup
 
-	leader      *scaleout.Leader
-	replica     *scaleout.Replica
-	coord       *scaleout.Coordinator
-	readyMaxLag uint64
+	leader  *scaleout.Leader
+	replica *scaleout.Replica
+	coord   *scaleout.Coordinator
 }
 
 // NewLive builds a Server over a live ingestion loop. Requests serve from
 // live.Current(); until the first successful refresh publishes a state,
 // data routes answer 503 while ingestion and store routes work.
 func NewLive(live *core.Live) (*Server, error) {
-	if live == nil {
-		return nil, fmt.Errorf("server: nil live loop")
-	}
-	s := &Server{live: live, cache: newQueryCache()}
-	s.routes()
-	return s, nil
+	return NewLiveCluster(live, ClusterConfig{})
 }
 
-// ClusterConfig attaches a scale-out role to a live server: a Leader
-// adds the replication stream endpoints, a Replica adds the epoch-pinned
-// partial-query endpoint (and makes ingest read-only). ReadyMaxLag is
-// the replica readiness gate: /api/ready answers 503 while the replica
-// trails its leader by more than this many epochs (default 0 — any lag
-// beyond the current sync is unready).
+// ClusterConfig attaches a scale-out role to a server: a Leader adds the
+// replication stream endpoints to a live server; a Replica makes the
+// server a replica's.
 type ClusterConfig struct {
-	Leader      *scaleout.Leader
-	Replica     *scaleout.Replica
-	ReadyMaxLag uint64
+	Leader  *scaleout.Leader
+	Replica *scaleout.Replica
 }
 
-// NewLiveCluster builds a live Server carrying a scale-out role. A
-// replica's apply hook is wired to the refresh loop so newly replicated
-// rows publish without waiting out the refresh interval.
+// NewLiveCluster builds a Server carrying a scale-out role. A replica runs
+// no analysis: it serves /api/query, its store and its sync state from
+// the replica's store and snapshot ring, answers every analysis route and
+// the pipeline's controls with a 307 to the same path on its leader, and
+// refuses ingest. Its server reads no live loop, so live may be nil.
 func NewLiveCluster(live *core.Live, cc ClusterConfig) (*Server, error) {
-	if live == nil {
-		return nil, fmt.Errorf("server: nil live loop")
-	}
 	if cc.Leader != nil && cc.Replica != nil {
 		return nil, fmt.Errorf("server: a process is a leader or a replica, not both")
 	}
-	s := &Server{
-		live: live, cache: newQueryCache(),
-		leader: cc.Leader, replica: cc.Replica, readyMaxLag: cc.ReadyMaxLag,
-	}
-	if s.replica != nil {
-		s.replica.OnApply = live.RefreshAsync
+	s := &Server{cache: newQueryCache(), leader: cc.Leader, replica: cc.Replica}
+	switch {
+	case cc.Replica != nil:
+		s.st = cc.Replica.Store()
+	case live == nil:
+		return nil, fmt.Errorf("server: nil live loop")
+	default:
+		s.live, s.st = live, live.Store()
 	}
 	s.routes()
 	return s, nil
@@ -129,19 +124,27 @@ func NewCoordinator(coord *scaleout.Coordinator) (*Server, error) {
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
-	s.handle("/", maxSmallBody, s.handleIndex, http.MethodGet)
-	s.handle("/dashboard/", maxSmallBody, s.handleDashboard, http.MethodGet)
-	s.handle("/map", maxSmallBody, s.handleMap, http.MethodGet)
-	s.handle("/api/stats", maxSmallBody, s.handleStats, http.MethodGet)
-	s.handle("/api/zones", maxSmallBody, s.handleZones, http.MethodGet)
-	s.handle("/api/rules", maxSmallBody, s.handleRules, http.MethodGet)
-	s.handle("/api/clusters", maxSmallBody, s.handleClusters, http.MethodGet)
+	// A replica holds rows, not an analysis: the routes that read the
+	// published analysis or drive the pipeline live on its leader.
+	leaderOnly := func(h http.HandlerFunc) http.HandlerFunc {
+		if s.replica != nil {
+			return s.redirectToLeader
+		}
+		return h
+	}
+	s.handle("/", maxSmallBody, leaderOnly(s.handleIndex), http.MethodGet)
+	s.handle("/dashboard/", maxSmallBody, leaderOnly(s.handleDashboard), http.MethodGet)
+	s.handle("/map", maxSmallBody, leaderOnly(s.handleMap), http.MethodGet)
+	s.handle("/api/stats", maxSmallBody, leaderOnly(s.handleStats), http.MethodGet)
+	s.handle("/api/zones", maxSmallBody, leaderOnly(s.handleZones), http.MethodGet)
+	s.handle("/api/rules", maxSmallBody, leaderOnly(s.handleRules), http.MethodGet)
+	s.handle("/api/clusters", maxSmallBody, leaderOnly(s.handleClusters), http.MethodGet)
 	s.handle("/api/query", maxSmallBody, s.handleQuery, http.MethodGet, http.MethodPost)
 	s.handle("/api/presets", maxSmallBody, s.handlePresets, http.MethodGet)
 	s.handle("/api/store", maxSmallBody, s.handleStore, http.MethodGet)
 	s.handle("/api/ingest", maxIngestBody, s.handleIngest, http.MethodPost)
-	s.handle("/api/refresh", maxSmallBody, s.handleRefresh, http.MethodPost)
-	s.handle("/api/checkpoint", maxSmallBody, s.handleCheckpoint, http.MethodPost)
+	s.handle("/api/refresh", maxSmallBody, leaderOnly(s.handleRefresh), http.MethodPost)
+	s.handle("/api/checkpoint", maxSmallBody, leaderOnly(s.handleCheckpoint), http.MethodPost)
 	s.handle("/api/health", maxSmallBody, s.handleHealth, http.MethodGet)
 	s.handle("/api/ready", maxSmallBody, s.handleReady, http.MethodGet)
 	s.handle("/metrics", maxSmallBody, obs.Handler(obs.Default), http.MethodGet)
@@ -154,6 +157,12 @@ func (s *Server) routes() {
 		s.handle("/api/replicate/status", maxSmallBody, s.handleReplicateStatus, http.MethodGet)
 		s.handle("/api/query/partial", maxSmallBody, s.handlePartialQuery, http.MethodPost)
 	}
+}
+
+// redirectToLeader answers a replica's analysis routes with a 307 to the
+// same path and query on its leader, which keeps the method and body.
+func (s *Server) redirectToLeader(w http.ResponseWriter, r *http.Request) {
+	http.Redirect(w, r, s.replica.LeaderURL()+r.URL.RequestURI(), http.StatusTemporaryRedirect)
 }
 
 // routesCoordinator registers the coordinator's reduced route set: it
@@ -219,6 +228,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // refresh.
 const notPublished = "no analysis published yet: ingest data and refresh"
 
+// notSynced is what a replica's /api/query answers before its first sync.
+const notSynced = "no sync from the leader yet"
+
 // published returns the state serving this request: the last published
 // engine, analysis and snapshot. Before the first publication it answers
 // the uniform 503 and returns nil; handlers bail out on nil.
@@ -228,6 +240,25 @@ func (s *Server) published(w http.ResponseWriter) *core.Published {
 		http.Error(w, notPublished, http.StatusServiceUnavailable)
 	}
 	return pub
+}
+
+// head returns the snapshot /api/query reads and the epoch it answers
+// at: a replica's newest synced snapshot at its leader epoch, which is
+// the epoch a coordinator pins, or a node's publication. Before either
+// exists it answers 503 and returns a nil snapshot.
+func (s *Server) head(w http.ResponseWriter) (uint64, *store.Snapshot) {
+	if s.replica != nil {
+		epoch, snap, ok := s.replica.Head()
+		if !ok {
+			http.Error(w, notSynced, http.StatusServiceUnavailable)
+		}
+		return epoch, snap
+	}
+	pub := s.published(w)
+	if pub == nil {
+		return 0, nil
+	}
+	return pub.Epoch, pub.Snapshot
 }
 
 // handleIndex lists the navigable views.
@@ -244,7 +275,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	} else {
 		fmt.Fprintf(&b, "<p>%s</p>", notPublished)
 	}
-	st := s.live.Store().Status()
+	st := s.st.Status()
 	fmt.Fprintf(&b, "<p>live store: %d rows over %d shards (epoch %d).</p>",
 		st.Rows, len(st.Shards), st.Epoch)
 	b.WriteString("<h2>Dashboards</h2><ul>")
@@ -552,7 +583,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "replica is read-only: ingest at the leader", http.StatusForbidden)
 		return
 	}
-	st := s.live.Store()
+	st := s.st
 	ct := r.Header.Get("Content-Type")
 	if mt, _, err := mime.ParseMediaType(ct); err == nil {
 		ct = mt
@@ -717,14 +748,8 @@ type publishedInfo struct {
 }
 
 func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
-	st := s.live.Store()
-	resp := storeResponse{
-		Status:               st.Status(),
-		Refreshing:           s.live.Refreshing(),
-		Refreshes:            s.live.Refreshes(),
-		FullRefreshes:        s.live.FullRefreshes(),
-		IncrementalRefreshes: s.live.IncrementalRefreshes(),
-	}
+	st := s.st
+	resp := storeResponse{Status: st.Status(), QueryCache: s.cache.stats()}
 	if attr := r.URL.Query().Get("attr"); attr != "" {
 		rs, ok := st.RunningStats(attr)
 		if !ok {
@@ -744,14 +769,19 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.LiveCounts = counts
 	}
-	if msg, _ := s.live.LastError(); msg != "" {
-		resp.LastError = msg
-	}
-	resp.LastIncrementalError = s.live.LastIncrementalError()
-	resp.QueryCache = s.cache.stats()
 	if ds := st.DurabilityStatus(); ds.Enabled {
 		resp.Durability = &ds
 	}
+	if s.live == nil { // a replica runs no refreshes
+		writeJSON(w, resp)
+		return
+	}
+	resp.Refreshing = s.live.Refreshing()
+	resp.Refreshes = s.live.Refreshes()
+	resp.FullRefreshes = s.live.FullRefreshes()
+	resp.IncrementalRefreshes = s.live.IncrementalRefreshes()
+	resp.LastError, _ = s.live.LastError()
+	resp.LastIncrementalError = s.live.LastIncrementalError()
 	if pub := s.live.Current(); pub != nil {
 		resp.Published = &publishedInfo{
 			Epoch:       pub.Epoch,
@@ -803,11 +833,11 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 // sealed and persisted, the manifest commits and the covered WAL files
 // are pruned. 409 for in-memory stores (no -data-dir).
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !s.live.Store().DurabilityStatus().Enabled {
+	if !s.st.DurabilityStatus().Enabled {
 		http.Error(w, "store has no data directory (start with -data-dir)", http.StatusConflict)
 		return
 	}
-	res, err := s.live.Store().Checkpoint()
+	res, err := s.st.Checkpoint()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
