@@ -727,7 +727,6 @@ func BenchmarkE10Query(b *testing.B) {
 		},
 		KeyAttr:    epc.AttrCertificateID,
 		IndexAttrs: []string{epc.AttrDistrict, epc.AttrEnergyClass},
-		StatsAttrs: []string{epc.AttrEPH},
 	}
 	st, err := store.New(cfg)
 	if err != nil {
@@ -1026,7 +1025,7 @@ func BenchmarkE14ObsOverhead(b *testing.B) {
 	reg := obs.NewRegistry()
 	ctr := reg.Counter("bench_counter_total", "bench")
 	gauge := reg.Gauge("bench_gauge", "bench")
-	hist := reg.Histogram("bench_seconds", "bench", obs.Nanos)
+	hist := reg.Histogram("bench_seconds", "bench")
 
 	b.Run("counter_inc", func(b *testing.B) {
 		b.ReportAllocs()
@@ -1165,7 +1164,6 @@ func e15Encoding(b *testing.B, seed *table.Table) {
 		Schema:     seed.Schema(),
 		KeyAttr:    epc.AttrCertificateID,
 		IndexAttrs: []string{epc.AttrDistrict, epc.AttrEnergyClass},
-		StatsAttrs: []string{epc.AttrEPH},
 	}
 	st, err := store.New(cfg)
 	if err != nil {
@@ -1293,7 +1291,6 @@ func e17AggPushdown(b *testing.B, seed *table.Table) {
 		Schema:     seed.Schema(),
 		KeyAttr:    epc.AttrCertificateID,
 		IndexAttrs: []string{epc.AttrDistrict, epc.AttrEnergyClass},
-		StatsAttrs: []string{epc.AttrEPH},
 	}
 	st, err := store.New(cfg)
 	if err != nil {
@@ -1474,11 +1471,11 @@ func BenchmarkE19RowPage(b *testing.B) {
 		b.Fatal(err)
 	}
 	snap := st.Snapshot()
-	eph, ok := snap.Stats(epc.AttrEPH)
-	if !ok {
-		b.Fatalf("%s is not statistics-tracked", epc.AttrEPH)
+	eph, err := snap.Totals(epc.AttrEPH)
+	if err != nil {
+		b.Fatal(err)
 	}
-	pred := query.NumRange{Attr: epc.AttrEPH, Min: 0, Max: eph.Mean}
+	pred := query.NumRange{Attr: epc.AttrEPH, Min: 0, Max: eph[0].Mean()}
 	spec := store.AggSpec{By: epc.AttrEnergyClass, Attrs: []string{epc.AttrEPH}}
 	first := seqInts(limit)
 

@@ -54,6 +54,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -71,6 +72,30 @@ import (
 	"indice/internal/synth"
 	"indice/internal/table"
 )
+
+// roleFlags lists the flags a replica and a coordinator read besides
+// -role, -addr and -pprof: neither builds a corpus, an analysis or a
+// store of its own configuration, so every other flag is ignored.
+var roleFlags = map[string][]string{
+	"replica":     {"leader", "sync-interval", "data-dir"},
+	"coordinator": {"replicas", "hedge-after", "replica-timeout"},
+}
+
+// unreadFlags returns the set flags a replica or a coordinator does not
+// read, flag-prefixed and in the order given; nil for any other role.
+func unreadFlags(role string, set []string) []string {
+	reads, ok := roleFlags[role]
+	if !ok {
+		return nil
+	}
+	var out []string
+	for _, name := range set {
+		if !slices.Contains(reads, name) && name != "role" && name != "addr" && name != "pprof" {
+			out = append(out, "-"+name)
+		}
+	}
+	return out
+}
 
 func main() {
 	var (
@@ -98,6 +123,11 @@ func main() {
 		replicaTimeout = flag.Duration("replica-timeout", 5*time.Second, "coordinator: per-replica request timeout")
 	)
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if unread := unreadFlags(*role, set); len(unread) > 0 {
+		fmt.Fprintf(os.Stderr, "-role %s ignores %s\n", *role, strings.Join(unread, " "))
+	}
 	workers := *par
 	if workers == 0 {
 		workers = parallel.Auto

@@ -12,7 +12,6 @@ import (
 	"indice/internal/geocode"
 	"indice/internal/matrix"
 	"indice/internal/obs"
-	"indice/internal/stats"
 	"indice/internal/store"
 	"indice/internal/table"
 )
@@ -59,10 +58,29 @@ type lineage struct {
 	screen, served, dropped *table.Table
 	droppedAt               []int // ascending
 	mat                     *matrix.Appendable
-	rowIdx                  []int                    // mat row -> pre-drop row
-	refStats                map[string]stats.Running // drift baseline, at last full sweep
-	centroids               []float64                // flat K×dim, raw attribute space
+	rowIdx                  []int              // mat row -> pre-drop row
+	refStats                map[string]moments // drift baseline, at last full sweep
+	centroids               []float64          // flat K×dim, raw attribute space
 	chosenK, sinceFull      int
+}
+
+// moments are a column's exact mean and standard deviation.
+type moments struct{ mean, sd float64 }
+
+// snapMoments reads the moments of the named columns off the snapshot's
+// exact totals, keeping the columns that hold a value.
+func snapMoments(snap *store.Snapshot, attrs []string) (map[string]moments, error) {
+	tot, err := snap.Totals(attrs...)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]moments, len(attrs))
+	for k, a := range attrs {
+		if tot[k].Count() > 0 {
+			out[a] = moments{tot[k].Mean(), tot[k].StdDev()}
+		}
+	}
+	return out, nil
 }
 
 // lineageColumns are the columns the incremental path reads of every
@@ -142,33 +160,37 @@ func (g *gather) table(schema []table.Field) (*table.Table, error) {
 // driftSince measures how far the store's distribution moved from the
 // remembered baseline: the worst per-attribute score over mean shift (in
 // baseline standard deviations) and spread change (absolute log ratio of
-// standard deviations). The second return value is false when no tracked
-// attribute overlaps the baseline — drift is then unmeasurable and the
-// caller must fall back to the full pipeline.
-func driftSince(ref map[string]stats.Running, snap *store.Snapshot, attrs []string) (float64, bool) {
+// standard deviations). The second return value is false when no
+// attribute holds a value both now and in the baseline — drift is then
+// unmeasurable and the caller must fall back to the full pipeline.
+func driftSince(ref map[string]moments, snap *store.Snapshot, attrs []string) (float64, bool) {
+	now, err := snapMoments(snap, attrs)
+	if err != nil {
+		return 0, false
+	}
 	worst := 0.0
 	found := false
 	for _, a := range attrs {
-		cur, ok := snap.Stats(a)
-		if !ok || cur.Count == 0 {
+		cur, ok := now[a]
+		if !ok {
 			continue
 		}
 		old, ok := ref[a]
-		if !ok || old.Count == 0 {
+		if !ok {
 			continue
 		}
 		found = true
-		sd := old.StdDev()
+		sd := old.sd
 		if sd > 0 {
-			if d := math.Abs(cur.Mean-old.Mean) / sd; d > worst {
+			if d := math.Abs(cur.mean-old.mean) / sd; d > worst {
 				worst = d
 			}
-			if nsd := cur.StdDev(); nsd > 0 {
+			if nsd := cur.sd; nsd > 0 {
 				if d := math.Abs(math.Log(nsd / sd)); d > worst {
 					worst = d
 				}
 			}
-		} else if cur.Mean != old.Mean || cur.StdDev() > 0 {
+		} else if cur.mean != old.mean || cur.sd > 0 {
 			// A constant baseline that stopped being constant is infinite
 			// drift by this metric.
 			worst = math.Inf(1)
@@ -498,11 +520,9 @@ func (l *Live) rebuildLineage(snap *store.Snapshot, served *table.Table, lin *li
 	if err != nil {
 		return
 	}
-	refStats := map[string]stats.Running{}
-	for _, a := range l.cfg.Analysis.columns() {
-		if r, ok := snap.Stats(a); ok && r.Count > 0 {
-			refStats[a] = r
-		}
+	refStats, err := snapMoments(snap, l.cfg.Analysis.columns())
+	if err != nil {
+		return
 	}
 	lin.epoch, lin.served, lin.mat, lin.rowIdx = snap.Epoch(), served, mat, rowIdx
 	lin.refStats, lin.centroids, lin.chosenK = refStats, an.rawCentroids(), an.ChosenK

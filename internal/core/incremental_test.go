@@ -1,17 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"indice/internal/epc"
 	"indice/internal/geo"
+	"indice/internal/obs"
 	"indice/internal/query"
 	"indice/internal/store"
 	"indice/internal/table"
@@ -337,16 +340,21 @@ func TestIncrementalDriftGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same distribution: negligible drift, fast path.
+	// Same distribution: negligible drift, fast path. The drift read is
+	// no query: it moves none of the indice_query_* families.
 	if _, err := st.AppendTable(incrBatch(t, 1200, 1260, 0, 6)); err != nil {
 		t.Fatal(err)
 	}
+	before := queryFamilies(t)
 	pub, err := live.Refresh()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pub.Incremental {
 		t.Fatal("same-distribution delta did not take the fast path")
+	}
+	if after := queryFamilies(t); after != before {
+		t.Fatalf("an incremental refresh moved the query metrics:\n%s\nthen\n%s", before, after)
 	}
 	if pub.Drift > threshold {
 		t.Fatalf("measured drift %v above threshold on same-distribution delta", pub.Drift)
@@ -390,6 +398,23 @@ func TestIncrementalDriftGate(t *testing.T) {
 	if pubBig.Drift <= 0 {
 		t.Fatalf("shifted delta measured drift %v, want > 0", pubBig.Drift)
 	}
+}
+
+// queryFamilies returns the indice_query_* samples of the process
+// registry.
+func queryFamilies(t *testing.T) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "indice_query_") {
+			out = append(out, line)
+		}
+	}
+	return strings.Join(out, "\n")
 }
 
 // TestIncrementalFullEveryFallback pins the unconditional re-sweep: with

@@ -10,8 +10,8 @@ var (
 	mRefreshFull        = obs.Default.Counter("indice_refresh_total", "Successful refreshes by pipeline mode.", "mode", "full")
 	mRefreshInc         = obs.Default.Counter("indice_refresh_total", "Successful refreshes by pipeline mode.", "mode", "incremental")
 	mRefreshErrors      = obs.Default.Counter("indice_refresh_errors_total", "Refresh attempts that failed (the previous publication keeps serving).")
-	mRefreshFullSecs    = obs.Default.Histogram("indice_refresh_seconds", "End-to-end refresh latency by pipeline mode.", obs.Nanos, "mode", "full")
-	mRefreshIncSecs     = obs.Default.Histogram("indice_refresh_seconds", "End-to-end refresh latency by pipeline mode.", obs.Nanos, "mode", "incremental")
+	mRefreshFullSecs    = obs.Default.Histogram("indice_refresh_seconds", "End-to-end refresh latency by pipeline mode.", "mode", "full")
+	mRefreshIncSecs     = obs.Default.Histogram("indice_refresh_seconds", "End-to-end refresh latency by pipeline mode.", "mode", "incremental")
 	mRefreshDrift       = obs.Default.Gauge("indice_refresh_drift", "Last measured distribution drift versus the full-sweep baseline.")
 	mRefreshDeltaRows   = obs.Default.Gauge("indice_refresh_delta_rows", "Newly materialized rows of the last incremental refresh.")
 	mLineageBytes       = obs.Default.Gauge("indice_refresh_lineage_bytes", "Estimated bytes the incremental lineage holds beside the serving table (screened and clustered columns of every pre-drop row, dropped rows), as of the last publication.")

@@ -160,7 +160,7 @@ func TestConcurrentMutation(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
 	g := r.Gauge("g", "")
-	h := r.Histogram("h_seconds", "", Nanos)
+	h := r.Histogram("h_seconds", "")
 
 	const workers = 8
 	const per = 5000
@@ -199,7 +199,7 @@ func TestConcurrentMutation(t *testing.T) {
 
 func TestDisabledHistogramSkipsObservation(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h_seconds", "", Nanos)
+	h := r.Histogram("h_seconds", "")
 	r.SetEnabled(false)
 	h.Observe(42)
 	if s := h.Load(); s.Count != 0 {

@@ -20,13 +20,9 @@ import (
 	"time"
 )
 
-// Unit multipliers for histogram exposition. A histogram observes raw
-// uint64 values; the unit scales bucket bounds and sums when rendering so
-// that a histogram fed nanoseconds can expose seconds.
-const (
-	Nanos = 1e-9 // observe time.Duration nanoseconds, expose seconds
-	Ones  = 1.0  // observe plain counts, expose as-is
-)
+// Nanos scales what a histogram observes, time.Duration nanoseconds, to
+// the seconds its exposition carries.
+const Nanos = 1e-9
 
 // Counter is a monotonically increasing lock-free counter.
 type Counter struct {
@@ -99,7 +95,6 @@ type family struct {
 	name string
 	help string
 	kind metricKind
-	unit float64 // histogram exposition multiplier
 
 	mu     sync.Mutex
 	series map[string]*metric // keyed by rendered label signature
@@ -144,27 +139,27 @@ func (r *Registry) slowLogger() *log.Logger {
 // Counter returns the counter for name and the given label pairs, creating
 // family and series on first use. kv is alternating key, value.
 func (r *Registry) Counter(name, help string, kv ...string) *Counter {
-	m := r.series(name, help, kindCounter, Ones, kv)
+	m := r.series(name, help, kindCounter, kv)
 	return m.c
 }
 
 // Gauge returns the gauge for name and the given label pairs.
 func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	m := r.series(name, help, kindGauge, Ones, kv)
+	m := r.series(name, help, kindGauge, kv)
 	return m.g
 }
 
-// Histogram returns the histogram for name and the given label pairs. unit
-// scales bucket bounds and sums at exposition time (pass Nanos for
-// histograms observing time.Duration values under a *_seconds name).
-func (r *Registry) Histogram(name, help string, unit float64, kv ...string) *Histogram {
-	m := r.series(name, help, kindHistogram, unit, kv)
+// Histogram returns the histogram for name and the given label pairs. It
+// observes time.Duration nanoseconds and exposes seconds, under a
+// *_seconds name.
+func (r *Registry) Histogram(name, help string, kv ...string) *Histogram {
+	m := r.series(name, help, kindHistogram, kv)
 	m.h.reg = r
 	return m.h
 }
 
 // series is the get-or-create path shared by all metric kinds.
-func (r *Registry) series(name, help string, kind metricKind, unit float64, kv []string) *metric {
+func (r *Registry) series(name, help string, kind metricKind, kv []string) *metric {
 	if len(kv)%2 != 0 {
 		panic(fmt.Sprintf("obs: odd label list for %s: %q", name, kv))
 	}
@@ -178,7 +173,7 @@ func (r *Registry) series(name, help string, kind metricKind, unit float64, kv [
 		r.mu.Lock()
 		f = r.families[name]
 		if f == nil {
-			f = &family{name: name, help: help, kind: kind, unit: unit, series: make(map[string]*metric)}
+			f = &family{name: name, help: help, kind: kind, series: make(map[string]*metric)}
 			r.families[name] = f
 		}
 		r.mu.Unlock()

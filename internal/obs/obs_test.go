@@ -40,12 +40,13 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 }
 
 // TestWritePrometheusGolden pins the exact exposition output for a small
-// registry: sorted families, sorted label signatures, cumulative buckets.
+// registry: sorted families, sorted label signatures, cumulative buckets,
+// nanosecond observations exposed as seconds.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_requests_total", "Total requests.", "route", "/api", "class", "2xx").Add(3)
 	r.Gauge("test_in_flight", "In-flight requests.").Set(2)
-	h := r.Histogram("test_latency_seconds", "Latency.", Ones)
+	h := r.Histogram("test_latency_seconds", "Latency.")
 	for _, v := range []uint64{1, 2, 2, 7} {
 		h.Observe(v)
 	}
@@ -59,11 +60,11 @@ func TestWritePrometheusGolden(t *testing.T) {
 test_in_flight 2
 # HELP test_latency_seconds Latency.
 # TYPE test_latency_seconds histogram
-test_latency_seconds_bucket{le="1"} 1
-test_latency_seconds_bucket{le="2"} 3
-test_latency_seconds_bucket{le="7"} 4
+test_latency_seconds_bucket{le="1e-09"} 1
+test_latency_seconds_bucket{le="2e-09"} 3
+test_latency_seconds_bucket{le="7.000000000000001e-09"} 4
 test_latency_seconds_bucket{le="+Inf"} 4
-test_latency_seconds_sum 12
+test_latency_seconds_sum 1.2000000000000002e-08
 test_latency_seconds_count 4
 # HELP test_requests_total Total requests.
 # TYPE test_requests_total counter
@@ -111,7 +112,7 @@ func TestSpanRecordsStageHistogram(t *testing.T) {
 	parent.End()
 
 	for _, stage := range []string{"refresh", "refresh.kmeans"} {
-		h := r.Histogram("indice_stage_seconds", "", Nanos, "stage", stage)
+		h := r.Histogram("indice_stage_seconds", "", "stage", stage)
 		if s := h.Load(); s.Count != 1 {
 			t.Errorf("stage %q recorded %d observations, want 1", stage, s.Count)
 		}

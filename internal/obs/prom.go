@@ -67,11 +67,11 @@ func writeHistogram(w io.Writer, f *family, sig string, s HistSnapshot) {
 		}
 		cum += n
 		_, hi := bucketBounds(i)
-		le := formatFloat(float64(hi) * f.unit)
+		le := formatFloat(float64(hi) * Nanos)
 		writeSample(w, f.name, "_bucket", joinLabels(sig, `le="`+le+`"`), formatUint(cum))
 	}
 	writeSample(w, f.name, "_bucket", joinLabels(sig, `le="+Inf"`), formatUint(s.Count))
-	writeSample(w, f.name, "_sum", sig, formatFloat(float64(s.Sum)*f.unit))
+	writeSample(w, f.name, "_sum", sig, formatFloat(float64(s.Sum)*Nanos))
 	writeSample(w, f.name, "_count", sig, formatUint(s.Count))
 }
 

@@ -48,7 +48,7 @@ func (s *Span) End() {
 	d := time.Since(s.start)
 	s.reg.Histogram("indice_stage_seconds",
 		"Duration of instrumented internal stages, labelled by dotted stage name.",
-		Nanos, "stage", s.name).ObserveDuration(d)
+		"stage", s.name).ObserveDuration(d)
 	if th := time.Duration(s.reg.slowNanos.Load()); th > 0 && d >= th {
 		s.reg.slowLogger().Printf("slow-op stage=%s took=%s threshold=%s", s.name, d, th)
 	}

@@ -13,12 +13,12 @@ import (
 
 // TestEdgeConventionsAgree pins, once and for every summary the system
 // renders, what the edges mean: the exact batch summary (stats.Describe),
-// the streaming one (stats.Running), the pushdown accumulator
-// (table.AggAccum), the quantile sketch (stats.Sketch) and the row-wise
-// oracle (BuildPartial) must read one column the same way.
+// the pushdown accumulator (table.AggAccum), the quantile sketch
+// (stats.Sketch) and the row-wise oracle (BuildPartial) must read one
+// column the same way.
 //
-//   - NULL, NaN and ±Inf cells are missing: they count nowhere. Running
-//     and Sketch drop NaN themselves; dropping ±Inf is their feeder's job
+//   - NULL, NaN and ±Inf cells are missing: they count nowhere. Sketch
+//     drops NaN itself; dropping ±Inf is its feeder's job
 //     (AggAccum.Observe, BuildPartial, stats.Clean all do it).
 //   - Nothing to summarize is count 0 and zeros everywhere a number is
 //     rendered (JSON cannot carry NaN); Describe says so with ErrEmpty.
@@ -77,11 +77,9 @@ func TestEdgeConventionsAgree(t *testing.T) {
 			sort.Float64s(finite)
 
 			desc, descErr := stats.Describe(cells)
-			var run stats.Running
 			sk := &stats.Sketch{}
 			for _, v := range cells {
-				if !math.IsInf(v, 0) { // NaN goes in: both must drop it themselves
-					run.Add(v)
+				if !math.IsInf(v, 0) { // NaN goes in: the sketch must drop it itself
 					sk.Add(v)
 				}
 			}
@@ -97,7 +95,7 @@ func TestEdgeConventionsAgree(t *testing.T) {
 
 			n := len(finite)
 			for who, got := range map[string]int{
-				"Describe": desc.Count, "Running": run.Count, "Sketch": sk.Count(),
+				"Describe": desc.Count, "Sketch": sk.Count(),
 				"AggAccum": acc.Count(), "BuildPartial": oracle.Count(),
 			} {
 				if got != n {
@@ -111,9 +109,6 @@ func TestEdgeConventionsAgree(t *testing.T) {
 			if n == 0 {
 				if !errors.Is(descErr, stats.ErrEmpty) || desc != (stats.Description{}) {
 					t.Errorf("Describe of nothing = %+v, %v; want the zero value and ErrEmpty", desc, descErr)
-				}
-				if run != (stats.Running{}) || run.StdDev() != 0 {
-					t.Errorf("Running over nothing = %+v", run)
 				}
 				if acc.Mean() != 0 || acc.Sum() != 0 || acc.StdDev() != 0 {
 					t.Errorf("AggAccum over nothing = %+v", acc)
@@ -131,7 +126,7 @@ func TestEdgeConventionsAgree(t *testing.T) {
 
 			// Extremes: the same bits everywhere.
 			for who, got := range map[string][2]float64{
-				"Running": {run.Min, run.Max}, "Sketch": {sk.Min, sk.Max},
+				"Sketch":       {sk.Min, sk.Max},
 				"Sketch q=0,1": {sk.Quantile(0), sk.Quantile(1)}, "AggAccum": {acc.S.Min, acc.S.Max},
 			} {
 				if math.Float64bits(got[0]) != math.Float64bits(desc.Min) && !(got[0] == 0 && desc.Min == 0) ||
@@ -143,16 +138,12 @@ func TestEdgeConventionsAgree(t *testing.T) {
 			near := func(a, b float64) bool {
 				return a == b || math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 			}
-			for who, got := range map[string][2]float64{
-				"Running": {run.Mean, run.StdDev()}, "AggAccum": {acc.Mean(), acc.StdDev()},
-			} {
-				if !near(got[0], desc.Mean) || !near(got[1], desc.StdDev) {
-					t.Errorf("%s mean %v sd %v, Describe's %v and %v", who, got[0], got[1], desc.Mean, desc.StdDev)
-				}
+			if !near(acc.Mean(), desc.Mean) || !near(acc.StdDev(), desc.StdDev) {
+				t.Errorf("AggAccum mean %v sd %v, Describe's %v and %v", acc.Mean(), acc.StdDev(), desc.Mean, desc.StdDev)
 			}
 			if n == 1 {
-				if desc.StdDev != 0 || run.StdDev() != 0 || acc.StdDev() != 0 {
-					t.Errorf("single-element sd: Describe %v, Running %v, AggAccum %v; want 0", desc.StdDev, run.StdDev(), acc.StdDev())
+				if desc.StdDev != 0 || acc.StdDev() != 0 {
+					t.Errorf("single-element sd: Describe %v, AggAccum %v; want 0", desc.StdDev, acc.StdDev())
 				}
 				for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
 					exact, _ := stats.Quantile(cells, q)
@@ -188,13 +179,6 @@ func TestEdgeConventionsAgree(t *testing.T) {
 			}
 
 			// An empty side merges to the other side, whichever side it is.
-			merged := run
-			merged.Merge(stats.Running{})
-			var into stats.Running
-			into.Merge(run)
-			if merged != run || into != run {
-				t.Errorf("Running merged with empty: %+v and %+v, want %+v", merged, into, run)
-			}
 			skInto := &stats.Sketch{}
 			skInto.Merge(sk)
 			skInto.Merge(&stats.Sketch{})

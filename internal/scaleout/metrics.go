@@ -14,7 +14,7 @@ var (
 	mReplSyncNoop  = obs.Default.Counter("indice_repl_syncs_total", "Replication syncs completed, by kind.", "kind", "noop")
 	mReplSyncErrs  = obs.Default.Counter("indice_repl_sync_errors_total", "Replication sync attempts that failed (network, protocol, or apply errors).")
 	mReplRows      = obs.Default.Counter("indice_repl_applied_rows_total", "Rows applied from the leader (full streams plus deltas).")
-	mReplSyncSecs  = obs.Default.Histogram("indice_repl_sync_seconds", "One replication sync: fetch, frame decode, and atomic apply.", obs.Nanos)
+	mReplSyncSecs  = obs.Default.Histogram("indice_repl_sync_seconds", "One replication sync: fetch, frame decode, and atomic apply.")
 
 	// Leader replication endpoints.
 	mLeadSegments = obs.Default.Counter("indice_repl_serve_total", "Replication requests served, by kind.", "kind", "segments")
@@ -28,5 +28,5 @@ var (
 	mCoordDown     = obs.Default.Counter("indice_coord_replica_down_total", "Partition legs that failed and were retried on another replica.")
 	mCoordDegraded = obs.Default.Counter("indice_coord_degraded_total", "Queries answered despite at least one replica leg failing.")
 	mCoordStale    = obs.Default.Counter("indice_coord_stale_epoch_picks_total", "Epoch picks that fell back to last-known replica statuses because no status poll was currently succeeding.")
-	mCoordMergeSec = obs.Default.Histogram("indice_coord_query_seconds", "Coordinator query wall time: epoch choice, fan-out, and merge.", obs.Nanos)
+	mCoordMergeSec = obs.Default.Histogram("indice_coord_query_seconds", "Coordinator query wall time: epoch choice, fan-out, and merge.")
 )

@@ -23,7 +23,6 @@ func replConfig() store.Config {
 		Schema:      wireSchema,
 		KeyAttr:     "id",
 		IndexAttrs:  []string{"class"},
-		StatsAttrs:  []string{"v"},
 	}
 }
 

@@ -552,6 +552,125 @@ func TestStoreReportsIncrementalRefreshStats(t *testing.T) {
 	}
 }
 
+// TestLiveStatsAreOneValueAtAnyLayout: /api/store?attr= reports the
+// exact aggregate /api/query renders. The same synthetic rows in a
+// 3-shard store, a 4-shard store and a durable store reopened from its
+// checkpoint and WAL read one count, one range, one mean and one standard
+// deviation, bit for bit, on both routes.
+func TestLiveStatsAreOneValueAtAnyLayout(t *testing.T) {
+	ccfg := synth.DefaultCityConfig()
+	ccfg.Streets, ccfg.CivicsPerStreet = 40, 10
+	city, err := synth.GenerateCity(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcfg := synth.DefaultConfig()
+	gcfg.Certificates = 5000
+	ds, err := synth.Generate(gcfg, city)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ds.Table.NumRows()
+	head, err := ds.Table.Slice(0, n/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, err := ds.Table.Slice(n/2, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll := func(st *store.Store, parts ...*table.Table) {
+		for _, part := range parts {
+			if _, err := st.AppendTable(part); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	inMemory := func(shards int) *store.Store {
+		scfg := store.DefaultConfig()
+		scfg.Shards = shards
+		st, err := store.New(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(st, head, rest)
+		return st
+	}
+	dur := store.Durability{Dir: t.TempDir()}
+	first, err := store.Open(store.DefaultConfig(), dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(first, head)
+	if _, err := first.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(first, rest)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := store.Open(store.DefaultConfig(), dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reopened.Close() })
+	if rec := reopened.RecoveryInfo(); rec.CheckpointRows == 0 || rec.ReplayedRows == 0 {
+		t.Fatalf("the reopened store recovered %+v; want checkpointed and replayed rows", rec)
+	}
+
+	var want *attrStats
+	for _, node := range []struct {
+		name string
+		st   *store.Store
+	}{{"3 shards", inMemory(3)}, {"4 shards", inMemory(4)}, {"durable, reopened", reopened}} {
+		acfg := core.DefaultAnalysisConfig()
+		acfg.KMax = 3
+		live, err := core.NewLive(node.st, city.Hierarchy, core.LiveConfig{Analysis: acfg, MinRows: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewLive(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve := func(method, target string) []byte {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %s %s = %d: %s", node.name, method, target, rec.Code, rec.Body)
+			}
+			return rec.Body.Bytes()
+		}
+		serve(http.MethodPost, "/api/refresh")
+		var storeBody struct {
+			LiveStats attrStats `json:"live_stats"`
+		}
+		var queryBody struct {
+			Stats []attrStats `json:"stats"`
+		}
+		if err := json.Unmarshal(serve(http.MethodGet, "/api/store?attr="+epc.AttrEPH), &storeBody); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(serve(http.MethodGet, "/api/query?attrs="+epc.AttrEPH), &queryBody); err != nil {
+			t.Fatal(err)
+		}
+		got := storeBody.LiveStats
+		if len(queryBody.Stats) != 1 || got != queryBody.Stats[0] {
+			t.Fatalf("%s: live_stats %+v, /api/query stats %+v", node.name, got, queryBody.Stats)
+		}
+		if got.Count != n {
+			t.Fatalf("%s: live_stats count %d of %d rows", node.name, got.Count, n)
+		}
+		if want == nil {
+			want = &got
+			continue
+		}
+		if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) || math.Float64bits(got.StdDev) != math.Float64bits(want.StdDev) || got != *want {
+			t.Fatalf("%s: live_stats %+v, 3 shards read %+v", node.name, got, *want)
+		}
+	}
+}
+
 // TestNonFiniteCellsAreStoredMissing: a ±Inf cell acked through any
 // ingest road — typed CSV, a JSON "Inf" string, a raw column of a binary
 // batch — is stored as a missing cell, so the refreshes after it still
@@ -606,8 +725,8 @@ func TestNonFiniteCellsAreStoredMissing(t *testing.T) {
 			if err := json.Unmarshal([]byte(out), &res); code != http.StatusOK || err != nil || res.Accepted != 1 {
 				t.Fatalf("ingest of the Inf row = %d: %s", code, out)
 			}
-			if rs, _ := live.Store().RunningStats(epc.AttrAspectRatio); math.IsInf(rs.Max, 0) || rs.Count != 300 {
-				t.Fatalf("the store holds %d aspect ratios up to %v; want the Inf cell missing", rs.Count, rs.Max)
+			if tot, err := live.Store().Totals(epc.AttrAspectRatio); err != nil || math.IsInf(tot[0].S.Max, 0) || tot[0].Count() != 300 {
+				t.Fatalf("the store holds aspect ratios %+v (%v); want the Inf cell missing", tot, err)
 			}
 			for i := 0; i < 2; i++ {
 				if code, out := post(t, ts.URL+"/api/refresh", "", nil); code != http.StatusOK {

@@ -58,7 +58,7 @@ func metricsForRoute(pattern string) *routeMetrics {
 	rm := &routeMetrics{
 		seconds: obs.Default.Histogram("indice_http_request_seconds",
 			"End-to-end request latency by route, measured around the whole middleware chain.",
-			obs.Nanos, "route", pattern),
+			"route", pattern),
 	}
 	for i, class := range statusClasses {
 		rm.classes[i] = obs.Default.Counter("indice_http_requests_total",

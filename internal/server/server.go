@@ -694,10 +694,11 @@ type storeResponse struct {
 	// LastIncrementalError reports an unexpected fast-path failure whose
 	// refresh still completed via the full pipeline.
 	LastIncrementalError string `json:"last_incremental_error,omitempty"`
-	// LiveStats (?attr=) and LiveCounts (?by=) read the store's
-	// incrementally maintained summaries: the up-to-the-last-append view,
-	// ahead of the published analysis the other APIs serve.
-	LiveStats  *liveStatsInfo `json:"live_stats,omitempty"`
+	// LiveStats (?attr=) and LiveCounts (?by=) read the store as it
+	// stands: the up-to-the-last-append view, ahead of the published
+	// analysis the other APIs serve. LiveStats is the exact aggregate
+	// /api/query renders, over every row the store holds.
+	LiveStats  *attrStats     `json:"live_stats,omitempty"`
 	LiveCounts map[string]int `json:"live_counts,omitempty"`
 	QueryCache *cacheInfo     `json:"query_cache,omitempty"`
 	// Durability reports the persistence layer (WAL position, checkpoint
@@ -715,15 +716,6 @@ type cacheInfo struct {
 	Main      int    `json:"main"`
 	Probation int    `json:"probation"`
 	Ghosts    int    `json:"ghosts"`
-}
-
-type liveStatsInfo struct {
-	Attr   string  `json:"attr"`
-	Count  int     `json:"count"`
-	Mean   float64 `json:"mean"`
-	StdDev float64 `json:"stddev"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
 }
 
 type publishedInfo struct {
@@ -751,15 +743,12 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 	st := s.st
 	resp := storeResponse{Status: st.Status(), QueryCache: s.cache.stats()}
 	if attr := r.URL.Query().Get("attr"); attr != "" {
-		rs, ok := st.RunningStats(attr)
-		if !ok {
-			http.Error(w, fmt.Sprintf("attribute %q has no tracked statistics", attr), http.StatusBadRequest)
+		totals, err := st.Totals(attr)
+		if err != nil {
+			http.Error(w, err.Error(), queryErrStatus(err))
 			return
 		}
-		resp.LiveStats = &liveStatsInfo{
-			Attr: attr, Count: rs.Count, Mean: rs.Mean, StdDev: rs.StdDev(),
-			Min: rs.Min, Max: rs.Max,
-		}
+		resp.LiveStats = &statsFromAccums([]string{attr}, totals)[0]
 	}
 	if by := r.URL.Query().Get("by"); by != "" {
 		counts, ok := st.CountBy(by)

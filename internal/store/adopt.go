@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"indice/internal/bitmap"
-	"indice/internal/stats"
 	"indice/internal/table"
 )
 
@@ -19,7 +18,7 @@ type AdoptPart struct {
 	Enc   *table.Encoded
 }
 
-// Reset discards every row, index posting and summary statistic while
+// Reset discards every row, index posting and column range while
 // keeping the schema and shard layout, so a replica whose delta baseline
 // aged out of the leader's history can rebuild from a full segment
 // stream. The epoch counter keeps rising (snapshots taken before the
@@ -46,9 +45,7 @@ func (s *Store) Reset() error {
 		for a := range sh.index {
 			sh.index[a] = make(map[string]*bitmap.Bitmap)
 		}
-		for a := range sh.stats {
-			sh.stats[a] = &stats.Running{}
-		}
+		clear(sh.ranges)
 		sh.mu.Unlock()
 	}
 	s.history = nil

@@ -244,7 +244,7 @@ func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRa
 				g.AddRows(sg.numRows())
 				continue
 			}
-			part, hit, err := sn.aggPartial(sg, spec)
+			part, hit, err := sn.aggPartial(sg, spec, true)
 			if err != nil {
 				return aggShardResult{err: err}
 			}
@@ -284,14 +284,61 @@ func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRa
 // dashboard shapes per segment, never an unbounded working set.
 const maxAggPartials = 8
 
+// Totals returns the exact aggregate of each named numeric column over
+// every row of the snapshot — QueryAgg's totals with no predicate —
+// folded from the segments' partials of this one spec, without counting
+// as a query. A reader that names the same columns at every refresh (the
+// drift gate) takes one partial-cache slot per segment.
+func (sn *Snapshot) Totals(attrs ...string) ([]table.AggAccum, error) {
+	return sn.totals(AggSpec{Attrs: attrs}, true)
+}
+
+// Totals returns the exact aggregate of each named numeric column over
+// every row the store holds now, ahead of any snapshot: the live view an
+// operator reads. It takes no epoch and reads cached partials but caches
+// none.
+func (s *Store) Totals(attrs ...string) ([]table.AggAccum, error) {
+	s.mu.RLock()
+	view := &Snapshot{schema: s.schema, ld: s.ld, segs: make([][]*segment, len(s.shards))}
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		view.segs[i] = slices.Concat(sh.sealed, sh.tail)
+		sh.mu.Unlock()
+	}
+	s.mu.RUnlock()
+	return view.totals(AggSpec{Attrs: attrs}, false)
+}
+
+// totals folds every segment's partial for the ungrouped spec, caching
+// the partials it computes when keep says so.
+func (sn *Snapshot) totals(spec AggSpec, keep bool) ([]table.AggAccum, error) {
+	if err := sn.checkAggSpec(spec); err != nil {
+		return nil, fmt.Errorf("store: totals: %w", err)
+	}
+	g := table.NewGroupAggregator("", spec.Attrs)
+	for _, segs := range sn.segs {
+		for _, sg := range segs {
+			part, _, err := sn.aggPartial(sg, spec, keep)
+			if err == nil {
+				err = g.AddPartial(part)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("store: totals: %w", err)
+			}
+		}
+	}
+	return g.Totals(), nil
+}
+
 // aggPartial returns the frozen aggregate partial of one segment — a
-// sealed one or a tail part — for the spec, computing it on first use and
-// caching it on the segment, which every snapshot holding it shares. The
-// residency sweep nils only the encoding, so a cached partial outlives an
-// eviction; a tail part's dies with the part when the tail seals or folds.
+// sealed one or a tail part — for the spec, computing it on first use and,
+// when keep says so, caching it on the segment, which every snapshot
+// holding it shares. The residency sweep nils only the encoding, so a
+// cached partial outlives an eviction; a tail part's dies with the part
+// when the tail seals or folds.
 // Partials are immutable (AddPartial never mutates its argument), so one
 // may serve many concurrent queries.
-func (sn *Snapshot) aggPartial(sg *segment, spec AggSpec) (*table.AggPartial, bool, error) {
+func (sn *Snapshot) aggPartial(sg *segment, spec AggSpec, keep bool) (*table.AggPartial, bool, error) {
 	key := spec.cacheKey()
 	sg.aggMu.Lock()
 	if part := sg.agg[key]; part != nil {
@@ -309,6 +356,9 @@ func (sn *Snapshot) aggPartial(sg *segment, spec AggSpec) (*table.AggPartial, bo
 		return nil, false, err
 	}
 	part := g.Partial()
+	if !keep {
+		return part, false, nil
+	}
 	sg.aggMu.Lock()
 	if existing := sg.agg[key]; existing != nil {
 		part = existing // concurrent compute raced us; converge on one value

@@ -393,6 +393,90 @@ func TestQueryAggCachedPartials(t *testing.T) {
 	}
 }
 
+// TestTotalsAreNotQueries pins the two exact whole-store reads beside
+// the planner: a snapshot's Totals (the drift gate's) and the store's
+// live Totals (/api/store's). Both equal QueryAgg's totals with no
+// predicate bit for bit, neither moves a query metric, the snapshot's
+// caches one partial per segment for its spec whatever the number of
+// reads, and the live one caches none.
+func TestTotalsAreNotQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	st, err := New(planConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendTable(planBatch(t, rng, 0, 400)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendTable(planBatch(t, rng, 400, 9)); err != nil {
+		t.Fatal(err)
+	}
+	attrs := []string{"v", "w"}
+	cached := func(sn *Snapshot) (entries, spec int) {
+		for _, segs := range sn.segs {
+			for _, sg := range segs {
+				sg.aggMu.Lock()
+				entries += len(sg.agg)
+				if sg.agg[AggSpec{Attrs: attrs}.cacheKey()] != nil {
+					spec++
+				}
+				sg.aggMu.Unlock()
+			}
+		}
+		return entries, spec
+	}
+	counters := func() [4]uint64 {
+		return [4]uint64{mRowsScanned.Value(), mRowsReturned.Value(), mPlanAll.Value(), mAggPushdown.Value()}
+	}
+
+	snap := st.Snapshot()
+	segs := 0
+	for _, s := range snap.segs {
+		segs += len(s)
+	}
+	before := counters()
+	live, err := st.Totals(attrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := cached(snap); entries != 0 {
+		t.Fatalf("the live totals cached %d partials; want none", entries)
+	}
+	var got []table.AggAccum
+	for range 2 {
+		if got, err = snap.Totals(attrs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if entries, spec := cached(snap); entries != segs || spec != segs {
+		t.Fatalf("two snapshot reads left %d cached partials, %d of the spec, over %d segments; want one each", entries, spec, segs)
+	}
+	if after := counters(); after != before {
+		t.Fatalf("totals moved the query metrics %v -> %v", before, after)
+	}
+
+	want, _, err := snap.QueryAgg(nil, AggSpec{Attrs: attrs}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, attr := range attrs {
+		w := &want.Totals[k]
+		for who, a := range map[string]*table.AggAccum{"snapshot": &got[k], "live": &live[k]} {
+			if a.Count() != w.Count() || a.S.Min != w.S.Min || a.S.Max != w.S.Max ||
+				math.Float64bits(a.Mean()) != math.Float64bits(w.Mean()) || math.Float64bits(a.StdDev()) != math.Float64bits(w.StdDev()) {
+				t.Errorf("%s totals of %s: count %d [%v, %v] mean %v sd %v; QueryAgg's %d [%v, %v] mean %v sd %v", who, attr,
+					a.Count(), a.S.Min, a.S.Max, a.Mean(), a.StdDev(), w.Count(), w.S.Min, w.S.Max, w.Mean(), w.StdDev())
+			}
+		}
+	}
+
+	for _, bad := range []string{"zone", "ghost"} {
+		if _, err := snap.Totals(bad); !errors.Is(err, table.ErrTypeMismatch) && !errors.Is(err, table.ErrNoColumn) {
+			t.Errorf("Totals(%q) = %v, want a schema error", bad, err)
+		}
+	}
+}
+
 // TestTailPartsFoldInOneRun pins that the select-all fold does not depend
 // on the layout: each tail part folds its own partial, and a tail of many
 // parts and the same rows ingested as one batch still render bitwise the

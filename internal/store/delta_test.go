@@ -19,8 +19,7 @@ func deltaTestStore(t *testing.T) *Store {
 			{Name: epc.AttrCertificateID, Type: table.String},
 			{Name: epc.AttrEPH, Type: table.Float64},
 		},
-		KeyAttr:    epc.AttrCertificateID,
-		StatsAttrs: []string{epc.AttrEPH},
+		KeyAttr: epc.AttrCertificateID,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -73,10 +73,8 @@ func assertStoresEqual(t testing.TB, got, want *Store) {
 	if fmt.Sprint(gc) != fmt.Sprint(wc) {
 		t.Fatalf("CountBy = %v, want %v", gc, wc)
 	}
-	gr, _ := got.RunningStats("v")
-	wr, _ := want.RunningStats("v")
-	if gr.Count != wr.Count || gr.Min != wr.Min || gr.Max != wr.Max || math.Abs(gr.Mean-wr.Mean) > 1e-9 {
-		t.Fatalf("stats = %+v, want %+v", gr, wr)
+	if err := SameTotals(got, want, "v"); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -247,7 +245,6 @@ func TestOpenRejectsMismatchedLayout(t *testing.T) {
 	}
 	other := miniConfig(2)
 	other.Schema = other.Schema[:2]
-	other.StatsAttrs = []string{}
 	if _, err := Open(other, dur); err == nil {
 		t.Fatal("want error for schema mismatch")
 	}

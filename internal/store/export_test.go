@@ -1,6 +1,10 @@
 package store
 
-import "indice/internal/table"
+import (
+	"fmt"
+
+	"indice/internal/table"
+)
 
 // Accessors only this package's tests read: what a snapshot or a store
 // holds, looked at from outside the planner.
@@ -61,4 +65,23 @@ func (sg *segment) resident() bool {
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
 	return sg.enc != nil
+}
+
+// SameTotals reports whether two stores hold the same exact aggregate of
+// a column: the same count, extremes, mean and deviation, bit for bit.
+func SameTotals(got, want *Store, attr string) error {
+	g, err := got.Totals(attr)
+	if err != nil {
+		return err
+	}
+	w, err := want.Totals(attr)
+	if err != nil {
+		return err
+	}
+	a, b := &g[0], &w[0]
+	if a.Count() != b.Count() || a.S.Min != b.S.Min || a.S.Max != b.S.Max || a.Mean() != b.Mean() || a.StdDev() != b.StdDev() {
+		return fmt.Errorf("%s totals: count %d [%v, %v] mean %v sd %v, want %d [%v, %v] mean %v sd %v", attr,
+			a.Count(), a.S.Min, a.S.Max, a.Mean(), a.StdDev(), b.Count(), b.S.Min, b.S.Max, b.Mean(), b.StdDev())
+	}
+	return nil
 }

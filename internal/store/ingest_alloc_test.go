@@ -26,7 +26,6 @@ func TestIngestAllocsPerRecord(t *testing.T) {
 		},
 		KeyAttr:    epc.AttrCertificateID,
 		IndexAttrs: []string{epc.AttrDistrict},
-		StatsAttrs: []string{epc.AttrEPH},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,13 +11,13 @@ var (
 	mIngestBatches  = obs.Default.Counter("indice_store_ingest_batches_total", "Ingest batches acknowledged (including fully rejected ones).")
 	mIngestAccepted = obs.Default.Counter("indice_store_ingest_rows_accepted_total", "Rows accepted into shards by ingest.")
 	mIngestRejected = obs.Default.Counter("indice_store_ingest_rows_rejected_total", "Rows rejected by validation screening.")
-	mIngestSeconds  = obs.Default.Histogram("indice_store_ingest_seconds", "End-to-end AppendTable latency (routing, WAL, shard apply).", obs.Nanos)
+	mIngestSeconds  = obs.Default.Histogram("indice_store_ingest_seconds", "End-to-end AppendTable latency (routing, WAL, shard apply).")
 	mStoreRows      = obs.Default.Gauge("indice_store_rows", "Rows currently held across shards (ingested plus recovered).")
 	mSnapshots      = obs.Default.Counter("indice_store_snapshots_total", "Copy-on-write snapshots taken.")
 
 	// Write-ahead log.
-	mWALAppendSeconds = obs.Default.Histogram("indice_store_wal_append_seconds", "WAL append latency including encode, write, policy fsync, and shard apply.", obs.Nanos)
-	mWALFsyncSeconds  = obs.Default.Histogram("indice_store_wal_fsync_seconds", "WAL fsync latency (inline and background flusher syncs).", obs.Nanos)
+	mWALAppendSeconds = obs.Default.Histogram("indice_store_wal_append_seconds", "WAL append latency including encode, write, policy fsync, and shard apply.")
+	mWALFsyncSeconds  = obs.Default.Histogram("indice_store_wal_fsync_seconds", "WAL fsync latency (inline and background flusher syncs).")
 	mWALRecords       = obs.Default.Counter("indice_store_wal_records_total", "Records appended to the WAL.")
 	mWALBytes         = obs.Default.Gauge("indice_store_wal_bytes", "Bytes in the live WAL file (resets at rotation).")
 	mWALGCFiles       = obs.Default.Counter("indice_store_wal_gc_files_total", "WAL files garbage-collected by checkpoints.")
@@ -25,10 +25,10 @@ var (
 	// Checkpoints.
 	mCheckpoints       = obs.Default.Counter("indice_store_checkpoints_total", "Completed checkpoints.")
 	mCheckpointErrors  = obs.Default.Counter("indice_store_checkpoint_errors_total", "Checkpoints that failed partway.")
-	mCkptFreezeSeconds = obs.Default.Histogram("indice_store_checkpoint_phase_seconds", "Checkpoint phase durations.", obs.Nanos, "phase", "freeze")
-	mCkptPersistSecs   = obs.Default.Histogram("indice_store_checkpoint_phase_seconds", "Checkpoint phase durations.", obs.Nanos, "phase", "persist")
-	mCkptCommitSecs    = obs.Default.Histogram("indice_store_checkpoint_phase_seconds", "Checkpoint phase durations.", obs.Nanos, "phase", "commit")
-	mCkptPruneSecs     = obs.Default.Histogram("indice_store_checkpoint_phase_seconds", "Checkpoint phase durations.", obs.Nanos, "phase", "prune")
+	mCkptFreezeSeconds = obs.Default.Histogram("indice_store_checkpoint_phase_seconds", "Checkpoint phase durations.", "phase", "freeze")
+	mCkptPersistSecs   = obs.Default.Histogram("indice_store_checkpoint_phase_seconds", "Checkpoint phase durations.", "phase", "persist")
+	mCkptCommitSecs    = obs.Default.Histogram("indice_store_checkpoint_phase_seconds", "Checkpoint phase durations.", "phase", "commit")
+	mCkptPruneSecs     = obs.Default.Histogram("indice_store_checkpoint_phase_seconds", "Checkpoint phase durations.", "phase", "prune")
 
 	// Segment residency.
 	mSegLoads     = obs.Default.Counter("indice_store_segment_loads_total", "Cold segments read back from disk.")
@@ -45,7 +45,7 @@ var (
 	mShardsPruned = obs.Default.Counter("indice_query_shards_pruned_total", "Shards skipped outright by index or statistics pruning.")
 	mRowsScanned  = obs.Default.Counter("indice_query_rows_scanned_total", "Rows evaluated by snapshot queries (segment scans plus index candidates).")
 	mRowsReturned = obs.Default.Counter("indice_query_rows_returned_total", "Rows returned by snapshot queries.")
-	mQuerySeconds = obs.Default.Histogram("indice_query_seconds", "Snapshot query evaluation latency (plan plus masked scan).", obs.Nanos)
+	mQuerySeconds = obs.Default.Histogram("indice_query_seconds", "Snapshot query evaluation latency (plan plus masked scan).")
 
 	// Aggregation pushdown.
 	mAggPushdown    = obs.Default.Counter("indice_query_agg_pushdown_total", "Queries whose statistics the aggregation pushdown computed (stats-only and row-page requests; no match set materialized).")

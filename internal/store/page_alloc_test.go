@@ -41,11 +41,7 @@ func TestPageAllocatesFractionOfQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := st.Snapshot()
-	eph, ok := snap.Stats(epc.AttrEPH)
-	if !ok {
-		t.Fatalf("%s is not statistics-tracked", epc.AttrEPH)
-	}
-	p := query.NumRange{Attr: epc.AttrEPH, Min: math.Inf(-1), Max: eph.Mean}
+	p := query.NumRange{Attr: epc.AttrEPH, Min: math.Inf(-1), Max: totalOf(t, snap, epc.AttrEPH).Mean()}
 	spec := AggSpec{By: epc.AttrEnergyClass, Attrs: []string{epc.AttrEPH}}
 
 	allocated := func(f func()) uint64 {

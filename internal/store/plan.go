@@ -13,7 +13,7 @@ import (
 
 // PlanStats reports how a snapshot query was executed: how much of the
 // predicate the planner pushed down to the per-shard secondary indexes
-// and Welford statistics, and how many rows the masked scan still had to
+// and column ranges, and how many rows the masked scan still had to
 // touch. It is diagnostic output; the result table is bitwise-identical
 // to a naive full scan regardless of the plan.
 type PlanStats struct {
@@ -74,11 +74,11 @@ type shardResult struct {
 //   - query.In on an indexed categorical attribute resolves to the union
 //     of the secondary-index postings, intersected across such conjuncts,
 //     so only candidate rows are ever materialized and re-checked;
-//   - query.NumRange on a statistics-tracked numeric attribute prunes
-//     every shard whose observed [min, max] cannot intersect the range
-//     (or that holds no valid value at all).
+//   - query.NumRange on a numeric attribute prunes every shard whose
+//     observed [min, max] cannot intersect the range (or that holds no
+//     valid value at all).
 //
-// Everything else — negations, disjunctions, ranges on untracked
+// Everything else — negations, disjunctions, ranges on non-numeric
 // attributes — is evaluated by a masked scan over the remaining
 // candidates or segments. Below the planner there is one layout: every
 // segment, each part of a shard's tail included, is a table.Encoded
@@ -168,9 +168,9 @@ func (sn *Snapshot) FullScan(p query.Predicate) (*table.Table, error) {
 //
 //   - In conjuncts on an indexed attribute with no empty-string value
 //     (the index skips empty values, so "" must fall back to scanning);
-//   - NumRange conjuncts on a statistics-tracked attribute (used for
-//     pruning only — a shard whose summary excludes the range has no row
-//     satisfying the conjunction).
+//   - NumRange conjuncts on a numeric attribute (used for pruning only —
+//     a shard with no valid value inside the range has no row satisfying
+//     the conjunction).
 //
 // Nested Not/Or structure is never pushed; it stays in the residual
 // predicate evaluated over the candidates.
@@ -179,8 +179,8 @@ func (sn *Snapshot) FullScan(p query.Predicate) (*table.Table, error) {
 // postings hold exactly the valid rows carrying each value, so every
 // candidate satisfies those conjuncts definitively and only the rest
 // needs re-checking. A nil residual means candidates are matches as-is.
-// Pushed ranges stay in the residual — shard statistics prune whole
-// shards, they don't vouch for single rows.
+// Pushed ranges stay in the residual — shard ranges prune whole shards,
+// they don't vouch for single rows.
 func pushdown(p query.Predicate, sn *Snapshot) (pushIn []query.In, pushRange []query.NumRange, residual query.Predicate) {
 	var rest []query.Predicate
 	for _, c := range flattenAnd(p, nil) {
@@ -200,7 +200,7 @@ func pushdown(p query.Predicate, sn *Snapshot) (pushIn []query.In, pushRange []q
 				}
 			}
 		case query.NumRange:
-			if _, ok := sn.stats[c.Attr]; ok {
+			if j, ok := sn.colPos[c.Attr]; ok && sn.schema[j].Type == table.Float64 {
 				pushRange = append(pushRange, c)
 			}
 		}
@@ -245,7 +245,7 @@ func (sn *Snapshot) indexed(attr string) bool {
 }
 
 // queryShard evaluates the (non-nil) predicate over one shard, using index
-// candidates and stats pruning where the pushdown allows. residual is
+// candidates and range pruning where the pushdown allows. residual is
 // the predicate minus the index-served conjuncts (see pushdown); the
 // full predicate p still drives the masked fallback.
 func (sn *Snapshot) queryShard(i int, p query.Predicate, pushIn []query.In, pushRange []query.NumRange, residual query.Predicate) shardResult {
@@ -258,14 +258,11 @@ func (sn *Snapshot) queryShard(i int, p query.Predicate, pushIn []query.In, push
 		return shardResult{}
 	}
 
-	// Welford pruning: a range conjunct no valid value of this shard can
+	// Range pruning: a range conjunct no valid value of this shard can
 	// satisfy makes the whole conjunction false (or unknown) shard-wide.
 	for _, r := range pushRange {
-		rs, ok := sn.shardStats[i][r.Attr]
-		if !ok {
-			continue
-		}
-		if rs.Count == 0 || rs.Min > r.Max || rs.Max < r.Min {
+		cr := sn.ranges[i][sn.colPos[r.Attr]]
+		if cr.n == 0 || cr.min > r.Max || cr.max < r.Min {
 			return shardResult{pruned: true}
 		}
 	}

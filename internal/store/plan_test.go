@@ -12,8 +12,8 @@ import (
 )
 
 // planConfig is the planner test store: sharded, tiny segments (so every
-// shard holds several), one indexed categorical besides the key, and one
-// tracked numeric with NaN holes.
+// shard holds several), two indexed categoricals besides the key, and two
+// numerics with NaN holes.
 func planConfig(shards int) Config {
 	return Config{
 		Shards:      shards,
@@ -27,7 +27,6 @@ func planConfig(shards int) Config {
 		},
 		KeyAttr:    "id",
 		IndexAttrs: []string{"zone", "class"},
-		StatsAttrs: []string{"v"}, // w untracked: ranges on it never push down
 	}
 }
 
@@ -111,8 +110,8 @@ func tablesEqual(a, b *table.Table) error {
 }
 
 // randPredicate draws a random predicate tree over the plan schema,
-// mixing pushable shapes (zone/class In, v ranges) with residual ones
-// (Not, Or, ranges on the untracked w, unindexed-value sets).
+// mixing pushable shapes (zone/class In, v and w ranges) with residual
+// ones (Not, Or, unindexed-value sets).
 func randPredicate(rng *rand.Rand, depth int) query.Predicate {
 	if depth > 0 && rng.Intn(3) == 0 {
 		switch rng.Intn(3) {
@@ -378,27 +377,37 @@ func TestQueryPlanUsesIndexAndPrunes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// v is tracked: a range wholly outside the observed values prunes
-	// every shard without touching a row.
-	_, ps, err = snap.Query(query.MustParse("v in [1000, 2000]"), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.PrunedShards != ps.Shards || ps.ScannedRows != 0 || ps.CandidateRows != 0 {
-		t.Fatalf("impossible range not pruned: %+v", ps)
-	}
-	if ps.MatchedRows != 0 {
-		t.Fatalf("impossible range matched rows: %+v", ps)
+	// A range wholly outside the observed values of a numeric column
+	// prunes every shard without touching a row.
+	for _, q := range []string{"v in [1000, 2000]", "w in [1000, 2000]"} {
+		_, ps, err = snap.Query(query.MustParse(q), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps.PrunedShards != ps.Shards || ps.ScannedRows != 0 || ps.CandidateRows != 0 {
+			t.Fatalf("%s: impossible range not pruned: %+v", q, ps)
+		}
+		if ps.MatchedRows != 0 {
+			t.Fatalf("%s: impossible range matched rows: %+v", q, ps)
+		}
 	}
 
-	// w is untracked: the same impossible range must fall back to scans
-	// and still return nothing.
-	res, ps, err := snap.Query(query.MustParse("w in [1000, 2000]"), 2)
+	// A range inside every shard's [min, max] prunes nothing: it scans,
+	// and matches what the full scan matches.
+	inside := query.MustParse("w in [-1, 1]")
+	res, ps, err := snap.Query(inside, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.ScannedRows == 0 || res.NumRows() != 0 {
-		t.Fatalf("untracked range should scan: %+v", ps)
+	wantInside, err := snap.FullScan(inside)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.PrunedShards != 0 || ps.ScannedRows == 0 {
+		t.Fatalf("a range inside every shard's values should scan: %+v", ps)
+	}
+	if err := tablesEqual(res, wantInside); err != nil {
+		t.Fatal(err)
 	}
 
 	// A value set containing "" cannot use the index (the index skips

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"indice/internal/bitmap"
-	"indice/internal/stats"
 	"indice/internal/table"
 )
 
@@ -21,6 +20,7 @@ type Snapshot struct {
 	generation uint64
 	rows       int
 	schema     []table.Field
+	colPos     map[string]int // schema position by column name (the store's, read-only)
 	// segs[i] lists shard i's sealed segments at snapshot time, then one
 	// segment per part of its tail, from segs[i][tailAt[i]] on. Sealed
 	// segments are shared with the store; persisted ones may be evicted
@@ -39,10 +39,9 @@ type Snapshot struct {
 	// so a later append grows the store's bitmap, never the rows this
 	// frozen view can see.
 	index []map[string]map[string]*bitmap.Bitmap
-	// stats holds the merged per-attribute summaries; shardStats the
-	// per-shard view the query planner prunes shards with.
-	stats      map[string]stats.Running
-	shardStats []map[string]stats.Running
+	// ranges[i] is shard i's colRange per schema column, which the query
+	// planner prunes shards with.
+	ranges [][]colRange
 }
 
 // Snapshot freezes the current store contents under a new epoch: each
@@ -59,13 +58,13 @@ func (s *Store) Snapshot() *Snapshot {
 		epoch:      s.epoch.Add(1),
 		generation: s.generation.Load(),
 		schema:     s.schema,
+		colPos:     s.colPos,
 		segs:       make([][]*segment, len(s.shards)),
 		tailAt:     make([]int, len(s.shards)),
 		ld:         s.ld,
 		shardRows:  make([]int, len(s.shards)),
 		index:      make([]map[string]map[string]*bitmap.Bitmap, len(s.shards)),
-		stats:      make(map[string]stats.Running, len(s.cfg.StatsAttrs)),
-		shardStats: make([]map[string]stats.Running, len(s.shards)),
+		ranges:     make([][]colRange, len(s.shards)),
 	}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
@@ -84,15 +83,7 @@ func (s *Store) Snapshot() *Snapshot {
 			idx[attr] = vals
 		}
 		snap.index[i] = idx
-
-		perShard := make(map[string]stats.Running, len(sh.stats))
-		for attr, acc := range sh.stats {
-			perShard[attr] = *acc
-			merged := snap.stats[attr]
-			merged.Merge(*acc)
-			snap.stats[attr] = merged
-		}
-		snap.shardStats[i] = perShard
+		snap.ranges[i] = slices.Clone(sh.ranges)
 		sh.mu.Unlock()
 	}
 	// Share the remembered baselines (older epochs) with the snapshot,
@@ -139,13 +130,6 @@ func (sn *Snapshot) ShardEncoded(i int) ([]*table.Encoded, error) {
 		out = append(out, enc)
 	}
 	return out, nil
-}
-
-// Stats returns the merged summary statistics of a tracked numeric
-// attribute. The second return value is false for untracked attributes.
-func (sn *Snapshot) Stats(attr string) (stats.Running, bool) {
-	r, ok := sn.stats[attr]
-	return r, ok
 }
 
 // Table materializes the snapshot as one contiguous table (shard order,

@@ -12,16 +12,16 @@
 // snapshots share them with writers at zero copy cost. Every writer
 // reaches a shard by one road (shard.add), which also folds the part into
 // the shard's secondary indexes over configured categorical attributes
-// (zones, energy class) and its Welford summary statistics over the
-// numeric attributes, read off the encoding.
+// (zones, energy class) and the valid count and range of every numeric
+// column, read off the encoding.
 //
 // Consistency. Appends — single records and whole batches — run under a
 // store-level read lock with per-shard mutexes, so writers on different
 // shards proceed in parallel. Snapshot takes the store-level write lock
-// and captures the segment and part lists, index headers and statistics
-// under a new epoch. A snapshot therefore always observes either all rows
-// of a batch or none of them, and stays immutable while ingestion
-// continues.
+// and captures the segment and part lists, index headers and column
+// ranges under a new epoch. A snapshot therefore always observes either
+// all rows of a batch or none of them, and stays immutable while
+// ingestion continues.
 //
 //	st, _ := store.New(store.DefaultConfig())
 //	st.AppendTable(batch)
@@ -39,7 +39,6 @@ import (
 
 	"indice/internal/bitmap"
 	"indice/internal/epc"
-	"indice/internal/stats"
 	"indice/internal/table"
 )
 
@@ -68,9 +67,6 @@ type Config struct {
 	// (default: district, neighbourhood, energy_class — the zone and
 	// class lookups the dashboards aggregate on).
 	IndexAttrs []string
-	// StatsAttrs are the numeric attributes with incrementally maintained
-	// summary statistics (default: every numeric column of the schema).
-	StatsAttrs []string
 	// Validate screens every ingested row against the EPC attribute
 	// specs (ranges, admissible levels) and rejects violating rows.
 	Validate bool
@@ -85,7 +81,6 @@ func DefaultConfig() Config {
 		Schema:      epc.TableSchema(),
 		KeyAttr:     epc.AttrCertificateID,
 		IndexAttrs:  []string{epc.AttrDistrict, epc.AttrNeighbourhood, epc.AttrEnergyClass},
-		StatsAttrs:  nil, // resolved to all numeric columns by New
 	}
 }
 
@@ -106,8 +101,30 @@ type shard struct {
 	// Rows only ever append, so ordinals arrive strictly ascending and the
 	// bitmaps grow in place; Snapshot freezes copy-on-write views.
 	index map[string]map[string]*bitmap.Bitmap
-	// stats maps numeric attr -> running summary over all shard rows.
-	stats map[string]*stats.Running
+	// ranges holds, per schema column, the range of a numeric column over
+	// all shard rows (zero for the other columns).
+	ranges []colRange
+}
+
+// colRange is what shard pruning reads of a numeric column: how many
+// valid values the shard holds and their exact extremes.
+type colRange struct {
+	n        int
+	min, max float64
+}
+
+// add folds one valid value in; NaN carries no value.
+func (r *colRange) add(v float64) {
+	if v != v {
+		return
+	}
+	if r.n == 0 || v < r.min {
+		r.min = v
+	}
+	if r.n == 0 || v > r.max {
+		r.max = v
+	}
+	r.n++
 }
 
 // Store is the live sharded EPC store.
@@ -202,8 +219,7 @@ type epochRows struct {
 const maxSnapHistory = 16
 
 // New builds an empty store. Zero-valued config fields take their
-// defaults; index and stats attributes must exist in the schema with the
-// right type.
+// defaults; index attributes must be categorical columns of the schema.
 func New(cfg Config) (*Store, error) {
 	def := DefaultConfig()
 	if cfg.Shards == 0 {
@@ -247,23 +263,6 @@ func New(cfg Config) (*Store, error) {
 			}
 		}
 	}
-	if cfg.StatsAttrs == nil {
-		for _, f := range cfg.Schema {
-			if f.Type == table.Float64 {
-				cfg.StatsAttrs = append(cfg.StatsAttrs, f.Name)
-			}
-		}
-	} else {
-		for _, a := range cfg.StatsAttrs {
-			i, ok := pos[a]
-			if !ok {
-				return nil, fmt.Errorf("store: stats attribute %q not in schema", a)
-			}
-			if cfg.Schema[i].Type != table.Float64 {
-				return nil, fmt.Errorf("store: stats attribute %q is not numeric", a)
-			}
-		}
-	}
 
 	keyCol := -1
 	if i, ok := pos[cfg.KeyAttr]; ok && cfg.Schema[i].Type == table.String {
@@ -274,15 +273,12 @@ func New(cfg Config) (*Store, error) {
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		sh := &shard{
-			mem:   &s.mem,
-			index: make(map[string]map[string]*bitmap.Bitmap, len(cfg.IndexAttrs)),
-			stats: make(map[string]*stats.Running, len(cfg.StatsAttrs)),
+			mem:    &s.mem,
+			index:  make(map[string]map[string]*bitmap.Bitmap, len(cfg.IndexAttrs)),
+			ranges: make([]colRange, len(cfg.Schema)),
 		}
 		for _, a := range cfg.IndexAttrs {
 			sh.index[a] = make(map[string]*bitmap.Bitmap)
-		}
-		for _, a := range cfg.StatsAttrs {
-			sh.stats[a] = &stats.Running{}
 		}
 		s.shards[i] = sh
 	}
@@ -546,8 +542,8 @@ const maxTailParts = 8
 
 // add is the one road rows take into a shard, whoever writes them: an
 // accepted batch's part, a logged part at WAL replay, a replicated frame,
-// a checkpointed segment at recovery. It folds the part's rows into the
-// index postings and running statistics straight from the encoding, then
+// checkpoint at recovery. It folds the part's rows into the
+// index postings and column ranges straight from the encoding, then
 // appends it to the tail, which seals once it holds SegmentRows rows and
 // folds into one part past maxTailParts. A part read back from a
 // checkpoint file (path != "") is a sealed segment already: it lands as
@@ -570,12 +566,14 @@ func (sh *shard) add(part *table.Encoded, path string, cfg *Config) *segment {
 			}
 		}
 	}
-	for _, attr := range cfg.StatsAttrs {
-		c := part.Column(attr)
-		acc := sh.stats[attr]
+	for j, c := range part.Columns() {
+		if c.Type() != table.Float64 {
+			continue
+		}
+		r := &sh.ranges[j]
 		for i := 0; i < n; i++ {
 			if c.ValidAt(i) {
-				acc.Add(c.FloatAt(i))
+				r.add(c.FloatAt(i))
 			}
 		}
 	}
@@ -698,25 +696,6 @@ type ShardStatus struct {
 	Rows     int `json:"rows"`
 	Segments int `json:"segments"`
 	TailRows int `json:"tail_rows"`
-}
-
-// RunningStats returns the live merged summary of a tracked numeric
-// attribute — the up-to-the-last-append view, ahead of any published
-// analysis. The second return value is false for untracked attributes.
-func (s *Store) RunningStats(attr string) (stats.Running, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var merged stats.Running
-	found := false
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if acc, ok := sh.stats[attr]; ok {
-			merged.Merge(*acc)
-			found = true
-		}
-		sh.mu.Unlock()
-	}
-	return merged, found
 }
 
 // CountBy returns the live per-value row counts of an indexed categorical

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -16,7 +15,7 @@ import (
 )
 
 // miniConfig is a small three-column store used by most unit tests: a
-// shard-key id, an indexed batch label and one tracked numeric.
+// shard-key id, an indexed batch label and one numeric.
 func miniConfig(shards int) Config {
 	return Config{
 		Shards: shards,
@@ -27,8 +26,18 @@ func miniConfig(shards int) Config {
 		},
 		KeyAttr:    "id",
 		IndexAttrs: []string{"batch"},
-		StatsAttrs: []string{"v"},
 	}
+}
+
+// totalOf returns the exact aggregate of one numeric column over the
+// snapshot.
+func totalOf(t testing.TB, snap *Snapshot, attr string) *table.AggAccum {
+	t.Helper()
+	tot, err := snap.Totals(attr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &tot[0]
 }
 
 // miniBatch builds n rows labelled batch, with ids offset by base and
@@ -84,11 +93,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		t.Fatal("want error for numeric index attr")
 	}
 	cfg = miniConfig(2)
-	cfg.StatsAttrs = []string{"batch"} // categorical cannot carry stats
-	if _, err := New(cfg); err == nil {
-		t.Fatal("want error for categorical stats attr")
-	}
-	cfg = miniConfig(2)
 	cfg.Schema = append(cfg.Schema, table.Field{Name: "id", Type: table.String})
 	if _, err := New(cfg); err == nil {
 		t.Fatal("want error for duplicate schema column")
@@ -135,10 +139,9 @@ func TestAppendAndSnapshot(t *testing.T) {
 		t.Fatal("unindexed attr must report !ok")
 	}
 
-	// Incremental stats match the data: v is 0..99.
-	r, ok := snap.Stats("v")
-	if !ok || r.Count != 100 || r.Min != 0 || r.Max != 99 || math.Abs(r.Mean-49.5) > 1e-9 {
-		t.Fatalf("stats = %+v, %v", r, ok)
+	// The exact totals match the data: v is 0..99.
+	if r := totalOf(t, snap, "v"); r.Count() != 100 || r.S.Min != 0 || r.S.Max != 99 || r.Mean() != 49.5 {
+		t.Fatalf("totals = %+v", r)
 	}
 
 	// The materialized table carries every row once.
@@ -202,9 +205,8 @@ func TestSingleRecordAppend(t *testing.T) {
 	if snap.NumRows() != 2 {
 		t.Fatalf("rows = %d", snap.NumRows())
 	}
-	r, _ := snap.Stats("v")
-	if r.Count != 2 || r.Min != 7.5 || r.Max != 12.25 {
-		t.Fatalf("stats = %+v", r)
+	if r := totalOf(t, snap, "v"); r.Count() != 2 || r.S.Min != 7.5 || r.S.Max != 12.25 {
+		t.Fatalf("totals = %+v", r)
 	}
 	status := st.Status()
 	if status.Accepted != 2 || status.Rejected != 2 {
@@ -272,8 +274,8 @@ func TestReorderedBatchConforms(t *testing.T) {
 	if got := tab.ColumnNames(); !reflect.DeepEqual(got, []string{"id", "batch", "v"}) {
 		t.Fatalf("stored column order = %v", got)
 	}
-	if r, _ := snap.Stats("v"); r.Count != 2 || r.Min != 3 || r.Max != 4 {
-		t.Fatalf("stats = %+v", r)
+	if r := totalOf(t, snap, "v"); r.Count() != 2 || r.S.Min != 3 || r.S.Max != 4 {
+		t.Fatalf("totals = %+v", r)
 	}
 }
 
@@ -286,12 +288,12 @@ func TestLiveRunningStatsAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No snapshot needed: the live views see the appended rows.
-	r, ok := st.RunningStats("v")
-	if !ok || r.Count != 20 || r.Min != 0 || r.Max != 19 {
-		t.Fatalf("running stats = %+v, %v", r, ok)
+	tot, err := st.Totals("v")
+	if err != nil || tot[0].Count() != 20 || tot[0].S.Min != 0 || tot[0].S.Max != 19 || tot[0].Mean() != 9.5 {
+		t.Fatalf("live totals = %+v, %v", tot, err)
 	}
-	if _, ok := st.RunningStats("id"); ok {
-		t.Fatal("untracked attr must report !ok")
+	if _, err := st.Totals("id"); !errors.Is(err, table.ErrTypeMismatch) {
+		t.Fatalf("totals of a categorical column: %v, want ErrTypeMismatch", err)
 	}
 	counts, ok := st.CountBy("batch")
 	if !ok || counts["a"] != 20 {
@@ -427,8 +429,8 @@ func TestValidateRejectsImplausibleRows(t *testing.T) {
 	if snap.NumRows() != 58 {
 		t.Fatalf("rows = %d", snap.NumRows())
 	}
-	if r, ok := snap.Stats(epc.AttrEPH); !ok || r.Max > 600 {
-		t.Fatalf("eph stats = %+v (implausible row entered the store)", r)
+	if r := totalOf(t, snap, epc.AttrEPH); r.S.Max > 600 {
+		t.Fatalf("eph totals = %+v (implausible row entered the store)", r)
 	}
 	// Zone index follows the synthetic districts.
 	counts, ok := snap.CountBy(epc.AttrDistrict)
@@ -536,8 +538,12 @@ func TestConcurrentIngestReadConsistency(t *testing.T) {
 					errs <- fmt.Errorf("segments sum to %d, snapshot claims %d", segRows, snap.NumRows())
 					return
 				}
-				if r, ok := snap.Stats("v"); !ok || r.Count != snap.NumRows() {
-					errs <- fmt.Errorf("stats cover %d of %d rows", r.Count, snap.NumRows())
+				if tot, err := snap.Totals("v"); err != nil || tot[0].Count() != snap.NumRows() {
+					errs <- fmt.Errorf("totals %+v (%v) do not cover the %d rows", tot, err, snap.NumRows())
+					return
+				}
+				if live, err := st.Totals("v"); err != nil || live[0].Count() < snap.NumRows() {
+					errs <- fmt.Errorf("live totals %+v (%v) behind the snapshot's %d rows", live, err, snap.NumRows())
 					return
 				}
 				counts, ok := snap.CountBy("batch")

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -117,7 +116,10 @@ func TestReopenUnderSmallerSegmentRows(t *testing.T) {
 		}
 	}
 	want := answer(st.Snapshot())
-	wantEPH, _ := st.RunningStats(epc.AttrEPH)
+	wantEPH, err := st.Totals(epc.AttrEPH)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +171,13 @@ func TestReopenUnderSmallerSegmentRows(t *testing.T) {
 	}
 	t.Logf("segment rows per shard after reopening at %d (tail negated): %v", cfg.SegmentRows, mixed)
 	same("reopened at the default", answer(sn), want)
-	gotEPH, _ := st.RunningStats(epc.AttrEPH)
-	if gotEPH.Count != wantEPH.Count || gotEPH.Min != wantEPH.Min || gotEPH.Max != wantEPH.Max ||
-		math.Abs(gotEPH.Mean-wantEPH.Mean) > 1e-12*math.Abs(wantEPH.Mean) {
-		t.Fatalf("eph summary %+v, want %+v", gotEPH, wantEPH)
+	gotEPH, err := st.Totals(epc.AttrEPH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := &gotEPH[0], &wantEPH[0]; g.Count() != w.Count() || g.S.Min != w.S.Min || g.S.Max != w.S.Max ||
+		g.Mean() != w.Mean() || g.StdDev() != w.StdDev() {
+		t.Fatalf("eph totals %+v, want %+v", g, w)
 	}
 
 	// The next checkpoint lists both sizes in one manifest and seals the

@@ -187,6 +187,10 @@ func TestSegmentLayoutLeavesAnswersAlone(t *testing.T) {
 		inLevels[attr] = levels(attr)
 	}
 	rangeAttrs := []string{epc.AttrEPH, epc.AttrHeatSurface, epc.AttrUWindows}
+	bounds, err := nodes[0].snap.Totals(rangeAttrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(31))
 	in := func() query.Predicate {
 		attr := inAttrs[rng.Intn(len(inAttrs))]
@@ -198,11 +202,11 @@ func TestSegmentLayoutLeavesAnswersAlone(t *testing.T) {
 		return query.In{Attr: attr, Values: set}
 	}
 	numRange := func() query.Predicate {
-		attr := rangeAttrs[rng.Intn(len(rangeAttrs))]
-		s, _ := nodes[0].snap.Stats(attr)
+		k := rng.Intn(len(rangeAttrs))
+		s := bounds[k].S
 		width := s.Max - s.Min
 		lo := s.Min + width*math.Round(rng.Float64()*600)/1000
-		return query.NumRange{Attr: attr, Min: lo, Max: lo + width*math.Round(1+rng.Float64()*400)/1000}
+		return query.NumRange{Attr: rangeAttrs[k], Min: lo, Max: lo + width*math.Round(1+rng.Float64()*400)/1000}
 	}
 	type road int
 	const (
