@@ -660,8 +660,8 @@ func e12Live(b *testing.B, incremental bool) (*store.Store, *core.Live) {
 // BenchmarkE12Refresh measures full-versus-incremental refresh latency on
 // a 100k-row live store at 1%, 10% and 50% ingest deltas: each iteration
 // ingests one delta batch (untimed) and times exactly one Refresh. The
-// full variants re-run the whole Preprocess→Analyze pipeline (elbow sweep
-// included); the incremental variants materialize only the delta
+// full variants run the data step over the whole snapshot and the elbow
+// sweep; the incremental variants materialize only the delta
 // (zero-copy base reuse via Snapshot.DeltaSince + the appendable matrix)
 // and warm-start one K-means run at the previous K. Equivalence of the
 // two paths is pinned by the randomized suite in

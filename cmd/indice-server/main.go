@@ -300,8 +300,10 @@ func main() {
 // is opened durably — previous state is recovered and every acked ingest
 // hits the WAL — and the returned closer flushes it on shutdown. Without
 // ingest the seed is all the node will ever hold: the store is a one-shot
-// in-memory one, the first refresh must publish it, no lineage is kept for
-// refreshes that will not come, and POST /api/ingest answers 404.
+// in-memory one, the first refresh must publish it (every refresh of such
+// a node is full: the data step over the whole snapshot, then the elbow
+// sweep), no lineage is kept for refreshes that will not come, and POST
+// /api/ingest answers 404.
 func buildLive(ctx context.Context, tab *table.Table, hier *geo.Hierarchy, opts core.Options,
 	workers, kMax, shards int, validate bool, refreshInterval time.Duration,
 	dataDir, fsyncMode string, residentRows int, ingest, asLeader bool) (http.Handler, func() error) {

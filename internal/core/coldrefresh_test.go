@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -226,6 +227,75 @@ func TestColdRefreshParallelEquivalence(t *testing.T) {
 		}
 		if c := par.Report.Cleaning; c.StreetMap == 0 || c.GeocoderRequests == 0 {
 			t.Fatalf("corrupted corpus exercised neither repair path: %+v", c)
+		}
+	}
+}
+
+// TestFullRefreshIsTheBatchPipeline pins the one data road: a full
+// refresh runs the data step over the whole snapshot from an empty
+// lineage, then Analyze, and must publish what the batch pipeline —
+// NewEngine, Preprocess, Analyze — makes of the same snapshot's table,
+// cleaning included: the served table bit for bit, the report and the
+// analysis. It holds for the first refresh and for the one FullEvery
+// forces after incremental refreshes, on the clean and the corrupted
+// corpus.
+func TestFullRefreshIsTheBatchPipeline(t *testing.T) {
+	for _, corrupt := range []bool{false, true} {
+		st, live, corpus := coldLive(t, 2300, 2000, corrupt, true, parallel.Auto)
+		// The corrupted corpus plants extreme values that can move a
+		// standard deviation past the drift gate on a small delta; here
+		// FullEvery alone decides when a refresh is full.
+		live.cfg.Incremental.DriftThreshold = math.Inf(1)
+		live.cfg.Incremental.FullEvery = 3
+		sm := live.cfg.Options.StreetMap
+		wantFull := []bool{true, false, false, true}
+		for i, full := range wantFull {
+			if i > 0 {
+				delta, err := corpus.Slice(1900+100*i, 2000+100*i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := st.AppendTable(delta); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pub, err := live.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("corrupt=%v refresh %d", corrupt, i)
+			if pub.Incremental == full {
+				t.Fatalf("%s: incremental=%v, want full=%v (%s)", label, pub.Incremental, full, live.LastIncrementalError())
+			}
+			if !full {
+				continue
+			}
+			tab, err := pub.Snapshot.Table(live.cols...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewEngine(tab, live.hier, Options{StreetMap: sm, Geocoder: geocode.NewMockGeocoder(sm, 2000)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := eng.Preprocess(live.cfg.Preprocess)
+			if err != nil {
+				t.Fatal(err)
+			}
+			an, err := eng.Analyze(live.cfg.Analysis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustMatchTables(t, label+": served table", pub.Engine.Table(), eng.Table())
+			if !reflect.DeepEqual(pub.Report, rep) {
+				t.Fatalf("%s: report %d → %d rows, %d flagged; batch %d → %d, %d flagged", label,
+					pub.Report.RowsBefore, pub.Report.RowsAfter, len(pub.Report.OutlierRows),
+					rep.RowsBefore, rep.RowsAfter, len(rep.OutlierRows))
+			}
+			mustMatchAnalyses(t, label, pub.Analysis, an)
+			if corrupt && (rep.Cleaning.StreetMap == 0 || rep.Cleaning.GeocoderRequests == 0) {
+				t.Fatalf("%s: the corrupted corpus exercised neither repair path: %+v", label, rep.Cleaning)
+			}
 		}
 	}
 }

@@ -125,11 +125,6 @@ type PreprocessConfig struct {
 	// setting. It is only applied to the Clean and Univariate
 	// sub-configurations when those leave their own Parallelism unset.
 	Parallelism int
-
-	// ownsTable marks the engine's table as a copy nobody else reads (the
-	// live loop's fresh snapshot materialization), so cleaning rewrites it
-	// in place instead of cloning it first. Internal to the live loop.
-	ownsTable bool
 }
 
 // cleans reports whether Preprocess will run the geospatial step.
@@ -195,12 +190,9 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 	rep := &PreprocessReport{RowsBefore: e.tab.NumRows()}
 
 	if cfg.cleans(e.streetMap) {
-		// Cleaning rewrites cells, so it works on a copy unless the engine
-		// owns its table: a table a caller handed in is never modified.
-		work := e.tab
-		if !cfg.ownsTable {
-			work = work.Clone()
-		}
+		// Cleaning rewrites cells, so it works on a copy: a table a caller
+		// handed in is never modified.
+		work := e.tab.Clone()
 		crep, err := cleanTable(work, e.hier, e.streetMap, e.geocoder, cfg.cleanConfig())
 		if err != nil {
 			return nil, err
@@ -261,8 +253,9 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 // cleanTable is the geospatial cleaning step, applied to tab in place:
 // per-row address reconciliation against the street map, then the
 // administrative labels recomputed from the reconciled coordinates when
-// the columns exist. The cold path cleans the whole corpus with it, the
-// incremental path a delta.
+// the columns exist. Preprocess cleans a copy of its table with it, a live
+// refresh the rows it materialized (every row on a full refresh, the delta
+// on an incremental one).
 func cleanTable(tab *table.Table, hier *geo.Hierarchy, sm *geocode.StreetMap, gc geocode.Geocoder, cfg geocode.CleanConfig) (*geocode.Report, error) {
 	cl, err := geocode.NewCleaner(sm, gc, cfg)
 	if err != nil {

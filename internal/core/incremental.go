@@ -9,50 +9,52 @@ import (
 	"time"
 
 	"indice/internal/cluster"
-	"indice/internal/geocode"
 	"indice/internal/matrix"
 	"indice/internal/obs"
 	"indice/internal/store"
 	"indice/internal/table"
 )
 
-// IncrementalConfig tunes the incremental refresh path: the steady-state
-// fast lane that makes refresh cost proportional to newly ingested data
-// instead of the whole corpus.
+// IncrementalConfig tunes the incremental refresh: the steady-state fast
+// lane that makes refresh cost proportional to newly ingested data instead
+// of the whole corpus.
 //
-// An incremental refresh materializes only the store delta (the previous
-// epoch's rows are reused zero-copy), re-screens outliers over the full
-// value set (fences therefore match the cold path's exactly), and
-// warm-starts a single K-means run at the previously chosen K from the
-// previous epoch's centroids — skipping the elbow sweep, by far the most
-// expensive stage. Two correctness fallbacks force the full pipeline
-// (sweep included): measured distribution drift beyond DriftThreshold,
-// and an unconditional full run every FullEvery-th refresh.
+// Every refresh runs one data step over the rows that arrived since the
+// lineage's epoch: a full refresh folds the whole snapshot into an empty
+// lineage, an incremental one only the store delta (the previous epoch's
+// rows are reused). The outlier screen runs over the full value set either
+// way, so the fences are the batch pipeline's exactly. Only the analysis
+// tier forks: a full refresh sweeps K, an incremental one warm-starts a
+// single K-means run at the previously chosen K from the previous epoch's
+// centroids — skipping the elbow sweep, by far the most expensive stage.
+// Two correctness fallbacks force a full refresh: measured distribution
+// drift beyond DriftThreshold, and an unconditional full run every
+// FullEvery-th refresh.
 type IncrementalConfig struct {
-	// Disable turns the fast path off: every refresh runs the full
-	// pipeline, as before this engine existed.
+	// Disable makes every refresh full and keeps no lineage after it, for
+	// a node that refreshes once and serves what it published.
 	Disable bool
 	// DriftThreshold bounds the tolerated distribution drift since the
 	// last full sweep, measured per tracked attribute as the larger of
-	// |Δmean|/σ and |ln(σ_new/σ_ref)|. Beyond it the full pipeline
-	// re-runs. Default 0.25.
+	// |Δmean|/σ and |ln(σ_new/σ_ref)|. Beyond it the refresh is full.
+	// Default 0.25.
 	DriftThreshold float64
-	// FullEvery forces a full pipeline at least every FullEvery-th
+	// FullEvery forces a full refresh at least every FullEvery-th
 	// refresh regardless of drift (the elbow sweep re-validates K and the
 	// rule panel recomputes). Default 8.
 	FullEvery int
 }
 
-// errIncremental marks conditions that silently degrade to the cold path
+// errIncremental marks conditions that silently degrade to a full refresh
 // rather than failing the refresh.
 var errIncremental = errors.New("core: incremental refresh unavailable")
 
-// lineage is the incremental path's cross-epoch state, owned by the
-// refresh lock. The post-clean, pre-drop rows of every epoch, in arrival
-// order, are in three parts: screen (their lineageColumns), served (the
-// published serving table) and dropped (whole, at pre-drop positions
-// droppedAt). mat holds screen's complete rows over the clustering
-// attributes, so each refresh materializes only the delta.
+// lineage is the refresh's cross-epoch state, owned by the refresh lock.
+// The post-clean, pre-drop rows of every epoch, in arrival order, are in
+// three parts: screen (their lineageColumns), served (the published
+// serving table) and dropped (whole, at pre-drop positions droppedAt).
+// mat holds screen's complete rows over the clustering attributes, so each
+// refresh materializes only the delta.
 type lineage struct {
 	epoch                   uint64
 	screen, served, dropped *table.Table
@@ -62,6 +64,24 @@ type lineage struct {
 	refStats                map[string]moments // drift baseline, at last full sweep
 	centroids               []float64          // flat K×dim, raw attribute space
 	chosenK, sinceFull      int
+}
+
+// newLineage returns the empty lineage a full refresh starts from, its
+// parts holding the columns of the serving schema they keep.
+func (l *Live) newLineage(schema []table.Field) (*lineage, error) {
+	served, err := table.NewWithSchema(schema)
+	if err != nil {
+		return nil, err
+	}
+	screen, err := served.Select(l.cfg.lineageColumns()...)
+	if err != nil {
+		return nil, err
+	}
+	mat, err := matrix.NewAppendable(len(l.cfg.Analysis.Attributes))
+	if err != nil {
+		return nil, err
+	}
+	return &lineage{screen: screen, served: served, dropped: served.Clone(), mat: mat}, nil
 }
 
 // moments are a column's exact mean and standard deviation.
@@ -83,12 +103,64 @@ func snapMoments(snap *store.Snapshot, attrs []string) (map[string]moments, erro
 	return out, nil
 }
 
-// lineageColumns are the columns the incremental path reads of every
-// pre-drop row: the screened and the clustering attributes.
+// lineageColumns are the columns the lineage keeps of every pre-drop row:
+// the screened and the clustering attributes.
 func (cfg LiveConfig) lineageColumns() []string {
 	cols := append(slices.Clone(cfg.Preprocess.outlierAttrs()), cfg.Analysis.Attributes...)
 	slices.Sort(cols)
 	return slices.Compact(cols)
+}
+
+// absorb is the data tier of every refresh, run over the rows that
+// arrived since the lineage's epoch — all of them on a full refresh, whose
+// lineage starts empty. It cleans delta in place, appends its screened and
+// clustered columns to the lineage, re-screens the outliers over every
+// pre-drop row and moves the served and dropped rows to the new fences.
+// It returns an engine over the served rows, the report and which
+// pre-drop rows the screen drops. An error may leave the lineage half
+// advanced.
+func (l *Live) absorb(lin *lineage, delta *table.Table) (*Engine, *PreprocessReport, []bool, error) {
+	pcfg := l.cfg.Preprocess
+	rep := &PreprocessReport{}
+	if pcfg.cleans(l.cfg.Options.StreetMap) {
+		var err error
+		// Cleaning covers only this delta: earlier rows were cleaned by
+		// the epochs that ingested them.
+		rep.Cleaning, err = cleanTable(delta, l.hier, l.cfg.Options.StreetMap, l.cfg.Options.Geocoder, pcfg.cleanConfig())
+		if err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if err := lin.screen.AppendTable(delta); err != nil {
+		return nil, nil, nil, err
+	}
+	newIdx, err := lin.screen.DenseMatrixAppend(lin.mat, lin.screen.NumRows()-delta.NumRows(), l.cfg.Analysis.Attributes...)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	lin.rowIdx = append(lin.rowIdx, newIdx...)
+
+	// Outlier screen over the full value multiset: the fences are what
+	// the batch pipeline computes on this snapshot, so the set of dropped
+	// rows is identical — only their order differs after a delta.
+	rep.RowsBefore = lin.screen.NumRows()
+	union, err := univariateScreen(lin.screen, pcfg, pcfg.Univariate, rep)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rep.OutlierRows = union
+	drop := make([]bool, lin.screen.NumRows())
+	if pcfg.DropOutliers {
+		for _, r := range union {
+			drop[r] = true
+		}
+	}
+	if err := lin.advance(delta, drop); err != nil {
+		return nil, nil, nil, err
+	}
+	rep.RowsAfter = lin.served.NumRows()
+	eng, err := NewEngine(lin.served, l.hier, l.cfg.Options)
+	return eng, rep, drop, err
 }
 
 // advance moves served and dropped to the next epoch in one pass, in
@@ -203,27 +275,19 @@ func driftSince(ref map[string]moments, snap *store.Snapshot, attrs []string) (f
 // for this refresh, before paying for a delta or drift computation.
 func (l *Live) incrementalEligible(prev *Published) bool {
 	switch {
-	case l.cfg.Incremental.Disable:
-		return false
 	case l.lineage == nil || prev == nil:
+		// No refresh yet, or Incremental.Disable keeps no lineage.
 		return false
 	case l.lineage.epoch != prev.Epoch:
 		// A failed or interrupted refresh left the lineage out of step
 		// with what is being served; rebuild from scratch.
-		return false
-	case l.cfg.Preprocess.Multivariate:
-		// The DBSCAN screen is not decomposable over deltas.
-		return false
-	case l.cfg.Preprocess.Univariate.Method == "":
-		// The suggestion-store method resolution is stateful per engine;
-		// only explicitly configured methods replay identically.
 		return false
 	}
 	return true
 }
 
 // tryIncremental attempts the fast path. It returns (pub, true) on
-// success; (nil, false) sends the caller down the cold path (after
+// success; (nil, false) sends the caller to a full refresh (after
 // invalidating the lineage if it may have been left inconsistent).
 func (l *Live) tryIncremental(ctx context.Context, start time.Time, snap *store.Snapshot, prev *Published) (*Published, bool) {
 	if !l.incrementalEligible(prev) {
@@ -251,11 +315,11 @@ func (l *Live) tryIncremental(ctx context.Context, start time.Time, snap *store.
 	pub, err := l.refreshIncremental(ctx, start, snap, prev, delta, drift)
 	if err != nil {
 		mFallbackError.Inc()
-		// The lineage may hold a half-applied delta; drop it and let the
-		// cold path rebuild. Expected degradations (errIncremental) stay
-		// silent; anything else is recorded so a persistently dead fast
-		// path is diagnosable (LastIncrementalError, /api/store) even
-		// while the cold path keeps every refresh green.
+		// The lineage may hold a half-applied delta; drop it and let a
+		// full refresh rebuild it. Expected degradations (errIncremental)
+		// stay silent; anything else is recorded so a persistently dead
+		// fast path is diagnosable (LastIncrementalError, /api/store) even
+		// while full refreshes keep every refresh green.
 		if !errors.Is(err, errIncremental) {
 			msg := err.Error()
 			l.incErr.Store(&msg)
@@ -267,76 +331,25 @@ func (l *Live) tryIncremental(ctx context.Context, start time.Time, snap *store.
 	return pub, true
 }
 
-// refreshIncremental runs one delta-proportional refresh: materialize and
-// preprocess only the delta, re-screen fences over the full value set,
-// and warm-start a single clustering run at the previous K.
+// refreshIncremental runs one delta-proportional refresh: materialize the
+// delta, run the data step over it, and warm-start a single clustering
+// run at the previous K.
 func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *store.Snapshot, prev *Published,
 	delta *store.Delta, drift float64) (*Published, error) {
 	lin := l.lineage
-	pcfg := l.cfg.Preprocess
-	var deltaTab *table.Table
-	var deltaCleaning *geocode.Report
-	if delta.NewRows > 0 {
-		// An error abandons the refresh, so the span is only recorded on
-		// the successful path.
-		_, spDelta := obs.StartSpan(ctx, "delta")
-		// One owned copy of the new rows' serving columns, decoded
-		// straight out of the store's encodings (cleaning mutates it).
-		var err error
-		deltaTab, err = table.NewWithSchema(lin.served.Schema())
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errIncremental, err)
-		}
-		if err := delta.AppendTo(deltaTab); err != nil {
-			return nil, fmt.Errorf("%w: %v", errIncremental, err)
-		}
-		if pcfg.cleans(l.cfg.Options.StreetMap) {
-			deltaCleaning, err = cleanTable(deltaTab, l.hier, l.cfg.Options.StreetMap, l.cfg.Options.Geocoder, pcfg.cleanConfig())
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", errIncremental, err)
-			}
-		}
-		if err := lin.screen.AppendTable(deltaTab); err != nil {
-			return nil, fmt.Errorf("%w: %v", errIncremental, err)
-		}
-		newIdx, err := lin.screen.DenseMatrixAppend(lin.mat, lin.screen.NumRows()-deltaTab.NumRows(), l.cfg.Analysis.Attributes...)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errIncremental, err)
-		}
-		lin.rowIdx = append(lin.rowIdx, newIdx...)
-		spDelta.End()
+	// One owned copy of the new rows' serving columns, decoded straight
+	// out of the store's encodings (cleaning mutates it).
+	_, spDelta := obs.StartSpan(ctx, "delta")
+	deltaTab, err := table.NewWithSchema(lin.served.Schema())
+	if err == nil {
+		err = delta.AppendTo(deltaTab)
 	}
-	// From here on the lineage tables are consistent with snap even if a
-	// later stage fails; still, any error invalidates the lineage (the
-	// caller rebuilds cold), which is always safe.
-
-	// Outlier screen over the full value multiset: the fences match what
-	// the cold path would compute on this snapshot exactly, so the set of
-	// dropped rows is identical — only their order differs.
-	_, spScreen := obs.StartSpan(ctx, "screen")
-	rep := &PreprocessReport{
-		RowsBefore: lin.screen.NumRows(),
-		// Cleaning covers only this refresh's delta: the base rows were
-		// cleaned by the epochs that ingested them.
-		Cleaning: deltaCleaning,
-	}
-	union, err := univariateScreen(lin.screen, pcfg, pcfg.Univariate, rep)
+	spDelta.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
-	rep.OutlierRows = union
-
-	drop := make([]bool, lin.screen.NumRows())
-	if pcfg.DropOutliers {
-		for _, r := range union {
-			drop[r] = true
-		}
-	}
-	if err := lin.advance(deltaTab, drop); err != nil {
-		return nil, fmt.Errorf("%w: %v", errIncremental, err)
-	}
-	rep.RowsAfter = lin.served.NumRows()
-	eng, err := NewEngine(lin.served, l.hier, l.cfg.Options)
+	_, spScreen := obs.StartSpan(ctx, "screen")
+	eng, rep, drop, err := l.absorb(lin, deltaTab)
 	spScreen.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
@@ -358,21 +371,9 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 	if an.Clustering != nil {
 		mWarmIterations.Set(float64(an.Clustering.Iterations))
 	}
-	return &Published{
-		Epoch:       snap.Epoch(),
-		Generation:  snap.Generation(),
-		Rows:        snap.NumRows(),
-		Snapshot:    snap,
-		Engine:      eng,
-		Analysis:    an,
-		Report:      rep,
-		RefreshedAt: time.Now(),
-		Took:        time.Since(start),
-		Incremental: true,
-		DeltaRows:   delta.NewRows,
-		ReusedRows:  delta.BaseRows,
-		Drift:       drift,
-	}, nil
+	pub := published(start, snap, eng, an, rep)
+	pub.Incremental, pub.DeltaRows, pub.ReusedRows, pub.Drift = true, delta.NewRows, delta.BaseRows, drift
+	return pub, nil
 }
 
 // analyzeIncremental is the warm analytics tier: correlations, the
@@ -428,7 +429,7 @@ func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*An
 	}
 
 	// Compact + min-max normalize the survivors in one pass; bounds
-	// computed over exactly the clustered rows, as the cold path's
+	// computed over exactly the clustered rows, as Analyze's
 	// NormalizeColumns does.
 	mins, maxs := full.ColMinMax(nil, nil, mask)
 	norm, err := matrix.New(survivors, dim)
@@ -482,49 +483,18 @@ func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*An
 	return an, nil
 }
 
-// cutLineage copies a cold refresh's post-clean, pre-drop table's
-// lineageColumns and dropped rows (with only the dictionary entries they
-// use); nil when the loop keeps no lineage or a column is missing.
-func (l *Live) cutLineage(pre *table.Table, rep *PreprocessReport) *lineage {
-	if l.cfg.Incremental.Disable {
-		return nil
-	}
-	screen, err := pre.Select(l.cfg.lineageColumns()...)
-	if err != nil {
-		return nil
-	}
-	lin := &lineage{screen: screen}
-	if l.cfg.Preprocess.DropOutliers {
-		lin.droppedAt = rep.OutlierRows
-	}
-	g := gather{srcs: []*table.Table{pre}, ends: []int{len(lin.droppedAt)}, rows: lin.droppedAt}
-	if lin.dropped, err = g.table(pre.Schema()); err != nil {
-		return nil
-	}
-	return lin
-}
-
-// rebuildLineage re-bases the incremental state after a successful full
-// (cold) refresh: the cut lineage takes the serving table, the clustering
-// matrix and the fresh sweep's drift baseline and raw-space centroids.
-func (l *Live) rebuildLineage(snap *store.Snapshot, served *table.Table, lin *lineage, an *Analysis) {
+// rebuildLineage keeps a full refresh's lineage for the incremental
+// refreshes that follow, with the fresh sweep's drift baseline, raw-space
+// centroids and K; a loop with Incremental.Disable keeps none.
+func (l *Live) rebuildLineage(snap *store.Snapshot, lin *lineage, an *Analysis) {
 	l.lineage = nil
-	if lin == nil {
-		return
-	}
-	mat, err := matrix.NewAppendable(len(l.cfg.Analysis.Attributes))
-	if err != nil {
-		return
-	}
-	rowIdx, err := lin.screen.DenseMatrixAppend(mat, 0, l.cfg.Analysis.Attributes...)
-	if err != nil {
+	if l.cfg.Incremental.Disable {
 		return
 	}
 	refStats, err := snapMoments(snap, l.cfg.Analysis.columns())
 	if err != nil {
 		return
 	}
-	lin.epoch, lin.served, lin.mat, lin.rowIdx = snap.Epoch(), served, mat, rowIdx
-	lin.refStats, lin.centroids, lin.chosenK = refStats, an.rawCentroids(), an.ChosenK
+	lin.epoch, lin.refStats, lin.centroids, lin.chosenK = snap.Epoch(), refStats, an.rawCentroids(), an.ChosenK
 	l.lineage = lin
 }

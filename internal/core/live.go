@@ -18,8 +18,10 @@ import (
 
 // Live converts the batch pipeline into a serving loop over a streaming
 // store: ingestion appends into the sharded store while readers keep
-// hitting the last published state, and Refresh re-runs Preprocess +
-// Analyze over a fresh snapshot and atomically swaps the result in.
+// hitting the last published state, and Refresh brings the cleaned,
+// screened serving table and its analysis up to a fresh snapshot and
+// atomically swaps the result in. A full refresh publishes what
+// Engine.Preprocess and Analyze publish on the snapshot's table.
 //
 //	live := core.NewLive(st, hier, core.LiveConfig{})
 //	go live.AutoRefresh(ctx, time.Minute)
@@ -53,6 +55,9 @@ type LiveConfig struct {
 	// every refresh. Each zero field of Analysis takes the library
 	// default; a wholly zero Preprocess takes DefaultPreprocessConfig.
 	// The configs' Parallelism threads into internal/parallel as usual.
+	// A refresh screens a delta at a time, so NewLive refuses the DBSCAN
+	// screen (Multivariate) and a Univariate.Method left to the
+	// suggestion store; Expert records nothing.
 	Preprocess PreprocessConfig
 	Analysis   AnalysisConfig
 	// Options configures each refresh's Engine (street map, geocoder).
@@ -62,9 +67,9 @@ type LiveConfig struct {
 	// max(5×KMax, 50) — Analyze needs at least KMax complete rows, and a
 	// margin on top keeps the elbow sweep meaningful.
 	MinRows int
-	// Incremental tunes the delta-proportional refresh fast path (see
+	// Incremental tunes the delta-proportional refresh (see
 	// IncrementalConfig). Enabled by default with a 0.25 drift threshold
-	// and a full sweep at least every 8th refresh.
+	// and a full refresh at least every 8th refresh.
 	Incremental IncrementalConfig
 }
 
@@ -94,10 +99,11 @@ type Published struct {
 	// RefreshedAt and Took time the refresh.
 	RefreshedAt time.Time
 	Took        time.Duration
-	// Incremental reports whether this state came from the
-	// delta-proportional fast path; DeltaRows / ReusedRows then size the
-	// newly materialized versus zero-copy-reused data, and Drift records
-	// the measured distribution drift since the last full sweep.
+	// Incremental reports whether this state came from an incremental
+	// refresh (the data step over the store delta, warm K-means) rather
+	// than a full one; DeltaRows / ReusedRows then size the newly
+	// materialized versus reused rows, and Drift records the measured
+	// distribution drift since the last full sweep.
 	Incremental bool
 	DeltaRows   int
 	ReusedRows  int
@@ -132,6 +138,12 @@ func NewLive(st *store.Store, hier *geo.Hierarchy, cfg LiveConfig) (*Live, error
 		par := cfg.Preprocess.Parallelism
 		cfg.Preprocess = DefaultPreprocessConfig()
 		cfg.Preprocess.Parallelism = par
+	}
+	if cfg.Preprocess.Multivariate {
+		return nil, errors.New("core: live refresh screens deltas and cannot run DBSCAN: PreprocessConfig.Multivariate must be false")
+	}
+	if cfg.Preprocess.Univariate.Method == "" {
+		return nil, errors.New("core: live refresh needs an explicit outlier method: PreprocessConfig.Univariate.Method is empty")
 	}
 	if cfg.MinRows <= 0 {
 		cfg.MinRows = cfg.Analysis.KMax * 5
@@ -200,8 +212,8 @@ func (l *Live) FullRefreshes() uint64 { return l.fullRefr.Load() }
 func (l *Live) IncrementalRefreshes() uint64 { return l.incRefreshes.Load() }
 
 // LastIncrementalError returns the unexpected error that last killed the
-// incremental fast path (the refresh itself then completed via the cold
-// pipeline), or "" when the last fast-path attempt succeeded or degraded
+// incremental fast path (the refresh itself then completed as a full
+// refresh), or "" when the last fast-path attempt succeeded or degraded
 // for an expected reason. A persistent value here with climbing
 // FullRefreshes means the fast path is dead and why.
 func (l *Live) LastIncrementalError() string {
@@ -225,13 +237,15 @@ func (l *Live) LastError() (string, time.Time) {
 // finding the store's ingest generation unchanged since the last
 // publication returns that publication without re-running anything — a
 // stampede of refresh requests (or an idle AutoRefresh ticker) costs one
-// atomic load, not one analysis per caller. In steady state the refresh
-// takes the incremental fast path: it materializes only the delta since
-// the previous epoch and warm-starts clustering from the previous
-// centroids, falling back to the full pipeline on measured distribution
-// drift, every IncrementalConfig.FullEvery-th refresh, or whenever the
-// fast path's preconditions fail. On failure the previously published
-// state keeps serving.
+// atomic load, not one analysis per caller. Every refresh runs one data
+// step — clean, screen, drop — over the rows new since its lineage's
+// epoch, then the analysis. In steady state the refresh is incremental:
+// the step runs over the store delta, and clustering warm-starts from the
+// previous centroids. A full refresh runs the step over the whole snapshot
+// from an empty lineage and re-runs the elbow sweep: on the first refresh,
+// on measured distribution drift, every IncrementalConfig.FullEvery-th
+// refresh, or when the incremental one's preconditions fail. On failure
+// the previously published state keeps serving.
 func (l *Live) Refresh() (*Published, error) {
 	l.refreshMu.Lock()
 	defer l.refreshMu.Unlock()
@@ -285,39 +299,38 @@ func (l *Live) refreshLocked() (*Published, error) {
 	if pub, ok := l.tryIncremental(ctx, start, snap, l.cur.Load()); ok {
 		return pub, nil
 	}
+	// A full refresh folds the whole snapshot, the delta from epoch 0,
+	// into an empty lineage, then sweeps K over the rows it serves.
 	_, spMat := obs.StartSpan(ctx, "materialize")
 	tab, err := snap.Table(l.cols...)
-	if err != nil {
-		spMat.End()
-		return nil, fmt.Errorf("core: refresh: %w", err)
+	var lin *lineage
+	if err == nil {
+		lin, err = l.newLineage(tab.Schema())
 	}
-	// The materialization is this refresh's one owned copy of the corpus:
-	// cleaning rewrites it in place.
-	eng, err := NewEngine(tab, l.hier, l.cfg.Options)
 	spMat.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
-	pcfg := l.cfg.Preprocess
-	pcfg.ownsTable = true
 	_, spPrep := obs.StartSpan(ctx, "preprocess")
-	rep, err := eng.Preprocess(pcfg)
+	eng, rep, _, err := l.absorb(lin, tab)
 	spPrep.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
-	// Cleaned in place, tab is the post-clean, pre-drop table: the lineage
-	// copies its parts, and nothing holds tab through Analyze.
-	lin := l.cutLineage(tab, rep)
 	_, spAn := obs.StartSpan(ctx, "analyze")
 	an, err := eng.Analyze(l.cfg.Analysis)
 	spAn.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
-	l.rebuildLineage(snap, eng.Table(), lin, an)
+	l.rebuildLineage(snap, lin, an)
 	l.fullRefr.Add(1)
 	mRefreshFull.Inc()
+	return published(start, snap, eng, an, rep), nil
+}
+
+// published is the state a refresh that started at start built from snap.
+func published(start time.Time, snap *store.Snapshot, eng *Engine, an *Analysis, rep *PreprocessReport) *Published {
 	return &Published{
 		Epoch:       snap.Epoch(),
 		Generation:  snap.Generation(),
@@ -328,7 +341,7 @@ func (l *Live) refreshLocked() (*Published, error) {
 		Report:      rep,
 		RefreshedAt: time.Now(),
 		Took:        time.Since(start),
-	}, nil
+	}
 }
 
 // AutoRefresh re-runs Refresh every interval until the context is

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"indice/internal/geo"
+	"indice/internal/outlier"
 	"indice/internal/store"
 	"indice/internal/synth"
 )
@@ -46,6 +49,22 @@ func TestNewLiveValidation(t *testing.T) {
 	}
 	if _, err := NewLive(st, nil, LiveConfig{}); err == nil {
 		t.Fatal("want error for nil hierarchy")
+	}
+	// A refresh screens a delta at a time: it can neither run the DBSCAN
+	// screen nor leave the method to the suggestion store.
+	hier, err := geo.GridHierarchy("t", geo.Bounds{MinLat: 0, MaxLat: 1, MinLon: 0, MaxLon: 1}, 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multivariate := DefaultPreprocessConfig()
+	multivariate.Multivariate = true
+	suggested := DefaultPreprocessConfig()
+	suggested.Univariate = outlier.Config{}
+	for field, pcfg := range map[string]PreprocessConfig{"Multivariate": multivariate, "Univariate.Method": suggested} {
+		_, err := NewLive(st, hier, LiveConfig{Preprocess: pcfg})
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("%s: NewLive error %v, want one naming the field", field, err)
+		}
 	}
 }
 

