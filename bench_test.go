@@ -662,8 +662,8 @@ func e12Live(b *testing.B, incremental bool) (*store.Store, *core.Live) {
 // ingests one delta batch (untimed) and times exactly one Refresh. The
 // full variants run the data step over the whole snapshot and the elbow
 // sweep; the incremental variants materialize only the delta
-// (zero-copy base reuse via Snapshot.DeltaSince + the appendable matrix)
-// and warm-start one K-means run at the previous K. Equivalence of the
+// (zero-copy base reuse via Snapshot.DeltaSince) and warm-start one
+// K-means run at the previous K. Equivalence of the
 // two paths is pinned by the randomized suite in
 // internal/core/incremental_test.go. Captured numbers and methodology
 // in docs/benchmarks.md.
@@ -2356,11 +2356,11 @@ func BenchmarkE24ElbowSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mat, _, err := ds.Table.DenseMatrix(epc.CaseStudyAttributes...)
+	norm, _, err := ds.Table.DenseMatrix(epc.CaseStudyAttributes...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	norm, _, _ := mat.NormalizeColumnsBounds()
+	norm.Normalize()
 	fit := func(k int, seed int64) *cluster.KMeansResult {
 		res, err := cluster.KMeansMatrix(norm, cluster.KMeansConfig{K: k, Seed: seed})
 		if err != nil {

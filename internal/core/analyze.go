@@ -9,6 +9,7 @@ import (
 	"indice/internal/cart"
 	"indice/internal/cluster"
 	"indice/internal/epc"
+	"indice/internal/matrix"
 	"indice/internal/parallel"
 	"indice/internal/stats"
 )
@@ -170,28 +171,14 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 		Binnings:   make(map[string]*cart.Binning),
 	}
 
-	// Shared inputs: column views for the correlation screen, the complete
-	// attribute matrix for clustering, and the response column. All cheap
-	// reads against the immutable table, loaded up front so the stages
-	// below share them without re-fetching.
-	cols, err := e.analysisColumns(cfg)
+	// Shared inputs, loaded up front so the stages below share them
+	// without re-fetching.
+	in, err := e.clusterInput(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// The complete-row attribute matrix is built once per analysis as a
-	// flat row-major matrix.Matrix, which the clustering stage reads — no
-	// [][]float64 row-pointer chasing in the hot loops.
-	mat, rowIdx, err := e.tab.DenseMatrix(cfg.Attributes...)
-	if err != nil {
-		return nil, fmt.Errorf("core: analyze: %w", err)
-	}
-	if mat.Rows() < cfg.KMax {
-		return nil, fmt.Errorf("core: analyze: %d complete rows, need at least %d", mat.Rows(), cfg.KMax)
-	}
-	norm, mins, maxs := mat.NormalizeColumnsBounds()
-	an.NormMins, an.NormMaxs = mins, maxs
-	resp := cols[len(cols)-1]
-	respValid, _ := e.tab.ValidMask(cfg.Response)
+	an.NormMins, an.NormMaxs = in.mins, in.maxs
+	cols, resp := in.cols, in.cols[len(in.cols)-1]
 
 	// The three analyses are independent of each other, so they run as a
 	// concurrent stage graph on cfg.Parallelism workers, each stage
@@ -203,7 +190,7 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 	// per-cluster response means.
 	clusteringStage := func() error {
 		kcfg := cluster.KMeansConfig{Seed: cfg.Seed, Parallelism: cfg.Parallelism}
-		sweep, err := cluster.ElbowSweep(norm, cfg.KMin, cfg.KMax, cfg.Restarts, kcfg)
+		sweep, err := cluster.ElbowSweep(in.norm, cfg.KMin, cfg.KMax, cfg.Restarts, kcfg)
 		if err != nil {
 			return fmt.Errorf("core: analyze: %w", err)
 		}
@@ -219,7 +206,7 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 		// made; the minimum folds in restart order under a strict <, so
 		// restart 0 keeps a tie.
 		kcfg.K = k
-		best, err := cluster.KMeansMatrix(norm, kcfg)
+		best, err := cluster.KMeansMatrix(in.norm, kcfg)
 		if err != nil {
 			return fmt.Errorf("core: analyze: %w", err)
 		}
@@ -229,7 +216,7 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 			}
 		}
 		an.Clustering = best
-		an.labelRows(rowIdx, resp, respValid)
+		an.labelRows(in.rowIdx, resp, in.respValid)
 		return nil
 	}
 
@@ -292,20 +279,44 @@ func (cfg AnalysisConfig) columns() []string {
 	return append(append([]string(nil), cfg.Attributes...), cfg.Response)
 }
 
-// analysisColumns loads cfg.columns() from the engine's table.
-func (e *Engine) analysisColumns(cfg AnalysisConfig) ([][]float64, error) {
-	cols := make([][]float64, 0, len(cfg.Attributes)+1)
+// clusterInput is what an analysis reads off the engine's table: the
+// columns of cfg.columns() for the correlation screen and the CART stage,
+// the complete rows over the clustering attributes as one flat matrix
+// normalized once, its normalization bounds, the table row of every
+// matrix row, and where the response holds a value. A full and an
+// incremental refresh cluster the same input.
+type clusterInput struct {
+	cols       [][]float64
+	norm       *matrix.Matrix
+	mins, maxs []float64
+	rowIdx     []int
+	respValid  []bool
+}
+
+// clusterInput loads the input of an analysis under cfg, which needs at
+// least cfg.KMax complete rows.
+func (e *Engine) clusterInput(cfg AnalysisConfig) (*clusterInput, error) {
+	in := &clusterInput{cols: make([][]float64, 0, len(cfg.Attributes)+1)}
 	for _, n := range cfg.columns() {
 		v, err := e.tab.Floats(n)
 		if err != nil {
 			return nil, fmt.Errorf("core: analyze: %w", err)
 		}
-		cols = append(cols, v)
+		in.cols = append(in.cols, v)
 	}
-	return cols, nil
+	var err error
+	if in.norm, in.rowIdx, err = e.tab.DenseMatrix(cfg.Attributes...); err != nil {
+		return nil, fmt.Errorf("core: analyze: %w", err)
+	}
+	if in.norm.Rows() < cfg.KMax {
+		return nil, fmt.Errorf("core: analyze: %d complete rows, need at least %d", in.norm.Rows(), cfg.KMax)
+	}
+	in.mins, in.maxs = in.norm.Normalize()
+	in.respValid, _ = e.tab.ValidMask(cfg.Response)
+	return in, nil
 }
 
-// correlate is the correlation screen over cols (analysisColumns' order):
+// correlate is the correlation screen over cols (cfg.columns() order):
 // the pairwise matrix over attributes plus response, and the eligibility
 // check over the clustering attributes only (the response may — should —
 // correlate with them).

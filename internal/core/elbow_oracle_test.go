@@ -17,11 +17,11 @@ import (
 // reached its SSE with other labels — the case a <= fold gets wrong.
 func oracleClustering(t *testing.T, eng *Engine, cfg AnalysisConfig) (an *Analysis, tied bool) {
 	t.Helper()
-	mat, rowIdx, err := eng.tab.DenseMatrix(cfg.Attributes...)
+	norm, rowIdx, err := eng.tab.DenseMatrix(cfg.Attributes...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm, _, _ := mat.NormalizeColumnsBounds()
+	norm.Normalize()
 	curve, err := cluster.SSECurveMatrix(norm, cfg.KMin, cfg.KMax, cfg.Restarts, cluster.KMeansConfig{Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)

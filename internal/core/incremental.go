@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"indice/internal/cluster"
-	"indice/internal/matrix"
 	"indice/internal/obs"
 	"indice/internal/store"
 	"indice/internal/table"
@@ -53,17 +52,13 @@ var errIncremental = errors.New("core: incremental refresh unavailable")
 // The post-clean, pre-drop rows of every epoch, in arrival order, are in
 // three parts: screen (their lineageColumns), served (the published
 // serving table) and dropped (whole, at pre-drop positions droppedAt).
-// mat holds screen's complete rows over the clustering attributes, so each
-// refresh materializes only the delta.
+// The warm start's K and centroids are the published analysis's.
 type lineage struct {
 	epoch                   uint64
 	screen, served, dropped *table.Table
-	droppedAt               []int // ascending
-	mat                     *matrix.Appendable
-	rowIdx                  []int              // mat row -> pre-drop row
+	droppedAt               []int              // ascending
 	refStats                map[string]moments // drift baseline, at last full sweep
-	centroids               []float64          // flat K×dim, raw attribute space
-	chosenK, sinceFull      int
+	sinceFull               int
 }
 
 // newLineage returns the empty lineage a full refresh starts from, its
@@ -77,11 +72,7 @@ func (l *Live) newLineage(schema []table.Field) (*lineage, error) {
 	if err != nil {
 		return nil, err
 	}
-	mat, err := matrix.NewAppendable(len(l.cfg.Analysis.Attributes))
-	if err != nil {
-		return nil, err
-	}
-	return &lineage{screen: screen, served: served, dropped: served.Clone(), mat: mat}, nil
+	return &lineage{screen: screen, served: served, dropped: served.Clone()}, nil
 }
 
 // moments are a column's exact mean and standard deviation.
@@ -104,22 +95,21 @@ func snapMoments(snap *store.Snapshot, attrs []string) (map[string]moments, erro
 }
 
 // lineageColumns are the columns the lineage keeps of every pre-drop row:
-// the screened and the clustering attributes.
+// the screened attributes, each once.
 func (cfg LiveConfig) lineageColumns() []string {
-	cols := append(slices.Clone(cfg.Preprocess.outlierAttrs()), cfg.Analysis.Attributes...)
+	cols := slices.Clone(cfg.Preprocess.outlierAttrs())
 	slices.Sort(cols)
 	return slices.Compact(cols)
 }
 
 // absorb is the data tier of every refresh, run over the rows that
 // arrived since the lineage's epoch — all of them on a full refresh, whose
-// lineage starts empty. It cleans delta in place, appends its screened and
-// clustered columns to the lineage, re-screens the outliers over every
-// pre-drop row and moves the served and dropped rows to the new fences.
-// It returns an engine over the served rows, the report and which
-// pre-drop rows the screen drops. An error may leave the lineage half
-// advanced.
-func (l *Live) absorb(lin *lineage, delta *table.Table) (*Engine, *PreprocessReport, []bool, error) {
+// lineage starts empty. It cleans delta in place, appends its screened
+// columns to the lineage, re-screens the outliers over every pre-drop row
+// and moves the served and dropped rows to the new fences. It returns an
+// engine over the served rows and the report. An error may leave the
+// lineage half advanced.
+func (l *Live) absorb(lin *lineage, delta *table.Table) (*Engine, *PreprocessReport, error) {
 	pcfg := l.cfg.Preprocess
 	rep := &PreprocessReport{}
 	if pcfg.cleans(l.cfg.Options.StreetMap) {
@@ -128,17 +118,12 @@ func (l *Live) absorb(lin *lineage, delta *table.Table) (*Engine, *PreprocessRep
 		// the epochs that ingested them.
 		rep.Cleaning, err = cleanTable(delta, l.hier, l.cfg.Options.StreetMap, l.cfg.Options.Geocoder, pcfg.cleanConfig())
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	if err := lin.screen.AppendTable(delta); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	newIdx, err := lin.screen.DenseMatrixAppend(lin.mat, lin.screen.NumRows()-delta.NumRows(), l.cfg.Analysis.Attributes...)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	lin.rowIdx = append(lin.rowIdx, newIdx...)
 
 	// Outlier screen over the full value multiset: the fences are what
 	// the batch pipeline computes on this snapshot, so the set of dropped
@@ -146,7 +131,7 @@ func (l *Live) absorb(lin *lineage, delta *table.Table) (*Engine, *PreprocessRep
 	rep.RowsBefore = lin.screen.NumRows()
 	union, err := univariateScreen(lin.screen, pcfg, pcfg.Univariate, rep)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rep.OutlierRows = union
 	drop := make([]bool, lin.screen.NumRows())
@@ -156,11 +141,11 @@ func (l *Live) absorb(lin *lineage, delta *table.Table) (*Engine, *PreprocessRep
 		}
 	}
 	if err := lin.advance(delta, drop); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rep.RowsAfter = lin.served.NumRows()
 	eng, err := NewEngine(lin.served, l.hier, l.cfg.Options)
-	return eng, rep, drop, err
+	return eng, rep, err
 }
 
 // advance moves served and dropped to the next epoch in one pass, in
@@ -349,14 +334,14 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
 	_, spScreen := obs.StartSpan(ctx, "screen")
-	eng, rep, drop, err := l.absorb(lin, deltaTab)
+	eng, rep, err := l.absorb(lin, deltaTab)
 	spScreen.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
 
 	_, spWarm := obs.StartSpan(ctx, "warm_kmeans")
-	an, err := l.analyzeIncremental(eng, prev.Analysis, drop)
+	an, err := analyzeIncremental(eng, l.cfg.Analysis, prev.Analysis)
 	spWarm.End()
 	if err != nil {
 		return nil, err
@@ -364,7 +349,6 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 
 	lin.epoch = snap.Epoch()
 	lin.sinceFull++
-	lin.centroids = an.rawCentroids()
 	l.incRefreshes.Add(1)
 	mRefreshInc.Inc()
 	mRefreshDeltaRows.Set(float64(delta.NewRows))
@@ -376,117 +360,62 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 	return pub, nil
 }
 
-// analyzeIncremental is the warm analytics tier: correlations, the
-// masked-and-normalized clustering matrix compacted from the lineage
-// buffer, and one warm-started K-means run at the previously chosen K.
-// The elbow sweep, CART discretization and rule mining are carried
-// forward from the previous analysis — they recompute on the next
+// analyzeIncremental is the warm analytics tier over the engine's table:
+// the correlation screen, and one K-means run at prevAn's K warm-started
+// from prevAn's centroids. The elbow sweep, CART discretization and rule
+// mining are carried forward from prevAn — they recompute on the next
 // full sweep (drift or FullEvery).
-func (l *Live) analyzeIncremental(e *Engine, prevAn *Analysis, drop []bool) (*Analysis, error) {
-	lin := l.lineage
-	cfg := l.cfg.Analysis
+func analyzeIncremental(e *Engine, cfg AnalysisConfig, prevAn *Analysis) (*Analysis, error) {
+	in, err := e.clusterInput(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errIncremental, err)
+	}
 	an := &Analysis{
 		Attributes: append([]string(nil), cfg.Attributes...),
 		Response:   cfg.Response,
+		NormMins:   in.mins,
+		NormMaxs:   in.maxs,
 		// Carried forward from the last full sweep:
 		SSECurve: prevAn.SSECurve,
-		ChosenK:  lin.chosenK,
+		ChosenK:  prevAn.ChosenK,
 		Binnings: prevAn.Binnings,
 		Rules:    prevAn.Rules,
 	}
 
 	// Correlation screen: cheap relative to clustering, recomputed every
 	// refresh so the eligibility check always reflects the served data.
-	cols, err := e.analysisColumns(cfg)
-	if err != nil {
+	if err := an.correlate(cfg, in.cols); err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
-	}
-	if err := an.correlate(cfg, cols); err != nil {
-		return nil, fmt.Errorf("%w: %v", errIncremental, err)
-	}
-
-	// Survivor mask over the lineage matrix, plus the matrix-row → engine-
-	// table-row mapping (engine rows are the pre-drop rows minus the dropped).
-	full := lin.mat.Matrix()
-	dim := full.Cols()
-	mask := make([]bool, full.Rows())
-	survivors := 0
-	for i, rawRow := range lin.rowIdx {
-		if !drop[rawRow] {
-			mask[i] = true
-			survivors++
-		}
-	}
-	if survivors < cfg.KMax || survivors < lin.chosenK {
-		return nil, fmt.Errorf("%w: %d complete rows survive, need %d", errIncremental, survivors, cfg.KMax)
-	}
-	dropsBefore := make([]int, len(drop)+1)
-	for i, d := range drop {
-		dropsBefore[i+1] = dropsBefore[i]
-		if d {
-			dropsBefore[i+1]++
-		}
-	}
-
-	// Compact + min-max normalize the survivors in one pass; bounds
-	// computed over exactly the clustered rows, as Analyze's
-	// NormalizeColumns does.
-	mins, maxs := full.ColMinMax(nil, nil, mask)
-	norm, err := matrix.New(survivors, dim)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errIncremental, err)
-	}
-	tabIdx := make([]int, 0, survivors)
-	out := 0
-	for i, ok := range mask {
-		if !ok {
-			continue
-		}
-		src, dst := full.Row(i), norm.Row(out)
-		for d, v := range src {
-			if span := maxs[d] - mins[d]; span > 0 {
-				dst[d] = (v - mins[d]) / span
-			}
-		}
-		rawRow := lin.rowIdx[i]
-		tabIdx = append(tabIdx, rawRow-dropsBefore[rawRow])
-		out++
 	}
 
 	// Warm start: the previous epoch's centroids, mapped from raw
 	// attribute space into this epoch's normalized space.
-	k := lin.chosenK
-	warm := make([]float64, k*dim)
-	for c := 0; c < k; c++ {
-		for d := 0; d < dim; d++ {
-			if span := maxs[d] - mins[d]; span > 0 {
-				v := (lin.centroids[c*dim+d] - mins[d]) / span
-				// New extremes can push an old centroid marginally out of
-				// [0,1]; clamp so it stays inside the data envelope.
-				warm[c*dim+d] = math.Min(1, math.Max(0, v))
-			}
+	warm, dim := prevAn.rawCentroids(), in.norm.Cols()
+	for i, v := range warm {
+		d := i % dim
+		warm[i] = 0
+		if span := in.maxs[d] - in.mins[d]; span > 0 {
+			// New extremes can push an old centroid marginally out of
+			// [0,1]; clamp so it stays inside the data envelope.
+			warm[i] = math.Min(1, math.Max(0, (v-in.mins[d])/span))
 		}
 	}
-	res, err := cluster.KMeansMatrix(norm, cluster.KMeansConfig{
-		K:           k,
+	an.Clustering, err = cluster.KMeansMatrix(in.norm, cluster.KMeansConfig{
+		K:           an.ChosenK,
 		WarmStart:   warm,
 		Parallelism: cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
-	an.Clustering = res
-	an.NormMins = mins
-	an.NormMaxs = maxs
-	respValid, _ := e.tab.ValidMask(cfg.Response)
-	an.labelRows(tabIdx, cols[len(cols)-1], respValid)
+	an.labelRows(in.rowIdx, in.cols[len(in.cols)-1], in.respValid)
 	return an, nil
 }
 
 // rebuildLineage keeps a full refresh's lineage for the incremental
-// refreshes that follow, with the fresh sweep's drift baseline, raw-space
-// centroids and K; a loop with Incremental.Disable keeps none.
-func (l *Live) rebuildLineage(snap *store.Snapshot, lin *lineage, an *Analysis) {
+// refreshes that follow, with the fresh sweep's drift baseline; a loop
+// with Incremental.Disable keeps none.
+func (l *Live) rebuildLineage(snap *store.Snapshot, lin *lineage) {
 	l.lineage = nil
 	if l.cfg.Incremental.Disable {
 		return
@@ -495,6 +424,6 @@ func (l *Live) rebuildLineage(snap *store.Snapshot, lin *lineage, an *Analysis) 
 	if err != nil {
 		return
 	}
-	lin.epoch, lin.refStats, lin.centroids, lin.chosenK = snap.Epoch(), refStats, an.rawCentroids(), an.ChosenK
+	lin.epoch, lin.refStats = snap.Epoch(), refStats
 	l.lineage = lin
 }

@@ -139,8 +139,8 @@ func labelsByID(t *testing.T, pub *Published) map[string]int {
 // outcome as the cold pipeline on the same snapshot — the same served
 // certificates (the fences are computed over the same value multiset),
 // also after a delta that moves a fence across rows of earlier epochs — and
-// a clustering that agrees with the cold one up to cluster relabeling and
-// summation-order rounding.
+// a clustering over the same normalization bounds that agrees with the
+// cold one up to cluster relabeling and summation-order rounding.
 func TestIncrementalMatchesColdPath(t *testing.T) {
 	stInc, liveInc := incrLive(t, IncrementalConfig{DriftThreshold: 1e9, FullEvery: 1 << 30})
 	stCold, liveCold := incrLive(t, IncrementalConfig{Disable: true})
@@ -236,6 +236,12 @@ func TestIncrementalMatchesColdPath(t *testing.T) {
 		// rounding, and the same partition of certificates up to cluster
 		// index permutation.
 		anInc, anCold := pubInc.Analysis, pubCold.Analysis
+		// Both paths cluster the same multiset of rows, so the order-free
+		// normalization bounds agree bit for bit.
+		if !bitsEqual(anInc.NormMins, anCold.NormMins) || !bitsEqual(anInc.NormMaxs, anCold.NormMaxs) {
+			t.Fatalf("round %d: bounds inc (%v, %v) vs cold (%v, %v)", round,
+				anInc.NormMins, anInc.NormMaxs, anCold.NormMins, anCold.NormMaxs)
+		}
 		if anInc.ChosenK != anCold.ChosenK {
 			t.Fatalf("round %d: K = %d (inc) vs %d (cold)", round, anInc.ChosenK, anCold.ChosenK)
 		}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"indice/internal/epc"
-	"indice/internal/matrix"
 	"indice/internal/parallel"
 	"indice/internal/table"
 )
@@ -50,33 +49,20 @@ func latLadder(rng *rand.Rand, i int) float64 {
 // (AppendTable), the serving table filtered out of it (FilterMask) every
 // epoch. It replays refreshIncremental over that table.
 type oracleLineage struct {
-	raw       *table.Table
-	mat       *matrix.Appendable
-	rowIdx    []int
-	centroids []float64
-	chosenK   int
-	an        *Analysis
+	raw *table.Table
+	an  *Analysis
 }
 
 // newOracleLineage starts the oracle from a cold publication of a live
 // loop that does not clean: its pre-drop table is the snapshot's
 // materialization.
-func newOracleLineage(t *testing.T, l *Live, pub *Published) *oracleLineage {
+func newOracleLineage(t *testing.T, pub *Published) *oracleLineage {
 	t.Helper()
 	raw, err := pub.Snapshot.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := matrix.NewAppendable(len(l.cfg.Analysis.Attributes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowIdx, err := raw.DenseMatrixAppend(mat, 0, l.cfg.Analysis.Attributes...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &oracleLineage{raw: raw, mat: mat, rowIdx: rowIdx, centroids: pub.Analysis.rawCentroids(),
-		chosenK: pub.Analysis.ChosenK, an: pub.Analysis}
+	return &oracleLineage{raw: raw, an: pub.Analysis}
 }
 
 // refresh replays the incremental refresh that published pub, whose
@@ -98,11 +84,6 @@ func (o *oracleLineage) refresh(t *testing.T, l *Live, pub *Published, since uin
 	if err := o.raw.AppendTable(deltaTab); err != nil {
 		t.Fatal(err)
 	}
-	newIdx, err := o.raw.DenseMatrixAppend(o.mat, o.raw.NumRows()-deltaTab.NumRows(), l.cfg.Analysis.Attributes...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.rowIdx = append(o.rowIdx, newIdx...)
 
 	pcfg := l.cfg.Preprocess
 	rep := &PreprocessReport{RowsBefore: o.raw.NumRows()}
@@ -111,14 +92,13 @@ func (o *oracleLineage) refresh(t *testing.T, l *Live, pub *Published, since uin
 		t.Fatal(err)
 	}
 	rep.OutlierRows = union
-	drop := make([]bool, o.raw.NumRows())
 	keep := make([]bool, o.raw.NumRows())
 	for i := range keep {
 		keep[i] = true
 	}
 	if pcfg.DropOutliers {
 		for _, r := range union {
-			drop[r], keep[r] = true, false
+			keep[r] = false
 		}
 	}
 	tab, err := o.raw.FilterMask(keep)
@@ -130,12 +110,11 @@ func (o *oracleLineage) refresh(t *testing.T, l *Live, pub *Published, since uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin := &Live{cfg: l.cfg, lineage: &lineage{mat: o.mat, rowIdx: o.rowIdx, centroids: o.centroids, chosenK: o.chosenK}}
-	an, err := twin.analyzeIncremental(eng, o.an, drop)
+	an, err := analyzeIncremental(eng, l.cfg.Analysis, o.an)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.centroids, o.an = an.rawCentroids(), an
+	o.an = an
 	return tab, rep, an
 }
 
@@ -187,7 +166,7 @@ func TestLineageFollowsMovingFences(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := newOracleLineage(t, live, pub)
+			oracle := newOracleLineage(t, pub)
 			served := servedIDs(t, pub)
 			readmitted, newlyDropped := 0, 0
 			next := 1200

@@ -176,7 +176,7 @@ func NewLive(st *store.Store, hier *geo.Hierarchy, cfg LiveConfig) (*Live, error
 // The other categorical columns stay in the store, where /api/query
 // reads them.
 func (cfg LiveConfig) servingColumns(schema []table.Field) []string {
-	named := append(cfg.lineageColumns(), cfg.Analysis.Response)
+	named := append(cfg.lineageColumns(), cfg.Analysis.columns()...)
 	named = append(named, cfg.Analysis.ExtraRuleAttrs...)
 	named = append(named, epc.AttrAddress, epc.AttrHouseNumber, epc.AttrZIP,
 		epc.AttrDistrict, epc.AttrNeighbourhood, epc.AttrEnergyClass, epc.AttrCertificateID)
@@ -312,7 +312,7 @@ func (l *Live) refreshLocked() (*Published, error) {
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
 	_, spPrep := obs.StartSpan(ctx, "preprocess")
-	eng, rep, _, err := l.absorb(lin, tab)
+	eng, rep, err := l.absorb(lin, tab)
 	spPrep.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)
@@ -323,7 +323,7 @@ func (l *Live) refreshLocked() (*Published, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
-	l.rebuildLineage(snap, lin, an)
+	l.rebuildLineage(snap, lin)
 	l.fullRefr.Add(1)
 	mRefreshFull.Inc()
 	return published(start, snap, eng, an, rep), nil

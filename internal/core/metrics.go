@@ -14,7 +14,7 @@ var (
 	mRefreshIncSecs     = obs.Default.Histogram("indice_refresh_seconds", "End-to-end refresh latency by pipeline mode.", "mode", "incremental")
 	mRefreshDrift       = obs.Default.Gauge("indice_refresh_drift", "Last measured distribution drift versus the full-sweep baseline.")
 	mRefreshDeltaRows   = obs.Default.Gauge("indice_refresh_delta_rows", "Newly materialized rows of the last incremental refresh.")
-	mLineageBytes       = obs.Default.Gauge("indice_refresh_lineage_bytes", "Estimated bytes the incremental lineage holds beside the serving table (screened and clustered columns of every pre-drop row, dropped rows), as of the last publication.")
+	mLineageBytes       = obs.Default.Gauge("indice_refresh_lineage_bytes", "Estimated bytes the incremental lineage holds beside the serving table (screened columns of every pre-drop row, dropped rows), as of the last publication.")
 	mPublishedBytes     = obs.Default.Gauge("indice_published_table_bytes", "Estimated bytes of the published serving table.")
 	mWarmIterations     = obs.Default.Gauge("indice_refresh_warmstart_iterations", "K-means iterations of the last warm-started incremental run.")
 	mFallbackIneligible = obs.Default.Counter("indice_refresh_fallbacks_total", "Incremental fast-path fallbacks to a full refresh, by reason.", "reason", "ineligible")

@@ -14,28 +14,34 @@ import (
 // TestResidentCopiesStayWithinBudget is the heap profile of the serving
 // node as a permanent test. A node that has refreshed owns two copies of
 // its corpus — the store's sealed segments and tails, and the published
-// serving table — plus the lineage's narrow parts (the screened and
-// clustered columns of every pre-drop row, the dropped rows), the analysis
-// and the clustering matrix. The corpus is 20 000 rows in 1 000-row
-// batches, so every shard seals twice at the default SegmentRows and the
-// store's copy is mostly encoded segments, as on a served node. The budget
-// is in bytes, not in copies: the live heap the node adds may be
-// residentFixedBytes — for what does not grow with the corpus: the
-// analysis, index headers, pooled scratch — plus so many bytes per stored
-// row, after the full refresh and again after three incremental ones. (A
-// budget in multiples of table.SizeBytes would loosen by itself whenever a
-// copy grew.) Each bound is what this run measured plus 15 %: 921 and
-// 989 B per row of 132 attributes, of which the store's copy is ≈ 270
-// (sealed segments keep 41 of the 43 numeric columns as scaled codes) and
-// the serving table, which keeps the 51 columns its readers name, ≈ 440.
-// Packing only integral floats again (1 146 and 1 207 B per row, the
-// store ≈ 460), a full-width serving table again, store copies held as
-// raw tails again (SegmentRows 8 192), one more copy, or string cells
-// held as 16-byte headers again fail it.
+// serving table — plus the lineage's narrow parts (the screened columns of
+// every pre-drop row, the dropped rows) and the analysis. The corpus is
+// 20 000 rows in 1 000-row batches, so every shard seals twice at the
+// default SegmentRows and the store's copy is mostly encoded segments, as
+// on a served node. The budget is in bytes, not in copies: the live heap the
+// node adds may be residentFixedBytes — for what does not grow with the
+// corpus: the analysis, index headers, pooled scratch — plus so many bytes
+// per stored row, after the full refresh and again after three incremental
+// ones. (A budget in multiples of table.SizeBytes would loosen by itself
+// whenever a copy grew.) Of those bytes per row, at most
+// residentUnownedBytes* may lie outside what the store, the lineage
+// (LineageBytes) and the serving table (TableBytes) report: a copy nobody
+// accounts for, like the clustering matrix the lineage kept until it
+// clustered the serving table's rows instead (158 and 202 B per row then).
+// Each bound is what this run measured plus 15 %: 808 and 855 B per row of
+// 132 attributes, of which the store's copy is ≈ 200 (sealed segments keep
+// 41 of the 43 numeric columns as scaled codes), the serving table, which
+// keeps the 51 columns its readers name, ≈ 440, and no owner 84 and 128.
+// Packing only integral floats again (1 146 and 1 207 B per row, the store
+// ≈ 460), a full-width serving table again, store copies held as raw tails
+// again (SegmentRows 8 192), one more copy, or string cells held as 16-byte
+// headers again fail it.
 const (
-	residentFixedBytes       = 1 << 20
-	residentRowBytesFull     = 1059
-	residentRowBytesFollowUp = 1137
+	residentFixedBytes           = 1 << 20
+	residentRowBytesFull         = 929
+	residentRowBytesFollowUp     = 983
+	residentUnownedBytesFull     = 97
+	residentUnownedBytesFollowUp = 147
 )
 
 func TestResidentCopiesStayWithinBudget(t *testing.T) {
@@ -88,18 +94,23 @@ func TestResidentCopiesStayWithinBudget(t *testing.T) {
 	// drift gate on a 200-row delta; the test is about copies, not about
 	// when the fast path yields.
 	live.cfg.Incremental.DriftThreshold = math.Inf(1)
-	checkBudget := func(pub *Published, rowBytes int64) {
+	checkBudget := func(pub *Published, rowBytes, unownedBytes int64) {
 		t.Helper()
 		resident := heap() - before
 		rows := int64(pub.Rows)
 		status := st.Status()
 		owned := status.TailBytes + status.SealedResidentBytes + int64(pub.LineageBytes) + int64(pub.TableBytes)
 		perRow := (resident - residentFixedBytes) / rows
-		t.Logf("epoch %d: node holds %.1f MB live for %d rows: %d B per row over the fixed %d (store + lineage + serving table account for %d, the store for %d, the serving table for %d)",
-			pub.Epoch, float64(resident)/1e6, rows, perRow, residentFixedBytes, owned/rows, (status.TailBytes+status.SealedResidentBytes)/rows, int64(pub.TableBytes)/rows)
+		unowned := (resident - residentFixedBytes - owned) / rows
+		t.Logf("epoch %d: node holds %.1f MB live for %d rows: %d B per row over the fixed %d (store + lineage + serving table account for %d, the store for %d, the serving table for %d, no owner for %d)",
+			pub.Epoch, float64(resident)/1e6, rows, perRow, residentFixedBytes, owned/rows, (status.TailBytes+status.SealedResidentBytes)/rows, int64(pub.TableBytes)/rows, unowned)
 		if perRow > rowBytes {
 			t.Errorf("epoch %d: live heap is %d B per stored row (%d B for %d rows), budget %d: something holds the corpus again, or holds it wider",
 				pub.Epoch, perRow, resident, rows, rowBytes)
+		}
+		if unowned > unownedBytes {
+			t.Errorf("epoch %d: %d B per stored row lie outside the store, the lineage and the serving table, budget %d: a copy no owner reports",
+				pub.Epoch, unowned, unownedBytes)
 		}
 	}
 	for i, body := range bodies {
@@ -119,9 +130,9 @@ func TestResidentCopiesStayWithinBudget(t *testing.T) {
 		}
 		switch i {
 		case lastBase:
-			checkBudget(pub, residentRowBytesFull)
+			checkBudget(pub, residentRowBytesFull, residentUnownedBytesFull)
 		case len(bodies) - 1:
-			checkBudget(pub, residentRowBytesFollowUp)
+			checkBudget(pub, residentRowBytesFollowUp, residentUnownedBytesFollowUp)
 		}
 	}
 	for i, sh := range st.Status().Shards {

@@ -107,9 +107,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return m.data[off : off+m.cols : off+m.cols]
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.data[i*m.stride+j] }
-
 // CopyRow copies src into row i.
 func (m *Matrix) CopyRow(i int, src []float64) { copy(m.Row(i), src) }
 
@@ -234,32 +231,26 @@ func (m *Matrix) ColMinMax(mins, maxs []float64, mask []bool) ([]float64, []floa
 	return mins, maxs
 }
 
-// NormalizeColumns returns a fresh matrix with every column min-max
-// scaled to [0, 1] (constant columns map to 0), the normalization the
-// clustering and multivariate-outlier stages share. The arithmetic
-// matches the historical per-row loop bitwise: spans are computed from
-// row-major ColMinMax and each cell maps through (v-min)/span.
-func (m *Matrix) NormalizeColumns() *Matrix {
-	out, _, _ := m.NormalizeColumnsBounds()
-	return out
-}
-
-// NormalizeColumnsBounds is NormalizeColumns plus the per-column min and
-// max bounds it normalized with, so callers needing both (e.g. to map
-// centroids back to raw attribute space) pay one scan, not two.
-func (m *Matrix) NormalizeColumnsBounds() (*Matrix, []float64, []float64) {
-	out := &Matrix{rows: m.rows, cols: m.cols, stride: m.cols, data: make([]float64, m.rows*m.cols)}
+// Normalize min-max scales every column of m to [0, 1] in place
+// (constant columns map to 0) and returns the per-column bounds it scaled
+// with: the normalization the clustering and multivariate-outlier stages
+// share, whose bounds map centroids back to raw attribute space. The
+// arithmetic matches the historical per-row loop bitwise: bounds come
+// from row-major ColMinMax and each cell maps through (v-min)/span. An
+// empty matrix has no bounds.
+func (m *Matrix) Normalize() (mins, maxs []float64) {
 	if m.rows == 0 || m.cols == 0 {
-		return out, nil, nil
+		return nil, nil
 	}
-	mins, maxs := m.ColMinMax(nil, nil, nil)
+	mins, maxs = m.ColMinMax(nil, nil, nil)
 	for i := 0; i < m.rows; i++ {
-		src, dst := m.Row(i), out.Row(i)
-		for d, v := range src {
+		row := m.Row(i)
+		for d, v := range row {
+			row[d] = 0
 			if span := maxs[d] - mins[d]; span > 0 {
-				dst[d] = (v - mins[d]) / span
+				row[d] = (v - mins[d]) / span
 			}
 		}
 	}
-	return out, mins, maxs
+	return mins, maxs
 }

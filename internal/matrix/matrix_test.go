@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -31,7 +32,7 @@ func TestFromRowsRoundTrip(t *testing.T) {
 	for i, r := range rows {
 		got := m.Row(i)
 		for d := range r {
-			if got[d] != r[d] || m.At(i, d) != r[d] {
+			if got[d] != r[d] {
 				t.Fatalf("(%d,%d) = %v want %v", i, d, got[d], r[d])
 			}
 		}
@@ -189,16 +190,16 @@ func TestColReductionsMasked(t *testing.T) {
 	}
 }
 
-// TestNormalizeColumnsMatchesReference pins NormalizeColumns against the
-// historical [][]float64 implementation bitwise.
+// TestNormalizeColumnsMatchesReference pins Normalize against the
+// historical [][]float64 implementation bitwise, bounds included.
 func TestNormalizeColumnsMatchesReference(t *testing.T) {
-	normalizeRef := func(mat [][]float64) [][]float64 {
+	normalizeRef := func(mat [][]float64) (out [][]float64, mins, maxs []float64) {
 		if len(mat) == 0 {
-			return nil
+			return nil, nil, nil
 		}
 		dim := len(mat[0])
-		mins := make([]float64, dim)
-		maxs := make([]float64, dim)
+		mins = make([]float64, dim)
+		maxs = make([]float64, dim)
 		for d := range mins {
 			mins[d], maxs[d] = math.Inf(1), math.Inf(-1)
 		}
@@ -212,7 +213,7 @@ func TestNormalizeColumnsMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		out := make([][]float64, len(mat))
+		out = make([][]float64, len(mat))
 		for i, r := range mat {
 			nr := make([]float64, dim)
 			for d, v := range r {
@@ -222,7 +223,7 @@ func TestNormalizeColumnsMatchesReference(t *testing.T) {
 			}
 			out[i] = nr
 		}
-		return out
+		return out, mins, maxs
 	}
 	rng := rand.New(rand.NewSource(13))
 	rows := randRows(rng, 40, 5, 100)
@@ -230,14 +231,20 @@ func TestNormalizeColumnsMatchesReference(t *testing.T) {
 		rows[i][2] = 7
 	}
 	m, _ := FromRows(rows)
-	got := m.NormalizeColumns()
-	want := normalizeRef(rows)
+	mins, maxs := m.Normalize()
+	want, wantMins, wantMaxs := normalizeRef(rows)
+	if !slices.Equal(mins, wantMins) || !slices.Equal(maxs, wantMaxs) {
+		t.Fatalf("bounds (%v, %v) want (%v, %v)", mins, maxs, wantMins, wantMaxs)
+	}
 	for i := range want {
-		for d := range want[i] {
-			if got.At(i, d) != want[i][d] {
-				t.Fatalf("(%d,%d) = %v want %v", i, d, got.At(i, d), want[i][d])
+		for d, w := range want[i] {
+			if got := m.Row(i)[d]; got != w {
+				t.Fatalf("(%d,%d) = %v want %v", i, d, got, w)
 			}
 		}
+	}
+	if mins, maxs := (&Matrix{}).Normalize(); mins != nil || maxs != nil {
+		t.Fatalf("empty matrix bounds (%v, %v)", mins, maxs)
 	}
 }
 

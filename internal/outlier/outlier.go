@@ -224,9 +224,9 @@ func DetectMultivariate(t *table.Table, attrs []string, workers int) (*Multivari
 	if len(attrs) == 0 {
 		return nil, errors.New("outlier: no attributes given")
 	}
-	// The complete-row attribute matrix is built once, flat, and shared
-	// read-only by the parameter-estimation sample (a zero-copy strided
-	// view) and the clustering pass.
+	// The complete-row attribute matrix is built once, flat, normalized
+	// in place and then shared read-only by the parameter-estimation
+	// sample (a zero-copy strided view) and the clustering pass.
 	mat, rowIdx, err := t.DenseMatrix(attrs...)
 	if err != nil {
 		return nil, fmt.Errorf("outlier: multivariate: %w", err)
@@ -236,12 +236,12 @@ func DetectMultivariate(t *table.Table, attrs []string, workers int) (*Multivari
 	}
 	// Min-max normalize each attribute so eps is comparable across
 	// heterogeneous units.
-	norm := mat.NormalizeColumns()
+	mat.Normalize()
 
-	sample := norm
-	if norm.Rows() > multivariateSample {
+	sample := mat
+	if mat.Rows() > multivariateSample {
 		// Deterministic stride sample, viewed without copying.
-		sample, err = norm.StrideView(norm.Rows()/multivariateSample, multivariateSample)
+		sample, err = mat.StrideView(mat.Rows()/multivariateSample, multivariateSample)
 		if err != nil {
 			return nil, fmt.Errorf("outlier: parameter estimation: %w", err)
 		}
@@ -251,7 +251,7 @@ func DetectMultivariate(t *table.Table, attrs []string, workers int) (*Multivari
 		return nil, fmt.Errorf("outlier: parameter estimation: %w", err)
 	}
 
-	res, err := cluster.DBSCANMatrixParallel(norm, eps, minPts, workers)
+	res, err := cluster.DBSCANMatrixParallel(mat, eps, minPts, workers)
 	if err != nil {
 		return nil, fmt.Errorf("outlier: dbscan: %w", err)
 	}

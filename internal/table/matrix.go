@@ -1,10 +1,6 @@
 package table
 
-import (
-	"fmt"
-
-	"indice/internal/matrix"
-)
+import "indice/internal/matrix"
 
 // DenseMatrix extracts the named numeric columns as one flat row-major
 // matrix.Matrix. Rows with any invalid cell among the selected columns
@@ -60,51 +56,4 @@ func (t *Table) DenseMatrix(names ...string) (*matrix.Matrix, []int, error) {
 		rowIdx = append(rowIdx, r)
 	}
 	return m, rowIdx, nil
-}
-
-// DenseMatrixAppend materializes the complete rows of [fromRow, NumRows)
-// over the named numeric columns onto the end of dst, returning the table
-// row index of every appended matrix row. This is the incremental-refresh
-// counterpart of DenseMatrix: a lineage keeps one appendable buffer per
-// attribute subset and materializes only the rows each new epoch added,
-// reusing every earlier row zero-copy.
-func (t *Table) DenseMatrixAppend(dst *matrix.Appendable, fromRow int, names ...string) ([]int, error) {
-	if dst.Cols() != len(names) {
-		return nil, fmt.Errorf("table: appendable has %d columns, selecting %d", dst.Cols(), len(names))
-	}
-	if fromRow < 0 || fromRow > t.rows {
-		return nil, fmt.Errorf("table: dense-matrix append from row %d of %d", fromRow, t.rows)
-	}
-	cols := make([][]float64, len(names))
-	masks := make([][]bool, len(names))
-	for i, n := range names {
-		v, err := t.Floats(n)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = v
-		masks[i], _ = t.ValidMask(n)
-	}
-	var rowIdx []int
-	buf := make([]float64, len(names))
-	for r := fromRow; r < t.rows; r++ {
-		ok := true
-		for _, mask := range masks {
-			if !mask[r] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for i := range cols {
-			buf[i] = cols[i][r]
-		}
-		if err := dst.AppendRow(buf); err != nil {
-			return nil, err
-		}
-		rowIdx = append(rowIdx, r)
-	}
-	return rowIdx, nil
 }

@@ -414,3 +414,77 @@ func TestEmptyTable(t *testing.T) {
 		t.Fatal("take on empty table")
 	}
 }
+
+func TestTableReset(t *testing.T) {
+	tab, err := NewWithSchema([]Field{{Name: "x", Type: Float64}, {Name: "s", Type: String}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		err := tab.AppendRow([]Cell{{Float: float64(i), Valid: true}, {Str: "v", Valid: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab.Reset()
+	if tab.NumRows() != 0 {
+		t.Fatalf("rows after reset = %d", tab.NumRows())
+	}
+	// Refill after reset must behave like a fresh table.
+	err = tab.AppendRow([]Cell{{Float: math.NaN(), Valid: true}, {Valid: false}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.NumRows() != 1 {
+		t.Fatalf("rows after refill = %d", tab.NumRows())
+	}
+	mask, err := tab.ValidMask("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mask) != 1 || mask[0] {
+		t.Fatalf("NaN refill mask = %v", mask)
+	}
+}
+
+// TestDenseMatrixKeepsCompleteRows pins the clustering input's shape:
+// DenseMatrix keeps exactly the rows valid in every selected column, in
+// table order, and maps each matrix row back to its table row.
+func TestDenseMatrixKeepsCompleteRows(t *testing.T) {
+	const n = 137
+	a, b := make([]float64, n), make([]float64, n)
+	valid := make([]bool, n)
+	for i := range a {
+		a[i], b[i] = float64(i), -float64(i)
+		valid[i] = i%5 != 3
+	}
+	a[11] = math.NaN() // AddFloats reads a NaN as missing
+	tab := New()
+	if err := tab.AddFloats("a", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.AddFloatsValid("b", b, valid); err != nil {
+		t.Fatal(err)
+	}
+	m, rowIdx, err := tab.DenseMatrix("b", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for i := range a {
+		if valid[i] && i != 11 {
+			want = append(want, i)
+		}
+	}
+	if m.Rows() != len(want) || m.Cols() != 2 || !reflect.DeepEqual(rowIdx, want) {
+		t.Fatalf("%dx%d matrix, row index %v; want %d rows %v", m.Rows(), m.Cols(), rowIdx, len(want), want)
+	}
+	for i, r := range want {
+		if row := m.Row(i); row[0] != b[r] || row[1] != a[r] {
+			t.Fatalf("row %d (table row %d) = %v, want [%v %v]", i, r, row, b[r], a[r])
+		}
+	}
+	if _, _, err := tab.DenseMatrix("a", "missing"); err == nil {
+		t.Fatal("want an error for an unknown column")
+	}
+}
