@@ -369,7 +369,7 @@ func buildLive(ctx context.Context, tab *table.Table, hier *geo.Hierarchy, opts 
 			}
 		} else {
 			fmt.Fprintf(os.Stderr, "initial refresh done in %v (%d certificates, K=%d)\n",
-				pub.Took.Round(time.Millisecond), pub.Engine.Table().NumRows(), pub.Analysis.ChosenK)
+				pub.Took.Round(time.Millisecond), pub.Engine.NumRows(), pub.Analysis.ChosenK)
 		}
 	}
 	go live.AutoRefresh(ctx, refreshInterval)

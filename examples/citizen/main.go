@@ -49,7 +49,10 @@ func main() {
 	}
 
 	// Rank districts by mean normalized heating demand.
-	zs, err := dashboard.AggregateByZone(eng.Table(), eng.Hierarchy(), geo.LevelDistrict, epc.AttrEPH)
+	// The coordinates and the response, decoded once for the ranking and
+	// the map.
+	tab := eng.Table(epc.AttrLatitude, epc.AttrLongitude, epc.AttrEPH)
+	zs, err := dashboard.AggregateByZone(tab, eng.Hierarchy(), geo.LevelDistrict, epc.AttrEPH)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func main() {
 	best := zs[0]
 
 	// Drill into the best district: energy class mix.
-	sub, err := query.Select(eng.Table(), query.InDistrict(best.Zone.ID))
+	sub, err := query.Select(eng.Table(epc.AttrDistrict, epc.AttrEnergyClass), query.InDistrict(best.Zone.ID))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +82,7 @@ func main() {
 	}
 
 	// The neighbourhood choropleth the citizen dashboard proposes.
-	svg, kind, err := dashboard.RenderMap(eng.Table(), eng.Hierarchy(), dashboard.MapSpec{
+	svg, kind, err := dashboard.RenderMap(tab, eng.Hierarchy(), dashboard.MapSpec{
 		Title: "Average EPH by neighbourhood",
 		Level: geo.LevelNeighbourhood,
 		Attr:  epc.AttrEPH,

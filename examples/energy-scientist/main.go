@@ -108,7 +108,8 @@ func main() {
 	fmt.Printf("K-means: elbow K = %d, sizes %v\n", an.ChosenK, an.Clustering.Sizes)
 
 	// 4. Validate the clustering with the silhouette on a sample.
-	mat, _, err := eng.Table().Matrix(epc.CaseStudyAttributes...)
+	tab := eng.Table(append([]string{epc.AttrEPH}, epc.CaseStudyAttributes...)...)
+	mat, _, err := tab.Matrix(epc.CaseStudyAttributes...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -161,8 +162,8 @@ func main() {
 	}
 	fmt.Println("wrote scientist_dendrogram.svg")
 
-	ephVals, _ := eng.Table().Floats(epc.AttrEPH)
-	uoVals, _ := eng.Table().Floats(epc.AttrUOpaque)
+	ephVals, _ := tab.Floats(epc.AttrEPH)
+	uoVals, _ := tab.Floats(epc.AttrUOpaque)
 	rho, err := stats.Spearman(ephVals, uoVals)
 	if err != nil {
 		log.Fatal(err)
@@ -172,7 +173,7 @@ func main() {
 
 	// Keep only rows whose response survived corruption (EPH may be one
 	// of the randomly blanked numeric cells).
-	_, rowsIdx, _ := eng.Table().Matrix(epc.CaseStudyAttributes...)
+	_, rowsIdx, _ := tab.Matrix(epc.CaseStudyAttributes...)
 	var matRows [][]float64
 	var respAll []float64
 	for i, r := range rowsIdx {

@@ -94,8 +94,9 @@ func main() {
 	fmt.Print(assoc.FormatTable(top))
 
 	// Figure 2: the drill-down — one map per zoom level.
+	tab := eng.Table(epc.AttrLatitude, epc.AttrLongitude, epc.AttrEPH)
 	for _, level := range []geo.Level{geo.LevelCity, geo.LevelDistrict, geo.LevelNeighbourhood, geo.LevelUnit} {
-		svg, kind, err := dashboard.RenderMap(eng.Table(), eng.Hierarchy(), dashboard.MapSpec{
+		svg, kind, err := dashboard.RenderMap(tab, eng.Hierarchy(), dashboard.MapSpec{
 			Title: fmt.Sprintf("EPH at %s zoom", level),
 			Level: level,
 			Attr:  epc.AttrEPH,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"indice/internal/assoc"
 	"indice/internal/cart"
@@ -12,6 +13,7 @@ import (
 	"indice/internal/matrix"
 	"indice/internal/parallel"
 	"indice/internal/stats"
+	"indice/internal/table"
 )
 
 // AnalysisConfig parameterizes the analytics tier.
@@ -171,9 +173,9 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 		Binnings:   make(map[string]*cart.Binning),
 	}
 
-	// Shared inputs, loaded up front so the stages below share them
-	// without re-fetching.
-	in, err := e.clusterInput(cfg)
+	// Shared inputs, decoded up front (the rule attributes too) so the
+	// stages below share them without re-fetching.
+	in, err := e.clusterInput(cfg, cfg.ExtraRuleAttrs...)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +245,7 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 		}
 		an.Binnings[cfg.Response] = rb
 
-		txs, err := e.transactions(cfg, an)
+		txs, err := transactions(in.tab, an, cfg.ExtraRuleAttrs)
 		if err != nil {
 			return err
 		}
@@ -280,12 +282,14 @@ func (cfg AnalysisConfig) columns() []string {
 }
 
 // clusterInput is what an analysis reads off the engine's table: the
-// columns of cfg.columns() for the correlation screen and the CART stage,
-// the complete rows over the clustering attributes as one flat matrix
+// columns of cfg.columns() decoded (tab, with whatever extra columns were
+// asked for), for the correlation screen and the CART stage as cols, the
+// complete rows over the clustering attributes as one flat matrix
 // normalized once, its normalization bounds, the table row of every
 // matrix row, and where the response holds a value. A full and an
 // incremental refresh cluster the same input.
 type clusterInput struct {
+	tab        *table.Table
 	cols       [][]float64
 	norm       *matrix.Matrix
 	mins, maxs []float64
@@ -294,25 +298,28 @@ type clusterInput struct {
 }
 
 // clusterInput loads the input of an analysis under cfg, which needs at
-// least cfg.KMax complete rows.
-func (e *Engine) clusterInput(cfg AnalysisConfig) (*clusterInput, error) {
-	in := &clusterInput{cols: make([][]float64, 0, len(cfg.Attributes)+1)}
+// least cfg.KMax complete rows, decoding the extra columns with it.
+func (e *Engine) clusterInput(cfg AnalysisConfig, extra ...string) (*clusterInput, error) {
+	in := &clusterInput{
+		tab:  e.Table(append(cfg.columns(), extra...)...),
+		cols: make([][]float64, 0, len(cfg.Attributes)+1),
+	}
 	for _, n := range cfg.columns() {
-		v, err := e.tab.Floats(n)
+		v, err := in.tab.Floats(n)
 		if err != nil {
 			return nil, fmt.Errorf("core: analyze: %w", err)
 		}
 		in.cols = append(in.cols, v)
 	}
 	var err error
-	if in.norm, in.rowIdx, err = e.tab.DenseMatrix(cfg.Attributes...); err != nil {
+	if in.norm, in.rowIdx, err = in.tab.DenseMatrix(cfg.Attributes...); err != nil {
 		return nil, fmt.Errorf("core: analyze: %w", err)
 	}
 	if in.norm.Rows() < cfg.KMax {
 		return nil, fmt.Errorf("core: analyze: %d complete rows, need at least %d", in.norm.Rows(), cfg.KMax)
 	}
 	in.mins, in.maxs = in.norm.Normalize()
-	in.respValid, _ = e.tab.ValidMask(cfg.Response)
+	in.respValid, _ = in.tab.ValidMask(cfg.Response)
 	return in, nil
 }
 
@@ -383,45 +390,68 @@ func (an *Analysis) rawCentroids() []float64 {
 // numeric attributes of an plus cfg.ExtraRuleAttrs. Exposed so external
 // harnesses (the E6 benchmarks) mine exactly the workload Analyze mines.
 func (e *Engine) RuleTransactions(cfg AnalysisConfig, an *Analysis) ([]assoc.Transaction, error) {
-	return e.transactions(cfg, an)
+	cols := append(append(slices.Clone(an.Attributes), an.Response), cfg.ExtraRuleAttrs...)
+	return transactions(e.Table(cols...), an, cfg.ExtraRuleAttrs)
 }
 
-// transactions converts the table into the transactional dataset of the
-// rule miner: discretized numeric attributes plus the extra categorical
-// attributes.
-func (e *Engine) transactions(cfg AnalysisConfig, an *Analysis) ([]assoc.Transaction, error) {
-	n := e.tab.NumRows()
-	txs := make([]assoc.Transaction, n)
-	for attr, binning := range an.Binnings {
-		xs, err := e.tab.Floats(attr)
+// transactions converts tab into the transactional dataset of the rule
+// miner: an's discretized attributes and response, then the extra
+// categorical attributes tab holds. Every transaction is carved from one
+// array of items, counted before it is filled.
+func transactions(tab *table.Table, an *Analysis, extra []string) ([]assoc.Transaction, error) {
+	// item is row i's item of one attribute, if it has one.
+	var items []func(i int) (assoc.Item, bool)
+	for _, attr := range append(slices.Clone(an.Attributes), an.Response) {
+		binning, ok := an.Binnings[attr]
+		if !ok {
+			continue
+		}
+		xs, err := tab.Floats(attr)
 		if err != nil {
 			return nil, err
 		}
-		valid, _ := e.tab.ValidMask(attr)
-		for i := 0; i < n; i++ {
+		valid, _ := tab.ValidMask(attr)
+		items = append(items, func(i int) (assoc.Item, bool) {
 			if !valid[i] {
-				continue
+				return assoc.Item{}, false
 			}
 			cls := binning.Assign(xs[i])
-			if cls == "" {
-				continue
-			}
-			txs[i] = append(txs[i], assoc.Item{Attr: attr, Value: cls})
-		}
+			return assoc.Item{Attr: attr, Value: cls}, cls != ""
+		})
 	}
-	for _, attr := range cfg.ExtraRuleAttrs {
-		if !e.tab.HasColumn(attr) {
+	for _, attr := range extra {
+		if !tab.HasColumn(attr) {
 			continue
 		}
-		vs, err := e.tab.Strings(attr)
+		codes, dict, err := tab.StringCodes(attr)
 		if err != nil {
 			return nil, fmt.Errorf("core: rule attribute %q: %w", attr, err)
 		}
-		valid, _ := e.tab.ValidMask(attr)
-		for i := 0; i < n; i++ {
-			if valid[i] && vs[i] != "" {
-				txs[i] = append(txs[i], assoc.Item{Attr: attr, Value: vs[i]})
+		valid, _ := tab.ValidMask(attr)
+		items = append(items, func(i int) (assoc.Item, bool) {
+			v := dict[codes[i]]
+			return assoc.Item{Attr: attr, Value: v}, valid[i] && v != ""
+		})
+	}
+	n, total := tab.NumRows(), 0
+	for i := 0; i < n; i++ {
+		for _, item := range items {
+			if _, ok := item(i); ok {
+				total++
 			}
+		}
+	}
+	all := make([]assoc.Item, 0, total)
+	txs := make([]assoc.Transaction, n)
+	for i := range txs {
+		lo := len(all)
+		for _, item := range items {
+			if it, ok := item(i); ok {
+				all = append(all, it)
+			}
+		}
+		if hi := len(all); hi > lo {
+			txs[i] = all[lo:hi:hi]
 		}
 	}
 	return txs, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -51,6 +52,36 @@ func engineFor(t testing.TB, certs int, corrupt bool) *Engine {
 		t.Fatal(err)
 	}
 	return eng
+}
+
+// TestEngineDecodesTheColumnsNamed pins the engine's read API over its
+// encoded table: the named columns in the order given, bitwise the table
+// it was built from, names it lacks and repeats skipped; every column when
+// none is named; row count and column types without a decode.
+func TestEngineDecodesTheColumnsNamed(t *testing.T) {
+	ds, _, _ := world(t, 300)
+	eng, err := NewEngine(ds.Table, ds.City.Hierarchy, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := eng.Table(epc.AttrEnergyClass, "no_such_column", epc.AttrEPH, epc.AttrEnergyClass)
+	want, err := ds.Table.Select(epc.AttrEnergyClass, epc.AttrEPH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMatchTables(t, "named columns", got, want)
+	mustMatchTables(t, "every column", eng.Table(), ds.Table)
+	if eng.NumRows() != ds.Table.NumRows() {
+		t.Fatalf("NumRows = %d, want %d", eng.NumRows(), ds.Table.NumRows())
+	}
+	for name, typ := range map[string]table.Type{epc.AttrEPH: table.Float64, epc.AttrEnergyClass: table.String} {
+		if got, err := eng.TypeOf(name); err != nil || got != typ {
+			t.Fatalf("TypeOf(%q) = %v, %v; want %v", name, got, err, typ)
+		}
+	}
+	if _, err := eng.TypeOf("no_such_column"); !errors.Is(err, table.ErrNoColumn) {
+		t.Fatalf("TypeOf of a missing column: %v, want ErrNoColumn", err)
+	}
 }
 
 func TestNewEngineValidation(t *testing.T) {

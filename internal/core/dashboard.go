@@ -31,16 +31,19 @@ func (e *Engine) DashboardBytes(s query.Stakeholder, an *Analysis) ([]byte, erro
 	fail := func(err error) ([]byte, error) {
 		return nil, fmt.Errorf("core: dashboard: %w", err)
 	}
+	// Every panel reads the coordinates, the response, the proposed
+	// attributes or the energy class: decoded once for the page.
+	tab := e.Table(append([]string{epc.AttrLatitude, epc.AttrLongitude, prop.Response, epc.AttrEnergyClass}, prop.Attributes...)...)
 	mapPanel := func(title string, level geo.Level) render.Panel {
 		return func(dst []byte) ([]byte, error) {
-			b, _, err := dashboard.AppendMap(dst, e.tab, e.hier, dashboard.MapSpec{Title: title, Level: level, Attr: prop.Response})
+			b, _, err := dashboard.AppendMap(dst, tab, e.hier, dashboard.MapSpec{Title: title, Level: level, Attr: prop.Response})
 			return b, err
 		}
 	}
 	page := render.NewPage(fmt.Sprintf("INDICE — %s dashboard", s))
 	page.AddParagraph(fmt.Sprintf(
 		"%d certificates at %s granularity. Proposed attribute subset: %v (response: %s).",
-		e.tab.NumRows(), prop.Level, prop.Attributes, prop.Response))
+		e.NumRows(), prop.Level, prop.Attributes, prop.Response))
 
 	for _, kind := range prop.Reports {
 		switch kind {
@@ -63,7 +66,7 @@ func (e *Engine) DashboardBytes(s query.Stakeholder, an *Analysis) ([]byte, erro
 				}
 				break
 			}
-			ms, err := dashboard.ClusterMarkers(e.tab, an.RowLabels, prop.Response)
+			ms, err := dashboard.ClusterMarkers(tab, an.RowLabels, prop.Response)
 			if err != nil {
 				return fail(err)
 			}
@@ -79,7 +82,7 @@ func (e *Engine) DashboardBytes(s query.Stakeholder, an *Analysis) ([]byte, erro
 			rows := make([][]string, 0, len(prop.Attributes))
 			panels := make([]render.Panel, 0, len(prop.Attributes))
 			for _, attr := range prop.Attributes {
-				p, err := dashboard.NewDistributionPanel(e.tab, attr, 20, 380, 240)
+				p, err := dashboard.NewDistributionPanel(tab, attr, 20, 380, 240)
 				if err != nil {
 					return fail(err)
 				}
@@ -161,8 +164,8 @@ func (e *Engine) DashboardBytes(s query.Stakeholder, an *Analysis) ([]byte, erro
 	}
 
 	// Energy class breakdown closes every dashboard when available.
-	if e.tab.HasColumn(epc.AttrEnergyClass) {
-		if panel, _, err := dashboard.CategoricalPanel(e.tab, epc.AttrEnergyClass, 10, 420, 240); err == nil {
+	if tab.HasColumn(epc.AttrEnergyClass) {
+		if panel, _, err := dashboard.CategoricalPanel(tab, epc.AttrEnergyClass, 10, 420, 240); err == nil {
 			page.AddHeading("Energy class breakdown")
 			if err := page.AddSVG(panel); err != nil {
 				return fail(err)

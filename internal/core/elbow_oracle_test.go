@@ -17,7 +17,8 @@ import (
 // reached its SSE with other labels — the case a <= fold gets wrong.
 func oracleClustering(t *testing.T, eng *Engine, cfg AnalysisConfig) (an *Analysis, tied bool) {
 	t.Helper()
-	norm, rowIdx, err := eng.tab.DenseMatrix(cfg.Attributes...)
+	tab := eng.Table(cfg.columns()...)
+	norm, rowIdx, err := tab.DenseMatrix(cfg.Attributes...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +50,8 @@ func oracleClustering(t *testing.T, eng *Engine, cfg AnalysisConfig) (an *Analys
 	}
 	tied = tied && best == results[0]
 	an = &Analysis{ChosenK: k, Clustering: best}
-	resp, _ := eng.tab.Floats(cfg.Response)
-	respValid, _ := eng.tab.ValidMask(cfg.Response)
+	resp, _ := tab.Floats(cfg.Response)
+	respValid, _ := tab.ValidMask(cfg.Response)
 	an.labelRows(rowIdx, resp, respValid)
 	return an, tied
 }
@@ -63,14 +64,19 @@ func TestFinalClusteringIsTheRestartLoopsChoice(t *testing.T) {
 	// clustering attributes overwritten by two tight, far-apart blobs.
 	// There every seed finds the one partition, so at K = 2 the restarts
 	// reach bit-equal SSEs and differ only in which blob is cluster 0.
-	planted := engineFor(t, 500, false)
-	for i := 0; i < planted.tab.NumRows(); i++ {
+	synthetic := engineFor(t, 500, false)
+	tab := synthetic.Table()
+	for i := 0; i < tab.NumRows(); i++ {
 		for d, attr := range DefaultAnalysisConfig().Attributes {
 			v := float64(i%2*10+d) + float64(i%7)/100
-			if err := planted.tab.SetFloat(attr, i, v); err != nil {
+			if err := tab.SetFloat(attr, i, v); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	planted, err := NewEngine(tab, synthetic.Hierarchy(), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	ties := 0
 	for _, eng := range []*Engine{engineFor(t, 500, false), planted} {

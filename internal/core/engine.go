@@ -37,20 +37,32 @@ type Options struct {
 	Suggestions *outlier.SuggestionStore
 }
 
-// Engine orchestrates the INDICE pipeline over one EPC collection.
+// Engine orchestrates the INDICE pipeline over one EPC collection. It
+// holds its table encoded (table.Encoded, the store segments' form); a
+// reader decodes the columns it names (Table) for as long as it reads
+// them.
 type Engine struct {
-	tab         *table.Table
+	enc         *table.Encoded
 	hier        *geo.Hierarchy
 	streetMap   *geocode.StreetMap
 	geocoder    geocode.Geocoder
 	suggestions *outlier.SuggestionStore
 }
 
-// NewEngine wraps an EPC table and its administrative hierarchy. The table
-// is used as-is (not copied): Preprocess replaces it internally with the
-// cleaned version.
+// NewEngine wraps an EPC table and its administrative hierarchy. The
+// engine keeps t encoded, so t is not retained and may be reused:
+// Preprocess and Select replace the encoding with their result.
 func NewEngine(t *table.Table, h *geo.Hierarchy, opts Options) (*Engine, error) {
 	if t == nil || t.NumRows() == 0 {
+		return nil, errors.New("core: engine needs a non-empty table")
+	}
+	return newEngine(table.Encode(t), h, opts)
+}
+
+// newEngine is NewEngine over a table already encoded: how a refresh
+// publishes the serving rows it encoded a column at a time.
+func newEngine(enc *table.Encoded, h *geo.Hierarchy, opts Options) (*Engine, error) {
+	if enc.NumRows() == 0 {
 		return nil, errors.New("core: engine needs a non-empty table")
 	}
 	if h == nil {
@@ -59,7 +71,7 @@ func NewEngine(t *table.Table, h *geo.Hierarchy, opts Options) (*Engine, error) 
 	for _, required := range []string{
 		epc.AttrLatitude, epc.AttrLongitude, epc.AttrEPH,
 	} {
-		if !t.HasColumn(required) {
+		if enc.Column(required) == nil {
 			return nil, fmt.Errorf("core: table lacks required attribute %q", required)
 		}
 	}
@@ -68,7 +80,7 @@ func NewEngine(t *table.Table, h *geo.Hierarchy, opts Options) (*Engine, error) 
 		sug = outlier.NewSuggestionStore()
 	}
 	return &Engine{
-		tab:         t,
+		enc:         enc,
 		hier:        h,
 		streetMap:   opts.StreetMap,
 		geocoder:    opts.Geocoder,
@@ -76,10 +88,44 @@ func NewEngine(t *table.Table, h *geo.Hierarchy, opts Options) (*Engine, error) 
 	}, nil
 }
 
-// Table returns the engine's current table (cleaned after Preprocess). A
-// live loop's engine holds only the columns its readers name (see
+// Table decodes the named columns of the engine's table (cleaned after
+// Preprocess), in the order given, into a table the caller owns; without
+// names it decodes every column. A name the engine's table lacks is
+// skipped, so the reader finds the column missing where it looks for it.
+// A live loop's engine holds only the columns its readers name (see
 // LiveConfig.servingColumns), not every column of the store.
-func (e *Engine) Table() *table.Table { return e.tab }
+func (e *Engine) Table(cols ...string) *table.Table {
+	if len(cols) == 0 {
+		return e.enc.Decode()
+	}
+	fields := make([]table.Field, 0, len(cols))
+	for _, n := range cols {
+		c := e.enc.Column(n)
+		if c != nil && !slices.ContainsFunc(fields, func(f table.Field) bool { return f.Name == n }) {
+			fields = append(fields, table.Field{Name: n, Type: c.Type()})
+		}
+	}
+	// Neither can fail: the fields are distinct columns of the encoding.
+	t, _ := table.NewWithSchema(fields)
+	_ = e.enc.AppendTo(t)
+	return t
+}
+
+// NumRows returns the row count of the engine's table.
+func (e *Engine) NumRows() int { return e.enc.NumRows() }
+
+// TypeOf returns the type of the named column of the engine's table.
+func (e *Engine) TypeOf(name string) (table.Type, error) {
+	c := e.enc.Column(name)
+	if c == nil {
+		return 0, fmt.Errorf("%w: %q", table.ErrNoColumn, name)
+	}
+	return c.Type(), nil
+}
+
+// SizeBytes estimates the resident footprint of the engine's encoded
+// table (table.Encoded.SizeBytes).
+func (e *Engine) SizeBytes() int { return e.enc.SizeBytes() }
 
 // Hierarchy returns the administrative hierarchy.
 func (e *Engine) Hierarchy() *geo.Hierarchy { return e.hier }
@@ -87,14 +133,14 @@ func (e *Engine) Hierarchy() *geo.Hierarchy { return e.hier }
 // Select replaces the engine's table with the subset matching p and
 // returns the new row count. This is the querying-engine entry point.
 func (e *Engine) Select(p query.Predicate) (int, error) {
-	sub, err := query.Select(e.tab, p)
+	sub, err := query.Select(e.Table(), p)
 	if err != nil {
 		return 0, err
 	}
 	if sub.NumRows() == 0 {
 		return 0, errors.New("core: selection matched no certificate")
 	}
-	e.tab = sub
+	e.enc = table.Encode(sub)
 	return sub.NumRows(), nil
 }
 
@@ -187,17 +233,16 @@ type PreprocessReport struct {
 // Preprocess runs the pre-processing tier and, when configured, replaces
 // the engine's table with the cleaned one.
 func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
-	rep := &PreprocessReport{RowsBefore: e.tab.NumRows()}
+	// The pre-processing tier works on a decoded copy (cleaning rewrites
+	// cells) and encodes what it keeps.
+	tab := e.Table()
+	rep := &PreprocessReport{RowsBefore: tab.NumRows()}
 
 	if cfg.cleans(e.streetMap) {
-		// Cleaning rewrites cells, so it works on a copy: a table a caller
-		// handed in is never modified.
-		work := e.tab.Clone()
-		crep, err := cleanTable(work, e.hier, e.streetMap, e.geocoder, cfg.cleanConfig())
+		crep, err := cleanTable(tab, e.hier, e.streetMap, e.geocoder, cfg.cleanConfig())
 		if err != nil {
 			return nil, err
 		}
-		e.tab = work
 		rep.Cleaning = crep
 	}
 
@@ -213,7 +258,7 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 			e.suggestions.Record(outlier.UsageRecord{Attr: a, Config: ucfg, Expert: true})
 		}
 	}
-	union, err := univariateScreen(e.tab, cfg, ucfg, rep)
+	union, err := univariateScreen(tab, cfg, ucfg, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +268,7 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 	}
 
 	if cfg.Multivariate {
-		mres, err := outlier.DetectMultivariate(e.tab, attrs, cfg.Parallelism)
+		mres, err := outlier.DetectMultivariate(tab, attrs, cfg.Parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("core: preprocess: %w", err)
 		}
@@ -240,20 +285,19 @@ func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 	slices.Sort(rep.OutlierRows)
 
 	if cfg.DropOutliers && len(rep.OutlierRows) > 0 {
-		cleaned, err := outlier.RemoveRows(e.tab, rep.OutlierRows)
-		if err != nil {
+		if tab, err = outlier.RemoveRows(tab, rep.OutlierRows); err != nil {
 			return nil, fmt.Errorf("core: preprocess: %w", err)
 		}
-		e.tab = cleaned
 	}
-	rep.RowsAfter = e.tab.NumRows()
+	e.enc = table.Encode(tab)
+	rep.RowsAfter = tab.NumRows()
 	return rep, nil
 }
 
 // cleanTable is the geospatial cleaning step, applied to tab in place:
 // per-row address reconciliation against the street map, then the
 // administrative labels recomputed from the reconciled coordinates when
-// the columns exist. Preprocess cleans a copy of its table with it, a live
+// the columns exist. Preprocess cleans its decoded table with it, a live
 // refresh the rows it materialized (every row on a full refresh, the delta
 // on an incremental one).
 func cleanTable(tab *table.Table, hier *geo.Hierarchy, sm *geocode.StreetMap, gc geocode.Geocoder, cfg geocode.CleanConfig) (*geocode.Report, error) {

@@ -51,28 +51,30 @@ var errIncremental = errors.New("core: incremental refresh unavailable")
 // lineage is the refresh's cross-epoch state, owned by the refresh lock.
 // The post-clean, pre-drop rows of every epoch, in arrival order, are in
 // three parts: screen (their lineageColumns), served (the published
-// serving table) and dropped (whole, at pre-drop positions droppedAt).
-// The warm start's K and centroids are the published analysis's.
+// serving table, encoded) and dropped (whole, at pre-drop positions
+// droppedAt). The warm start's K and centroids are the published
+// analysis's.
 type lineage struct {
-	epoch                   uint64
-	screen, served, dropped *table.Table
-	droppedAt               []int              // ascending
-	refStats                map[string]moments // drift baseline, at last full sweep
-	sinceFull               int
+	epoch           uint64
+	screen, dropped *table.Table
+	served          *table.Encoded
+	droppedAt       []int              // ascending
+	refStats        map[string]moments // drift baseline, at last full sweep
+	sinceFull       int
 }
 
 // newLineage returns the empty lineage a full refresh starts from, its
 // parts holding the columns of the serving schema they keep.
 func (l *Live) newLineage(schema []table.Field) (*lineage, error) {
-	served, err := table.NewWithSchema(schema)
+	dropped, err := table.NewWithSchema(schema)
 	if err != nil {
 		return nil, err
 	}
-	screen, err := served.Select(l.cfg.lineageColumns()...)
+	screen, err := dropped.Select(l.cfg.lineageColumns()...)
 	if err != nil {
 		return nil, err
 	}
-	return &lineage{screen: screen, served: served, dropped: served.Clone()}, nil
+	return &lineage{screen: screen, served: table.Encode(dropped), dropped: dropped}, nil
 }
 
 // moments are a column's exact mean and standard deviation.
@@ -144,25 +146,33 @@ func (l *Live) absorb(lin *lineage, delta *table.Table) (*Engine, *PreprocessRep
 		return nil, nil, err
 	}
 	rep.RowsAfter = lin.served.NumRows()
-	eng, err := NewEngine(lin.served, l.hier, l.cfg.Options)
+	eng, err := newEngine(lin.served, l.hier, l.cfg.Options)
 	return eng, rep, err
 }
 
 // advance moves served and dropped to the next epoch in one pass, in
-// pre-drop order, over the serving table, the dropped rows and the delta
+// pre-drop order, over the serving rows, the dropped rows and the delta
 // (whose rows follow theirs): a row dropped earlier comes back when the
-// fences release it, a kept one leaves when they catch it.
+// fences release it, a kept one leaves when they catch it. The next
+// serving rows are encoded a column at a time, so neither epoch's exists
+// decoded in full.
 func (lin *lineage) advance(delta *table.Table, drop []bool) error {
+	prevDropped := lin.dropped
+	srcs := [...]func(dst *table.Table, rows []int) error{
+		fromServed:  lin.served.TakeAppend,
+		fromDropped: func(dst *table.Table, rows []int) error { return dst.AppendTaken(prevDropped, rows) },
+		fromDelta:   func(dst *table.Table, rows []int) error { return dst.AppendTaken(delta, rows) },
+	}
 	out := [2]gather{{rows: make([]int, 0, len(drop))}} // kept, dropped
 	var droppedAt []int
-	base, next, j := lin.served.NumRows()+lin.dropped.NumRows(), 0, 0
+	base, next, j := lin.served.NumRows()+prevDropped.NumRows(), 0, 0
 	for p, d := range drop {
-		src, r := lin.served, next
+		src, r := fromServed, next
 		switch {
 		case p >= base:
-			src, r = delta, p-base
+			src, r = fromDelta, p-base
 		case j < len(lin.droppedAt) && lin.droppedAt[j] == p:
-			src, r = lin.dropped, j
+			src, r = fromDropped, j
 			j++
 		default:
 			next++
@@ -174,23 +184,35 @@ func (lin *lineage) advance(delta *table.Table, drop []bool) error {
 		}
 		out[k].add(src, r)
 	}
-	served, err := out[0].table(lin.served.Schema())
-	if err == nil {
-		lin.dropped, err = out[1].table(lin.served.Schema())
+	schema := lin.served.Schema()
+	served, err := table.EncodeColumns(schema, func(dst *table.Table) error { return out[0].appendTo(dst, srcs[:]) })
+	if err != nil {
+		return err
 	}
-	lin.served, lin.droppedAt = served, droppedAt
+	dropped, err := table.NewWithSchema(schema)
+	if err == nil {
+		err = out[1].appendTo(dropped, srcs[:])
+	}
+	lin.served, lin.dropped, lin.droppedAt = served, dropped, droppedAt
 	return err
 }
 
-// gather collects rows of source tables in runs of one source, then copies
-// them into a new table grown once, one AppendTaken per run.
+// The sources advance takes rows from.
+const (
+	fromServed = iota
+	fromDropped
+	fromDelta
+)
+
+// gather collects rows of advance's sources in runs of one source, then
+// appends them to a table one call per run.
 type gather struct {
-	srcs []*table.Table
+	srcs []int
 	ends []int // run i is rows[ends[i-1]:ends[i]]
 	rows []int
 }
 
-func (g *gather) add(src *table.Table, row int) {
+func (g *gather) add(src, row int) {
 	if k := len(g.srcs); k == 0 || g.srcs[k-1] != src {
 		g.srcs, g.ends = append(g.srcs, src), append(g.ends, len(g.rows))
 	}
@@ -198,20 +220,18 @@ func (g *gather) add(src *table.Table, row int) {
 	g.ends[len(g.ends)-1]++
 }
 
-func (g *gather) table(schema []table.Field) (*table.Table, error) {
-	t, err := table.NewWithSchema(schema)
-	if err != nil {
-		return nil, err
-	}
-	t.Grow(len(g.rows))
+// appendTo appends the gathered rows to dst in order, grown once; take[s]
+// appends rows of source s.
+func (g *gather) appendTo(dst *table.Table, take []func(dst *table.Table, rows []int) error) error {
+	dst.Grow(len(g.rows))
 	lo := 0
-	for i, src := range g.srcs {
-		if err := t.AppendTaken(src, g.rows[lo:g.ends[i]]); err != nil {
-			return nil, err
+	for i, s := range g.srcs {
+		if err := take[s](dst, g.rows[lo:g.ends[i]]); err != nil {
+			return err
 		}
 		lo = g.ends[i]
 	}
-	return t, nil
+	return nil
 }
 
 // driftSince measures how far the store's distribution moved from the

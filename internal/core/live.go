@@ -108,10 +108,10 @@ type Published struct {
 	DeltaRows   int
 	ReusedRows  int
 	Drift       float64
-	// TableBytes and LineageBytes estimate (table.SizeBytes) the serving
-	// table — the loop's one copy of the corpus, narrowed to the columns
-	// its readers name (servingColumns) — and the incremental lineage's
-	// parts beside it (0 without a lineage).
+	// TableBytes and LineageBytes estimate (SizeBytes) the serving table
+	// — the loop's one copy of the corpus, narrowed to the columns its
+	// readers name (servingColumns) and held encoded — and the incremental
+	// lineage's decoded parts beside it (0 without a lineage).
 	TableBytes   int
 	LineageBytes int
 }
@@ -264,7 +264,7 @@ func (l *Live) Refresh() (*Published, error) {
 		return nil, err
 	}
 	l.lastErr.Store(nil)
-	pub.TableBytes = pub.Engine.Table().SizeBytes()
+	pub.TableBytes = pub.Engine.SizeBytes()
 	if l.lineage != nil {
 		pub.LineageBytes = l.lineage.screen.SizeBytes() + l.lineage.dropped.SizeBytes()
 	}

@@ -8,6 +8,7 @@ import (
 	"indice/internal/assoc"
 	"indice/internal/epc"
 	"indice/internal/geo"
+	"indice/internal/table"
 )
 
 // Report renders a plain-markdown summary of a pipeline run — the textual
@@ -17,7 +18,7 @@ import (
 func (e *Engine) Report(pre *PreprocessReport, an *Analysis) string {
 	var b strings.Builder
 	b.WriteString("# INDICE run report\n\n")
-	fmt.Fprintf(&b, "Certificates in scope: %d\n\n", e.tab.NumRows())
+	fmt.Fprintf(&b, "Certificates in scope: %d\n\n", e.NumRows())
 
 	if pre != nil {
 		b.WriteString("## Pre-processing\n\n")
@@ -82,8 +83,8 @@ func (e *Engine) Report(pre *PreprocessReport, an *Analysis) string {
 	}
 
 	// Spatial summary over the current table.
-	if e.tab.HasColumn(epc.AttrEPH) {
-		if zs, err := e.zoneSummary(); err == nil && zs != "" {
+	if tab := e.Table(epc.AttrLatitude, epc.AttrLongitude, epc.AttrEPH); tab.HasColumn(epc.AttrEPH) {
+		if zs, err := e.zoneSummary(tab); err == nil && zs != "" {
 			b.WriteString("## Energy demand by district\n\n")
 			b.WriteString(zs)
 		}
@@ -91,15 +92,16 @@ func (e *Engine) Report(pre *PreprocessReport, an *Analysis) string {
 	return b.String()
 }
 
-// zoneSummary renders the per-district mean response as a markdown list.
-func (e *Engine) zoneSummary() (string, error) {
-	lat, err := e.tab.Floats(epc.AttrLatitude)
+// zoneSummary renders the per-district mean response of tab, the
+// engine's coordinates and response, as a markdown list.
+func (e *Engine) zoneSummary(tab *table.Table) (string, error) {
+	lat, err := tab.Floats(epc.AttrLatitude)
 	if err != nil {
 		return "", err
 	}
-	lon, _ := e.tab.Floats(epc.AttrLongitude)
-	eph, _ := e.tab.Floats(epc.AttrEPH)
-	ephValid, _ := e.tab.ValidMask(epc.AttrEPH)
+	lon, _ := tab.Floats(epc.AttrLongitude)
+	eph, _ := tab.Floats(epc.AttrEPH)
+	ephValid, _ := tab.ValidMask(epc.AttrEPH)
 	pts := make([]geo.Point, len(lat))
 	for i := range lat {
 		pts[i] = geo.Point{Lat: lat[i], Lon: lon[i]}

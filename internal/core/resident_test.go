@@ -14,34 +14,37 @@ import (
 // TestResidentCopiesStayWithinBudget is the heap profile of the serving
 // node as a permanent test. A node that has refreshed owns two copies of
 // its corpus — the store's sealed segments and tails, and the published
-// serving table — plus the lineage's narrow parts (the screened columns of
-// every pre-drop row, the dropped rows) and the analysis. The corpus is
-// 20 000 rows in 1 000-row batches, so every shard seals twice at the
-// default SegmentRows and the store's copy is mostly encoded segments, as
-// on a served node. The budget is in bytes, not in copies: the live heap the
-// node adds may be residentFixedBytes — for what does not grow with the
-// corpus: the analysis, index headers, pooled scratch — plus so many bytes
-// per stored row, after the full refresh and again after three incremental
-// ones. (A budget in multiples of table.SizeBytes would loosen by itself
-// whenever a copy grew.) Of those bytes per row, at most
-// residentUnownedBytes* may lie outside what the store, the lineage
-// (LineageBytes) and the serving table (TableBytes) report: a copy nobody
-// accounts for, like the clustering matrix the lineage kept until it
-// clustered the serving table's rows instead (158 and 202 B per row then).
-// Each bound is what this run measured plus 15 %: 808 and 855 B per row of
-// 132 attributes, of which the store's copy is ≈ 200 (sealed segments keep
-// 41 of the 43 numeric columns as scaled codes), the serving table, which
-// keeps the 51 columns its readers name, ≈ 440, and no owner 84 and 128.
-// Packing only integral floats again (1 146 and 1 207 B per row, the store
-// ≈ 460), a full-width serving table again, store copies held as raw tails
-// again (SegmentRows 8 192), one more copy, or string cells held as 16-byte
+// serving table, both encoded — plus the lineage's narrow parts (the
+// screened columns of every pre-drop row, the dropped rows) and the
+// analysis. The corpus is 20 000 rows in 1 000-row batches, so every
+// shard seals twice at the default SegmentRows and the store's copy is
+// mostly encoded segments, as on a served node. The budget is in bytes,
+// not in copies: the live heap the node adds may be residentFixedBytes —
+// for what does not grow with the corpus: the analysis, index headers,
+// pooled scratch — plus so many bytes per stored row, after the full
+// refresh and again after three incremental ones. (A budget in multiples
+// of table.SizeBytes would loosen by itself whenever a copy grew.) Of
+// those bytes per row, at most residentUnownedBytes* may lie outside what
+// the store, the lineage (LineageBytes) and the serving table (TableBytes)
+// report: a copy nobody accounts for, like the clustering matrix the
+// lineage kept until it clustered the serving table's rows instead (158
+// and 202 B per row then). The serving table itself may take at most
+// residentTableBytes per row. Each bound is what this run measured plus
+// 15 %: 490 and 530 B per row of 132 attributes, of which the store's copy
+// is ≈ 200 (sealed segments keep 41 of the 43 numeric columns as scaled
+// codes), the serving table, which keeps the 51 columns its readers name,
+// encoded, 128, and no owner 82 and 118. A decoded serving table again
+// (808 and 855 B per row, the table 444), packing only integral floats
+// again, a full-width serving table, store copies held as raw tails again
+// (SegmentRows 8 192), one more copy, or string cells held as 16-byte
 // headers again fail it.
 const (
 	residentFixedBytes           = 1 << 20
-	residentRowBytesFull         = 929
-	residentRowBytesFollowUp     = 983
-	residentUnownedBytesFull     = 97
-	residentUnownedBytesFollowUp = 147
+	residentRowBytesFull         = 564
+	residentRowBytesFollowUp     = 610
+	residentUnownedBytesFull     = 95
+	residentUnownedBytesFollowUp = 136
+	residentTableBytes           = 148
 )
 
 func TestResidentCopiesStayWithinBudget(t *testing.T) {
@@ -107,6 +110,10 @@ func TestResidentCopiesStayWithinBudget(t *testing.T) {
 		if perRow > rowBytes {
 			t.Errorf("epoch %d: live heap is %d B per stored row (%d B for %d rows), budget %d: something holds the corpus again, or holds it wider",
 				pub.Epoch, perRow, resident, rows, rowBytes)
+		}
+		if tableBytes := int64(pub.TableBytes) / rows; tableBytes > residentTableBytes {
+			t.Errorf("epoch %d: the serving table holds %d B per stored row, budget %d: it is held decoded again, or wider",
+				pub.Epoch, tableBytes, residentTableBytes)
 		}
 		if unowned > unownedBytes {
 			t.Errorf("epoch %d: %d B per stored row lie outside the store, the lineage and the serving table, budget %d: a copy no owner reports",

@@ -52,9 +52,10 @@ func (r *Runner) E4() (*Result, error) {
 		return nil, err
 	}
 	names := append(append([]string(nil), epc.CaseStudyAttributes...), epc.AttrEPH)
+	tab := eng.Table(names...)
 	cols := make([][]float64, len(names))
 	for i, n := range names {
-		v, err := eng.Table().Floats(n)
+		v, err := tab.Floats(n)
 		if err != nil {
 			return nil, err
 		}
@@ -235,8 +236,9 @@ func (r *Runner) E7() (*Result, error) {
 		geo.LevelCity:          "fig2_clustermarker_city.svg",
 	}
 	res := &Result{ID: "E7", Title: "Figure 2 — energy maps per zoom level"}
+	tab := eng.Table(epc.AttrLatitude, epc.AttrLongitude, epc.AttrUOpaque)
 	for _, level := range []geo.Level{geo.LevelUnit, geo.LevelNeighbourhood, geo.LevelDistrict, geo.LevelCity} {
-		svg, kind, err := dashboard.RenderMap(eng.Table(), eng.Hierarchy(), dashboard.MapSpec{
+		svg, kind, err := dashboard.RenderMap(tab, eng.Hierarchy(), dashboard.MapSpec{
 			Title: fmt.Sprintf("Average %s — %s zoom", epc.AttrUOpaque, level),
 			Level: level,
 			Attr:  epc.AttrUOpaque,

@@ -199,26 +199,15 @@ func SqDistErrorBound(cols int, xn, cn float64) float64 {
 	return 4e-15 * float64(cols+8) * (xn + cn + 1)
 }
 
-// ColMinMax computes per-column minima and maxima over the rows where
-// mask is true (all rows when mask is nil), writing into mins and maxs
-// (grown if needed) and returning them. Columns with no selected row
-// report +Inf/-Inf. Iteration is row-major, matching the reference
-// two-level loop bitwise.
-func (m *Matrix) ColMinMax(mins, maxs []float64, mask []bool) ([]float64, []float64) {
-	if cap(mins) < m.cols {
-		mins = make([]float64, m.cols)
-	}
-	if cap(maxs) < m.cols {
-		maxs = make([]float64, m.cols)
-	}
-	mins, maxs = mins[:m.cols], maxs[:m.cols]
+// ColMinMax computes per-column minima and maxima over every row. A
+// matrix without rows reports +Inf/-Inf. Iteration is row-major, matching
+// the reference two-level loop bitwise.
+func (m *Matrix) ColMinMax() (mins, maxs []float64) {
+	mins, maxs = make([]float64, m.cols), make([]float64, m.cols)
 	for d := 0; d < m.cols; d++ {
 		mins[d], maxs[d] = math.Inf(1), math.Inf(-1)
 	}
 	for i := 0; i < m.rows; i++ {
-		if mask != nil && !mask[i] {
-			continue
-		}
 		for d, v := range m.Row(i) {
 			if v < mins[d] {
 				mins[d] = v
@@ -242,7 +231,7 @@ func (m *Matrix) Normalize() (mins, maxs []float64) {
 	if m.rows == 0 || m.cols == 0 {
 		return nil, nil
 	}
-	mins, maxs = m.ColMinMax(nil, nil, nil)
+	mins, maxs = m.ColMinMax()
 	for i := 0; i < m.rows; i++ {
 		row := m.Row(i)
 		for d, v := range row {

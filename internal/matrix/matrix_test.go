@@ -162,27 +162,16 @@ func TestSqDistsToWithinBound(t *testing.T) {
 	}
 }
 
-func TestColReductionsMasked(t *testing.T) {
+// TestColMinMax pins the per-column reduction against a two-level loop.
+func TestColMinMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rows := randRows(rng, 50, 6, 5)
 	m, _ := FromRows(rows)
-	mask := make([]bool, 50)
-	for i := range mask {
-		mask[i] = rng.Intn(3) != 0
-	}
-	mins, maxs := m.ColMinMax(nil, nil, mask)
+	mins, maxs := m.ColMinMax()
 	for d := 0; d < 6; d++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, r := range rows {
-			if !mask[i] {
-				continue
-			}
-			if r[d] < lo {
-				lo = r[d]
-			}
-			if r[d] > hi {
-				hi = r[d]
-			}
+		for _, r := range rows {
+			lo, hi = math.Min(lo, r[d]), math.Max(hi, r[d])
 		}
 		if mins[d] != lo || maxs[d] != hi {
 			t.Fatalf("col %d: got (%v,%v) want (%v,%v)", d, mins[d], maxs[d], lo, hi)

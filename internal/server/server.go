@@ -271,7 +271,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>INDICE</title></head><body>")
 	b.WriteString("<h1>INDICE</h1>")
 	if pub := s.live.Current(); pub != nil {
-		fmt.Fprintf(&b, "<p>%d certificates loaded.</p>", pub.Engine.Table().NumRows())
+		fmt.Fprintf(&b, "<p>%d certificates loaded.</p>", pub.Engine.NumRows())
 	} else {
 		fmt.Fprintf(&b, "<p>%s</p>", notPublished)
 	}
@@ -358,7 +358,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	if attr == "" {
 		attr = epc.AttrEPH
 	}
-	if !numericAttr(w, eng.Table(), attr) {
+	if !numericAttr(w, eng, attr) {
 		return
 	}
 	raw := r.URL.Query().Get("raw") == "1"
@@ -369,8 +369,9 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			Level: level,
 			Attr:  attr,
 		}
+		tab := eng.Table(epc.AttrLatitude, epc.AttrLongitude, attr)
 		if raw {
-			svg, _, err := dashboard.RenderMap(eng.Table(), eng.Hierarchy(), spec)
+			svg, _, err := dashboard.RenderMap(tab, eng.Hierarchy(), spec)
 			if err != nil {
 				return nil, err
 			}
@@ -393,7 +394,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 				b = fmt.Appendf(b, `<a href="/map?level=%s&attr=%s">%s</a> `, level, a, a)
 			}
 		}
-		b, _, err := dashboard.AppendMap(append(b, "</p>"...), eng.Table(), eng.Hierarchy(), spec)
+		b, _, err := dashboard.AppendMap(append(b, "</p>"...), tab, eng.Hierarchy(), spec)
 		if err != nil {
 			return nil, err
 		}
@@ -404,8 +405,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 // numericAttr answers 400 unless attr names a numeric column of the
 // serving table: /map, /api/stats and /api/zones refuse a categorical
 // attribute and one the serving table does not keep alike.
-func numericAttr(w http.ResponseWriter, tab *table.Table, attr string) bool {
-	if typ, err := tab.TypeOf(attr); err != nil || typ != table.Float64 {
+func numericAttr(w http.ResponseWriter, eng *core.Engine, attr string) bool {
+	if typ, err := eng.TypeOf(attr); err != nil || typ != table.Float64 {
 		http.Error(w, fmt.Sprintf("unknown numeric attribute %q", attr), http.StatusBadRequest)
 		return false
 	}
@@ -435,10 +436,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "attr query parameter required", http.StatusBadRequest)
 		return
 	}
-	if !numericAttr(w, pub.Engine.Table(), attr) {
+	if !numericAttr(w, pub.Engine, attr) {
 		return
 	}
-	vals, err := pub.Engine.Table().ValidFloats(attr)
+	vals, err := pub.Engine.Table(attr).ValidFloats(attr)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -480,10 +481,11 @@ func (s *Server) handleZones(w http.ResponseWriter, r *http.Request) {
 	if attr == "" {
 		attr = epc.AttrEPH
 	}
-	if !numericAttr(w, pub.Engine.Table(), attr) {
+	if !numericAttr(w, pub.Engine, attr) {
 		return
 	}
-	zs, err := dashboard.AggregateByZone(pub.Engine.Table(), pub.Engine.Hierarchy(), level, attr)
+	tab := pub.Engine.Table(epc.AttrLatitude, epc.AttrLongitude, attr)
+	zs, err := dashboard.AggregateByZone(tab, pub.Engine.Hierarchy(), level, attr)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -775,7 +777,7 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 		resp.Published = &publishedInfo{
 			Epoch:       pub.Epoch,
 			Rows:        pub.Rows,
-			ServingRows: pub.Engine.Table().NumRows(),
+			ServingRows: pub.Engine.NumRows(),
 			RefreshedAt: pub.RefreshedAt.UTC().Format("2006-01-02T15:04:05Z"),
 			TookSeconds: pub.Took.Seconds(),
 			Incremental: pub.Incremental,
@@ -813,7 +815,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, refreshResponse{
 		Epoch:       pub.Epoch,
 		Rows:        pub.Rows,
-		ServingRows: pub.Engine.Table().NumRows(),
+		ServingRows: pub.Engine.NumRows(),
 		TookSeconds: pub.Took.Seconds(),
 	})
 }

@@ -321,16 +321,54 @@ func dictMaxCardinality(rows int) int {
 func Encode(t *Table) *Encoded {
 	e := &Encoded{rows: t.rows, index: make(map[string]int, len(t.cols))}
 	for _, c := range t.cols {
-		var ec *EncodedColumn
-		if c.Typ == String {
-			ec = encodeString(c, t.rows)
-		} else {
-			ec = encodeFloat(c, t.rows)
-		}
-		e.index[ec.name] = len(e.cols)
-		e.cols = append(e.cols, ec)
+		e.index[c.Name] = len(e.cols)
+		e.cols = append(e.cols, encodeColumn(c, t.rows))
 	}
 	return e
+}
+
+// EncodeColumns builds an encoding with the given schema one column at a
+// time: fill appends a column's rows to dst, a table holding that column
+// alone, which is encoded before fill is called for the next one. So the
+// rows never exist decoded wider than one column. fill is called once per
+// field, in schema order, and must append the same number of rows each
+// time; dst's cell arrays are reused from one column to the next.
+func EncodeColumns(schema []Field, fill func(dst *Table) error) (*Encoded, error) {
+	e := &Encoded{index: make(map[string]int, len(schema))}
+	var scratch [String + 1]*Column // per type, for its cells' capacity
+	for i, f := range schema {
+		if f.Type != Float64 && f.Type != String {
+			return nil, fmt.Errorf("table: unknown type %v for column %q", f.Type, f.Name)
+		}
+		if _, dup := e.index[f.Name]; dup || f.Name == "" {
+			return nil, fmt.Errorf("table: duplicate or empty column %q in schema", f.Name)
+		}
+		c := scratch[f.Type]
+		if c == nil {
+			c = &Column{Typ: f.Type}
+			scratch[f.Type] = c
+		}
+		c.Name, c.Floats, c.Codes, c.Valid, c.Dict, c.index = f.Name, c.Floats[:0], c.Codes[:0], c.Valid[:0], nil, nil
+		dst := &Table{cols: []*Column{c}, index: map[string]int{f.Name: 0}}
+		if err := fill(dst); err != nil {
+			return nil, err
+		}
+		if i > 0 && dst.rows != e.rows {
+			return nil, fmt.Errorf("table: column %q has %d rows, the columns before it %d", f.Name, dst.rows, e.rows)
+		}
+		e.rows = dst.rows
+		e.index[f.Name] = i
+		e.cols = append(e.cols, encodeColumn(c, dst.rows))
+	}
+	return e, nil
+}
+
+// encodeColumn compresses one column of rows cells.
+func encodeColumn(c *Column, rows int) *EncodedColumn {
+	if c.Typ == String {
+		return encodeString(c, rows)
+	}
+	return encodeFloat(c, rows)
 }
 
 func packValidity(valid []bool) (bitset []uint64, allValid bool) {
