@@ -310,18 +310,19 @@ func BenchmarkE6AssociationRulesParallel(b *testing.B) {
 }
 
 // BenchmarkE7Maps regenerates the Figure 2 drill-down, one sub-bench per
-// zoom level.
+// zoom level, from the three columns a map reads, decoded once untimed.
 func BenchmarkE7Maps(b *testing.B) {
 	w := benchWorld(b)
 	eng, err := core.NewEngine(w.Clean.Clone(), w.City.Hierarchy, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	tab := eng.Table(epc.AttrLatitude, epc.AttrLongitude, epc.AttrEPH)
 	for _, level := range []geo.Level{geo.LevelUnit, geo.LevelNeighbourhood, geo.LevelDistrict, geo.LevelCity} {
 		b.Run(level.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, _, err := dashboard.RenderMap(eng.Table(), eng.Hierarchy(), dashboard.MapSpec{
+				_, _, err := dashboard.RenderMap(tab, eng.Hierarchy(), dashboard.MapSpec{
 					Title: "bench",
 					Level: level,
 					Attr:  epc.AttrEPH,
@@ -335,17 +336,19 @@ func BenchmarkE7Maps(b *testing.B) {
 }
 
 // BenchmarkE7AblationAggregation is the docs/benchmarks.md ablation: at coarse
-// zoom, rendering aggregated cluster-markers versus every point.
+// zoom, rendering aggregated cluster-markers versus every point, from
+// the three columns a map reads, decoded once untimed.
 func BenchmarkE7AblationAggregation(b *testing.B) {
 	w := benchWorld(b)
 	eng, err := core.NewEngine(w.Clean.Clone(), w.City.Hierarchy, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	tab := eng.Table(epc.AttrLatitude, epc.AttrLongitude, epc.AttrEPH)
 	b.Run("aggregated-markers", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := dashboard.RenderMap(eng.Table(), eng.Hierarchy(), dashboard.MapSpec{
+			if _, _, err := dashboard.RenderMap(tab, eng.Hierarchy(), dashboard.MapSpec{
 				Title: "bench", Level: geo.LevelDistrict, Attr: epc.AttrEPH,
 			}); err != nil {
 				b.Fatal(err)
@@ -355,7 +358,7 @@ func BenchmarkE7AblationAggregation(b *testing.B) {
 	b.Run("per-point", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := dashboard.RenderMap(eng.Table(), eng.Hierarchy(), dashboard.MapSpec{
+			if _, _, err := dashboard.RenderMap(tab, eng.Hierarchy(), dashboard.MapSpec{
 				Title: "bench", Level: geo.LevelUnit, Attr: epc.AttrEPH,
 			}); err != nil {
 				b.Fatal(err)
@@ -2463,7 +2466,7 @@ func BenchmarkE33ColdRender(b *testing.B) {
 		{"public-administration", "/dashboard/public-administration", dash(query.PublicAdministration)},
 		{"energy-scientist", "/dashboard/energy-scientist", dash(query.EnergyScientist)},
 		{"map-unit", "/map?level=unit&attr=eph&raw=1", func() ([]byte, error) {
-			svg, _, err := dashboard.RenderMap(pub.Engine.Table(), pub.Engine.Hierarchy(), dashboard.MapSpec{
+			svg, _, err := dashboard.RenderMap(pub.Engine.Table(epc.AttrLatitude, epc.AttrLongitude, epc.AttrEPH), pub.Engine.Hierarchy(), dashboard.MapSpec{
 				Title: fmt.Sprintf("Average %s — %s zoom", epc.AttrEPH, geo.LevelUnit),
 				Level: geo.LevelUnit,
 				Attr:  epc.AttrEPH,
@@ -2498,6 +2501,43 @@ func BenchmarkE33ColdRender(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(len(first)), "page-B")
+		})
+	}
+}
+
+// E35 — uncached reads: the two routes without a result cache, which
+// read the serving table on every request, over E20's 20k × 132
+// publication through Server.ServeHTTP. "stats" is /api/stats on eph (one
+// column); "zones" is /api/zones at district zoom (coordinates and eph).
+// Gate, outside timing: every answer equals the first. Methodology in
+// docs/benchmarks.md.
+func BenchmarkE35UncachedReads(b *testing.B) {
+	srv, err := server.NewLive(e20Live(b, core.LiveConfig{Analysis: core.AnalysisConfig{KMax: 3}}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct{ name, route string }{
+		{"stats", "/api/stats?attr=eph"},
+		{"zones", "/api/zones?level=district&attr=eph"},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, arm.route, nil)
+			var first []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				b.StopTimer()
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s: status %d: %s", arm.route, rec.Code, rec.Body)
+				}
+				if first == nil {
+					first = rec.Body.Bytes()
+				} else if !bytes.Equal(rec.Body.Bytes(), first) {
+					b.Fatalf("iteration %d answers differently", i)
+				}
+				b.StartTimer()
+			}
 		})
 	}
 }

@@ -258,7 +258,7 @@ func TestGoldenDigests(t *testing.T) {
 		digest("analysis/"+name, an.Bytes())
 		digest("report/"+name, []byte(pub.Engine.Report(pub.Report, pub.Analysis)))
 		var csv bytes.Buffer
-		if err := pub.Engine.Table().WriteCSV(&csv); err != nil {
+		if err := pub.Engine.Decode().WriteCSV(&csv); err != nil {
 			t.Fatal(err)
 		}
 		digest("serving-table/"+name, csv.Bytes())

@@ -397,7 +397,7 @@ func (e *Engine) RuleTransactions(cfg AnalysisConfig, an *Analysis) ([]assoc.Tra
 // transactions converts tab into the transactional dataset of the rule
 // miner: an's discretized attributes and response, then the extra
 // categorical attributes tab holds. Every transaction is carved from one
-// array of items, counted before it is filled.
+// array of items, sized for a row that has every item.
 func transactions(tab *table.Table, an *Analysis, extra []string) ([]assoc.Transaction, error) {
 	// item is row i's item of one attribute, if it has one.
 	var items []func(i int) (assoc.Item, bool)
@@ -433,16 +433,10 @@ func transactions(tab *table.Table, an *Analysis, extra []string) ([]assoc.Trans
 			return assoc.Item{Attr: attr, Value: v}, valid[i] && v != ""
 		})
 	}
-	n, total := tab.NumRows(), 0
-	for i := 0; i < n; i++ {
-		for _, item := range items {
-			if _, ok := item(i); ok {
-				total++
-			}
-		}
-	}
-	all := make([]assoc.Item, 0, total)
-	txs := make([]assoc.Transaction, n)
+	// The capacity is every row's every item, so the appends never move
+	// the array and each row's items stay where they were carved.
+	all := make([]assoc.Item, 0, tab.NumRows()*len(items))
+	txs := make([]assoc.Transaction, tab.NumRows())
 	for i := range txs {
 		lo := len(all)
 		for _, item := range items {

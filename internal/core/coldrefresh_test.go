@@ -204,7 +204,7 @@ func TestColdRefreshParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustMatchTables(t, "published table", par.Engine.Table(), seq.Engine.Table())
+		mustMatchTables(t, "published table", par.Engine.Decode(), seq.Engine.Decode())
 		mustMatchAnalyses(t, "cold refresh", par.Analysis, seq.Analysis)
 		// What the lineage cut out of the pre-drop table, compared bitwise
 		// (NULL floats are NaN, which DeepEqual never equates).
@@ -286,7 +286,7 @@ func TestFullRefreshIsTheBatchPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustMatchTables(t, label+": served table", pub.Engine.Table(), eng.Table())
+			mustMatchTables(t, label+": served table", pub.Engine.Decode(), eng.Decode())
 			if !reflect.DeepEqual(pub.Report, rep) {
 				t.Fatalf("%s: report %d → %d rows, %d flagged; batch %d → %d, %d flagged", label,
 					pub.Report.RowsBefore, pub.Report.RowsAfter, len(pub.Report.OutlierRows),

@@ -70,7 +70,8 @@ func TestEngineDecodesTheColumnsNamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustMatchTables(t, "named columns", got, want)
-	mustMatchTables(t, "every column", eng.Table(), ds.Table)
+	mustMatchTables(t, "every column", eng.Decode(), ds.Table)
+	mustMatchTables(t, "no names", eng.Table(), ds.Table)
 	if eng.NumRows() != ds.Table.NumRows() {
 		t.Fatalf("NumRows = %d, want %d", eng.NumRows(), ds.Table.NumRows())
 	}
@@ -106,15 +107,15 @@ func TestNewEngineValidation(t *testing.T) {
 
 func TestSelect(t *testing.T) {
 	eng := engineFor(t, 400, false)
-	before := eng.Table().NumRows()
+	before := eng.NumRows()
 	n, err := eng.Select(query.Residential())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n >= before || n != eng.Table().NumRows() {
+	if n >= before || n != eng.NumRows() {
 		t.Fatalf("selection: %d of %d", n, before)
 	}
-	uses, _ := eng.Table().Strings(epc.AttrIntendedUse)
+	uses, _ := eng.Decode().Strings(epc.AttrIntendedUse)
 	for _, u := range uses {
 		if u != epc.UseResidential {
 			t.Fatalf("non-residential row survived: %q", u)
@@ -146,7 +147,7 @@ func TestPreprocessPipeline(t *testing.T) {
 	if rep.RowsAfter != rep.RowsBefore-len(rep.OutlierRows) {
 		t.Fatalf("rows: %d -> %d with %d outliers", rep.RowsBefore, rep.RowsAfter, len(rep.OutlierRows))
 	}
-	if eng.Table().NumRows() != rep.RowsAfter {
+	if eng.NumRows() != rep.RowsAfter {
 		t.Fatal("engine table not replaced")
 	}
 	// Expert run recorded configurations for future suggestion.

@@ -65,7 +65,7 @@ func TestFinalClusteringIsTheRestartLoopsChoice(t *testing.T) {
 	// There every seed finds the one partition, so at K = 2 the restarts
 	// reach bit-equal SSEs and differ only in which blob is cluster 0.
 	synthetic := engineFor(t, 500, false)
-	tab := synthetic.Table()
+	tab := synthetic.Decode()
 	for i := 0; i < tab.NumRows(); i++ {
 		for d, attr := range DefaultAnalysisConfig().Attributes {
 			v := float64(i%2*10+d) + float64(i%7)/100

@@ -89,14 +89,15 @@ func newEngine(enc *table.Encoded, h *geo.Hierarchy, opts Options) (*Engine, err
 }
 
 // Table decodes the named columns of the engine's table (cleaned after
-// Preprocess), in the order given, into a table the caller owns; without
-// names it decodes every column. A name the engine's table lacks is
-// skipped, so the reader finds the column missing where it looks for it.
-// A live loop's engine holds only the columns its readers name (see
-// LiveConfig.servingColumns), not every column of the store.
+// Preprocess), in the order given, into a table the caller owns. A name
+// the engine's table lacks is skipped, so the reader finds the column
+// missing where it looks for it. A live loop's engine holds only the
+// columns its readers name (see LiveConfig.servingColumns), not every
+// column of the store. Called without names it is Decode: the benchmark
+// suite's map visit still reads the table that way.
 func (e *Engine) Table(cols ...string) *table.Table {
 	if len(cols) == 0 {
-		return e.enc.Decode()
+		return e.Decode()
 	}
 	fields := make([]table.Field, 0, len(cols))
 	for _, n := range cols {
@@ -110,6 +111,11 @@ func (e *Engine) Table(cols ...string) *table.Table {
 	_ = e.enc.AppendTo(t)
 	return t
 }
+
+// Decode decodes every column of the engine's table into a table the
+// caller owns: for batch callers and tests that read the whole table.
+// A reader that needs a few columns names them to Table instead.
+func (e *Engine) Decode() *table.Table { return e.enc.Decode() }
 
 // NumRows returns the row count of the engine's table.
 func (e *Engine) NumRows() int { return e.enc.NumRows() }
@@ -133,7 +139,7 @@ func (e *Engine) Hierarchy() *geo.Hierarchy { return e.hier }
 // Select replaces the engine's table with the subset matching p and
 // returns the new row count. This is the querying-engine entry point.
 func (e *Engine) Select(p query.Predicate) (int, error) {
-	sub, err := query.Select(e.Table(), p)
+	sub, err := query.Select(e.Decode(), p)
 	if err != nil {
 		return 0, err
 	}
@@ -235,7 +241,7 @@ type PreprocessReport struct {
 func (e *Engine) Preprocess(cfg PreprocessConfig) (*PreprocessReport, error) {
 	// The pre-processing tier works on a decoded copy (cleaning rewrites
 	// cells) and encodes what it keeps.
-	tab := e.Table()
+	tab := e.Decode()
 	rep := &PreprocessReport{RowsBefore: tab.NumRows()}
 
 	if cfg.cleans(e.streetMap) {

@@ -123,7 +123,7 @@ func incrLive(t testing.TB, inc IncrementalConfig) (*store.Store, *Live) {
 // labelsByID returns certificate-id → cluster label for a published state.
 func labelsByID(t *testing.T, pub *Published) map[string]int {
 	t.Helper()
-	ids, err := pub.Engine.Table().Strings(epc.AttrCertificateID)
+	ids, err := pub.Engine.Decode().Strings(epc.AttrCertificateID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,8 +515,8 @@ func TestIncrementalStress(t *testing.T) {
 					continue
 				}
 				if pub.Analysis != nil {
-					if got := len(pub.Analysis.RowLabels); got != pub.Engine.Table().NumRows() {
-						t.Errorf("labels %d vs rows %d", got, pub.Engine.Table().NumRows())
+					if got := len(pub.Analysis.RowLabels); got != pub.Engine.NumRows() {
+						t.Errorf("labels %d vs rows %d", got, pub.Engine.NumRows())
 						return
 					}
 				}

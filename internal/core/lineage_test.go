@@ -121,7 +121,7 @@ func (o *oracleLineage) refresh(t *testing.T, l *Live, pub *Published, since uin
 // servedIDs is the set of certificates a published state serves.
 func servedIDs(t *testing.T, pub *Published) map[string]bool {
 	t.Helper()
-	ids, err := pub.Engine.Table().Strings(epc.AttrCertificateID)
+	ids, err := pub.Engine.Decode().Strings(epc.AttrCertificateID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestLineageFollowsMovingFences(t *testing.T) {
 				tab, rep, an := oracle.refresh(t, live, pub, since)
 
 				var got, want bytes.Buffer
-				if err := pub.Engine.Table().WriteCSV(&got); err != nil {
+				if err := pub.Engine.Decode().WriteCSV(&got); err != nil {
 					t.Fatal(err)
 				}
 				if err := tab.WriteCSV(&want); err != nil {
@@ -194,7 +194,7 @@ func TestLineageFollowsMovingFences(t *testing.T) {
 				}
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {
 					t.Fatalf("%s round %d: serving table (%d rows) differs from the oracle's (%d rows)",
-						label, r, pub.Engine.Table().NumRows(), tab.NumRows())
+						label, r, pub.Engine.NumRows(), tab.NumRows())
 				}
 				if !reflect.DeepEqual(pub.Report, rep) {
 					t.Fatalf("%s round %d: report %d → %d rows, %d flagged; oracle %d → %d, %d flagged", label, r,

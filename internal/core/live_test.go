@@ -95,8 +95,8 @@ func TestLiveRefreshPublishes(t *testing.T) {
 	if pub.Rows != 600 || pub.Engine == nil || pub.Analysis == nil || pub.Report == nil {
 		t.Fatalf("published = %+v", pub)
 	}
-	if pub.Engine.Table().NumRows() == 0 || pub.Engine.Table().NumRows() > 600 {
-		t.Fatalf("engine rows = %d", pub.Engine.Table().NumRows())
+	if pub.Engine.NumRows() == 0 || pub.Engine.NumRows() > 600 {
+		t.Fatalf("engine rows = %d", pub.Engine.NumRows())
 	}
 	if pub.Analysis.ChosenK < 2 {
 		t.Fatalf("chosen K = %d", pub.Analysis.ChosenK)

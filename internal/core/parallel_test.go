@@ -149,8 +149,8 @@ func TestPreprocessParallelEquivalence(t *testing.T) {
 	if parRep.RowsAfter != seqRep.RowsAfter {
 		t.Fatalf("surviving rows diverge: %d != %d", parRep.RowsAfter, seqRep.RowsAfter)
 	}
-	if par.Table().NumRows() != seq.Table().NumRows() {
-		t.Fatalf("table rows diverge: %d != %d", par.Table().NumRows(), seq.Table().NumRows())
+	if par.NumRows() != seq.NumRows() {
+		t.Fatalf("table rows diverge: %d != %d", par.NumRows(), seq.NumRows())
 	}
 }
 

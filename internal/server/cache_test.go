@@ -580,7 +580,7 @@ func TestCachedAnswersNeverGoBackAnEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		svg, _, err := dashboard.RenderMap(pub.Engine.Table(), pub.Engine.Hierarchy(), dashboard.MapSpec{
+		svg, _, err := dashboard.RenderMap(pub.Engine.Table(epc.AttrLatitude, epc.AttrLongitude, epc.AttrEPH), pub.Engine.Hierarchy(), dashboard.MapSpec{
 			Title: fmt.Sprintf("Average %s — %s zoom", epc.AttrEPH, geo.LevelDistrict),
 			Level: geo.LevelDistrict,
 			Attr:  epc.AttrEPH,

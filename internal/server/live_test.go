@@ -527,12 +527,13 @@ func TestStoreReportsIncrementalRefreshStats(t *testing.T) {
 	// hold the corpus encoded, in less than its raw size; the serving table
 	// an encoded copy of it minus the dropped outliers and the unserved
 	// columns; the lineage only a few of its columns and the dropped rows.
-	// Neither is a quarter of the raw corpus.
+	// The table is under a quarter of the raw corpus, the lineage under an
+	// eighth (measured: 11.6 % and 9.0 %).
 	raw := int64(ds.Table.SizeBytes())
 	if resp.SealedResidentBytes == nil || *resp.SealedResidentBytes != 0 || resp.TailBytes <= 0 || resp.TailBytes >= raw {
 		t.Fatalf("store bytes: tails %d, sealed %v, beside a %d B raw corpus", resp.TailBytes, resp.SealedResidentBytes, raw)
 	}
-	if lb, tb := resp.Published.LineageBytes, resp.Published.TableBytes; tb <= 0 || tb >= raw/4 || lb <= 0 || lb >= raw/4 {
+	if lb, tb := resp.Published.LineageBytes, resp.Published.TableBytes; tb <= 0 || tb >= raw/4 || lb <= 0 || lb >= raw/8 {
 		t.Fatalf("published bytes: table %d, lineage %d beside a %d B raw corpus", tb, lb, raw)
 	}
 

@@ -86,7 +86,7 @@ func cleaningServer(t *testing.T, base, total int) (*httptest.Server, *core.Live
 // aggregations, the dashboards, the rules and the clusters.
 func TestServingReadersOnNarrowedTable(t *testing.T) {
 	ts, live, st := cleaningServer(t, 1500, 1800)
-	served := live.Current().Engine.Table()
+	served := live.Current().Engine.Decode()
 	if served.NumCols() >= len(st.Schema()) {
 		t.Fatalf("serving table keeps %d of the store's %d columns", served.NumCols(), len(st.Schema()))
 	}
@@ -131,7 +131,7 @@ func TestServingReadersOnNarrowedTable(t *testing.T) {
 // table keeps the column (energy class) or not (building type).
 func TestNonNumericAttrRefusedAlike(t *testing.T) {
 	ts, live, _ := cleaningServer(t, 1500, 1800)
-	served := live.Current().Engine.Table()
+	served := live.Current().Engine.Decode()
 	if !served.HasColumn(epc.AttrEnergyClass) || served.HasColumn("building_type") {
 		t.Fatalf("serving table columns %v: want energy_class kept and building_type dropped", served.ColumnNames())
 	}
