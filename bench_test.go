@@ -280,11 +280,7 @@ func BenchmarkE6AssociationRulesParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	txs, err := eng.RuleTransactions(acfg, an)
-	if err != nil {
-		b.Fatal(err)
-	}
-	miner, err := assoc.NewMiner(txs)
+	miner, err := eng.RuleMiner(acfg, an)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -2414,9 +2410,16 @@ func BenchmarkE24ElbowSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, kept := range sweep.Fits(cfg.K)[1:] {
-			if kept.SSE < final.SSE {
-				final = kept
+		win, winSSE := 0, final.SSE
+		for r, sse := range sweep.SSEs(cfg.K)[1:] {
+			if sse < winSSE {
+				win, winSSE = r+1, sse
+			}
+		}
+		if win > 0 {
+			cfg.Seed = cluster.RestartSeed(seed, win, cfg.K)
+			if final, err = cluster.KMeansMatrix(norm, cfg); err != nil {
+				b.Fatal(err)
 			}
 		}
 		return e24Outcome{sweep.Curve, final}

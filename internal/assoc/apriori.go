@@ -25,10 +25,6 @@ type Item struct {
 // String renders the item as attr=value.
 func (it Item) String() string { return it.Attr + "=" + it.Value }
 
-// Transaction is the itemset of one row. Items within a transaction must
-// have distinct attributes (one value per attribute).
-type Transaction []Item
-
 // Itemset is a canonical (sorted, deduplicated) set of items.
 type Itemset []Item
 
@@ -94,28 +90,33 @@ type Miner struct {
 // idset is an itemset as ascending item ids.
 type idset []int32
 
-// NewMiner interns the transactions' items and builds their tidsets. An
-// item repeated within a transaction counts once; empty transactions are
-// kept (they count toward N but support nothing).
-func NewMiner(txs []Transaction) (*Miner, error) {
-	if len(txs) == 0 {
+// NewMinerRows interns the items of n transactions and builds their
+// tidsets without a list of the transactions: row(t, add) calls add once
+// per item of transaction t, and each item goes straight into its tidset.
+// The items of one transaction must have distinct attributes (one value
+// per attribute); an item added twice to a transaction counts once, and
+// a transaction with no items counts toward N but supports nothing.
+func NewMinerRows(n int, row func(t int, add func(Item))) (*Miner, error) {
+	if n == 0 {
 		return nil, errors.New("assoc: no transactions")
 	}
-	words := (len(txs) + 63) / 64
+	words := (n + 63) / 64
 	ids := make(map[Item]int)
 	var items []Item
 	var tids [][]uint64
-	for t, tx := range txs {
-		for _, it := range tx {
-			id, ok := ids[it]
-			if !ok {
-				id = len(items)
-				ids[it] = id
-				items = append(items, it)
-				tids = append(tids, make([]uint64, words))
-			}
-			tids[id][t>>6] |= 1 << (t & 63)
+	var t int
+	add := func(it Item) {
+		id, ok := ids[it]
+		if !ok {
+			id = len(items)
+			ids[it] = id
+			items = append(items, it)
+			tids = append(tids, make([]uint64, words))
 		}
+		tids[id][t>>6] |= 1 << (t & 63)
+	}
+	for t = 0; t < n; t++ {
+		row(t, add)
 	}
 	// Renumber from first-seen to canonical order.
 	order := make([]int, len(items))
@@ -123,7 +124,7 @@ func NewMiner(txs []Transaction) (*Miner, error) {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int { return compareItems(items[a], items[b]) })
-	m := &Miner{n: len(txs), items: make([]Item, len(items)), tids: make([][]uint64, len(items))}
+	m := &Miner{n: n, items: make([]Item, len(items)), tids: make([][]uint64, len(items))}
 	for id, seen := range order {
 		m.items[id], m.tids[id] = items[seen], tids[seen]
 	}

@@ -9,12 +9,12 @@ import (
 func ExampleMiner_Rules() {
 	// Three discretized certificates: poor windows always come with high
 	// heating demand.
-	txs := []assoc.Transaction{
-		{{Attr: "uw", Value: "High"}, {Attr: "eph", Value: "High"}},
-		{{Attr: "uw", Value: "High"}, {Attr: "eph", Value: "High"}},
-		{{Attr: "uw", Value: "Low"}, {Attr: "eph", Value: "Low"}},
-	}
-	m, _ := assoc.NewMiner(txs)
+	uw := []string{"High", "High", "Low"}
+	eph := []string{"High", "High", "Low"}
+	m, _ := assoc.NewMinerRows(len(uw), func(t int, add func(assoc.Item)) {
+		add(assoc.Item{Attr: "uw", Value: uw[t]})
+		add(assoc.Item{Attr: "eph", Value: eph[t]})
+	})
 	frequent, _ := m.FrequentItemsets(assoc.MiningConfig{MinSupport: 0.5})
 	rules, _ := m.Rules(frequent, assoc.RuleConfig{MinConfidence: 0.9, MaxConsequentLen: 1})
 	for _, r := range rules {

@@ -3,6 +3,7 @@ package assoc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -96,5 +97,55 @@ func TestRulesFromParallelMiningEquivalence(t *testing.T) {
 		if seqRules[i].String() != parRules[i].String() {
 			t.Fatalf("rule %d diverges: %v != %v", i, parRules[i], seqRules[i])
 		}
+	}
+}
+
+// TestRowBuiltMinerMatchesTheTransactionList builds miners with
+// NewMinerRows — each row's items added in a shuffled order, some twice,
+// a few rows empty — and compares them with the vertical form read off
+// the transaction list directly: the same canonically ordered items, and
+// each item's tidset bit for bit.
+func TestRowBuiltMinerMatchesTheTransactionList(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		txs := synthTxs(130+37*int(seed), seed)
+		txs[3], txs[len(txs)-1] = nil, nil
+		rng := rand.New(rand.NewSource(seed))
+		m, err := NewMinerRows(len(txs), func(tr int, add func(Item)) {
+			for _, j := range rng.Perm(len(txs[tr])) {
+				add(txs[tr][j])
+			}
+			if len(txs[tr]) > 0 && rng.Intn(3) == 0 {
+				add(txs[tr][0])
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := (len(txs) + 63) / 64
+		tids := make(map[Item][]uint64)
+		for tr, tx := range txs {
+			for _, it := range tx {
+				if tids[it] == nil {
+					tids[it] = make([]uint64, words)
+				}
+				tids[it][tr>>6] |= 1 << (tr & 63)
+			}
+		}
+		var items []Item
+		for it := range tids {
+			items = append(items, it)
+		}
+		slices.SortFunc(items, compareItems)
+		if m.n != len(txs) || !slices.Equal(m.items, items) {
+			t.Fatalf("seed %d: %d transactions, items %v; want %d, %v", seed, m.n, m.items, len(txs), items)
+		}
+		for id, it := range items {
+			if !slices.Equal(m.tids[id], tids[it]) {
+				t.Fatalf("seed %d: tidset of %v differs", seed, it)
+			}
+		}
+	}
+	if _, err := NewMinerRows(0, func(int, func(Item)) {}); err == nil {
+		t.Fatal("a miner over no transactions was built")
 	}
 }

@@ -430,7 +430,7 @@ func SSECurve(points [][]float64, kMin, kMax, restarts int, cfg KMeansConfig) ([
 	return SSECurveMatrix(m, kMin, kMax, restarts, cfg)
 }
 
-// SSECurveMatrix is the SSE trend of ElbowSweep without the fits.
+// SSECurveMatrix is the SSE trend of ElbowSweep.
 func SSECurveMatrix(m *matrix.Matrix, kMin, kMax, restarts int, cfg KMeansConfig) ([]SSECurvePoint, error) {
 	sw, err := ElbowSweep(m, kMin, kMax, restarts, cfg)
 	if err != nil {
@@ -440,28 +440,34 @@ func SSECurveMatrix(m *matrix.Matrix, kMin, kMax, restarts int, cfg KMeansConfig
 }
 
 // Sweep is the outcome of ElbowSweep: the SSE curve the elbow method
-// inspects and every K-means run behind it.
+// inspects and the SSE of every K-means run behind it. The runs
+// themselves are not kept: a run is a pure function of the points, K and
+// its seed (RestartSeed), so KMeansMatrix re-fits any of them bitwise.
 type Sweep struct {
 	Curve          []SSECurvePoint
 	kMin, restarts int
-	fits           []*KMeansResult // run (k, r) at (k-kMin)*restarts + r
+	sse            []float64 // run (k, r)'s SSE at (k-kMin)*restarts + r
 }
 
-// Fits returns the sweep's runs at k in restart order; restart r was
-// seeded with cfg.Seed + r·7919 + k.
-func (s *Sweep) Fits(k int) []*KMeansResult {
+// SSEs returns the SSE of the sweep's runs at k in restart order.
+func (s *Sweep) SSEs(k int) []float64 {
 	at := (k - s.kMin) * s.restarts
-	return s.fits[at : at+s.restarts]
+	return s.sse[at : at+s.restarts]
 }
+
+// RestartSeed is the seed ElbowSweep gives restart r at K when seeded
+// with seed.
+func RestartSeed(seed int64, r, k int) int64 { return seed + int64(r)*7919 + int64(k) }
 
 // ElbowSweep runs K-means for every K in [kMin, kMax] over the flat point
 // matrix, restarts times (≥1) each with distinct seeds, and keeps the
 // lowest SSE per K. With cfg.Parallelism > 1 the (K, restart) runs are
 // independent jobs sharing the read-only matrix and its row norms; a run
 // costs roughly in proportion to K, so they are issued longest first
-// (descending K) and whichever worker is free takes the next. Each job is
-// seeded exactly as the sequential sweep and the per-K minimum folds in
-// restart order, so the outcome is bitwise-identical at any parallelism.
+// (descending K) and whichever worker is free takes the next. A job keeps
+// its run's SSE and drops the run. Each job is seeded exactly as the
+// sequential sweep and the per-K minimum folds in restart order, so the
+// outcome is bitwise-identical at any parallelism.
 func ElbowSweep(m *matrix.Matrix, kMin, kMax, restarts int, cfg KMeansConfig) (*Sweep, error) {
 	if kMin < 1 || kMax < kMin {
 		return nil, fmt.Errorf("cluster: bad K range [%d, %d]", kMin, kMax)
@@ -474,17 +480,21 @@ func ElbowSweep(m *matrix.Matrix, kMin, kMax, restarts int, cfg KMeansConfig) (*
 	}
 	xn := m.RowNorms(nil)
 	nk := kMax - kMin + 1
-	sw := &Sweep{kMin: kMin, restarts: restarts, fits: make([]*KMeansResult, nk*restarts)}
-	errs := make([]error, len(sw.fits))
-	parallel.ForEach(len(sw.fits), cfg.Parallelism, func(issued int) {
-		j := len(sw.fits) - 1 - issued
+	sw := &Sweep{kMin: kMin, restarts: restarts, sse: make([]float64, nk*restarts)}
+	errs := make([]error, len(sw.sse))
+	parallel.ForEach(len(sw.sse), cfg.Parallelism, func(issued int) {
+		j := len(sw.sse) - 1 - issued
 		k := kMin + j/restarts
-		r := j % restarts
 		c := cfg
 		c.K = k
-		c.Seed = cfg.Seed + int64(r)*7919 + int64(k)
+		c.Seed = RestartSeed(cfg.Seed, j%restarts, k)
 		c.Parallelism = 1 // the sweep parallelizes across jobs, not within
-		sw.fits[j], errs[j] = kmeansRun(m, xn, c)
+		fit, err := kmeansRun(m, xn, c)
+		if err != nil {
+			errs[j] = err
+			return
+		}
+		sw.sse[j] = fit.SSE
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -493,9 +503,9 @@ func ElbowSweep(m *matrix.Matrix, kMin, kMax, restarts int, cfg KMeansConfig) (*
 	}
 	for k := kMin; k <= kMax; k++ {
 		best := math.Inf(1)
-		for _, fit := range sw.Fits(k) {
-			if fit.SSE < best {
-				best = fit.SSE
+		for _, sse := range sw.SSEs(k) {
+			if sse < best {
+				best = sse
 			}
 		}
 		sw.Curve = append(sw.Curve, SSECurvePoint{K: k, SSE: best})

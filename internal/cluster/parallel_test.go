@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"indice/internal/matrix"
 	"indice/internal/parallel"
 )
 
@@ -214,6 +216,50 @@ func TestSilhouetteParallelEquivalence(t *testing.T) {
 		}
 		if math.Float64bits(par) != math.Float64bits(seq) {
 			t.Fatalf("parallelism %d: silhouette %v != %v", p, par, seq)
+		}
+	}
+}
+
+// TestSweepRefitIsTheSweepsRun pins what lets ElbowSweep keep SSEs and
+// drop its runs: KMeansMatrix seeded with RestartSeed re-fits every
+// (K, restart) job bitwise — labels, centroids, sizes, iterations and
+// SSE — at any Parallelism, and the sweep recorded that job's SSE.
+func TestSweepRefitIsTheSweepsRun(t *testing.T) {
+	const kMin, kMax, restarts = 2, 7, 3
+	rng := rand.New(rand.NewSource(11))
+	for trial, dup := range []bool{false, true, false} {
+		m, err := matrix.FromRows(equivPoints(rng, 240+40*trial, 3, dup))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := int64(5 + trial)
+		sw, err := ElbowSweep(m, kMin, kMax, restarts, KMeansConfig{Seed: seed, Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		xn := m.RowNorms(nil)
+		for k := kMin; k <= kMax; k++ {
+			for r, sse := range sw.SSEs(k) {
+				// The job exactly as the sweep runs it.
+				job, err := kmeansRun(m, xn, KMeansConfig{K: k, Seed: RestartSeed(seed, r, k), Parallelism: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tag := fmt.Sprintf("trial %d K=%d restart %d", trial, k, r)
+				if math.Float64bits(job.SSE) != math.Float64bits(sse) {
+					t.Fatalf("%s: the sweep recorded SSE %v, the job's is %v", tag, sse, job.SSE)
+				}
+				for _, p := range []int{1, parallel.Auto} {
+					refit, err := KMeansMatrix(m, KMeansConfig{K: k, Seed: RestartSeed(seed, r, k), Parallelism: p})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameKMeans(t, fmt.Sprintf("%s parallelism %d", tag, p), refit, job)
+					if math.Float64bits(refit.SSE) != math.Float64bits(job.SSE) {
+						t.Fatalf("%s parallelism %d: SSE bits differ", tag, p)
+					}
+				}
+			}
 		}
 	}
 }

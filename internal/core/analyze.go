@@ -206,15 +206,23 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 		// chosen K: restart 0 seeded with cfg.Seed itself, the others as
 		// the sweep seeds them. Only restart 0 is a run the sweep has not
 		// made; the minimum folds in restart order under a strict <, so
-		// restart 0 keeps a tie.
+		// restart 0 keeps a tie. The sweep keeps SSEs, not runs, so a
+		// sweep restart that wins is fitted again, bitwise the sweep's run.
 		kcfg.K = k
 		best, err := cluster.KMeansMatrix(in.norm, kcfg)
 		if err != nil {
 			return fmt.Errorf("core: analyze: %w", err)
 		}
-		for _, fit := range sweep.Fits(k)[1:] {
-			if fit.SSE < best.SSE {
-				best = fit
+		win, winSSE := 0, best.SSE
+		for r, sse := range sweep.SSEs(k)[1:] {
+			if sse < winSSE {
+				win, winSSE = r+1, sse
+			}
+		}
+		if win > 0 {
+			kcfg.Seed = cluster.RestartSeed(cfg.Seed, win, k)
+			if best, err = cluster.KMeansMatrix(in.norm, kcfg); err != nil {
+				return fmt.Errorf("core: analyze: %w", err)
 			}
 		}
 		an.Clustering = best
@@ -224,7 +232,7 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 
 	// CART discretization of every attribute (and the response) against
 	// the response, then association-rule mining over the discretized
-	// transactions.
+	// rows.
 	rulesStage := func() error {
 		binnings, err := parallel.MapErr(len(cfg.Attributes), cfg.Parallelism, func(i int) (*cart.Binning, error) {
 			b, err := cart.Discretize(cfg.Attributes[i], cols[i], resp, cfg.CART)
@@ -245,13 +253,9 @@ func (e *Engine) Analyze(cfg AnalysisConfig) (*Analysis, error) {
 		}
 		an.Binnings[cfg.Response] = rb
 
-		txs, err := transactions(in.tab, an, cfg.ExtraRuleAttrs)
+		miner, err := ruleMiner(in.tab, an, cfg.ExtraRuleAttrs)
 		if err != nil {
 			return err
-		}
-		miner, err := assoc.NewMiner(txs)
-		if err != nil {
-			return fmt.Errorf("core: analyze: %w", err)
 		}
 		mineCfg := assoc.MiningConfig{MinSupport: cfg.MinSupport, MaxLen: 3, Parallelism: cfg.Parallelism}
 		frequent, err := miner.FrequentItemsets(mineCfg)
@@ -385,20 +389,20 @@ func (an *Analysis) rawCentroids() []float64 {
 	return out
 }
 
-// RuleTransactions converts the engine's current table into the
-// transactional dataset the rule miner consumes — the CART-discretized
-// numeric attributes of an plus cfg.ExtraRuleAttrs. Exposed so external
-// harnesses (the E6 benchmarks) mine exactly the workload Analyze mines.
-func (e *Engine) RuleTransactions(cfg AnalysisConfig, an *Analysis) ([]assoc.Transaction, error) {
+// RuleMiner builds the rule miner over the engine's current table as
+// Analyze builds it: the CART-discretized numeric attributes of an plus
+// cfg.ExtraRuleAttrs. Exposed so external harnesses (the E6 benchmarks)
+// mine exactly the workload Analyze mines.
+func (e *Engine) RuleMiner(cfg AnalysisConfig, an *Analysis) (*assoc.Miner, error) {
 	cols := append(append(slices.Clone(an.Attributes), an.Response), cfg.ExtraRuleAttrs...)
-	return transactions(e.Table(cols...), an, cfg.ExtraRuleAttrs)
+	return ruleMiner(e.Table(cols...), an, cfg.ExtraRuleAttrs)
 }
 
-// transactions converts tab into the transactional dataset of the rule
-// miner: an's discretized attributes and response, then the extra
-// categorical attributes tab holds. Every transaction is carved from one
-// array of items, sized for a row that has every item.
-func transactions(tab *table.Table, an *Analysis, extra []string) ([]assoc.Transaction, error) {
+// ruleMiner builds the rule miner over tab's rows, one transaction per
+// row: an's discretized attributes and response, then the extra
+// categorical attributes tab holds. Each row's items go straight from the
+// columns into the miner's tidsets; no list of transactions is built.
+func ruleMiner(tab *table.Table, an *Analysis, extra []string) (*assoc.Miner, error) {
 	// item is row i's item of one attribute, if it has one.
 	var items []func(i int) (assoc.Item, bool)
 	for _, attr := range append(slices.Clone(an.Attributes), an.Response) {
@@ -433,22 +437,17 @@ func transactions(tab *table.Table, an *Analysis, extra []string) ([]assoc.Trans
 			return assoc.Item{Attr: attr, Value: v}, valid[i] && v != ""
 		})
 	}
-	// The capacity is every row's every item, so the appends never move
-	// the array and each row's items stay where they were carved.
-	all := make([]assoc.Item, 0, tab.NumRows()*len(items))
-	txs := make([]assoc.Transaction, tab.NumRows())
-	for i := range txs {
-		lo := len(all)
+	miner, err := assoc.NewMinerRows(tab.NumRows(), func(t int, add func(assoc.Item)) {
 		for _, item := range items {
-			if it, ok := item(i); ok {
-				all = append(all, it)
+			if it, ok := item(t); ok {
+				add(it)
 			}
 		}
-		if hi := len(all); hi > lo {
-			txs[i] = all[lo:hi:hi]
-		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: analyze: %w", err)
 	}
-	return txs, nil
+	return miner, nil
 }
 
 // ErrNoAnalysis is returned by Dashboard when the analysis is nil but the

@@ -270,7 +270,11 @@ func TestFullRefreshIsTheBatchPipeline(t *testing.T) {
 			if !full {
 				continue
 			}
-			tab, err := pub.Snapshot.Table(live.cols...)
+			var cols []string
+			for _, f := range live.schema {
+				cols = append(cols, f.Name)
+			}
+			tab, err := pub.Snapshot.Table(cols...)
 			if err != nil {
 				t.Fatal(err)
 			}

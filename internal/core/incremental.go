@@ -65,16 +65,33 @@ type lineage struct {
 
 // newLineage returns the empty lineage a full refresh starts from, its
 // parts holding the columns of the serving schema they keep.
-func (l *Live) newLineage(schema []table.Field) (*lineage, error) {
-	dropped, err := table.NewWithSchema(schema)
+func (l *Live) newLineage() (*lineage, error) {
+	empty, err := table.NewWithSchema(l.schema)
 	if err != nil {
 		return nil, err
 	}
-	screen, err := dropped.Select(l.cfg.lineageColumns()...)
+	screen, err := empty.Select(l.cfg.lineageColumns()...)
 	if err != nil {
 		return nil, err
 	}
-	return &lineage{screen: screen, served: table.Encode(dropped), dropped: dropped}, nil
+	return &lineage{screen: screen, served: table.Encode(empty), dropped: empty}, nil
+}
+
+// narrowRows decodes the narrowColumns of the delta's rows: the one
+// decoded table of new rows the data step owns and rewrites.
+func (l *Live) narrowRows(delta *store.Delta) (*table.Table, error) {
+	names := l.cfg.narrowColumns()
+	var narrow []table.Field
+	for _, f := range l.schema {
+		if slices.Contains(names, f.Name) {
+			narrow = append(narrow, f)
+		}
+	}
+	tab, err := table.NewWithSchema(narrow)
+	if err == nil {
+		err = delta.AppendTo(tab)
+	}
+	return tab, err
 }
 
 // moments are a column's exact mean and standard deviation.
@@ -106,24 +123,26 @@ func (cfg LiveConfig) lineageColumns() []string {
 
 // absorb is the data tier of every refresh, run over the rows that
 // arrived since the lineage's epoch — all of them on a full refresh, whose
-// lineage starts empty. It cleans delta in place, appends its screened
-// columns to the lineage, re-screens the outliers over every pre-drop row
-// and moves the served and dropped rows to the new fences. It returns an
-// engine over the served rows and the report. An error may leave the
-// lineage half advanced.
-func (l *Live) absorb(lin *lineage, delta *table.Table) (*Engine, *PreprocessReport, error) {
+// lineage starts empty. tab holds the delta's narrow columns (narrowRows).
+// It cleans tab in place, appends its screened columns to the lineage,
+// re-screens the outliers over every pre-drop row and moves the served
+// and dropped rows to the new fences, reading the delta's other serving
+// columns straight from its encodings. It returns an engine over the
+// served rows and the report. An error may leave the lineage half
+// advanced.
+func (l *Live) absorb(lin *lineage, delta *store.Delta, tab *table.Table) (*Engine, *PreprocessReport, error) {
 	pcfg := l.cfg.Preprocess
 	rep := &PreprocessReport{}
 	if pcfg.cleans(l.cfg.Options.StreetMap) {
 		var err error
 		// Cleaning covers only this delta: earlier rows were cleaned by
 		// the epochs that ingested them.
-		rep.Cleaning, err = cleanTable(delta, l.hier, l.cfg.Options.StreetMap, l.cfg.Options.Geocoder, pcfg.cleanConfig())
+		rep.Cleaning, err = cleanTable(tab, l.hier, l.cfg.Options.StreetMap, l.cfg.Options.Geocoder, pcfg.cleanConfig())
 		if err != nil {
 			return nil, nil, err
 		}
 	}
-	if err := lin.screen.AppendTable(delta); err != nil {
+	if err := lin.screen.AppendTable(tab); err != nil {
 		return nil, nil, err
 	}
 
@@ -142,7 +161,7 @@ func (l *Live) absorb(lin *lineage, delta *table.Table) (*Engine, *PreprocessRep
 			drop[r] = true
 		}
 	}
-	if err := lin.advance(delta, drop); err != nil {
+	if err := lin.advance(delta, tab, drop); err != nil {
 		return nil, nil, err
 	}
 	rep.RowsAfter = lin.served.NumRows()
@@ -154,14 +173,22 @@ func (l *Live) absorb(lin *lineage, delta *table.Table) (*Engine, *PreprocessRep
 // pre-drop order, over the serving rows, the dropped rows and the delta
 // (whose rows follow theirs): a row dropped earlier comes back when the
 // fences release it, a kept one leaves when they catch it. The next
-// serving rows are encoded a column at a time, so neither epoch's exists
-// decoded in full.
-func (lin *lineage) advance(delta *table.Table, drop []bool) error {
+// serving and dropped rows are encoded a column at a time, so no epoch's
+// serving rows exist decoded in full: a delta column tab holds (cleaning
+// may have rewritten it) comes from tab, any other straight from the
+// delta's encodings. The dropped rows (a few percent) are kept decoded.
+func (lin *lineage) advance(delta *store.Delta, tab *table.Table, drop []bool) error {
 	prevDropped := lin.dropped
 	srcs := [...]func(dst *table.Table, rows []int) error{
 		fromServed:  lin.served.TakeAppend,
 		fromDropped: func(dst *table.Table, rows []int) error { return dst.AppendTaken(prevDropped, rows) },
-		fromDelta:   func(dst *table.Table, rows []int) error { return dst.AppendTaken(delta, rows) },
+		fromDelta: func(dst *table.Table, rows []int) error {
+			// dst holds the one column EncodeColumns is filling.
+			if tab.HasColumn(dst.ColumnNames()[0]) {
+				return dst.AppendTaken(tab, rows)
+			}
+			return delta.TakeAppend(dst, rows)
+		},
 	}
 	out := [2]gather{{rows: make([]int, 0, len(drop))}} // kept, dropped
 	var droppedAt []int
@@ -184,17 +211,15 @@ func (lin *lineage) advance(delta *table.Table, drop []bool) error {
 		}
 		out[k].add(src, r)
 	}
-	schema := lin.served.Schema()
-	served, err := table.EncodeColumns(schema, func(dst *table.Table) error { return out[0].appendTo(dst, srcs[:]) })
-	if err != nil {
-		return err
+	var enc [2]*table.Encoded // kept, dropped
+	for k, g := range out {
+		var err error
+		if enc[k], err = table.EncodeColumns(lin.served.Schema(), func(dst *table.Table) error { return g.appendTo(dst, srcs[:]) }); err != nil {
+			return err
+		}
 	}
-	dropped, err := table.NewWithSchema(schema)
-	if err == nil {
-		err = out[1].appendTo(dropped, srcs[:])
-	}
-	lin.served, lin.dropped, lin.droppedAt = served, dropped, droppedAt
-	return err
+	lin.served, lin.dropped, lin.droppedAt = enc[0], enc[1].Decode(), droppedAt
+	return nil
 }
 
 // The sources advance takes rows from.
@@ -336,25 +361,22 @@ func (l *Live) tryIncremental(ctx context.Context, start time.Time, snap *store.
 	return pub, true
 }
 
-// refreshIncremental runs one delta-proportional refresh: materialize the
-// delta, run the data step over it, and warm-start a single clustering
-// run at the previous K.
+// refreshIncremental runs one delta-proportional refresh: decode the
+// delta's narrow columns, run the data step over it, and warm-start a
+// single clustering run at the previous K.
 func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *store.Snapshot, prev *Published,
 	delta *store.Delta, drift float64) (*Published, error) {
 	lin := l.lineage
-	// One owned copy of the new rows' serving columns, decoded straight
+	// One owned copy of the new rows' narrow columns, decoded straight
 	// out of the store's encodings (cleaning mutates it).
 	_, spDelta := obs.StartSpan(ctx, "delta")
-	deltaTab, err := table.NewWithSchema(lin.served.Schema())
-	if err == nil {
-		err = delta.AppendTo(deltaTab)
-	}
+	tab, err := l.narrowRows(delta)
 	spDelta.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
 	_, spScreen := obs.StartSpan(ctx, "screen")
-	eng, rep, err := l.absorb(lin, deltaTab)
+	eng, rep, err := l.absorb(lin, delta, tab)
 	spScreen.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)

@@ -28,10 +28,10 @@ import (
 //	...
 //	if pub := live.Current(); pub != nil { pub.Engine, pub.Analysis ... }
 type Live struct {
-	store *store.Store
-	hier  *geo.Hierarchy
-	cfg   LiveConfig
-	cols  []string // servingColumns of the store schema
+	store  *store.Store
+	hier   *geo.Hierarchy
+	cfg    LiveConfig
+	schema []table.Field // servingColumns of the store schema
 
 	cur atomic.Pointer[Published]
 
@@ -157,12 +157,13 @@ func NewLive(st *store.Store, hier *geo.Hierarchy, cfg LiveConfig) (*Live, error
 	if cfg.Incremental.FullEvery <= 0 {
 		cfg.Incremental.FullEvery = 8
 	}
-	return &Live{store: st, hier: hier, cfg: cfg, cols: cfg.servingColumns(st.Schema())}, nil
+	return &Live{store: st, hier: hier, cfg: cfg, schema: cfg.servingColumns(st.Schema())}, nil
 }
 
-// servingColumns are the columns of the store schema that some reader of
-// a publication names, in schema order — the one list the refresh
-// materializes, cleans, screens, keeps in its lineage and publishes:
+// servingColumns are the fields of the store schema that some reader of
+// a publication names, in schema order — the one schema the refresh
+// encodes, keeps in its lineage and publishes (the data step decodes only
+// its narrowColumns):
 //
 //   - every Float64 column: /api/stats, /map and /api/zones accept any
 //     numeric attribute;
@@ -175,16 +176,30 @@ func NewLive(st *store.Store, hier *geo.Hierarchy, cfg LiveConfig) (*Live, error
 //
 // The other categorical columns stay in the store, where /api/query
 // reads them.
-func (cfg LiveConfig) servingColumns(schema []table.Field) []string {
+func (cfg LiveConfig) servingColumns(schema []table.Field) []table.Field {
 	named := append(cfg.lineageColumns(), cfg.Analysis.columns()...)
 	named = append(named, cfg.Analysis.ExtraRuleAttrs...)
 	named = append(named, epc.AttrAddress, epc.AttrHouseNumber, epc.AttrZIP,
 		epc.AttrDistrict, epc.AttrNeighbourhood, epc.AttrEnergyClass, epc.AttrCertificateID)
-	var cols []string
+	var fields []table.Field
 	for _, f := range schema {
 		if f.Type == table.Float64 || slices.Contains(named, f.Name) {
-			cols = append(cols, f.Name)
+			fields = append(fields, f)
 		}
+	}
+	return fields
+}
+
+// narrowColumns are the serving columns the data step decodes, cleans and
+// screens: the ones cleaning reads or rewrites (address, house number, ZIP
+// code, coordinates, district and neighbourhood) when the loop cleans,
+// and the screened attributes. Every other serving column of a new row
+// goes straight from the store's encodings into the serving encoding.
+func (cfg LiveConfig) narrowColumns() []string {
+	cols := cfg.lineageColumns()
+	if cfg.Preprocess.cleans(cfg.Options.StreetMap) {
+		cols = append(cols, epc.AttrAddress, epc.AttrHouseNumber, epc.AttrZIP,
+			epc.AttrLatitude, epc.AttrLongitude, epc.AttrDistrict, epc.AttrNeighbourhood)
 	}
 	return cols
 }
@@ -302,17 +317,21 @@ func (l *Live) refreshLocked() (*Published, error) {
 	// A full refresh folds the whole snapshot, the delta from epoch 0,
 	// into an empty lineage, then sweeps K over the rows it serves.
 	_, spMat := obs.StartSpan(ctx, "materialize")
-	tab, err := snap.Table(l.cols...)
+	delta, err := snap.Delta()
+	var tab *table.Table
 	var lin *lineage
 	if err == nil {
-		lin, err = l.newLineage(tab.Schema())
+		tab, err = l.narrowRows(delta)
+	}
+	if err == nil {
+		lin, err = l.newLineage()
 	}
 	spMat.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
 	_, spPrep := obs.StartSpan(ctx, "preprocess")
-	eng, rep, err := l.absorb(lin, tab)
+	eng, rep, err := l.absorb(lin, delta, tab)
 	spPrep.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)

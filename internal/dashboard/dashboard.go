@@ -304,14 +304,26 @@ func StatsHeader() []string {
 // CategoricalPanel describes the categorical frequency panel, mode and
 // top-k values, and returns the panel drawing its bar chart.
 func CategoricalPanel(t *table.Table, attr string, k, w, h int) (render.Panel, stats.CategoricalDescription, error) {
-	vals, err := t.Strings(attr)
+	codes, dict, err := t.StringCodes(attr)
 	if err != nil {
 		return nil, stats.CategoricalDescription{}, fmt.Errorf("dashboard: %w", err)
 	}
 	if k <= 0 {
 		k = 8
 	}
-	d := stats.DescribeCategorical(vals, k)
+	// Count the codes, then their values: a dictionary may hold a value
+	// twice, and entries no cell uses.
+	perCode := make([]int, len(dict))
+	for _, c := range codes {
+		perCode[c]++
+	}
+	byValue := make(map[string]int)
+	for c, n := range perCode {
+		if n > 0 {
+			byValue[dict[c]] += n
+		}
+	}
+	d := stats.DescribeCounts(byValue, k)
 	labels := make([]string, len(d.TopK))
 	counts := make([]float64, len(d.TopK))
 	for i, c := range d.TopK {

@@ -10,7 +10,7 @@ import (
 )
 
 // Method records how a row's location was resolved.
-type Method int
+type Method uint8
 
 const (
 	// MethodUntouched means the address matched the street map exactly.
@@ -111,22 +111,25 @@ func NewCleaner(m *StreetMap, remote Geocoder, cfg CleanConfig) (*Cleaner, error
 // pass, fanned out over cfg.Parallelism workers, and steps (3) and (4)
 // then walk the rows in order with the matches at hand.
 func (c *Cleaner) Clean(t *table.Table) (*Report, error) {
-	addr, err := t.Strings(epc.AttrAddress)
+	addrCodes, addrDict, err := t.StringCodes(epc.AttrAddress)
 	if err != nil {
 		return nil, fmt.Errorf("geocode: clean: %w", err)
 	}
-	civic, err := t.Strings(epc.AttrHouseNumber)
+	civicCodes, civicDict, err := t.StringCodes(epc.AttrHouseNumber)
 	if err != nil {
 		return nil, fmt.Errorf("geocode: clean: %w", err)
 	}
-	if _, err := t.Strings(epc.AttrZIP); err != nil {
-		return nil, fmt.Errorf("geocode: clean: %w", err)
-	}
-	if _, err := t.Floats(epc.AttrLatitude); err != nil {
-		return nil, fmt.Errorf("geocode: clean: %w", err)
-	}
-	if _, err := t.Floats(epc.AttrLongitude); err != nil {
-		return nil, fmt.Errorf("geocode: clean: %w", err)
+	for _, col := range []struct {
+		name string
+		typ  table.Type
+	}{{epc.AttrZIP, table.String}, {epc.AttrLatitude, table.Float64}, {epc.AttrLongitude, table.Float64}} {
+		typ, err := t.TypeOf(col.name)
+		if err == nil && typ != col.typ {
+			err = fmt.Errorf("%w: %q is %v, want %v", table.ErrTypeMismatch, col.name, typ, col.typ)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("geocode: clean: %w", err)
+		}
 	}
 
 	n := t.NumRows()
@@ -136,19 +139,26 @@ func (c *Cleaner) Clean(t *table.Table) (*Report, error) {
 		startRequests = c.remote.RequestsUsed()
 	}
 	// Distinct normalized addresses in first-seen order; keys[i] is row
-	// i's position among them.
+	// i's position among them. Each address dictionary entry a row uses is
+	// normalized once (keyOf[code] is its position + 1), however many rows
+	// share it. Rewriting a row's address below appends to the
+	// dictionary, never rewrites an entry, so addrDict stays valid.
 	var distinct []string
 	keys := make([]int32, n)
+	keyOf := make([]int32, len(addrDict))
 	seen := make(map[string]int32)
-	for i, a := range addr {
-		norm := textmatch.NormalizeAddress(a)
-		k, ok := seen[norm]
-		if !ok {
-			k = int32(len(distinct))
-			seen[norm] = k
-			distinct = append(distinct, norm)
+	for i, code := range addrCodes {
+		if keyOf[code] == 0 {
+			norm := textmatch.NormalizeAddress(addrDict[code])
+			k, ok := seen[norm]
+			if !ok {
+				k = int32(len(distinct))
+				seen[norm] = k
+				distinct = append(distinct, norm)
+			}
+			keyOf[code] = k + 1
 		}
-		keys[i] = k
+		keys[i] = keyOf[code] - 1
 	}
 	type streetMatch struct {
 		street string
@@ -162,8 +172,9 @@ func (c *Cleaner) Clean(t *table.Table) (*Report, error) {
 
 	for i := 0; i < n; i++ {
 		norm, m := distinct[keys[i]], matches[keys[i]]
+		addr, civic := addrDict[addrCodes[i]], civicDict[civicCodes[i]]
 		if m.ok && m.sim >= c.cfg.Phi {
-			entry, found := c.mapRef.civicFor(m.street, normalizeCivic(civic[i]))
+			entry, found := c.mapRef.civicFor(m.street, normalizeCivic(civic))
 			if found {
 				if m.sim == 1 && norm == m.street {
 					rep.Methods[i] = MethodUntouched
@@ -180,7 +191,7 @@ func (c *Cleaner) Clean(t *table.Table) (*Report, error) {
 		}
 		// Fallback: remote geocoder, quota permitting.
 		if c.remote != nil {
-			entry, gerr := c.remote.Geocode(addr[i] + " " + civic[i])
+			entry, gerr := c.remote.Geocode(addr + " " + civic)
 			if gerr == nil {
 				rep.Methods[i] = MethodGeocoder
 				rep.Geocoded++

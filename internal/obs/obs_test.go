@@ -93,7 +93,7 @@ func TestWriteProcessMetrics(t *testing.T) {
 	if err := WriteProcessMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, fam := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes", "go_gc_cycles_total"} {
+	for _, fam := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes", "go_gc_cycles_total", "go_gc_heap_live_bytes"} {
 		if !strings.Contains(buf.String(), "# TYPE "+fam+" ") {
 			t.Errorf("process metrics missing family %s", fam)
 		}

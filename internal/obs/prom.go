@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 )
@@ -129,6 +130,10 @@ func WriteProcessMetrics(w io.Writer) error {
 		formatFloat(float64(ms.PauseTotalNs)*Nanos))
 	writeOne("go_memstats_next_gc_bytes", "gauge", "Heap size target of the next GC cycle.",
 		formatUint(ms.NextGC))
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(live)
+	writeOne("go_gc_heap_live_bytes", "gauge", "Heap bytes the last GC cycle marked live.",
+		formatUint(live[0].Value.Uint64()))
 	return bw.Flush()
 }
 

@@ -98,9 +98,18 @@ func DescribeCategorical(vs []string, k int) CategoricalDescription {
 	for _, v := range vs {
 		counts[v]++
 	}
+	return DescribeCounts(counts, k)
+}
+
+// DescribeCounts is DescribeCategorical over how often each value occurs
+// (counts[v] ≥ 1): what a reader counting a dictionary-coded column's
+// codes hands in instead of one string per cell.
+func DescribeCounts(counts map[string]int, k int) CategoricalDescription {
+	n := 0
 	all := make([]CategoryCount, 0, len(counts))
 	for v, c := range counts {
 		all = append(all, CategoryCount{Value: v, Count: c})
+		n += c
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Count != all[j].Count {
@@ -109,7 +118,7 @@ func DescribeCategorical(vs []string, k int) CategoricalDescription {
 		return all[i].Value < all[j].Value
 	})
 	d := CategoricalDescription{
-		Count:    len(vs),
+		Count:    n,
 		Distinct: len(all),
 	}
 	if len(all) > 0 {

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"indice/internal/epc"
@@ -215,5 +217,105 @@ func TestGenerationBumpsOnAcceptedRowsOnly(t *testing.T) {
 	}
 	if st.Status().Generation != 1 {
 		t.Fatalf("status generation = %d", st.Status().Generation)
+	}
+}
+
+// TestDeltaTakeAppendMatchesDecodeThenTake pins Delta.TakeAppend to the
+// decode-then-take it replaces: decoding the delta whole (AppendTo) and
+// appending rows of that (AppendTaken) gives the same cells, for every
+// column subset and order of dst and for ascending, shuffled and repeated
+// ordinals, on a delta whose runs start mid-segment and on the whole
+// snapshot's.
+func TestDeltaTakeAppendMatchesDecodeThenTake(t *testing.T) {
+	st := deltaTestStore(t)
+	// 10 rows a shard seal, 5 more wait in the tail at the baseline and
+	// seal with the next 10: that segment straddles the baseline.
+	for _, b := range [][2]int{{0, 20}, {20, 30}, {30, 50}, {50, 54}} {
+		if _, err := st.AppendTable(deltaBatch(t, st, b[0], b[1])); err != nil {
+			t.Fatal(err)
+		}
+		if b[1] == 30 {
+			st.Snapshot()
+		}
+	}
+	sn := st.Snapshot()
+	since, ok := sn.DeltaSince(sn.Epoch() - 1)
+	if !ok {
+		t.Fatal("no delta since the first snapshot")
+	}
+	midSegment := false
+	for _, r := range since.runs {
+		midSegment = midSegment || r.from > 0
+	}
+	if !midSegment {
+		t.Fatal("no run of the delta starts mid-segment: the test does not cover the boundary")
+	}
+	whole, err := sn.Delta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := st.Schema()
+	id, eph := schema[0], schema[1]
+	for name, d := range map[string]*Delta{"since": since, "whole": whole} {
+		all, err := table.NewWithSchema(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.AppendTo(all); err != nil {
+			t.Fatal(err)
+		}
+		n := d.NewRows
+		asc, shuffled := make([]int, n), rand.New(rand.NewSource(int64(n))).Perm(n)
+		for i := range asc {
+			asc[i] = i
+		}
+		rowSets := map[string][]int{
+			"ascending": asc, "shuffled": shuffled, "none": nil,
+			"repeated": {n - 1, 0, 0, n / 2, n - 1}, "every third": slices.DeleteFunc(slices.Clone(asc), func(r int) bool { return r%3 != 0 }),
+		}
+		for rname, rows := range rowSets {
+			for _, fields := range [][]table.Field{schema, {eph}, {eph, id}} {
+				got, _ := table.NewWithSchema(fields)
+				want, _ := table.NewWithSchema(fields)
+				if err := d.TakeAppend(got, rows); err != nil {
+					t.Fatal(err)
+				}
+				if err := want.AppendTaken(all, rows); err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s delta, %s rows, %d columns", name, rname, len(fields))
+				sameCells(t, label, got, want)
+			}
+		}
+		got, _ := table.NewWithSchema(schema)
+		if err := d.TakeAppend(got, []int{0, n}); err == nil || got.NumRows() != 0 {
+			t.Fatalf("%s delta: ordinal %d of %d taken (err %v, %d rows appended)", name, n, n, err, got.NumRows())
+		}
+	}
+}
+
+// sameCells fails unless a and b hold the same columns with the same
+// cells and validity.
+func sameCells(t *testing.T, label string, a, b *table.Table) {
+	t.Helper()
+	if a.NumRows() != b.NumRows() || !slices.Equal(a.ColumnNames(), b.ColumnNames()) {
+		t.Fatalf("%s: %d rows of %v, want %d of %v", label, a.NumRows(), a.ColumnNames(), b.NumRows(), b.ColumnNames())
+	}
+	for _, f := range a.Schema() {
+		va, _ := a.ValidMask(f.Name)
+		vb, _ := b.ValidMask(f.Name)
+		same := slices.Equal(va, vb)
+		if f.Type == table.Float64 {
+			xa, _ := a.Floats(f.Name)
+			xb, _ := b.Floats(f.Name)
+			same = same && slices.Equal(xa, xb)
+		} else {
+			sa, _ := a.Strings(f.Name)
+			sb, _ := b.Strings(f.Name)
+			same = same && slices.Equal(sa, sb)
+		}
+		if !same {
+			t.Fatalf("%s: column %q differs", label, f.Name)
+		}
 	}
 }
