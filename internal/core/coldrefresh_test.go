@@ -210,7 +210,7 @@ func TestColdRefreshParallelEquivalence(t *testing.T) {
 		// (NULL floats are NaN, which DeepEqual never equates).
 		pl, sl := parLive.lineage, seqLive.lineage
 		mustMatchTables(t, "lineage screen", pl.screen, sl.screen)
-		mustMatchTables(t, "lineage dropped rows", pl.dropped, sl.dropped)
+		mustMatchTables(t, "lineage dropped rows", pl.dropped.Decode(), sl.dropped.Decode())
 		if !slices.Equal(pl.droppedAt, sl.droppedAt) || len(pl.droppedAt) != pl.dropped.NumRows() {
 			t.Fatalf("corrupt=%v: dropped rows at %v, want %v", corrupt, pl.droppedAt, sl.droppedAt)
 		}
@@ -274,7 +274,11 @@ func TestFullRefreshIsTheBatchPipeline(t *testing.T) {
 			for _, f := range live.schema {
 				cols = append(cols, f.Name)
 			}
-			tab, err := pub.Snapshot.Table(cols...)
+			all, err := pub.Snapshot.Table()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := all.Select(cols...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -50,14 +50,14 @@ var errIncremental = errors.New("core: incremental refresh unavailable")
 
 // lineage is the refresh's cross-epoch state, owned by the refresh lock.
 // The post-clean, pre-drop rows of every epoch, in arrival order, are in
-// three parts: screen (their lineageColumns), served (the published
-// serving table, encoded) and dropped (whole, at pre-drop positions
-// droppedAt). The warm start's K and centroids are the published
-// analysis's.
+// three parts: screen (their lineageColumns, decoded), served (the
+// published serving table) and dropped (whole, at pre-drop positions
+// droppedAt), both encoded. The warm start's K and centroids are the
+// published analysis's.
 type lineage struct {
 	epoch           uint64
-	screen, dropped *table.Table
-	served          *table.Encoded
+	screen          *table.Table
+	served, dropped *table.Encoded
 	droppedAt       []int              // ascending
 	refStats        map[string]moments // drift baseline, at last full sweep
 	sinceFull       int
@@ -74,7 +74,8 @@ func (l *Live) newLineage() (*lineage, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &lineage{screen: screen, served: table.Encode(empty), dropped: empty}, nil
+	none := table.Encode(empty)
+	return &lineage{screen: screen, served: none, dropped: none}, nil
 }
 
 // narrowRows decodes the narrowColumns of the delta's rows: the one
@@ -126,11 +127,11 @@ func (cfg LiveConfig) lineageColumns() []string {
 // lineage starts empty. tab holds the delta's narrow columns (narrowRows).
 // It cleans tab in place, appends its screened columns to the lineage,
 // re-screens the outliers over every pre-drop row and moves the served
-// and dropped rows to the new fences, reading the delta's other serving
-// columns straight from its encodings. It returns an engine over the
-// served rows and the report. An error may leave the lineage half
-// advanced.
-func (l *Live) absorb(lin *lineage, delta *store.Delta, tab *table.Table) (*Engine, *PreprocessReport, error) {
+// and dropped rows to the new fences (the "advance" span under ctx's),
+// reading the delta's other serving columns straight from its encodings.
+// It returns an engine over the served rows and the report. An error may
+// leave the lineage half advanced.
+func (l *Live) absorb(ctx context.Context, lin *lineage, delta *store.Delta, tab *table.Table) (*Engine, *PreprocessReport, error) {
 	pcfg := l.cfg.Preprocess
 	rep := &PreprocessReport{}
 	if pcfg.cleans(l.cfg.Options.StreetMap) {
@@ -161,7 +162,13 @@ func (l *Live) absorb(lin *lineage, delta *store.Delta, tab *table.Table) (*Engi
 			drop[r] = true
 		}
 	}
-	if err := lin.advance(delta, tab, drop); err != nil {
+	_, sp := obs.StartSpan(ctx, "advance")
+	news, err := l.encodeDelta(delta, tab)
+	if err == nil {
+		err = lin.advance(news, drop)
+	}
+	sp.End()
+	if err != nil {
 		return nil, nil, err
 	}
 	rep.RowsAfter = lin.served.NumRows()
@@ -169,30 +176,33 @@ func (l *Live) absorb(lin *lineage, delta *store.Delta, tab *table.Table) (*Engi
 	return eng, rep, err
 }
 
-// advance moves served and dropped to the next epoch in one pass, in
-// pre-drop order, over the serving rows, the dropped rows and the delta
-// (whose rows follow theirs): a row dropped earlier comes back when the
-// fences release it, a kept one leaves when they catch it. The next
-// serving and dropped rows are encoded a column at a time, so no epoch's
-// serving rows exist decoded in full: a delta column tab holds (cleaning
-// may have rewritten it) comes from tab, any other straight from the
-// delta's encodings. The dropped rows (a few percent) are kept decoded.
-func (lin *lineage) advance(delta *store.Delta, tab *table.Table, drop []bool) error {
-	prevDropped := lin.dropped
-	srcs := [...]func(dst *table.Table, rows []int) error{
-		fromServed:  lin.served.TakeAppend,
-		fromDropped: func(dst *table.Table, rows []int) error { return dst.AppendTaken(prevDropped, rows) },
-		fromDelta: func(dst *table.Table, rows []int) error {
-			// dst holds the one column EncodeColumns is filling.
-			if tab.HasColumn(dst.ColumnNames()[0]) {
-				return dst.AppendTaken(tab, rows)
-			}
-			return delta.TakeAppend(dst, rows)
-		},
+// encodeDelta returns the delta's rows with the serving columns, encoded:
+// the columns tab holds (cleaning may have rewritten them) encoded from
+// tab, the others straight from the delta's encodings, in code space.
+func (l *Live) encodeDelta(delta *store.Delta, tab *table.Table) (*table.Encoded, error) {
+	var rest []table.Field
+	for _, f := range l.schema {
+		if !tab.HasColumn(f.Name) {
+			rest = append(rest, f)
+		}
 	}
-	out := [2]gather{{rows: make([]int, 0, len(drop))}} // kept, dropped
+	enc, err := delta.Encode(rest)
+	if err != nil {
+		return nil, err
+	}
+	return table.Join(l.schema, table.Encode(tab), enc)
+}
+
+// advance moves served and dropped to the next epoch in one pass, in
+// pre-drop order, over the serving rows, the dropped rows and the new
+// ones (whose rows follow theirs): a row dropped earlier comes back when
+// the fences release it, a kept one leaves when they catch it. The next
+// serving and dropped rows are encoded in code space (table.EncodeRows)
+// from the three encodings, so no row is decoded.
+func (lin *lineage) advance(news *table.Encoded, drop []bool) error {
+	var out [2]table.Gather // kept, dropped
 	var droppedAt []int
-	base, next, j := lin.served.NumRows()+prevDropped.NumRows(), 0, 0
+	base, next, j := lin.served.NumRows()+lin.dropped.NumRows(), 0, 0
 	for p, d := range drop {
 		src, r := fromServed, next
 		switch {
@@ -209,16 +219,17 @@ func (lin *lineage) advance(delta *store.Delta, tab *table.Table, drop []bool) e
 			k = 1
 			droppedAt = append(droppedAt, p)
 		}
-		out[k].add(src, r)
+		out[k].Add(src, r)
 	}
+	srcs := []*table.Encoded{fromServed: lin.served, fromDropped: lin.dropped, fromDelta: news}
 	var enc [2]*table.Encoded // kept, dropped
-	for k, g := range out {
+	for k := range out {
 		var err error
-		if enc[k], err = table.EncodeColumns(lin.served.Schema(), func(dst *table.Table) error { return g.appendTo(dst, srcs[:]) }); err != nil {
+		if enc[k], err = table.EncodeRows(lin.served.Schema(), srcs, &out[k]); err != nil {
 			return err
 		}
 	}
-	lin.served, lin.dropped, lin.droppedAt = enc[0], enc[1].Decode(), droppedAt
+	lin.served, lin.dropped, lin.droppedAt = enc[0], enc[1], droppedAt
 	return nil
 }
 
@@ -228,36 +239,6 @@ const (
 	fromDropped
 	fromDelta
 )
-
-// gather collects rows of advance's sources in runs of one source, then
-// appends them to a table one call per run.
-type gather struct {
-	srcs []int
-	ends []int // run i is rows[ends[i-1]:ends[i]]
-	rows []int
-}
-
-func (g *gather) add(src, row int) {
-	if k := len(g.srcs); k == 0 || g.srcs[k-1] != src {
-		g.srcs, g.ends = append(g.srcs, src), append(g.ends, len(g.rows))
-	}
-	g.rows = append(g.rows, row)
-	g.ends[len(g.ends)-1]++
-}
-
-// appendTo appends the gathered rows to dst in order, grown once; take[s]
-// appends rows of source s.
-func (g *gather) appendTo(dst *table.Table, take []func(dst *table.Table, rows []int) error) error {
-	dst.Grow(len(g.rows))
-	lo := 0
-	for i, s := range g.srcs {
-		if err := take[s](dst, g.rows[lo:g.ends[i]]); err != nil {
-			return err
-		}
-		lo = g.ends[i]
-	}
-	return nil
-}
 
 // driftSince measures how far the store's distribution moved from the
 // remembered baseline: the worst per-attribute score over mean shift (in
@@ -375,8 +356,8 @@ func (l *Live) refreshIncremental(ctx context.Context, start time.Time, snap *st
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)
 	}
-	_, spScreen := obs.StartSpan(ctx, "screen")
-	eng, rep, err := l.absorb(lin, delta, tab)
+	ctxScreen, spScreen := obs.StartSpan(ctx, "screen")
+	eng, rep, err := l.absorb(ctxScreen, lin, delta, tab)
 	spScreen.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errIncremental, err)

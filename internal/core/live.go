@@ -111,7 +111,8 @@ type Published struct {
 	// TableBytes and LineageBytes estimate (SizeBytes) the serving table
 	// — the loop's one copy of the corpus, narrowed to the columns its
 	// readers name (servingColumns) and held encoded — and the incremental
-	// lineage's decoded parts beside it (0 without a lineage).
+	// lineage's parts beside it, its screened columns and its dropped rows
+	// (0 without a lineage).
 	TableBytes   int
 	LineageBytes int
 }
@@ -330,8 +331,8 @@ func (l *Live) refreshLocked() (*Published, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)
 	}
-	_, spPrep := obs.StartSpan(ctx, "preprocess")
-	eng, rep, err := l.absorb(lin, delta, tab)
+	ctxPrep, spPrep := obs.StartSpan(ctx, "preprocess")
+	eng, rep, err := l.absorb(ctxPrep, lin, delta, tab)
 	spPrep.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh: %w", err)

@@ -51,6 +51,15 @@ import (
 // measures 402–491 (the bound is that + 15 %); holding the new rows'
 // 51 serving columns decoded, the sweep's 27 runs and a transaction list
 // measured 627–903 and fails it.
+//
+// Each incremental refresh may allocate at most residentRefreshAllocBytes
+// per stored row, garbage included (/gc/heap/allocs:bytes): a refresh is
+// proportional to its delta in the bytes it churns too, not only in what
+// it keeps. It measures 392–507, and 443–556 under -race, as CI runs it
+// (the bound is the latter + 15 %; the screened columns' growth by
+// doubling makes one refresh in three the highest); a screen that sorts
+// three copies of every screened column and an advance that decodes the
+// serving columns to encode them again measured 854–975 and fail it.
 const (
 	residentFixedBytes           = 1 << 20
 	residentRowBytesFull         = 564
@@ -59,6 +68,7 @@ const (
 	residentUnownedBytesFollowUp = 136
 	residentTableBytes           = 148
 	residentTransientBytes       = 560
+	residentRefreshAllocBytes    = 639
 )
 
 func TestResidentCopiesStayWithinBudget(t *testing.T) {
@@ -171,18 +181,26 @@ func TestResidentCopiesStayWithinBudget(t *testing.T) {
 			continue
 		}
 		var pub *Published
-		var transient int64
+		var transient, allocated int64
 		refresh := func() { pub, err = live.Refresh() }
 		if i == lastBase {
 			transient = liveHeapRise(refresh)
 		} else {
-			refresh()
+			allocated = heapAllocated(refresh)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pub.Incremental != (i > lastBase) {
 			t.Fatalf("refresh after batch %d: incremental=%v (%s)", i, pub.Incremental, live.LastIncrementalError())
+		}
+		if i > lastBase {
+			perRow := allocated / int64(pub.Rows)
+			t.Logf("incremental refresh of %d new rows: allocated %.1f MB, %d B per stored row", pub.DeltaRows, float64(allocated)/1e6, perRow)
+			if perRow > residentRefreshAllocBytes {
+				t.Errorf("the incremental refresh after batch %d allocated %d B per stored row, budget %d: the screen sorts or copies its values again, or advance decodes the serving rows to encode them again",
+					i, perRow, residentRefreshAllocBytes)
+			}
 		}
 		switch i {
 		case lastBase:
@@ -205,6 +223,17 @@ func TestResidentCopiesStayWithinBudget(t *testing.T) {
 	runtime.KeepAlive(corpus)
 	runtime.KeepAlive(ds)
 	runtime.KeepAlive(live)
+}
+
+// heapAllocated runs f and returns the bytes the heap allocated while it
+// ran, /gc/heap/allocs:bytes: garbage included.
+func heapAllocated(f func()) int64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	before := sample[0].Value.Uint64()
+	f()
+	metrics.Read(sample)
+	return int64(sample[0].Value.Uint64() - before)
 }
 
 // liveHeapRise runs f under GOGC 5 and returns by how much the live heap

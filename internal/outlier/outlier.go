@@ -76,6 +76,9 @@ func DetectColumn(t *table.Table, attr string, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("outlier: %w", err)
 	}
 	mask, _ := t.ValidMask(attr)
+	if cfg.Method == MethodMAD {
+		return detectMAD(attr, vals, mask, cfg.MADCutoff)
+	}
 	// Collect valid values with their row indices.
 	rows := make([]int, 0, len(vals))
 	xs := make([]float64, 0, len(vals))
@@ -139,24 +142,49 @@ func detectValues(attr string, xs []float64, cfg Config) ([]int, error) {
 		}
 		out = append(out, idx...)
 		slices.Sort(out)
-	case MethodMAD:
-		cut := cfg.MADCutoff
-		if cut <= 0 {
-			cut = 3.5
-		}
-		zs, err := stats.ModifiedZScores(xs)
-		if err != nil {
-			return nil, fmt.Errorf("outlier: MAD on %q: %w", attr, err)
-		}
-		for i, z := range zs {
-			if !math.IsNaN(z) && math.Abs(z) > cut {
-				out = append(out, i)
-			}
-		}
 	default:
 		return nil, fmt.Errorf("outlier: unknown method %q", cfg.Method)
 	}
 	return out, nil
+}
+
+// detectMAD is the non-parametric screen of one column: it flags the
+// valid, finite cells whose modified z-score exceeds cut in magnitude. It
+// runs at every refresh of a live node over every pre-drop row, so it
+// copies the finite cells once, selects the median and the MAD on that
+// scratch (stats.MedianMAD) and scores the cells where they lie: no other
+// copy, no sort, no score array.
+func detectMAD(attr string, vals []float64, valid []bool, cut float64) (*Result, error) {
+	if cut <= 0 {
+		cut = 3.5
+	}
+	res := &Result{Attr: attr, Method: MethodMAD}
+	finite := make([]float64, 0, len(vals))
+	for i, v := range vals {
+		if !valid[i] {
+			continue
+		}
+		res.Checked++
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			finite = append(finite, v)
+		}
+	}
+	if res.Checked == 0 {
+		return res, nil
+	}
+	med, mad, err := stats.MedianMAD(finite)
+	if err != nil {
+		return nil, fmt.Errorf("outlier: MAD on %q: %w", attr, err)
+	}
+	for i, v := range vals {
+		if !valid[i] || math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		if math.Abs(stats.ModifiedZ(v, med, mad)) > cut {
+			res.Rows = append(res.Rows, i)
+		}
+	}
+	return res, nil
 }
 
 // DetectColumns runs the same configuration over several attributes and

@@ -10,6 +10,8 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -170,9 +172,62 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the median of the finite values in xs.
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
+// quantileSelect computes quantileSorted's p-quantile of a NaN-free slice
+// without sorting it: it selects the lower order statistic, takes the
+// smallest value of the part above it as the upper one and combines the
+// two with quantileSorted's formula. xs is left reordered.
+func quantileSelect(xs []float64, p float64) float64 {
+	n := len(xs)
+	if n == 1 {
+		return xs[0]
+	}
+	h := p * float64(n-1)
+	lo := int(math.Floor(h))
+	hi := lo + 1
+	selectNth(xs, lo)
+	if hi >= n {
+		return xs[n-1]
+	}
+	frac := h - float64(lo)
+	return xs[lo]*(1-frac) + slices.Min(xs[hi:])*frac
+}
+
+// selectNth reorders a NaN-free slice so that xs[k] holds the value a
+// sort would put there, with no greater value before it and no smaller
+// one after. It is a quickselect with a median-of-three pivot and a
+// three-way partition, so a run of equal values costs one pass; a range
+// still longer than a few values after 2·log2(n) partitions is sorted
+// instead, which bounds the worst case by a sort's.
+func selectNth(xs []float64, k int) {
+	lo, hi := 0, len(xs)
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 12 && budget > 0; budget-- {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// [lo,lt) < pivot, [lt,i) == pivot, [gt,hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case x < pivot:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > pivot:
+				gt--
+				xs[gt], xs[i] = x, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+	slices.Sort(xs[lo:hi])
 }
 
 // BoxplotFences holds the Tukey boxplot whisker bounds: values outside
@@ -201,50 +256,45 @@ func Fences(xs []float64, k float64) (BoxplotFences, error) {
 	}, nil
 }
 
-// MAD returns the median absolute deviation of xs: the median of the
-// absolute deviations from the sample median. It is the robust dispersion
-// measure INDICE uses for the non-parametric univariate outlier test.
-func MAD(xs []float64) (float64, error) {
-	c := Clean(xs)
-	if len(c) == 0 {
-		return 0, ErrEmpty
+// MedianMAD returns the median of xs and their median absolute
+// deviation — the median of the absolute deviations from it, the robust
+// dispersion measure INDICE's non-parametric univariate outlier test
+// divides by — using xs, which must hold finite values only, as its
+// scratch: it selects the median, overwrites xs with the deviations from
+// it and selects again, so it neither copies nor sorts. Each value equals
+// by == the median a sort finds, Quantile(xs, 0.5) and the same of the
+// deviations (a zero may differ in sign). xs is left reordered and
+// overwritten. It returns ErrEmpty when xs is empty.
+func MedianMAD(xs []float64) (med, mad float64, err error) {
+	if len(xs) == 0 {
+		return 0, 0, ErrEmpty
 	}
-	med, _ := Median(c)
-	devs := make([]float64, len(c))
-	for i, x := range c {
-		devs[i] = math.Abs(x - med)
+	med = quantileSelect(xs, 0.5)
+	devs := xs[:0]
+	for _, x := range xs {
+		// A deviation that overflows to +Inf is not a finite value: it
+		// takes no part in the median of the deviations.
+		if d := math.Abs(x - med); !math.IsInf(d, 0) {
+			devs = append(devs, d)
+		}
 	}
-	return Median(devs)
+	if len(devs) == 0 {
+		return 0, 0, ErrEmpty
+	}
+	return med, quantileSelect(devs, 0.5), nil
 }
 
-// ModifiedZScores returns the Iglewicz-Hoaglin modified z-scores
-// 0.6745*(x-median)/MAD for every value in xs. Non-finite inputs map to
-// NaN scores. When the MAD is zero the scores are reported as +Inf for any
-// value different from the median (a degenerate but well-defined outcome).
-func ModifiedZScores(xs []float64) ([]float64, error) {
-	med, err := Median(xs)
-	if err != nil {
-		return nil, err
-	}
-	mad, err := MAD(xs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			out[i] = math.NaN()
-			continue
+// ModifiedZ returns the Iglewicz-Hoaglin modified z-score
+// 0.6745*(x-med)/mad of a finite value x, given the median and the MAD of
+// its sample (MedianMAD). When the MAD is zero the score is +Inf for any
+// value different from the median (a degenerate but well-defined outcome)
+// and 0 at the median.
+func ModifiedZ(x, med, mad float64) float64 {
+	if mad == 0 {
+		if x == med {
+			return 0
 		}
-		if mad == 0 {
-			if x == med {
-				out[i] = 0
-			} else {
-				out[i] = math.Inf(1)
-			}
-			continue
-		}
-		out[i] = 0.6745 * (x - med) / mad
+		return math.Inf(1)
 	}
-	return out, nil
+	return 0.6745 * (x - med) / mad
 }

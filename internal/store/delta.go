@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"indice/internal/table"
 )
@@ -116,48 +115,22 @@ func (d *Delta) AppendTo(dst *table.Table) error {
 	return nil
 }
 
-// TakeAppend decodes the delta rows with the given ordinals — positions
-// in AppendTo's order, in [0, NewRows) — onto the end of dst, matching
-// columns by name: only dst's columns are decoded, and only for those
-// rows. Consecutive rows of one encoding are one Encoded.TakeAppend, so
-// ascending ordinals (the usual case) cost one call per encoding they
-// touch. On an out-of-range ordinal dst is unchanged.
-func (d *Delta) TakeAppend(dst *table.Table, rows []int) error {
-	for _, r := range rows {
-		if r < 0 || r >= d.NewRows {
-			return fmt.Errorf("store: delta row %d out of range [0,%d)", r, d.NewRows)
-		}
-	}
-	// The encodings in AppendTo's order, each with the ordinal of its
-	// first new row (at) and that row's position in it (from).
-	type part struct {
-		enc      *table.Encoded
-		at, from int
-	}
-	var parts []part
-	at := 0
+// Encode returns the encoding of the delta's rows, in AppendTo's order,
+// with the columns of schema: Encode's for the same rows decoded, built
+// from the runs' encodings in code space (table.EncodeRows), so nothing
+// is decoded.
+func (d *Delta) Encode(schema []table.Field) (*table.Encoded, error) {
+	var srcs []*table.Encoded
+	var g table.Gather
 	for _, r := range d.runs {
 		from := r.from
 		for _, enc := range r.encs {
-			parts = append(parts, part{enc, at, from})
-			at += enc.NumRows() - from
+			g.AddRange(len(srcs), from, enc.NumRows())
+			srcs = append(srcs, enc)
 			from = 0
 		}
 	}
-	dst.Grow(len(rows))
-	take := make([]int, 0, len(rows))
-	for i := 0; i < len(rows); {
-		p := parts[sort.Search(len(parts), func(p int) bool { return parts[p].at > rows[i] })-1]
-		end := p.at + p.enc.NumRows() - p.from
-		take = take[:0]
-		for ; i < len(rows) && rows[i] >= p.at && rows[i] < end; i++ {
-			take = append(take, rows[i]-p.at+p.from)
-		}
-		if err := p.enc.TakeAppend(dst, take); err != nil {
-			return err
-		}
-	}
-	return nil
+	return table.EncodeRows(schema, srcs, &g)
 }
 
 // EncodeFrames appends the delta to buf as part frames (frame.go), one per

@@ -1,9 +1,8 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
-	"math/rand"
-	"slices"
 	"testing"
 
 	"indice/internal/epc"
@@ -220,13 +219,12 @@ func TestGenerationBumpsOnAcceptedRowsOnly(t *testing.T) {
 	}
 }
 
-// TestDeltaTakeAppendMatchesDecodeThenTake pins Delta.TakeAppend to the
-// decode-then-take it replaces: decoding the delta whole (AppendTo) and
-// appending rows of that (AppendTaken) gives the same cells, for every
-// column subset and order of dst and for ascending, shuffled and repeated
-// ordinals, on a delta whose runs start mid-segment and on the whole
-// snapshot's.
-func TestDeltaTakeAppendMatchesDecodeThenTake(t *testing.T) {
+// TestDeltaEncodeMatchesDecodeThenEncode pins Delta.Encode to the
+// decode-then-encode it replaces: decoding the delta (AppendTo) and
+// encoding that (table.Encode) writes the same bytes, for every column
+// subset and order, on a delta whose runs start mid-segment and on the
+// whole snapshot's.
+func TestDeltaEncodeMatchesDecodeThenEncode(t *testing.T) {
 	st := deltaTestStore(t)
 	// 10 rows a shard seal, 5 more wait in the tail at the baseline and
 	// seal with the next 10: that segment straddles the baseline.
@@ -257,65 +255,26 @@ func TestDeltaTakeAppendMatchesDecodeThenTake(t *testing.T) {
 	schema := st.Schema()
 	id, eph := schema[0], schema[1]
 	for name, d := range map[string]*Delta{"since": since, "whole": whole} {
-		all, err := table.NewWithSchema(schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.AppendTo(all); err != nil {
-			t.Fatal(err)
-		}
-		n := d.NewRows
-		asc, shuffled := make([]int, n), rand.New(rand.NewSource(int64(n))).Perm(n)
-		for i := range asc {
-			asc[i] = i
-		}
-		rowSets := map[string][]int{
-			"ascending": asc, "shuffled": shuffled, "none": nil,
-			"repeated": {n - 1, 0, 0, n / 2, n - 1}, "every third": slices.DeleteFunc(slices.Clone(asc), func(r int) bool { return r%3 != 0 }),
-		}
-		for rname, rows := range rowSets {
-			for _, fields := range [][]table.Field{schema, {eph}, {eph, id}} {
-				got, _ := table.NewWithSchema(fields)
-				want, _ := table.NewWithSchema(fields)
-				if err := d.TakeAppend(got, rows); err != nil {
-					t.Fatal(err)
-				}
-				if err := want.AppendTaken(all, rows); err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s delta, %s rows, %d columns", name, rname, len(fields))
-				sameCells(t, label, got, want)
+		for _, fields := range [][]table.Field{schema, {eph}, {eph, id}, nil} {
+			label := fmt.Sprintf("%s delta, %d columns", name, len(fields))
+			dec, _ := table.NewWithSchema(fields)
+			if err := d.AppendTo(dec); err != nil {
+				t.Fatal(err)
 			}
-		}
-		got, _ := table.NewWithSchema(schema)
-		if err := d.TakeAppend(got, []int{0, n}); err == nil || got.NumRows() != 0 {
-			t.Fatalf("%s delta: ordinal %d of %d taken (err %v, %d rows appended)", name, n, n, err, got.NumRows())
-		}
-	}
-}
-
-// sameCells fails unless a and b hold the same columns with the same
-// cells and validity.
-func sameCells(t *testing.T, label string, a, b *table.Table) {
-	t.Helper()
-	if a.NumRows() != b.NumRows() || !slices.Equal(a.ColumnNames(), b.ColumnNames()) {
-		t.Fatalf("%s: %d rows of %v, want %d of %v", label, a.NumRows(), a.ColumnNames(), b.NumRows(), b.ColumnNames())
-	}
-	for _, f := range a.Schema() {
-		va, _ := a.ValidMask(f.Name)
-		vb, _ := b.ValidMask(f.Name)
-		same := slices.Equal(va, vb)
-		if f.Type == table.Float64 {
-			xa, _ := a.Floats(f.Name)
-			xb, _ := b.Floats(f.Name)
-			same = same && slices.Equal(xa, xb)
-		} else {
-			sa, _ := a.Strings(f.Name)
-			sb, _ := b.Strings(f.Name)
-			same = same && slices.Equal(sa, sb)
-		}
-		if !same {
-			t.Fatalf("%s: column %q differs", label, f.Name)
+			enc, err := d.Encode(fields)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			var got, want bytes.Buffer
+			if err := enc.WriteBinary(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := table.Encode(dec).WriteBinary(&want); err != nil {
+				t.Fatal(err)
+			}
+			if enc.NumRows() != d.NewRows || !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s: Encode holds %d rows and differs from the decoded delta encoded (%d rows)", label, enc.NumRows(), d.NewRows)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"slices"
 
 	"indice/internal/bitmap"
@@ -133,25 +132,13 @@ func (sn *Snapshot) ShardEncoded(i int) ([]*table.Encoded, error) {
 }
 
 // Table materializes the snapshot as one contiguous table (shard order,
-// segment order within each shard): the named columns, in the given
-// order, or every column when none is named. Every call builds a fresh
-// copy the caller owns and may rewrite: the snapshot keeps no reference
-// to it, so the copy lives exactly as long as its caller needs it. Every
-// segment and part is decoded straight onto it, with no decoded table of
-// its own, and a column left unnamed is never decoded.
-func (sn *Snapshot) Table(cols ...string) (*table.Table, error) {
-	schema := sn.schema
-	if len(cols) > 0 {
-		schema = make([]table.Field, len(cols))
-		for i, name := range cols {
-			j := slices.IndexFunc(sn.schema, func(f table.Field) bool { return f.Name == name })
-			if j < 0 {
-				return nil, fmt.Errorf("store: %w: %q", table.ErrNoColumn, name)
-			}
-			schema[i] = sn.schema[j]
-		}
-	}
-	out, err := table.NewWithSchema(schema)
+// segment order within each shard), every column. Every call builds a
+// fresh copy the caller owns and may rewrite: the snapshot keeps no
+// reference to it, so the copy lives exactly as long as its caller needs
+// it. Every segment and part is decoded straight onto it, with no decoded
+// table of its own.
+func (sn *Snapshot) Table() (*table.Table, error) {
+	out, err := table.NewWithSchema(sn.schema)
 	if err != nil {
 		return nil, err
 	}

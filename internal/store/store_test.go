@@ -327,42 +327,6 @@ func TestSegmentSealing(t *testing.T) {
 	}
 }
 
-// TestSnapshotTableProjects: naming columns materializes exactly those
-// columns, in the order named, over sealed segments and tail parts alike —
-// the full materialization with the rest selected away.
-func TestSnapshotTableProjects(t *testing.T) {
-	cfg := miniConfig(2)
-	cfg.SegmentRows = 64
-	st, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.AppendTable(miniBatch(t, 0, 300, "b")); err != nil {
-		t.Fatal(err)
-	}
-	snap := st.Snapshot()
-	full, err := snap.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cols := range [][]string{{"v", "id"}, {"batch"}} {
-		want, err := full.Select(cols...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := snap.Table(cols...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tablesEqual(want, got); err != nil {
-			t.Fatalf("Table(%v): %v", cols, err)
-		}
-	}
-	if _, err := snap.Table("v", "ghost"); !errors.Is(err, table.ErrNoColumn) {
-		t.Fatalf("unknown column: %v, want ErrNoColumn", err)
-	}
-}
-
 func TestCSVAndBinaryIngestion(t *testing.T) {
 	st, err := New(miniConfig(2))
 	if err != nil {

@@ -105,6 +105,37 @@ func (p *packed) at(i int) uint64 {
 	return v & (1<<uint(p.width) - 1)
 }
 
+// packer fills a packed vector in row order, a word at a time: no word
+// is read back.
+type packer struct {
+	p   packed
+	acc uint64
+	off uint
+	w   int
+}
+
+func (k *packer) put(code uint64) {
+	width := uint(k.p.width)
+	if width == 0 {
+		return
+	}
+	k.acc |= code << k.off
+	if k.off += width; k.off >= 64 {
+		k.off -= 64
+		k.p.words[k.w] = k.acc
+		k.w++
+		k.acc = code >> (width - k.off)
+	}
+}
+
+// done returns the vector, its last word flushed.
+func (k *packer) done() packed {
+	if k.off > 0 {
+		k.p.words[k.w] = k.acc
+	}
+	return k.p
+}
+
 // EncodedColumn is one compressed column. It is immutable after Encode
 // and safe for concurrent readers.
 type EncodedColumn struct {
@@ -327,48 +358,12 @@ func Encode(t *Table) *Encoded {
 	return e
 }
 
-// EncodeColumns builds an encoding with the given schema one column at a
-// time: fill appends a column's rows to dst, a table holding that column
-// alone, which is encoded before fill is called for the next one. So the
-// rows never exist decoded wider than one column. fill is called once per
-// field, in schema order, and must append the same number of rows each
-// time; dst's cell arrays are reused from one column to the next.
-func EncodeColumns(schema []Field, fill func(dst *Table) error) (*Encoded, error) {
-	e := &Encoded{index: make(map[string]int, len(schema))}
-	var scratch [String + 1]*Column // per type, for its cells' capacity
-	for i, f := range schema {
-		if f.Type != Float64 && f.Type != String {
-			return nil, fmt.Errorf("table: unknown type %v for column %q", f.Type, f.Name)
-		}
-		if _, dup := e.index[f.Name]; dup || f.Name == "" {
-			return nil, fmt.Errorf("table: duplicate or empty column %q in schema", f.Name)
-		}
-		c := scratch[f.Type]
-		if c == nil {
-			c = &Column{Typ: f.Type}
-			scratch[f.Type] = c
-		}
-		c.Name, c.Floats, c.Codes, c.Valid, c.Dict, c.index = f.Name, c.Floats[:0], c.Codes[:0], c.Valid[:0], nil, nil
-		dst := &Table{cols: []*Column{c}, index: map[string]int{f.Name: 0}}
-		if err := fill(dst); err != nil {
-			return nil, err
-		}
-		if i > 0 && dst.rows != e.rows {
-			return nil, fmt.Errorf("table: column %q has %d rows, the columns before it %d", f.Name, dst.rows, e.rows)
-		}
-		e.rows = dst.rows
-		e.index[f.Name] = i
-		e.cols = append(e.cols, encodeColumn(c, dst.rows))
-	}
-	return e, nil
-}
-
 // encodeColumn compresses one column of rows cells.
 func encodeColumn(c *Column, rows int) *EncodedColumn {
 	if c.Typ == String {
 		return encodeString(c, rows)
 	}
-	return encodeFloat(c, rows)
+	return encodeFloats(c.Name, c.Floats, c.Valid, rows)
 }
 
 func packValidity(valid []bool) (bitset []uint64, allValid bool) {
@@ -477,13 +472,15 @@ func (c *EncodedColumn) decodeDict() (dict []string, inv uint32) {
 	return c.dict[: n+1 : n+1], uint32(n)
 }
 
-func encodeFloat(c *Column, rows int) *EncodedColumn {
-	ec := &EncodedColumn{name: c.Name, typ: Float64, rows: rows}
-	ec.valid, _ = packValidity(c.Valid)
+// encodeFloats compresses a Float64 column of rows cells, floats and
+// valid, which it keeps no reference to.
+func encodeFloats(name string, floats []float64, valid []bool, rows int) *EncodedColumn {
+	ec := &EncodedColumn{name: name, typ: Float64, rows: rows}
+	ec.valid, _ = packValidity(valid)
 
 	raw := func() *EncodedColumn {
 		ec.kind = KindRawFloat
-		ec.rawF = slices.Clone(c.Floats)
+		ec.rawF = slices.Clone(floats)
 		return ec
 	}
 
@@ -493,13 +490,13 @@ func encodeFloat(c *Column, rows int) *EncodedColumn {
 	// ±maxExact: this rejects NaN, ±Inf and -0.0, whose round trip yields
 	// +0.0. A value that is not moves the column to the next scale it
 	// round-trips at and the pass starts over, at most maxScale times.
-	valid := c.Valid[:len(c.Floats)]
+	valid = valid[:len(floats)]
 	scale, nLo, nHi := 0, int64(0), int64(0)
 pass:
 	for scale <= maxScale {
 		p := pow10[scale]
 		nLo, nHi = math.MaxInt64, math.MinInt64
-		for i, v := range c.Floats {
+		for i, v := range floats {
 			if !valid[i] {
 				if math.Float64bits(v) != nanBits {
 					return raw()
@@ -532,26 +529,15 @@ pass:
 
 	// Pass 2 packs the integers pass 1 checked.
 	p := pow10[scale]
-	codes := newPacked(rows, width)
-	var acc uint64 // row order, a word at a time: no word is read back
-	off, w := uint(0), 0
-	for i, v := range c.Floats {
+	codes := packer{p: newPacked(rows, width)}
+	for i, v := range floats {
 		var code uint64
 		if valid[i] {
 			code = uint64(int64(math.RoundToEven(v*p)) - nLo)
 		}
-		acc |= code << off
-		if off += uint(width); off >= 64 {
-			off -= 64
-			codes.words[w] = acc
-			w++
-			acc = code >> (uint(width) - off)
-		}
+		codes.put(code)
 	}
-	if off > 0 {
-		codes.words[w] = acc
-	}
-	ec.kind, ec.base, ec.scale, ec.codes = KindPacked, nLo, uint8(scale), codes
+	ec.kind, ec.base, ec.scale, ec.codes = KindPacked, nLo, uint8(scale), codes.done()
 	return ec
 }
 

@@ -1,7 +1,7 @@
 package table
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -368,62 +368,46 @@ func TestEncodedAccessors(t *testing.T) {
 	}
 }
 
-// TestEncodeColumnsMatchesEncode pins the column-at-a-time encoding
-// against Encode over every column kind: its columns filled half from an
-// encoding and half from a decoded table decode to the same cells, in the
-// same layouts and sizes, and a fill that breaks the contract errors.
-func TestEncodeColumnsMatchesEncode(t *testing.T) {
+// TestEncodeRowsRejoinsEveryKind pins EncodeRows against Encode over
+// every column kind of the encoding tests' table: its two halves, encoded
+// apart, gathered back in order, write the bytes of the whole encoded,
+// and a schema that breaks the contract errors.
+func TestEncodeRowsRejoinsEveryKind(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	tab := encTestTable(t, 300, rng)
-	want := Encode(tab)
-	head, tail := make([]int, 150), make([]int, 150)
-	for i := range head {
-		head[i], tail[i] = i, 150+i
-	}
-	calls := 0
-	got, err := EncodeColumns(tab.Schema(), func(dst *Table) error {
-		calls++
-		if dst.NumCols() != 1 || dst.NumRows() != 0 {
-			return fmt.Errorf("fill got %d columns, %d rows", dst.NumCols(), dst.NumRows())
-		}
-		if err := want.TakeAppend(dst, head); err != nil {
-			return err
-		}
-		return dst.AppendTaken(tab, tail)
-	})
+	tab := encTestTable(t, 1200, rng)
+	head, err := tab.View(0, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != tab.NumCols() {
-		t.Fatalf("fill called %d times for %d columns", calls, tab.NumCols())
+	tail, err := tab.View(600, 1200)
+	if err != nil {
+		t.Fatal(err)
 	}
-	assertBitwiseEqual(t, tab, got.Decode(), "EncodeColumns")
-	for i, c := range got.Columns() {
-		w := want.Columns()[i]
-		if c.Name() != w.Name() || c.Kind() != w.Kind() {
-			t.Fatalf("column %d: %s %v, Encode gives %s %v", i, c.Name(), c.Kind(), w.Name(), w.Kind())
-		}
+	g := &Gather{}
+	g.AddRange(0, 0, 600)
+	g.AddRange(1, 0, 600)
+	srcs := []*Encoded{Encode(head), Encode(tail)}
+	got, err := EncodeRows(tab.Schema(), srcs, g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.SizeBytes() != want.SizeBytes() {
-		t.Fatalf("EncodeColumns holds %d B, Encode %d", got.SizeBytes(), want.SizeBytes())
+	var gb, wb bytes.Buffer
+	if err := got.WriteBinary(&gb); err != nil {
+		t.Fatal(err)
 	}
+	if err := Encode(tab).WriteBinary(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Fatal("the halves gathered differ from the whole encoded")
+	}
+	assertBitwiseEqual(t, tab, got.Decode(), "EncodeRows")
 
-	short := 0
-	if _, err := EncodeColumns(tab.Schema(), func(dst *Table) error {
-		short++
-		return want.TakeAppend(dst, head[:short])
-	}); err == nil {
-		t.Fatal("columns of different lengths did not error")
-	}
 	dup := []Field{{Name: "a", Type: Float64}, {Name: "a", Type: String}}
-	if _, err := EncodeColumns(dup, func(*Table) error { return nil }); err == nil {
+	if _, err := EncodeRows(dup, nil, &Gather{}); err == nil {
 		t.Fatal("a duplicate column did not error")
 	}
-	if _, err := EncodeColumns([]Field{{Name: "a", Type: Type(7)}}, func(*Table) error { return nil }); err == nil {
+	if _, err := EncodeRows([]Field{{Name: "a", Type: Type(7)}}, nil, &Gather{}); err == nil {
 		t.Fatal("an unknown type did not error")
-	}
-	boom := errors.New("boom")
-	if _, err := EncodeColumns(tab.Schema(), func(*Table) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("fill's error came back as %v", err)
 	}
 }
