@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"reflect"
 	"runtime"
@@ -2731,5 +2732,83 @@ func BenchmarkE34TailParts(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// E38 — the cold mix in process: the three predicate shapes of the repo
+// benchmark's explore_cold stream — an indexed In ∧ range, a range alone
+// (a masked scan), and a not/or that defeats the pushdown — each asked
+// stats-shaped (limit=0, two attributes, by=district on every other
+// request) and as a 20-row page, over 20k × 132 certificates in 4 shards
+// through Server.ServeHTTP. Every request is a predicate the server has
+// not seen, so the result cache never answers: iteration i moves the
+// bounds. The timed requests write to a sink, so B/op is the server's.
+// Gate, outside timing: the first answers' matched equals
+// Snapshot.FullScan's row count. Methodology in docs/benchmarks.md.
+func BenchmarkE38ColdQueries(b *testing.B) {
+	live := e20Live(b, core.LiveConfig{Analysis: core.AnalysisConfig{KMax: 3}})
+	srv := e31Server(b, live)
+	snap := live.Current().Snapshot
+	// Request i's bounds: i%4096 and i/4096 in thousandths (or, on
+	// u_windows, hundred-thousandths) apart, so no two requests share one.
+	lo, hi := func(i int) float64 { return float64(i % 4096) }, func(i int) float64 { return float64(i / 4096) }
+	shapes := []struct {
+		name string
+		q    func(i int) string
+	}{
+		{"indexed", func(i int) string {
+			return fmt.Sprintf("energy_class in {C, D} and eph in [%.3f, %.3f]", 40+lo(i)/1e3, 160+hi(i)/1e3)
+		}},
+		{"range", func(i int) string {
+			return fmt.Sprintf("u_windows in [%.5f, %.5f]", 1.5+lo(i)/1e5, 3.5+hi(i)/1e5)
+		}},
+		{"kleene", func(i int) string {
+			return fmt.Sprintf("not (energy_class in {A, B}) or eph >= %.3f or eph in [%.3f, 20]", 180+lo(i)/1e3, hi(i)/1e3)
+		}},
+	}
+	for _, sh := range shapes {
+		for _, page := range []bool{false, true} {
+			path := func(i int) string {
+				q := "/api/query?q=" + url.QueryEscape(sh.q(i))
+				switch {
+				case page:
+					return q + "&attrs=eph&limit=20"
+				case i%2 == 0:
+					return q + "&attrs=eph,u_windows&by=district&limit=0"
+				}
+				return q + "&attrs=eph,u_windows&limit=0"
+			}
+			for i := 0; i < 2; i++ {
+				var ans struct {
+					Matched int `json:"matched"`
+				}
+				if err := json.Unmarshal(e31Serve(b, srv, path(-1-i)), &ans); err != nil {
+					b.Fatal(err)
+				}
+				p, err := query.Parse(sh.q(-1 - i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				want, err := snap.FullScan(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ans.Matched != want.NumRows() || ans.Matched == 0 {
+					b.Fatalf("%s: matched %d, FullScan %d", path(-1-i), ans.Matched, want.NumRows())
+				}
+			}
+			name := sh.name + "/stats"
+			if page {
+				name = sh.name + "/page"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				w := &e20Sink{h: make(http.Header)}
+				for i := 0; i < b.N; i++ {
+					clear(w.h)
+					srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path(i), nil))
+				}
+			})
+		}
 	}
 }

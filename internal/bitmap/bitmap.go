@@ -135,33 +135,46 @@ func (b *Bitmap) Freeze() *Bitmap {
 	}
 }
 
-// AppendOrdinals appends the set's ordinals to dst in ascending order
-// and returns the extended slice.
-func (b *Bitmap) AppendOrdinals(dst []int) []int {
+// Words writes which of the ordinals lo to lo+n−1 the set holds into dst,
+// (n+63)/64 words, bit j of dst[j>>6] for ordinal lo+j. A dense chunk
+// moves a word at a time, shifted when lo is not a multiple of 64: how a
+// shard's candidates become each segment's selection without an ordinal
+// list in between.
+func (b *Bitmap) Words(dst []uint64, lo, n int) {
+	clear(dst)
 	if b == nil {
-		return dst
-	}
-	if cap(dst)-len(dst) < b.n {
-		grown := make([]int, len(dst), len(dst)+b.n)
-		copy(grown, dst)
-		dst = grown
+		return
 	}
 	for i, c := range b.cs {
-		base := int(b.keys[i]) << 16
-		if c.words != nil {
-			for w, word := range c.words {
-				for word != 0 {
-					dst = append(dst, base+w<<6+bits.TrailingZeros64(word))
-					word &= word - 1
+		off := int(b.keys[i])<<16 - lo // where the chunk's bit 0 lands in dst
+		if off >= n || off+1<<16 <= 0 {
+			continue
+		}
+		if c.words == nil {
+			for _, v := range c.array {
+				if j := off + int(v); j >= 0 && j < n {
+					dst[j>>6] |= 1 << (j & 63)
 				}
 			}
-		} else {
-			for _, v := range c.array {
-				dst = append(dst, base+int(v))
+			continue
+		}
+		for d := range dst {
+			s := d<<6 - off // the chunk bit dst[d]'s bit 0 stands for
+			if s <= -64 || s >= 1<<16 {
+				continue
+			}
+			q, sh := s>>6, uint(s&63)
+			if q >= 0 {
+				dst[d] |= c.words[q] >> sh
+			}
+			if sh != 0 && q+1 < containerWords {
+				dst[d] |= c.words[q+1] << (64 - sh)
 			}
 		}
 	}
-	return dst
+	if n&63 != 0 {
+		dst[len(dst)-1] &= 1<<(n&63) - 1
+	}
 }
 
 // Or returns the union of a and b as a frozen bitmap. Either may be nil

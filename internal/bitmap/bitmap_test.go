@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -57,12 +58,59 @@ func fromSorted(xs []int) *Bitmap {
 	return b
 }
 
+// ords lists the set's ordinals in ascending order, read off the
+// containers.
 func ords(b *Bitmap) []int {
-	out := b.AppendOrdinals(nil)
-	if out == nil {
-		out = []int{}
+	out := []int{}
+	if b == nil {
+		return out
+	}
+	for i, c := range b.cs {
+		base := int(b.keys[i]) << 16
+		for _, low := range c.array {
+			out = append(out, base+int(low))
+		}
+		for w, word := range c.words {
+			for ; word != 0; word &= word - 1 {
+				out = append(out, base+w<<6+bits.TrailingZeros64(word))
+			}
+		}
 	}
 	return out
+}
+
+// nilWords reports whether Words of b over [0, 64) clears its word.
+func nilWords(b *Bitmap) bool {
+	dst := []uint64{1}
+	b.Words(dst, 0, 64)
+	return dst[0] == 0
+}
+
+// checkWords pins Words over ordinals [lo, lo+n) against the sorted
+// reference xs: the bits, and nothing past n.
+func checkWords(t *testing.T, b *Bitmap, xs []int, lo, n int) {
+	t.Helper()
+	dst := make([]uint64, (n+63)/64)
+	for i := range dst {
+		dst[i] = ^uint64(0) // Words must clear what it does not set
+	}
+	b.Words(dst, lo, n)
+	want := 0
+	for _, x := range xs {
+		if x >= lo && x < lo+n {
+			want++
+			if j := x - lo; dst[j>>6]&(1<<(j&63)) == 0 {
+				t.Fatalf("Words(lo=%d, n=%d) lost ordinal %d", lo, n, x)
+			}
+		}
+	}
+	set := 0
+	for _, w := range dst {
+		set += bits.OnesCount64(w)
+	}
+	if set != want {
+		t.Fatalf("Words(lo=%d, n=%d) sets %d bits, want %d", lo, n, set, want)
+	}
 }
 
 // randomSet draws n distinct ordinals. Dense mode packs them into a
@@ -106,6 +154,13 @@ func TestBitmapMatchesSortedSliceReference(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotAnd, wantAnd) {
 			t.Fatalf("trial %d: And mismatch: got %d ordinals, want %d", trial, len(gotAnd), len(wantAnd))
+		}
+		for k := 0; k < 4; k++ {
+			lo, n := rng.Intn(1<<17)-100, 1+rng.Intn(5000)
+			if k == 0 && len(a) > 0 {
+				lo = a[rng.Intn(len(a))] - rng.Intn(130)
+			}
+			checkWords(t, ba, a, lo, n)
 		}
 		if got, want := Or(ba, bb).Len(), len(wantOr); got != want {
 			t.Fatalf("trial %d: Or Len = %d, want %d", trial, got, want)
@@ -174,7 +229,7 @@ func TestAddRejectsDescendingOrdinals(t *testing.T) {
 
 func TestNilAndEmptyOperands(t *testing.T) {
 	var nilB *Bitmap
-	if nilB.Len() != 0 || nilB.Contains(3) || nilB.AppendOrdinals(nil) != nil {
+	if nilB.Len() != 0 || nilB.Contains(3) || !nilWords(nilB) {
 		t.Fatalf("nil bitmap is not empty")
 	}
 	one := fromSorted([]int{5, 70000})
@@ -215,6 +270,11 @@ func FuzzBitmapSetAlgebra(f *testing.F) {
 		}
 		if got, want := ords(Or(ba, bb)), unionSortedRef(a, b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Or mismatch: %v vs %v", got, want)
+		}
+		if len(a) > 0 {
+			// A window starting off a word boundary, over the first ordinal.
+			lo := a[0] - int(raw1[0]&127)
+			checkWords(t, ba, a, lo, 1+int(raw1[len(raw1)-1])<<4)
 		}
 		got, want := ords(And(ba, bb)), intersectSortedRef(a, b)
 		if len(want) == 0 {

@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"indice/internal/table"
 )
@@ -51,9 +52,8 @@ type evalNode struct {
 	min, max float64
 	set      map[string]bool
 	kids     []*evalNode
-	// tw/fw are the node's packed truth pair: bit j set = definitively
-	// true / definitively false; neither = UNKNOWN. Bit j stands for row j
-	// of a whole-segment evaluation, or for rows[j] of a sparse one.
+	// tw/fw are the node's packed truth pair: bit r set = row r is
+	// definitively true / definitively false; neither = UNKNOWN.
 	tw, fw []uint64
 	// codeSet is per-segment scratch: the In value set translated to a
 	// bitset over the codes of the segment's dictionary.
@@ -105,91 +105,54 @@ func compile(p Predicate) (*evalNode, error) {
 }
 
 // MaskEncodedBits evaluates the compiled predicate directly over an
-// encoded segment, never materializing the raw columns, and returns the
-// keep-mask as a packed bitset: bit i is set exactly for rows whose
-// three-valued evaluation is definitively TRUE, bits at and beyond the
-// row count are zero.
+// encoded segment, never materializing the raw columns, at the rows cand
+// selects — bit r of cand[r>>6] for row r — or at every row when cand is
+// nil. It returns the keep-mask as a packed bitset: bit r is set exactly
+// when r is selected and its three-valued evaluation is definitively
+// TRUE. A candidate re-check — the index has already narrowed a segment
+// to a few rows, and evaluating the rest only to discard them would
+// dominate the query — tests just the candidates.
 //
 // The returned slice aliases the evaluator's root buffer and is only
 // valid until the next evaluation.
-func (e *Evaluator) MaskEncodedBits(enc *table.Encoded) ([]uint64, error) {
-	if err := e.root.eval(enc, nil); err != nil {
+func (e *Evaluator) MaskEncodedBits(enc *table.Encoded, cand []uint64) ([]uint64, error) {
+	if err := e.root.eval(enc, cand); err != nil {
 		return nil, err
 	}
 	return e.root.tw, nil
 }
 
-// MaskEncodedRows evaluates the compiled predicate at just the given
-// ordinals of an encoded segment — the planner's candidate re-check,
-// where the index has already narrowed a segment to a few rows and
-// evaluating the rest only to discard them would dominate the query.
-// The result is packed like MaskEncodedBits' but parallel to rows: bit j
-// is set exactly when row rows[j] evaluates definitively TRUE, bits at
-// and beyond len(rows) are zero. The slice aliases an evaluator buffer.
-func (e *Evaluator) MaskEncodedRows(enc *table.Encoded, rows []int) ([]uint64, error) {
-	if rows == nil {
-		rows = []int{} // nil asks eval for every row
-	}
-	if err := e.root.eval(enc, rows); err != nil {
-		return nil, err
-	}
-	return e.root.tw, nil
-}
-
-// eval writes the node's truth pair over enc: one bit per row when rows
-// is nil, else bit j for row rows[j]. A whole-segment leaf hands its
-// column the packed code walk; a sparse leaf tests just its ordinals.
+// eval writes the node's truth pair over enc's rows: of every row when
+// cand is nil, else of the candidate rows, all others left UNKNOWN —
+// which every operator keeps UNKNOWN. A whole-segment leaf hands its
+// column the packed code walk; a sparse leaf tests just its candidates.
 // The AND/OR/NOT algebra is the same word-wise fold either way.
-func (n *evalNode) eval(enc *table.Encoded, rows []int) error {
-	size := enc.NumRows()
-	if rows != nil {
-		size = len(rows)
-	}
+func (n *evalNode) eval(enc *table.Encoded, cand []uint64) error {
 	switch n.op {
-	case opNumRange:
-		c, err := encodedColumn(enc, n.attr, table.Float64)
+	case opNumRange, opIn:
+		want := table.Float64
+		if n.op == opIn {
+			want = table.String
+		}
+		c, err := encodedColumn(enc, n.attr, want)
 		if err != nil {
 			return err
 		}
-		n.growBits(size)
-		switch {
-		case rows == nil:
-			c.FloatRangeBits(n.min, n.max, n.tw, n.fw)
-		case c.Kind() == table.KindPacked:
-			cLo, cHi, ok := c.CodeBounds(n.min, n.max)
-			n.leafRows(c, rows, func(r int) bool {
-				code := c.CodeAt(r)
-				return ok && code >= cLo && code <= cHi
-			})
-		default:
-			n.leafRows(c, rows, func(r int) bool {
-				v := c.FloatAt(r)
-				return v >= n.min && v <= n.max
-			})
-		}
-	case opIn:
-		c, err := encodedColumn(enc, n.attr, table.String)
-		if err != nil {
-			return err
-		}
-		n.growBits(size)
-		switch {
-		case c.Kind() == table.KindDict:
+		n.growBits(enc.NumRows())
+		if c.Kind() == table.KindDict {
 			// Translate the value set into this segment's dictionary codes
 			// once; then every row is a packed-code membership test.
 			n.growCodeSet(c)
-			if rows == nil {
-				c.DictSetBits(n.codeSet, n.tw, n.fw)
-			} else {
-				n.leafRows(c, rows, func(r int) bool {
-					code := c.CodeAt(r)
-					return n.codeSet[code>>6]&(1<<(code&63)) != 0
-				})
-			}
-		case rows == nil:
-			c.StringSetBits(n.set, n.tw, n.fw)
+		}
+		switch {
+		case cand != nil:
+			n.leafRows(c, cand)
+		case n.op == opNumRange:
+			c.FloatRangeBits(n.min, n.max, n.tw, n.fw)
+		case c.Kind() == table.KindDict:
+			c.DictSetBits(n.codeSet, n.tw, n.fw)
 		default:
-			n.leafRows(c, rows, func(r int) bool { return n.set[c.StringAt(r)] })
+			c.StringSetBits(n.set, n.tw, n.fw)
 		}
 	case opAnd, opOr:
 		if len(n.kids) == 0 {
@@ -199,11 +162,11 @@ func (n *evalNode) eval(enc *table.Encoded, rows []int) error {
 			return errors.New("query: empty disjunction")
 		}
 		for _, kid := range n.kids {
-			if err := kid.eval(enc, rows); err != nil {
+			if err := kid.eval(enc, cand); err != nil {
 				return err
 			}
 		}
-		n.growBits(size)
+		n.growBits(enc.NumRows())
 		copy(n.tw, n.kids[0].tw)
 		copy(n.fw, n.kids[0].fw)
 		if n.op == opAnd {
@@ -225,31 +188,53 @@ func (n *evalNode) eval(enc *table.Encoded, rows []int) error {
 		}
 	case opNot:
 		kid := n.kids[0]
-		if err := kid.eval(enc, rows); err != nil {
+		if err := kid.eval(enc, cand); err != nil {
 			return err
 		}
-		n.growBits(size)
+		n.growBits(enc.NumRows())
 		copy(n.tw, kid.fw)
 		copy(n.fw, kid.tw)
 	}
 	return nil
 }
 
-// leafRows writes a leaf's truth pair at the given ordinals: bit j for
-// row rows[j], true or false as in reports for a valid cell, neither for
-// an invalid one.
-func (n *evalNode) leafRows(c *table.EncodedColumn, rows []int, in func(r int) bool) {
+// leafRows writes a leaf's truth pair at the candidate rows: true or
+// false as the leaf reports for a valid cell, neither for an invalid one
+// or a row that is no candidate.
+func (n *evalNode) leafRows(c *table.EncodedColumn, cand []uint64) {
 	clear(n.tw)
 	clear(n.fw)
-	for j, r := range rows {
-		if !c.ValidAt(r) {
-			continue
-		}
-		bit := uint64(1) << (uint(j) & 63)
-		if in(r) {
-			n.tw[j>>6] |= bit
-		} else {
-			n.fw[j>>6] |= bit
+	var cLo, cHi uint64
+	ok, packed := false, n.op == opNumRange && c.Kind() == table.KindPacked
+	if packed {
+		cLo, cHi, ok = c.CodeBounds(n.min, n.max)
+	}
+	for w, word := range cand {
+		for ; word != 0; word &= word - 1 {
+			bit := word & -word
+			r := w<<6 + bits.TrailingZeros64(word)
+			if !c.ValidAt(r) {
+				continue
+			}
+			var in bool
+			switch {
+			case packed:
+				code := c.CodeAt(r)
+				in = ok && code >= cLo && code <= cHi
+			case n.op == opNumRange:
+				v := c.FloatAt(r)
+				in = v >= n.min && v <= n.max
+			case c.Kind() == table.KindDict:
+				code := c.CodeAt(r)
+				in = n.codeSet[code>>6]&(1<<(code&63)) != 0
+			default:
+				in = n.set[c.StringAt(r)]
+			}
+			if in {
+				n.tw[w] |= bit
+			} else {
+				n.fw[w] |= bit
+			}
 		}
 	}
 }

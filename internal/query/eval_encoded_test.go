@@ -132,10 +132,11 @@ func TestMaskEncodedMatchesMaskBitwise(t *testing.T) {
 }
 
 // TestMaskEncodedRowsMatchesFullMask pins the sparse candidate re-check
-// against the full encoded evaluation: mask[j] for ordinal rows[j] must
-// equal bit rows[j] of the full mask, for random predicates, random
-// ordinal subsets (duplicates and re-visits included), and both entry
-// orders (sparse-then-full and full-then-sparse share node buffers).
+// against the full encoded evaluation: bit r must be bit r of the full
+// mask for a candidate row and clear for any other, for random
+// predicates, random candidate words over segments of any length, and
+// both entry orders (sparse-then-full and full-then-sparse share node
+// buffers).
 func TestMaskEncodedRowsMatchesFullMask(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 80; trial++ {
@@ -147,30 +148,29 @@ func TestMaskEncodedRowsMatchesFullMask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ords := make([]int, rng.Intn(rows+1))
-		for i := range ords {
-			ords[i] = rng.Intn(rows)
-		}
-		sparse, err := ev.MaskEncodedRows(enc, ords)
+		cand := randCand(rng, rows)
+		sparse, err := ev.MaskEncodedBits(enc, cand)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sparse) != (len(ords)+63)/64 {
-			t.Fatalf("trial %d (%s): sparse mask has %d words for %d ordinals", trial, p, len(sparse), len(ords))
+		if len(sparse) != (rows+63)/64 {
+			t.Fatalf("trial %d (%s): sparse mask has %d words for %d rows", trial, p, len(sparse), rows)
 		}
 		// Copy before the second evaluation: sparse aliases a buffer the
 		// full path will overwrite.
 		got := append([]uint64(nil), sparse...)
-		if tail := uint(len(ords) & 63); tail != 0 && got[len(got)-1]>>tail != 0 {
-			t.Fatalf("trial %d (%s): bits set beyond %d ordinals", trial, p, len(ords))
-		}
 		full, err := ev.MaskEncoded(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, r := range ords {
-			if bitAt(got, j) != full[r] {
-				t.Fatalf("trial %d (%s): ordinal %d (row %d): sparse=%v full=%v", trial, p, j, r, bitAt(got, j), full[r])
+		for w := range got {
+			if got[w]&^cand[w] != 0 {
+				t.Fatalf("trial %d (%s): word %d sets rows that are no candidates", trial, p, w)
+			}
+		}
+		for r := range full {
+			if bitAt(cand, r) && bitAt(got, r) != full[r] {
+				t.Fatalf("trial %d (%s): row %d: sparse=%v full=%v", trial, p, r, bitAt(got, r), full[r])
 			}
 		}
 	}
@@ -189,18 +189,19 @@ func TestMaskEncodedRowsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ords := []int{119, 0, 60, 60, 3}
-	got, err := ev.MaskEncodedRows(enc, ords)
+	cand := []uint64{1<<60 | 1<<3 | 1, 1 << (119 - 64)}
+	got, err := ev.MaskEncodedBits(enc, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, r := range ords {
-		if bitAt(got, j) != want[r] {
-			t.Fatalf("ordinal %d (row %d): %v vs %v", j, r, bitAt(got, j), want[r])
+	for _, r := range []int{0, 3, 60, 119} {
+		if bitAt(got, r) != want[r] {
+			t.Fatalf("row %d: %v vs %v", r, bitAt(got, r), want[r])
 		}
 	}
-	if got, err := ev.MaskEncodedRows(enc, nil); err != nil || len(got) != 0 {
-		t.Fatalf("no ordinals: %d words, %v", len(got), err)
+	got, err = ev.MaskEncodedBits(enc, []uint64{0, 0})
+	if err != nil || len(got) != 2 || got[0]|got[1] != 0 {
+		t.Fatalf("no candidates: %x, %v", got, err)
 	}
 	for _, bad := range []Predicate{
 		In{Attr: "missing", Values: []string{"x"}},
@@ -210,7 +211,7 @@ func TestMaskEncodedRowsErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ev.MaskEncodedRows(enc, ords); err == nil {
+		if _, err := ev.MaskEncodedBits(enc, cand); err == nil {
 			t.Errorf("%v: want error", bad)
 		}
 	}
@@ -241,7 +242,7 @@ func TestMaskEncodedErrors(t *testing.T) {
 // Predicate.Mask, for equivalence tests that compare the two row-wise.
 // The result is freshly allocated.
 func (e *Evaluator) MaskEncoded(enc *table.Encoded) ([]bool, error) {
-	words, err := e.MaskEncodedBits(enc)
+	words, err := e.MaskEncodedBits(enc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -253,27 +254,26 @@ func (e *Evaluator) MaskEncoded(enc *table.Encoded) ([]bool, error) {
 }
 
 // FuzzEvaluatorMatchesMask parses a DSL predicate from the fuzz input and
-// evaluates it over one fixed table with invalid cells in every column
-// type, a dictionary and a raw string column, and an integral packed, a
-// two-decimal packed (scaled) and a raw float column. The compiled evaluator's whole-segment bits and its
-// sparse re-check at every ordinal (visited in reverse, so bit j is row
-// rows-1-j) must equal Predicate.Mask bit for bit, and a predicate the
-// reference refuses (unknown attribute, wrong type) must be refused.
+// evaluates it over a table with invalid cells in every column type, a
+// dictionary and a raw string column, and an integral packed, a
+// two-decimal packed (scaled) and a raw float column: the first n rows of
+// a 150-row table, n from the input, so most segments end inside a word.
+// The compiled evaluator's whole-segment bits must equal Predicate.Mask
+// bit for bit, and so must its sparse re-check at candidate words drawn
+// from the input's seed (every row, none, or a random subset), clear
+// wherever a row is no candidate; a predicate the reference refuses
+// (unknown attribute, wrong type) must be refused by both.
 func FuzzEvaluatorMatchesMask(f *testing.F) {
-	tab := encEquivTable(f, rand.New(rand.NewSource(5)), 150)
-	enc := table.Encode(tab)
+	full := encEquivTable(f, rand.New(rand.NewSource(5)), 150)
 	kinds := map[table.ColKind]bool{}
-	for _, fld := range enc.Schema() {
-		kinds[enc.Column(fld.Name).Kind()] = true
+	fullEnc := table.Encode(full)
+	for _, fld := range fullEnc.Schema() {
+		kinds[fullEnc.Column(fld.Name).Kind()] = true
 	}
-	if len(kinds) != 4 || enc.Column("u").Kind() != table.KindPacked {
-		f.Fatalf("the fuzz table encodes to column kinds %v (u %v), want all four and u scaled", kinds, enc.Column("u").Kind())
+	if len(kinds) != 4 || fullEnc.Column("u").Kind() != table.KindPacked {
+		f.Fatalf("the fuzz table encodes to column kinds %v (u %v), want all four and u scaled", kinds, fullEnc.Column("u").Kind())
 	}
-	ords := make([]int, tab.NumRows())
-	for j := range ords {
-		ords[j] = len(ords) - 1 - j
-	}
-	for _, s := range []string{
+	for i, s := range []string{
 		"class in {A, B, \"\"} and not (year in [1970, 1999])",
 		"cert_id = id-00042 or eph >= 120.5",
 		"not (class != C) or (year <= 1960 and eph in [-50, 0])",
@@ -285,24 +285,30 @@ func FuzzEvaluatorMatchesMask(f *testing.F) {
 		"not (u <= 1.5) and class in {A, C}",
 		"u in [-Inf, 1.2] or u >= 3.98",
 	} {
-		f.Add(s)
+		f.Add(s, uint8(149-i*13), int64(i))
 	}
-	f.Fuzz(func(t *testing.T, in string) {
+	f.Fuzz(func(t *testing.T, in string, rows uint8, seed int64) {
 		p, err := Parse(in)
 		if err != nil {
 			return
 		}
+		tab, err := full.View(0, 1+int(rows)%full.NumRows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := table.Encode(tab)
+		cand := randCand(rand.New(rand.NewSource(seed)), tab.NumRows())
 		want, wantErr := p.Mask(tab)
 		ev, err := NewEvaluator(p)
 		if err != nil {
 			t.Fatalf("%q: compile: %v", in, err)
 		}
-		words, err := ev.MaskEncodedBits(enc)
+		words, err := ev.MaskEncodedBits(enc, nil)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("%q: evaluator error %v, Mask error %v", in, err, wantErr)
 		}
 		if wantErr != nil {
-			if _, err := ev.MaskEncodedRows(enc, ords); err == nil {
+			if _, err := ev.MaskEncodedBits(enc, cand); err == nil {
 				t.Fatalf("%q: sparse evaluation accepts what Mask refuses (%v)", in, wantErr)
 			}
 			return
@@ -312,13 +318,21 @@ func FuzzEvaluatorMatchesMask(f *testing.F) {
 				t.Fatalf("%q: row %d: bits %v, Mask %v", in, i, bitAt(words, i), want[i])
 			}
 		}
-		sparse, err := ev.MaskEncodedRows(enc, ords)
+		sparse, err := ev.MaskEncodedBits(enc, cand)
 		if err != nil {
 			t.Fatalf("%q: sparse: %v", in, err)
 		}
-		for j, r := range ords {
-			if bitAt(sparse, j) != want[r] {
-				t.Fatalf("%q: ordinal %d (row %d): sparse %v, Mask %v", in, j, r, bitAt(sparse, j), want[r])
+		if len(sparse) != len(cand) {
+			t.Fatalf("%q: %d sparse words over %d rows", in, len(sparse), tab.NumRows())
+		}
+		for w := range sparse {
+			if sparse[w]&^cand[w] != 0 {
+				t.Fatalf("%q: word %d sets rows that are no candidates", in, w)
+			}
+		}
+		for r := range want {
+			if bitAt(cand, r) && bitAt(sparse, r) != want[r] {
+				t.Fatalf("%q: candidate row %d: sparse %v, Mask %v", in, r, bitAt(sparse, r), want[r])
 			}
 		}
 	})

@@ -87,7 +87,7 @@ func TestEvaluatorMatchesPredicateMask(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			words, err := ev.MaskEncodedBits(enc)
+			words, err := ev.MaskEncodedBits(enc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,22 +100,32 @@ func TestEvaluatorMatchesPredicateMask(t *testing.T) {
 						trial, seg, p.String(), i, got, want[i])
 				}
 			}
-			ords := make([]int, rng.Intn(len(want)+1))
-			for j := range ords {
-				ords[j] = rng.Intn(len(want))
-			}
-			sparse, err := ev.MaskEncodedRows(enc, ords)
+			cand := randCand(rng, len(want))
+			sparse, err := ev.MaskEncodedBits(enc, cand)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for j, r := range ords {
-				if got := bitAt(sparse, j); got != want[r] {
-					t.Fatalf("trial %d seg %d (%s): ordinal %d (row %d) = %v, want %v",
-						trial, seg, p.String(), j, r, got, want[r])
+			for r := range want {
+				if got := bitAt(sparse, r); got != (want[r] && bitAt(cand, r)) {
+					t.Fatalf("trial %d seg %d (%s): row %d (candidate %v) = %v, want %v",
+						trial, seg, p.String(), r, bitAt(cand, r), got, want[r])
 				}
 			}
 		}
 	}
+}
+
+// randCand draws candidate words over n rows: every row, none, or each
+// with a random density; no bit past n.
+func randCand(rng *rand.Rand, n int) []uint64 {
+	cand := make([]uint64, (n+63)/64)
+	density := rng.Intn(4)
+	for r := 0; r < n; r++ {
+		if density == 3 || density > 0 && rng.Intn(3*density) == 0 {
+			cand[r>>6] |= 1 << (r & 63)
+		}
+	}
+	return cand
 }
 
 // bitAt reads bit i of a packed mask.
@@ -137,10 +147,10 @@ func TestEvaluatorErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ev.MaskEncodedBits(enc); err == nil {
+		if _, err := ev.MaskEncodedBits(enc, nil); err == nil {
 			t.Fatalf("want error for %T", p)
 		}
-		if _, err := ev.MaskEncodedRows(enc, []int{0, 9}); err == nil {
+		if _, err := ev.MaskEncodedBits(enc, []uint64{1<<9 | 1}); err == nil {
 			t.Fatalf("sparse: want error for %T", p)
 		}
 	}
@@ -176,7 +186,7 @@ func BenchmarkEvaluatorSegments(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ev.MaskEncodedBits(encs[i%len(encs)]); err != nil {
+			if _, err := ev.MaskEncodedBits(encs[i%len(encs)], nil); err != nil {
 				b.Fatal(err)
 			}
 		}

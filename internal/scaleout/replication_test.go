@@ -165,7 +165,7 @@ func TestReplicaSealsAsItsLeaderDoes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, run := range page {
-			if err := run.Enc.TakeAppend(tab, run.Rows); err != nil {
+			if err := run.AppendTo(tab); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -13,12 +14,13 @@ import (
 )
 
 // Row pages are rendered straight from the encodings that hold them: a
-// page is runs of rows of segment encodings (store.PageRun), and each
-// cell is read from its column — dictionary entry, packed integer or raw
-// value — and written into the body. The bytes are exactly what
-// encoding/json emits for the row as a map[string]any: keys in sorted
-// order, floats in json's ES6-style format, strings with json's
-// (HTML-safe) escaping, and invalid or non-finite cells as null.
+// page is runs of segment encodings with the words that select their rows
+// (store.PageRun), and each cell is read from its column — dictionary
+// entry, packed integer or raw value — and written into the body. The
+// bytes are exactly what encoding/json emits for the row as a
+// map[string]any: keys in sorted order, floats in json's ES6-style
+// format, strings with json's (HTML-safe) escaping, and invalid or
+// non-finite cells as null.
 
 // rowLayout is the key order and the rendered keys of one schema, built
 // once and reused while the encodings carry that schema.
@@ -102,24 +104,28 @@ func encodeRows(page []store.PageRun) []json.RawMessage {
 func renderRows(dst []byte, page []store.PageRun, sep byte) ([]byte, []int) {
 	n := 0
 	for _, run := range page {
-		n += len(run.Rows)
+		for _, w := range run.Words {
+			n += bits.OnesCount64(w)
+		}
 	}
 	ends := make([]int, 0, n)
 	for _, run := range page {
 		l, cols := layoutOf(run.Enc), run.Enc.Columns()
-		for _, r := range run.Rows {
-			start := len(dst)
-			if len(ends) > 0 && sep != 0 {
-				dst = append(dst, sep)
+		for w, word := range run.Words {
+			for ; word != 0; word &= word - 1 {
+				start := len(dst)
+				if len(ends) > 0 && sep != 0 {
+					dst = append(dst, sep)
+				}
+				dst = l.appendRow(dst, cols, w<<6+bits.TrailingZeros64(word))
+				if len(ends) == 0 {
+					// Rows of one page are about the same size: reserve the
+					// rest by the first row's, with an eighth to spare.
+					rowLen := len(dst) - start + 1
+					dst = slices.Grow(dst, (n-1)*(rowLen+rowLen/8))
+				}
+				ends = append(ends, len(dst))
 			}
-			dst = l.appendRow(dst, cols, r)
-			if len(ends) == 0 {
-				// Rows of one page are about the same size: reserve the
-				// rest by the first row's, with an eighth to spare.
-				rowLen := len(dst) - start + 1
-				dst = slices.Grow(dst, (n-1)*(rowLen+rowLen/8))
-			}
-			ends = append(ends, len(dst))
 		}
 	}
 	return dst, ends

@@ -88,10 +88,10 @@ func pageOf(tab *table.Table, offset, limit int) []store.PageRun {
 		if err != nil {
 			panic(err)
 		}
-		run := store.PageRun{Enc: table.Encode(part)}
+		run := store.PageRun{Enc: table.Encode(part), Words: []uint64{0}}
 		for r := lo; r < lo+part.NumRows(); r++ {
 			if r >= offset && r < offset+limit {
-				run.Rows = append(run.Rows, r-lo)
+				run.Words[0] |= 1 << (r - lo)
 			}
 		}
 		page = append(page, run)

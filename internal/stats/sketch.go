@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Sketch is a compact mergeable quantile sketch over float64 observations:
 // the log-linear bucket layout proven in internal/obs's histograms, refined
@@ -141,16 +144,16 @@ func below(a, b float64) bool { return a < b || a == b && math.Signbit(a) && !ma
 // cover it.
 func (sd *SketchSide) add(idx int, n uint64) {
 	if i := idx - sd.Base; uint(i) >= uint(len(sd.Counts)) {
-		sd.grow(idx, idx)
+		sd.grow(idx, idx, len(sd.Counts))
 	}
 	sd.Counts[idx-sd.Base] += n
 }
 
 // grow widens the span to cover buckets lo to hi. It grows by whole
 // octaves, so its layout depends only on the octaves its values reach,
-// never on the order they came in. Past its capacity the array grows by
-// the span it had; within it, counts move up.
-func (sd *SketchSide) grow(lo, hi int) {
+// never on the order they came in. Past its capacity the array grows with
+// spare buckets to come; within it, counts move up.
+func (sd *SketchSide) grow(lo, hi, spare int) {
 	const octave = 1 << sketchSubBits
 	lo, hi = lo&^(octave-1), hi|(octave-1)+1
 	if len(sd.Counts) > 0 {
@@ -161,7 +164,7 @@ func (sd *SketchSide) grow(lo, hi int) {
 	}
 	grown := sd.Counts[:0]
 	if cap(grown) < hi-lo {
-		grown = make([]uint64, 0, hi-lo+len(sd.Counts))
+		grown = make([]uint64, 0, hi-lo+spare)
 	}
 	grown = grown[:hi-lo]
 	if len(sd.Counts) > 0 {
@@ -169,6 +172,48 @@ func (sd *SketchSide) grow(lo, hi int) {
 		clear(grown[:sd.Base-lo])
 	}
 	sd.Base, sd.Counts = lo, grown
+}
+
+// Reserve sizes the side values in [lo, hi] fall on — a range of one
+// sign; one that spans zero reserves nothing — to hold them all: a fold
+// that knows its column's range allocates each side once, not octave by
+// octave. Trim gives back the octaves no value reached.
+func (s *Sketch) Reserve(lo, hi float64) {
+	side := &s.Pos
+	if hi < 0 {
+		side, lo, hi = &s.Neg, -hi, -lo
+	}
+	if lo > 0 && lo <= hi {
+		if *side == nil {
+			*side = &SketchSide{}
+		}
+		(*side).grow(sketchIdx(lo), sketchIdx(hi), 0)
+	}
+}
+
+// Trim cuts each side to the octaves from its first count to its last,
+// and drops a side with none: a reserved sketch takes the layout, and the
+// JSON, of one grown by its values. A span of less than half its array
+// moves to one of its own size.
+func (s *Sketch) Trim() { s.Pos, s.Neg = s.Pos.trim(), s.Neg.trim() }
+
+func (sd *SketchSide) trim() *SketchSide {
+	if sd == nil {
+		return nil
+	}
+	lo, hi := slices.IndexFunc(sd.Counts, func(n uint64) bool { return n != 0 }), len(sd.Counts)
+	if lo < 0 {
+		return nil
+	}
+	for sd.Counts[hi-1] == 0 {
+		hi--
+	}
+	const octave = 1 << sketchSubBits
+	lo, hi = lo&^(octave-1), (hi-1)|(octave-1)+1
+	if sd.Base, sd.Counts = sd.Base+lo, sd.Counts[lo:hi]; 2*(hi-lo) < cap(sd.Counts)+lo {
+		sd.Counts = slices.Clone(sd.Counts)
+	}
+	return sd
 }
 
 // Merge folds another sketch into s without mutating o. Because bucketing
@@ -198,7 +243,7 @@ func (sd *SketchSide) merge(o *SketchSide) *SketchSide {
 	if sd == nil {
 		sd = &SketchSide{}
 	}
-	sd.grow(o.Base, o.Base+len(o.Counts)-1)
+	sd.grow(o.Base, o.Base+len(o.Counts)-1, len(sd.Counts))
 	dst := sd.Counts[o.Base-sd.Base:]
 	for i, n := range o.Counts {
 		dst[i] += n

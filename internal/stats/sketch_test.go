@@ -272,6 +272,34 @@ func FuzzSketch(f *testing.F) {
 			t.Fatalf("merge(%d|%d) differs from single pass", split, len(xs)-split)
 		}
 
+		// Reserved for thrice the span of each sign's values (and for a
+		// side none reach), trimmed: the sketch of the values alone.
+		var pos, neg [2]float64
+		for _, x := range xs {
+			if m := math.Abs(x); x != 0 && !math.IsNaN(x) {
+				ext := &pos
+				if x < 0 {
+					ext = &neg
+				}
+				if ext[0] == 0 || m < ext[0] {
+					ext[0] = m
+				}
+				ext[1] = max(ext[1], m)
+			}
+		}
+		reserved := &Sketch{}
+		reserved.Reserve(1, 2)
+		reserved.Reserve(-2, -1)
+		reserved.Reserve(pos[0]/3, pos[1]*3)
+		reserved.Reserve(-neg[1]*3, -neg[0]/3)
+		for _, x := range xs {
+			reserved.Add(x)
+		}
+		reserved.Trim()
+		if !reflect.DeepEqual(reserved, single) {
+			t.Fatalf("reserved and trimmed sketch %+v, grown %+v", reserved, single)
+		}
+
 		last := math.Inf(-1)
 		for q := -0.5; q <= 1.5; q += 0.05 {
 			v := merged.Quantile(q)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -45,20 +46,6 @@ type AggResult struct {
 	Groups  []*table.GroupAccum
 }
 
-// aggShardResult is one shard's contribution to an aggregate query.
-type aggShardResult struct {
-	partial *table.AggPartial
-	// parts are a predicated query's match ordinals in this shard, which
-	// a row page is cut out of (see pageRows).
-	parts   []shardPart
-	pruned  bool
-	indexed bool
-	cand    int
-	scanned int
-	cached  int // segment partials served from cache
-	err     error
-}
-
 // QueryAgg evaluates the predicate and aggregates the matches per spec —
 // the pushdown equivalent of Query followed by row-wise grouping, with
 // results identical to that oracle, bitwise for every statistic.
@@ -67,11 +54,23 @@ func (sn *Snapshot) QueryAgg(p query.Predicate, spec AggSpec, workers int) (*Agg
 	return res, ps, err
 }
 
-// PageRun is a run of a row page: rows of one segment's encoding, in page
-// order. A page is its runs in order, read straight from the encodings.
+// PageRun is a run of a row page: the rows of one segment's encoding
+// that Words selects — bit r of Words[r>>6] for row r — in row order. A
+// page is its runs in order, read straight from the encodings.
 type PageRun struct {
-	Enc  *table.Encoded
-	Rows []int
+	Enc   *table.Encoded
+	Words []uint64
+}
+
+// AppendTo decodes the run's rows onto the end of dst.
+func (r PageRun) AppendTo(dst *table.Table) error {
+	rows := make([]int, 0, ones(r.Words))
+	for w, word := range r.Words {
+		for ; word != 0; word &= word - 1 {
+			rows = append(rows, w<<6+bits.TrailingZeros64(word))
+		}
+	}
+	return r.Enc.TakeAppend(dst, rows)
 }
 
 // QueryShardsPage is the store's one aggregate-and-page entry point: it
@@ -106,11 +105,20 @@ func (sn *Snapshot) QueryShardsPage(p query.Predicate, from, to, workers int, sp
 		pushIn, pushRange, residual = pushdown(p, sn)
 	}
 
-	results := parallel.Map(to-from, workers, func(i int) aggShardResult {
-		return sn.aggShard(from+i, p, pushIn, pushRange, residual, spec)
+	// Each worker folds a contiguous run of shards, in order, into one
+	// aggregator for the whole query, and the runs fold in order into the
+	// first: the accumulators follow the groups, and each one sees its
+	// rows in snapshot order, as one pass would.
+	results := make([]shardResult, to-from)
+	size := parallel.ChunkSize(to-from, workers)
+	aggs := make([]*table.GroupAggregator, (to-from+size-1)/max(size, 1))
+	parallel.For(to-from, workers, func(lo, hi int) {
+		g := table.NewGroupAggregator(spec.By, spec.Attrs)
+		for i := lo; i < hi; i++ {
+			results[i] = sn.aggShard(from+i, g, p, pushIn, pushRange, residual, spec)
+		}
+		aggs[lo/size] = g
 	})
-
-	g := table.NewGroupAggregator(spec.By, spec.Attrs)
 	cached := 0
 	for _, r := range results {
 		if r.err != nil {
@@ -125,13 +133,18 @@ func (sn *Snapshot) QueryShardsPage(p query.Predicate, from, to, workers int, sp
 		ps.CandidateRows += r.cand
 		ps.ScannedRows += r.scanned
 		cached += r.cached
-		if r.partial != nil {
-			if err := g.AddPartial(r.partial); err != nil {
-				return nil, nil, ps, fmt.Errorf("store: query: %w", err)
-			}
+	}
+	if len(aggs) == 0 {
+		aggs = append(aggs, table.NewGroupAggregator(spec.By, spec.Attrs))
+	}
+	g := aggs[0]
+	for _, o := range aggs[1:] {
+		if err := g.AddPartial(o.Partial()); err != nil {
+			return nil, nil, ps, fmt.Errorf("store: query: %w", err)
 		}
 	}
-	ps.MatchedRows = g.Rows()
+	part := g.Partial()
+	ps.MatchedRows = part.Rows
 	var page []PageRun
 	if limit > 0 {
 		var err error
@@ -143,7 +156,7 @@ func (sn *Snapshot) QueryShardsPage(p query.Predicate, from, to, workers int, sp
 	mAggPushdown.Inc()
 	mAggCachedParts.Add(uint64(cached))
 	mQuerySeconds.ObserveDuration(time.Since(start))
-	out := &AggResult{Matched: g.Rows(), Groups: g.Groups()}
+	out := &AggResult{Matched: part.Rows, Groups: part.Groups}
 	if len(spec.Attrs) > 0 {
 		out.Totals = g.Totals()
 	}
@@ -157,7 +170,7 @@ func (sn *Snapshot) QueryShardsPage(p query.Predicate, from, to, workers int, sp
 // statistics fold per-segment partials, often cached ones) and computes
 // each segment's share of the page from the row counts alone, so segments
 // outside the page are never opened — or reloaded from disk.
-func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool, offset, limit int) ([]PageRun, error) {
+func (sn *Snapshot) pageRows(from int, results []shardResult, selectAll bool, offset, limit int) ([]PageRun, error) {
 	out := []PageRun{}
 	skip, need := offset, limit
 	// cut maps the next run of n matches onto its share [lo, hi) of the page.
@@ -177,8 +190,8 @@ func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool,
 		}
 		if !selectAll {
 			for _, part := range r.parts {
-				if lo, hi := cut(len(part.rows)); lo < hi {
-					out = append(out, PageRun{part.enc, part.rows[lo:hi]})
+				if lo, hi := cut(part.n); lo < hi {
+					out = append(out, PageRun{part.enc, keepRanks(part.words, lo, hi)})
 				}
 			}
 			continue
@@ -192,14 +205,33 @@ func (sn *Snapshot) pageRows(from int, results []aggShardResult, selectAll bool,
 			if err != nil {
 				return nil, err
 			}
-			rows := make([]int, hi-lo)
-			for k := range rows {
-				rows[k] = lo + k
+			words := make([]uint64, (hi+63)/64)
+			for r := lo; r < hi; r++ {
+				words[r>>6] |= 1 << (r & 63)
 			}
-			out = append(out, PageRun{enc, rows})
+			out = append(out, PageRun{enc, words})
 		}
 	}
 	return out, nil
+}
+
+// keepRanks clears every set bit of words but the lo-th to the (hi−1)-th,
+// counting from 0 in row order, and returns words cut after the last one
+// kept: a page's share of a part.
+func keepRanks(words []uint64, lo, hi int) []uint64 {
+	seen := 0
+	for w, x := range words {
+		for ; x != 0; x &= x - 1 {
+			if seen < lo || seen >= hi {
+				words[w] &^= x & -x
+			}
+			seen++
+		}
+		if seen >= hi {
+			return words[:w+1]
+		}
+	}
+	return words
 }
 
 // checkAggSpec validates the spec against the snapshot schema up front, so
@@ -229,16 +261,15 @@ func (sn *Snapshot) checkAggSpec(spec AggSpec) error {
 	return nil
 }
 
-// aggShard aggregates one shard's matches. With no predicate it folds
+// aggShard folds one shard's matches into g. With no predicate it folds
 // whole segments, sealed ones and tail parts alike — via the partial
 // cache, or a bare row count when the spec asks for nothing but Matched.
 // With a predicate it reuses the planner's queryShard verbatim and feeds
-// the resulting match ordinals into the kernels instead of materializing,
+// the resulting match words into the kernels instead of materializing,
 // handing them back for the caller's row page.
-func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRange []query.NumRange, residual query.Predicate, spec AggSpec) aggShardResult {
-	g := table.NewGroupAggregator(spec.By, spec.Attrs)
+func (sn *Snapshot) aggShard(i int, g *table.GroupAggregator, p query.Predicate, pushIn []query.In, pushRange []query.NumRange, residual query.Predicate, spec AggSpec) shardResult {
 	if p == nil {
-		out := aggShardResult{}
+		out := shardResult{}
 		for _, sg := range sn.segs[i] {
 			if spec.empty() {
 				g.AddRows(sg.numRows())
@@ -246,7 +277,7 @@ func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRa
 			}
 			part, hit, err := sn.aggPartial(sg, spec, true)
 			if err != nil {
-				return aggShardResult{err: err}
+				return shardResult{err: err}
 			}
 			if hit {
 				out.cached++
@@ -254,30 +285,19 @@ func (sn *Snapshot) aggShard(i int, p query.Predicate, pushIn []query.In, pushRa
 				out.scanned += sg.numRows()
 			}
 			if err := g.AddPartial(part); err != nil {
-				return aggShardResult{err: err}
+				return shardResult{err: err}
 			}
 		}
-		out.partial = g.Partial()
 		return out
 	}
 
 	r := sn.queryShard(i, p, pushIn, pushRange, residual)
-	if r.err != nil {
-		return aggShardResult{err: r.err}
-	}
 	for _, part := range r.parts {
-		if err := g.AddEncoded(part.enc, part.rows); err != nil {
-			return aggShardResult{err: err}
+		if err := g.AddEncoded(part.enc, part.words); err != nil {
+			return shardResult{err: err}
 		}
 	}
-	return aggShardResult{
-		partial: g.Partial(),
-		parts:   r.parts,
-		pruned:  r.pruned,
-		indexed: r.indexed,
-		cand:    r.cand,
-		scanned: r.scanned,
-	}
+	return r
 }
 
 // maxAggPartials bounds the per-segment partial cache: a handful of

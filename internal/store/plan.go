@@ -2,11 +2,10 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"time"
 
 	"indice/internal/bitmap"
-	"indice/internal/parallel"
 	"indice/internal/query"
 	"indice/internal/table"
 )
@@ -45,21 +44,25 @@ func (ps *PlanStats) Add(o PlanStats) {
 	ps.MatchedRows += o.MatchedRows
 }
 
-// shardPart is one segment's matched ordinals over its encoding. Parts
-// defer materialization: workers only select rows, and the merge decodes
-// every match once, straight into the result table.
+// shardPart is one segment's matches over its encoding: bit r of
+// words[r>>6] for row r, n of them. Parts defer materialization: workers
+// only select rows, and the merge decodes every match once, straight into
+// the result table.
 type shardPart struct {
-	enc  *table.Encoded
-	rows []int
+	enc   *table.Encoded
+	words []uint64
+	n     int
 }
 
-// shardResult is one shard's contribution to a query.
+// shardResult is one shard's contribution to a query: its matches, which
+// a row page is cut out of (see pageRows), and its share of the plan.
 type shardResult struct {
 	parts   []shardPart
 	pruned  bool
 	indexed bool
 	cand    int
 	scanned int
+	cached  int // segment partials served from cache
 	err     error
 }
 
@@ -86,62 +89,30 @@ type shardResult struct {
 // are processed on workers goroutines (see parallel.Workers); the result
 // is identical at any parallelism.
 //
-// Query materializes the whole match set. It is the planner's reference
-// API — what FullScan equivalence and the page-equivalence suites compare
-// against — and serves callers that want every row; request paths that
-// want statistics and a page of rows use QueryShardsPage, which runs the
-// same per-shard plan without decoding the rest.
+// Query materializes the whole match set: QueryShardsPage's page of every
+// match, decoded. It is what FullScan equivalence and the page-equivalence
+// suites compare against, and serves callers that want every row; request
+// paths that want statistics and a page of rows use QueryShardsPage, which
+// decodes only the page.
 func (sn *Snapshot) Query(p query.Predicate, workers int) (*table.Table, PlanStats, error) {
-	start := time.Now()
-	ps := PlanStats{Shards: len(sn.segs)}
-	if p == nil {
-		tab, err := sn.Table()
-		if err != nil {
-			return nil, ps, err
-		}
-		ps.MatchedRows = tab.NumRows()
-		observePlan(ps, true)
-		mQuerySeconds.ObserveDuration(time.Since(start))
-		return tab, ps, nil
+	_, page, ps, err := sn.QueryShardsPage(p, 0, len(sn.segs), workers, AggSpec{}, 0, math.MaxInt)
+	if err != nil {
+		return nil, ps, err
 	}
-	pushIn, pushRange, residual := pushdown(p, sn)
-
-	results := parallel.Map(len(sn.segs), workers, func(i int) shardResult {
-		return sn.queryShard(i, p, pushIn, pushRange, residual)
-	})
-
 	out, err := table.NewWithSchema(sn.schema)
 	if err != nil {
 		return nil, ps, err
 	}
 	total := 0
-	for _, r := range results {
-		if r.err != nil {
-			return nil, ps, fmt.Errorf("store: query: %w", r.err)
-		}
-		for _, p := range r.parts {
-			total += len(p.rows)
-		}
+	for _, run := range page {
+		total += ones(run.Words)
 	}
 	out.Grow(total)
-	for _, r := range results {
-		if r.pruned {
-			ps.PrunedShards++
-		}
-		if r.indexed {
-			ps.IndexedShards++
-		}
-		ps.CandidateRows += r.cand
-		ps.ScannedRows += r.scanned
-		for _, p := range r.parts {
-			if err := p.enc.TakeAppend(out, p.rows); err != nil {
-				return nil, ps, fmt.Errorf("store: query: %w", err)
-			}
+	for _, run := range page {
+		if err := run.AppendTo(out); err != nil {
+			return nil, ps, fmt.Errorf("store: query: %w", err)
 		}
 	}
-	ps.MatchedRows = out.NumRows()
-	observePlan(ps, false)
-	mQuerySeconds.ObserveDuration(time.Since(start))
 	return out, ps, nil
 }
 
@@ -289,108 +260,71 @@ func (sn *Snapshot) queryShard(i int, p query.Predicate, pushIn []query.In, push
 		}
 	}
 
-	if !useIndex {
-		// Masked scan over every segment. One compiled evaluator serves
-		// them all: In value sets build once and the per-node truth
-		// buffers recycle across segments, and each segment evaluates
-		// word-at-a-time over its encoded columns. Workers emit
-		// match-ordinal parts, never tables — the merge decodes each
-		// matching row exactly once.
-		ev, err := query.NewEvaluator(p)
-		if err != nil {
-			return shardResult{err: err}
-		}
-		var parts []shardPart
-		for _, sg := range segs {
-			enc, err := sg.openEnc(sn.ld)
-			if err != nil {
-				return shardResult{err: err}
-			}
-			words, err := ev.MaskEncodedBits(enc)
-			if err != nil {
-				return shardResult{err: err}
-			}
-			if match := setOrdinals(words, nil); match != nil {
-				parts = append(parts, shardPart{enc: enc, rows: match})
-			}
-		}
-		return shardResult{parts: parts, scanned: rows}
+	// A masked scan evaluates the predicate at every row of every segment,
+	// word-at-a-time over the encoded columns. The candidate path takes
+	// each segment's candidates out of the shard's bitmap as the segment's
+	// own words and re-checks the residual at just those rows: the index
+	// vouches for the pushed In conjuncts, and leftover Not/Or/range
+	// structure evaluates at candidates exactly as on the full segment;
+	// with no residual, candidates are matches. One compiled evaluator
+	// serves every segment (In value sets build once, per-node truth
+	// buffers recycle), and each segment's selection is a window of one
+	// buffer for the shard. Workers emit match-word parts, never tables.
+	pred := p
+	if useIndex {
+		pred = residual
 	}
-
-	// Candidate path: walk the candidate ordinals (ascending, so
-	// snapshot order is preserved) and re-check the residual predicate
-	// on them — the index already vouches for the pushed In conjuncts,
-	// and leftover Not/Or/range structure evaluates at just those rows
-	// exactly as it would on the full segment. With no residual,
-	// candidates are matches and go out as parts unfiltered.
 	var ev *query.Evaluator
-	if residual != nil {
+	if pred != nil {
 		var err error
-		if ev, err = query.NewEvaluator(residual); err != nil {
+		if ev, err = query.NewEvaluator(pred); err != nil {
 			return shardResult{err: err}
 		}
 	}
-	cand := candSet.AppendOrdinals(nil)
+	words := make([]uint64, 0, (rows+63)/64+len(segs))
 	var parts []shardPart
 	base := 0
-	k := 0
 	for _, sg := range segs {
 		n := sg.numRows()
-		lo := k
-		for k < len(cand) && cand[k] < base+n {
-			cand[k] -= base
-			k++
+		at := len(words)
+		words = words[:at+(n+63)/64]
+		w, cand := words[at:len(words):len(words)], []uint64(nil)
+		if useIndex {
+			candSet.Words(w, base, n)
+			if base += n; ones(w) == 0 {
+				// Only segments holding candidates are loaded: an indexed
+				// query over a mostly-cold store touches disk just for the
+				// segments its postings point into.
+				continue
+			}
+			cand = w
 		}
-		base += n
-		if k == lo {
-			continue
-		}
-		// Only segments actually holding candidates are loaded — an
-		// indexed query over a mostly-cold store touches disk just for
-		// the segments its postings point into. cand is this call's own
-		// slice, rebased in place to segment ordinals, so a part may
-		// keep a window of it.
 		enc, err := sg.openEnc(sn.ld)
 		if err != nil {
 			return shardResult{err: err}
 		}
-		local := cand[lo:k:k]
-		if ev == nil {
-			parts = append(parts, shardPart{enc: enc, rows: local})
-			continue
+		if ev != nil {
+			keep, err := ev.MaskEncodedBits(enc, cand)
+			if err != nil {
+				return shardResult{err: err}
+			}
+			copy(w, keep)
 		}
-		words, err := ev.MaskEncodedRows(enc, local)
-		if err != nil {
-			return shardResult{err: err}
-		}
-		if keep := setOrdinals(words, local); keep != nil {
-			parts = append(parts, shardPart{enc: enc, rows: keep})
+		if k := ones(w); k > 0 {
+			parts = append(parts, shardPart{enc, w, k})
 		}
 	}
-	return shardResult{parts: parts, indexed: true, cand: len(cand)}
+	if useIndex {
+		return shardResult{parts: parts, indexed: true, cand: candSet.Len()}
+	}
+	return shardResult{parts: parts, scanned: rows}
 }
 
-// setOrdinals returns the positions of the set bits of words in
-// ascending order, each mapped through rows when rows is non-nil, in a
-// slice of exactly that length; nil when no bit is set.
-func setOrdinals(words []uint64, rows []int) []int {
+// ones counts the set bits of words.
+func ones(words []uint64) int {
 	n := 0
 	for _, w := range words {
 		n += bits.OnesCount64(w)
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for w, word := range words {
-		for word != 0 {
-			j := w<<6 + bits.TrailingZeros64(word)
-			if rows != nil {
-				j = rows[j]
-			}
-			out = append(out, j)
-			word &= word - 1
-		}
-	}
-	return out
+	return n
 }

@@ -62,7 +62,7 @@ func decodePage(t testing.TB, sn *Snapshot, page []PageRun) *table.Table {
 		t.Fatal(err)
 	}
 	for _, run := range page {
-		if err := run.Enc.TakeAppend(out, run.Rows); err != nil {
+		if err := run.AppendTo(out); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -208,27 +208,26 @@ func (c *EncodedColumn) FloatAt(i int) float64 {
 	return c.rawF[i]
 }
 
-// block returns the validity word of up to 64 rows — rows[j0:j1], or
-// rows j0 to j1−1 when rows is nil — bit i for the i-th, and their cells:
-// a packed column's codes into codes, a raw one's values into vals. The
-// cells of invalid rows are meaningless.
-func (c *EncodedColumn) block(rows []int, j0, j1 int, codes *[64]uint64, vals *[64]float64) uint64 {
-	var word uint64
-	for i := 0; i < j1-j0; i++ {
-		r := j0 + i
-		if rows != nil {
-			r = rows[r]
-		}
-		if c.ValidAt(r) {
-			word |= 1 << i
-		}
-		if c.kind == KindPacked {
-			codes[i] = c.codes.at(r)
-		} else {
-			vals[i] = c.rawF[r]
+// block returns which rows of block w — rows 64w to 64w+63 — sel names
+// and hold a value, bit i for row 64w+i, and writes the codes of those
+// rows into codes: unpacked once for the block, or read one by one when
+// the selection is sparse. A raw column has no codes to write.
+func (c *EncodedColumn) block(w int, sel uint64, codes *[64]uint64) uint64 {
+	if c.valid != nil {
+		sel &= c.valid[w]
+	}
+	lo := w << 6
+	switch {
+	case c.kind != KindPacked && c.kind != KindDict:
+	case bits.OnesCount64(sel) > 16:
+		c.codes.unpack(lo, codes[:min(64, c.rows-lo)])
+	default:
+		for s := sel; s != 0; s &= s - 1 {
+			i := bits.TrailingZeros64(s)
+			codes[i] = c.codes.at(lo + i)
 		}
 	}
-	return word
+	return sel
 }
 
 // maxScale is the largest decimal exponent a packed column may carry: up

@@ -128,9 +128,8 @@ type GroupAggregator struct {
 	byKey  map[string]*GroupAccum
 	totals []AggAccum
 
-	// Scratch reused across segments: per-row group destinations and the
-	// per-segment code→group table (codes are segment-local).
-	ptrs   []*GroupAccum
+	// lookup is the per-segment code→group table, reused across segments
+	// (codes are segment-local).
 	lookup []*GroupAccum
 }
 
@@ -172,34 +171,16 @@ func (g *GroupAggregator) AddRows(n int) { g.rows += n }
 // Rows returns the matched rows folded in so far.
 func (g *GroupAggregator) Rows() int { return g.rows }
 
-func (g *GroupAggregator) scratchPtrs(n int) []*GroupAccum {
-	if cap(g.ptrs) < n {
-		g.ptrs = make([]*GroupAccum, n)
-	}
-	return g.ptrs[:n]
-}
-
-func (g *GroupAggregator) scratchLookup(n int) []*GroupAccum {
-	if cap(g.lookup) < n {
-		g.lookup = make([]*GroupAccum, n)
-	}
-	l := g.lookup[:n]
-	for i := range l {
-		l[i] = nil
-	}
-	return l
-}
-
-// AddEncoded folds the given rows of an encoded segment into the
-// aggregator; rows == nil means every row. This is the pushdown kernel:
-// dictionary group codes index an array of group pointers (one string
-// lookup per distinct code per segment, not per row), and values decode
-// 64 rows at a time, apart from the fold of the valid ones.
-func (g *GroupAggregator) AddEncoded(e *Encoded, rows []int) error {
-	n := e.rows
-	if rows != nil {
-		n = len(rows)
-	}
+// AddEncoded folds the rows of an encoded segment that words selects —
+// bit r of words[r>>6] for row r — into the aggregator; nil words select
+// every row. This is the pushdown kernel: it walks the selection a word
+// of 64 rows at a time, dictionary group codes index an array of group
+// pointers (one string lookup per distinct code per segment, not per
+// row), a block's codes unpack once per word, and only selected valid
+// cells cost a visit. A packed column's code range sizes each group's
+// sketches once per segment (Sketch.Reserve), so the accumulators grow
+// with the groups, not with the matches; Partial trims them.
+func (g *GroupAggregator) AddEncoded(e *Encoded, words []uint64) error {
 	cols := make([]*EncodedColumn, len(g.attrs))
 	for k, attr := range g.attrs {
 		c := e.Column(attr)
@@ -211,99 +192,97 @@ func (g *GroupAggregator) AddEncoded(e *Encoded, rows []int) error {
 		}
 		cols[k] = c
 	}
-
-	var ptrs []*GroupAccum
+	var bc *EncodedColumn
 	if g.by != "" {
-		bc := e.Column(g.by)
-		if bc == nil {
+		if bc = e.Column(g.by); bc == nil {
 			return fmt.Errorf("%w: %q", ErrNoColumn, g.by)
 		}
 		if bc.typ != String {
 			return fmt.Errorf("%w: %q is %v, want string", ErrTypeMismatch, g.by, bc.typ)
 		}
-		ptrs = g.scratchPtrs(n)
-		if bc.kind == KindDict {
-			// Codes are group identities: resolve each distinct code to its
-			// accumulator once, then every row is an array index. Slot
-			// DictLen stands in for invalid cells (group "", matching
-			// GroupByString).
-			inv := bc.DictLen()
-			lookup := g.scratchLookup(inv + 1)
-			resolve := func(code int) *GroupAccum {
-				p := lookup[code]
-				if p == nil {
-					if code == inv {
-						p = g.group("")
-					} else {
-						p = g.group(bc.dict[code])
-					}
-					lookup[code] = p
-				}
-				return p
-			}
-			if rows == nil {
-				for r := 0; r < n; r++ {
-					code := inv
-					if bc.ValidAt(r) {
-						code = int(bc.codes.at(r))
-					}
-					p := resolve(code)
-					p.Rows++
-					ptrs[r] = p
-				}
-			} else {
-				for j, r := range rows {
-					code := inv
-					if bc.ValidAt(r) {
-						code = int(bc.codes.at(r))
-					}
-					p := resolve(code)
-					p.Rows++
-					ptrs[j] = p
-				}
-			}
-		} else {
-			// Raw-string group column (dictionary encoding declined): the
-			// per-row string map lookup is unavoidable here.
-			each := func(j, r int) {
-				key := ""
-				if bc.ValidAt(r) {
-					key = bc.rawS[r]
-				}
-				p := g.group(key)
-				p.Rows++
-				ptrs[j] = p
-			}
-			if rows == nil {
-				for r := 0; r < n; r++ {
-					each(r, r)
-				}
-			} else {
-				for j, r := range rows {
-					each(j, r)
-				}
+	}
+	reserve := func(accs []AggAccum) {
+		for k, c := range cols {
+			if c.kind == KindPacked {
+				top := c.base + int64(1)<<uint(c.codes.width) - 1
+				accs[k].S.Reserve(c.decInt(max(c.base, 1)), c.decInt(top))
+				accs[k].S.Reserve(c.decInt(c.base), c.decInt(min(top, -1)))
 			}
 		}
 	}
-	g.rows += n
+	// Slot DictLen of the code→group table stands in for invalid cells
+	// (group "", matching GroupByString).
+	var inv int
+	switch {
+	case bc == nil:
+		reserve(g.totals)
+	case bc.kind == KindDict:
+		inv = bc.DictLen()
+		if cap(g.lookup) <= inv {
+			g.lookup = make([]*GroupAccum, inv+1)
+		}
+		g.lookup = g.lookup[:inv+1]
+		clear(g.lookup)
+	}
 
+	var ptrs [64]*GroupAccum
 	var codes [64]uint64
-	var vals [64]float64
-	for k, c := range cols {
-		// Packed cells below 10^15 are their decimals: they add their
-		// integers, and only the sketch reads them as floats.
-		decimal := c.kind == KindPacked && c.base > -1e15 && c.base+int64(1)<<uint(c.codes.width)-1 < 1e15
-		// A block of 64 rows at a time: cells first, then only valid
-		// rows cost a visit.
-		for j0 := 0; j0 < n; j0 += 64 {
-			word := c.block(rows, j0, min(j0+64, n), &codes, &vals)
-			for ; word != 0; word &= word - 1 {
-				i := bits.TrailingZeros64(word)
+	for w := 0; w<<6 < e.rows; w++ {
+		sel := ^uint64(0)
+		if words != nil {
+			sel = words[w]
+		}
+		if rest := e.rows - w<<6; rest < 64 {
+			sel &= 1<<rest - 1
+		}
+		if sel == 0 {
+			continue
+		}
+		g.rows += bits.OnesCount64(sel)
+		if bc != nil {
+			valid := bc.block(w, sel, &codes)
+			for s := sel; s != 0; s &= s - 1 {
+				i := bits.TrailingZeros64(s)
+				var p *GroupAccum
+				switch {
+				case bc.kind != KindDict:
+					// Raw-string group column (dictionary encoding
+					// declined): a string map lookup per row.
+					key := ""
+					if valid>>i&1 != 0 {
+						key = bc.rawS[w<<6+i]
+					}
+					p = g.group(key)
+				default:
+					code := inv
+					if valid>>i&1 != 0 {
+						code = int(codes[i])
+					}
+					if p = g.lookup[code]; p == nil {
+						key := ""
+						if code < inv {
+							key = bc.dict[code]
+						}
+						p = g.group(key)
+						reserve(p.Attrs)
+						g.lookup[code] = p
+					}
+				}
+				p.Rows++
+				ptrs[i] = p
+			}
+		}
+		for k, c := range cols {
+			// Packed cells below 10^15 are their decimals: they add their
+			// integers, and only the sketch reads them as floats.
+			decimal := c.kind == KindPacked && c.base > -1e15 && c.base+int64(1)<<uint(c.codes.width)-1 < 1e15
+			for valid := c.block(w, sel, &codes); valid != 0; valid &= valid - 1 {
+				i := bits.TrailingZeros64(valid)
 				var a *AggAccum
-				if g.by == "" {
+				if bc == nil {
 					a = &g.totals[k]
 				} else {
-					a = &ptrs[j0+i].Attrs[k]
+					a = &ptrs[i].Attrs[k]
 				}
 				if decimal {
 					x := c.base + int64(codes[i])
@@ -311,10 +290,10 @@ func (g *GroupAggregator) AddEncoded(e *Encoded, rows []int) error {
 					a.S.Add(c.decInt(x))
 					continue
 				}
-				v := vals[i]
+				var v float64
 				if c.kind == KindPacked {
 					v = c.dec(codes[i])
-				} else if math.IsNaN(v) || math.IsInf(v, 0) {
+				} else if v = c.rawF[w<<6+i]; math.IsNaN(v) || math.IsInf(v, 0) {
 					continue
 				}
 				a.observe(v)
@@ -351,11 +330,23 @@ func (g *GroupAggregator) AddPartial(p *AggPartial) error {
 	return nil
 }
 
-// Partial freezes the aggregator's state. The result shares the
+// Partial freezes the aggregator's state, its sketches trimmed to the
+// octaves their values reached (see AddEncoded). The result shares the
 // accumulators (no copy): discard the aggregator afterwards, or treat
 // the partial as a live view.
 func (g *GroupAggregator) Partial() *AggPartial {
-	return &AggPartial{Rows: g.rows, Groups: g.Groups(), Totals: g.totals}
+	p := &AggPartial{Rows: g.rows, Groups: g.Groups(), Totals: g.totals}
+	for _, gp := range p.Groups {
+		trim(gp.Attrs)
+	}
+	trim(p.Totals)
+	return p
+}
+
+func trim(accs []AggAccum) {
+	for k := range accs {
+		accs[k].S.Trim()
+	}
 }
 
 // Groups returns the accumulated groups sorted by key (nil when

@@ -1,6 +1,8 @@
 package table
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -182,6 +184,15 @@ func buildAggTable(t *testing.T, rng *rand.Rand, rows int, mode string) *Table {
 	return tab
 }
 
+// wordsOf is the selection words of the given rows of an n-row segment.
+func wordsOf(rows []int, n int) []uint64 {
+	words := make([]uint64, (n+63)/64)
+	for _, r := range rows {
+		words[r>>6] |= 1 << (r & 63)
+	}
+	return words
+}
+
 func TestGroupAggregatorMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	attrs := []string{"x", "y"}
@@ -208,7 +219,7 @@ func TestGroupAggregatorMatchesOracle(t *testing.T) {
 				}
 				sub := oracleOf(t, tab, "g", attrs, sel)
 				gs := NewGroupAggregator("g", attrs)
-				if err := gs.AddEncoded(enc, sel); err != nil {
+				if err := gs.AddEncoded(enc, wordsOf(sel, rows)); err != nil {
 					t.Fatal(err)
 				}
 				checkAgainstOracle(t, gs, sub, len(sel))
@@ -228,10 +239,10 @@ func TestGroupAggregatorMatchesOracle(t *testing.T) {
 				for i := cut; i < rows; i++ {
 					rightRows = append(rightRows, i)
 				}
-				if err := left.AddEncoded(enc, leftRows); err != nil {
+				if err := left.AddEncoded(enc, wordsOf(leftRows, rows)); err != nil {
 					t.Fatal(err)
 				}
-				if err := right.AddEncoded(enc, rightRows); err != nil {
+				if err := right.AddEncoded(enc, wordsOf(rightRows, rows)); err != nil {
 					t.Fatal(err)
 				}
 				merged := NewGroupAggregator("g", attrs)
@@ -322,7 +333,7 @@ func TestGroupAggregatorErrors(t *testing.T) {
 			t.Fatalf("AddEncoded(by=%q attrs=%v): want error", tc.by, tc.attrs)
 		}
 		g = NewGroupAggregator(tc.by, tc.attrs)
-		if err := g.AddEncoded(enc, []int{1}); err == nil {
+		if err := g.AddEncoded(enc, []uint64{2}); err == nil {
 			t.Fatalf("AddEncoded(by=%q attrs=%v, rows [1]): want error", tc.by, tc.attrs)
 		}
 	}
@@ -381,4 +392,130 @@ func TestAggAccumObserveMeanMerge(t *testing.T) {
 	if a.Count() != 3 || a.Sum() != 16 {
 		t.Fatalf("merge aliased the source accumulator")
 	}
+}
+
+// FuzzAddEncodedSelection pins the selection kernel against Observe. The
+// table is random, of any row count up to 700 (rarely a multiple of 64):
+// a group column that encodes to a dictionary or stays raw, with invalid
+// cells; a decimal column of 0 to 3 fraction digits that packs, negative
+// values and invalid cells included; and a column that stays raw, with
+// NaN, ±Inf and non-decimal values. The selection words are random at a
+// random density, or nil for every row. The frozen partial of AddEncoded
+// must equal, group by group, the Observe fold of the decoded selected
+// rows in row order: the row counts, each sketch's JSON byte for byte
+// (reserved sketches trim to the buckets their values reached) and the
+// exact sums.
+func FuzzAddEncodedSelection(f *testing.F) {
+	for i := 0; i < 8; i++ {
+		f.Add(int64(i), uint16(1+i*97), uint8(i*37))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, rows uint16, shape uint8) {
+		n := 1 + int(rows)%700
+		rng := rand.New(rand.NewSource(seed))
+		keys, kvalid := make([]string, n), make([]bool, n)
+		dec, dvalid := make([]float64, n), make([]bool, n)
+		raw, rvalid := make([]float64, n), make([]bool, n)
+		for i := 0; i < n; i++ {
+			keys[i] = fmt.Sprintf("K%d", rng.Intn(5))
+			if shape&1 != 0 {
+				keys[i] = fmt.Sprintf("R%d", rng.Intn(n+10)) // declines the dictionary
+			}
+			kvalid[i] = rng.Intn(8) != 0
+			dec[i] = float64(rng.Intn(20001)-5000) / pow10[shape>>1&3]
+			dvalid[i] = rng.Intn(6) != 0
+			switch rng.Intn(10) {
+			case 0:
+				raw[i] = math.NaN()
+			case 1:
+				raw[i] = math.Inf(1 - 2*rng.Intn(2))
+			default:
+				raw[i] = rng.NormFloat64() * 1e3
+			}
+			rvalid[i] = rng.Intn(6) != 0
+		}
+		tab := New()
+		for _, err := range []error{
+			tab.AddStringsValid("g", keys, kvalid),
+			tab.AddFloatsValid("d", dec, dvalid),
+			tab.AddFloatsValid("r", raw, rvalid),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		enc := Encode(tab)
+		var sel []uint64
+		if shape&8 == 0 {
+			sel = make([]uint64, (n+63)/64)
+			density := 1 + rng.Intn(4)
+			for r := 0; r < n; r++ {
+				if rng.Intn(density) == 0 {
+					sel[r>>6] |= 1 << (r & 63)
+				}
+			}
+		}
+		by := "g"
+		if shape&16 != 0 {
+			by = ""
+		}
+		attrs := []string{"d", "r"}
+		g := NewGroupAggregator(by, attrs)
+		if err := g.AddEncoded(enc, sel); err != nil {
+			t.Fatal(err)
+		}
+		got := g.Partial()
+
+		// The oracle: Observe over the decoded cells of the selected rows.
+		dtab := enc.Decode()
+		dkeys, _ := dtab.Strings("g")
+		dkvalid, _ := dtab.ValidMask("g")
+		want := NewGroupAggregator(by, attrs)
+		for r := 0; r < n; r++ {
+			if sel != nil && sel[r>>6]&(1<<(r&63)) == 0 {
+				continue
+			}
+			want.rows++
+			accs := want.totals
+			if by != "" {
+				key := ""
+				if dkvalid[r] {
+					key = dkeys[r]
+				}
+				gp := want.group(key)
+				gp.Rows++
+				accs = gp.Attrs
+			}
+			for k, attr := range attrs {
+				vals, _ := dtab.Floats(attr)
+				if valid, _ := dtab.ValidMask(attr); valid[r] {
+					accs[k].Observe(vals[r])
+				}
+			}
+		}
+		wp := want.Partial()
+		if got.Rows != wp.Rows || len(got.Groups) != len(wp.Groups) || len(got.Totals) != len(wp.Totals) {
+			t.Fatalf("%d rows in %d groups, want %d in %d", got.Rows, len(got.Groups), wp.Rows, len(wp.Groups))
+		}
+		same := func(label string, a, b []AggAccum) {
+			for k := range a {
+				ga, _ := json.Marshal(a[k].S)
+				wa, _ := json.Marshal(b[k].S)
+				if !bytes.Equal(ga, wa) {
+					t.Fatalf("%s attr %d: sketch %s, Observe's %s", label, k, ga, wa)
+				}
+				gs, gq := a[k].exact()
+				ws, wq := b[k].exact()
+				if gs.Cmp(ws) != 0 || gq.Cmp(wq) != 0 {
+					t.Fatalf("%s attr %d: sums %v, %v; Observe's %v, %v", label, k, gs, gq, ws, wq)
+				}
+			}
+		}
+		same("totals", got.Totals, wp.Totals)
+		for i, gp := range got.Groups {
+			if w := wp.Groups[i]; gp.Key != w.Key || gp.Rows != w.Rows {
+				t.Fatalf("group %q of %d rows, want %q of %d", gp.Key, gp.Rows, w.Key, w.Rows)
+			}
+			same(fmt.Sprintf("group %q", gp.Key), gp.Attrs, wp.Groups[i].Attrs)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -369,7 +370,7 @@ func pageTable(t testing.TB, page []store.PageRun) *table.Table {
 		t.Fatal(err)
 	}
 	for _, run := range page {
-		if err := run.Enc.TakeAppend(out, run.Rows); err != nil {
+		if err := run.AppendTo(out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +381,9 @@ func pageTable(t testing.TB, page []store.PageRun) *table.Table {
 func pageLen(page []store.PageRun) int {
 	n := 0
 	for _, run := range page {
-		n += len(run.Rows)
+		for _, w := range run.Words {
+			n += bits.OnesCount64(w)
+		}
 	}
 	return n
 }
